@@ -285,13 +285,3 @@ def check_codazzi_flat(geom: GraphGeometry) -> float:
     resid = dtheta(mesh, kap_p) * big_r - (kap_m - kap_p) * d_big_r
     return float(np.abs(resid).max())
 
-
-def geometry_csv_rows(geom: GraphGeometry):
-    """Rows (theta, phi, r, v, H, kappa1, kappa2, mu1, mu2, tau) in node order."""
-    th = geom.mesh.theta_grid().ravel()
-    ph = geom.mesh.phi_grid().ravel()
-    cols = [th, ph] + [
-        a.ravel()
-        for a in (geom.r, geom.v, geom.H, geom.kappa1, geom.kappa2, geom.mu1, geom.mu2, geom.tau)
-    ]
-    return list(zip(*cols))

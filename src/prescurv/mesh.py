@@ -154,6 +154,34 @@ def dphi2(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
     ) / (180.0 * mesh.dphi ** 2)
 
 
+def stencil_footprint(mesh: SphereMesh):
+    """Node pairs (rows, cols), flat indices, where node `cols` enters the stencils at `rows`.
+
+    A node reads the 5 colatitude rows i-2..i+2 and, in full mode, the 7
+    azimuth columns j-3..j+3 (the colatitude stencil of the azimuthal
+    derivative in r_12 spans the whole 5 x 7 block).  Rows past a pole
+    continue to the antipodal column (full mode) or mirror back (reduced
+    mode), as in _theta_extended.  Pairs are unique and sorted by column,
+    then row.
+    """
+    n = mesh.n_theta
+    rows = np.arange(n)[:, None] + np.arange(-2, 3)          # (n, 5) extended rows
+    across = (rows < 0) | (rows >= n)
+    src = np.where(rows < 0, -1 - rows, np.where(rows >= n, 2 * n - 1 - rows, rows))
+    if mesh.reduced:
+        target = np.broadcast_to(np.arange(n)[:, None], src.shape)
+        source = src
+    else:
+        m = mesh.n_phi
+        col = np.arange(m)[:, None] + np.arange(-3, 4)       # (m, 7)
+        src_col = (col[None, None] + (m // 2) * across[:, :, None, None]) % m
+        target = np.broadcast_to((np.arange(n)[:, None] * m + np.arange(m))[:, None, :, None],
+                                 src_col.shape)
+        source = src[:, :, None, None] * m + src_col
+    pairs = np.unique(source.ravel() * mesh.n_nodes + target.ravel())
+    return pairs % mesh.n_nodes, pairs // mesh.n_nodes
+
+
 # -- frame derivatives -------------------------------------------------------
 
 def grad_frame(field: ScalarField):

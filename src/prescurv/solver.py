@@ -1,20 +1,26 @@
 """Damped-Newton solver and homotopy continuation for the nodal curvature equation.
 
 The residual at each node is sigma_k/sigma_l of the Newton-tensor eigenvalues
-minus the homotopy value f^t.  Newton uses a dense central-difference
-Jacobian (one-sided where a perturbation exits the admissibility cone) and a
-backtracking line search that accepts a step only if the iterate stays
+minus the homotopy value f^t.  Newton builds a sparse central-difference
+Jacobian by column colouring over the stencil footprint (one-sided where a
+perturbation leaves the admissible set), factors it with sparse LU, and runs
+a backtracking line search that accepts a step only if the iterate stays
 admissible, stays inside the guarded annulus, and decreases the residual.
+The dense per-column Jacobian, jacobian_fd, is kept as the test oracle.
 Continuation marches t from the round solution at t = 0 to t = 1 with step
 halving on failure and doubling after consecutive easy solves.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize._numdiff import group_columns
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
 
 from .errors import (
     AdmissibilityError,
@@ -22,13 +28,19 @@ from .errors import (
     ConeViolation,
     ContinuationBreakdown,
     DomainViolation,
+    FEvalError,
     NewtonFailure,
+    ProfileViolation,
 )
 from .geometry import compute_geometry
-from .mesh import ScalarField, SphereMesh, field_from_flat
+from .mesh import ScalarField, SphereMesh, field_from_flat, stencil_footprint
 from .problem import ProblemSpec, blend_f_t, check_assumptions
 
 GUARD_FRACTION = 0.05  # hard annulus guard widens (r1, r2) by this fraction of the width
+
+# A trial point raising one of these is inadmissible: the line search steps
+# back from it and the FD Jacobian differences one-sided away from it.
+INADMISSIBLE = (ConeViolation, DomainViolation, ProfileViolation, FEvalError)
 
 
 @dataclass(frozen=True)
@@ -81,45 +93,121 @@ def _residual_vec(spec, mesh, t, rvec):
     return residual(spec, mesh, t, field_from_flat(mesh, rvec)).flat()
 
 
+def _fd_steps(rvec, opts: SolverOptions) -> np.ndarray:
+    """Per-column FD step h_j = jacobian_fd_scale * (1 + |r_j|)."""
+    return opts.jacobian_fd_scale * (1.0 + np.abs(rvec))
+
+
+def _shifted_residual(spec, mesh, t, rvec, cols, h):
+    """Residual with rvec[cols] moved by h, or None where that point is inadmissible."""
+    trial = rvec.copy()
+    trial[cols] += h
+    try:
+        return _residual_vec(spec, mesh, t, trial)
+    except INADMISSIBLE:
+        return None
+
+
+def _fd_column(spec, mesh, t, rvec, j, h, base):
+    """Column j of the FD Jacobian, differenced on its own.
+
+    Central; one-sided (against `base()`, the unperturbed residual) when one
+    perturbation leaves the admissible set; AdmissibilityError when both do.
+    """
+    plus = _shifted_residual(spec, mesh, t, rvec, j, h)
+    minus = _shifted_residual(spec, mesh, t, rvec, j, -h)
+    if plus is not None and minus is not None:
+        return (plus - minus) / (2.0 * h)
+    if plus is not None:
+        return (plus - base()) / h
+    if minus is not None:
+        return (base() - minus) / h
+    raise AdmissibilityError(f"Jacobian column {j}: both one-sided perturbations inadmissible")
+
+
+def _base_residual(spec, mesh, t, rvec):
+    """The unperturbed residual, evaluated on first use only."""
+    return functools.cache(lambda: _residual_vec(spec, mesh, t, rvec))
+
+
 def jacobian_fd(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: ScalarField,
                 opts: SolverOptions = SolverOptions()) -> np.ndarray:
-    """Dense finite-difference Jacobian of the nodal residual.
+    """Dense finite-difference Jacobian of the nodal residual: the test oracle.
 
-    Central differences; falls back to one-sided when a perturbation exits
-    the admissibility cone or the radius domain.
+    Differences every column on its own with _fd_column (two residual
+    evaluations per node, one-sided where a perturbation is inadmissible);
+    newton_solve uses jacobian_coloured, which agrees with it entry for entry.
     """
-    rvec = r_field.flat().copy()
-    n = rvec.size
-    jac = np.empty((n, n))
-    base = None
-    for j in range(n):
-        h = opts.jacobian_fd_scale * (1.0 + abs(rvec[j]))
-        saved = rvec[j]
-        try:
-            rvec[j] = saved + h
-            plus = _residual_vec(spec, mesh, t, rvec)
-        except (ConeViolation, DomainViolation):
-            plus = None
-        try:
-            rvec[j] = saved - h
-            minus = _residual_vec(spec, mesh, t, rvec)
-        except (ConeViolation, DomainViolation):
-            minus = None
-        rvec[j] = saved
+    rvec = r_field.flat()
+    h = _fd_steps(rvec, opts)
+    base = _base_residual(spec, mesh, t, rvec)
+    return np.column_stack([_fd_column(spec, mesh, t, rvec, j, h[j], base)
+                            for j in range(rvec.size)])
+
+
+@dataclass(frozen=True)
+class _Sparsity:
+    """CSC sparsity pattern of the Jacobian and its column colouring."""
+
+    indptr: np.ndarray
+    indices: np.ndarray        # row of each stored entry
+    entry_col: np.ndarray      # column of each stored entry
+    groups: list               # column indices of each colour group
+    group_entries: list        # stored-entry indices of each colour group
+
+    @classmethod
+    def build(cls, mesh: SphereMesh) -> "_Sparsity":
+        n = mesh.n_nodes
+        rows, cols = stencil_footprint(mesh)
+        pattern = csc_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        # the greedy colouring depends on the column order: keep the better of two
+        colour = min((group_columns(pattern, order) for order in (np.arange(n), 0)),
+                     key=np.max)
+        entry_col = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        entry_colour = colour[entry_col]
+        by_colour = np.argsort(entry_colour, kind="stable")
+        cuts = np.cumsum(np.bincount(entry_colour))[:-1]
+        return cls(pattern.indptr, pattern.indices, entry_col,
+                   [np.flatnonzero(colour == c) for c in range(colour.max() + 1)],
+                   np.split(by_colour, cuts))
+
+
+_SPARSITY = {}  # mesh.shape -> _Sparsity; the stencil footprint depends on nothing else
+
+
+def _sparsity(mesh: SphereMesh) -> _Sparsity:
+    sp = _SPARSITY.get(mesh.shape)
+    if sp is None:
+        sp = _SPARSITY[mesh.shape] = _Sparsity.build(mesh)
+    return sp
+
+
+def jacobian_coloured(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: ScalarField,
+                      opts: SolverOptions = SolverOptions()) -> csc_array:
+    """Sparse finite-difference Jacobian by Curtis-Powell-Reid column colouring.
+
+    Columns of one colour touch disjoint rows of the stencil footprint, so
+    one central difference per colour group, with the per-column steps of
+    jacobian_fd, yields all their entries; the residual is local, so each
+    entry equals jacobian_fd's.  A group whose +h or -h perturbation is
+    inadmissible is differenced column by column, exactly as jacobian_fd
+    does.  The pattern and colouring are built on first use per mesh shape.
+    """
+    sp = _sparsity(mesh)
+    rvec = r_field.flat()
+    h = _fd_steps(rvec, opts)
+    base = _base_residual(spec, mesh, t, rvec)
+    data = np.empty(sp.indices.size)
+    for cols, entries in zip(sp.groups, sp.group_entries):
+        plus = _shifted_residual(spec, mesh, t, rvec, cols, h[cols])
+        minus = _shifted_residual(spec, mesh, t, rvec, cols, -h[cols])
         if plus is not None and minus is not None:
-            jac[:, j] = (plus - minus) / (2.0 * h)
-        elif plus is not None or minus is not None:
-            if base is None:
-                base = _residual_vec(spec, mesh, t, rvec)
-            if plus is not None:
-                jac[:, j] = (plus - base) / h
-            else:
-                jac[:, j] = (base - minus) / h
-        else:
-            raise AdmissibilityError(
-                f"Jacobian column {j}: both one-sided perturbations inadmissible"
-            )
-    return jac
+            data[entries] = (plus - minus)[sp.indices[entries]] / (2.0 * h[sp.entry_col[entries]])
+            continue
+        for j in cols:
+            stored = slice(sp.indptr[j], sp.indptr[j + 1])
+            data[stored] = _fd_column(spec, mesh, t, rvec, j, h[j], base)[sp.indices[stored]]
+    return csc_array((data, sp.indices, sp.indptr), shape=(rvec.size, rvec.size))
 
 
 def _guard_bounds(spec: ProblemSpec):
@@ -139,9 +227,11 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
                  opts: SolverOptions = SolverOptions()):
     """Damped Newton for the nodal equation at fixed t.
 
-    Returns (solution field, NewtonStats).  Every accepted iterate is
-    admissible and inside the guarded annulus; backtracking halves the step
-    until admissibility and residual decrease both hold.
+    Returns (solution field, NewtonStats).  Each step solves with the
+    coloured sparse Jacobian (jacobian_coloured) factored by splu; a singular
+    factorization or a non-finite step raises NewtonFailure.  Every accepted
+    iterate is admissible and inside the guarded annulus; backtracking halves
+    the step until admissibility and residual decrease both hold.
     """
     rvec = r_init.flat().copy()
     _check_guard(spec, rvec)
@@ -151,15 +241,20 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
     for it in range(opts.max_newton):
         if norm <= opts.newton_tol:
             return field_from_flat(mesh, rvec), NewtonStats(it, norm, halvings_total)
-        jac = jacobian_fd(spec, mesh, t, field_from_flat(mesh, rvec), opts)
-        step = np.linalg.solve(jac, -res)
+        jac = jacobian_coloured(spec, mesh, t, field_from_flat(mesh, rvec), opts)
+        try:
+            step = splu(jac).solve(-res)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise NewtonFailure(f"Jacobian factorization failed at t={t:g}: {exc}") from exc
+        if not np.all(np.isfinite(step)):
+            raise NewtonFailure(f"non-finite Newton step at t={t:g}")
         scale = 1.0
         for k in range(opts.max_halvings + 1):
             trial = rvec + scale * step
             try:
                 _check_guard(spec, trial)
                 trial_res = _residual_vec(spec, mesh, t, trial)
-            except (ConeViolation, DomainViolation, AdmissibilityError):
+            except INADMISSIBLE + (AdmissibilityError,):
                 scale *= opts.damping
                 continue
             trial_norm = float(np.abs(trial_res).max())

@@ -1,19 +1,31 @@
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
+from prescurv import solver
+from prescurv.cli import main
 from prescurv.errors import (
     AdmissibilityError,
     AssumptionFailure,
     ConeViolation,
     ContinuationBreakdown,
     DomainViolation,
+    FEvalError,
+    NewtonFailure,
 )
 from prescurv.geometry import compute_geometry
-from prescurv.mesh import ScalarField, build_mesh, field_from_flat
+from prescurv.mesh import (
+    ScalarField,
+    build_mesh,
+    field_from_flat,
+    field_from_function,
+    stencil_footprint,
+)
 from prescurv.problem import ProblemSpec, manufacture_f, parse_f, phi_value, threshold
 from prescurv.solver import (
     SolverOptions,
     continuation_solve,
+    jacobian_coloured,
     jacobian_fd,
     newton_solve,
     residual,
@@ -119,6 +131,116 @@ def test_newton_step_robust_to_fd_step_halving():
         steps[scale] = np.linalg.solve(jac, -res)
     rel = np.linalg.norm(steps[1e-6] - steps[5e-7]) / np.linalg.norm(steps[1e-6])
     assert rel <= 1e-4
+
+
+# -- coloured sparse Jacobian against the dense oracle ------------------------------
+
+ANGULAR_F = "1/r^2 * exp(1.25 - r) * (1 + 0.03*sin(th)*cos(ph) - 0.02*sin(th)*sin(ph))"
+
+
+def bumpy_field(mesh):
+    """A non-round admissible graph near r = 1.25, not symmetric in theta or phi."""
+    return field_from_function(mesh, lambda th, ph: 1.25 + 0.04 * np.cos(th)
+                               + 0.02 * np.sin(th) * np.cos(ph)
+                               + 0.01 * np.sin(th) ** 2 * np.sin(2 * ph))
+
+
+ORACLE_CASES = {
+    "euclidean-full": (EUCLID, ANGULAR_F, (16, 8)),
+    "custom-reduced": (WarpProfile.custom((0.0, 1.0, 0.0, 1.0 / 6.0), (0.0, 5.0)),
+                       "1/r^2 * exp(1.25 - r) * (1 + 0.03*cos(th))", (16, None)),
+    "hyperbolic-full": (WarpProfile.hyperbolic((0.0, 10.0)), ANGULAR_F, (16, 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_coloured_jacobian_matches_dense_oracle(case):
+    profile, f_text, (n_theta, n_phi) = ORACLE_CASES[case]
+    spec = closed_form_spec(profile=profile, f=parse_f(f_text))
+    mesh = build_mesh(n_theta, n_phi, reduced=n_phi is None)
+    r = bumpy_field(mesh)
+    dense = jacobian_fd(spec, mesh, 0.7, r)
+    coloured = jacobian_coloured(spec, mesh, 0.7, r)
+    assert coloured.shape == dense.shape
+    assert np.abs(coloured.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("shape", [(16, 8), (16, 4), (20, 10), (16, None)])
+def test_stencil_footprint_covers_dense_jacobian(shape):
+    mesh = build_mesh(shape[0], shape[1], reduced=shape[1] is None)
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    dense = jacobian_fd(spec, mesh, 0.7, bumpy_field(mesh))
+    rows, cols = stencil_footprint(mesh)
+    outside = np.ones(dense.shape, dtype=bool)
+    outside[rows, cols] = False
+    assert not np.any(dense[outside])
+
+
+def test_coloured_group_falls_back_to_single_columns(monkeypatch):
+    """A colour-group perturbation that leaves the cone is redone column by
+    column: central where the column alone stays admissible, one-sided where
+    it does not (column 0 at +h below), exactly as the dense oracle does."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    r = bumpy_field(mesh)
+    unpatched = jacobian_fd(spec, mesh, 0.7, r)
+    base = r.flat().copy()
+    real = solver._residual_vec
+
+    def cone_exit_near_node_0(spec_, mesh_, t_, rvec):
+        moved = np.flatnonzero(rvec != base)
+        if 0 in moved and (moved.size > 1 or rvec[0] > base[0]):
+            raise ConeViolation("forced cone exit", node=0)
+        return real(spec_, mesh_, t_, rvec)
+
+    monkeypatch.setattr(solver, "_residual_vec", cone_exit_near_node_0)
+    dense = jacobian_fd(spec, mesh, 0.7, r)
+    coloured = jacobian_coloured(spec, mesh, 0.7, r).toarray()
+    assert np.array_equal(coloured, dense)
+    assert not np.array_equal(dense[:, 0], unpatched[:, 0])  # column 0 went one-sided
+    np.testing.assert_array_equal(dense[:, 1:], unpatched[:, 1:])
+
+
+def singular_jacobian(spec, mesh, t, r_field, opts=SolverOptions()):
+    return csc_array((mesh.n_nodes, mesh.n_nodes))
+
+
+def test_singular_jacobian_is_a_newton_failure(monkeypatch):
+    monkeypatch.setattr(solver, "jacobian_coloured", singular_jacobian)
+    spec = closed_form_spec()
+    mesh = build_mesh(16, reduced=True)
+    with pytest.raises(NewtonFailure, match="factorization"):
+        newton_solve(spec, mesh, 0.0, const_field(mesh, spec.phi_rm + 0.1))
+
+
+def test_cli_singular_jacobian_breaks_down_without_traceback(monkeypatch, tmp_path, capsys):
+    """Every t-step fails to factor, so the continuation halves dt to
+    underflow and the CLI exits 4 (continuation breakdown)."""
+    monkeypatch.setattr(solver, "jacobian_coloured", singular_jacobian)
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text("warp.kind = euclidean\nwarp.domain = 0,10\nmesh.n_theta = 16\n"
+                   "mesh.reduced = true\nproblem.r1 = 0.5\nproblem.r2 = 2\nphi.rm = 1.25\n"
+                   "f.expr = 1/r^2 * exp(1.25 - r) * (1 + 0.03*cos(th))\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "solve"]) == 4
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert "breakdown" in out.out
+
+
+def test_line_search_backtracks_when_trial_f_is_not_positive():
+    """f = (1 + 2.5 (r - 1.25)) / r^2 is positive only for r > 0.85.  From the
+    constant start 1.7 the full Newton step lands near r = 0.74, where f <= 0;
+    the line search must halve the step, not abort."""
+    spec = closed_form_spec(f=parse_f("(1 + 2.5*(r - 1.25)) / r^2"))
+    mesh = build_mesh(16, reduced=True)
+    start = const_field(mesh, 1.7)
+    res = residual(spec, mesh, 1.0, start).flat()
+    full_step = start.flat() + np.linalg.solve(jacobian_fd(spec, mesh, 1.0, start), -res)
+    with pytest.raises(FEvalError):
+        residual(spec, mesh, 1.0, field_from_flat(mesh, full_step))
+    sol, stats = newton_solve(spec, mesh, 1.0, start)
+    assert stats.halvings >= 1
+    assert np.abs(sol.values - 1.25).max() <= 1e-8
 
 
 # -- Newton ----------------------------------------------------------------------

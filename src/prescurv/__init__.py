@@ -26,8 +26,7 @@ from .mesh import (
     build_mesh,
     field_from_function,
     field_from_flat,
-    grad_frame,
-    hess_frame,
+    frame_derivatives,
     integrate,
 )
 from .geometry import (

@@ -279,10 +279,10 @@ def _selftest_checks():
     yield "mesh-area", abs(float(mesh.weights.sum()) - 4 * np.pi) <= 1e-3, ""
     th, ph = mesh.theta_grid(), mesh.phi_grid()
     f = M.ScalarField(mesh, np.cos(th))
-    h11, h12, h22 = M.hess_frame(f)
-    err = max(float(np.abs(h11.values + np.cos(th)).max()),
-              float(np.abs(h22.values + np.cos(th)).max()),
-              float(np.abs(h12.values).max()))
+    _, _, h11, h12, h22 = M.frame_derivatives(f)
+    err = max(float(np.abs(h11 + np.cos(th)).max()),
+              float(np.abs(h22 + np.cos(th)).max()),
+              float(np.abs(h12).max()))
     yield "mesh-hessian-eigenfunction", err <= 1e-5, f"abs {err:.1e}"
 
     # geometry: round graph and constant-graph identity across profiles

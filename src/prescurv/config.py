@@ -9,7 +9,7 @@ SolverOptions, raising ConfigError with the offending key on bad input.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,8 +131,8 @@ def build_mesh_from(cfg) -> SphereMesh:
 def _load_target_csv(path: str, mesh: SphereMesh) -> ScalarField:
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError:
-        raise ConfigError(f"cannot read target CSV {path!r}", key="f.manufactured")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read target CSV {path!r}: {exc}", key="f.manufactured")
     if data.shape[1] < 3:
         raise ConfigError("target CSV needs columns theta,phi,value", key="f.manufactured")
     if data.shape[0] != mesh.n_nodes:
@@ -143,7 +143,15 @@ def _load_target_csv(path: str, mesh: SphereMesh) -> ScalarField:
     theta = data[:, 0].reshape(mesh.shape)
     if not np.allclose(theta, mesh.theta_grid(), atol=1e-9):
         raise ConfigError("target CSV colatitudes do not match the mesh", key="f.manufactured")
-    return ScalarField(mesh, data[:, 2].reshape(mesh.shape))
+    try:
+        return ScalarField(mesh, data[:, 2].reshape(mesh.shape))
+    except ValueError as exc:
+        raise ConfigError(f"target CSV values: {exc}", key="f.manufactured")
+
+
+# ProblemSpec's ValueError messages start with the quantity they reject
+_SPEC_KEYS = (("quotient order", "problem.k"), ("annulus", "warp.domain"),
+              ("phi_rm", "phi.rm"), ("phi_c", "phi.c"))
 
 
 def build_problem(cfg, mesh: SphereMesh = None):
@@ -164,7 +172,12 @@ def build_problem(cfg, mesh: SphereMesh = None):
     phi_rm = _get_float(cfg, "phi.rm", default=str(0.5 * (r1 + r2)))
     phi_c = _get_float(cfg, "phi.c")
 
-    base = ProblemSpec(q, profile, parse_f("1"), r1, r2, phi_rm, phi_c)
+    try:
+        base = ProblemSpec(q, profile, parse_f("1"), r1, r2, phi_rm, phi_c)
+    except ValueError as exc:
+        key = next((key for head, key in _SPEC_KEYS if str(exc).startswith(head)), None)
+        raise ConfigError(str(exc), key=key)
+
     sources = [key for key in ("f.expr", "f.builtin", "f.manufactured") if key in cfg]
     if len(sources) != 1:
         raise ConfigError(
@@ -188,11 +201,7 @@ def build_problem(cfg, mesh: SphereMesh = None):
         target = _load_target_csv(cfg["f.manufactured"], mesh)
         f = manufacture_f(base, mesh, target)
 
-    try:
-        spec = ProblemSpec(q, profile, f, r1, r2, phi_rm, phi_c)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="problem.r1")
-
+    spec = replace(base, f=f)
     try:
         opts = SolverOptions(
             newton_tol=_get_float(cfg, "solver.newton_tol"),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .mesh import ScalarField, SphereMesh, dphi, dphi2, dtheta, dtheta2, grad_frame, hess_frame
+from .mesh import ScalarField, SphereMesh, dphi, dphi2, dtheta, dtheta2, frame_derivatives
 from .symm import QuotientOrder, quotient_ratio_batch
 from .warp import WarpProfile
 
@@ -69,7 +69,6 @@ class GraphGeometry:
     h11: np.ndarray
     h12: np.ndarray
     h22: np.ndarray
-    hmix: np.ndarray      # shape (2, 2) + mesh shape, h^i_j = g^{ik} h_kj
     H: np.ndarray
     kappa1: np.ndarray    # larger principal curvature
     kappa2: np.ndarray
@@ -89,13 +88,15 @@ class GraphGeometry:
 
 
 def compute_geometry(mesh: SphereMesh, r_field: ScalarField, profile: WarpProfile) -> GraphGeometry:
-    """All per-node geometric quantities of the graph of r_field."""
+    """All per-node geometric quantities of the graph of r_field, in one pass.
+
+    The frame derivatives come from one frame_derivatives call, so each
+    stencil runs once; only the diagonal of the shape operator g^{-1} h is
+    formed (its trace is H); Lambda is the warp's closed-form antiderivative.
+    """
     r = r_field.values
     lam, dlam, _ = profile.eval_lambda(r)
-    f1, f2 = grad_frame(r_field)
-    f11, f12, f22 = hess_frame(r_field)
-    r1, r2 = f1.values, f2.values
-    r11, r12, r22 = f11.values, f12.values, f22.values
+    r1, r2, r11, r12, r22 = frame_derivatives(r_field)
 
     v = np.sqrt(lam * lam + r1 * r1 + r2 * r2)
     lam2 = lam * lam
@@ -112,11 +113,8 @@ def compute_geometry(mesh: SphereMesh, r_field: ScalarField, profile: WarpProfil
     h12 = pref * (-lam * r12 + 2.0 * dlam * r1 * r2)
     h22 = pref * (-lam * r22 + 2.0 * dlam * r2 * r2 + lam2 * dlam)
 
-    hm11 = gi11 * h11 + gi12 * h12
-    hm12 = gi11 * h12 + gi12 * h22
-    hm21 = gi12 * h11 + gi22 * h12
+    hm11 = gi11 * h11 + gi12 * h12   # diagonal of the shape operator h^i_j = g^{ik} h_kj
     hm22 = gi12 * h12 + gi22 * h22
-    hmix = np.stack([np.stack([hm11, hm12]), np.stack([hm21, hm22])])
 
     kappa1, kappa2 = _sym_pair_eigs(g11, g12, g22, h11, h12, h22)
     H = hm11 + hm22
@@ -142,7 +140,6 @@ def compute_geometry(mesh: SphereMesh, r_field: ScalarField, profile: WarpProfil
         h11=h11,
         h12=h12,
         h22=h22,
-        hmix=hmix,
         H=H,
         kappa1=kappa1,
         kappa2=kappa2,

@@ -8,6 +8,8 @@ Azimuthal derivatives use 6th-order centered stencils: they cost nothing
 extra under periodicity and keep the 1/sin(theta)-amplified terms at the
 pole rows from dominating the overall (colatitude-limited) 4th-order error.
 The reduced mode keeps only the colatitude line for axisymmetric fields.
+frame_derivatives gives the orthonormal-frame gradient and covariant Hessian
+of a field in one pass that applies each stencil it needs once.
 """
 
 from __future__ import annotations
@@ -184,37 +186,28 @@ def stencil_footprint(mesh: SphereMesh):
 
 # -- frame derivatives -------------------------------------------------------
 
-def grad_frame(field: ScalarField):
-    """Orthonormal-frame gradient components (d_theta, (1/sin) d_phi)."""
-    mesh, v = field.mesh, field.values
-    r1 = dtheta(mesh, v)
-    if mesh.reduced:
-        r2 = np.zeros_like(v)
-    else:
-        r2 = dphi(mesh, v) / np.sin(mesh.theta)[:, None]
-    return ScalarField(mesh, r1), ScalarField(mesh, r2)
+def frame_derivatives(field: ScalarField):
+    """Orthonormal-frame gradient and covariant Hessian components of a field.
 
-
-def hess_frame(field: ScalarField):
-    """Orthonormal-frame covariant Hessian components (r_11, r_12, r_22).
-
-    r_12 is computed as d_theta of the frame component r_2 (odd through the
-    pole), which equals (1/sin) d_theta d_phi - (cos/sin^2) d_phi and stays
-    4th-order accurate at the pole rows.
+    Returns plain arrays (r_1, r_2, r_11, r_12, r_22) in the frame
+    (d_theta, (1/sin) d_phi).  d_theta r and the frame component
+    r_2 = (1/sin) d_phi r are computed once each and reused: r_12 is d_theta
+    of r_2 (odd through the pole), which equals
+    (1/sin) d_theta d_phi - (cos/sin^2) d_phi and stays 4th-order accurate at
+    the pole rows, and r_22 = (1/sin^2) d_phi^2 + cot d_theta.
     """
     mesh, v = field.mesh, field.values
+    r1 = dtheta(mesh, v)
     r11 = dtheta2(mesh, v)
+    cot = np.cos(mesh.theta) / np.sin(mesh.theta)
     if mesh.reduced:
-        cot = np.cos(mesh.theta) / np.sin(mesh.theta)
-        r22 = cot * dtheta(mesh, v)
-        r12 = np.zeros_like(v)
-    else:
-        sin = np.sin(mesh.theta)[:, None]
-        cot = (np.cos(mesh.theta) / np.sin(mesh.theta))[:, None]
-        r2 = dphi(mesh, v) / sin
-        r12 = dtheta(mesh, r2, parity=-1)
-        r22 = dphi2(mesh, v) / sin ** 2 + cot * dtheta(mesh, v)
-    return ScalarField(mesh, r11), ScalarField(mesh, r12), ScalarField(mesh, r22)
+        zero = np.zeros_like(v)
+        return r1, zero, r11, zero, cot * r1
+    sin = np.sin(mesh.theta)[:, None]
+    r2 = dphi(mesh, v) / sin
+    r12 = dtheta(mesh, r2, parity=-1)
+    r22 = dphi2(mesh, v) / sin ** 2 + cot[:, None] * r1
+    return r1, r2, r11, r12, r22
 
 
 def integrate(field: ScalarField) -> float:

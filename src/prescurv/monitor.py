@@ -113,18 +113,18 @@ class RefinementTable:
 
 def refinement_stability(make_spec: Callable[[object], ProblemSpec],
                          resolutions: Sequence[int],
-                         reduced: bool = True,
                          opts: SolverOptions = SolverOptions(),
                          force: bool = False) -> RefinementTable:
     """Solve to t = 1 at each resolution and tabulate the monitored bounds.
 
+    Each resolution is a reduced (axisymmetric) mesh of that many nodes.
     make_spec(mesh) builds the problem for a given mesh (manufactured
     prescriptions are mesh-bound, so the problem is rebuilt per resolution).
     Flags instability when kappa_max keeps growing between the finest pair.
     """
     rows = []
     for res in resolutions:
-        mesh = build_mesh(res, reduced=True) if reduced else build_mesh(res, 2 * res)
+        mesh = build_mesh(res, reduced=True)
         spec = make_spec(mesh)
         state, _ = continuation_solve(spec, mesh, opts, force=force)
         rec = monitor_state(state, spec, mesh)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.optimize._numdiff import group_columns
@@ -37,6 +36,8 @@ from .mesh import ScalarField, SphereMesh, field_from_flat, stencil_footprint
 from .problem import ProblemSpec, blend_f_t, check_assumptions
 
 GUARD_FRACTION = 0.05  # hard annulus guard widens (r1, r2) by this fraction of the width
+DAMPING = 0.5          # line-search backtracking factor
+MAX_HALVINGS = 20      # line-search backtracking steps before NewtonFailure
 
 # A trial point raising one of these is inadmissible: the line search steps
 # back from it and the FD Jacobian differences one-sided away from it.
@@ -49,13 +50,11 @@ class SolverOptions:
     max_newton: int = 30
     t_step_init: float = 0.1
     t_step_min: float = 1e-3
-    damping: float = 0.5           # backtracking factor
-    max_halvings: int = 20
     jacobian_fd_scale: float = 1e-6  # step = scale * (1 + |r_j|)
 
     def __post_init__(self):
         for name in ("newton_tol", "max_newton", "t_step_init", "t_step_min",
-                     "damping", "max_halvings", "jacobian_fd_scale"):
+                     "jacobian_fd_scale"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.t_step_min > self.t_step_init:
@@ -75,7 +74,6 @@ class ContinuationState:
     r_field: ScalarField
     newton_iters: int
     residual_norm: float
-    admissible: bool = True
 
 
 def residual(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: ScalarField) -> ScalarField:
@@ -249,23 +247,23 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
         if not np.all(np.isfinite(step)):
             raise NewtonFailure(f"non-finite Newton step at t={t:g}")
         scale = 1.0
-        for k in range(opts.max_halvings + 1):
+        for k in range(MAX_HALVINGS + 1):
             trial = rvec + scale * step
             try:
                 _check_guard(spec, trial)
                 trial_res = _residual_vec(spec, mesh, t, trial)
             except INADMISSIBLE + (AdmissibilityError,):
-                scale *= opts.damping
+                scale *= DAMPING
                 continue
             trial_norm = float(np.abs(trial_res).max())
             if trial_norm < norm:
                 rvec, res, norm = trial, trial_res, trial_norm
                 halvings_total += k
                 break
-            scale *= opts.damping
+            scale *= DAMPING
         else:
             raise NewtonFailure(
-                f"line search failed after {opts.max_halvings} halvings at t={t:g}"
+                f"line search failed after {MAX_HALVINGS} halvings at t={t:g}"
             )
     if norm <= opts.newton_tol:
         return field_from_flat(mesh, rvec), NewtonStats(opts.max_newton, norm, halvings_total)
@@ -274,8 +272,7 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
 
 def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
                        opts: SolverOptions = SolverOptions(),
-                       force: bool = False,
-                       r_init: Optional[ScalarField] = None):
+                       force: bool = False):
     """March the homotopy from the round solution at t = 0 to t = 1.
 
     Refuses to run when the assumption check fails beyond boundary cases,
@@ -291,8 +288,7 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
             f"assumption check failed: {', '.join(hard_failures)}", report=report
         )
 
-    if r_init is None:
-        r_init = field_from_flat(mesh, np.full(mesh.n_nodes, spec.phi_rm))
+    r_init = field_from_flat(mesh, np.full(mesh.n_nodes, spec.phi_rm))
     sol, stats = newton_solve(spec, mesh, 0.0, r_init, opts)
     state = ContinuationState(0.0, sol, stats.iterations, stats.residual_norm)
     history = [state]

@@ -1,17 +1,17 @@
 """Warping function of the ambient metric dr^2 + lambda(r)^2 g' and derived scalars.
 
 Builtin kinds cover the three space forms (lambda = r, sin r, sinh r); custom
-profiles are polynomials in r so that derivatives and validation stay closed
-form.  All evaluators are vectorized over numpy arrays.
+profiles are polynomials in r so that derivatives, the antiderivative and
+validation stay closed form.  All evaluators are vectorized over numpy arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainViolation, ProfileViolation
 
@@ -81,6 +81,12 @@ class WarpProfile:
             )
         return r
 
+    @cached_property
+    def _poly(self):
+        """(p, p', p'', antiderivative of p vanishing at 0) of a custom profile."""
+        p = np.polynomial.Polynomial(np.asarray(self.custom_coeffs))
+        return p, p.deriv(1), p.deriv(2), p.integ()
+
     def _raw(self, r):
         """(lambda, lambda', lambda'') without domain or positivity checks."""
         r = np.asarray(r, dtype=float)
@@ -90,9 +96,8 @@ class WarpProfile:
             return np.sin(r), np.cos(r), -np.sin(r)
         if self.kind == "hyperbolic":
             return np.sinh(r), np.cosh(r), np.sinh(r)
-        c = np.asarray(self.custom_coeffs)
-        p = np.polynomial.Polynomial(c)
-        return p(r), p.deriv(1)(r), p.deriv(2)(r)
+        p, dp, ddp, _ = self._poly
+        return p(r), dp(r), ddp(r)
 
     def eval_lambda(self, r):
         """Return (lambda, lambda', lambda'') at r, enforcing positivity."""
@@ -110,11 +115,7 @@ class WarpProfile:
         return dlam / lam
 
     def capital_lambda(self, r):
-        """Antiderivative of lambda from 0 to r.
-
-        Closed form for builtin kinds; adaptive quadrature (relative error
-        <= 1e-12) for custom polynomials.
-        """
+        """Antiderivative of lambda from 0 to r, in closed form for every kind."""
         r = self._check_domain(r)
         if self.kind == "euclidean":
             return 0.5 * r * r
@@ -122,14 +123,7 @@ class WarpProfile:
             return 1.0 - np.cos(r)
         if self.kind == "hyperbolic":
             return np.cosh(r) - 1.0
-
-        def one(x):
-            val, _ = quad(lambda s: self._raw(s)[0], 0.0, x, epsabs=0.0, epsrel=1e-12)
-            return val
-
-        if np.ndim(r) == 0:
-            return one(float(r))
-        return np.array([one(x) for x in np.ravel(r)]).reshape(np.shape(r))
+        return self._poly[3](r)
 
 
 @dataclass(frozen=True)

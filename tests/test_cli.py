@@ -107,6 +107,33 @@ def test_solve_rejects_bad_numbers(tmp_path, capsys):
     assert "mesh.n_theta" in capsys.readouterr().err
 
 
+def manufactured_cfg(tmp_path, value):
+    """A reduced 32-node config whose target CSV holds `value` at every node."""
+    from prescurv.mesh import build_mesh
+
+    csv_path = tmp_path / "target.csv"
+    csv_path.write_text("theta,phi,value\n" + "".join(
+        f"{th!r},0.0,{value}\n" for th in build_mesh(32, reduced=True).theta.tolist()))
+    return VIOLATES_INNER.replace("f.expr = 0.5/r^2", f"f.manufactured = {csv_path}")
+
+
+@pytest.mark.parametrize("make_cfg,key", [
+    (lambda tmp: CLOSED_FORM.replace("problem.k = 2", "problem.k = 3"), "problem.k"),
+    (lambda tmp: CLOSED_FORM.replace("phi.rm = 1.25", "phi.rm = 2.5"), "phi.rm"),
+    (lambda tmp: CLOSED_FORM.replace("phi.c = 1.0", "phi.c = -1.0"), "phi.c"),
+    (lambda tmp: CLOSED_FORM.replace("warp.domain = 0,10", "warp.domain = 0,1.5"), "warp.domain"),
+    (lambda tmp: manufactured_cfg(tmp, "abc"), "f.manufactured"),
+    (lambda tmp: manufactured_cfg(tmp, "nan"), "f.manufactured"),
+], ids=["k-above-dimension", "phi-rm-outside-annulus", "phi-c-negative",
+        "annulus-outside-domain", "target-not-numeric", "target-nan"])
+def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
+    cfg = write_cfg(tmp_path, make_cfg(tmp_path))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == 2
+    err = capsys.readouterr().err
+    assert f"(key: {key})" in err
+    assert "Traceback" not in err
+
+
 def test_solve_missing_config():
     assert main(["--config", "/nonexistent/x.cfg", "solve"]) == 2
 

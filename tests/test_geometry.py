@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prescurv import mesh as mesh_module
 from prescurv.errors import AdmissibilityError, DomainViolation
 from prescurv.geometry import (
     check_codazzi_flat,
@@ -21,6 +22,15 @@ def const_field(mesh, value):
     return ScalarField(mesh, np.full(mesh.shape, float(value)))
 
 
+def shape_operator(geom):
+    """The mixed form g^{-1} h per node, as stacked 2x2 blocks (mesh shape + (2, 2))."""
+    def blocks(a11, a12, a22):
+        return np.stack([np.stack([a11, a12], -1), np.stack([a12, a22], -1)], -2)
+
+    return np.linalg.solve(blocks(geom.g11, geom.g12, geom.g22),
+                           blocks(geom.h11, geom.h12, geom.h22))
+
+
 def test_round_graph_euclidean():
     mesh = build_mesh(32, 64)
     rho = 1.4
@@ -32,8 +42,8 @@ def test_round_graph_euclidean():
     assert np.abs(geom.mu2 - 1 / rho).max() <= 1e-8
     assert np.abs(geom.tau - rho).max() <= 1e-12
     # mixed form is the identity over rho
-    assert np.abs(geom.hmix[0, 0] - 1 / rho).max() <= 1e-8
-    assert np.abs(geom.hmix[0, 1]).max() <= 1e-8
+    mixed = shape_operator(geom)
+    assert np.abs(mixed - np.eye(2) / rho).max() <= 1e-8
 
 
 @pytest.mark.parametrize("profile,c", [
@@ -58,14 +68,39 @@ def test_algebraic_invariants_on_perturbed_graph():
     field = field_from_function(mesh, lambda t, p: 1 + 0.1 * np.sin(t) * np.cos(p))
     geom = compute_geometry(mesh, field, EUCLID)
     assert np.abs(geom.tau * geom.v - geom.lam ** 2).max() <= 1e-12
-    assert np.abs(geom.hmix[0, 0] + geom.hmix[1, 1] - geom.H).max() <= 1e-12
+    mixed = shape_operator(geom)
+    assert np.abs(np.trace(mixed, axis1=-2, axis2=-1) - geom.H).max() <= 1e-12
     assert np.abs(geom.mu1 + geom.mu2 - geom.H).max() <= 1e-12
+    # principal curvatures are the eigenvalues of g^{-1} h, formed independently
+    eig = np.linalg.eigvals(mixed)
+    assert np.abs(eig.imag).max() <= 1e-12
+    eig = np.sort(eig.real, axis=-1)
+    assert np.abs(eig[..., 1] - geom.kappa1).max() <= 1e-10
+    assert np.abs(eig[..., 0] - geom.kappa2).max() <= 1e-10
     # g-weighted symmetry of the mixed form
-    lhs = geom.g11 * geom.hmix[0, 1] + geom.g12 * geom.hmix[1, 1]
-    rhs = geom.g12 * geom.hmix[0, 0] + geom.g22 * geom.hmix[1, 0]
+    lhs = geom.g11 * mixed[..., 0, 1] + geom.g12 * mixed[..., 1, 1]
+    rhs = geom.g12 * mixed[..., 0, 0] + geom.g22 * mixed[..., 1, 0]
     assert np.abs(lhs - rhs).max() <= 1e-10
     assert geom.v.min() >= geom.lam.min() - 1e-14
     assert np.all(geom.tau > 0) and np.all(geom.tau <= geom.lam + 1e-14)
+
+
+@pytest.mark.parametrize("shape,expected", [
+    ((16, 8), {"dtheta": 2, "dtheta2": 1, "dphi": 1, "dphi2": 1}),
+    ((16, None), {"dtheta": 1, "dtheta2": 1, "dphi": 0, "dphi2": 0}),
+])
+def test_compute_geometry_applies_each_stencil_once(monkeypatch, shape, expected):
+    """One geometry pass takes d_theta of r and of r_2, and every other stencil once."""
+    calls = dict.fromkeys(expected, 0)
+    for name in calls:
+        def counted(*args, _name=name, _stencil=getattr(mesh_module, name), **kwargs):
+            calls[_name] += 1
+            return _stencil(*args, **kwargs)
+        monkeypatch.setattr(mesh_module, name, counted)
+    mesh = build_mesh(shape[0], shape[1], reduced=shape[1] is None)
+    field = field_from_function(mesh, lambda t, p: 1 + 0.1 * np.cos(t) * (1 + np.sin(p)))
+    compute_geometry(mesh, field, EUCLID)
+    assert calls == expected
 
 
 def test_orientation_convex_round_graphs():

@@ -7,8 +7,7 @@ from prescurv.mesh import (
     dphi,
     dtheta,
     field_from_function,
-    grad_frame,
-    hess_frame,
+    frame_derivatives,
     integrate,
 )
 
@@ -45,48 +44,47 @@ def test_field_validation():
 def test_gradient_oracles():
     mesh = build_mesh(64, 128)
     th, ph = mesh.theta_grid(), mesh.phi_grid()
-    r1, r2 = grad_frame(ScalarField(mesh, np.full(mesh.shape, 2.3)))
-    assert np.abs(r1.values).max() <= 1e-12
-    assert np.abs(r2.values).max() <= 1e-12  # azimuthal roundoff over sin(theta)
-    r1, r2 = grad_frame(ScalarField(mesh, np.cos(th)))
-    assert np.abs(r1.values + np.sin(th)).max() <= 1e-6
-    assert np.abs(r2.values).max() <= 1e-12
-    r1, r2 = grad_frame(ScalarField(mesh, np.sin(th) * np.cos(ph)))
-    assert np.abs(r2.values + np.sin(ph)).max() <= 1e-6
+    r1, r2 = frame_derivatives(ScalarField(mesh, np.full(mesh.shape, 2.3)))[:2]
+    assert np.abs(r1).max() <= 1e-12
+    assert np.abs(r2).max() <= 1e-12  # azimuthal roundoff over sin(theta)
+    r1, r2 = frame_derivatives(ScalarField(mesh, np.cos(th)))[:2]
+    assert np.abs(r1 + np.sin(th)).max() <= 1e-6
+    assert np.abs(r2).max() <= 1e-12
+    r1, r2 = frame_derivatives(ScalarField(mesh, np.sin(th) * np.cos(ph)))[:2]
+    assert np.abs(r2 + np.sin(ph)).max() <= 1e-6
 
 
 def test_hessian_oracles():
     mesh = build_mesh(64, 128)
     th, ph = mesh.theta_grid(), mesh.phi_grid()
-    h11, h12, h22 = hess_frame(ScalarField(mesh, np.full(mesh.shape, -1.7)))
+    h11, h12, h22 = frame_derivatives(ScalarField(mesh, np.full(mesh.shape, -1.7)))[2:]
     for h in (h11, h12, h22):
-        assert np.abs(h.values).max() <= 1e-11  # roundoff under the 1/sin factors
+        assert np.abs(h).max() <= 1e-11  # roundoff under the 1/sin factors
     # cos(theta) satisfies hess = -cos(theta) * (round metric)
-    h11, h12, h22 = hess_frame(ScalarField(mesh, np.cos(th)))
-    assert np.abs(h11.values + np.cos(th)).max() <= 1e-6
-    assert np.abs(h22.values + np.cos(th)).max() <= 1e-6
-    assert np.abs(h12.values).max() <= 1e-10
+    h11, h12, h22 = frame_derivatives(ScalarField(mesh, np.cos(th)))[2:]
+    assert np.abs(h11 + np.cos(th)).max() <= 1e-6
+    assert np.abs(h22 + np.cos(th)).max() <= 1e-6
+    assert np.abs(h12).max() <= 1e-10
     # degree-1 spherical harmonic: trace of the Hessian is -2 times the field
     f = np.sin(th) * np.cos(ph)
-    h11, h12, h22 = hess_frame(ScalarField(mesh, f))
-    assert np.abs(h11.values + h22.values + 2 * f).max() <= 1e-5
+    h11, h12, h22 = frame_derivatives(ScalarField(mesh, f))[2:]
+    assert np.abs(h11 + h22 + 2 * f).max() <= 1e-5
 
 
 def smooth_test_errors(n_theta):
     mesh = build_mesh(n_theta, 2 * n_theta)
     th, ph = mesh.theta_grid(), mesh.phi_grid()
     field = ScalarField(mesh, np.sin(th) * np.cos(ph) + 0.3 * np.cos(th) ** 2)
-    r1, r2 = grad_frame(field)
-    h11, h12, h22 = hess_frame(field)
+    r1, r2, h11, h12, h22 = frame_derivatives(field)
     a1 = np.cos(th) * np.cos(ph) - 0.6 * np.cos(th) * np.sin(th)
     a2 = -np.sin(ph)
     a11 = -np.sin(th) * np.cos(ph) + 0.6 * (np.sin(th) ** 2 - np.cos(th) ** 2)
     a22 = -np.sin(th) * np.cos(ph) - 0.6 * np.cos(th) ** 2
     return np.array([
-        np.abs(r1.values - a1).max(),
-        np.abs(r2.values - a2).max(),
-        np.abs(h11.values - a11).max(),
-        np.abs(h22.values - a22).max(),
+        np.abs(r1 - a1).max(),
+        np.abs(r2 - a2).max(),
+        np.abs(h11 - a11).max(),
+        np.abs(h22 - a22).max(),
     ])
 
 
@@ -103,11 +101,11 @@ def test_mixed_hessian_symmetry():
         mesh = build_mesh(n_theta, 2 * n_theta)
         th, ph = mesh.theta_grid(), mesh.phi_grid()
         vals = np.sin(th) * np.cos(th) * np.cos(ph)
-        _, h12, _ = hess_frame(ScalarField(mesh, vals))
+        h12 = frame_derivatives(ScalarField(mesh, vals))[3]
         sin = np.sin(mesh.theta)[:, None]
         cot = (np.cos(mesh.theta) / np.sin(mesh.theta))[:, None]
         other = dphi(mesh, dtheta(mesh, vals)) / sin - cot / sin * dphi(mesh, vals)
-        return np.abs(h12.values - other).max()
+        return np.abs(h12 - other).max()
 
     g32, g64 = sym_gap(32), sym_gap(64)
     assert g32 <= 2e-3
@@ -121,10 +119,8 @@ def test_reduced_matches_full_on_axisymmetric_fields():
     fn = lambda th: 1 + 0.1 * np.cos(th) + 0.05 * np.cos(th) ** 3
     f_full = ScalarField(full, np.broadcast_to(fn(full.theta)[:, None], full.shape).copy())
     f_red = ScalarField(red, fn(red.theta))
-    pairs = zip(grad_frame(f_full) + hess_frame(f_full),
-                grad_frame(f_red) + hess_frame(f_red))
-    for a, b in pairs:
-        assert np.abs(a.values[:, 0] - b.values).max() <= 1e-10
+    for a, b in zip(frame_derivatives(f_full), frame_derivatives(f_red)):
+        assert np.abs(a[:, 0] - b).max() <= 1e-10
 
 
 def test_integrate_examples():

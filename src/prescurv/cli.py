@@ -25,7 +25,9 @@ from .config import (
     parse_config,
     _get,
     _get_float,
+    _get_count,
     _get_int,
+    _keyed,
 )
 from .errors import (
     AssumptionFailure,
@@ -76,7 +78,7 @@ def _run_solve(cfg, out_dir, force, alpha=None, big_a=None):
     params = build_monitor_params(cfg, alpha, big_a)
 
     t_assume = time.perf_counter()
-    assumptions = check_assumptions(spec, samples=_get_int(cfg, "check.samples"))
+    assumptions = check_assumptions(spec, samples=_get_count(cfg, "check.samples"))
     report.assumptions = assumptions
     report.timings["assumptions"] = time.perf_counter() - t_assume
     if assumptions.hard_failures and not force:
@@ -136,7 +138,7 @@ def cmd_solve(args) -> int:
 def cmd_check_assumptions(args) -> int:
     cfg = _load_config(args)
     spec, _, _ = build_problem(cfg)
-    rep = check_assumptions(spec, samples=_get_int(cfg, "check.samples"))
+    rep = check_assumptions(spec, samples=_get_count(cfg, "check.samples"))
     print(margins_table(rep))
     return 0 if not rep.hard_failures else 3
 
@@ -155,7 +157,8 @@ def cmd_verify_geometry(args) -> int:
         return np.asarray(r_expr.evaluate(np.asarray(th), th, ph, 1.0), dtype=float)
 
     if profile.kind == "euclidean":
-        mesh = M.build_mesh(n_theta, n_phi)
+        with _keyed("verify"):
+            mesh = M.build_mesh(n_theta, n_phi)
         r_field = M.ScalarField(mesh, np.broadcast_to(
             shape_of(mesh.theta_grid(), mesh.phi_grid()), mesh.shape).copy())
         geom = G.compute_geometry(mesh, r_field, profile)
@@ -172,7 +175,8 @@ def cmd_verify_geometry(args) -> int:
 
     prev = None
     for nt in (n_theta, 2 * n_theta):
-        mesh = M.build_mesh(nt, reduced=True)
+        with _keyed("verify"):
+            mesh = M.build_mesh(nt, reduced=True)
         r_field = M.ScalarField(mesh, shape_of(mesh.theta, np.zeros_like(mesh.theta)))
         geom = G.compute_geometry(mesh, r_field, profile)
         res = G.check_support_identities(geom)
@@ -321,10 +325,10 @@ def _selftest_checks():
         yield "fexpr-rejects-unknown", True, ""
     q = QuotientOrder(2, 0)
     spec = ProblemSpec(q, prof, parse_f("1/r^2 * exp(1.25 - r)"), 0.5, 2.0, 1.25)
-    vals = []
-    for t in (0.0, 0.5, 1.0):
-        vals.append(float(blend_f_t(spec, t, 1.1, 0.7, 0.3, 0.9)))
-    yield "blend-affine-in-t", abs(vals[1] - 0.5 * (vals[0] + vals[2])) <= 1e-14, ""
+    geom = G.compute_geometry(mesh, M.ScalarField(mesh, np.full(mesh.shape, 1.1)), prof)
+    vals = [blend_f_t(spec, t, geom) for t in (0.0, 0.5, 1.0)]
+    err = float(np.abs(vals[1] - 0.5 * (vals[0] + vals[2])).max())
+    yield "blend-affine-in-t", err <= 1e-14, ""
     grid = np.linspace(0.51, 1.99, 41)
     phis = phi_value(spec, grid)
     ok_phi = bool(np.all(phis > 0) and np.all((phis >= 1) == (grid <= spec.phi_rm))

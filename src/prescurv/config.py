@@ -8,6 +8,7 @@ SolverOptions, raising ConfigError with the offending key on bad input.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, replace
 
@@ -78,9 +79,11 @@ def _get(cfg, key, default=None):
 def _get_float(cfg, key, default=None):
     raw = _get(cfg, key, default)
     try:
-        return float(raw)
+        if np.isfinite(value := float(raw)):
+            return value
     except ValueError:
-        raise ConfigError(f"config key {key!r} is not a number: {raw!r}", key=key)
+        pass
+    raise ConfigError(f"config key {key!r} is not a finite number: {raw!r}", key=key)
 
 
 def _get_int(cfg, key, default=None):
@@ -100,6 +103,22 @@ def _get_bool(cfg, key, default=None):
     raise ConfigError(f"config key {key!r} is not a boolean: {raw!r}", key=key)
 
 
+@contextlib.contextmanager
+def _keyed(section):
+    """Turn a ValueError into a ConfigError on section.<first word of its message>."""
+    try:
+        yield
+    except ValueError as exc:  # build_mesh, WarpProfile, QuotientOrder, SolverOptions: key first
+        raise ConfigError(str(exc), key=f"{section}.{str(exc).split()[0]}")
+
+
+def _get_count(cfg, key):
+    value = _get_int(cfg, key)
+    if value < 1:
+        raise ConfigError(f"config key {key!r} must be >= 1, got {value}", key=key)
+    return value
+
+
 def build_profile(cfg) -> WarpProfile:
     kind = _get(cfg, "warp.kind")
     domain_raw = _get(cfg, "warp.domain")
@@ -108,24 +127,19 @@ def build_profile(cfg) -> WarpProfile:
     except ValueError:
         raise ConfigError(f"warp.domain must be 'r_lo,r_hi', got {domain_raw!r}", key="warp.domain")
     try:
-        if kind == "custom":
-            coeffs_raw = _get(cfg, "warp.coeffs")
-            coeffs = [float(x) for x in coeffs_raw.split(",")]
-            return WarpProfile.custom(coeffs, (r_lo, r_hi))
-        return WarpProfile(kind, (r_lo, r_hi))
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="warp.kind")
+        coeffs = tuple(map(float, _get(cfg, "warp.coeffs").split(","))) if kind == "custom" else ()
+    except ValueError:
+        raise ConfigError("warp.coeffs must be comma-separated numbers", key="warp.coeffs")
+    with _keyed("warp"):
+        return WarpProfile(kind, (r_lo, r_hi), coeffs)
 
 
 def build_mesh_from(cfg) -> SphereMesh:
     reduced = _get_bool(cfg, "mesh.reduced")
     n_theta = _get_int(cfg, "mesh.n_theta")
-    try:
-        if reduced:
-            return build_mesh(n_theta, reduced=True)
-        return build_mesh(n_theta, _get_int(cfg, "mesh.n_phi"))
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="mesh.n_theta")
+    n_phi = None if reduced else _get_int(cfg, "mesh.n_phi")
+    with _keyed("mesh"):
+        return build_mesh(n_theta, n_phi, reduced)
 
 
 def _load_target_csv(path: str, mesh: SphereMesh) -> ScalarField:
@@ -161,10 +175,8 @@ def build_problem(cfg, mesh: SphereMesh = None):
         mesh = build_mesh_from(cfg)
     k = _get_int(cfg, "problem.k")
     l = _get_int(cfg, "problem.l")
-    try:
+    with _keyed("problem"):
         q = QuotientOrder(k, l)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="problem.k")
     r1 = _get_float(cfg, "problem.r1")
     r2 = _get_float(cfg, "problem.r2")
     if not r1 < r2:
@@ -202,15 +214,13 @@ def build_problem(cfg, mesh: SphereMesh = None):
         f = manufacture_f(base, mesh, target)
 
     spec = replace(base, f=f)
-    try:
+    with _keyed("solver"):
         opts = SolverOptions(
             newton_tol=_get_float(cfg, "solver.newton_tol"),
             max_newton=_get_int(cfg, "solver.max_newton"),
             t_step_init=_get_float(cfg, "solver.t_step_init"),
             t_step_min=_get_float(cfg, "solver.t_step_min"),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="solver.newton_tol")
     return spec, mesh, opts
 
 

@@ -55,17 +55,12 @@ class GraphGeometry:
     r1: np.ndarray
     r2: np.ndarray
     r11: np.ndarray
-    r12: np.ndarray
-    r22: np.ndarray
     lam: np.ndarray
     dlam: np.ndarray
     v: np.ndarray
     g11: np.ndarray
     g12: np.ndarray
     g22: np.ndarray
-    gi11: np.ndarray
-    gi12: np.ndarray
-    gi22: np.ndarray
     h11: np.ndarray
     h12: np.ndarray
     h22: np.ndarray
@@ -126,17 +121,12 @@ def compute_geometry(mesh: SphereMesh, r_field: ScalarField, profile: WarpProfil
         r1=r1,
         r2=r2,
         r11=r11,
-        r12=r12,
-        r22=r22,
         lam=lam,
         dlam=dlam,
         v=v,
         g11=g11,
         g12=g12,
         g22=g22,
-        gi11=gi11,
-        gi12=gi12,
-        gi22=gi22,
         h11=h11,
         h12=h12,
         h22=h22,

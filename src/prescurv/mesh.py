@@ -8,15 +8,19 @@ Azimuthal derivatives use 6th-order centered stencils: they cost nothing
 extra under periodicity and keep the 1/sin(theta)-amplified terms at the
 pole rows from dominating the overall (colatitude-limited) 4th-order error.
 The reduced mode keeps only the colatitude line for axisymmetric fields.
-frame_derivatives gives the orthonormal-frame gradient and covariant Hessian
-of a field in one pass that applies each stencil it needs once.
+One cached ghost map per mesh shape holds both continuations; the stencils
+and the Jacobian footprint read it.  frame_derivatives gives the
+orthonormal-frame gradient and covariant Hessian of a field in one pass
+that applies each stencil it needs once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -101,34 +105,42 @@ def field_from_flat(mesh: SphereMesh, vec) -> ScalarField:
 
 # -- stencil machinery -------------------------------------------------------
 
-def _theta_extended(mesh: SphereMesh, vals: np.ndarray, parity: int) -> np.ndarray:
-    """Append two ghost rows per pole via the antipodal continuation.
+@functools.cache
+def _ghost_map(n_theta: int, n_phi: int):
+    """Read-only (src, sign): source node and odd-parity sign of each extended cell.
 
-    parity +1 for scalars (even through the pole), -1 for colatitude-frame
-    vector components (odd).
+    The field gains 2 rows past each pole and, on a full mesh (n_phi > 0), 3
+    periodic columns a side.  A row past a pole continues to the antipodal
+    column (full mesh) or mirrors back (reduced mesh), where sign is -1.
     """
-    if mesh.reduced:
-        top = vals[1::-1]
-        bot = vals[:-3:-1]
-    else:
-        shift = mesh.n_phi // 2
-        top = np.roll(vals[1::-1], shift, axis=1)
-        bot = np.roll(vals[:-3:-1], shift, axis=1)
-    return np.concatenate([parity * top, vals, parity * bot], axis=0)
+    rows = np.arange(-2, n_theta + 2)
+    across = (rows < 0) | (rows >= n_theta)
+    src = np.where(rows < 0, -1 - rows, np.where(across, 2 * n_theta - 1 - rows, rows))
+    sign = np.where(across, -1.0, 1.0)
+    if n_phi:
+        cols = (np.arange(-3, n_phi + 3) + (n_phi // 2) * across[:, None]) % n_phi
+        src, sign = src[:, None] * n_phi + cols, sign[:, None]
+    src.flags.writeable = sign.flags.writeable = False
+    return src, sign
+
+
+def _pole_rows(mesh: SphereMesh, vals: np.ndarray, parity: int) -> np.ndarray:
+    """vals on rows -2 .. n_theta+1; parity -1 flips the sign past a pole."""
+    src, sign = _ghost_map(mesh.n_theta, mesh.n_phi)
+    e = vals.ravel()[src if mesh.reduced else src[:, 3:-3]]
+    return e if parity == 1 else sign * e
 
 
 def dtheta(mesh: SphereMesh, vals: np.ndarray, parity: int = 1) -> np.ndarray:
     """4th-order d/dtheta with through-pole closure."""
-    e = _theta_extended(mesh, vals, parity)
-    n = mesh.n_theta
-    return (e[0:n] - 8.0 * e[1:n + 1] + 8.0 * e[3:n + 3] - e[4:n + 4]) / (12.0 * mesh.dtheta)
+    e = _pole_rows(mesh, vals, parity)
+    return (e[:-4] - 8.0 * e[1:-3] + 8.0 * e[3:-1] - e[4:]) / (12.0 * mesh.dtheta)
 
 
 def dtheta2(mesh: SphereMesh, vals: np.ndarray, parity: int = 1) -> np.ndarray:
     """4th-order d^2/dtheta^2 with through-pole closure."""
-    e = _theta_extended(mesh, vals, parity)
-    n = mesh.n_theta
-    return (-e[0:n] + 16.0 * e[1:n + 1] - 30.0 * e[2:n + 2] + 16.0 * e[3:n + 3] - e[4:n + 4]) / (
+    e = _pole_rows(mesh, vals, parity)
+    return (-e[:-4] + 16.0 * e[1:-3] - 30.0 * e[2:-2] + 16.0 * e[3:-1] - e[4:]) / (
         12.0 * mesh.dtheta ** 2
     )
 
@@ -137,22 +149,22 @@ def dphi(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
     """6th-order periodic d/dphi (zero in reduced mode)."""
     if mesh.reduced:
         return np.zeros_like(vals)
-    r = np.roll
+    e = vals.ravel()[_ghost_map(mesh.n_theta, mesh.n_phi)[0][2:-2]]  # columns -3 .. n_phi+2
     return (
-        -r(vals, 3, 1) + 9.0 * r(vals, 2, 1) - 45.0 * r(vals, 1, 1)
-        + 45.0 * r(vals, -1, 1) - 9.0 * r(vals, -2, 1) + r(vals, -3, 1)
+        -e[:, :-6] + 9.0 * e[:, 1:-5] - 45.0 * e[:, 2:-4]
+        + 45.0 * e[:, 4:-2] - 9.0 * e[:, 5:-1] + e[:, 6:]
     ) / (60.0 * mesh.dphi)
 
 
 def dphi2(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
     if mesh.reduced:
         return np.zeros_like(vals)
-    r = np.roll
+    e = vals.ravel()[_ghost_map(mesh.n_theta, mesh.n_phi)[0][2:-2]]
     return (
-        2.0 * (r(vals, 3, 1) + r(vals, -3, 1))
-        - 27.0 * (r(vals, 2, 1) + r(vals, -2, 1))
-        + 270.0 * (r(vals, 1, 1) + r(vals, -1, 1))
-        - 490.0 * vals
+        2.0 * (e[:, :-6] + e[:, 6:])
+        - 27.0 * (e[:, 1:-5] + e[:, 5:-1])
+        + 270.0 * (e[:, 2:-4] + e[:, 4:-2])
+        - 490.0 * e[:, 3:-3]
     ) / (180.0 * mesh.dphi ** 2)
 
 
@@ -161,26 +173,14 @@ def stencil_footprint(mesh: SphereMesh):
 
     A node reads the 5 colatitude rows i-2..i+2 and, in full mode, the 7
     azimuth columns j-3..j+3 (the colatitude stencil of the azimuthal
-    derivative in r_12 spans the whole 5 x 7 block).  Rows past a pole
-    continue to the antipodal column (full mode) or mirror back (reduced
-    mode), as in _theta_extended.  Pairs are unique and sorted by column,
+    derivative in r_12 spans the whole 5 x 7 block): a sliding window over
+    the ghost map of the stencils.  Pairs are unique and sorted by column,
     then row.
     """
-    n = mesh.n_theta
-    rows = np.arange(n)[:, None] + np.arange(-2, 3)          # (n, 5) extended rows
-    across = (rows < 0) | (rows >= n)
-    src = np.where(rows < 0, -1 - rows, np.where(rows >= n, 2 * n - 1 - rows, rows))
-    if mesh.reduced:
-        target = np.broadcast_to(np.arange(n)[:, None], src.shape)
-        source = src
-    else:
-        m = mesh.n_phi
-        col = np.arange(m)[:, None] + np.arange(-3, 4)       # (m, 7)
-        src_col = (col[None, None] + (m // 2) * across[:, :, None, None]) % m
-        target = np.broadcast_to((np.arange(n)[:, None] * m + np.arange(m))[:, None, :, None],
-                                 src_col.shape)
-        source = src[:, :, None, None] * m + src_col
-    pairs = np.unique(source.ravel() * mesh.n_nodes + target.ravel())
+    window = (5,) if mesh.reduced else (5, 7)
+    source = sliding_window_view(_ghost_map(mesh.n_theta, mesh.n_phi)[0], window)
+    target = np.arange(mesh.n_nodes).reshape(mesh.shape + (1,) * len(window))
+    pairs = np.unique(source * mesh.n_nodes + target)
     return pairs % mesh.n_nodes, pairs // mesh.n_nodes
 
 

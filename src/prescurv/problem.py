@@ -192,7 +192,10 @@ def parse_f(text: str) -> ExpressionF:
 
 def threshold(profile: WarpProfile, q: QuotientOrder, n: int, r):
     """Constant-graph value (C_n^k / C_n^l) ((n-1) zeta(r))^(k-l)."""
-    zeta = profile.zeta(r)
+    return _threshold_of_zeta(q, n, profile.zeta(r))
+
+
+def _threshold_of_zeta(q: QuotientOrder, n: int, zeta):
     c = math.comb(n, q.k) / math.comb(n, q.l)
     return c * ((n - 1) * zeta) ** (q.k - q.l)
 
@@ -295,13 +298,16 @@ def phi_value(spec: ProblemSpec, r):
     return np.exp(spec.phi_c * (spec.phi_rm - np.asarray(r, dtype=float)))
 
 
-def blend_f_t(spec: ProblemSpec, t: float, r, th, ph, nur):
-    """Homotopy value t f + (1 - t) phi(r) threshold(r); affine in t."""
-    f0 = phi_value(spec, r) * threshold(spec.profile, spec.q, spec.n, r)
+def blend_f_t(spec: ProblemSpec, t: float, geom):
+    """Homotopy value t f + (1 - t) phi(r) threshold(r) on a GraphGeometry; affine in t.
+
+    threshold takes zeta = lambda'/lambda from the geometry: no second lambda evaluation.
+    """
+    f0 = phi_value(spec, geom.r) * _threshold_of_zeta(spec.q, spec.n, geom.dlam / geom.lam)
     if t == 0.0:
-        shape = np.broadcast(np.asarray(r), np.asarray(th), np.asarray(ph), np.asarray(nur)).shape
-        return np.broadcast_to(f0, shape).astype(float)
-    return t * eval_f(spec.f, r, th, ph, nur) + (1.0 - t) * f0
+        return f0
+    f = eval_f(spec.f, geom.r, geom.mesh.theta_grid(), geom.mesh.phi_grid(), geom.nu_r)
+    return t * f + (1.0 - t) * f0
 
 
 # near the optimum of the second-derivative FD error eps/h^2 + C h^4: finer

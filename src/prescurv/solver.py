@@ -32,7 +32,7 @@ from .errors import (
     ProfileViolation,
 )
 from .geometry import compute_geometry
-from .mesh import ScalarField, SphereMesh, field_from_flat, stencil_footprint
+from .mesh import ScalarField, SphereMesh, build_mesh, field_from_flat, stencil_footprint
 from .problem import ProblemSpec, blend_f_t, check_assumptions
 
 GUARD_FRACTION = 0.05  # hard annulus guard widens (r1, r2) by this fraction of the width
@@ -53,10 +53,9 @@ class SolverOptions:
     jacobian_fd_scale: float = 1e-6  # step = scale * (1 + |r_j|)
 
     def __post_init__(self):
-        for name in ("newton_tol", "max_newton", "t_step_init", "t_step_min",
-                     "jacobian_fd_scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name, value in vars(self).items():
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.t_step_min > self.t_step_init:
             raise ValueError("t_step_min must not exceed t_step_init")
 
@@ -83,8 +82,7 @@ def residual(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: ScalarField
     if not np.all(ok):
         node = int(np.argmin(ok.ravel()))
         raise ConeViolation(f"Newton eigenvalues left the cone at node {node}", node=node)
-    ft = blend_f_t(spec, t, geom.r, mesh.theta_grid(), mesh.phi_grid(), geom.nu_r)
-    return ScalarField(mesh, ratio - ft)
+    return ScalarField(mesh, ratio - blend_f_t(spec, t, geom))
 
 
 def _residual_vec(spec, mesh, t, rvec):
@@ -153,31 +151,23 @@ class _Sparsity:
     groups: list               # column indices of each colour group
     group_entries: list        # stored-entry indices of each colour group
 
-    @classmethod
-    def build(cls, mesh: SphereMesh) -> "_Sparsity":
-        n = mesh.n_nodes
-        rows, cols = stencil_footprint(mesh)
-        pattern = csc_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        # the greedy colouring depends on the column order: keep the better of two
-        colour = min((group_columns(pattern, order) for order in (np.arange(n), 0)),
-                     key=np.max)
-        entry_col = np.repeat(np.arange(n), np.diff(pattern.indptr))
-        entry_colour = colour[entry_col]
-        by_colour = np.argsort(entry_colour, kind="stable")
-        cuts = np.cumsum(np.bincount(entry_colour))[:-1]
-        return cls(pattern.indptr, pattern.indices, entry_col,
-                   [np.flatnonzero(colour == c) for c in range(colour.max() + 1)],
-                   np.split(by_colour, cuts))
 
-
-_SPARSITY = {}  # mesh.shape -> _Sparsity; the stencil footprint depends on nothing else
-
-
-def _sparsity(mesh: SphereMesh) -> _Sparsity:
-    sp = _SPARSITY.get(mesh.shape)
-    if sp is None:
-        sp = _SPARSITY[mesh.shape] = _Sparsity.build(mesh)
-    return sp
+@functools.cache
+def _sparsity(n_theta: int, n_phi: int) -> _Sparsity:
+    """The _Sparsity of a mesh shape (n_phi = 0: reduced), built on first use."""
+    mesh = build_mesh(n_theta, n_phi, reduced=not n_phi)
+    n = mesh.n_nodes
+    rows, cols = stencil_footprint(mesh)
+    pattern = csc_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    # the greedy colouring depends on the column order: keep the better of two
+    colour = min((group_columns(pattern, order) for order in (np.arange(n), 0)), key=np.max)
+    entry_col = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    entry_colour = colour[entry_col]
+    by_colour = np.argsort(entry_colour, kind="stable")
+    cuts = np.cumsum(np.bincount(entry_colour))[:-1]
+    return _Sparsity(pattern.indptr, pattern.indices, entry_col,
+                     [np.flatnonzero(colour == c) for c in range(colour.max() + 1)],
+                     np.split(by_colour, cuts))
 
 
 def jacobian_coloured(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: ScalarField,
@@ -191,7 +181,7 @@ def jacobian_coloured(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: Sc
     inadmissible is differenced column by column, exactly as jacobian_fd
     does.  The pattern and colouring are built on first use per mesh shape.
     """
-    sp = _sparsity(mesh)
+    sp = _sparsity(mesh.n_theta, mesh.n_phi)
     rvec = r_field.flat()
     h = _fd_steps(rvec, opts)
     base = _base_residual(spec, mesh, t, rvec)
@@ -281,11 +271,9 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     Returns (final state, history of accepted states).
     """
     report = check_assumptions(spec)
-    hard_failures = [res.name for res in report.results
-                     if not (res.passed or res.boundary_case)]
-    if hard_failures and not force:
+    if report.hard_failures and not force:
         raise AssumptionFailure(
-            f"assumption check failed: {', '.join(hard_failures)}", report=report
+            f"assumption check failed: {', '.join(report.hard_failures)}", report=report
         )
 
     r_init = field_from_flat(mesh, np.full(mesh.n_nodes, spec.phi_rm))

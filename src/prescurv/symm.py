@@ -63,7 +63,7 @@ class QuotientOrder:
 
     def __post_init__(self):
         if not (self.k >= 2 and 0 <= self.l <= self.k - 2):
-            raise ValueError(f"need 2 <= k and 0 <= l <= k-2, got (k,l)=({self.k},{self.l})")
+            raise ValueError(f"k and l must satisfy 2 <= k, 0 <= l <= k-2: got ({self.k},{self.l})")
 
 
 def sigma(mu, k: int) -> float:

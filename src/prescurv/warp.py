@@ -36,14 +36,15 @@ class WarpProfile:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown warp kind {self.kind!r}")
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         r_lo, r_hi = self.domain
         if not (np.isfinite(r_lo) and np.isfinite(r_hi) and r_lo < r_hi):
-            raise ValueError(f"bad domain {self.domain}")
+            raise ValueError(f"domain must be finite with r_lo < r_hi, got {self.domain}")
         if r_lo < 0:
             raise ValueError("domain must lie in r >= 0")
-        if self.kind == "custom" and len(self.custom_coeffs) == 0:
-            raise ValueError("custom profile needs polynomial coefficients")
+        if self.kind == "custom" and not (self.custom_coeffs
+                                          and np.isfinite(self.custom_coeffs).all()):
+            raise ValueError("coeffs of a custom profile must be finite and not empty")
         if self.kind != "custom" and self.space_form_curvature is None:
             object.__setattr__(
                 self,

@@ -124,11 +124,44 @@ def manufactured_cfg(tmp_path, value):
     (lambda tmp: CLOSED_FORM.replace("warp.domain = 0,10", "warp.domain = 0,1.5"), "warp.domain"),
     (lambda tmp: manufactured_cfg(tmp, "abc"), "f.manufactured"),
     (lambda tmp: manufactured_cfg(tmp, "nan"), "f.manufactured"),
+    (lambda tmp: CLOSED_FORM.replace("problem.l = 0", "problem.l = 1"), "problem.k"),
+    (lambda tmp: CLOSED_FORM + "solver.t_step_init = inf\n", "solver.t_step_init"),
+    (lambda tmp: CLOSED_FORM + "solver.t_step_init = nan\n", "solver.t_step_init"),
+    (lambda tmp: CLOSED_FORM + "solver.newton_tol = nan\n", "solver.newton_tol"),
+    (lambda tmp: CLOSED_FORM + "solver.max_newton = 0\n", "solver.max_newton"),
+    (lambda tmp: CLOSED_FORM.replace("mesh.n_phi = 16", "mesh.n_phi = 5"), "mesh.n_phi"),
+    (lambda tmp: CLOSED_FORM.replace("warp.kind = euclidean",
+                                     "warp.kind = custom\nwarp.coeffs = 0,x"), "warp.coeffs"),
+    (lambda tmp: CLOSED_FORM.replace("warp.kind = euclidean",
+                                     "warp.kind = custom\nwarp.coeffs = nan,1"), "warp.coeffs"),
+    (lambda tmp: CLOSED_FORM.replace("warp.domain = 0,10", "warp.domain = 3,1"), "warp.domain"),
+    (lambda tmp: CLOSED_FORM + "check.samples = 0\n", "check.samples"),
+    (lambda tmp: CLOSED_FORM + "check.samples = -3\n", "check.samples"),
+    (lambda tmp: CLOSED_FORM.replace("phi.c = 1.0", "phi.c = inf"), "phi.c"),
+    (lambda tmp: CLOSED_FORM.replace("f.expr = 1/r^2 * exp(1.25 - r)", "f.builtin = "
+                                     "round_exponential\nf.rm = nan\nf.alpha = 1"), "f.rm"),
 ], ids=["k-above-dimension", "phi-rm-outside-annulus", "phi-c-negative",
-        "annulus-outside-domain", "target-not-numeric", "target-nan"])
+        "annulus-outside-domain", "target-not-numeric", "target-nan", "l-above-k-minus-2",
+        "t-step-inf",
+        "t-step-nan", "newton-tol-nan", "max-newton-zero", "n-phi-odd", "coeffs-not-numeric",
+        "coeffs-nan", "domain-reversed", "samples-zero", "samples-negative", "phi-c-inf",
+        "builtin-rm-nan"])
 def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
     cfg = write_cfg(tmp_path, make_cfg(tmp_path))
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == 2
+    err = capsys.readouterr().err
+    assert f"(key: {key})" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,line,key", [
+    ("check-assumptions", "check.samples = 0", "check.samples"),
+    ("check-assumptions", "check.samples = -3", "check.samples"),
+    ("verify-geometry", "verify.n_theta = 4", "verify.n_theta"),
+], ids=["check-samples-zero", "check-samples-negative", "verify-n-theta-small"])
+def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
+    cfg = write_cfg(tmp_path, CLOSED_FORM + line + "\n")
+    assert main(["--config", cfg, command]) == 2
     err = capsys.readouterr().err
     assert f"(key: {key})" in err
     assert "Traceback" not in err

@@ -5,10 +5,13 @@ from prescurv.mesh import (
     ScalarField,
     build_mesh,
     dphi,
+    dphi2,
     dtheta,
+    dtheta2,
     field_from_function,
     frame_derivatives,
     integrate,
+    stencil_footprint,
 )
 
 
@@ -69,6 +72,69 @@ def test_hessian_oracles():
     f = np.sin(th) * np.cos(ph)
     h11, h12, h22 = frame_derivatives(ScalarField(mesh, f))[2:]
     assert np.abs(h11 + h22 + 2 * f).max() <= 1e-5
+
+
+def continued(mesh, i, j):
+    """(source row, source column, crossed a pole) of extended node (i, j).
+
+    Columns are periodic; a row past a pole continues to the antipodal
+    column (full mesh) or mirrors back (reduced mesh)."""
+    n, m = mesh.n_theta, mesh.n_phi
+    if 0 <= i < n:
+        return i, j % m if m else 0, False
+    row = -1 - i if i < 0 else 2 * n - 1 - i
+    return row, (j + m // 2) % m if m else 0, True
+
+
+@pytest.mark.parametrize("shape", [(16, 4), (20, 10), (16, None)])
+def test_stencils_and_footprint_follow_the_continuation_rule(shape):
+    """Bit-exact against loops over the documented rule, on a non-smooth field."""
+    mesh = build_mesh(shape[0], shape[1], reduced=shape[1] is None)
+    vals = np.random.default_rng(7).standard_normal(mesh.shape)
+    grid = vals.reshape(mesh.n_theta, -1)
+    width = grid.shape[1]
+
+    def at(i, j, parity=1):
+        row, col, crossed = continued(mesh, i, j)
+        return (parity if crossed else 1) * grid[row, col]
+
+    def expect(formula):
+        return np.array([[formula(i, j) for j in range(width)]
+                         for i in range(mesh.n_theta)]).reshape(mesh.shape)
+
+    ht, hp = mesh.dtheta, mesh.dphi
+    for parity in (1, -1):
+        e = lambda i, j: at(i, j, parity)
+        d1 = expect(lambda i, j: (e(i - 2, j) - 8.0 * e(i - 1, j) + 8.0 * e(i + 1, j)
+                                  - e(i + 2, j)) / (12.0 * ht))
+        d2 = expect(lambda i, j: (-e(i - 2, j) + 16.0 * e(i - 1, j) - 30.0 * e(i, j)
+                                  + 16.0 * e(i + 1, j) - e(i + 2, j)) / (12.0 * ht ** 2))
+        assert np.array_equal(dtheta(mesh, vals, parity), d1)
+        assert np.array_equal(dtheta2(mesh, vals, parity), d2)
+    if mesh.reduced:
+        assert not dphi(mesh, vals).any() and not dphi2(mesh, vals).any()
+    else:
+        p1 = expect(lambda i, j: (-at(i, j - 3) + 9.0 * at(i, j - 2) - 45.0 * at(i, j - 1)
+                                  + 45.0 * at(i, j + 1) - 9.0 * at(i, j + 2) + at(i, j + 3))
+                    / (60.0 * hp))
+        p2 = expect(lambda i, j: (2.0 * (at(i, j - 3) + at(i, j + 3))
+                                  - 27.0 * (at(i, j - 2) + at(i, j + 2))
+                                  + 270.0 * (at(i, j - 1) + at(i, j + 1))
+                                  - 490.0 * at(i, j)) / (180.0 * hp ** 2))
+        assert np.array_equal(dphi(mesh, vals), p1)
+        assert np.array_equal(dphi2(mesh, vals), p2)
+
+    reach = range(-3, 4) if width > 1 else [0]
+    pairs = set()
+    for i in range(mesh.n_theta):
+        for j in range(width):
+            for di in range(-2, 3):
+                for dj in reach:
+                    row, col, _ = continued(mesh, i + di, j + dj)
+                    pairs.add((i * width + j, row * width + col))
+    want = np.array(sorted(pairs, key=lambda p: (p[1], p[0]))).T
+    rows, cols = stencil_footprint(mesh)
+    assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
 
 
 def smooth_test_errors(n_theta):

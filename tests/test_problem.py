@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prescurv.errors import AdmissibilityError, FEvalError, FParseError
-from prescurv.mesh import ScalarField, build_mesh
+from prescurv.geometry import compute_geometry
+from prescurv.mesh import ScalarField, build_mesh, field_from_function
 from prescurv.problem import (
     ManufacturedF,
     ProblemSpec,
@@ -139,15 +140,22 @@ def test_constant_expression():
 
 # -- homotopy blend and barrier weight -------------------------------------------
 
+def graph_geometry(fn):
+    mesh = build_mesh(16, 4)
+    return compute_geometry(mesh, field_from_function(mesh, fn), EUCLID)
+
+
 def test_blend_endpoints():
     spec = closed_form_spec()
-    r, th, ph, nur = 1.1, 0.7, 0.3, 0.9
-    f0 = float(phi_value(spec, r)) * threshold(EUCLID, Q20, 2, r)
-    assert float(blend_f_t(spec, 0.0, r, th, ph, nur)) == pytest.approx(f0, rel=1e-15)
-    f1 = float(eval_f(spec.f, r, th, ph, nur))
-    assert float(blend_f_t(spec, 1.0, r, th, ph, nur)) == pytest.approx(f1, rel=1e-15)
-    assert float(blend_f_t(spec, 0.0, spec.phi_rm, th, ph, nur)) == pytest.approx(
-        threshold(EUCLID, Q20, 2, spec.phi_rm), rel=1e-15)  # phi(rm) = 1
+    geom = graph_geometry(lambda th, ph: 1.1 + 0.1 * np.cos(th) * np.sin(ph))
+    mesh = geom.mesh
+    f0 = phi_value(spec, geom.r) * threshold(EUCLID, Q20, 2, geom.r)
+    assert np.array_equal(blend_f_t(spec, 0.0, geom), f0)
+    f1 = eval_f(spec.f, geom.r, mesh.theta_grid(), mesh.phi_grid(), geom.nu_r)
+    assert np.array_equal(blend_f_t(spec, 1.0, geom), f1)
+    at_rm = graph_geometry(lambda th, ph: np.full(th.shape, spec.phi_rm))
+    np.testing.assert_allclose(blend_f_t(spec, 0.0, at_rm),
+                               threshold(EUCLID, Q20, 2, spec.phi_rm), rtol=1e-15)  # phi(rm) = 1
 
 
 @settings(max_examples=60)
@@ -155,10 +163,9 @@ def test_blend_endpoints():
        r=st.floats(min_value=0.6, max_value=1.9))
 def test_blend_affine_in_t(t, r):
     spec = closed_form_spec()
-    f0 = float(blend_f_t(spec, 0.0, r, 0.5, 0.2, 0.8))
-    f1 = float(blend_f_t(spec, 1.0, r, 0.5, 0.2, 0.8))
-    ft = float(blend_f_t(spec, t, r, 0.5, 0.2, 0.8))
-    assert ft == pytest.approx((1 - t) * f0 + t * f1, rel=1e-13, abs=1e-13)
+    geom = graph_geometry(lambda th, ph: r + 0.05 * np.cos(th) * np.cos(ph))
+    f0, f1, ft = (blend_f_t(spec, s, geom) for s in (0.0, 1.0, t))
+    np.testing.assert_allclose(ft, (1 - t) * f0 + t * f1, rtol=1e-13, atol=1e-13)
 
 
 def test_phi_invariants_on_grid():

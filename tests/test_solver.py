@@ -21,7 +21,14 @@ from prescurv.mesh import (
     field_from_function,
     stencil_footprint,
 )
-from prescurv.problem import ProblemSpec, manufacture_f, parse_f, phi_value, threshold
+from prescurv.problem import (
+    ProblemSpec,
+    RoundExponentialF,
+    manufacture_f,
+    parse_f,
+    phi_value,
+    threshold,
+)
 from prescurv.solver import (
     SolverOptions,
     continuation_solve,
@@ -63,6 +70,23 @@ def test_residual_zero_at_closed_form_root():
     mesh = build_mesh(32, 16)
     res = residual(spec, mesh, 1.0, const_field(mesh, 1.25))
     assert np.abs(res.values).max() <= 1e-12
+
+
+def test_residual_evaluates_lambda_once_beside_f(monkeypatch):
+    """compute_geometry evaluates lambda and the t = 0 endpoint reuses it; only
+    an f that reads lambda itself evaluates it again, and only for t > 0."""
+    calls = []
+    original = WarpProfile.eval_lambda
+    monkeypatch.setattr(WarpProfile, "eval_lambda",
+                        lambda self, r: calls.append(1) or original(self, r))
+    mesh = build_mesh(16, 8)
+    round_exp = RoundExponentialF(rm=1.25, alpha=1.0, profile=EUCLID, q=Q20)
+    for spec, want in ((closed_form_spec(), {0.0: 1, 0.5: 1}),
+                       (closed_form_spec(f=round_exp), {0.0: 1, 0.5: 2})):
+        for t, count in want.items():
+            calls.clear()
+            residual(spec, mesh, t, const_field(mesh, 1.2))
+            assert len(calls) == count
 
 
 def test_residual_cone_violation_names_node():
@@ -412,5 +436,9 @@ def test_continuation_spherical_warp_round_case():
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(newton_tol=-1.0)
+    for bad in (np.inf, np.nan):  # an infinite t-step would survive halving forever
+        for name in ("newton_tol", "t_step_init", "t_step_min", "jacobian_fd_scale"):
+            with pytest.raises(ValueError, match=name):
+                SolverOptions(**{name: bad})
     with pytest.raises(ValueError):
         SolverOptions(t_step_init=1e-4, t_step_min=1e-3)

@@ -8,7 +8,6 @@ from the unique round solution.
 
 from .warp import WarpProfile, validate_profile
 from .symm import (
-    EigenTuple,
     QuotientOrder,
     sigma,
     sigma_minor,

@@ -22,6 +22,7 @@ from .config import (
     build_monitor_params,
     build_problem,
     build_profile,
+    check_key,
     parse_config,
     _get,
     _get_float,
@@ -301,8 +302,8 @@ def _selftest_checks():
                       (WarpProfile.spherical((0.0, np.pi / 2)), 0.9),
                       (WarpProfile.hyperbolic((0.0, 10.0)), 1.2)):
         geom = G.compute_geometry(mesh, M.ScalarField(mesh, np.full(mesh.shape, c)), prof_c)
-        ratio, ok_mask = geom.quotient_ratio(q2)
-        target = threshold(prof_c, q2, 2, c)
+        ratio, ok_mask = SY.quotient_ratio_batch(geom.mu_stack(), q2)
+        target = threshold(prof_c, q2, c)
         worst = max(worst, float(np.abs(ratio - target).max()))
         if not ok_mask.all():
             worst = np.inf
@@ -358,6 +359,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     if not args.key or args.values is None:
         raise ConfigError("sweep needs --key and --values")
+    check_key(args.key)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep got an empty --values list")

@@ -3,7 +3,8 @@
 One `key = value` pair per line, `#` comments, dotted section keys
 (warp.*, mesh.*, problem.*, phi.*, f.*, solver.*, monitor.*, verify.*).
 Builders turn the raw mapping into WarpProfile / SphereMesh / ProblemSpec /
-SolverOptions, raising ConfigError with the offending key on bad input.
+SolverOptions, raising ConfigError with the offending key on bad input.  A
+key outside KNOWN_KEYS is a ConfigError too: a typo must not run the defaults.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, FParseError
 from .mesh import ScalarField, SphereMesh, build_mesh
-from .problem import ProblemSpec, manufacture_f, parse_f
+from .problem import ProblemSpec, RoundExponentialF, manufacture_f, parse_f
 from .solver import SolverOptions
 from .symm import QuotientOrder
 from .warp import WarpProfile
@@ -43,6 +44,19 @@ DEFAULTS = {
     "check.samples": "12",
 }
 
+# every key a builder or subcommand reads: the defaulted ones plus those read
+# without a default (required, or required by the choice of another key)
+KNOWN_KEYS = frozenset(DEFAULTS) | {
+    "warp.kind", "warp.domain", "warp.coeffs", "problem.r1", "problem.r2", "phi.rm",
+    "f.expr", "f.builtin", "f.manufactured", "f.rm", "f.alpha",
+}
+
+
+def check_key(key: str):
+    """Raise ConfigError unless `key` is one of KNOWN_KEYS."""
+    if key not in KNOWN_KEYS:
+        raise ConfigError(f"unknown config key {key!r}", key=key)
+
 
 def parse_config(source: str) -> dict:
     """Parse config text, or a path to a config file, into a key->string map."""
@@ -62,6 +76,7 @@ def parse_config(source: str) -> dict:
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value", key=key or None)
+        check_key(key)
         out[key] = value
     return out
 
@@ -205,8 +220,6 @@ def build_problem(cfg, mesh: SphereMesh = None):
     elif src == "f.builtin":
         if cfg["f.builtin"] != "round_exponential":
             raise ConfigError(f"unknown builtin {cfg['f.builtin']!r}", key="f.builtin")
-        from .problem import RoundExponentialF
-
         f = RoundExponentialF(rm=_get_float(cfg, "f.rm"), alpha=_get_float(cfg, "f.alpha"),
                               profile=profile, q=q)
     else:

@@ -1,22 +1,24 @@
 """Geometry of the radial graph r(u) over S^2 inside dr^2 + lambda(r)^2 g'.
 
-Per node: induced metric, second fundamental form, principal curvatures,
-Newton-tensor eigenvalues mu_i = H - kappa_i, support function tau = lambda^2/v,
-and the radial normal component.  Independent verification routines: a flat
-embedding oracle for the shape operator, support-function identity residuals,
-and the Codazzi residual for flat ambient space (all on axisymmetric graphs
-where intrinsic differentiation is one-dimensional).
+Per node, in one pass: induced metric, second fundamental form,
+H = sigma_1(mu), K = det h / det g = sigma_2(mu) and the radial normal
+component.  Principal curvatures, Newton-tensor eigenvalues
+mu_i = H - kappa_i, support function tau = lambda^2/v and Lambda are computed
+on first read.  Independent verification routines: a flat embedding oracle
+for the shape operator, support-function identity residuals, and the Codazzi
+residual for flat ambient space (all on axisymmetric graphs where intrinsic
+differentiation is one-dimensional).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import AdmissibilityError
 from .mesh import ScalarField, SphereMesh, dphi, dphi2, dtheta, dtheta2, frame_derivatives
-from .symm import QuotientOrder, quotient_ratio_batch
 from .warp import WarpProfile
 
 
@@ -47,7 +49,10 @@ def _sym_pair_eigs(g11, g12, g22, h11, h12, h22):
 
 @dataclass(frozen=True)
 class GraphGeometry:
-    """Per-node geometric state of the graph surface; all arrays mesh-shaped."""
+    """Per-node geometric state of the graph surface; all arrays mesh-shaped.
+
+    The cached properties are computed on first read, never by the residual.
+    """
 
     mesh: SphereMesh
     profile: WarpProfile
@@ -64,30 +69,54 @@ class GraphGeometry:
     h11: np.ndarray
     h12: np.ndarray
     h22: np.ndarray
-    H: np.ndarray
-    kappa1: np.ndarray    # larger principal curvature
-    kappa2: np.ndarray
-    mu1: np.ndarray       # H - kappa1 (smaller Newton eigenvalue)
-    mu2: np.ndarray
-    tau: np.ndarray
-    capital_lambda: np.ndarray
+    H: np.ndarray         # sigma_1(mu)
+    K: np.ndarray         # sigma_2(mu) = det h / det g
     nu_r: np.ndarray      # <nu, d/dr> = lambda / v
+
+    @property
+    def in_cone(self):
+        """Per-node mask of mu in Gamma_2: sigma_1 = H > 0 and sigma_2 = K > 0."""
+        return (self.H > 0.0) & (self.K > 0.0)
+
+    @cached_property
+    def _kappas(self):
+        return _sym_pair_eigs(self.g11, self.g12, self.g22, self.h11, self.h12, self.h22)
+
+    @cached_property
+    def kappa1(self):  # larger principal curvature
+        return self._kappas[0]
+
+    @cached_property
+    def kappa2(self):
+        return self._kappas[1]
+
+    @cached_property
+    def mu1(self):  # H - kappa1 (smaller Newton eigenvalue)
+        return self.H - self.kappa1
+
+    @cached_property
+    def mu2(self):
+        return self.H - self.kappa2
+
+    @cached_property
+    def tau(self):  # support function lambda^2 / v
+        return self.lam * self.lam / self.v
+
+    @cached_property
+    def capital_lambda(self):
+        return self.profile.capital_lambda(self.r)
 
     def mu_stack(self):
         """Newton eigenvalues stacked on the last axis, ascending."""
         return np.stack([self.mu1, self.mu2], axis=-1)
 
-    def quotient_ratio(self, q: QuotientOrder):
-        """(sigma_k/sigma_l of mu per node, in-cone mask)."""
-        return quotient_ratio_batch(self.mu_stack(), q)
-
 
 def compute_geometry(mesh: SphereMesh, r_field: ScalarField, profile: WarpProfile) -> GraphGeometry:
-    """All per-node geometric quantities of the graph of r_field, in one pass.
+    """The graph of r_field's metric, second fundamental form, H and K, in one pass.
 
     The frame derivatives come from one frame_derivatives call, so each
     stencil runs once; only the diagonal of the shape operator g^{-1} h is
-    formed (its trace is H); Lambda is the warp's closed-form antiderivative.
+    formed (its trace is H), and K = det h / det g needs no eigenvalues.
     """
     r = r_field.values
     lam, dlam, _ = profile.eval_lambda(r)
@@ -111,9 +140,6 @@ def compute_geometry(mesh: SphereMesh, r_field: ScalarField, profile: WarpProfil
     hm11 = gi11 * h11 + gi12 * h12   # diagonal of the shape operator h^i_j = g^{ik} h_kj
     hm22 = gi12 * h12 + gi22 * h22
 
-    kappa1, kappa2 = _sym_pair_eigs(g11, g12, g22, h11, h12, h22)
-    H = hm11 + hm22
-
     return GraphGeometry(
         mesh=mesh,
         profile=profile,
@@ -130,13 +156,8 @@ def compute_geometry(mesh: SphereMesh, r_field: ScalarField, profile: WarpProfil
         h11=h11,
         h12=h12,
         h22=h22,
-        H=H,
-        kappa1=kappa1,
-        kappa2=kappa2,
-        mu1=H - kappa1,
-        mu2=H - kappa2,
-        tau=lam2 / v,
-        capital_lambda=profile.capital_lambda(r),
+        H=hm11 + hm22,
+        K=(h11 * h22 - h12 * h12) / (g11 * g22 - g12 * g12),
         nu_r=lam / v,
     )
 
@@ -216,7 +237,7 @@ def check_support_identities(geom: GraphGeometry) -> SupportResiduals:
     mesh = geom.mesh
     if not mesh.reduced:
         raise ValueError("support identities are checked in reduced (axisymmetric) mode")
-    if geom.profile.space_form_curvature is None:
+    if geom.profile.kind == "custom":
         raise ValueError("support identities need a builtin space-form profile")
 
     lam, dlam, rt = geom.lam, geom.dlam, geom.r1

@@ -11,12 +11,13 @@ threshold, with phi(r) = exp(c (rm - r)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import AdmissibilityError, FEvalError, FParseError
+from .geometry import compute_geometry
 from .mesh import ScalarField, SphereMesh, build_mesh
 from .symm import QuotientOrder
 from .warp import WarpProfile
@@ -190,14 +191,17 @@ def parse_f(text: str) -> ExpressionF:
 
 # -- builtin and manufactured prescribed functions ---------------------------
 
-def threshold(profile: WarpProfile, q: QuotientOrder, n: int, r):
-    """Constant-graph value (C_n^k / C_n^l) ((n-1) zeta(r))^(k-l)."""
-    return _threshold_of_zeta(q, n, profile.zeta(r))
+DIM = 2  # the graph is a surface: mu has n = 2 entries
 
 
-def _threshold_of_zeta(q: QuotientOrder, n: int, zeta):
-    c = math.comb(n, q.k) / math.comb(n, q.l)
-    return c * ((n - 1) * zeta) ** (q.k - q.l)
+def threshold(profile: WarpProfile, q: QuotientOrder, r):
+    """Constant-graph value (C_n^k / C_n^l) ((n-1) zeta(r))^(k-l) at n = DIM."""
+    return _threshold_of_zeta(q, profile.zeta(r))
+
+
+def _threshold_of_zeta(q: QuotientOrder, zeta):
+    c = math.comb(DIM, q.k) / math.comb(DIM, q.l)
+    return c * ((DIM - 1) * zeta) ** (q.k - q.l)
 
 
 @dataclass(frozen=True)
@@ -208,11 +212,10 @@ class RoundExponentialF:
     alpha: float
     profile: WarpProfile
     q: QuotientOrder
-    n: int = 2
 
     def evaluate(self, r, th, ph, nur):
         r = np.asarray(r, dtype=float)
-        val = threshold(self.profile, self.q, self.n, r) * np.exp(self.alpha * (self.rm - r))
+        val = threshold(self.profile, self.q, r) * np.exp(self.alpha * (self.rm - r))
         shape = np.broadcast(r, np.asarray(th), np.asarray(ph), np.asarray(nur)).shape
         return np.broadcast_to(val, shape).astype(float)
 
@@ -275,11 +278,10 @@ class ProblemSpec:
     r2: float
     phi_rm: Optional[float] = None
     phi_c: float = 1.0
-    n: int = field(default=2)
 
     def __post_init__(self):
-        if self.q.k > self.n:
-            raise ValueError(f"quotient order k={self.q.k} exceeds dimension n={self.n}")
+        if self.q.k > DIM:
+            raise ValueError(f"quotient order k={self.q.k} exceeds dimension n={DIM}")
         if not self.r1 < self.r2:
             raise ValueError(f"need r1 < r2, got {self.r1} >= {self.r2}")
         r_lo, r_hi = self.profile.domain
@@ -303,7 +305,7 @@ def blend_f_t(spec: ProblemSpec, t: float, geom):
 
     threshold takes zeta = lambda'/lambda from the geometry: no second lambda evaluation.
     """
-    f0 = phi_value(spec, geom.r) * _threshold_of_zeta(spec.q, spec.n, geom.dlam / geom.lam)
+    f0 = phi_value(spec, geom.r) * _threshold_of_zeta(spec.q, geom.dlam / geom.lam)
     if t == 0.0:
         return f0
     f = eval_f(spec.f, geom.r, geom.mesh.theta_grid(), geom.mesh.phi_grid(), geom.nu_r)
@@ -344,8 +346,6 @@ def manufacture_f(spec: ProblemSpec, mesh: SphereMesh, target) -> ManufacturedF:
     targets (e.g. loaded from CSV) only define the graph at mesh nodes, so
     their Q* is the solve-resolution value interpolated linearly.
     """
-    from .geometry import compute_geometry  # deferred: geometry imports symm only
-
     if callable(target):
         probe = np.asarray(target(np.full(4, 1.0), np.linspace(0.0, 2 * np.pi, 4)))
         if np.ptp(probe) > 1e-12 * max(1.0, np.abs(probe).max()):
@@ -367,16 +367,17 @@ def manufacture_f(spec: ProblemSpec, mesh: SphereMesh, target) -> ManufacturedF:
     if np.any(t_field.values <= spec.r1) or np.any(t_field.values >= spec.r2):
         raise AdmissibilityError("target radii leave the open annulus (r1, r2)")
     geom = compute_geometry(eval_mesh, t_field, spec.profile)
-    ratio, ok = geom.quotient_ratio(spec.q)
+    ok = geom.in_cone
     if not np.all(ok):
         bad = int(np.argmin(ok.ravel()))
         raise AdmissibilityError(f"target graph leaves the admissibility cone at node {bad}")
 
+    # sigma_2/sigma_0 of mu is K: ProblemSpec admits only (k, l) = (2, 0)
     if callable(target):
-        q_fn = _even_extended_spline(eval_mesh.theta, ratio)
+        q_fn = _even_extended_spline(eval_mesh.theta, geom.K)
         lam_fn = _even_extended_spline(eval_mesh.theta, geom.lam)
     else:
-        nodes, qv, lv = eval_mesh.theta, ratio, geom.lam
+        nodes, qv, lv = eval_mesh.theta, geom.K, geom.lam
         q_fn = lambda th: np.interp(th, nodes, qv)
         lam_fn = lambda th: np.interp(th, nodes, lv)
 
@@ -468,7 +469,7 @@ def check_assumptions(spec: ProblemSpec, samples: int = 12) -> AssumptionReport:
     # inner barrier: f > threshold for r <= r1
     r_in = np.linspace(max(r_lo + pad, spec.r1 - width), spec.r1, samples)
     f_val, R = f_on(r_in)
-    thr = threshold(spec.profile, spec.q, spec.n, R)
+    thr = threshold(spec.profile, spec.q, R)
     rel = (f_val - thr) / thr
     m13, at13 = _worst(rel, r_in, th, ph, nur, minimize=True)
     inner = AssumptionResult("inner_barrier", m13 > STRICT_TOL, m13, at13,
@@ -477,7 +478,7 @@ def check_assumptions(spec: ProblemSpec, samples: int = 12) -> AssumptionReport:
     # outer barrier: f < threshold for r >= r2
     r_out = np.linspace(spec.r2, min(r_hi - pad, spec.r2 + width), samples)
     f_val, R = f_on(r_out)
-    thr = threshold(spec.profile, spec.q, spec.n, R)
+    thr = threshold(spec.profile, spec.q, R)
     rel = (thr - f_val) / thr
     m14, at14 = _worst(rel, r_out, th, ph, nur, minimize=True)
     outer = AssumptionResult("outer_barrier", m14 > STRICT_TOL, m14, at14,

@@ -1,11 +1,12 @@
 """Damped-Newton solver and homotopy continuation for the nodal curvature equation.
 
 The residual at each node is sigma_k/sigma_l of the Newton-tensor eigenvalues
-minus the homotopy value f^t.  Newton builds a sparse central-difference
-Jacobian by column colouring over the stencil footprint (one-sided where a
-perturbation leaves the admissible set), factors it with sparse LU, and runs
-a backtracking line search that accepts a step only if the iterate stays
-admissible, stays inside the guarded annulus, and decreases the residual.
+minus the homotopy value f^t: at n = 2 that is K - f^t, formed with no
+eigenvalues.  Newton builds a sparse central-difference Jacobian by column
+colouring over the stencil footprint (one-sided where a perturbation leaves
+the admissible set), factors it with sparse LU, and runs a backtracking line
+search that accepts a step only if the iterate stays admissible, stays
+inside the guarded annulus, and decreases the residual.
 The dense per-column Jacobian, jacobian_fd, is kept as the test oracle.
 Continuation marches t from the round solution at t = 0 to t = 1 with step
 halving on failure and doubling after consecutive easy solves.
@@ -37,6 +38,7 @@ from .problem import ProblemSpec, blend_f_t, check_assumptions
 
 GUARD_FRACTION = 0.05  # hard annulus guard widens (r1, r2) by this fraction of the width
 DAMPING = 0.5          # line-search backtracking factor
+FD_SCALE = 1e-6        # FD Jacobian step h_j = FD_SCALE * (1 + |r_j|)
 MAX_HALVINGS = 20      # line-search backtracking steps before NewtonFailure
 
 # A trial point raising one of these is inadmissible: the line search steps
@@ -50,7 +52,6 @@ class SolverOptions:
     max_newton: int = 30
     t_step_init: float = 0.1
     t_step_min: float = 1e-3
-    jacobian_fd_scale: float = 1e-6  # step = scale * (1 + |r_j|)
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -76,22 +77,26 @@ class ContinuationState:
 
 
 def residual(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: ScalarField) -> ScalarField:
-    """Nodal residual sigma_k/sigma_l(mu) - f^t; raises on cone or domain exit."""
+    """Nodal residual K - f^t; raises on cone or domain exit.
+
+    K = sigma_2(mu) is sigma_k/sigma_l(mu) at the one order ProblemSpec
+    admits, (2, 0), and mu is in Gamma_2 where H = sigma_1(mu) > 0 and K > 0.
+    """
     geom = compute_geometry(mesh, r_field, spec.profile)
-    ratio, ok = geom.quotient_ratio(spec.q)
+    ok = geom.in_cone
     if not np.all(ok):
         node = int(np.argmin(ok.ravel()))
         raise ConeViolation(f"Newton eigenvalues left the cone at node {node}", node=node)
-    return ScalarField(mesh, ratio - blend_f_t(spec, t, geom))
+    return ScalarField(mesh, geom.K - blend_f_t(spec, t, geom))
 
 
 def _residual_vec(spec, mesh, t, rvec):
     return residual(spec, mesh, t, field_from_flat(mesh, rvec)).flat()
 
 
-def _fd_steps(rvec, opts: SolverOptions) -> np.ndarray:
-    """Per-column FD step h_j = jacobian_fd_scale * (1 + |r_j|)."""
-    return opts.jacobian_fd_scale * (1.0 + np.abs(rvec))
+def _fd_steps(rvec) -> np.ndarray:
+    """Per-column FD step h_j = FD_SCALE * (1 + |r_j|)."""
+    return FD_SCALE * (1.0 + np.abs(rvec))
 
 
 def _shifted_residual(spec, mesh, t, rvec, cols, h):
@@ -126,8 +131,8 @@ def _base_residual(spec, mesh, t, rvec):
     return functools.cache(lambda: _residual_vec(spec, mesh, t, rvec))
 
 
-def jacobian_fd(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: ScalarField,
-                opts: SolverOptions = SolverOptions()) -> np.ndarray:
+def jacobian_fd(spec: ProblemSpec, mesh: SphereMesh, t: float,
+                r_field: ScalarField) -> np.ndarray:
     """Dense finite-difference Jacobian of the nodal residual: the test oracle.
 
     Differences every column on its own with _fd_column (two residual
@@ -135,7 +140,7 @@ def jacobian_fd(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: ScalarFi
     newton_solve uses jacobian_coloured, which agrees with it entry for entry.
     """
     rvec = r_field.flat()
-    h = _fd_steps(rvec, opts)
+    h = _fd_steps(rvec)
     base = _base_residual(spec, mesh, t, rvec)
     return np.column_stack([_fd_column(spec, mesh, t, rvec, j, h[j], base)
                             for j in range(rvec.size)])
@@ -170,8 +175,8 @@ def _sparsity(n_theta: int, n_phi: int) -> _Sparsity:
                      np.split(by_colour, cuts))
 
 
-def jacobian_coloured(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: ScalarField,
-                      opts: SolverOptions = SolverOptions()) -> csc_array:
+def jacobian_coloured(spec: ProblemSpec, mesh: SphereMesh, t: float,
+                      r_field: ScalarField) -> csc_array:
     """Sparse finite-difference Jacobian by Curtis-Powell-Reid column colouring.
 
     Columns of one colour touch disjoint rows of the stencil footprint, so
@@ -183,7 +188,7 @@ def jacobian_coloured(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: Sc
     """
     sp = _sparsity(mesh.n_theta, mesh.n_phi)
     rvec = r_field.flat()
-    h = _fd_steps(rvec, opts)
+    h = _fd_steps(rvec)
     base = _base_residual(spec, mesh, t, rvec)
     data = np.empty(sp.indices.size)
     for cols, entries in zip(sp.groups, sp.group_entries):
@@ -229,7 +234,7 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
     for it in range(opts.max_newton):
         if norm <= opts.newton_tol:
             return field_from_flat(mesh, rvec), NewtonStats(it, norm, halvings_total)
-        jac = jacobian_coloured(spec, mesh, t, field_from_flat(mesh, rvec), opts)
+        jac = jacobian_coloured(spec, mesh, t, field_from_flat(mesh, rvec))
         try:
             step = splu(jac).solve(-res)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"

@@ -4,9 +4,12 @@ Values, deleted-entry minors, the quotient operator
 G = (sigma_k / sigma_l)^(1/(k-l)), its diagonal first derivatives, the
 complementary coefficients F^ii = sum_{j != i} G^jj, and finite-difference
 probes of the off-diagonal second-derivative identity and of concavity.
+Every sigma value comes from the one recurrence in elementary_batch.
 
-Everything here is written for general dimension n even though the geometry
-kernel runs at n = 2.
+Everything here is written for general dimension n.  The solver's residual
+does not call it: at n = 2, sigma_1(mu) = H and sigma_2(mu) = K come straight
+from the geometry, and these functions (with quotient_ratio_batch over
+GraphGeometry.mu_stack) are the eigenvalue oracle the tests check that against.
 """
 
 from __future__ import annotations
@@ -26,35 +29,6 @@ TIE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class EigenTuple:
-    """Eigenvalue tuple stored ascending, with the input permutation retained."""
-
-    values: tuple[float, ...]  # ascending
-    perm: tuple[int, ...]      # values[j] came from input position perm[j]
-
-    @classmethod
-    def of(cls, mu) -> "EigenTuple":
-        if isinstance(mu, EigenTuple):
-            return mu
-        arr = np.asarray(mu, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("need a flat tuple of at least 2 eigenvalues")
-        order = np.argsort(arr, kind="stable")
-        return cls(tuple(arr[order]), tuple(int(i) for i in order))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def in_input_order(self, sorted_vals):
-        """Scatter values aligned with self.values back to input positions."""
-        out = [0.0] * self.n
-        for j, pos in enumerate(self.perm):
-            out[pos] = sorted_vals[j]
-        return out
-
-
-@dataclass(frozen=True)
 class QuotientOrder:
     """Orders (k, l) of the curvature quotient sigma_k / sigma_l."""
 
@@ -66,85 +40,64 @@ class QuotientOrder:
             raise ValueError(f"k and l must satisfy 2 <= k, 0 <= l <= k-2: got ({self.k},{self.l})")
 
 
-def sigma(mu, k: int) -> float:
-    """k-th elementary symmetric polynomial, by the one-variable-at-a-time recurrence.
+def _values(mu) -> np.ndarray:
+    """mu as a flat float array of at least 2 eigenvalues."""
+    arr = np.asarray(mu, dtype=float)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError("need a flat tuple of at least 2 eigenvalues")
+    return arr
 
-    sigma_0 = 1 by the empty-product convention.
-    """
-    mu = EigenTuple.of(mu)
-    if k < 0 or k > mu.n:
-        raise ValueError(f"sigma order {k} out of range for n={mu.n}")
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for i, x in enumerate(mu.values):
-        top = min(k, i + 1)
-        for j in range(top, 0, -1):
-            e[j] += x * e[j - 1]
-    return float(e[k])
+
+def sigma(mu, k: int) -> float:
+    """k-th elementary symmetric polynomial, 0 <= k <= n; sigma_0 = 1 (empty product)."""
+    return float(elementary_batch(_values(mu), k)[k])
 
 
 def sigma_minor(mu, k: int, i: int) -> float:
-    """sigma_k of mu with entry i (0-based, input order) deleted."""
-    mu = EigenTuple.of(mu)
-    if not (0 <= i < mu.n):
-        raise ValueError(f"entry index {i} out of range for n={mu.n}")
+    """sigma_k of mu with entry i (0-based) deleted, -1 <= k <= n-1; sigma_{-1} = 0."""
+    mu = _values(mu)
+    if not (0 <= i < mu.size):
+        raise ValueError(f"entry index {i} out of range for n={mu.size}")
     if k == -1:
         return 0.0
-    if k < -1 or k > mu.n - 1:
-        raise ValueError(f"minor order {k} out of range for n={mu.n}")
-    kept = [v for j, v in enumerate(mu.values) if mu.perm[j] != i]
-    if k == 0:
-        return 1.0
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for idx, x in enumerate(kept):
-        top = min(k, idx + 1)
-        for j in range(top, 0, -1):
-            e[j] += x * e[j - 1]
-    return float(e[k])
+    return float(elementary_batch(np.delete(mu, i), k)[k])
 
 
 def in_gamma_k(mu, k: int) -> bool:
     """True iff sigma_j(mu) > 0 for all 1 <= j <= k."""
-    mu = EigenTuple.of(mu)
-    if not (1 <= k <= mu.n):
-        raise ValueError(f"cone order {k} out of range for n={mu.n}")
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for i, x in enumerate(mu.values):
-        top = min(k, i + 1)
-        for j in range(top, 0, -1):
-            e[j] += x * e[j - 1]
-    return bool(np.all(e[1:] > 0.0))
+    mu = _values(mu)
+    if not (1 <= k <= mu.size):
+        raise ValueError(f"cone order {k} out of range for n={mu.size}")
+    return bool(np.all(elementary_batch(mu, k)[1:] > 0.0))
 
 
-def _require_cone(mu: EigenTuple, k: int):
+def _require_cone(mu, k: int):
     if not in_gamma_k(mu, k):
-        raise ConeViolation(f"eigenvalues {mu.values} outside Gamma_{k}")
+        raise ConeViolation(f"eigenvalues {tuple(np.asarray(mu).tolist())} outside Gamma_{k}")
 
 
 def quotient_value(mu, q: QuotientOrder) -> float:
     """G = (sigma_k / sigma_l)^(1/(k-l)); requires mu in Gamma_k."""
-    mu = EigenTuple.of(mu)
+    mu = _values(mu)
     _require_cone(mu, q.k)
     ratio = sigma(mu, q.k) / sigma(mu, q.l)
     return float(ratio ** (1.0 / (q.k - q.l)))
 
 
 def quotient_gradient_diag(mu, q: QuotientOrder):
-    """Diagonal derivative G^ii of G at a diagonal matrix, in input order.
+    """Diagonal derivative G^ii of G at a diagonal matrix.
 
     G^ii = (1/(k-l)) (s_k/s_l)^(1/(k-l)-1)
            (s_{k-1}(mu|i) s_l - s_k s_{l-1}(mu|i)) / s_l^2
     """
-    mu = EigenTuple.of(mu)
+    mu = _values(mu)
     _require_cone(mu, q.k)
     k, l = q.k, q.l
     sk = sigma(mu, k)
     sl = sigma(mu, l)
     pref = (sk / sl) ** (1.0 / (k - l) - 1.0) / (k - l)
     out = []
-    for i in range(mu.n):
+    for i in range(mu.size):
         num = sigma_minor(mu, k - 1, i) * sl - sk * sigma_minor(mu, l - 1, i)
         out.append(pref * num / (sl * sl))
     return out
@@ -183,8 +136,7 @@ def offdiag_identity_residual(eta, q: QuotientOrder, i: int, step: float = None)
         raise ValueError("off-diagonal identity check requires k >= 3")
     if not (1 <= i < n):
         raise ValueError(f"partner index {i} out of range")
-    mu = EigenTuple.of(vals)
-    _require_cone(mu, q.k)
+    _require_cone(vals, q.k)
     gap = vals[i] - vals[0]
     if abs(gap) < TIE_TOL:
         raise DegeneratePair(f"eta[{i}] - eta[0] = {gap:.3e} below tie tolerance")
@@ -214,17 +166,16 @@ def concavity_probe(mu, q: QuotientOrder, trials: int = 32, rng=None, step: floa
     when the stencil would leave the cone; raises ConeViolation if it cannot
     stay inside.
     """
-    mu = EigenTuple.of(mu)
-    _require_cone(mu, q.k)
+    base = _values(mu)
+    _require_cone(base, q.k)
     if rng is None:
         rng = np.random.default_rng(0)
-    base = np.asarray(mu.values)
     if step is None:
         step = HESS_STEP * (1.0 + float(np.max(np.abs(base))))
-    g0 = quotient_value(mu, q)
+    g0 = quotient_value(base, q)
     worst = -np.inf
     for _ in range(trials):
-        d = rng.standard_normal(mu.n)
+        d = rng.standard_normal(base.size)
         d /= np.linalg.norm(d)
         h = step
         for _ in range(40):
@@ -238,7 +189,7 @@ def concavity_probe(mu, q: QuotientOrder, trials: int = 32, rng=None, step: floa
     return float(worst)
 
 
-# -- vectorized helpers for the nodal solver --------------------------------
+# -- vectorized over points: the one sigma recurrence -----------------------
 
 def elementary_batch(mu: np.ndarray, kmax: int) -> np.ndarray:
     """sigma_0..sigma_kmax over the last axis of mu; output shape (kmax+1, ...)."""

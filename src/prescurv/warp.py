@@ -7,7 +7,7 @@ validation stay closed form.  All evaluators are vectorized over numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -32,7 +32,6 @@ class WarpProfile:
     kind: str
     domain: tuple[float, float]
     custom_coeffs: tuple[float, ...] = ()  # ascending powers: c0 + c1 r + ...
-    space_form_curvature: Optional[float] = field(default=None)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -45,12 +44,6 @@ class WarpProfile:
         if self.kind == "custom" and not (self.custom_coeffs
                                           and np.isfinite(self.custom_coeffs).all()):
             raise ValueError("coeffs of a custom profile must be finite and not empty")
-        if self.kind != "custom" and self.space_form_curvature is None:
-            object.__setattr__(
-                self,
-                "space_form_curvature",
-                {"euclidean": 0.0, "spherical": 1.0, "hyperbolic": -1.0}[self.kind],
-            )
 
     # -- constructors -------------------------------------------------------
 

@@ -140,12 +140,14 @@ def manufactured_cfg(tmp_path, value):
     (lambda tmp: CLOSED_FORM.replace("phi.c = 1.0", "phi.c = inf"), "phi.c"),
     (lambda tmp: CLOSED_FORM.replace("f.expr = 1/r^2 * exp(1.25 - r)", "f.builtin = "
                                      "round_exponential\nf.rm = nan\nf.alpha = 1"), "f.rm"),
+    (lambda tmp: CLOSED_FORM + "solver.newton_tl = 1e-9\n", "solver.newton_tl"),
+    (lambda tmp: CLOSED_FORM + "solver.jacobian_fd_scale = 1e-8\n", "solver.jacobian_fd_scale"),
 ], ids=["k-above-dimension", "phi-rm-outside-annulus", "phi-c-negative",
         "annulus-outside-domain", "target-not-numeric", "target-nan", "l-above-k-minus-2",
         "t-step-inf",
         "t-step-nan", "newton-tol-nan", "max-newton-zero", "n-phi-odd", "coeffs-not-numeric",
         "coeffs-nan", "domain-reversed", "samples-zero", "samples-negative", "phi-c-inf",
-        "builtin-rm-nan"])
+        "builtin-rm-nan", "unknown-key-typo", "unknown-key-fd-scale"])
 def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
     cfg = write_cfg(tmp_path, make_cfg(tmp_path))
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == 2
@@ -155,16 +157,19 @@ def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
 
 
 @pytest.mark.parametrize("command,line,key", [
-    ("check-assumptions", "check.samples = 0", "check.samples"),
-    ("check-assumptions", "check.samples = -3", "check.samples"),
-    ("verify-geometry", "verify.n_theta = 4", "verify.n_theta"),
-], ids=["check-samples-zero", "check-samples-negative", "verify-n-theta-small"])
+    (["check-assumptions"], "check.samples = 0", "check.samples"),
+    (["check-assumptions"], "check.samples = -3", "check.samples"),
+    (["verify-geometry"], "verify.n_theta = 4", "verify.n_theta"),
+    (["sweep", "--key", "solver.newton_tl", "--values", "1e-9,1e-11"], "", "solver.newton_tl"),
+], ids=["check-samples-zero", "check-samples-negative", "verify-n-theta-small", "sweep-key-typo"])
 def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
     cfg = write_cfg(tmp_path, CLOSED_FORM + line + "\n")
-    assert main(["--config", cfg, command]) == 2
+    out = str(tmp_path / "o")
+    assert main(["--config", cfg, "--out", out] + command) == 2
     err = capsys.readouterr().err
     assert f"(key: {key})" in err
     assert "Traceback" not in err
+    assert not os.path.exists(out)  # rejected before any solve
 
 
 def test_solve_missing_config():

@@ -11,7 +11,7 @@ from prescurv.geometry import (
 )
 from prescurv.mesh import ScalarField, build_mesh, field_from_function
 from prescurv.problem import threshold
-from prescurv.symm import QuotientOrder
+from prescurv.symm import QuotientOrder, quotient_ratio_batch
 from prescurv.warp import WarpProfile
 
 EUCLID = WarpProfile.euclidean((0.0, 10.0))
@@ -58,9 +58,9 @@ def test_constant_graph_matches_threshold(profile, c):
     geom = compute_geometry(mesh, const_field(mesh, c), profile)
     zeta = profile.zeta(c)
     assert np.abs(geom.mu1 - zeta).max() <= 1e-10
-    ratio, ok = geom.quotient_ratio(Q20)
+    ratio, ok = quotient_ratio_batch(geom.mu_stack(), Q20)
     assert ok.all()
-    assert np.abs(ratio - threshold(profile, Q20, 2, c)).max() <= 1e-10
+    assert np.abs(ratio - threshold(profile, Q20, c)).max() <= 1e-10
 
 
 def test_algebraic_invariants_on_perturbed_graph():

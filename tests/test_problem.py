@@ -123,14 +123,14 @@ def test_parser_against_python_eval_oracle():
 
 def test_threshold_euclidean_is_inverse_square():
     for r in (0.5, 1.25, 3.0):
-        assert threshold(EUCLID, Q20, 2, r) == pytest.approx(1.0 / r ** 2, rel=1e-14)
+        assert threshold(EUCLID, Q20, r) == pytest.approx(1.0 / r ** 2, rel=1e-14)
 
 
 def test_round_exponential_matches_threshold_at_rm():
     f = RoundExponentialF(rm=1.25, alpha=1.0, profile=EUCLID, q=Q20)
     assert float(eval_f(f, 1.25, 0.3, 0.2, 0.9)) == pytest.approx(0.64, rel=1e-14)
     got = float(eval_f(f, 0.8, 0.0, 0.0, 1.0))
-    want = threshold(EUCLID, Q20, 2, 0.8) * math.exp(1.25 - 0.8)
+    want = threshold(EUCLID, Q20, 0.8) * math.exp(1.25 - 0.8)
     assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -149,13 +149,13 @@ def test_blend_endpoints():
     spec = closed_form_spec()
     geom = graph_geometry(lambda th, ph: 1.1 + 0.1 * np.cos(th) * np.sin(ph))
     mesh = geom.mesh
-    f0 = phi_value(spec, geom.r) * threshold(EUCLID, Q20, 2, geom.r)
+    f0 = phi_value(spec, geom.r) * threshold(EUCLID, Q20, geom.r)
     assert np.array_equal(blend_f_t(spec, 0.0, geom), f0)
     f1 = eval_f(spec.f, geom.r, mesh.theta_grid(), mesh.phi_grid(), geom.nu_r)
     assert np.array_equal(blend_f_t(spec, 1.0, geom), f1)
     at_rm = graph_geometry(lambda th, ph: np.full(th.shape, spec.phi_rm))
     np.testing.assert_allclose(blend_f_t(spec, 0.0, at_rm),
-                               threshold(EUCLID, Q20, 2, spec.phi_rm), rtol=1e-15)  # phi(rm) = 1
+                               threshold(EUCLID, Q20, spec.phi_rm), rtol=1e-15)  # phi(rm) = 1
 
 
 @settings(max_examples=60)

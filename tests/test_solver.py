@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_array
 
-from prescurv import solver
+from prescurv import geometry, solver
 from prescurv.cli import main
 from prescurv.errors import (
     AdmissibilityError,
@@ -38,7 +38,7 @@ from prescurv.solver import (
     residual,
     total_newton_iterations,
 )
-from prescurv.symm import QuotientOrder
+from prescurv.symm import QuotientOrder, quotient_ratio_batch
 from prescurv.warp import WarpProfile
 
 EUCLID = WarpProfile.euclidean((0.0, 10.0))
@@ -116,7 +116,7 @@ def test_jacobian_zeroth_order_sign_and_invertibility():
     rm = spec.phi_rm
 
     def f0(r):
-        return float(phi_value(spec, r)) * threshold(EUCLID, Q20, 2, r)
+        return float(phi_value(spec, r)) * threshold(EUCLID, Q20, r)
 
     slope = (f0(rm + h) - f0(rm - h)) / (2 * h)
     assert -slope > 0.1  # strictly positive zeroth-order contribution
@@ -142,7 +142,7 @@ def test_jacobian_columns_respect_grid_rotation():
     assert np.abs(np.roll(col_a, shift, axis=1) - col_b).max() <= 1e-10
 
 
-def test_newton_step_robust_to_fd_step_halving():
+def test_newton_step_robust_to_fd_step_halving(monkeypatch):
     spec = closed_form_spec()
     mesh = build_mesh(24, reduced=True)
     r0 = ScalarField(mesh, 1.25 + 0.05 * np.cos(mesh.theta))
@@ -151,7 +151,8 @@ def test_newton_step_robust_to_fd_step_halving():
     res = _residual_vec(spec, mesh, 0.5, r0.flat())
     steps = {}
     for scale in (1e-6, 5e-7):
-        jac = jacobian_fd(spec, mesh, 0.5, r0, SolverOptions(jacobian_fd_scale=scale))
+        monkeypatch.setattr(solver, "FD_SCALE", scale)
+        jac = jacobian_fd(spec, mesh, 0.5, r0)
         steps[scale] = np.linalg.solve(jac, -res)
     rel = np.linalg.norm(steps[1e-6] - steps[5e-7]) / np.linalg.norm(steps[1e-6])
     assert rel <= 1e-4
@@ -187,6 +188,40 @@ def test_coloured_jacobian_matches_dense_oracle(case):
     coloured = jacobian_coloured(spec, mesh, 0.7, r)
     assert coloured.shape == dense.shape
     assert np.abs(coloured.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES) + ["euclidean-cone-exit"])
+def test_gauss_curvature_matches_eigenvalue_oracle(case):
+    """K and the test H > 0, K > 0 agree with sigma_2 and the Gamma_2 mask of the
+    Newton eigenvalues, on admissible graphs and on one that leaves the cone."""
+    if case in ORACLE_CASES:
+        profile, _, (n_theta, n_phi) = ORACLE_CASES[case]
+        mesh = build_mesh(n_theta, n_phi, reduced=n_phi is None)
+        r = bumpy_field(mesh)
+    else:
+        profile, mesh = EUCLID, build_mesh(16, 8)
+        r = field_from_function(mesh, lambda th, ph: 1 + 0.3 * np.cos(2 * th))
+    geom = compute_geometry(mesh, r, profile)
+    ratio, ok = quotient_ratio_batch(geom.mu_stack(), Q20)
+    assert np.abs(geom.K - ratio).max() <= 1e-12 * np.abs(ratio).max()
+    np.testing.assert_array_equal((geom.H > 0) & (geom.K > 0), ok)
+    np.testing.assert_array_equal(geom.in_cone, ok)
+    assert ok.all() == (case in ORACLE_CASES)
+
+
+def test_residual_forms_no_eigenvalues_or_capital_lambda(monkeypatch):
+    """The residual reads H and K only: with the principal-curvature solve and
+    Lambda made to raise, residuals and a 16x8 Newton solve still succeed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the residual path must not compute this")
+
+    monkeypatch.setattr(geometry, "_sym_pair_eigs", refuse)
+    monkeypatch.setattr(WarpProfile, "capital_lambda", refuse)
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    residual(spec, mesh, 0.5, const_field(mesh, 1.25))
+    _, stats = newton_solve(spec, mesh, 0.5, const_field(mesh, 1.25))
+    assert stats.iterations > 0 and stats.residual_norm <= SolverOptions().newton_tol
 
 
 @pytest.mark.parametrize("shape", [(16, 8), (16, 4), (20, 10), (16, None)])
@@ -225,7 +260,7 @@ def test_coloured_group_falls_back_to_single_columns(monkeypatch):
     np.testing.assert_array_equal(dense[:, 1:], unpatched[:, 1:])
 
 
-def singular_jacobian(spec, mesh, t, r_field, opts=SolverOptions()):
+def singular_jacobian(spec, mesh, t, r_field):
     return csc_array((mesh.n_nodes, mesh.n_nodes))
 
 
@@ -316,7 +351,7 @@ def test_continuation_states_admissible_and_barriered():
     final, history = continuation_solve(spec, mesh)
     for st in history:
         geom = compute_geometry(mesh, st.r_field, EUCLID)
-        _, ok = geom.quotient_ratio(Q20)
+        _, ok = quotient_ratio_batch(geom.mu_stack(), Q20)
         assert ok.all()
         assert spec.r1 < st.r_field.values.min() <= st.r_field.values.max() < spec.r2
 
@@ -437,7 +472,7 @@ def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(newton_tol=-1.0)
     for bad in (np.inf, np.nan):  # an infinite t-step would survive halving forever
-        for name in ("newton_tol", "t_step_init", "t_step_min", "jacobian_fd_scale"):
+        for name in ("newton_tol", "t_step_init", "t_step_min"):
             with pytest.raises(ValueError, match=name):
                 SolverOptions(**{name: bad})
     with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from prescurv.errors import ConeViolation, DegeneratePair
 from prescurv.symm import (
-    EigenTuple,
     QuotientOrder,
     concavity_probe,
     cone_lower_bound,
@@ -111,13 +110,6 @@ def test_euler_identity_fd():
                 m[i] -= h
                 total += mu[i] * (sigma(p, k) - sigma(m, k)) / (2 * h)
             assert total == pytest.approx(k * sigma(mu, k), rel=1e-7)
-
-
-def test_eigen_tuple_sorting():
-    et = EigenTuple.of((3.0, -1.0, 2.0))
-    assert et.values == (-1.0, 2.0, 3.0)
-    assert et.perm == (1, 2, 0)
-    assert et.in_input_order(et.values) == [3.0, -1.0, 2.0]
 
 
 # -- cone membership and quotient operator -----------------------------------

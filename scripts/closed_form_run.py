@@ -11,7 +11,6 @@ import numpy as np
 
 from prescurv import (
     ProblemSpec,
-    QuotientOrder,
     WarpProfile,
     build_mesh,
     continuation_solve,
@@ -25,7 +24,6 @@ from prescurv.solver import total_newton_iterations
 def main():
     profile = WarpProfile.euclidean((0.0, 10.0))
     spec = ProblemSpec(
-        q=QuotientOrder(2, 0),
         profile=profile,
         f=parse_f("1/r^2 * exp(1.25 - r)"),
         r1=0.5,

@@ -21,7 +21,6 @@ import numpy as np
 
 from prescurv import (
     ProblemSpec,
-    QuotientOrder,
     SolverOptions,
     WarpProfile,
     build_mesh,
@@ -46,15 +45,14 @@ def main():
 
     profile = (WarpProfile.euclidean((0.0, 10.0)) if args.euclidean
                else WarpProfile.hyperbolic((0.0, 10.0)))
-    q = QuotientOrder(2, 0)
-    base = ProblemSpec(q, profile, parse_f("1"), r1=0.5, r2=2.0, phi_rm=1.0)
+    base = ProblemSpec(profile, parse_f("1"), r1=0.5, r2=2.0, phi_rm=1.0)
     opts = SolverOptions(newton_tol=1e-11)
 
     errs = []
     for nt in (int(x) for x in args.resolutions.split(",")):
         mesh = build_mesh(nt, reduced=True)
         f = manufacture_f(base, mesh, target)
-        spec = ProblemSpec(q, profile, f, r1=0.5, r2=2.0, phi_rm=1.0)
+        spec = ProblemSpec(profile, f, r1=0.5, r2=2.0, phi_rm=1.0)
         t0 = time.perf_counter()
         try:
             final, history = continuation_solve(spec, mesh, opts, force=True)

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import ConfigError, FParseError
 from .mesh import ScalarField, SphereMesh, build_mesh
+from .monitor import GAMMA_ARGS
 from .problem import ProblemSpec, RoundExponentialF, manufacture_f, parse_f
 from .solver import SolverOptions
-from .symm import QuotientOrder
 from .warp import WarpProfile
 
 DEFAULTS = {
@@ -120,10 +120,14 @@ def _get_bool(cfg, key, default=None):
 
 @contextlib.contextmanager
 def _keyed(section):
-    """Turn a ValueError into a ConfigError on section.<first word of its message>."""
+    """Turn a ValueError into a ConfigError on section.<first word of its message>.
+
+    build_mesh, WarpProfile and SolverOptions start each ValueError message
+    with the parameter it rejects, which is also the key's name in `section`.
+    """
     try:
         yield
-    except ValueError as exc:  # build_mesh, WarpProfile, QuotientOrder, SolverOptions: key first
+    except ValueError as exc:
         raise ConfigError(str(exc), key=f"{section}.{str(exc).split()[0]}")
 
 
@@ -179,8 +183,7 @@ def _load_target_csv(path: str, mesh: SphereMesh) -> ScalarField:
 
 
 # ProblemSpec's ValueError messages start with the quantity they reject
-_SPEC_KEYS = (("quotient order", "problem.k"), ("annulus", "warp.domain"),
-              ("phi_rm", "phi.rm"), ("phi_c", "phi.c"))
+_SPEC_KEYS = (("annulus", "warp.domain"), ("phi_rm", "phi.rm"), ("phi_c", "phi.c"))
 
 
 def build_problem(cfg, mesh: SphereMesh = None):
@@ -188,10 +191,10 @@ def build_problem(cfg, mesh: SphereMesh = None):
     profile = build_profile(cfg)
     if mesh is None:
         mesh = build_mesh_from(cfg)
-    k = _get_int(cfg, "problem.k")
-    l = _get_int(cfg, "problem.l")
-    with _keyed("problem"):
-        q = QuotientOrder(k, l)
+    # a surface admits only the order (k, l) = (2, 0); a config may still state it
+    for key, want in zip(("problem.k", "problem.l"), (ProblemSpec.q.k, ProblemSpec.q.l)):
+        if (got := _get_int(cfg, key)) != want:
+            raise ConfigError(f"{key} = {got}: n = 2 admits only (k, l) = (2, 0)", key=key)
     r1 = _get_float(cfg, "problem.r1")
     r2 = _get_float(cfg, "problem.r2")
     if not r1 < r2:
@@ -200,7 +203,7 @@ def build_problem(cfg, mesh: SphereMesh = None):
     phi_c = _get_float(cfg, "phi.c")
 
     try:
-        base = ProblemSpec(q, profile, parse_f("1"), r1, r2, phi_rm, phi_c)
+        base = ProblemSpec(profile, parse_f("1"), r1, r2, phi_rm, phi_c)
     except ValueError as exc:
         key = next((key for head, key in _SPEC_KEYS if str(exc).startswith(head)), None)
         raise ConfigError(str(exc), key=key)
@@ -221,7 +224,7 @@ def build_problem(cfg, mesh: SphereMesh = None):
         if cfg["f.builtin"] != "round_exponential":
             raise ConfigError(f"unknown builtin {cfg['f.builtin']!r}", key="f.builtin")
         f = RoundExponentialF(rm=_get_float(cfg, "f.rm"), alpha=_get_float(cfg, "f.alpha"),
-                              profile=profile, q=q)
+                              profile=profile)
     else:
         target = _load_target_csv(cfg["f.manufactured"], mesh)
         f = manufacture_f(base, mesh, target)
@@ -246,8 +249,8 @@ class MonitorParams:
 
 def build_monitor_params(cfg, alpha_override=None, big_a_override=None) -> MonitorParams:
     gamma_arg = _get(cfg, "monitor.gamma_arg")
-    if gamma_arg not in ("capital_lambda", "r"):
-        raise ConfigError(f"monitor.gamma_arg must be capital_lambda or r, got {gamma_arg!r}",
+    if gamma_arg not in GAMMA_ARGS:
+        raise ConfigError(f"monitor.gamma_arg must be one of {GAMMA_ARGS}, got {gamma_arg!r}",
                           key="monitor.gamma_arg")
     alpha = alpha_override if alpha_override is not None else _get_float(cfg, "monitor.alpha")
     big_a = big_a_override if big_a_override is not None else _get_float(cfg, "monitor.A")

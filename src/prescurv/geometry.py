@@ -119,7 +119,7 @@ def compute_geometry(mesh: SphereMesh, r_field: ScalarField, profile: WarpProfil
     formed (its trace is H), and K = det h / det g needs no eigenvalues.
     """
     r = r_field.values
-    lam, dlam, _ = profile.eval_lambda(r)
+    lam, dlam = profile.eval_lambda(r)
     r1, r2, r11, r12, r22 = frame_derivatives(r_field)
 
     v = np.sqrt(lam * lam + r1 * r1 + r2 * r2)

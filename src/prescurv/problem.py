@@ -1,18 +1,19 @@
 """Problem definition: the prescribed function f, the homotopy family, and checks.
 
-The prescribed function is either a parsed arithmetic expression over
-(r, th, ph, nur), the builtin round-exponential profile threshold times
-exp(alpha (rm - r)), or a manufactured evaluator reverse-engineered from a
-target graph so the target solves the equation exactly at the continuum
-level.  The homotopy endpoint at t = 0 is phi(r) times the constant-graph
-threshold, with phi(r) = exp(c (rm - r)).
+On a surface (n = 2) the only admissible quotient order is (k, l) = (2, 0), so
+the equation is K = sigma_2(mu) = f and the order is the constant
+ProblemSpec.q, not a parameter.  The prescribed function is either a parsed
+arithmetic expression over (r, th, ph, nur), the builtin round-exponential
+profile threshold times exp(alpha (rm - r)), or a manufactured evaluator
+reverse-engineered from a target graph so the target solves the equation
+exactly at the continuum level.  The homotopy endpoint at t = 0 is phi(r)
+times the constant-graph threshold zeta(r)^2, with phi(r) = exp(c (rm - r)).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -191,17 +192,9 @@ def parse_f(text: str) -> ExpressionF:
 
 # -- builtin and manufactured prescribed functions ---------------------------
 
-DIM = 2  # the graph is a surface: mu has n = 2 entries
-
-
-def threshold(profile: WarpProfile, q: QuotientOrder, r):
-    """Constant-graph value (C_n^k / C_n^l) ((n-1) zeta(r))^(k-l) at n = DIM."""
-    return _threshold_of_zeta(q, profile.zeta(r))
-
-
-def _threshold_of_zeta(q: QuotientOrder, zeta):
-    c = math.comb(DIM, q.k) / math.comb(DIM, q.l)
-    return c * ((DIM - 1) * zeta) ** (q.k - q.l)
+def threshold(profile: WarpProfile, r):
+    """Constant-graph value K = zeta(r)^2 of the round graph at radius r."""
+    return profile.zeta(r) ** 2
 
 
 @dataclass(frozen=True)
@@ -211,11 +204,10 @@ class RoundExponentialF:
     rm: float
     alpha: float
     profile: WarpProfile
-    q: QuotientOrder
 
     def evaluate(self, r, th, ph, nur):
         r = np.asarray(r, dtype=float)
-        val = threshold(self.profile, self.q, r) * np.exp(self.alpha * (self.rm - r))
+        val = threshold(self.profile, r) * np.exp(self.alpha * (self.rm - r))
         shape = np.broadcast(r, np.asarray(th), np.asarray(ph), np.asarray(nur)).shape
         return np.broadcast_to(val, shape).astype(float)
 
@@ -224,29 +216,30 @@ class RoundExponentialF:
 class ManufacturedF:
     """f(r, u) = Q*(u) (lambda(r*(u)) / lambda(r))^p for an axisymmetric target r*.
 
-    manufacture_f sets p = k-l: lambda^(k-l) f is then independent of r, so
-    the radial monotonicity assumption holds with equality (the boundary
-    case), and the target graph solves the equation exactly at the continuum
-    level.  In the euclidean warp that equality case makes the t = 1
-    equation invariant under dilations r -> c r, so it fixes r* only up to
-    scale.  Any p > k-l keeps r* an exact solution (f = Q* at r = r*) and
-    makes lambda^(k-l) f strictly decreasing in r.  Q* and lambda(r*) are
-    functions of colatitude; callable targets get continuum-accurate values
-    (fine auxiliary mesh plus spline), node targets are interpolated as-is.
+    Q* is the Gauss curvature K of the target graph.  manufacture_f sets
+    p = k - l = 2: lambda^2 f is then independent of r, so the radial
+    monotonicity assumption holds with equality (the boundary case), and the
+    target graph solves the equation exactly at the continuum level.  In the
+    euclidean warp that equality case makes the t = 1 equation invariant
+    under dilations r -> c r, so it fixes r* only up to scale.  Any p > 2
+    keeps r* an exact solution (f = Q* at r = r*) and makes lambda^2 f
+    strictly decreasing in r.  Q* and lambda(r*) are functions of
+    colatitude; callable targets get continuum-accurate values (fine
+    auxiliary mesh plus spline), node targets are interpolated as-is.
+    `mesh` is the solve mesh, whose nodes check_assumptions samples.
     """
 
     mesh: SphereMesh
-    q_fn: object            # callable th -> sigma_k/sigma_l of the target graph
+    q_fn: object            # callable th -> K of the target graph
     lam_fn: object          # callable th -> lambda(r*)
-    exponent: int           # p: k - l is the boundary case, larger is strictly monotone
+    exponent: int           # p: 2 is the boundary case, larger is strictly monotone
     profile: WarpProfile
-    target: np.ndarray      # target radii on `mesh`
 
     def evaluate(self, r, th, ph, nur):
         th = np.asarray(th, dtype=float)
         qs = self.q_fn(th)
         ls = self.lam_fn(th)
-        lam, _, _ = self.profile.eval_lambda(np.asarray(r, dtype=float))
+        lam, _ = self.profile.eval_lambda(np.asarray(r, dtype=float))
         val = qs * (ls / lam) ** self.exponent
         shape = np.broadcast(np.asarray(r), th, np.asarray(ph), np.asarray(nur)).shape
         return np.broadcast_to(val, shape).astype(float)
@@ -271,7 +264,7 @@ def eval_f(f: FExpr, r, th, ph, nur):
 class ProblemSpec:
     """Prescribed-curvature problem on an annulus of a warped product."""
 
-    q: QuotientOrder
+    q: ClassVar[QuotientOrder] = QuotientOrder(2, 0)  # the only order at n = 2
     profile: WarpProfile
     f: FExpr
     r1: float
@@ -280,8 +273,6 @@ class ProblemSpec:
     phi_c: float = 1.0
 
     def __post_init__(self):
-        if self.q.k > DIM:
-            raise ValueError(f"quotient order k={self.q.k} exceeds dimension n={DIM}")
         if not self.r1 < self.r2:
             raise ValueError(f"need r1 < r2, got {self.r1} >= {self.r2}")
         r_lo, r_hi = self.profile.domain
@@ -303,9 +294,10 @@ def phi_value(spec: ProblemSpec, r):
 def blend_f_t(spec: ProblemSpec, t: float, geom):
     """Homotopy value t f + (1 - t) phi(r) threshold(r) on a GraphGeometry; affine in t.
 
-    threshold takes zeta = lambda'/lambda from the geometry: no second lambda evaluation.
+    threshold(r) = zeta^2 takes zeta = lambda'/lambda from the geometry: no
+    second lambda evaluation.
     """
-    f0 = phi_value(spec, geom.r) * _threshold_of_zeta(spec.q, geom.dlam / geom.lam)
+    f0 = phi_value(spec, geom.r) * (geom.dlam / geom.lam) ** 2
     if t == 0.0:
         return f0
     f = eval_f(spec.f, geom.r, geom.mesh.theta_grid(), geom.mesh.phi_grid(), geom.nu_r)
@@ -353,7 +345,6 @@ def manufacture_f(spec: ProblemSpec, mesh: SphereMesh, target) -> ManufacturedF:
         fine = build_mesh(MANUFACTURE_FINE_N, reduced=True)
         t_field = ScalarField(fine, np.asarray(target(fine.theta, np.zeros_like(fine.theta)), dtype=float))
         eval_mesh = fine
-        target_vals = np.asarray(target(mesh.theta_grid(), mesh.phi_grid()), dtype=float)
     else:
         vals = target.values
         if not mesh.reduced and np.ptp(vals, axis=1).max() > 1e-12 * max(1.0, np.abs(vals).max()):
@@ -362,7 +353,6 @@ def manufacture_f(spec: ProblemSpec, mesh: SphereMesh, target) -> ManufacturedF:
             build_mesh(mesh.n_theta, reduced=True), vals[:, 0]
         )
         eval_mesh = t_field.mesh
-        target_vals = vals
 
     if np.any(t_field.values <= spec.r1) or np.any(t_field.values >= spec.r2):
         raise AdmissibilityError("target radii leave the open annulus (r1, r2)")
@@ -372,7 +362,7 @@ def manufacture_f(spec: ProblemSpec, mesh: SphereMesh, target) -> ManufacturedF:
         bad = int(np.argmin(ok.ravel()))
         raise AdmissibilityError(f"target graph leaves the admissibility cone at node {bad}")
 
-    # sigma_2/sigma_0 of mu is K: ProblemSpec admits only (k, l) = (2, 0)
+    # sigma_2/sigma_0 of mu is K at the only order (k, l) = (2, 0)
     if callable(target):
         q_fn = _even_extended_spline(eval_mesh.theta, geom.K)
         lam_fn = _even_extended_spline(eval_mesh.theta, geom.lam)
@@ -381,14 +371,7 @@ def manufacture_f(spec: ProblemSpec, mesh: SphereMesh, target) -> ManufacturedF:
         q_fn = lambda th: np.interp(th, nodes, qv)
         lam_fn = lambda th: np.interp(th, nodes, lv)
 
-    return ManufacturedF(
-        mesh=mesh,
-        q_fn=q_fn,
-        lam_fn=lam_fn,
-        exponent=spec.q.k - spec.q.l,
-        profile=spec.profile,
-        target=target_vals,
-    )
+    return ManufacturedF(mesh=mesh, q_fn=q_fn, lam_fn=lam_fn, exponent=2, profile=spec.profile)
 
 
 # -- assumption checking -----------------------------------------------------
@@ -410,7 +393,7 @@ class AssumptionResult:
 class AssumptionReport:
     inner_barrier: AssumptionResult       # f > threshold for r <= r1
     outer_barrier: AssumptionResult       # f < threshold for r >= r2
-    radial_monotonicity: AssumptionResult  # d/dr (lambda^(k-l) f) <= 0 inside
+    radial_monotonicity: AssumptionResult  # d/dr (lambda^2 f) <= 0 inside
 
     @property
     def all_passed(self) -> bool:
@@ -448,10 +431,12 @@ def _worst(values, r_grid, th, ph, nur, minimize=True):
 def check_assumptions(spec: ProblemSpec, samples: int = 12) -> AssumptionReport:
     """Sampled check of the barrier inequalities and radial monotonicity.
 
-    Barrier margins are relative to the constant-graph threshold; the
-    monotonicity margin is the worst (largest) sampled radial derivative of
-    lambda^(k-l) f, which must be <= 0.  Margins are reported as found; an
-    equality case within finite-difference noise is flagged boundary_case.
+    Barrier margins are relative to the constant-graph threshold zeta^2: the
+    worst sampled (f - threshold) / threshold for r <= r1, and the worst
+    (threshold - f) / threshold for r >= r2.  The monotonicity margin is the
+    worst (largest) sampled radial derivative of lambda^2 f, which must be
+    <= 0.  Margins are reported as found; an equality case within
+    finite-difference noise is flagged boundary_case.
     """
     th, ph = _angular_samples(spec, samples)
     nur = np.linspace(1.0 / samples, 1.0, samples)
@@ -466,33 +451,27 @@ def check_assumptions(spec: ProblemSpec, samples: int = 12) -> AssumptionReport:
         NU = nur[None, None, :]
         return eval_f(spec.f, R, TH, PH, NU), R
 
-    # inner barrier: f > threshold for r <= r1
-    r_in = np.linspace(max(r_lo + pad, spec.r1 - width), spec.r1, samples)
-    f_val, R = f_on(r_in)
-    thr = threshold(spec.profile, spec.q, R)
-    rel = (f_val - thr) / thr
-    m13, at13 = _worst(rel, r_in, th, ph, nur, minimize=True)
-    inner = AssumptionResult("inner_barrier", m13 > STRICT_TOL, m13, at13,
-                             boundary_case=abs(m13) <= STRICT_TOL)
+    def barrier(name, r_grid, inner_side):
+        """f > threshold on the inner side, f < threshold on the outer side."""
+        f_val, R = f_on(r_grid)
+        thr = threshold(spec.profile, R)
+        gap = f_val - thr if inner_side else thr - f_val
+        m, at = _worst(gap / thr, r_grid, th, ph, nur, minimize=True)
+        return AssumptionResult(name, m > STRICT_TOL, m, at, boundary_case=abs(m) <= STRICT_TOL)
 
-    # outer barrier: f < threshold for r >= r2
-    r_out = np.linspace(spec.r2, min(r_hi - pad, spec.r2 + width), samples)
-    f_val, R = f_on(r_out)
-    thr = threshold(spec.profile, spec.q, R)
-    rel = (thr - f_val) / thr
-    m14, at14 = _worst(rel, r_out, th, ph, nur, minimize=True)
-    outer = AssumptionResult("outer_barrier", m14 > STRICT_TOL, m14, at14,
-                             boundary_case=abs(m14) <= STRICT_TOL)
+    inner = barrier("inner_barrier",
+                    np.linspace(max(r_lo + pad, spec.r1 - width), spec.r1, samples), True)
+    outer = barrier("outer_barrier",
+                    np.linspace(spec.r2, min(r_hi - pad, spec.r2 + width), samples), False)
 
-    # radial monotonicity: d/dr (lambda^(k-l) f) <= 0 on (r1, r2)
+    # radial monotonicity: d/dr (lambda^2 f) <= 0 on (r1, r2)
     h = FD_STEP_R
     r_mid = np.linspace(spec.r1 + 2 * h, spec.r2 - 2 * h, samples)
-    kl = spec.q.k - spec.q.l
 
     def g_on(r_grid):
         vals, R = f_on(r_grid)
-        lam, _, _ = spec.profile.eval_lambda(R)
-        return vals * lam ** kl
+        lam, _ = spec.profile.eval_lambda(R)
+        return vals * lam ** 2
 
     deriv = (g_on(r_mid + h) - g_on(r_mid - h)) / (2.0 * h)
     m15, at15 = _worst(deriv, r_mid, th, ph, nur, minimize=False)

@@ -15,8 +15,6 @@ from .geometry import GraphGeometry
 from .mesh import ScalarField
 from .problem import AssumptionReport
 
-STATUSES = ("converged", "breakdown", "assumption-fail", "error")
-
 
 def fmt(x) -> str:
     return repr(float(x))

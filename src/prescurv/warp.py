@@ -1,8 +1,10 @@
 """Warping function of the ambient metric dr^2 + lambda(r)^2 g' and derived scalars.
 
 Builtin kinds cover the three space forms (lambda = r, sin r, sinh r); custom
-profiles are polynomials in r so that derivatives, the antiderivative and
-validation stay closed form.  All evaluators are vectorized over numpy arrays.
+profiles are polynomials in r, held as ascending coefficient arrays, so that
+lambda', the antiderivative and validation stay closed form.  `eval_lambda`
+returns (lambda, lambda'), all the geometry and the problem layer read.  All
+evaluators are vectorized over numpy arrays.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import DomainViolation, ProfileViolation
 
@@ -77,35 +80,35 @@ class WarpProfile:
 
     @cached_property
     def _poly(self):
-        """(p, p', p'', antiderivative of p vanishing at 0) of a custom profile."""
-        p = np.polynomial.Polynomial(np.asarray(self.custom_coeffs))
-        return p, p.deriv(1), p.deriv(2), p.integ()
+        """Ascending coefficients of (p, p', antiderivative of p vanishing at 0), custom only."""
+        c = np.asarray(self.custom_coeffs)
+        return c, P.polyder(c), P.polyint(c)
 
     def _raw(self, r):
-        """(lambda, lambda', lambda'') without domain or positivity checks."""
+        """(lambda, lambda') without domain or positivity checks."""
         r = np.asarray(r, dtype=float)
         if self.kind == "euclidean":
-            return r, np.ones_like(r), np.zeros_like(r)
+            return r, np.ones_like(r)
         if self.kind == "spherical":
-            return np.sin(r), np.cos(r), -np.sin(r)
+            return np.sin(r), np.cos(r)
         if self.kind == "hyperbolic":
-            return np.sinh(r), np.cosh(r), np.sinh(r)
-        p, dp, ddp, _ = self._poly
-        return p(r), dp(r), ddp(r)
+            return np.sinh(r), np.cosh(r)
+        c, dc, _ = self._poly
+        return P.polyval(r, c), P.polyval(r, dc)
 
     def eval_lambda(self, r):
-        """Return (lambda, lambda', lambda'') at r, enforcing positivity."""
+        """Return (lambda, lambda') at r, enforcing positivity."""
         r = self._check_domain(r)
-        lam, dlam, ddlam = self._raw(r)
+        lam, dlam = self._raw(r)
         if np.any(lam <= 0):
             raise ProfileViolation(f"lambda <= 0 inside domain ({self.kind})")
         if np.any(dlam <= 0):
             raise ProfileViolation(f"lambda' <= 0 inside domain ({self.kind})")
-        return lam, dlam, ddlam
+        return lam, dlam
 
     def zeta(self, r):
         """lambda'(r) / lambda(r)."""
-        lam, dlam, _ = self.eval_lambda(r)
+        lam, dlam = self.eval_lambda(r)
         return dlam / lam
 
     def capital_lambda(self, r):
@@ -117,7 +120,7 @@ class WarpProfile:
             return 1.0 - np.cos(r)
         if self.kind == "hyperbolic":
             return np.cosh(r) - 1.0
-        return self._poly[3](r)
+        return P.polyval(r, self._poly[2])
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ def validate_profile(profile: WarpProfile, samples: int = 2048) -> ProfileReport
     r_lo, r_hi = profile.domain
     pad = 1e-9 * (r_hi - r_lo)
     grid = np.linspace(r_lo + pad, r_hi - pad, samples)
-    lam, dlam, _ = profile._raw(grid)
+    lam, dlam = profile._raw(grid)
     bad_lam = lam <= 0
     bad_dlam = dlam <= 0
     if not bad_lam.any() and not bad_dlam.any():

@@ -52,7 +52,7 @@ Q20 = QuotientOrder(2, 0)
 
 
 def closed_form_spec(**kw):
-    args = dict(q=Q20, profile=EUCLID, f=parse_f("1/r^2 * exp(1.25 - r)"),
+    args = dict(profile=EUCLID, f=parse_f("1/r^2 * exp(1.25 - r)"),
                 r1=0.5, r2=2.0, phi_rm=1.25, phi_c=1.0)
     args.update(kw)
     return ProblemSpec(**args)
@@ -189,7 +189,7 @@ def test_criterion_3_constant_graph_identity():
             geom = compute_geometry(mesh, ScalarField(mesh, np.full(mesh.shape, c)), profile)
             ratio, ok = quotient_ratio_batch(geom.mu_stack(), Q20)
             assert ok.all()
-            worst = max(worst, float(np.abs(ratio - threshold(profile, Q20, c)).max()))
+            worst = max(worst, float(np.abs(ratio - threshold(profile, c)).max()))
     report(f"criterion 3: constant-graph identity worst residual {worst:.2e}")
     assert worst <= 1e-10
 
@@ -262,8 +262,8 @@ def test_criterion_6_barrier_invariant():
         runs.append((closed_form_spec(f=f), build_mesh(32, reduced=True), SolverOptions()))
     hyp = WarpProfile.hyperbolic((0.0, 10.0))
     mesh_h = build_mesh(64, reduced=True)
-    base = ProblemSpec(Q20, hyp, parse_f("1"), 0.5, 2.0, 1.0)
-    spec_h = ProblemSpec(Q20, hyp, manufacture_f(
+    base = ProblemSpec(hyp, parse_f("1"), 0.5, 2.0, 1.0)
+    spec_h = ProblemSpec(hyp, manufacture_f(
         base, mesh_h, lambda th, ph: 1 + 0.05 * np.cos(th)), 0.5, 2.0, 1.0)
     runs.append((spec_h, mesh_h, SolverOptions(newton_tol=1e-11)))
 

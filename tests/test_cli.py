@@ -124,7 +124,7 @@ def manufactured_cfg(tmp_path, value):
     (lambda tmp: CLOSED_FORM.replace("warp.domain = 0,10", "warp.domain = 0,1.5"), "warp.domain"),
     (lambda tmp: manufactured_cfg(tmp, "abc"), "f.manufactured"),
     (lambda tmp: manufactured_cfg(tmp, "nan"), "f.manufactured"),
-    (lambda tmp: CLOSED_FORM.replace("problem.l = 0", "problem.l = 1"), "problem.k"),
+    (lambda tmp: CLOSED_FORM.replace("problem.l = 0", "problem.l = 1"), "problem.l"),
     (lambda tmp: CLOSED_FORM + "solver.t_step_init = inf\n", "solver.t_step_init"),
     (lambda tmp: CLOSED_FORM + "solver.t_step_init = nan\n", "solver.t_step_init"),
     (lambda tmp: CLOSED_FORM + "solver.newton_tol = nan\n", "solver.newton_tol"),
@@ -189,6 +189,19 @@ def test_solve_assumption_failures_exit_3(tmp_path, capsys, cfg_text, which):
     assert "status = assumption-fail" in report
 
 
+def test_solve_runs_once_its_own_assumption_check_passes(tmp_path, capsys):
+    """check.samples sets the gate: the solver's 12-sample check (which finds
+    f below the threshold at some r <= r1 here) must not refuse the run."""
+    cfg = write_cfg(tmp_path, CLOSED_FORM.replace("mesh.n_theta = 32", "mesh.n_theta = 16")
+                    .replace("mesh.n_phi = 16", "mesh.n_phi = 4")
+                    .replace("exp(1.25 - r)", "exp(1.25 - r) * (1 + 0.6*cos(ph))")
+                    + "check.samples = 1\n")
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "solve"]) == 0
+    assert "inner_barrier" in capsys.readouterr().out  # margins table printed
+    assert open(os.path.join(out, "report.txt")).read().startswith("status = converged")
+
+
 def test_solve_forced_past_outer_violation_breaks_down(tmp_path, capsys):
     cfg = write_cfg(tmp_path, VIOLATES_OUTER)
     out = str(tmp_path / "out")
@@ -246,6 +259,22 @@ verify.n_phi = 32
 verify.tol_oracle = 1e-12
 """)
     assert main(["--config", cfg, "verify-geometry"]) == 1
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("command,name,code", [
+    ("check-assumptions", "builtin_round", 0),
+    ("check-assumptions", "closed_form", 0),
+    ("check-assumptions", "hyperbolic_round", 0),
+    ("check-assumptions", "perturbed_axisym", 0),
+    ("check-assumptions", "violates_outer", 3),
+    ("verify-geometry", "verify_geometry", 0),
+])
+def test_example_configs_run(tmp_path, command, name, code):
+    cfg = os.path.join(CONFIGS, f"{name}.cfg")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == code
 
 
 def test_selftest_command():

@@ -60,7 +60,7 @@ def test_constant_graph_matches_threshold(profile, c):
     assert np.abs(geom.mu1 - zeta).max() <= 1e-10
     ratio, ok = quotient_ratio_batch(geom.mu_stack(), Q20)
     assert ok.all()
-    assert np.abs(ratio - threshold(profile, Q20, c)).max() <= 1e-10
+    assert np.abs(ratio - threshold(profile, c)).max() <= 1e-10
 
 
 def test_algebraic_invariants_on_perturbed_graph():

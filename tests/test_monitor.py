@@ -6,15 +6,13 @@ from prescurv.mesh import ScalarField, build_mesh
 from prescurv.monitor import monitor, monitor_state, refinement_stability
 from prescurv.problem import ProblemSpec, manufacture_f, parse_f
 from prescurv.solver import SolverOptions
-from prescurv.symm import QuotientOrder
 from prescurv.warp import WarpProfile
 
 EUCLID = WarpProfile.euclidean((0.0, 10.0))
-Q20 = QuotientOrder(2, 0)
 
 
 def closed_form_spec(**kw):
-    args = dict(q=Q20, profile=EUCLID, f=parse_f("1/r^2 * exp(1.25 - r)"),
+    args = dict(profile=EUCLID, f=parse_f("1/r^2 * exp(1.25 - r)"),
                 r1=0.5, r2=2.0, phi_rm=1.25, phi_c=1.0)
     args.update(kw)
     return ProblemSpec(**args)
@@ -106,9 +104,9 @@ def test_refinement_stability_manufactured_hyperbolic():
     profile = WarpProfile.hyperbolic((0.0, 10.0))
 
     def make_spec(mesh):
-        base = ProblemSpec(Q20, profile, parse_f("1"), 0.5, 2.0, 1.0)
+        base = ProblemSpec(profile, parse_f("1"), 0.5, 2.0, 1.0)
         f = manufacture_f(base, mesh, lambda th, ph: 1 + 0.05 * np.cos(th))
-        return ProblemSpec(Q20, profile, f, 0.5, 2.0, 1.0)
+        return ProblemSpec(profile, f, 0.5, 2.0, 1.0)
 
     table = refinement_stability(make_spec, (64, 128), opts=SolverOptions(newton_tol=1e-11))
     a, b = table.rows

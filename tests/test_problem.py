@@ -20,11 +20,9 @@ from prescurv.problem import (
     phi_value,
     threshold,
 )
-from prescurv.symm import QuotientOrder
 from prescurv.warp import WarpProfile
 
 EUCLID = WarpProfile.euclidean((0.0, 10.0))
-Q20 = QuotientOrder(2, 0)
 
 # frozen closed-form margins for f = (1/r^2) exp(1.25 - r), r1 = 0.5, r2 = 2
 INNER_MARGIN = 1.1170000166126747   # e^0.75 - 1, relative margin at r = r1
@@ -33,7 +31,7 @@ MONO_MARGIN = -0.4723665527410147   # d/dr of r^2 f at its largest (r = r2)
 
 
 def closed_form_spec(**kw):
-    args = dict(q=Q20, profile=EUCLID, f=parse_f("1/r^2 * exp(1.25 - r)"),
+    args = dict(profile=EUCLID, f=parse_f("1/r^2 * exp(1.25 - r)"),
                 r1=0.5, r2=2.0, phi_rm=1.25, phi_c=1.0)
     args.update(kw)
     return ProblemSpec(**args)
@@ -123,14 +121,14 @@ def test_parser_against_python_eval_oracle():
 
 def test_threshold_euclidean_is_inverse_square():
     for r in (0.5, 1.25, 3.0):
-        assert threshold(EUCLID, Q20, r) == pytest.approx(1.0 / r ** 2, rel=1e-14)
+        assert threshold(EUCLID, r) == pytest.approx(1.0 / r ** 2, rel=1e-14)
 
 
 def test_round_exponential_matches_threshold_at_rm():
-    f = RoundExponentialF(rm=1.25, alpha=1.0, profile=EUCLID, q=Q20)
+    f = RoundExponentialF(rm=1.25, alpha=1.0, profile=EUCLID)
     assert float(eval_f(f, 1.25, 0.3, 0.2, 0.9)) == pytest.approx(0.64, rel=1e-14)
     got = float(eval_f(f, 0.8, 0.0, 0.0, 1.0))
-    want = threshold(EUCLID, Q20, 0.8) * math.exp(1.25 - 0.8)
+    want = threshold(EUCLID, 0.8) * math.exp(1.25 - 0.8)
     assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -149,13 +147,13 @@ def test_blend_endpoints():
     spec = closed_form_spec()
     geom = graph_geometry(lambda th, ph: 1.1 + 0.1 * np.cos(th) * np.sin(ph))
     mesh = geom.mesh
-    f0 = phi_value(spec, geom.r) * threshold(EUCLID, Q20, geom.r)
+    f0 = phi_value(spec, geom.r) * threshold(EUCLID, geom.r)
     assert np.array_equal(blend_f_t(spec, 0.0, geom), f0)
     f1 = eval_f(spec.f, geom.r, mesh.theta_grid(), mesh.phi_grid(), geom.nu_r)
     assert np.array_equal(blend_f_t(spec, 1.0, geom), f1)
     at_rm = graph_geometry(lambda th, ph: np.full(th.shape, spec.phi_rm))
     np.testing.assert_allclose(blend_f_t(spec, 0.0, at_rm),
-                               threshold(EUCLID, Q20, spec.phi_rm), rtol=1e-15)  # phi(rm) = 1
+                               threshold(EUCLID, spec.phi_rm), rtol=1e-15)  # phi(rm) = 1
 
 
 @settings(max_examples=60)
@@ -186,8 +184,6 @@ def test_problem_spec_validation():
         closed_form_spec(phi_c=-1.0)
     with pytest.raises(ValueError):
         closed_form_spec(r2=12.0)  # outside the profile domain
-    with pytest.raises(ValueError):
-        ProblemSpec(QuotientOrder(3, 0), EUCLID, parse_f("1"), 0.5, 2.0)  # k > n
     spec = closed_form_spec(phi_rm=None)
     assert spec.phi_rm == pytest.approx(1.25)
 
@@ -210,7 +206,7 @@ def test_manufactured_radial_independence():
     f = manufacture_f(spec, mesh, lambda th, ph: 1 + 0.05 * np.cos(th))
     vals = []
     for r in (0.7, 1.0, 1.6):
-        lam, _, _ = EUCLID.eval_lambda(r)
+        lam, _ = EUCLID.eval_lambda(r)
         vals.append(float(eval_f(f, r, 0.8, 0.0, 0.9)) * lam ** 2)
     assert np.ptp(vals) <= 1e-12 * abs(vals[0])
 

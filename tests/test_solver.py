@@ -46,7 +46,7 @@ Q20 = QuotientOrder(2, 0)
 
 
 def closed_form_spec(**kw):
-    args = dict(q=Q20, profile=EUCLID, f=parse_f("1/r^2 * exp(1.25 - r)"),
+    args = dict(profile=EUCLID, f=parse_f("1/r^2 * exp(1.25 - r)"),
                 r1=0.5, r2=2.0, phi_rm=1.25, phi_c=1.0)
     args.update(kw)
     return ProblemSpec(**args)
@@ -80,7 +80,7 @@ def test_residual_evaluates_lambda_once_beside_f(monkeypatch):
     monkeypatch.setattr(WarpProfile, "eval_lambda",
                         lambda self, r: calls.append(1) or original(self, r))
     mesh = build_mesh(16, 8)
-    round_exp = RoundExponentialF(rm=1.25, alpha=1.0, profile=EUCLID, q=Q20)
+    round_exp = RoundExponentialF(rm=1.25, alpha=1.0, profile=EUCLID)
     for spec, want in ((closed_form_spec(), {0.0: 1, 0.5: 1}),
                        (closed_form_spec(f=round_exp), {0.0: 1, 0.5: 2})):
         for t, count in want.items():
@@ -116,7 +116,7 @@ def test_jacobian_zeroth_order_sign_and_invertibility():
     rm = spec.phi_rm
 
     def f0(r):
-        return float(phi_value(spec, r)) * threshold(EUCLID, Q20, r)
+        return float(phi_value(spec, r)) * threshold(EUCLID, r)
 
     slope = (f0(rm + h) - f0(rm - h)) / (2 * h)
     assert -slope > 0.1  # strictly positive zeroth-order contribution
@@ -417,8 +417,8 @@ def test_manufactured_convergence_hyperbolic():
     errs = []
     for nt in (64, 128, 256):
         mesh = build_mesh(nt, reduced=True)
-        base = ProblemSpec(Q20, profile, parse_f("1"), 0.5, 2.0, 1.0)
-        spec = ProblemSpec(Q20, profile, manufacture_f(base, mesh, target), 0.5, 2.0, 1.0)
+        base = ProblemSpec(profile, parse_f("1"), 0.5, 2.0, 1.0)
+        spec = ProblemSpec(profile, manufacture_f(base, mesh, target), 0.5, 2.0, 1.0)
         final, _ = continuation_solve(spec, mesh, SolverOptions(newton_tol=1e-11))
         errs.append(float(np.abs(final.r_field.values - target(mesh.theta, None)).max()))
     assert errs[0] / errs[1] >= 8.0
@@ -429,8 +429,8 @@ def test_manufactured_convergence_hyperbolic():
 def test_manufactured_hyperbolic_satisfies_strict_barriers():
     profile = WarpProfile.hyperbolic((0.0, 10.0))
     mesh = build_mesh(64, reduced=True)
-    base = ProblemSpec(Q20, profile, parse_f("1"), 0.5, 2.0, 1.0)
-    spec = ProblemSpec(Q20, profile, manufacture_f(
+    base = ProblemSpec(profile, parse_f("1"), 0.5, 2.0, 1.0)
+    spec = ProblemSpec(profile, manufacture_f(
         base, mesh, lambda th, ph: 1 + 0.05 * np.cos(th)), 0.5, 2.0, 1.0)
     from prescurv.problem import check_assumptions
 
@@ -458,8 +458,8 @@ def test_continuation_spherical_warp_round_case():
     from prescurv.problem import RoundExponentialF, check_assumptions
 
     profile = WarpProfile.spherical((0.0, np.pi / 2))
-    f = RoundExponentialF(rm=0.75, alpha=1.0, profile=profile, q=Q20)
-    spec = ProblemSpec(Q20, profile, f, r1=0.3, r2=1.2, phi_rm=0.75)
+    f = RoundExponentialF(rm=0.75, alpha=1.0, profile=profile)
+    spec = ProblemSpec(profile, f, r1=0.3, r2=1.2, phi_rm=0.75)
     rep = check_assumptions(spec)
     assert rep.all_passed
     mesh = build_mesh(32, reduced=True)

@@ -18,25 +18,23 @@ def antideriv_custom(coeffs, r):
 
 def test_eval_lambda_euclidean():
     prof = WarpProfile.euclidean((0.0, 10.0))
-    lam, dlam, ddlam = prof.eval_lambda(1.25)
-    assert (lam, dlam, ddlam) == (1.25, 1.0, 0.0)
+    lam, dlam = prof.eval_lambda(1.25)
+    assert (lam, dlam) == (1.25, 1.0)
 
 
 def test_eval_lambda_spherical():
     prof = WarpProfile.spherical((0.0, np.pi / 2))
-    lam, dlam, ddlam = prof.eval_lambda(np.pi / 4)
+    lam, dlam = prof.eval_lambda(np.pi / 4)
     s = math.sqrt(2) / 2
     assert lam == pytest.approx(s, abs=1e-15)
     assert dlam == pytest.approx(s, abs=1e-15)
-    assert ddlam == pytest.approx(-s, abs=1e-15)
 
 
 def test_eval_lambda_custom_polynomial():
     prof = WarpProfile.custom([0.0, 1.0, 0.0, 1.0 / 6.0], (0.0, 5.0))
-    lam, dlam, ddlam = prof.eval_lambda(1.0)
+    lam, dlam = prof.eval_lambda(1.0)
     assert lam == pytest.approx(7.0 / 6.0, abs=1e-15)
     assert dlam == pytest.approx(1.5, abs=1e-15)
-    assert ddlam == pytest.approx(1.0, abs=1e-15)
 
 
 def test_zeta_values():
@@ -70,7 +68,7 @@ def test_capital_lambda_derivative_is_lambda(prof):
     grid = np.linspace(r_lo + 0.05, r_hi - 0.05, 11)
     h = 1e-6
     fd = (prof.capital_lambda(grid + h) - prof.capital_lambda(grid - h)) / (2 * h)
-    lam, _, _ = prof.eval_lambda(grid)
+    lam, _ = prof.eval_lambda(grid)
     assert np.abs(fd / lam - 1).max() <= 1e-8
 
 
@@ -79,7 +77,7 @@ def test_capital_lambda_derivative_is_lambda(prof):
        kind=st.sampled_from(["euclidean", "hyperbolic"]))
 def test_zeta_times_lambda_is_dlambda(r, kind):
     prof = WarpProfile(kind, (0.1, 10.0))
-    lam, dlam, _ = prof.eval_lambda(r)
+    lam, dlam = prof.eval_lambda(r)
     assert prof.zeta(r) * lam == pytest.approx(dlam, rel=1e-15, abs=1e-300)
 
 

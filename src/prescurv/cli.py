@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: solve, check-assumptions, verify-geometry, selftest, sweep.
-Exit codes: 0 success/converged, 2 config error, 3 assumption failure
-(without --force), 4 continuation breakdown, 1 other error.
+Exit codes: 0 success/converged, 1 any other typed error, 2 config error
+(nothing written), 3 assumption failure (without --force), 4 continuation
+breakdown.  A solve past its config always writes report.txt, and that
+report's RunReport.exit_code() is its exit code (a sweep's: the largest).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .config import (
     _keyed,
 )
 from .errors import (
-    AssumptionFailure,
     ConfigError,
     ContinuationBreakdown,
     DegeneratePair,
@@ -70,27 +71,32 @@ def _load_config(args):
     return parse_config(args.config)
 
 
-def _run_solve(cfg, out_dir, force, alpha=None, big_a=None):
-    """Shared solve pipeline; returns a RunReport (files already written)."""
-    os.makedirs(out_dir, exist_ok=True)
-    report = RunReport(status="error", config=dict(cfg))
+def _run_solve(cfg, out_dir, force):
+    """Shared solve pipeline; returns a RunReport (files already written).
+
+    A ConfigError propagates before anything is written.  Past that, every
+    outcome ends in report.txt: any PrescurvError of the assumption check or
+    of the continuation, other than a breakdown, is status "error".
+    """
     t0 = time.perf_counter()
     spec, mesh, opts = build_problem(cfg)
-    params = build_monitor_params(cfg, alpha, big_a)
+    params = build_monitor_params(cfg)
+    samples = _get_count(cfg, "check.samples")
+    os.makedirs(out_dir, exist_ok=True)
+    report = RunReport(status="error", config=dict(cfg))
+    final, history = None, []
 
-    t_assume = time.perf_counter()
-    assumptions = check_assumptions(spec, samples=_get_count(cfg, "check.samples"))
-    report.assumptions = assumptions
-    report.timings["assumptions"] = time.perf_counter() - t_assume
-    if assumptions.hard_failures and not force:
-        report.status = "assumption-fail"
-        report.message = "failed: " + ", ".join(assumptions.hard_failures)
-        write_report(os.path.join(out_dir, "report.txt"), report)
-        return report
-
-    # the check above, at check.samples, is the gate: the solver's own must not overrule it
-    t_solve = time.perf_counter()
+    phase, t_phase = "assumptions", time.perf_counter()
     try:
+        report.assumptions = check_assumptions(spec, samples=samples)
+        report.timings[phase] = time.perf_counter() - t_phase
+        if report.assumptions.hard_failures and not force:
+            report.status = "assumption-fail"
+            report.message = "failed: " + ", ".join(report.assumptions.hard_failures)
+            write_report(os.path.join(out_dir, "report.txt"), report)
+            return report
+        # the check above, at check.samples, is the gate: the solver's own must not overrule it
+        phase, t_phase = "solve", time.perf_counter()
         final, history = continuation_solve(spec, mesh, opts, force=True)
         report.status = "converged"
     except ContinuationBreakdown as exc:
@@ -98,7 +104,9 @@ def _run_solve(cfg, out_dir, force, alpha=None, big_a=None):
         final = exc.last_good
         report.status = "breakdown"
         report.message = str(exc)
-    report.timings["solve"] = time.perf_counter() - t_solve
+    except PrescurvError as exc:
+        report.message = str(exc)
+    report.timings[phase] = time.perf_counter() - t_phase
 
     t_mon = time.perf_counter()
     report.states = list(history)
@@ -125,7 +133,7 @@ def _run_solve(cfg, out_dir, force, alpha=None, big_a=None):
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    report = _run_solve(cfg, args.out, args.force, args.alpha, args.A)
+    report = _run_solve(cfg, args.out, args.force)
     if report.assumptions is not None:
         print(margins_table(report.assumptions))
     if report.status == "converged":
@@ -369,7 +377,7 @@ def cmd_sweep(args) -> int:
         sub[args.key] = val
         safe = f"{args.key.replace('.', '_')}_{val.replace('.', 'p')}"
         out_dir = os.path.join(args.out, safe)
-        report = _run_solve(sub, out_dir, args.force, args.alpha, args.A)
+        report = _run_solve(sub, out_dir, args.force)
         print(f"{args.key}={val}: {report.status}")
         worst = max(worst, report.exit_code())
     return worst
@@ -385,10 +393,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="prescurv_out", help="output directory")
     parser.add_argument("--force", action="store_true",
                         help="proceed past assumption failures")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="gradient-test parameter (overrides monitor.alpha)")
-    parser.add_argument("--A", type=float, default=None,
-                        help="curvature-test parameter (overrides monitor.A)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve", help="run assumption check, continuation, and monitors")
     sub.add_parser("check-assumptions", help="print the assumption margins table")
@@ -412,12 +416,6 @@ def main(argv=None) -> int:
         key = f" (key: {exc.key})" if exc.key else ""
         print(f"config error: {exc}{key}", file=sys.stderr)
         return 2
-    except AssumptionFailure as exc:
-        print(f"assumption failure: {exc}", file=sys.stderr)
-        return 3
-    except ContinuationBreakdown as exc:
-        print(f"continuation breakdown: {exc}", file=sys.stderr)
-        return 4
     except PrescurvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -247,11 +247,10 @@ class MonitorParams:
     gamma_arg: str
 
 
-def build_monitor_params(cfg, alpha_override=None, big_a_override=None) -> MonitorParams:
+def build_monitor_params(cfg) -> MonitorParams:
     gamma_arg = _get(cfg, "monitor.gamma_arg")
     if gamma_arg not in GAMMA_ARGS:
         raise ConfigError(f"monitor.gamma_arg must be one of {GAMMA_ARGS}, got {gamma_arg!r}",
                           key="monitor.gamma_arg")
-    alpha = alpha_override if alpha_override is not None else _get_float(cfg, "monitor.alpha")
-    big_a = big_a_override if big_a_override is not None else _get_float(cfg, "monitor.A")
-    return MonitorParams(alpha=alpha, big_a=big_a, gamma_arg=gamma_arg)
+    return MonitorParams(alpha=_get_float(cfg, "monitor.alpha"),
+                         big_a=_get_float(cfg, "monitor.A"), gamma_arg=gamma_arg)

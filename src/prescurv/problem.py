@@ -150,7 +150,7 @@ class _Parser:
 def _eval_tree(node, env):
     op = node[0]
     if op == "num":
-        return node[1]
+        return np.float64(node[1])
     if op == "var":
         return env[node[1]]
     if op == "neg":

@@ -1,15 +1,18 @@
 """Run report and CSV writers.
 
 One structured-text report per run (flat key=value lines plus fixed-order
-rows) and CSV files for fields, geometry, and monitor records.  Float
-formatting uses shortest round-trip repr, so identical runs produce
-bit-identical files.
+rows) and CSV files for fields, geometry, and monitor records, all three
+written by one row writer.  A report's status (converged, assumption-fail,
+breakdown or error) alone sets the run's exit code.  Float formatting uses
+shortest round-trip repr, so identical runs produce bit-identical files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .geometry import GraphGeometry
 from .mesh import ScalarField
@@ -20,36 +23,30 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
+def _write_csv(path: str, columns: dict):
+    """Write a header of the column names, then one row per entry of the columns."""
+    rows = np.column_stack(list(columns.values())).tolist()
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
 def write_field_csv(path: str, field_obj: ScalarField):
     mesh = field_obj.mesh
-    th = mesh.theta_grid().ravel()
-    ph = mesh.phi_grid().ravel()
-    vals = field_obj.values.ravel()
-    with open(path, "w") as fh:
-        fh.write("theta,phi,value\n")
-        for a, b, c in zip(th, ph, vals):
-            fh.write(f"{fmt(a)},{fmt(b)},{fmt(c)}\n")
+    _write_csv(path, {"theta": mesh.theta_grid().ravel(), "phi": mesh.phi_grid().ravel(),
+                      "value": field_obj.values.ravel()})
 
 
 def write_geometry_csv(path: str, geom: GraphGeometry):
     cols = ("r", "v", "H", "kappa1", "kappa2", "mu1", "mu2", "tau")
-    th = geom.mesh.theta_grid().ravel()
-    ph = geom.mesh.phi_grid().ravel()
-    arrays = [getattr(geom, c).ravel() for c in cols]
-    with open(path, "w") as fh:
-        fh.write("theta,phi," + ",".join(cols) + "\n")
-        for i in range(th.size):
-            row = [fmt(th[i]), fmt(ph[i])] + [fmt(a[i]) for a in arrays]
-            fh.write(",".join(row) + "\n")
+    _write_csv(path, {"theta": geom.mesh.theta_grid().ravel(),
+                      "phi": geom.mesh.phi_grid().ravel(),
+                      **{c: getattr(geom, c).ravel() for c in cols}})
 
 
 def write_monitor_csv(path: str, records):
-    with open(path, "w") as fh:
-        fh.write("t,r_min,r_max,tau_min,grad_max,kappa_max\n")
-        for rec in records:
-            fh.write(",".join(fmt(x) for x in
-                              (rec.t, rec.r_min, rec.r_max, rec.tau_min,
-                               rec.grad_max, rec.kappa_max)) + "\n")
+    cols = ("t", "r_min", "r_max", "tau_min", "grad_max", "kappa_max")
+    _write_csv(path, {c: [getattr(rec, c) for rec in records] for c in cols})
 
 
 @dataclass

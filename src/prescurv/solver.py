@@ -18,7 +18,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize._numdiff import group_columns
 from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
@@ -160,6 +159,8 @@ class _Sparsity:
 @functools.cache
 def _sparsity(n_theta: int, n_phi: int) -> _Sparsity:
     """The _Sparsity of a mesh shape (n_phi = 0: reduced), built on first use."""
+    # imported here: scipy.optimize loads several scipy subpackages no other path needs
+    from scipy.optimize._numdiff import group_columns
     mesh = build_mesh(n_theta, n_phi, reduced=not n_phi)
     n = mesh.n_nodes
     rows, cols = stencil_footprint(mesh)

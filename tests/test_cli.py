@@ -1,9 +1,17 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import prescurv
+from prescurv import solver
 from prescurv.cli import main
+from prescurv.config import build_problem, parse_config
+from prescurv.errors import NewtonFailure
+from prescurv.geometry import compute_geometry
+from prescurv.mesh import ScalarField
 
 CLOSED_FORM = """
 warp.kind = euclidean
@@ -202,6 +210,45 @@ def test_solve_runs_once_its_own_assumption_check_passes(tmp_path, capsys):
     assert open(os.path.join(out, "report.txt")).read().startswith("status = converged")
 
 
+def raise_newton_failure(*args, **kwargs):
+    raise NewtonFailure("injected Newton failure")
+
+
+@pytest.mark.parametrize("expr,newton_fails,message,table", [
+    ("r - 1", False, "prescribed function produced a non-positive value", False),
+    ("1/r^2 * exp(1.25 - r)", True, "injected Newton failure", True),
+], ids=["check-raises", "newton-raises"])
+def test_solve_typed_failure_writes_error_report(tmp_path, capsys, monkeypatch,
+                                                 expr, newton_fails, message, table):
+    """A typed failure of the assumption check or of the continuation exits 1
+    and still writes report.txt (status = error) and a header-only monitor.csv."""
+    if newton_fails:
+        monkeypatch.setattr(solver, "newton_solve", raise_newton_failure)
+    cfg = write_cfg(tmp_path, VIOLATES_INNER.replace("mesh.n_theta = 32", "mesh.n_theta = 16")
+                    .replace("f.expr = 0.5/r^2", f"f.expr = {expr}"))
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "solve"]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.out
+    assert ("inner_barrier" in captured.out) == table  # margins table only if the check ran
+    assert "Traceback" not in captured.err
+    report = open(os.path.join(out, "report.txt")).read()
+    assert report.startswith(f"status = error\nmessage = {message}\n")
+    assert open(os.path.join(out, "monitor.csv")).read() == \
+        "t,r_min,r_max,tau_min,grad_max,kappa_max\n"
+    assert not os.path.exists(os.path.join(out, "solution.csv"))
+
+
+def test_sweep_solves_past_a_failed_value(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, VIOLATES_INNER.replace("mesh.n_theta = 32", "mesh.n_theta = 16"))
+    out = str(tmp_path / "sweep")
+    assert main(["--config", cfg, "--out", out, "sweep",
+                 "--key", "f.expr", "--values", "r - 1,1/r^2 * exp(1.25 - r)"]) == 1
+    stdout = capsys.readouterr().out
+    assert "f.expr=r - 1: error" in stdout
+    assert "f.expr=1/r^2 * exp(1.25 - r): converged" in stdout
+
+
 def test_solve_forced_past_outer_violation_breaks_down(tmp_path, capsys):
     cfg = write_cfg(tmp_path, VIOLATES_OUTER)
     out = str(tmp_path / "out")
@@ -211,12 +258,14 @@ def test_solve_forced_past_outer_violation_breaks_down(tmp_path, capsys):
     assert "converged" not in capsys.readouterr().out
 
 
-def test_monitor_parameter_flags(tmp_path):
-    """--alpha and --A reach the monitor test functions in the report rows."""
+def test_monitor_parameter_keys(tmp_path):
+    """monitor.alpha and monitor.A reach the monitor test functions in the report rows."""
     cfg = write_cfg(tmp_path, CLOSED_FORM)
+    tuned = write_cfg(tmp_path, CLOSED_FORM + "monitor.alpha = 3.5\nmonitor.A = 0.25\n",
+                      "tuned.cfg")
     out1, out2 = str(tmp_path / "d"), str(tmp_path / "e")
     assert main(["--config", cfg, "--out", out1, "solve"]) == 0
-    assert main(["--config", cfg, "--out", out2, "--alpha", "3.5", "--A", "0.25", "solve"]) == 0
+    assert main(["--config", tuned, "--out", out2, "solve"]) == 0
 
     def last_row(out):
         rows = [l for l in open(os.path.join(out, "report.txt")) if l.startswith("row = ")]
@@ -271,10 +320,43 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
     ("check-assumptions", "perturbed_axisym", 0),
     ("check-assumptions", "violates_outer", 3),
     ("verify-geometry", "verify_geometry", 0),
+    ("solve", "builtin_round", 0),
+    ("solve", "closed_form", 0),
+    ("solve", "hyperbolic_round", 0),
+    ("solve", "perturbed_axisym", 0),
+    ("solve", "violates_outer", 3),
 ])
 def test_example_configs_run(tmp_path, command, name, code):
     cfg = os.path.join(CONFIGS, f"{name}.cfg")
-    assert main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == code
+    out = str(tmp_path / "o")
+    assert main(["--config", cfg, "--out", out, command]) == code
+    if command != "solve" or code != 0:
+        return
+    # geometry.csv is the geometry of solution.csv, column for column
+    spec, mesh, _ = build_problem(parse_config(cfg))
+    sol = np.loadtxt(os.path.join(out, "solution.csv"), delimiter=",", skiprows=1)
+    geom = compute_geometry(mesh, ScalarField(mesh, sol[:, 2].reshape(mesh.shape)), spec.profile)
+    cols = ("r", "v", "H", "kappa1", "kappa2", "mu1", "mu2", "tau")
+    expected = np.column_stack([sol[:, 0], sol[:, 1]] + [getattr(geom, c).ravel() for c in cols])
+    geo_path = os.path.join(out, "geometry.csv")
+    assert open(geo_path).readline() == "theta,phi," + ",".join(cols) + "\n"
+    assert np.array_equal(np.loadtxt(geo_path, delimiter=",", skiprows=1), expected)
+
+
+def test_building_a_problem_does_not_import_scipy_optimize():
+    """scipy.optimize serves only the Jacobian colouring: the CLI's imports and
+    build_problem leave it unloaded."""
+    cfg = os.path.join(CONFIGS, "closed_form.cfg")
+    code = ("import sys\n"
+            "import prescurv.cli\n"
+            "from prescurv.config import build_problem, parse_config\n"
+            f"build_problem(parse_config({cfg!r}))\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n")
+    src = os.path.dirname(os.path.dirname(prescurv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_selftest_command():

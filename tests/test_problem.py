@@ -77,6 +77,10 @@ def test_eval_rejects_nonpositive_and_nonfinite():
         eval_f(parse_f("r - 10"), 1.0, 0.0, 0.0, 1.0)
     with pytest.raises(FEvalError):
         eval_f(parse_f("log(r - 2)"), 1.0, 0.0, 0.0, 1.0)
+    # constant sub-expressions follow numpy: overflow, 1/0 and a complex power are non-finite
+    for text in ("10^400", "1/0", "1/r^2 * (1 + (0-1)^0.5)"):
+        with pytest.raises(FEvalError):
+            eval_f(parse_f(text), 1.0, 0.0, 0.0, 1.0)
 
 
 def random_expression(rng, depth=0):

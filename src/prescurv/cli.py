@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
 
@@ -58,7 +59,7 @@ from .report import (
     write_monitor_csv,
     write_report,
 )
-from .solver import continuation_solve, total_newton_iterations
+from .solver import continuation_solve, jacobian_coloured, jacobian_fd, total_newton_iterations
 from .symm import QuotientOrder
 from .warp import WarpProfile, validate_profile
 
@@ -349,6 +350,17 @@ def _selftest_checks():
                       float(prof.eval_lambda(r)[0] ** 2) for r in (0.7, 1.0, 1.6)])
     err = float(np.abs(lam_f / lam_f[0] - 1).max())
     yield "manufactured-r-independence", err <= 1e-12, f"rel {err:.1e}"
+
+    # the coloured sparse Jacobian (stacked passes) against its dense oracle, entry for entry
+    spec = ProblemSpec(prof, parse_f("1/r^2 * exp(1.25 - r) * (1 + 0.03*sin(th)*cos(ph))"),
+                       0.5, 2.0, 1.25)
+    m16 = M.build_mesh(16, 8)
+    r16 = M.field_from_function(m16, lambda t, p: 1.25 + 0.04 * np.cos(t)
+                                + 0.02 * np.sin(t) * np.cos(p) + 0.01 * np.sin(t) ** 2 * np.sin(2 * p))
+    coloured = jacobian_coloured(spec, m16, 0.7, r16).toarray()
+    dense = jacobian_fd(spec, m16, 0.7, r16)
+    err = float(np.abs(coloured - dense).max())
+    yield "jacobian-coloured-vs-dense", np.array_equal(coloured, dense), f"abs {err:.1e}"
     return
 
 
@@ -371,13 +383,19 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep got an empty --values list")
+    # one directory per value directly under --out: '.' in the value is 'p', and
+    # any other character outside [A-Za-z0-9_-] (a '/' included) is '_'
+    names = [re.sub(r"[^A-Za-z0-9_-]", "_", f"{args.key}_{val.replace('.', 'p')}")
+             for val in values]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"sweep values {values[names.index(name)]!r} and {values[i]!r} "
+                              f"share the output directory {name!r}")
     worst = 0
-    for val in values:
+    for val, name in zip(values, names):
         sub = dict(cfg)
         sub[args.key] = val
-        safe = f"{args.key.replace('.', '_')}_{val.replace('.', 'p')}"
-        out_dir = os.path.join(args.out, safe)
-        report = _run_solve(sub, out_dir, args.force)
+        report = _run_solve(sub, os.path.join(args.out, name), args.force)
         print(f"{args.key}={val}: {report.status}")
         worst = max(worst, report.exit_code())
     return worst

@@ -49,7 +49,9 @@ def _sym_pair_eigs(g11, g12, g22, h11, h12, h22):
 
 @dataclass(frozen=True)
 class GraphGeometry:
-    """Per-node geometric state of the graph surface; all arrays mesh-shaped.
+    """Per-node geometric state of the graph surface; arrays shaped like r.
+
+    r is one field (mesh-shaped) or a stack of fields (mesh shape last).
 
     The cached properties are computed on first read, never by the residual.
     """
@@ -117,6 +119,8 @@ def compute_geometry(mesh: SphereMesh, r_field: ScalarField, profile: WarpProfil
     The frame derivatives come from one frame_derivatives call, so each
     stencil runs once; only the diagonal of the shape operator g^{-1} h is
     formed (its trace is H), and K = det h / det g needs no eigenvalues.
+    A stacked r_field gives a stacked geometry, member by member
+    bit-identical to one call per member.
     """
     r = r_field.values
     lam, dlam = profile.eval_lambda(r)

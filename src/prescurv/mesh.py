@@ -12,6 +12,11 @@ One cached ghost map per mesh shape holds both continuations; the stencils
 and the Jacobian footprint read it.  frame_derivatives gives the
 orthonormal-frame gradient and covariant Hessian of a field in one pass
 that applies each stencil it needs once.
+A ScalarField, the stencils and frame_derivatives also take a stack of
+fields: any leading axes, the mesh shape last.  Each member of a stack goes
+through the same gathers and the same arithmetic as a single field, so its
+result is bit-identical to the single-field call; the Jacobian differences
+all its colour groups this way.
 """
 
 from __future__ import annotations
@@ -79,13 +84,15 @@ def build_mesh(n_theta: int, n_phi: int = None, reduced: bool = False) -> Sphere
 
 @dataclass(frozen=True)
 class ScalarField:
+    """Nodal values of a field, or of a stack of fields (leading axes, mesh shape last)."""
+
     mesh: SphereMesh
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != self.mesh.shape:
-            raise ValueError(f"field shape {v.shape} != mesh shape {self.mesh.shape}")
+        if v.shape[v.ndim - len(self.mesh.shape):] != self.mesh.shape:
+            raise ValueError(f"field shape {v.shape} does not end in mesh shape {self.mesh.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field has non-finite values")
         object.__setattr__(self, "values", v)
@@ -124,47 +131,65 @@ def _ghost_map(n_theta: int, n_phi: int):
     return src, sign
 
 
+def _nodes(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
+    """vals with the mesh axes flattened to one node axis, any stack axes kept."""
+    return vals.reshape(vals.shape[:vals.ndim - len(mesh.shape)] + (mesh.n_nodes,))
+
+
 def _pole_rows(mesh: SphereMesh, vals: np.ndarray, parity: int) -> np.ndarray:
-    """vals on rows -2 .. n_theta+1; parity -1 flips the sign past a pole."""
+    """vals on rows -2 .. n_theta+1, shaped (..., rows, columns); parity -1 flips the sign past a pole.
+
+    A reduced mesh gets one column, so the stencils slice rows the same way on both.
+    """
     src, sign = _ghost_map(mesh.n_theta, mesh.n_phi)
-    e = vals.ravel()[src if mesh.reduced else src[:, 3:-3]]
+    if mesh.reduced:
+        src, sign = src[:, None], sign[:, None]
+    else:
+        src = src[:, 3:-3]
+    e = _nodes(mesh, vals)[..., src]
     return e if parity == 1 else sign * e
 
 
 def dtheta(mesh: SphereMesh, vals: np.ndarray, parity: int = 1) -> np.ndarray:
     """4th-order d/dtheta with through-pole closure."""
     e = _pole_rows(mesh, vals, parity)
-    return (e[:-4] - 8.0 * e[1:-3] + 8.0 * e[3:-1] - e[4:]) / (12.0 * mesh.dtheta)
+    return ((e[..., :-4, :] - 8.0 * e[..., 1:-3, :] + 8.0 * e[..., 3:-1, :] - e[..., 4:, :])
+            / (12.0 * mesh.dtheta)).reshape(vals.shape)
 
 
 def dtheta2(mesh: SphereMesh, vals: np.ndarray, parity: int = 1) -> np.ndarray:
     """4th-order d^2/dtheta^2 with through-pole closure."""
     e = _pole_rows(mesh, vals, parity)
-    return (-e[:-4] + 16.0 * e[1:-3] - 30.0 * e[2:-2] + 16.0 * e[3:-1] - e[4:]) / (
-        12.0 * mesh.dtheta ** 2
-    )
+    return ((-e[..., :-4, :] + 16.0 * e[..., 1:-3, :] - 30.0 * e[..., 2:-2, :]
+             + 16.0 * e[..., 3:-1, :] - e[..., 4:, :])
+            / (12.0 * mesh.dtheta ** 2)).reshape(vals.shape)
+
+
+def _periodic_columns(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
+    """vals on columns -3 .. n_phi+2 of the mesh rows, shaped (..., rows, columns)."""
+    return _nodes(mesh, vals)[..., _ghost_map(mesh.n_theta, mesh.n_phi)[0][2:-2]]
 
 
 def dphi(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
     """6th-order periodic d/dphi (zero in reduced mode)."""
     if mesh.reduced:
         return np.zeros_like(vals)
-    e = vals.ravel()[_ghost_map(mesh.n_theta, mesh.n_phi)[0][2:-2]]  # columns -3 .. n_phi+2
+    e = _periodic_columns(mesh, vals)
     return (
-        -e[:, :-6] + 9.0 * e[:, 1:-5] - 45.0 * e[:, 2:-4]
-        + 45.0 * e[:, 4:-2] - 9.0 * e[:, 5:-1] + e[:, 6:]
+        -e[..., :-6] + 9.0 * e[..., 1:-5] - 45.0 * e[..., 2:-4]
+        + 45.0 * e[..., 4:-2] - 9.0 * e[..., 5:-1] + e[..., 6:]
     ) / (60.0 * mesh.dphi)
 
 
 def dphi2(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
     if mesh.reduced:
         return np.zeros_like(vals)
-    e = vals.ravel()[_ghost_map(mesh.n_theta, mesh.n_phi)[0][2:-2]]
+    e = _periodic_columns(mesh, vals)
     return (
-        2.0 * (e[:, :-6] + e[:, 6:])
-        - 27.0 * (e[:, 1:-5] + e[:, 5:-1])
-        + 270.0 * (e[:, 2:-4] + e[:, 4:-2])
-        - 490.0 * e[:, 3:-3]
+        2.0 * (e[..., :-6] + e[..., 6:])
+        - 27.0 * (e[..., 1:-5] + e[..., 5:-1])
+        + 270.0 * (e[..., 2:-4] + e[..., 4:-2])
+        - 490.0 * e[..., 3:-3]
     ) / (180.0 * mesh.dphi ** 2)
 
 
@@ -190,7 +215,8 @@ def frame_derivatives(field: ScalarField):
     """Orthonormal-frame gradient and covariant Hessian components of a field.
 
     Returns plain arrays (r_1, r_2, r_11, r_12, r_22) in the frame
-    (d_theta, (1/sin) d_phi).  d_theta r and the frame component
+    (d_theta, (1/sin) d_phi), shaped like the field's values (a stack
+    included).  d_theta r and the frame component
     r_2 = (1/sin) d_phi r are computed once each and reused: r_12 is d_theta
     of r_2 (odd through the pole), which equals
     (1/sin) d_theta d_phi - (cos/sin^2) d_phi and stays 4th-order accurate at

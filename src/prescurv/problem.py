@@ -459,11 +459,6 @@ def check_assumptions(spec: ProblemSpec, samples: int = 12) -> AssumptionReport:
         m, at = _worst(gap / thr, r_grid, th, ph, nur, minimize=True)
         return AssumptionResult(name, m > STRICT_TOL, m, at, boundary_case=abs(m) <= STRICT_TOL)
 
-    inner = barrier("inner_barrier",
-                    np.linspace(max(r_lo + pad, spec.r1 - width), spec.r1, samples), True)
-    outer = barrier("outer_barrier",
-                    np.linspace(spec.r2, min(r_hi - pad, spec.r2 + width), samples), False)
-
     # radial monotonicity: d/dr (lambda^2 f) <= 0 on (r1, r2)
     h = FD_STEP_R
     r_mid = np.linspace(spec.r1 + 2 * h, spec.r2 - 2 * h, samples)
@@ -473,10 +468,17 @@ def check_assumptions(spec: ProblemSpec, samples: int = 12) -> AssumptionReport:
         lam, _ = spec.profile.eval_lambda(R)
         return vals * lam ** 2
 
-    deriv = (g_on(r_mid + h) - g_on(r_mid - h)) / (2.0 * h)
-    m15, at15 = _worst(deriv, r_mid, th, ph, nur, minimize=False)
-    # equality cases sit inside the FD noise floor eps * |g| / h
-    noise = 10.0 * np.finfo(float).eps * float(np.max(np.abs(g_on(r_mid)))) / h
+    # an f near the float range overflows a margin or lambda^2 f: that margin is
+    # then inf or nan and fails its test, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = barrier("inner_barrier",
+                        np.linspace(max(r_lo + pad, spec.r1 - width), spec.r1, samples), True)
+        outer = barrier("outer_barrier",
+                        np.linspace(spec.r2, min(r_hi - pad, spec.r2 + width), samples), False)
+        deriv = (g_on(r_mid + h) - g_on(r_mid - h)) / (2.0 * h)
+        m15, at15 = _worst(deriv, r_mid, th, ph, nur, minimize=False)
+        # equality cases sit inside the FD noise floor eps * |g| / h
+        noise = 10.0 * np.finfo(float).eps * float(np.max(np.abs(g_on(r_mid)))) / h
     mono = AssumptionResult(
         "radial_monotonicity",
         m15 <= max(STRICT_TOL, noise),

@@ -3,11 +3,15 @@
 The residual at each node is sigma_k/sigma_l of the Newton-tensor eigenvalues
 minus the homotopy value f^t: at n = 2 that is K - f^t, formed with no
 eigenvalues.  Newton builds a sparse central-difference Jacobian by column
-colouring over the stencil footprint (one-sided where a perturbation leaves
-the admissible set), factors it with sparse LU, and runs a backtracking line
-search that accepts a step only if the iterate stays admissible, stays
-inside the guarded annulus, and decreases the residual.
-The dense per-column Jacobian, jacobian_fd, is kept as the test oracle.
+colouring over the stencil footprint, factors it with sparse LU, and runs a
+backtracking line search that accepts a step only if the iterate stays
+admissible, stays inside the guarded annulus, and decreases the residual.
+The residual takes a stack of fields, so the Jacobian evaluates all its
+colour-group perturbations in a few stacked passes of at most
+FD_CHUNK_NODES node values; a pass that meets an inadmissible perturbation
+is redone group by group, one-sided where a perturbation leaves the
+admissible set.  The dense per-column Jacobian, jacobian_fd, is kept as the
+test oracle and differences one field at a time.
 Continuation marches t from the round solution at t = 0 to t = 1 with step
 halving on failure and doubling after consecutive easy solves.
 """
@@ -38,6 +42,7 @@ from .problem import ProblemSpec, blend_f_t, check_assumptions
 GUARD_FRACTION = 0.05  # hard annulus guard widens (r1, r2) by this fraction of the width
 DAMPING = 0.5          # line-search backtracking factor
 FD_SCALE = 1e-6        # FD Jacobian step h_j = FD_SCALE * (1 + |r_j|)
+FD_CHUNK_NODES = 8192  # node values per stacked residual pass of jacobian_coloured
 MAX_HALVINGS = 20      # line-search backtracking steps before NewtonFailure
 
 # A trial point raising one of these is inadmissible: the line search steps
@@ -80,11 +85,13 @@ def residual(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: ScalarField
 
     K = sigma_2(mu) is sigma_k/sigma_l(mu) at the one order ProblemSpec
     admits, (2, 0), and mu is in Gamma_2 where H = sigma_1(mu) > 0 and K > 0.
+    A stacked r_field (mesh shape last) gives the stacked residual in one
+    pass, and raises if any member does.
     """
     geom = compute_geometry(mesh, r_field, spec.profile)
     ok = geom.in_cone
     if not np.all(ok):
-        node = int(np.argmin(ok.ravel()))
+        node = int(np.argmin(ok.ravel())) % mesh.n_nodes
         raise ConeViolation(f"Newton eigenvalues left the cone at node {node}", node=node)
     return ScalarField(mesh, geom.K - blend_f_t(spec, t, geom))
 
@@ -152,8 +159,8 @@ class _Sparsity:
     indptr: np.ndarray
     indices: np.ndarray        # row of each stored entry
     entry_col: np.ndarray      # column of each stored entry
+    colour: np.ndarray         # colour group of each column
     groups: list               # column indices of each colour group
-    group_entries: list        # stored-entry indices of each colour group
 
 
 @functools.cache
@@ -167,13 +174,9 @@ def _sparsity(n_theta: int, n_phi: int) -> _Sparsity:
     pattern = csc_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
     # the greedy colouring depends on the column order: keep the better of two
     colour = min((group_columns(pattern, order) for order in (np.arange(n), 0)), key=np.max)
-    entry_col = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    entry_colour = colour[entry_col]
-    by_colour = np.argsort(entry_colour, kind="stable")
-    cuts = np.cumsum(np.bincount(entry_colour))[:-1]
-    return _Sparsity(pattern.indptr, pattern.indices, entry_col,
-                     [np.flatnonzero(colour == c) for c in range(colour.max() + 1)],
-                     np.split(by_colour, cuts))
+    return _Sparsity(pattern.indptr, pattern.indices,
+                     np.repeat(np.arange(n), np.diff(pattern.indptr)), colour,
+                     [np.flatnonzero(colour == c) for c in range(colour.max() + 1)])
 
 
 def jacobian_coloured(spec: ProblemSpec, mesh: SphereMesh, t: float,
@@ -183,25 +186,44 @@ def jacobian_coloured(spec: ProblemSpec, mesh: SphereMesh, t: float,
     Columns of one colour touch disjoint rows of the stencil footprint, so
     one central difference per colour group, with the per-column steps of
     jacobian_fd, yields all their entries; the residual is local, so each
-    entry equals jacobian_fd's.  A group whose +h or -h perturbation is
-    inadmissible is differenced column by column, exactly as jacobian_fd
-    does.  The pattern and colouring are built on first use per mesh shape.
+    entry equals jacobian_fd's.  The 2G perturbed fields of the G groups
+    (every group's +h member, then every -h member) go through the residual
+    as stacks of at most FD_CHUNK_NODES node values, one pass per stack.  A
+    pass that raises one of INADMISSIBLE is redone member by member, and a
+    group with an inadmissible member is differenced column by column,
+    exactly as jacobian_fd does.  The pattern and colouring are built on
+    first use per mesh shape.
     """
     sp = _sparsity(mesh.n_theta, mesh.n_phi)
     rvec = r_field.flat()
+    n, n_groups = rvec.size, len(sp.groups)
     h = _fd_steps(rvec)
+    res = np.zeros((2 * n_groups, n))
+    admissible = np.ones(2 * n_groups, dtype=bool)
+    per_pass = max(1, FD_CHUNK_NODES // n)
+    for lo in range(0, 2 * n_groups, per_pass):
+        members = np.arange(lo, min(lo + per_pass, 2 * n_groups))
+        group, sign = members % n_groups, np.where(members < n_groups, 1.0, -1.0)
+        trials = rvec + np.where(sp.colour == group[:, None], sign[:, None] * h, 0.0)
+        try:
+            stack = ScalarField(mesh, trials.reshape(members.shape + mesh.shape))
+            res[members] = residual(spec, mesh, t, stack).values.reshape(members.size, n)
+        except INADMISSIBLE:
+            for q, g, s in zip(members, group, sign):
+                cols = sp.groups[g]
+                row = _shifted_residual(spec, mesh, t, rvec, cols, s * h[cols])
+                admissible[q] = row is not None
+                if admissible[q]:
+                    res[q] = row
+    entry_colour = sp.colour[sp.entry_col]
+    data = ((res[entry_colour, sp.indices] - res[entry_colour + n_groups, sp.indices])
+            / (2.0 * h[sp.entry_col]))
     base = _base_residual(spec, mesh, t, rvec)
-    data = np.empty(sp.indices.size)
-    for cols, entries in zip(sp.groups, sp.group_entries):
-        plus = _shifted_residual(spec, mesh, t, rvec, cols, h[cols])
-        minus = _shifted_residual(spec, mesh, t, rvec, cols, -h[cols])
-        if plus is not None and minus is not None:
-            data[entries] = (plus - minus)[sp.indices[entries]] / (2.0 * h[sp.entry_col[entries]])
-            continue
-        for j in cols:
+    for g in np.flatnonzero(~(admissible[:n_groups] & admissible[n_groups:])):
+        for j in sp.groups[g]:
             stored = slice(sp.indptr[j], sp.indptr[j + 1])
             data[stored] = _fd_column(spec, mesh, t, rvec, j, h[j], base)[sp.indices[stored]]
-    return csc_array((data, sp.indices, sp.indptr), shape=(rvec.size, rvec.size))
+    return csc_array((data, sp.indices, sp.indptr), shape=(n, n))
 
 
 def _guard_bounds(spec: ProblemSpec):

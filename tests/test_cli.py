@@ -247,6 +247,19 @@ def test_sweep_solves_past_a_failed_value(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "f.expr=r - 1: error" in stdout
     assert "f.expr=1/r^2 * exp(1.25 - r): converged" in stdout
+    # one directory per value, directly under --out, whatever the value's characters
+    runs = sorted(os.listdir(out))
+    assert runs == ["f_expr_1_r_2___exp_1p25_-_r_", "f_expr_r_-_1"]
+    assert all(os.path.exists(os.path.join(out, run, "report.txt")) for run in runs)
+
+
+def test_sweep_values_sharing_a_directory_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, VIOLATES_INNER.replace("mesh.n_theta = 32", "mesh.n_theta = 16"))
+    out = str(tmp_path / "sweep")
+    assert main(["--config", cfg, "--out", out, "sweep", "--key", "f.expr",
+                 "--values", "1/r^2 * exp(1.25 - r),1*r^2 * exp(1.25 - r)"]) == 2
+    assert "share the output directory" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_solve_forced_past_outer_violation_breaks_down(tmp_path, capsys):
@@ -359,8 +372,9 @@ def test_building_a_problem_does_not_import_scipy_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_selftest_command():
+def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
+    assert "ok   jacobian-coloured-vs-dense" in capsys.readouterr().out
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -38,6 +38,9 @@ def test_field_validation():
     mesh = build_mesh(16, 4)
     with pytest.raises(ValueError):
         ScalarField(mesh, np.ones((16, 8)))
+    with pytest.raises(ValueError):  # a stack ends in the mesh shape
+        ScalarField(mesh, np.ones((16, 4, 3)))
+    assert ScalarField(mesh, np.ones((3, 16, 4))).values.shape == (3, 16, 4)
     bad = np.ones((16, 4))
     bad[3, 1] = np.nan
     with pytest.raises(ValueError):
@@ -135,6 +138,26 @@ def test_stencils_and_footprint_follow_the_continuation_rule(shape):
     want = np.array(sorted(pairs, key=lambda p: (p[1], p[0]))).T
     rows, cols = stencil_footprint(mesh)
     assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+
+
+@pytest.mark.parametrize("shape", [(16, 4), (20, 10), (16, None)])
+def test_stacked_stencils_match_single_fields_bit_for_bit(shape):
+    """A stack of fields (leading axis, mesh shape last) gives each member the
+    result of its own single-field call, to the bit."""
+    mesh = build_mesh(shape[0], shape[1], reduced=shape[1] is None)
+    stack = 1.0 + 0.1 * np.random.default_rng(11).standard_normal((4,) + mesh.shape)
+    stencils = [lambda v, p=p: dtheta(mesh, v, p) for p in (1, -1)]
+    stencils += [lambda v, p=p: dtheta2(mesh, v, p) for p in (1, -1)]
+    stencils += [lambda v: dphi(mesh, v), lambda v: dphi2(mesh, v)]
+    for stencil in stencils:
+        stacked = stencil(stack)
+        assert stacked.shape == stack.shape
+        for member, vals in zip(stacked, stack):
+            assert np.array_equal(member, stencil(vals))
+    stacked = frame_derivatives(ScalarField(mesh, stack))
+    for k, vals in enumerate(stack):
+        for got, want in zip(stacked, frame_derivatives(ScalarField(mesh, vals))):
+            assert np.array_equal(got[k], want)
 
 
 def smooth_test_errors(n_theta):

@@ -269,6 +269,16 @@ def test_check_assumptions_outer_violation():
     assert rep.hard_failures == ("outer_barrier",)
 
 
+def test_check_assumptions_overflow_fails_without_a_warning():
+    """f = 1e308 overflows the outer margin and lambda^2 f: those margins are
+    -inf and nan and fail, and numpy warns nothing (warnings are errors here)."""
+    rep = check_assumptions(closed_form_spec(f=parse_f("1e308")))
+    assert rep.inner_barrier.passed
+    assert rep.outer_barrier.margin == -np.inf and not rep.outer_barrier.passed
+    assert np.isnan(rep.radial_monotonicity.margin) and not rep.radial_monotonicity.passed
+    assert rep.hard_failures == ("outer_barrier", "radial_monotonicity")
+
+
 def test_check_assumptions_manufactured_monotonicity_boundary():
     mesh = build_mesh(64, reduced=True)
     base = closed_form_spec()

@@ -178,16 +178,58 @@ ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_coloured_jacobian_matches_dense_oracle(case):
+def oracle_case(case):
     profile, f_text, (n_theta, n_phi) = ORACLE_CASES[case]
     spec = closed_form_spec(profile=profile, f=parse_f(f_text))
-    mesh = build_mesh(n_theta, n_phi, reduced=n_phi is None)
+    return spec, build_mesh(n_theta, n_phi, reduced=n_phi is None)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_coloured_jacobian_matches_dense_oracle(case):
+    spec, mesh = oracle_case(case)
     r = bumpy_field(mesh)
     dense = jacobian_fd(spec, mesh, 0.7, r)
     coloured = jacobian_coloured(spec, mesh, 0.7, r)
     assert coloured.shape == dense.shape
-    assert np.abs(coloured.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.array_equal(coloured.toarray(), dense)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_stacked_residual_matches_single_fields_bit_for_bit(case):
+    spec, mesh = oracle_case(case)
+    r = bumpy_field(mesh).flat()
+    stack = r * (1.0 + 1e-5 * np.random.default_rng(5).standard_normal((5, r.size)))
+    for t in (0.0, 0.7):
+        stacked = residual(spec, mesh, t, ScalarField(mesh, stack.reshape((5,) + mesh.shape)))
+        for member, rvec in zip(stacked.values, stack):
+            assert np.array_equal(member.ravel(), solver._residual_vec(spec, mesh, t, rvec))
+
+
+def test_stack_with_one_member_out_of_the_cone_raises():
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    good = bumpy_field(mesh).values
+    bad = field_from_function(mesh, lambda th, ph: 1 + 0.3 * np.cos(2 * th)).values
+    residual(spec, mesh, 0.7, ScalarField(mesh, np.stack([good, good])))
+    with pytest.raises(ConeViolation) as single:
+        residual(spec, mesh, 0.7, ScalarField(mesh, bad))
+    with pytest.raises(ConeViolation) as stacked:
+        residual(spec, mesh, 0.7, ScalarField(mesh, np.stack([good, bad, good])))
+    assert stacked.value.node == single.value.node  # a node of the mesh, not of the stack
+
+
+def test_coloured_jacobian_stacks_its_residual_passes(monkeypatch):
+    """All 2G colour-group perturbations go through ceil(2G n / FD_CHUNK_NODES)
+    stacked geometry passes, not one pass each."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    r = bumpy_field(mesh)
+    calls = []
+    monkeypatch.setattr(solver, "compute_geometry",
+                        lambda *args: calls.append(1) or compute_geometry(*args))
+    jacobian_coloured(spec, mesh, 0.7, r)
+    n_groups = len(solver._sparsity(mesh.n_theta, mesh.n_phi).groups)
+    assert 0 < len(calls) <= -(-2 * n_groups * mesh.n_nodes // solver.FD_CHUNK_NODES)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES) + ["euclidean-cone-exit"])
@@ -238,21 +280,24 @@ def test_stencil_footprint_covers_dense_jacobian(shape):
 def test_coloured_group_falls_back_to_single_columns(monkeypatch):
     """A colour-group perturbation that leaves the cone is redone column by
     column: central where the column alone stays admissible, one-sided where
-    it does not (column 0 at +h below), exactly as the dense oracle does."""
+    it does not (column 0 at +h below), exactly as the dense oracle does.
+    The forced exit is made in the residual itself, so it reaches the stacked
+    passes: a stack raises if any member moves node 0 the forbidden way."""
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
     mesh = build_mesh(16, 8)
     r = bumpy_field(mesh)
     unpatched = jacobian_fd(spec, mesh, 0.7, r)
     base = r.flat().copy()
-    real = solver._residual_vec
+    real = solver.residual
 
-    def cone_exit_near_node_0(spec_, mesh_, t_, rvec):
-        moved = np.flatnonzero(rvec != base)
-        if 0 in moved and (moved.size > 1 or rvec[0] > base[0]):
-            raise ConeViolation("forced cone exit", node=0)
-        return real(spec_, mesh_, t_, rvec)
+    def cone_exit_near_node_0(spec_, mesh_, t_, r_field):
+        for member in r_field.values.reshape(-1, mesh_.n_nodes):
+            moved = np.flatnonzero(member != base)
+            if 0 in moved and (moved.size > 1 or member[0] > base[0]):
+                raise ConeViolation("forced cone exit", node=0)
+        return real(spec_, mesh_, t_, r_field)
 
-    monkeypatch.setattr(solver, "_residual_vec", cone_exit_near_node_0)
+    monkeypatch.setattr(solver, "residual", cone_exit_near_node_0)
     dense = jacobian_fd(spec, mesh, 0.7, r)
     coloured = jacobian_coloured(spec, mesh, 0.7, r).toarray()
     assert np.array_equal(coloured, dense)

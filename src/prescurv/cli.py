@@ -72,17 +72,23 @@ def _load_config(args):
     return parse_config(args.config)
 
 
-def _run_solve(cfg, out_dir, force):
-    """Shared solve pipeline; returns a RunReport (files already written).
+def _solve_inputs(cfg):
+    """Every config read of a solve: (spec, mesh, opts, monitor params, check.samples).
 
-    A ConfigError propagates before anything is written.  Past that, every
-    outcome ends in report.txt: any PrescurvError of the assumption check or
-    of the continuation, other than a breakdown, is status "error".
+    A bad value raises its ConfigError here, before anything is written.
+    """
+    spec, mesh, opts = build_problem(cfg)
+    return spec, mesh, opts, build_monitor_params(cfg), _get_count(cfg, "check.samples")
+
+
+def _run_solve(cfg, inputs, out_dir, force):
+    """Shared solve pipeline on cfg's _solve_inputs; returns a RunReport (files already written).
+
+    Every outcome ends in report.txt: any PrescurvError of the assumption
+    check or of the continuation, other than a breakdown, is status "error".
     """
     t0 = time.perf_counter()
-    spec, mesh, opts = build_problem(cfg)
-    params = build_monitor_params(cfg)
-    samples = _get_count(cfg, "check.samples")
+    spec, mesh, opts, params, samples = inputs
     os.makedirs(out_dir, exist_ok=True)
     report = RunReport(status="error", config=dict(cfg))
     final, history = None, []
@@ -134,7 +140,7 @@ def _run_solve(cfg, out_dir, force):
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    report = _run_solve(cfg, args.out, args.force)
+    report = _run_solve(cfg, _solve_inputs(cfg), args.out, args.force)
     if report.assumptions is not None:
         print(margins_table(report.assumptions))
     if report.status == "converged":
@@ -157,23 +163,37 @@ def cmd_check_assumptions(args) -> int:
 def cmd_verify_geometry(args) -> int:
     cfg = _load_config(args)
     profile = build_profile(cfg)
-    r_expr = parse_f(_get(cfg, "verify.r_expr"))
+    if profile.kind == "custom":
+        raise ConfigError("verify-geometry checks hold on a builtin space-form warp only, "
+                          "not on a custom one", key="warp.kind")
+    try:
+        r_expr = parse_f(_get(cfg, "verify.r_expr"))
+    except FParseError as exc:
+        raise ConfigError(f"verify.r_expr: {exc}", key="verify.r_expr")
     tol_oracle = _get_float(cfg, "verify.tol_oracle")
     tol_ident = _get_float(cfg, "verify.tol_identities")
     n_theta = _get_int(cfg, "verify.n_theta")
     n_phi = _get_int(cfg, "verify.n_phi")
+    with _keyed("verify"):
+        full = M.build_mesh(n_theta, n_phi) if profile.kind == "euclidean" else None
+        lines = [M.build_mesh(nt, reduced=True) for nt in (n_theta, 2 * n_theta)]
+
+    def field_on(mesh):
+        th, ph = mesh.theta_grid(), mesh.phi_grid()
+        values = np.asarray(r_expr.evaluate(np.asarray(th), th, ph, 1.0), dtype=float)
+        try:
+            return M.ScalarField(mesh, np.broadcast_to(values, mesh.shape).copy())
+        except ValueError as exc:
+            raise ConfigError(f"verify.r_expr: {exc}", key="verify.r_expr")
+
+    # every input is read and every field formed before the first check runs
+    r_full = field_on(full) if full is not None else None
+    r_lines = [field_on(mesh) for mesh in lines]
     ok = True
 
-    def shape_of(th, ph):
-        return np.asarray(r_expr.evaluate(np.asarray(th), th, ph, 1.0), dtype=float)
-
-    if profile.kind == "euclidean":
-        with _keyed("verify"):
-            mesh = M.build_mesh(n_theta, n_phi)
-        r_field = M.ScalarField(mesh, np.broadcast_to(
-            shape_of(mesh.theta_grid(), mesh.phi_grid()), mesh.shape).copy())
-        geom = G.compute_geometry(mesh, r_field, profile)
-        k1o, k2o = G.extrinsic_shape_operator(mesh, r_field)
+    if full is not None:
+        geom = G.compute_geometry(full, r_full, profile)
+        k1o, k2o = G.extrinsic_shape_operator(full, r_full)
         rel = max(
             float((np.abs(geom.kappa1 - k1o) / np.abs(k1o)).max()),
             float((np.abs(geom.kappa2 - k2o) / np.abs(k2o)).max()),
@@ -185,10 +205,7 @@ def cmd_verify_geometry(args) -> int:
         print("-- embedding oracle skipped (needs the euclidean ambient)")
 
     prev = None
-    for nt in (n_theta, 2 * n_theta):
-        with _keyed("verify"):
-            mesh = M.build_mesh(nt, reduced=True)
-        r_field = M.ScalarField(mesh, shape_of(mesh.theta, np.zeros_like(mesh.theta)))
+    for mesh, r_field in zip(lines, r_lines):
         geom = G.compute_geometry(mesh, r_field, profile)
         res = G.check_support_identities(geom)
         cz = G.check_codazzi_flat(geom) if profile.kind == "euclidean" else None
@@ -198,8 +215,8 @@ def cmd_verify_geometry(args) -> int:
             decreasing = ratio > 2.0
             good = worst <= tol_ident and decreasing
             ok &= good
-            print(f"{'ok' if good else 'FAIL'} identity residuals {worst:.3e} at {nt} nodes "
-                  f"(tol {tol_ident:g}, refinement ratio {ratio:.1f})")
+            print(f"{'ok' if good else 'FAIL'} identity residuals {worst:.3e} at "
+                  f"{mesh.n_theta} nodes (tol {tol_ident:g}, refinement ratio {ratio:.1f})")
         prev = worst
     return 0 if ok else 1
 
@@ -328,6 +345,15 @@ def _selftest_checks():
     err = max(float(np.abs(g4.kappa1 - 1).max()), float(np.abs(g4.kappa2 - 1).max()))
     yield "geometry-translated-sphere", err <= 1e-6, f"abs {err:.1e}"
 
+    # H and K of the kernel against the flat embedding oracle's kappa1 + kappa2, kappa1 kappa2
+    m128 = M.build_mesh(128, 64)
+    f128 = M.field_from_function(m128, lambda t, p: 1 + 0.1 * np.sin(t) * np.cos(p))
+    g128 = G.compute_geometry(m128, f128, prof)
+    k1o, k2o = G.extrinsic_shape_operator(m128, f128)
+    err = max(float((np.abs(g128.H - (k1o + k2o)) / np.abs(k1o + k2o)).max()),
+              float((np.abs(g128.K - k1o * k2o) / np.abs(k1o * k2o)).max()))
+    yield "geometry-H-K-vs-embedding", err <= 1e-5, f"rel {err:.1e}"
+
     # prescribed-function machinery
     try:
         parse_f("foo(r)")
@@ -391,11 +417,11 @@ def cmd_sweep(args) -> int:
         if name in names[:i]:
             raise ConfigError(f"sweep values {values[names.index(name)]!r} and {values[i]!r} "
                               f"share the output directory {name!r}")
+    subs = [{**cfg, args.key: val} for val in values]
+    inputs = [_solve_inputs(sub) for sub in subs]  # every config error before the first solve
     worst = 0
-    for val, name in zip(values, names):
-        sub = dict(cfg)
-        sub[args.key] = val
-        report = _run_solve(sub, os.path.join(args.out, name), args.force)
+    for val, name, sub, inp in zip(values, names, subs, inputs):
+        report = _run_solve(sub, inp, os.path.join(args.out, name), args.force)
         print(f"{args.key}={val}: {report.status}")
         worst = max(worst, report.exit_code())
     return worst

@@ -81,18 +81,16 @@ def parse_config(source: str) -> dict:
     return out
 
 
-def _get(cfg, key, default=None):
+def _get(cfg, key):
     if key in cfg:
         return cfg[key]
-    if default is not None:
-        return default
     if key in DEFAULTS:
         return DEFAULTS[key]
     raise ConfigError(f"missing required config key {key!r}", key=key)
 
 
-def _get_float(cfg, key, default=None):
-    raw = _get(cfg, key, default)
+def _get_float(cfg, key):
+    raw = _get(cfg, key)
     try:
         if np.isfinite(value := float(raw)):
             return value
@@ -101,16 +99,16 @@ def _get_float(cfg, key, default=None):
     raise ConfigError(f"config key {key!r} is not a finite number: {raw!r}", key=key)
 
 
-def _get_int(cfg, key, default=None):
-    raw = _get(cfg, key, default)
+def _get_int(cfg, key):
+    raw = _get(cfg, key)
     try:
         return int(raw)
     except ValueError:
         raise ConfigError(f"config key {key!r} is not an integer: {raw!r}", key=key)
 
 
-def _get_bool(cfg, key, default=None):
-    raw = _get(cfg, key, default).lower()
+def _get_bool(cfg, key):
+    raw = _get(cfg, key).lower()
     if raw in ("true", "yes", "1"):
         return True
     if raw in ("false", "no", "0"):
@@ -199,7 +197,7 @@ def build_problem(cfg, mesh: SphereMesh = None):
     r2 = _get_float(cfg, "problem.r2")
     if not r1 < r2:
         raise ConfigError(f"problem.r1 = {r1} must be < problem.r2 = {r2}", key="problem.r1")
-    phi_rm = _get_float(cfg, "phi.rm", default=str(0.5 * (r1 + r2)))
+    phi_rm = _get_float(cfg, "phi.rm") if "phi.rm" in cfg else None  # None: ProblemSpec takes the midpoint
     phi_c = _get_float(cfg, "phi.c")
 
     try:

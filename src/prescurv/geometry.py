@@ -1,12 +1,14 @@
 """Geometry of the radial graph r(u) over S^2 inside dr^2 + lambda(r)^2 g'.
 
-Per node, in one pass: induced metric, second fundamental form,
-H = sigma_1(mu), K = det h / det g = sigma_2(mu) and the radial normal
-component.  Principal curvatures, Newton-tensor eigenvalues
-mu_i = H - kappa_i, support function tau = lambda^2/v and Lambda are computed
-on first read.  Independent verification routines: a flat embedding oracle
-for the shape operator, support-function identity residuals, and the Codazzi
-residual for flat ambient space (all on axisymmetric graphs where intrinsic
+Per node, in one straight-line pass over the 2-jet of r: induced metric
+(det g = lambda^2 v^2), v times the second fundamental form,
+H = sigma_1(mu) from the adjugate of g, K = det h / det g = sigma_2(mu) and
+the radial normal component; no inverse metric.  Principal curvatures,
+Newton-tensor eigenvalues mu_i = H - kappa_i, support function
+tau = lambda^2/v and Lambda are computed on first read.  Independent
+verification routines: a flat embedding oracle for the shape operator,
+support-function identity residuals, and the Codazzi residual for flat
+ambient space (all on axisymmetric graphs where intrinsic
 differentiation is one-dimensional).
 """
 
@@ -116,52 +118,42 @@ class GraphGeometry:
 def compute_geometry(mesh: SphereMesh, r_field: ScalarField, profile: WarpProfile) -> GraphGeometry:
     """The graph of r_field's metric, second fundamental form, H and K, in one pass.
 
-    The frame derivatives come from one frame_derivatives call, so each
-    stencil runs once; only the diagonal of the shape operator g^{-1} h is
-    formed (its trace is H), and K = det h / det g needs no eigenvalues.
-    A stacked r_field gives a stacked geometry, member by member
-    bit-identical to one call per member.
+    Straight-line over the 2-jet (lambda, lambda', r_1, r_2, r_11, r_12, r_22),
+    the frame derivatives from one frame_derivatives call, each product once:
+    g_11 = lambda^2 + r_1^2, g_12 = r_1 r_2, g_22 = lambda^2 + r_2^2,
+    v^2 = lambda^2 + r_1^2 + r_2^2, det g = lambda^2 v^2;
+    v h_11 = 2 lambda' r_1^2 + lambda^2 lambda' - lambda r_11,
+    v h_12 = 2 lambda' r_1 r_2 - lambda r_12,
+    v h_22 = 2 lambda' r_2^2 + lambda^2 lambda' - lambda r_22;
+    H = tr(adj(g) v h) / (det g v) and K = det(v h) / (det g v^2), with no
+    inverse metric.  A stacked r_field gives a stacked geometry, member by
+    member bit-identical to one call per member.
     """
     r = r_field.values
     lam, dlam = profile.eval_lambda(r)
     r1, r2, r11, r12, r22 = frame_derivatives(r_field)
 
-    v = np.sqrt(lam * lam + r1 * r1 + r2 * r2)
     lam2 = lam * lam
-    g11 = lam2 + r1 * r1
+    r1r1 = r1 * r1
     g12 = r1 * r2
-    g22 = lam2 + r2 * r2
-    inv_v2 = 1.0 / (v * v)
-    gi11 = (1.0 - r1 * r1 * inv_v2) / lam2
-    gi12 = (-r1 * r2 * inv_v2) / lam2
-    gi22 = (1.0 - r2 * r2 * inv_v2) / lam2
+    r2r2 = r2 * r2
+    g11 = lam2 + r1r1
+    g22 = lam2 + r2r2
+    v2 = g11 + r2r2
+    v = np.sqrt(v2)
+    det_g = lam2 * v2
 
-    pref = 1.0 / v
-    h11 = pref * (-lam * r11 + 2.0 * dlam * r1 * r1 + lam2 * dlam)
-    h12 = pref * (-lam * r12 + 2.0 * dlam * r1 * r2)
-    h22 = pref * (-lam * r22 + 2.0 * dlam * r2 * r2 + lam2 * dlam)
-
-    hm11 = gi11 * h11 + gi12 * h12   # diagonal of the shape operator h^i_j = g^{ik} h_kj
-    hm22 = gi12 * h12 + gi22 * h22
+    dlam2 = 2.0 * dlam
+    lam2_dlam = lam2 * dlam
+    vh11 = dlam2 * r1r1 + lam2_dlam - lam * r11
+    vh12 = dlam2 * g12 - lam * r12
+    vh22 = dlam2 * r2r2 + lam2_dlam - lam * r22
 
     return GraphGeometry(
-        mesh=mesh,
-        profile=profile,
-        r=r,
-        r1=r1,
-        r2=r2,
-        r11=r11,
-        lam=lam,
-        dlam=dlam,
-        v=v,
-        g11=g11,
-        g12=g12,
-        g22=g22,
-        h11=h11,
-        h12=h12,
-        h22=h22,
-        H=hm11 + hm22,
-        K=(h11 * h22 - h12 * h12) / (g11 * g22 - g12 * g12),
+        mesh=mesh, profile=profile, r=r, r1=r1, r2=r2, r11=r11, lam=lam, dlam=dlam, v=v,
+        g11=g11, g12=g12, g22=g22, h11=vh11 / v, h12=vh12 / v, h22=vh22 / v,
+        H=(g22 * vh11 - 2.0 * g12 * vh12 + g11 * vh22) / (det_g * v),
+        K=(vh11 * vh22 - vh12 * vh12) / (det_g * v2),
         nu_r=lam / v,
     )
 

@@ -32,12 +32,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 class SphereMesh:
     n_theta: int
     n_phi: int          # 0 in reduced mode
-    reduced: bool
     theta: np.ndarray   # (n_theta,)
     phi: np.ndarray     # (n_phi,) or empty
     dtheta: float
     dphi: float         # 0.0 in reduced mode
     weights: np.ndarray  # quadrature weights per node, sums to 4*pi
+
+    @property
+    def reduced(self):
+        """Axisymmetric mode: the colatitude line only."""
+        return self.n_phi == 0
 
     @property
     def shape(self):
@@ -73,13 +77,13 @@ def build_mesh(n_theta: int, n_phi: int = None, reduced: bool = False) -> Sphere
     w_theta = 2.0 * np.sin(theta) * np.sin(0.5 * dtheta)
     if reduced:
         weights = w_theta * 2.0 * np.pi
-        return SphereMesh(n_theta, 0, True, theta, np.empty(0), dtheta, 0.0, weights)
+        return SphereMesh(n_theta, 0, theta, np.empty(0), dtheta, 0.0, weights)
     if n_phi is None or n_phi < 4 or n_phi % 2 != 0:
         raise ValueError("n_phi must be an even integer >= 4")
     dphi = 2.0 * np.pi / n_phi
     phi = np.arange(n_phi) * dphi
     weights = np.broadcast_to((w_theta * dphi)[:, None], (n_theta, n_phi)).copy()
-    return SphereMesh(n_theta, n_phi, False, theta, phi, dtheta, dphi, weights)
+    return SphereMesh(n_theta, n_phi, theta, phi, dtheta, dphi, weights)
 
 
 @dataclass(frozen=True)

@@ -168,15 +168,22 @@ def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
     (["check-assumptions"], "check.samples = 0", "check.samples"),
     (["check-assumptions"], "check.samples = -3", "check.samples"),
     (["verify-geometry"], "verify.n_theta = 4", "verify.n_theta"),
+    (["verify-geometry"], "warp.kind = custom\nwarp.coeffs = 0,1", "warp.kind"),
+    (["verify-geometry"], "verify.r_expr = 1 + log(th - 1)", "verify.r_expr"),
+    (["verify-geometry"], "verify.r_expr = 1 + foo(th)", "verify.r_expr"),
     (["sweep", "--key", "solver.newton_tl", "--values", "1e-9,1e-11"], "", "solver.newton_tl"),
-], ids=["check-samples-zero", "check-samples-negative", "verify-n-theta-small", "sweep-key-typo"])
+    (["sweep", "--key", "phi.c", "--values", "1,-1"], "", "phi.c"),
+], ids=["check-samples-zero", "check-samples-negative", "verify-n-theta-small",
+        "verify-custom-warp", "verify-r-expr-non-finite", "verify-r-expr-unparsed",
+        "sweep-key-typo", "sweep-later-value-invalid"])
 def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
     cfg = write_cfg(tmp_path, CLOSED_FORM + line + "\n")
     out = str(tmp_path / "o")
     assert main(["--config", cfg, "--out", out] + command) == 2
-    err = capsys.readouterr().err
-    assert f"(key: {key})" in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert f"(key: {key})" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # rejected before any check or solve reports
     assert not os.path.exists(out)  # rejected before any solve
 
 

@@ -63,13 +63,21 @@ def test_constant_graph_matches_threshold(profile, c):
     assert np.abs(ratio - threshold(profile, c)).max() <= 1e-10
 
 
-def test_algebraic_invariants_on_perturbed_graph():
+@pytest.mark.parametrize("profile", [
+    EUCLID,
+    WarpProfile.spherical((0.0, np.pi / 2)),
+    WarpProfile.hyperbolic((0.0, 10.0)),
+    WarpProfile.custom([0.0, 1.0, 0.0, 1.0 / 6.0], (0.0, 5.0)),
+], ids=["euclidean", "spherical", "hyperbolic", "custom"])
+def test_algebraic_invariants_on_perturbed_graph(profile):
     mesh = build_mesh(48, 32)
     field = field_from_function(mesh, lambda t, p: 1 + 0.1 * np.sin(t) * np.cos(p))
-    geom = compute_geometry(mesh, field, EUCLID)
+    geom = compute_geometry(mesh, field, profile)
     assert np.abs(geom.tau * geom.v - geom.lam ** 2).max() <= 1e-12
+    # H and K from the adjugate of g against the trace and determinant of g^{-1} h
     mixed = shape_operator(geom)
-    assert np.abs(np.trace(mixed, axis1=-2, axis2=-1) - geom.H).max() <= 1e-12
+    assert np.all(np.abs(np.trace(mixed, axis1=-2, axis2=-1) - geom.H) <= 1e-12 * np.abs(geom.H))
+    assert np.all(np.abs(np.linalg.det(mixed) - geom.K) <= 1e-12 * np.abs(geom.K))
     assert np.abs(geom.mu1 + geom.mu2 - geom.H).max() <= 1e-12
     # principal curvatures are the eigenvalues of g^{-1} h, formed independently
     eig = np.linalg.eigvals(mixed)

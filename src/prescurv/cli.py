@@ -170,6 +170,9 @@ def cmd_verify_geometry(args) -> int:
         r_expr = parse_f(_get(cfg, "verify.r_expr"))
     except FParseError as exc:
         raise ConfigError(f"verify.r_expr: {exc}", key="verify.r_expr")
+    if reads := sorted(r_expr.variables() - {"th", "ph"}):
+        raise ConfigError(f"verify.r_expr is a graph r(th, ph) and may not read {', '.join(reads)}",
+                          key="verify.r_expr")
     tol_oracle = _get_float(cfg, "verify.tol_oracle")
     tol_ident = _get_float(cfg, "verify.tol_identities")
     n_theta = _get_int(cfg, "verify.n_theta")
@@ -178,13 +181,19 @@ def cmd_verify_geometry(args) -> int:
         full = M.build_mesh(n_theta, n_phi) if profile.kind == "euclidean" else None
         lines = [M.build_mesh(nt, reduced=True) for nt in (n_theta, 2 * n_theta)]
 
+    r_lo, r_hi = profile.domain
+
     def field_on(mesh):
         th, ph = mesh.theta_grid(), mesh.phi_grid()
         values = np.asarray(r_expr.evaluate(np.asarray(th), th, ph, 1.0), dtype=float)
         try:
-            return M.ScalarField(mesh, np.broadcast_to(values, mesh.shape).copy())
+            field = M.ScalarField(mesh, np.broadcast_to(values, mesh.shape).copy())
         except ValueError as exc:
             raise ConfigError(f"verify.r_expr: {exc}", key="verify.r_expr")
+        if np.any(field.values < r_lo) or np.any(field.values > r_hi):
+            raise ConfigError(f"verify.r_expr leaves the warp domain [{r_lo:g}, {r_hi:g}]",
+                              key="verify.r_expr")
+        return field
 
     # every input is read and every field formed before the first check runs
     r_full = field_on(full) if full is not None else None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, FParseError
+from .errors import AdmissibilityError, ConfigError, FParseError
 from .mesh import ScalarField, SphereMesh, build_mesh
 from .monitor import GAMMA_ARGS
 from .problem import ProblemSpec, RoundExponentialF, manufacture_f, parse_f
@@ -171,9 +171,9 @@ def _load_target_csv(path: str, mesh: SphereMesh) -> ScalarField:
             f"target CSV has {data.shape[0]} rows, mesh has {mesh.n_nodes} nodes",
             key="f.manufactured",
         )
-    theta = data[:, 0].reshape(mesh.shape)
-    if not np.allclose(theta, mesh.theta_grid(), atol=1e-9):
-        raise ConfigError("target CSV colatitudes do not match the mesh", key="f.manufactured")
+    for col, name, grid in ((0, "colatitudes", mesh.theta_grid()), (1, "azimuths", mesh.phi_grid())):
+        if not np.allclose(data[:, col].reshape(mesh.shape), grid, atol=1e-9):
+            raise ConfigError(f"target CSV {name} do not match the mesh", key="f.manufactured")
     try:
         return ScalarField(mesh, data[:, 2].reshape(mesh.shape))
     except ValueError as exc:
@@ -184,11 +184,10 @@ def _load_target_csv(path: str, mesh: SphereMesh) -> ScalarField:
 _SPEC_KEYS = (("annulus", "warp.domain"), ("phi_rm", "phi.rm"), ("phi_c", "phi.c"))
 
 
-def build_problem(cfg, mesh: SphereMesh = None):
+def build_problem(cfg):
     """(ProblemSpec, mesh, SolverOptions) from a parsed config map."""
     profile = build_profile(cfg)
-    if mesh is None:
-        mesh = build_mesh_from(cfg)
+    mesh = build_mesh_from(cfg)
     # a surface admits only the order (k, l) = (2, 0); a config may still state it
     for key, want in zip(("problem.k", "problem.l"), (ProblemSpec.q.k, ProblemSpec.q.l)):
         if (got := _get_int(cfg, key)) != want:
@@ -225,7 +224,10 @@ def build_problem(cfg, mesh: SphereMesh = None):
                               profile=profile)
     else:
         target = _load_target_csv(cfg["f.manufactured"], mesh)
-        f = manufacture_f(base, mesh, target)
+        try:
+            f = manufacture_f(base, mesh, target)
+        except AdmissibilityError as exc:
+            raise ConfigError(f"target CSV: {exc}", key="f.manufactured")
 
     spec = replace(base, f=f)
     with _keyed("solver"):

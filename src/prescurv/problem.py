@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, FEvalError, FParseError
 from .geometry import compute_geometry
-from .mesh import ScalarField, SphereMesh, build_mesh
+from .mesh import SphereMesh, build_mesh, field_from_function
 from .symm import QuotientOrder
 from .warp import WarpProfile
 
@@ -184,6 +184,14 @@ class ExpressionF:
             out = _eval_tree(self.tree, env)
         return np.broadcast_to(out, np.broadcast(*env.values()).shape).astype(float)
 
+    def variables(self) -> set:
+        """The names in VARS that the expression reads."""
+        def walk(node):
+            if node[0] == "var":
+                return {node[1]}
+            return set().union(*(walk(c) for c in node[1:] if isinstance(c, tuple)))
+        return walk(self.tree)
+
 
 def parse_f(text: str) -> ExpressionF:
     """Parse a prescribed-function expression over (r, th, ph, nur)."""
@@ -214,7 +222,7 @@ class RoundExponentialF:
 
 @dataclass(frozen=True)
 class ManufacturedF:
-    """f(r, u) = Q*(u) (lambda(r*(u)) / lambda(r))^p for an axisymmetric target r*.
+    """f(r, u) = Q*(u) (lambda(r*(u)) / lambda(r))^p for a target graph r*.
 
     Q* is the Gauss curvature K of the target graph.  manufacture_f sets
     p = k - l = 2: lambda^2 f is then independent of r, so the radial
@@ -223,25 +231,27 @@ class ManufacturedF:
     euclidean warp that equality case makes the t = 1 equation invariant
     under dilations r -> c r, so it fixes r* only up to scale.  Any p > 2
     keeps r* an exact solution (f = Q* at r = r*) and makes lambda^2 f
-    strictly decreasing in r.  Q* and lambda(r*) are functions of
-    colatitude; callable targets get continuum-accurate values (fine
-    auxiliary mesh plus spline), node targets are interpolated as-is.
-    `mesh` is the solve mesh, whose nodes check_assumptions samples.
+    strictly decreasing in r.  Q* and lambda(r*) are node arrays on the
+    solve mesh `mesh`; a point (th, ph) reads the node whose cell holds it.
+    check_assumptions samples the nodes of `mesh`.
     """
 
     mesh: SphereMesh
-    q_fn: object            # callable th -> K of the target graph
-    lam_fn: object          # callable th -> lambda(r*)
+    q: np.ndarray           # K of the target graph at the nodes of mesh
+    lam: np.ndarray         # lambda(r*) at the nodes of mesh
     exponent: int           # p: 2 is the boundary case, larger is strictly monotone
     profile: WarpProfile
 
     def evaluate(self, r, th, ph, nur):
-        th = np.asarray(th, dtype=float)
-        qs = self.q_fn(th)
-        ls = self.lam_fn(th)
+        m = self.mesh
+        # colatitude cell j is [j, j + 1) dtheta; azimuth cell j is centred on phi_j
+        node = (np.asarray(th, dtype=float) * (m.n_theta / np.pi)).astype(np.intp)
+        if not m.reduced:
+            col = np.rint(np.asarray(ph, dtype=float) * (m.n_phi / (2.0 * np.pi))).astype(np.intp)
+            node = node * m.n_phi + col % m.n_phi
         lam, _ = self.profile.eval_lambda(np.asarray(r, dtype=float))
-        val = qs * (ls / lam) ** self.exponent
-        shape = np.broadcast(np.asarray(r), th, np.asarray(ph), np.asarray(nur)).shape
+        val = self.q.take(node, mode="clip") * (self.lam.take(node, mode="clip") / lam) ** self.exponent
+        shape = np.broadcast(np.asarray(r), np.asarray(th), np.asarray(ph), np.asarray(nur)).shape
         return np.broadcast_to(val, shape).astype(float)
 
 
@@ -304,74 +314,41 @@ def blend_f_t(spec: ProblemSpec, t: float, geom):
     return t * f + (1.0 - t) * f0
 
 
-# near the optimum of the second-derivative FD error eps/h^2 + C h^4: finer
-# auxiliary meshes are *less* accurate (roundoff floor ~1e-11 here)
-MANUFACTURE_FINE_N = 512
-
-
-def _even_extended_spline(theta, values, ghosts: int = 4):
-    """Cubic spline through (theta, values) with even mirror padding at both poles.
-
-    The padding keeps the spline 4th-order accurate up to the first and last
-    staggered nodes instead of degrading to the not-a-knot boundary error.
-    """
-    from scipy.interpolate import CubicSpline
-
-    pre_t = -theta[ghosts - 1::-1]
-    pre_v = values[ghosts - 1::-1]
-    post_t = 2.0 * np.pi - theta[:-ghosts - 1:-1]
-    post_v = values[:-ghosts - 1:-1]
-    return CubicSpline(np.concatenate([pre_t, theta, post_t]),
-                       np.concatenate([pre_v, values, post_v]))
+# odd, so every solve colatitude is a colatitude of the finer mesh; a finer
+# mesh loses accuracy to roundoff in the 1/sin^2 azimuthal terms at its pole rows
+MANUFACTURE_REFINE = 3
 
 
 def manufacture_f(spec: ProblemSpec, mesh: SphereMesh, target) -> ManufacturedF:
-    """Build the prescribed function solved by an axisymmetric target graph.
+    """Build the prescribed function solved by a target graph.
 
-    `target` is a callable (th, ph) -> r or a ScalarField on `mesh`; either
-    way it must be axisymmetric, take values in (r1, r2), and its graph must
-    be admissible (Newton eigenvalues inside the cone at every node).
-
-    Callable targets are evaluated on a fine auxiliary colatitude mesh and
-    splined, so Q* carries continuum-level accuracy and the discrete residual
-    at the target measures pure truncation error of the solve mesh.  Node
-    targets (e.g. loaded from CSV) only define the graph at mesh nodes, so
-    their Q* is the solve-resolution value interpolated linearly.
+    `target` is a callable (th, ph) -> r or a ScalarField on `mesh`, of any
+    shape; it must take values in (r1, r2), and its graph must be admissible
+    (H > 0 and K > 0 at every node).  A callable target is sampled on a mesh
+    MANUFACTURE_REFINE times finer in each direction, whose nodes include
+    those of `mesh`: Q* = K there carries the truncation error of the finer
+    mesh, so the discrete residual at the target measures the truncation
+    error of the solve mesh.  A node target (e.g. loaded from CSV) defines
+    the graph at the nodes of `mesh` only and takes K on `mesh` itself, so
+    it is an exact discrete root.
     """
+    m = 1
     if callable(target):
-        probe = np.asarray(target(np.full(4, 1.0), np.linspace(0.0, 2 * np.pi, 4)))
-        if np.ptp(probe) > 1e-12 * max(1.0, np.abs(probe).max()):
-            raise AdmissibilityError("manufactured targets must be axisymmetric")
-        fine = build_mesh(MANUFACTURE_FINE_N, reduced=True)
-        t_field = ScalarField(fine, np.asarray(target(fine.theta, np.zeros_like(fine.theta)), dtype=float))
-        eval_mesh = fine
-    else:
-        vals = target.values
-        if not mesh.reduced and np.ptp(vals, axis=1).max() > 1e-12 * max(1.0, np.abs(vals).max()):
-            raise AdmissibilityError("manufactured targets must be axisymmetric")
-        t_field = target if mesh.reduced else ScalarField(
-            build_mesh(mesh.n_theta, reduced=True), vals[:, 0]
-        )
-        eval_mesh = t_field.mesh
-
-    if np.any(t_field.values <= spec.r1) or np.any(t_field.values >= spec.r2):
+        m = MANUFACTURE_REFINE
+        target = field_from_function(build_mesh(m * mesh.n_theta, m * mesh.n_phi, mesh.reduced), target)
+    if np.any(target.values <= spec.r1) or np.any(target.values >= spec.r2):
         raise AdmissibilityError("target radii leave the open annulus (r1, r2)")
-    geom = compute_geometry(eval_mesh, t_field, spec.profile)
+    geom = compute_geometry(target.mesh, target, spec.profile)
     ok = geom.in_cone
     if not np.all(ok):
         bad = int(np.argmin(ok.ravel()))
         raise AdmissibilityError(f"target graph leaves the admissibility cone at node {bad}")
 
+    # the solve nodes: the middle row of each cell of m colatitudes, every m-th azimuth
+    nodes = (slice((m - 1) // 2, None, m), slice(None, None, m))[:len(mesh.shape)]
     # sigma_2/sigma_0 of mu is K at the only order (k, l) = (2, 0)
-    if callable(target):
-        q_fn = _even_extended_spline(eval_mesh.theta, geom.K)
-        lam_fn = _even_extended_spline(eval_mesh.theta, geom.lam)
-    else:
-        nodes, qv, lv = eval_mesh.theta, geom.K, geom.lam
-        q_fn = lambda th: np.interp(th, nodes, qv)
-        lam_fn = lambda th: np.interp(th, nodes, lv)
-
-    return ManufacturedF(mesh=mesh, q_fn=q_fn, lam_fn=lam_fn, exponent=2, profile=spec.profile)
+    return ManufacturedF(mesh=mesh, q=np.ascontiguousarray(geom.K[nodes]),
+                         lam=np.ascontiguousarray(geom.lam[nodes]), exponent=2, profile=spec.profile)
 
 
 # -- assumption checking -----------------------------------------------------

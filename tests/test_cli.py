@@ -115,14 +115,23 @@ def test_solve_rejects_bad_numbers(tmp_path, capsys):
     assert "mesh.n_theta" in capsys.readouterr().err
 
 
-def manufactured_cfg(tmp_path, value):
-    """A reduced 32-node config whose target CSV holds `value` at every node."""
+def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
+    """A 32-node config, reduced or 32 x n_phi, with a target CSV.
+
+    The CSV holds the string `value` at every node, or `value(theta)`; its
+    azimuth column is phi_column of the mesh azimuths.
+    """
     from prescurv.mesh import build_mesh
 
+    mesh = build_mesh(32, n_phi, reduced=n_phi is None)
+    th, ph = mesh.theta_grid().ravel(), phi_column(mesh.phi_grid().ravel())
+    vals = [value] * th.size if isinstance(value, str) else value(th).tolist()
     csv_path = tmp_path / "target.csv"
     csv_path.write_text("theta,phi,value\n" + "".join(
-        f"{th!r},0.0,{value}\n" for th in build_mesh(32, reduced=True).theta.tolist()))
-    return VIOLATES_INNER.replace("f.expr = 0.5/r^2", f"f.manufactured = {csv_path}")
+        f"{t!r},{p!r},{v}\n" for t, p, v in zip(th.tolist(), ph.tolist(), vals)))
+    mesh_line = "mesh.reduced = true" if n_phi is None else f"mesh.n_phi = {n_phi}"
+    return VIOLATES_INNER.replace("f.expr = 0.5/r^2", f"f.manufactured = {csv_path}").replace(
+        "mesh.reduced = true", mesh_line)
 
 
 @pytest.mark.parametrize("make_cfg,key", [
@@ -132,6 +141,9 @@ def manufactured_cfg(tmp_path, value):
     (lambda tmp: CLOSED_FORM.replace("warp.domain = 0,10", "warp.domain = 0,1.5"), "warp.domain"),
     (lambda tmp: manufactured_cfg(tmp, "abc"), "f.manufactured"),
     (lambda tmp: manufactured_cfg(tmp, "nan"), "f.manufactured"),
+    (lambda tmp: manufactured_cfg(tmp, "3.0"), "f.manufactured"),
+    (lambda tmp: manufactured_cfg(tmp, lambda th: 1 + 0.3 * np.cos(2 * th)), "f.manufactured"),
+    (lambda tmp: manufactured_cfg(tmp, "1.0", n_phi=8, phi_column=np.degrees), "f.manufactured"),
     (lambda tmp: CLOSED_FORM.replace("problem.l = 0", "problem.l = 1"), "problem.l"),
     (lambda tmp: CLOSED_FORM + "solver.t_step_init = inf\n", "solver.t_step_init"),
     (lambda tmp: CLOSED_FORM + "solver.t_step_init = nan\n", "solver.t_step_init"),
@@ -151,7 +163,8 @@ def manufactured_cfg(tmp_path, value):
     (lambda tmp: CLOSED_FORM + "solver.newton_tl = 1e-9\n", "solver.newton_tl"),
     (lambda tmp: CLOSED_FORM + "solver.jacobian_fd_scale = 1e-8\n", "solver.jacobian_fd_scale"),
 ], ids=["k-above-dimension", "phi-rm-outside-annulus", "phi-c-negative",
-        "annulus-outside-domain", "target-not-numeric", "target-nan", "l-above-k-minus-2",
+        "annulus-outside-domain", "target-not-numeric", "target-nan", "target-outside-annulus",
+        "target-leaves-cone", "target-phi-column-wrong", "l-above-k-minus-2",
         "t-step-inf",
         "t-step-nan", "newton-tol-nan", "max-newton-zero", "n-phi-odd", "coeffs-not-numeric",
         "coeffs-nan", "domain-reversed", "samples-zero", "samples-negative", "phi-c-inf",
@@ -171,10 +184,13 @@ def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
     (["verify-geometry"], "warp.kind = custom\nwarp.coeffs = 0,1", "warp.kind"),
     (["verify-geometry"], "verify.r_expr = 1 + log(th - 1)", "verify.r_expr"),
     (["verify-geometry"], "verify.r_expr = 1 + foo(th)", "verify.r_expr"),
+    (["verify-geometry"], "verify.r_expr = 2 + r", "verify.r_expr"),
+    (["verify-geometry"], "verify.r_expr = 20", "verify.r_expr"),
     (["sweep", "--key", "solver.newton_tl", "--values", "1e-9,1e-11"], "", "solver.newton_tl"),
     (["sweep", "--key", "phi.c", "--values", "1,-1"], "", "phi.c"),
 ], ids=["check-samples-zero", "check-samples-negative", "verify-n-theta-small",
         "verify-custom-warp", "verify-r-expr-non-finite", "verify-r-expr-unparsed",
+        "verify-r-expr-reads-r", "verify-r-expr-outside-domain",
         "sweep-key-typo", "sweep-later-value-invalid"])
 def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
     cfg = write_cfg(tmp_path, CLOSED_FORM + line + "\n")
@@ -407,21 +423,25 @@ f.alpha = 1
         assert "status = converged" in text
 
 
-def test_manufactured_csv_roundtrip(tmp_path):
+@pytest.mark.parametrize("mesh_lines,target", [
+    ("mesh.n_theta = 64\nmesh.reduced = true", lambda th, ph: 1 + 0.05 * np.cos(th)),
+    ("mesh.n_theta = 16\nmesh.n_phi = 8", lambda th, ph: (
+        1 + 0.025 * (3 * np.cos(th) ** 2 - 1) + 0.04 * np.sin(th) ** 2 * np.cos(2 * ph))),
+], ids=["reduced", "full-not-axisymmetric"])
+def test_manufactured_csv_roundtrip(tmp_path, mesh_lines, target):
     """Write a target-field CSV, solve with f.manufactured in the hyperbolic warp."""
-    from prescurv.mesh import ScalarField, build_mesh
+    from prescurv.config import build_mesh_from
+    from prescurv.mesh import field_from_function
     from prescurv.report import write_field_csv
 
-    mesh = build_mesh(64, reduced=True)
-    target = ScalarField(mesh, 1 + 0.05 * np.cos(mesh.theta))
+    target = field_from_function(build_mesh_from(parse_config(mesh_lines)), target)
     csv_path = str(tmp_path / "target.csv")
     write_field_csv(csv_path, target)
 
     cfg = write_cfg(tmp_path, f"""
 warp.kind = hyperbolic
 warp.domain = 0,10
-mesh.n_theta = 64
-mesh.reduced = true
+{mesh_lines}
 problem.r1 = 0.5
 problem.r2 = 2
 phi.rm = 1.0
@@ -431,7 +451,7 @@ solver.newton_tol = 1e-11
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "solve"]) == 0
     # node targets make the target an exact discrete root
-    assert np.abs(read_solution(out) - target.values).max() <= 1e-8
+    assert np.abs(read_solution(out) - target.flat()).max() <= 1e-8
 
 
 def test_manufactured_csv_shape_mismatch(tmp_path, capsys):

@@ -222,9 +222,9 @@ def test_manufacture_rejects_bad_targets():
         manufacture_f(spec, mesh, lambda th, ph: np.full_like(th, 3.0))  # outside annulus
     with pytest.raises(AdmissibilityError):
         manufacture_f(spec, mesh, lambda th, ph: 1 + 0.3 * np.cos(2 * th))  # leaves the cone
-    full = build_mesh(16, 8)
-    with pytest.raises(AdmissibilityError):
-        manufacture_f(spec, full, lambda th, ph: 1 + 0.05 * np.sin(th) * np.cos(ph))
+    full = build_mesh(16, 8)  # a target of any shape manufactures on a full mesh
+    f = manufacture_f(spec, full, lambda th, ph: 1 + 0.05 * np.sin(th) * np.cos(ph))
+    assert f.q.shape == full.shape
 
 
 def test_manufacture_from_node_values():
@@ -233,10 +233,22 @@ def test_manufacture_from_node_values():
     target = ScalarField(mesh, 1 + 0.05 * np.cos(mesh.theta))
     f = manufacture_f(spec, mesh, target)
     assert isinstance(f, ManufacturedF)
-    # interpolating evaluator reproduces the node data exactly at the nodes
+    # a node target keeps lambda(r*) at the nodes of its own mesh
     lam_star = EUCLID.eval_lambda(target.values)[0]
-    got = f.lam_fn(mesh.theta)
-    assert np.abs(got - lam_star).max() <= 1e-14
+    assert np.abs(f.lam - lam_star).max() <= 1e-14
+
+
+def test_manufactured_reads_the_node_of_each_cell():
+    """Off the nodes, f takes the values of the node whose cell holds (th, ph);
+    azimuth cells are centred on their nodes and wrap around at 2 pi."""
+    mesh = build_mesh(16, 8)
+    f = manufacture_f(closed_form_spec(), mesh,
+                      lambda th, ph: 1 + 0.05 * np.sin(th) * np.cos(ph))
+    th, ph = mesh.theta_grid(), mesh.phi_grid()
+    at_nodes = eval_f(f, 1.0, th, ph, 0.9)
+    for dth, dph in ((0.4, -0.4), (-0.4, 0.4)):
+        moved = eval_f(f, 1.0, th + dth * mesh.dtheta, (ph + dph * mesh.dphi) % (2 * np.pi), 0.9)
+        assert np.array_equal(moved, at_nodes)
 
 
 # -- assumption checking -----------------------------------------------------------

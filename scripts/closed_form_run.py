@@ -18,7 +18,7 @@ from prescurv import (
     parse_f,
 )
 from prescurv.geometry import compute_geometry
-from prescurv.solver import total_newton_iterations
+from prescurv.solver import total_jacobians, total_newton_iterations
 
 
 def main():
@@ -35,15 +35,16 @@ def main():
     final, history = continuation_solve(spec, mesh)
     wall = time.perf_counter() - t0
 
-    print(f"{'t':>8s} {'iters':>5s} {'residual':>12s} {'r_min':>10s} {'r_max':>10s} {'kappa_max':>10s}")
+    print(f"{'t':>8s} {'iters':>5s} {'jacs':>4s} {'residual':>12s} {'r_min':>10s} {'r_max':>10s} {'kappa_max':>10s}")
     for st in history:
         geom = compute_geometry(mesh, st.r_field, profile)
         rec = monitor(geom, spec, st.t)
-        print(f"{st.t:8.4f} {st.newton_iters:5d} {st.residual_norm:12.3e} "
+        print(f"{st.t:8.4f} {st.newton_iters:5d} {st.jacobians:4d} {st.residual_norm:12.3e} "
               f"{rec.r_min:10.6f} {rec.r_max:10.6f} {rec.kappa_max:10.6f}")
     err = float(np.abs(final.r_field.values - 1.25).max())
     print(f"\nfinal max|r - 1.25| = {err:.3e}  "
-          f"newton iterations = {total_newton_iterations(history)}  wall = {wall:.2f}s")
+          f"newton iterations = {total_newton_iterations(history)}  "
+          f"jacobians = {total_jacobians(history)}  wall = {wall:.2f}s")
 
 
 if __name__ == "__main__":

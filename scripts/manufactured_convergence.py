@@ -31,7 +31,7 @@ from prescurv import (
     parse_f,
 )
 from prescurv.errors import ContinuationBreakdown
-from prescurv.solver import total_newton_iterations
+from prescurv.solver import total_jacobians, total_newton_iterations
 
 
 def target(th, ph):
@@ -57,7 +57,8 @@ def study(profile, base, opts, target, meshes):
             continue
         exact = target(mesh.theta_grid(), mesh.phi_grid())
         err = float(np.abs(final.r_field.values - exact).max())
-        line = f"n={label:>6}  max|r - r*| = {err:.3e}  iters = {total_newton_iterations(history):3d}  wall = {time.perf_counter() - t0:5.1f}s"
+        line = (f"n={label:>6}  max|r - r*| = {err:.3e}  iters = {total_newton_iterations(history):3d}"
+                f"  jacobians = {total_jacobians(history):3d}  wall = {time.perf_counter() - t0:5.1f}s")
         if errs:
             line += f"  ratio = {errs[-1] / err:5.1f}"
         errs.append(err)

@@ -98,10 +98,10 @@ def write_report(path: str, report: RunReport):
         lines.extend(_assumption_lines(report.assumptions))
     if report.states:
         lines.append("[continuation]")
-        lines.append("columns = t newton_iters residual_norm r_min r_max tau_min "
+        lines.append("columns = t newton_iters jacobians residual_norm r_min r_max tau_min "
                      "grad_max kappa_max mu_min phi_test_max p_test_max barrier_ok")
         for st, rec in zip(report.states, report.monitors):
-            row = [fmt(st.t), str(st.newton_iters), fmt(st.residual_norm)]
+            row = [fmt(st.t), str(st.newton_iters), str(st.jacobians), fmt(st.residual_norm)]
             row += [fmt(x) for x in (rec.r_min, rec.r_max, rec.tau_min, rec.grad_max,
                                      rec.kappa_max, rec.mu_min, rec.phi_test_max,
                                      rec.p_test_max)]

@@ -1,25 +1,32 @@
-"""Damped-Newton solver and homotopy continuation for the nodal curvature equation.
+"""Chord-accelerated damped Newton and homotopy continuation for the nodal curvature equation.
 
 The residual at each node is sigma_k/sigma_l of the Newton-tensor eigenvalues
 minus the homotopy value f^t: at n = 2 that is K - f^t, formed with no
 eigenvalues.  Newton builds a sparse central-difference Jacobian by column
-colouring over the stencil footprint, factors it with sparse LU, and runs a
-backtracking line search that accepts a step only if the iterate stays
-admissible, stays inside the guarded annulus, and decreases the residual.
+colouring over the stencil footprint (a first-fit greedy colouring, built
+once per mesh shape), factors it with sparse LU, and keeps the factor: while
+a factor is in hand, each iteration first tries the full chord step on it,
+kept only if it stays admissible, stays inside the guarded annulus and cuts
+max|res| by CHORD_CONTRACTION.  When the chord step misses, the Jacobian is
+rebuilt and refactored at the current iterate, and a backtracking line
+search accepts a step only if the iterate stays admissible, stays inside the
+guarded annulus, and decreases the residual.
 The residual takes a stack of fields, so the Jacobian evaluates all its
 colour-group perturbations in a few stacked passes of at most
 FD_CHUNK_NODES node values; a pass that meets an inadmissible perturbation
 is redone group by group, one-sided where a perturbation leaves the
 admissible set.  The dense per-column Jacobian, jacobian_fd, is kept as the
 test oracle and differences one field at a time.
-Continuation marches t from the round solution at t = 0 to t = 1 with step
-halving on failure and doubling after consecutive easy solves.
+Continuation marches t from the round solution at t = 0 to t = 1, hands the
+last factor from one t-step to the next, starts each t-step from a secant
+prediction through the last two accepted states, and halves the step on
+failure and doubles it after consecutive easy solves.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csc_array
@@ -44,9 +51,11 @@ DAMPING = 0.5          # line-search backtracking factor
 FD_SCALE = 1e-6        # FD Jacobian step h_j = FD_SCALE * (1 + |r_j|)
 FD_CHUNK_NODES = 8192  # node values per stacked residual pass of jacobian_coloured
 MAX_HALVINGS = 20      # line-search backtracking steps before NewtonFailure
+CHORD_CONTRACTION = 0.1  # a step on a reused LU must cut max|res| by this factor
 
 # A trial point raising one of these is inadmissible: the line search steps
-# back from it and the FD Jacobian differences one-sided away from it.
+# back from it, a chord step is dropped, the FD Jacobian differences
+# one-sided away from it, and a predicted t-step guess halves dt.
 INADMISSIBLE = (ConeViolation, DomainViolation, ProfileViolation, FEvalError)
 
 
@@ -70,6 +79,8 @@ class NewtonStats:
     iterations: int
     residual_norm: float
     halvings: int = 0
+    jacobians: int = 0   # fresh Jacobian builds
+    lu: object = field(default=None, compare=False, repr=False)  # factor in hand at return
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,7 @@ class ContinuationState:
     r_field: ScalarField
     newton_iters: int
     residual_norm: float
+    jacobians: int
 
 
 def residual(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: ScalarField) -> ScalarField:
@@ -163,17 +175,28 @@ class _Sparsity:
     groups: list               # column indices of each colour group
 
 
+def _first_fit_colouring(conflict, order) -> np.ndarray:
+    """Greedy colouring: each column in `order` takes the smallest colour that
+    no column sharing a row with it (a stored entry of `conflict`) holds yet."""
+    colour = np.full(conflict.shape[0], -1)
+    for j in order:
+        taken = set(colour[conflict.indices[conflict.indptr[j]:conflict.indptr[j + 1]]].tolist())
+        colour[j] = next(c for c in range(len(taken) + 1) if c not in taken)
+    return colour
+
+
 @functools.cache
 def _sparsity(n_theta: int, n_phi: int) -> _Sparsity:
     """The _Sparsity of a mesh shape (n_phi = 0: reduced), built on first use."""
-    # imported here: scipy.optimize loads several scipy subpackages no other path needs
-    from scipy.optimize._numdiff import group_columns
     mesh = build_mesh(n_theta, n_phi, reduced=not n_phi)
     n = mesh.n_nodes
     rows, cols = stencil_footprint(mesh)
     pattern = csc_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    # the greedy colouring depends on the column order: keep the better of two
-    colour = min((group_columns(pattern, order) for order in (np.arange(n), 0)), key=np.max)
+    conflict = (pattern.T @ pattern).tocsc()
+    # first fit depends on the column order: keep the better of the natural
+    # order and one fixed shuffle
+    orders = (np.arange(n), np.random.RandomState(0).permutation(n))
+    colour = min((_first_fit_colouring(conflict, order) for order in orders), key=np.max)
     return _Sparsity(pattern.indptr, pattern.indices,
                      np.repeat(np.arange(n), np.diff(pattern.indptr)), colour,
                      [np.flatnonzero(colour == c) for c in range(colour.max() + 1)])
@@ -232,49 +255,69 @@ def _guard_bounds(spec: ProblemSpec):
 
 
 def _check_guard(spec, rvec):
+    """Raise unless every value of rvec lies inside the guarded annulus (NaN does not)."""
     lo, hi = _guard_bounds(spec)
-    if rvec.min() <= lo or rvec.max() >= hi:
+    if not (lo < rvec.min() and rvec.max() < hi):
         raise AdmissibilityError(
             f"iterate left the guarded annulus ({lo:.6g}, {hi:.6g})"
         )
 
 
-def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarField,
-                 opts: SolverOptions = SolverOptions()):
-    """Damped Newton for the nodal equation at fixed t.
+def _trial_residual(spec, mesh, t, trial):
+    """Residual at trial, or None where trial leaves the guard or is inadmissible."""
+    try:
+        _check_guard(spec, trial)
+        return _residual_vec(spec, mesh, t, trial)
+    except INADMISSIBLE + (AdmissibilityError,):
+        return None
 
-    Returns (solution field, NewtonStats).  Each step solves with the
-    coloured sparse Jacobian (jacobian_coloured) factored by splu; a singular
-    factorization or a non-finite step raises NewtonFailure.  Every accepted
-    iterate is admissible and inside the guarded annulus; backtracking halves
-    the step until admissibility and residual decrease both hold.
+
+def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarField,
+                 opts: SolverOptions = SolverOptions(), lu=None):
+    """Chord-accelerated damped Newton for the nodal equation at fixed t.
+
+    Returns (solution field, NewtonStats); stats.lu is the factor in hand at
+    return, for the next call.  While a factor `lu` (of an earlier Jacobian,
+    possibly at another t) is in hand, an iteration first tries the full
+    chord step lu.solve(-res), and keeps it only if the trial is inside the
+    guarded annulus, admissible, and cuts max|res| by CHORD_CONTRACTION.
+    Otherwise the trial and the factor are dropped: the coloured sparse
+    Jacobian (jacobian_coloured) is built at the current iterate and
+    factored by splu, and its Newton step is damped by a backtracking line
+    search that halves the step until admissibility and residual decrease
+    both hold.  A singular factorization or a non-finite fresh step raises
+    NewtonFailure.  Every accepted iterate is admissible and inside the
+    guarded annulus.
     """
     rvec = r_init.flat().copy()
     _check_guard(spec, rvec)
     res = _residual_vec(spec, mesh, t, rvec)  # raises if r_init inadmissible
     norm = float(np.abs(res).max())
-    halvings_total = 0
+    halvings_total = jacobians = 0
     for it in range(opts.max_newton):
         if norm <= opts.newton_tol:
-            return field_from_flat(mesh, rvec), NewtonStats(it, norm, halvings_total)
+            return field_from_flat(mesh, rvec), NewtonStats(it, norm, halvings_total, jacobians, lu)
+        if lu is not None:
+            trial = rvec + lu.solve(-res)
+            trial_res = _trial_residual(spec, mesh, t, trial)
+            if (trial_res is not None
+                    and (trial_norm := float(np.abs(trial_res).max())) <= CHORD_CONTRACTION * norm):
+                rvec, res, norm = trial, trial_res, trial_norm
+                continue
         jac = jacobian_coloured(spec, mesh, t, field_from_flat(mesh, rvec))
+        jacobians += 1
         try:
-            step = splu(jac).solve(-res)
+            lu = splu(jac)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise NewtonFailure(f"Jacobian factorization failed at t={t:g}: {exc}") from exc
+        step = lu.solve(-res)
         if not np.all(np.isfinite(step)):
             raise NewtonFailure(f"non-finite Newton step at t={t:g}")
         scale = 1.0
         for k in range(MAX_HALVINGS + 1):
             trial = rvec + scale * step
-            try:
-                _check_guard(spec, trial)
-                trial_res = _residual_vec(spec, mesh, t, trial)
-            except INADMISSIBLE + (AdmissibilityError,):
-                scale *= DAMPING
-                continue
-            trial_norm = float(np.abs(trial_res).max())
-            if trial_norm < norm:
+            trial_res = _trial_residual(spec, mesh, t, trial)
+            if trial_res is not None and (trial_norm := float(np.abs(trial_res).max())) < norm:
                 rvec, res, norm = trial, trial_res, trial_norm
                 halvings_total += k
                 break
@@ -284,7 +327,8 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
                 f"line search failed after {MAX_HALVINGS} halvings at t={t:g}"
             )
     if norm <= opts.newton_tol:
-        return field_from_flat(mesh, rvec), NewtonStats(opts.max_newton, norm, halvings_total)
+        return field_from_flat(mesh, rvec), NewtonStats(opts.max_newton, norm, halvings_total,
+                                                        jacobians, lu)
     raise NewtonFailure(f"no convergence in {opts.max_newton} iterations at t={t:g} (|res|={norm:.3e})")
 
 
@@ -294,9 +338,13 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     """March the homotopy from the round solution at t = 0 to t = 1.
 
     Refuses to run when the assumption check fails beyond boundary cases,
-    unless `force` is set.  Raises ContinuationBreakdown (carrying the last
-    good state and the failed t-interval) when the t-step underflows.
-    Returns (final state, history of accepted states).
+    unless `force` is set.  Each t-step starts Newton from the secant
+    prediction through the last two accepted states (from the last state on
+    the first step) and hands it the factor of the last fresh Jacobian; a
+    failed t-step drops the factor and halves dt, and so does a prediction
+    that is inadmissible or outside the guard.  Raises ContinuationBreakdown
+    (carrying the last good state and the failed t-interval) when the
+    t-step underflows.  Returns (final state, history of accepted states).
     """
     report = check_assumptions(spec)
     if report.hard_failures and not force:
@@ -306,17 +354,20 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
 
     r_init = field_from_flat(mesh, np.full(mesh.n_nodes, spec.phi_rm))
     sol, stats = newton_solve(spec, mesh, 0.0, r_init, opts)
-    state = ContinuationState(0.0, sol, stats.iterations, stats.residual_norm)
+    state = ContinuationState(0.0, sol, stats.iterations, stats.residual_norm, stats.jacobians)
     history = [state]
+    lu, slope = stats.lu, np.zeros(mesh.n_nodes)
 
     dt = opts.t_step_init
     t = 0.0
     easy_streak = 0
     while t < 1.0:
         t_try = 1.0 if t + dt >= 1.0 - 1e-12 else t + dt
+        guess = field_from_flat(mesh, sol.flat() + (t_try - t) * slope)
         try:
-            sol_try, stats = newton_solve(spec, mesh, t_try, sol, opts)
-        except (NewtonFailure, AdmissibilityError, ConeViolation, DomainViolation):
+            sol_try, stats = newton_solve(spec, mesh, t_try, guess, opts, lu)
+        except INADMISSIBLE + (NewtonFailure, AdmissibilityError):
+            lu = None
             dt *= 0.5
             if dt < opts.t_step_min:
                 raise ContinuationBreakdown(
@@ -326,8 +377,9 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
                     history=history,
                 )
             continue
-        t, sol = t_try, sol_try
-        state = ContinuationState(t, sol, stats.iterations, stats.residual_norm)
+        slope = (sol_try.flat() - sol.flat()) / (t_try - t)
+        t, sol, lu = t_try, sol_try, stats.lu
+        state = ContinuationState(t, sol, stats.iterations, stats.residual_norm, stats.jacobians)
         history.append(state)
         if stats.iterations <= 4:
             easy_streak += 1
@@ -341,3 +393,7 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
 
 def total_newton_iterations(history) -> int:
     return sum(s.newton_iters for s in history)
+
+
+def total_jacobians(history) -> int:
+    return sum(s.jacobians for s in history)

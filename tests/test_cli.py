@@ -186,11 +186,12 @@ def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
     (["verify-geometry"], "verify.r_expr = 1 + foo(th)", "verify.r_expr"),
     (["verify-geometry"], "verify.r_expr = 2 + r", "verify.r_expr"),
     (["verify-geometry"], "verify.r_expr = 20", "verify.r_expr"),
+    (["verify-geometry"], "verify.r_expr = 0", "verify.r_expr"),
     (["sweep", "--key", "solver.newton_tl", "--values", "1e-9,1e-11"], "", "solver.newton_tl"),
     (["sweep", "--key", "phi.c", "--values", "1,-1"], "", "phi.c"),
 ], ids=["check-samples-zero", "check-samples-negative", "verify-n-theta-small",
         "verify-custom-warp", "verify-r-expr-non-finite", "verify-r-expr-unparsed",
-        "verify-r-expr-reads-r", "verify-r-expr-outside-domain",
+        "verify-r-expr-reads-r", "verify-r-expr-outside-domain", "verify-r-expr-lambda-zero",
         "sweep-key-typo", "sweep-later-value-invalid"])
 def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
     cfg = write_cfg(tmp_path, CLOSED_FORM + line + "\n")
@@ -304,13 +305,12 @@ def test_monitor_parameter_keys(tmp_path):
     assert main(["--config", tuned, "--out", out2, "solve"]) == 0
 
     def last_row(out):
-        rows = [l for l in open(os.path.join(out, "report.txt")) if l.startswith("row = ")]
-        return rows[-1].split()
+        lines = open(os.path.join(out, "report.txt")).read().splitlines()
+        cols = next(l for l in lines if l.startswith("columns = ")).split()[2:]
+        return dict(zip(cols, [l for l in lines if l.startswith("row = ")][-1].split()[2:]))
 
-    cols = "t iters res r_min r_max tau_min grad_max kappa_max mu_min phi p barrier".split()
-    a = dict(zip(cols, last_row(out1)[2:]))
-    b = dict(zip(cols, last_row(out2)[2:]))
-    assert a["phi"] != b["phi"] and a["p"] != b["p"]  # test-function params differ
+    a, b = last_row(out1), last_row(out2)
+    assert a["phi_test_max"] != b["phi_test_max"] and a["p_test_max"] != b["p_test_max"]
     assert a["kappa_max"] == b["kappa_max"]           # geometry itself unchanged
 
 

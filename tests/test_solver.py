@@ -12,6 +12,7 @@ from prescurv.errors import (
     DomainViolation,
     FEvalError,
     NewtonFailure,
+    ProfileViolation,
 )
 from prescurv.geometry import compute_geometry
 from prescurv.mesh import (
@@ -233,6 +234,19 @@ def test_coloured_jacobian_stacks_its_residual_passes(monkeypatch):
     assert 0 < len(calls) <= -(-2 * n_groups * mesh.n_nodes // solver.FD_CHUNK_NODES)
 
 
+@pytest.mark.parametrize("shape,most", [((16, 0), 5), ((16, 8), 40), ((32, 16), 57),
+                                        ((64, 32), 64), ((128, 64), 54)])
+def test_colouring_is_valid_and_no_larger_than_before(shape, most):
+    """Columns of one colour share no row of the stencil footprint, and the
+    greedy colouring needs no more groups than the earlier scipy colouring."""
+    sp = solver._sparsity(*shape)
+    mesh = build_mesh(shape[0], shape[1], reduced=not shape[1])
+    rows, cols = stencil_footprint(mesh)
+    assert len(sp.groups) <= most
+    per_row_colour = rows * len(sp.groups) + sp.colour[cols]
+    assert np.unique(per_row_colour).size == rows.size
+
+
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES) + ["euclidean-cone-exit"])
 def test_gauss_curvature_matches_eigenvalue_oracle(case):
     """K and the test H > 0, K > 0 agree with sigma_2 and the Gamma_2 mask of the
@@ -377,6 +391,75 @@ def test_newton_rejects_bad_initial_data():
         newton_solve(spec2, mesh, 0.0, const_field(mesh, 2.3))  # beyond the guard
 
 
+
+class _StaleFactor:
+    """Stands in for a factor in hand whose chord step is `step`."""
+
+    def __init__(self, step):
+        self.step = step
+
+    def solve(self, rhs):
+        return self.step.copy()
+
+
+def _count_builds(monkeypatch):
+    """Record the iterate of every fresh Jacobian build."""
+    built = []
+    real = solver.jacobian_coloured
+
+    def counting(spec, mesh, t, r_field):
+        built.append(r_field.flat().copy())
+        return real(spec, mesh, t, r_field)
+
+    monkeypatch.setattr(solver, "jacobian_coloured", counting)
+    return built
+
+
+@pytest.mark.parametrize("miss", ["contraction", "cone", "guard", "non-finite"])
+def test_stale_chord_step_is_discarded_and_the_jacobian_rebuilt(monkeypatch, miss):
+    """A chord step on the factor in hand that cuts max|res| by less than
+    CHORD_CONTRACTION, leaves the cone or the guard, or is not finite, is
+    dropped: J is built at the unmoved iterate, and the solve converges to an
+    admissible state inside the guard."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    start = bumpy_field(mesh)
+    r0 = start.flat()
+    res = residual(spec, mesh, 0.5, start).flat()
+    newton_step = np.linalg.solve(jacobian_fd(spec, mesh, 0.5, start), -res)
+    cone_exit = field_from_function(mesh, lambda th, ph: 1 + 0.3 * np.cos(2 * th)).flat()
+    step = {"contraction": 0.5 * newton_step,     # max|res| only halves
+            "cone": cone_exit - r0,                # lands on a graph outside Gamma_2
+            "guard": np.full(r0.size, 1.0),        # r near 2.25, beyond r2 + guard
+            "non-finite": np.full(r0.size, np.nan)}[miss]
+    if miss == "cone":
+        with pytest.raises(ConeViolation):
+            residual(spec, mesh, 0.5, field_from_flat(mesh, r0 + step))
+    built = _count_builds(monkeypatch)
+    sol, stats = newton_solve(spec, mesh, 0.5, start, lu=_StaleFactor(step))
+    assert np.array_equal(built[0], r0)  # the stale trial was not accepted
+    assert stats.jacobians == len(built) >= 1
+    assert not isinstance(stats.lu, _StaleFactor)
+    assert stats.residual_norm <= SolverOptions().newton_tol
+    assert compute_geometry(mesh, sol, EUCLID).in_cone.all()
+    lo, hi = solver._guard_bounds(spec)
+    assert lo < sol.values.min() <= sol.values.max() < hi
+
+
+def test_chord_step_on_a_good_factor_builds_no_jacobian(monkeypatch):
+    """A factor of J at a nearby state contracts the residual, so Newton
+    converges on it alone and hands it back."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    near, stats0 = newton_solve(spec, mesh, 0.5, const_field(mesh, 1.25))
+    assert stats0.jacobians >= 1 and stats0.lu is not None
+    built = _count_builds(monkeypatch)
+    sol, stats = newton_solve(spec, mesh, 0.6, near, lu=stats0.lu)
+    assert built == [] and stats.jacobians == 0 and stats.iterations >= 1
+    assert stats.lu is stats0.lu
+    assert stats.residual_norm <= SolverOptions().newton_tol
+
+
 # -- continuation ------------------------------------------------------------------
 
 def test_continuation_closed_form():
@@ -413,6 +496,68 @@ def test_continuation_t0_unique_from_perturbed_starts():
         sol, _ = newton_solve(spec, mesh, 0.0, init)
         spread = max(spread, float(np.abs(sol.values - spec.phi_rm).max()))
     assert spread <= 1e-8
+
+
+def test_full_2d_continuation_reuses_one_factorization(monkeypatch):
+    """A non-axisymmetric 16x8 solve takes chord steps on the last LU across
+    t-steps: at most 2 fresh Jacobians over the whole path, as its states count."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    built = _count_builds(monkeypatch)
+    final, history = continuation_solve(spec, mesh)
+    assert final.t == 1.0
+    assert 1 <= len(built) <= 2
+    assert solver.total_jacobians(history) == len(built)
+    assert total_newton_iterations(history) >= len(history) - 1
+
+
+def test_continuation_starts_each_step_from_the_secant_prediction(monkeypatch):
+    """The guess for t_try is sol + (t_try - t) * slope, slope the secant
+    through the last two accepted states (zero on the first step)."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    starts = {}
+    real = solver.newton_solve
+
+    def spying(spec_, mesh_, t, r_init, opts, lu=None):
+        starts[t] = r_init.flat().copy()
+        return real(spec_, mesh_, t, r_init, opts, lu)
+
+    monkeypatch.setattr(solver, "newton_solve", spying)
+    _, history = continuation_solve(spec, mesh)
+    sols = {st.t: st.r_field.flat() for st in history}
+    ts = [st.t for st in history]
+    assert np.array_equal(starts[ts[1]], sols[ts[0]])
+    for t_prev, t, t_try in zip(ts, ts[1:], ts[2:]):
+        slope = (sols[t] - sols[t_prev]) / (t - t_prev)
+        np.testing.assert_allclose(starts[t_try], sols[t] + (t_try - t) * slope,
+                                   rtol=0, atol=1e-15)
+        assert not np.array_equal(starts[t_try], sols[t])
+
+
+@pytest.mark.parametrize("error", [FEvalError, ProfileViolation])
+def test_inadmissible_prediction_halves_the_t_step(monkeypatch, error):
+    """A predicted guess whose residual raises FEvalError or ProfileViolation
+    fails its t-step like any Newton failure: dt halves, the factor is
+    dropped, and the path still reaches t = 1 with no raw error."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    real = solver.residual
+    raised = []
+
+    def refuse_first_guess_at_03(spec_, mesh_, t, r_field):
+        if abs(t - 0.3) < 1e-12 and not raised:
+            raised.append(t)
+            raise error("forced: predicted guess is inadmissible")
+        return real(spec_, mesh_, t, r_field)
+
+    monkeypatch.setattr(solver, "residual", refuse_first_guess_at_03)
+    built = _count_builds(monkeypatch)
+    final, history = continuation_solve(spec, mesh)
+    ts = [round(st.t, 12) for st in history]
+    assert raised and final.t == 1.0
+    assert ts[:4] == [0.0, 0.1, 0.2, 0.25]
+    assert len(built) == 2  # one build before the failed step, one after it
 
 
 def test_continuation_refuses_failed_assumptions():

@@ -60,9 +60,12 @@ def check_key(key: str):
 
 def parse_config(source: str) -> dict:
     """Parse config text, or a path to a config file, into a key->string map."""
-    if "\n" not in source and os.path.exists(source):
-        with open(source) as fh:
-            text = fh.read()
+    if "\n" not in source and os.path.isfile(source):
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8 text: {source} (byte {exc.start})")
     else:
         text = source
     out = {}

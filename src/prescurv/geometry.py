@@ -1,6 +1,7 @@
 """Geometry of the radial graph r(u) over S^2 inside dr^2 + lambda(r)^2 g'.
 
-Per node, in one straight-line pass over the 2-jet of r: induced metric
+Pointwise, in one straight-line pass over the 2-jet of r (geometry_from_jet;
+compute_geometry takes the jet of a field from frame_derivatives): induced metric
 (det g = lambda^2 v^2), v times the second fundamental form,
 H = sigma_1(mu) from the adjugate of g, K = det h / det g = sigma_2(mu) and
 the radial normal component; no inverse metric.  Principal curvatures,
@@ -51,10 +52,9 @@ def _sym_pair_eigs(g11, g12, g22, h11, h12, h22):
 
 @dataclass(frozen=True)
 class GraphGeometry:
-    """Per-node geometric state of the graph surface; arrays shaped like r.
+    """Pointwise geometric state of the graph surface; arrays shaped like r.
 
-    r is one field (mesh-shaped) or a stack of fields (mesh shape last).
-
+    mesh holds the points as nodes (compute_geometry) or is None (geometry_from_jet).
     The cached properties are computed on first read, never by the residual.
     """
 
@@ -115,23 +115,21 @@ class GraphGeometry:
         return np.stack([self.mu1, self.mu2], axis=-1)
 
 
-def compute_geometry(mesh: SphereMesh, r_field: ScalarField, profile: WarpProfile) -> GraphGeometry:
-    """The graph of r_field's metric, second fundamental form, H and K, in one pass.
+def geometry_from_jet(profile: WarpProfile, r, r1, r2, r11, r12, r22,
+                      mesh: SphereMesh = None) -> GraphGeometry:
+    """The graph's metric, second fundamental form, H and K at points with 2-jet (r, r_1, ..., r_22).
 
-    Straight-line over the 2-jet (lambda, lambda', r_1, r_2, r_11, r_12, r_22),
-    the frame derivatives from one frame_derivatives call, each product once:
+    Straight-line and pointwise over the jet and (lambda, lambda'), each
+    product once:
     g_11 = lambda^2 + r_1^2, g_12 = r_1 r_2, g_22 = lambda^2 + r_2^2,
     v^2 = lambda^2 + r_1^2 + r_2^2, det g = lambda^2 v^2;
     v h_11 = 2 lambda' r_1^2 + lambda^2 lambda' - lambda r_11,
     v h_12 = 2 lambda' r_1 r_2 - lambda r_12,
     v h_22 = 2 lambda' r_2^2 + lambda^2 lambda' - lambda r_22;
     H = tr(adj(g) v h) / (det g v) and K = det(v h) / (det g v^2), with no
-    inverse metric.  A stacked r_field gives a stacked geometry, member by
-    member bit-identical to one call per member.
+    inverse metric.  The jet arrays share one shape, any shape.
     """
-    r = r_field.values
     lam, dlam = profile.eval_lambda(r)
-    r1, r2, r11, r12, r22 = frame_derivatives(r_field)
 
     lam2 = lam * lam
     r1r1 = r1 * r1
@@ -156,6 +154,11 @@ def compute_geometry(mesh: SphereMesh, r_field: ScalarField, profile: WarpProfil
         K=(vh11 * vh22 - vh12 * vh12) / (det_g * v2),
         nu_r=lam / v,
     )
+
+
+def compute_geometry(mesh: SphereMesh, r_field: ScalarField, profile: WarpProfile) -> GraphGeometry:
+    """The graph of r_field at the nodes of its mesh: geometry_from_jet of its frame_derivatives."""
+    return geometry_from_jet(profile, r_field.values, *frame_derivatives(r_field), mesh=mesh)
 
 
 def extrinsic_shape_operator(mesh: SphereMesh, r_field: ScalarField):

@@ -8,15 +8,10 @@ Azimuthal derivatives use 6th-order centered stencils: they cost nothing
 extra under periodicity and keep the 1/sin(theta)-amplified terms at the
 pole rows from dominating the overall (colatitude-limited) 4th-order error.
 The reduced mode keeps only the colatitude line for axisymmetric fields.
-One cached ghost map per mesh shape holds both continuations; the stencils
-and the Jacobian footprint read it.  frame_derivatives gives the
-orthonormal-frame gradient and covariant Hessian of a field in one pass
-that applies each stencil it needs once.
-A ScalarField, the stencils and frame_derivatives also take a stack of
-fields: any leading axes, the mesh shape last.  Each member of a stack goes
-through the same gathers and the same arithmetic as a single field, so its
-result is bit-identical to the single-field call; the Jacobian differences
-all its colour groups this way.
+One cached ghost map per mesh shape holds both continuations and one table
+the stencil weights.  frame_derivatives gives the orthonormal-frame gradient
+and covariant Hessian of a field, slicing each stencil it needs once;
+jet_operators gives the same maps as sparse matrices, for the Jacobian.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy.sparse import csc_array
 
 
 @dataclass(frozen=True)
@@ -88,15 +83,15 @@ def build_mesh(n_theta: int, n_phi: int = None, reduced: bool = False) -> Sphere
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Nodal values of a field, or of a stack of fields (leading axes, mesh shape last)."""
+    """Nodal values of a field on a mesh."""
 
     mesh: SphereMesh
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape[v.ndim - len(self.mesh.shape):] != self.mesh.shape:
-            raise ValueError(f"field shape {v.shape} does not end in mesh shape {self.mesh.shape}")
+        if v.shape != self.mesh.shape:
+            raise ValueError(f"field shape {v.shape} != mesh shape {self.mesh.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field has non-finite values")
         object.__setattr__(self, "values", v)
@@ -116,101 +111,133 @@ def field_from_flat(mesh: SphereMesh, vec) -> ScalarField:
 
 # -- stencil machinery -------------------------------------------------------
 
+# name -> (numerator weights on offsets -m..m, denominator, derivative order):
+# the stencil is sum_k w_k v[i + k - m] / (denominator * spacing^order)
+_WEIGHTS = {
+    "dtheta": ((1.0, -8.0, 0.0, 8.0, -1.0), 12.0, 1),
+    "dtheta2": ((-1.0, 16.0, -30.0, 16.0, -1.0), 12.0, 2),
+    "dphi": ((-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0), 60.0, 1),
+    "dphi2": ((2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0), 180.0, 2),
+}
+
+
 @functools.cache
 def _ghost_map(n_theta: int, n_phi: int):
-    """Read-only (src, sign): source node and odd-parity sign of each extended cell.
+    """Read-only (src, sign, cols): the source node of each cell of the extended mesh.
 
-    The field gains 2 rows past each pole and, on a full mesh (n_phi > 0), 3
-    periodic columns a side.  A row past a pole continues to the antipodal
-    column (full mesh) or mirrors back (reduced mesh), where sign is -1.
+    src: rows -2 .. n_theta+1 of the mesh columns (one column when reduced);
+    a row past a pole continues to the antipodal column (full mesh) or
+    mirrors back (reduced), and sign is -1 there.  cols: the mesh rows with
+    3 periodic columns a side (None when reduced).
     """
     rows = np.arange(-2, n_theta + 2)
     across = (rows < 0) | (rows >= n_theta)
-    src = np.where(rows < 0, -1 - rows, np.where(across, 2 * n_theta - 1 - rows, rows))
-    sign = np.where(across, -1.0, 1.0)
+    src = np.where(rows < 0, -1 - rows, np.where(across, 2 * n_theta - 1 - rows, rows))[:, None]
+    sign, cols = np.where(across, -1.0, 1.0)[:, None], None
     if n_phi:
-        cols = (np.arange(-3, n_phi + 3) + (n_phi // 2) * across[:, None]) % n_phi
-        src, sign = src[:, None] * n_phi + cols, sign[:, None]
+        ext = src * n_phi + (np.arange(-3, n_phi + 3) + (n_phi // 2) * across[:, None]) % n_phi
+        src, cols = ext[:, 3:-3], ext[2:-2]
+        cols.flags.writeable = False
     src.flags.writeable = sign.flags.writeable = False
-    return src, sign
+    return src, sign, cols
 
 
-def _nodes(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
-    """vals with the mesh axes flattened to one node axis, any stack axes kept."""
-    return vals.reshape(vals.shape[:vals.ndim - len(mesh.shape)] + (mesh.n_nodes,))
+def _apply(name: str, terms, spacing: float) -> np.ndarray:
+    """The stencil `name` on its shifted terms: nonzero weights only, summed left to right in place."""
+    weights, denominator, order = _WEIGHTS[name]
+    parts = (w * term for w, term in zip(weights, terms) if w)
+    total = next(parts)
+    for part in parts:
+        total += part
+    total /= denominator * spacing ** order
+    return total
 
 
-def _pole_rows(mesh: SphereMesh, vals: np.ndarray, parity: int) -> np.ndarray:
-    """vals on rows -2 .. n_theta+1, shaped (..., rows, columns); parity -1 flips the sign past a pole.
-
-    A reduced mesh gets one column, so the stencils slice rows the same way on both.
-    """
-    src, sign = _ghost_map(mesh.n_theta, mesh.n_phi)
-    if mesh.reduced:
-        src, sign = src[:, None], sign[:, None]
-    else:
-        src = src[:, 3:-3]
-    e = _nodes(mesh, vals)[..., src]
-    return e if parity == 1 else sign * e
+def _along_theta(name: str, mesh: SphereMesh, vals: np.ndarray, parity: int) -> np.ndarray:
+    """A colatitude stencil; parity -1 flips the sign of values continued past a pole."""
+    src, sign, _ = _ghost_map(mesh.n_theta, mesh.n_phi)
+    e = vals.ravel()[src]
+    e = e if parity == 1 else sign * e
+    return _apply(name, [e[k:k + mesh.n_theta] for k in range(5)], mesh.dtheta).reshape(vals.shape)
 
 
 def dtheta(mesh: SphereMesh, vals: np.ndarray, parity: int = 1) -> np.ndarray:
     """4th-order d/dtheta with through-pole closure."""
-    e = _pole_rows(mesh, vals, parity)
-    return ((e[..., :-4, :] - 8.0 * e[..., 1:-3, :] + 8.0 * e[..., 3:-1, :] - e[..., 4:, :])
-            / (12.0 * mesh.dtheta)).reshape(vals.shape)
+    return _along_theta("dtheta", mesh, vals, parity)
 
 
 def dtheta2(mesh: SphereMesh, vals: np.ndarray, parity: int = 1) -> np.ndarray:
     """4th-order d^2/dtheta^2 with through-pole closure."""
-    e = _pole_rows(mesh, vals, parity)
-    return ((-e[..., :-4, :] + 16.0 * e[..., 1:-3, :] - 30.0 * e[..., 2:-2, :]
-             + 16.0 * e[..., 3:-1, :] - e[..., 4:, :])
-            / (12.0 * mesh.dtheta ** 2)).reshape(vals.shape)
+    return _along_theta("dtheta2", mesh, vals, parity)
 
 
-def _periodic_columns(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
-    """vals on columns -3 .. n_phi+2 of the mesh rows, shaped (..., rows, columns)."""
-    return _nodes(mesh, vals)[..., _ghost_map(mesh.n_theta, mesh.n_phi)[0][2:-2]]
+def _periodic_columns(mesh: SphereMesh, vals: np.ndarray) -> list:
+    """vals shifted by azimuth offsets -3 .. 3, each shaped like the mesh."""
+    e = vals.ravel()[_ghost_map(mesh.n_theta, mesh.n_phi)[2]]
+    return [e[:, k:k + mesh.n_phi] for k in range(7)]
 
 
 def dphi(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
     """6th-order periodic d/dphi (zero in reduced mode)."""
     if mesh.reduced:
         return np.zeros_like(vals)
-    e = _periodic_columns(mesh, vals)
-    return (
-        -e[..., :-6] + 9.0 * e[..., 1:-5] - 45.0 * e[..., 2:-4]
-        + 45.0 * e[..., 4:-2] - 9.0 * e[..., 5:-1] + e[..., 6:]
-    ) / (60.0 * mesh.dphi)
+    return _apply("dphi", _periodic_columns(mesh, vals), mesh.dphi)
 
 
 def dphi2(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
+    """6th-order periodic d^2/dphi^2 (zero in reduced mode); mirror offsets are added first."""
     if mesh.reduced:
         return np.zeros_like(vals)
     e = _periodic_columns(mesh, vals)
-    return (
-        2.0 * (e[..., :-6] + e[..., 6:])
-        - 27.0 * (e[..., 1:-5] + e[..., 5:-1])
-        + 270.0 * (e[..., 2:-4] + e[..., 4:-2])
-        - 490.0 * e[..., 3:-3]
-    ) / (180.0 * mesh.dphi ** 2)
+    return _apply("dphi2", [e[k] + e[6 - k] for k in range(3)] + [e[3]], mesh.dphi)
 
 
-def stencil_footprint(mesh: SphereMesh):
-    """Node pairs (rows, cols), flat indices, where node `cols` enters the stencils at `rows`.
+@functools.cache
+def _jet_operators(n_theta: int, n_phi: int):
+    mesh = build_mesh(n_theta, n_phi, reduced=not n_phi)
+    n, node = mesh.n_nodes, np.arange(mesh.n_nodes)
+    theta = mesh.theta_grid().ravel()
+    sin = np.sin(theta)
 
-    A node reads the 5 colatitude rows i-2..i+2 and, in full mode, the 7
-    azimuth columns j-3..j+3 (the colatitude stencil of the azimuthal
-    derivative in r_12 spans the whole 5 x 7 block): a sliding window over
-    the ghost map of the stencils.  Pairs are unique and sorted by column,
-    then row.
+    def taps(name, sources, spacing, signs=(1.0,) * 7):
+        """(source node, weight) at every node, one pair per tap of the stencil `name`."""
+        weights, denominator, order = _WEIGHTS[name]
+        scale = 1.0 / (denominator * spacing ** order)
+        return [(s.ravel(), np.full(n, w * scale) * np.ravel(g))
+                for w, s, g in zip(weights, sources, signs)]
+
+    src, sign, cols = _ghost_map(n_theta, n_phi)
+    rows = [src[k:k + n_theta] for k in range(5)]
+    d1 = taps("dtheta", rows, mesh.dtheta)
+    cot_d1 = [(c, np.cos(theta) / sin * v) for c, v in d1]
+    zero = [(node, np.zeros(n))]
+    ops = [[(node, np.ones(n))], d1, zero, taps("dtheta2", rows, mesh.dtheta), zero, cot_d1]
+    if n_phi:
+        cols = [cols[:, k:k + n_phi] for k in range(7)]
+        odd = np.broadcast_to(sign, src.shape)
+        ops[2] = [(c, v / sin) for c, v in taps("dphi", cols, mesh.dphi)]
+        ops[4] = [(c2[c1], v1 * v2[c1]) for c2, v2 in ops[2] for c1, v1 in
+                  taps("dtheta", rows, mesh.dtheta, [odd[k:k + n_theta] for k in range(5)])]
+        ops[5] = [(c, v / sin ** 2) for c, v in taps("dphi2", cols, mesh.dphi)] + cot_d1
+    # every tap of every operator on one CSC pattern, zero weights included, duplicates summed
+    tap_list = [(a, c, v) for a, op in enumerate(ops) for c, v in op]
+    pattern, where = np.unique(np.concatenate([c * n + node for _, c, _ in tap_list]),
+                               return_inverse=True)
+    which = np.repeat([a for a, _, _ in tap_list], n) * pattern.size + where
+    data = np.bincount(which, np.concatenate([v for _, _, v in tap_list]), len(ops) * pattern.size)
+    indices, indptr = pattern % n, np.searchsorted(pattern // n, np.arange(n + 1))
+    return tuple(csc_array((d, indices, indptr), shape=(n, n)) for d in data.reshape(len(ops), -1))
+
+
+def jet_operators(mesh: SphereMesh) -> tuple:
+    """Sparse matrices (I, D_1, D_2, D_11, D_12, D_22) mapping r to its 2-jet, cached per mesh shape.
+
+    D_a r is frame_derivatives(r)'s component a up to rounding: D_1 = D_theta,
+    D_2 = diag(1/sin) D_phi, D_11 = D_theta theta, D_12 = D_theta^odd D_2 and
+    D_22 = diag(1/sin^2) D_phi phi + diag(cot) D_1, from the stencils' ghost
+    map and weights.  All six store the same CSC entries, their union.
     """
-    window = (5,) if mesh.reduced else (5, 7)
-    source = sliding_window_view(_ghost_map(mesh.n_theta, mesh.n_phi)[0], window)
-    target = np.arange(mesh.n_nodes).reshape(mesh.shape + (1,) * len(window))
-    pairs = np.unique(source * mesh.n_nodes + target)
-    return pairs % mesh.n_nodes, pairs // mesh.n_nodes
+    return _jet_operators(mesh.n_theta, mesh.n_phi)
 
 
 # -- frame derivatives -------------------------------------------------------
@@ -219,8 +246,7 @@ def frame_derivatives(field: ScalarField):
     """Orthonormal-frame gradient and covariant Hessian components of a field.
 
     Returns plain arrays (r_1, r_2, r_11, r_12, r_22) in the frame
-    (d_theta, (1/sin) d_phi), shaped like the field's values (a stack
-    included).  d_theta r and the frame component
+    (d_theta, (1/sin) d_phi), shaped like the field's values.  d_theta r and
     r_2 = (1/sin) d_phi r are computed once each and reused: r_12 is d_theta
     of r_2 (odd through the pole), which equals
     (1/sin) d_theta d_phi - (cos/sin^2) d_phi and stays 4th-order accurate at

@@ -301,16 +301,16 @@ def phi_value(spec: ProblemSpec, r):
     return np.exp(spec.phi_c * (spec.phi_rm - np.asarray(r, dtype=float)))
 
 
-def blend_f_t(spec: ProblemSpec, t: float, geom):
-    """Homotopy value t f + (1 - t) phi(r) threshold(r) on a GraphGeometry; affine in t.
+def blend_f_t(spec: ProblemSpec, t: float, geom, th, ph):
+    """Homotopy value t f + (1 - t) phi(r) threshold(r) at the points of a GraphGeometry; affine in t.
 
-    threshold(r) = zeta^2 takes zeta = lambda'/lambda from the geometry: no
-    second lambda evaluation.
+    (th, ph) are the points' angles.  threshold(r) = zeta^2 takes
+    zeta = lambda'/lambda from the geometry: no second lambda evaluation.
     """
     f0 = phi_value(spec, geom.r) * (geom.dlam / geom.lam) ** 2
     if t == 0.0:
         return f0
-    f = eval_f(spec.f, geom.r, geom.mesh.theta_grid(), geom.mesh.phi_grid(), geom.nu_r)
+    f = eval_f(spec.f, geom.r, th, ph, geom.nu_r)
     return t * f + (1.0 - t) * f0
 
 

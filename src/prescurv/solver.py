@@ -2,21 +2,17 @@
 
 The residual at each node is sigma_k/sigma_l of the Newton-tensor eigenvalues
 minus the homotopy value f^t: at n = 2 that is K - f^t, formed with no
-eigenvalues.  Newton builds a sparse central-difference Jacobian by column
-colouring over the stencil footprint (a first-fit greedy colouring, built
-once per mesh shape), factors it with sparse LU, and keeps the factor: while
+eigenvalues by a pointwise kernel over the node's 2-jet.  Newton's sparse
+central-difference Jacobian differences that kernel entry by entry (column
+j's step moves row i's jet by node j's stencil weights there), falling back
+to the dense oracle's column differences, jacobian_fd, where a perturbation
+is inadmissible.  Newton factors J with sparse LU and keeps the factor: while
 a factor is in hand, each iteration first tries the full chord step on it,
 kept only if it stays admissible, stays inside the guarded annulus and cuts
 max|res| by CHORD_CONTRACTION.  When the chord step misses, the Jacobian is
 rebuilt and refactored at the current iterate, and a backtracking line
 search accepts a step only if the iterate stays admissible, stays inside the
 guarded annulus, and decreases the residual.
-The residual takes a stack of fields, so the Jacobian evaluates all its
-colour-group perturbations in a few stacked passes of at most
-FD_CHUNK_NODES node values; a pass that meets an inadmissible perturbation
-is redone group by group, one-sided where a perturbation leaves the
-admissible set.  The dense per-column Jacobian, jacobian_fd, is kept as the
-test oracle and differences one field at a time.
 Continuation marches t from the round solution at t = 0 to t = 1, hands the
 last factor from one t-step to the next, starts each t-step from a secant
 prediction through the last two accepted states, and halves the step on
@@ -42,14 +38,14 @@ from .errors import (
     NewtonFailure,
     ProfileViolation,
 )
-from .geometry import compute_geometry
-from .mesh import ScalarField, SphereMesh, build_mesh, field_from_flat, stencil_footprint
+from .geometry import compute_geometry, geometry_from_jet
+from .mesh import ScalarField, SphereMesh, field_from_flat, frame_derivatives, jet_operators
 from .problem import ProblemSpec, blend_f_t, check_assumptions
 
 GUARD_FRACTION = 0.05  # hard annulus guard widens (r1, r2) by this fraction of the width
 DAMPING = 0.5          # line-search backtracking factor
 FD_SCALE = 1e-6        # FD Jacobian step h_j = FD_SCALE * (1 + |r_j|)
-FD_CHUNK_NODES = 8192  # node values per stacked residual pass of jacobian_coloured
+FD_CHUNK_NODES = 8192  # kernel values per block of jacobian_sparse
 MAX_HALVINGS = 20      # line-search backtracking steps before NewtonFailure
 CHORD_CONTRACTION = 0.1  # a step on a reused LU must cut max|res| by this factor
 
@@ -92,20 +88,24 @@ class ContinuationState:
     jacobians: int
 
 
-def residual(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: ScalarField) -> ScalarField:
-    """Nodal residual K - f^t; raises on cone or domain exit.
+def _pointwise_residual(spec: ProblemSpec, t: float, geom, th, ph) -> np.ndarray:
+    """F: K - f^t at each point of geom, (th, ph) the points' angles.
 
     K = sigma_2(mu) is sigma_k/sigma_l(mu) at the one order ProblemSpec
-    admits, (2, 0), and mu is in Gamma_2 where H = sigma_1(mu) > 0 and K > 0.
-    A stacked r_field (mesh shape last) gives the stacked residual in one
-    pass, and raises if any member does.
+    admits, (2, 0), and mu is in Gamma_2 where H = sigma_1(mu) > 0 and K > 0;
+    raises ConeViolation naming the first point (flat index) outside it.
     """
-    geom = compute_geometry(mesh, r_field, spec.profile)
     ok = geom.in_cone
     if not np.all(ok):
-        node = int(np.argmin(ok.ravel())) % mesh.n_nodes
-        raise ConeViolation(f"Newton eigenvalues left the cone at node {node}", node=node)
-    return ScalarField(mesh, geom.K - blend_f_t(spec, t, geom))
+        point = int(np.argmin(ok.ravel()))
+        raise ConeViolation(f"Newton eigenvalues left the cone at node {point}", node=point)
+    return geom.K - blend_f_t(spec, t, geom, th, ph)
+
+
+def residual(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: ScalarField) -> ScalarField:
+    """Nodal residual K - f^t: the pointwise kernel at the nodes; raises on cone or domain exit."""
+    geom = compute_geometry(mesh, r_field, spec.profile)
+    return ScalarField(mesh, _pointwise_residual(spec, t, geom, mesh.theta_grid(), mesh.phi_grid()))
 
 
 def _residual_vec(spec, mesh, t, rvec):
@@ -155,7 +155,7 @@ def jacobian_fd(spec: ProblemSpec, mesh: SphereMesh, t: float,
 
     Differences every column on its own with _fd_column (two residual
     evaluations per node, one-sided where a perturbation is inadmissible);
-    newton_solve uses jacobian_coloured, which agrees with it entry for entry.
+    newton_solve uses jacobian_sparse, which agrees with it to rounding.
     """
     rvec = r_field.flat()
     h = _fd_steps(rvec)
@@ -164,89 +164,43 @@ def jacobian_fd(spec: ProblemSpec, mesh: SphereMesh, t: float,
                             for j in range(rvec.size)])
 
 
-@dataclass(frozen=True)
-class _Sparsity:
-    """CSC sparsity pattern of the Jacobian and its column colouring."""
+def jacobian_sparse(spec: ProblemSpec, mesh: SphereMesh, t: float,
+                    r_field: ScalarField) -> csc_array:
+    """Sparse finite-difference Jacobian, each stored entry differenced on its own row.
 
-    indptr: np.ndarray
-    indices: np.ndarray        # row of each stored entry
-    entry_col: np.ndarray      # column of each stored entry
-    colour: np.ndarray         # colour group of each column
-    groups: list               # column indices of each colour group
-
-
-def _first_fit_colouring(conflict, order) -> np.ndarray:
-    """Greedy colouring: each column in `order` takes the smallest colour that
-    no column sharing a row with it (a stored entry of `conflict`) holds yet."""
-    colour = np.full(conflict.shape[0], -1)
-    for j in order:
-        taken = set(colour[conflict.indices[conflict.indptr[j]:conflict.indptr[j + 1]]].tolist())
-        colour[j] = next(c for c in range(len(taken) + 1) if c not in taken)
-    return colour
-
-
-@functools.cache
-def _sparsity(n_theta: int, n_phi: int) -> _Sparsity:
-    """The _Sparsity of a mesh shape (n_phi = 0: reduced), built on first use."""
-    mesh = build_mesh(n_theta, n_phi, reduced=not n_phi)
-    n = mesh.n_nodes
-    rows, cols = stencil_footprint(mesh)
-    pattern = csc_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    conflict = (pattern.T @ pattern).tocsc()
-    # first fit depends on the column order: keep the better of the natural
-    # order and one fixed shuffle
-    orders = (np.arange(n), np.random.RandomState(0).permutation(n))
-    colour = min((_first_fit_colouring(conflict, order) for order in orders), key=np.max)
-    return _Sparsity(pattern.indptr, pattern.indices,
-                     np.repeat(np.arange(n), np.diff(pattern.indptr)), colour,
-                     [np.flatnonzero(colour == c) for c in range(colour.max() + 1)])
-
-
-def jacobian_coloured(spec: ProblemSpec, mesh: SphereMesh, t: float,
-                      r_field: ScalarField) -> csc_array:
-    """Sparse finite-difference Jacobian by Curtis-Powell-Reid column colouring.
-
-    Columns of one colour touch disjoint rows of the stencil footprint, so
-    one central difference per colour group, with the per-column steps of
-    jacobian_fd, yields all their entries; the residual is local, so each
-    entry equals jacobian_fd's.  The 2G perturbed fields of the G groups
-    (every group's +h member, then every -h member) go through the residual
-    as stacks of at most FD_CHUNK_NODES node values, one pass per stack.  A
-    pass that raises one of INADMISSIBLE is redone member by member, and a
-    group with an inadmissible member is differenced column by column,
-    exactly as jacobian_fd does.  The pattern and colouring are built on
-    first use per mesh shape.
+    Column j's step h_j (jacobian_fd's) moves row i's 2-jet
+    q_i = (r, r_1, r_2, r_11, r_12, r_22) by h_j d_ij, d_ij the weights of
+    node j in row i's stencils (the entries of the mesh's jet_operators), so
+    J_ij = (F_i(q_i + h_j d_ij) - F_i(q_i - h_j d_ij)) / 2h_j with F the
+    pointwise kernel of residual: jacobian_fd's entry up to rounding.  The
+    entries go through F in blocks of whole columns, at most FD_CHUNK_NODES
+    values a block.  A block that raises one of INADMISSIBLE is redone
+    column by column with _fd_column, exactly as jacobian_fd does.
     """
-    sp = _sparsity(mesh.n_theta, mesh.n_phi)
-    rvec = r_field.flat()
-    n, n_groups = rvec.size, len(sp.groups)
+    ops = jet_operators(mesh)
+    indices, indptr = ops[0].indices, ops[0].indptr
+    weights = np.stack([op.data for op in ops])
+    rvec, n = r_field.flat(), mesh.n_nodes
     h = _fd_steps(rvec)
-    res = np.zeros((2 * n_groups, n))
-    admissible = np.ones(2 * n_groups, dtype=bool)
-    per_pass = max(1, FD_CHUNK_NODES // n)
-    for lo in range(0, 2 * n_groups, per_pass):
-        members = np.arange(lo, min(lo + per_pass, 2 * n_groups))
-        group, sign = members % n_groups, np.where(members < n_groups, 1.0, -1.0)
-        trials = rvec + np.where(sp.colour == group[:, None], sign[:, None] * h, 0.0)
-        try:
-            stack = ScalarField(mesh, trials.reshape(members.shape + mesh.shape))
-            res[members] = residual(spec, mesh, t, stack).values.reshape(members.size, n)
-        except INADMISSIBLE:
-            for q, g, s in zip(members, group, sign):
-                cols = sp.groups[g]
-                row = _shifted_residual(spec, mesh, t, rvec, cols, s * h[cols])
-                admissible[q] = row is not None
-                if admissible[q]:
-                    res[q] = row
-    entry_colour = sp.colour[sp.entry_col]
-    data = ((res[entry_colour, sp.indices] - res[entry_colour + n_groups, sp.indices])
-            / (2.0 * h[sp.entry_col]))
+    h_entry = np.repeat(h, np.diff(indptr))
+    jet = np.stack([rvec] + [d.ravel() for d in frame_derivatives(r_field)])
+    th, ph = mesh.theta_grid().ravel(), mesh.phi_grid().ravel()
     base = _base_residual(spec, mesh, t, rvec)
-    for g in np.flatnonzero(~(admissible[:n_groups] & admissible[n_groups:])):
-        for j in sp.groups[g]:
-            stored = slice(sp.indptr[j], sp.indptr[j + 1])
-            data[stored] = _fd_column(spec, mesh, t, rvec, j, h[j], base)[sp.indices[stored]]
-    return csc_array((data, sp.indices, sp.indptr), shape=(n, n))
+    data = np.empty(indices.size)
+    per_block = max(1, FD_CHUNK_NODES // (2 * int(np.diff(indptr).max())))
+    for lo in range(0, n, per_block):
+        cols = range(lo, min(lo + per_block, n))
+        stored = slice(indptr[cols.start], indptr[cols.stop])
+        rows, step = np.tile(indices[stored], 2), h_entry[stored] * weights[:, stored]
+        try:
+            geom = geometry_from_jet(spec.profile, *(jet[:, rows] + np.hstack([step, -step])))
+            vals = _pointwise_residual(spec, t, geom, th[rows], ph[rows]).reshape(2, -1)
+            data[stored] = (vals[0] - vals[1]) / (2.0 * h_entry[stored])
+        except INADMISSIBLE:
+            for j in cols:
+                column = slice(indptr[j], indptr[j + 1])
+                data[column] = _fd_column(spec, mesh, t, rvec, j, h[j], base)[indices[column]]
+    return csc_array((data, indices, indptr), shape=(n, n))
 
 
 def _guard_bounds(spec: ProblemSpec):
@@ -281,8 +235,8 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
     possibly at another t) is in hand, an iteration first tries the full
     chord step lu.solve(-res), and keeps it only if the trial is inside the
     guarded annulus, admissible, and cuts max|res| by CHORD_CONTRACTION.
-    Otherwise the trial and the factor are dropped: the coloured sparse
-    Jacobian (jacobian_coloured) is built at the current iterate and
+    Otherwise the trial and the factor are dropped: the sparse Jacobian
+    (jacobian_sparse) is built at the current iterate and
     factored by splu, and its Newton step is damped by a backtracking line
     search that halves the step until admissibility and residual decrease
     both hold.  A singular factorization or a non-finite fresh step raises
@@ -304,7 +258,7 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
                     and (trial_norm := float(np.abs(trial_res).max())) <= CHORD_CONTRACTION * norm):
                 rvec, res, norm = trial, trial_res, trial_norm
                 continue
-        jac = jacobian_coloured(spec, mesh, t, field_from_flat(mesh, rvec))
+        jac = jacobian_sparse(spec, mesh, t, field_from_flat(mesh, rvec))
         jacobians += 1
         try:
             lu = splu(jac)

@@ -208,6 +208,32 @@ def test_solve_missing_config():
     assert main(["--config", "/nonexistent/x.cfg", "solve"]) == 2
 
 
+@pytest.mark.parametrize("bad", ["config-is-directory", "config-not-utf8", "out-is-file",
+                                 "out-under-file"])
+def test_bad_paths_exit_2(tmp_path, capsys, bad):
+    """A config path that is a directory or not UTF-8 text, and an --out that
+    is a regular file or lies under one, are config errors: exit 2 with one
+    'config error:' line, nothing written, from solve and from sweep."""
+    cfg = write_cfg(tmp_path, CLOSED_FORM)
+    out = tmp_path / "o"
+    if bad == "config-is-directory":
+        cfg = str(tmp_path / "cfg_dir")
+        os.mkdir(cfg)
+    elif bad == "config-not-utf8":
+        (tmp_path / "case.cfg").write_bytes(b"# caf\xe9\n" + CLOSED_FORM.encode())
+    else:
+        (tmp_path / "taken").write_text("not a directory\n")
+        out = tmp_path / "taken" / ("sub" if bad == "out-under-file" else "")
+    before = sorted(os.walk(tmp_path))
+    for command in (["solve"], ["sweep", "--key", "phi.c", "--values", "1,2"]):
+        assert main(["--config", cfg, "--out", str(out)] + command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("config error:")
+    assert sorted(os.walk(tmp_path)) == before
+
+
 @pytest.mark.parametrize("cfg_text,which", [(VIOLATES_INNER, "inner_barrier"),
                                             (VIOLATES_OUTER, "outer_barrier")])
 def test_solve_assumption_failures_exit_3(tmp_path, capsys, cfg_text, which):
@@ -397,7 +423,7 @@ def test_building_a_problem_does_not_import_scipy_optimize():
 
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
-    assert "ok   jacobian-coloured-vs-dense" in capsys.readouterr().out
+    assert "ok   jacobian-sparse-vs-dense" in capsys.readouterr().out
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -11,7 +11,7 @@ from prescurv.mesh import (
     field_from_function,
     frame_derivatives,
     integrate,
-    stencil_footprint,
+    jet_operators,
 )
 
 
@@ -38,9 +38,9 @@ def test_field_validation():
     mesh = build_mesh(16, 4)
     with pytest.raises(ValueError):
         ScalarField(mesh, np.ones((16, 8)))
-    with pytest.raises(ValueError):  # a stack ends in the mesh shape
-        ScalarField(mesh, np.ones((16, 4, 3)))
-    assert ScalarField(mesh, np.ones((3, 16, 4))).values.shape == (3, 16, 4)
+    for shape in ((16, 4, 3), (3, 16, 4)):  # one field, no stacks
+        with pytest.raises(ValueError):
+            ScalarField(mesh, np.ones(shape))
     bad = np.ones((16, 4))
     bad[3, 1] = np.nan
     with pytest.raises(ValueError):
@@ -136,28 +136,25 @@ def test_stencils_and_footprint_follow_the_continuation_rule(shape):
                     row, col, _ = continued(mesh, i + di, j + dj)
                     pairs.add((i * width + j, row * width + col))
     want = np.array(sorted(pairs, key=lambda p: (p[1], p[0]))).T
-    rows, cols = stencil_footprint(mesh)
-    assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+    op = jet_operators(mesh)[0]  # the pattern the six jet operators share
+    cols = np.repeat(np.arange(mesh.n_nodes), np.diff(op.indptr))
+    assert np.array_equal(op.indices, want[0]) and np.array_equal(cols, want[1])
 
 
-@pytest.mark.parametrize("shape", [(16, 4), (20, 10), (16, None)])
-def test_stacked_stencils_match_single_fields_bit_for_bit(shape):
-    """A stack of fields (leading axis, mesh shape last) gives each member the
-    result of its own single-field call, to the bit."""
+@pytest.mark.parametrize("shape", [(16, 8), (16, 4), (20, 10), (16, None)])
+def test_jet_operators_match_frame_derivatives(shape):
+    """(I, D_1, D_2, D_11, D_12, D_22) r is (r, frame_derivatives(r)) to rounding,
+    and all six store the same entries."""
     mesh = build_mesh(shape[0], shape[1], reduced=shape[1] is None)
-    stack = 1.0 + 0.1 * np.random.default_rng(11).standard_normal((4,) + mesh.shape)
-    stencils = [lambda v, p=p: dtheta(mesh, v, p) for p in (1, -1)]
-    stencils += [lambda v, p=p: dtheta2(mesh, v, p) for p in (1, -1)]
-    stencils += [lambda v: dphi(mesh, v), lambda v: dphi2(mesh, v)]
-    for stencil in stencils:
-        stacked = stencil(stack)
-        assert stacked.shape == stack.shape
-        for member, vals in zip(stacked, stack):
-            assert np.array_equal(member, stencil(vals))
-    stacked = frame_derivatives(ScalarField(mesh, stack))
-    for k, vals in enumerate(stack):
-        for got, want in zip(stacked, frame_derivatives(ScalarField(mesh, vals))):
-            assert np.array_equal(got[k], want)
+    vals = 1.0 + 0.1 * np.random.default_rng(11).standard_normal(mesh.shape)
+    ops = jet_operators(mesh)
+    want = (vals,) + frame_derivatives(ScalarField(mesh, vals))
+    for op, component in zip(ops, want):
+        assert np.array_equal(op.indices, ops[0].indices)
+        assert np.array_equal(op.indptr, ops[0].indptr)
+        err = np.abs(op @ vals.ravel() - component.ravel()).max()
+        assert err <= 1e-13 * max(np.abs(component).max(), 1.0)
+    assert jet_operators(build_mesh(shape[0], shape[1], reduced=shape[1] is None)) is ops
 
 
 def smooth_test_errors(n_theta):

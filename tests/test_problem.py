@@ -147,16 +147,21 @@ def graph_geometry(fn):
     return compute_geometry(mesh, field_from_function(mesh, fn), EUCLID)
 
 
+def blend(spec, t, geom):
+    """blend_f_t at the nodes of geom's mesh."""
+    return blend_f_t(spec, t, geom, geom.mesh.theta_grid(), geom.mesh.phi_grid())
+
+
 def test_blend_endpoints():
     spec = closed_form_spec()
     geom = graph_geometry(lambda th, ph: 1.1 + 0.1 * np.cos(th) * np.sin(ph))
     mesh = geom.mesh
     f0 = phi_value(spec, geom.r) * threshold(EUCLID, geom.r)
-    assert np.array_equal(blend_f_t(spec, 0.0, geom), f0)
+    assert np.array_equal(blend(spec, 0.0, geom), f0)
     f1 = eval_f(spec.f, geom.r, mesh.theta_grid(), mesh.phi_grid(), geom.nu_r)
-    assert np.array_equal(blend_f_t(spec, 1.0, geom), f1)
+    assert np.array_equal(blend(spec, 1.0, geom), f1)
     at_rm = graph_geometry(lambda th, ph: np.full(th.shape, spec.phi_rm))
-    np.testing.assert_allclose(blend_f_t(spec, 0.0, at_rm),
+    np.testing.assert_allclose(blend(spec, 0.0, at_rm),
                                threshold(EUCLID, spec.phi_rm), rtol=1e-15)  # phi(rm) = 1
 
 
@@ -166,7 +171,7 @@ def test_blend_endpoints():
 def test_blend_affine_in_t(t, r):
     spec = closed_form_spec()
     geom = graph_geometry(lambda th, ph: r + 0.05 * np.cos(th) * np.cos(ph))
-    f0, f1, ft = (blend_f_t(spec, s, geom) for s in (0.0, 1.0, t))
+    f0, f1, ft = (blend(spec, s, geom) for s in (0.0, 1.0, t))
     np.testing.assert_allclose(ft, (1 - t) * f0 + t * f1, rtol=1e-13, atol=1e-13)
 
 

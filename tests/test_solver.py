@@ -20,7 +20,7 @@ from prescurv.mesh import (
     build_mesh,
     field_from_flat,
     field_from_function,
-    stencil_footprint,
+    jet_operators,
 )
 from prescurv.problem import (
     ProblemSpec,
@@ -34,8 +34,8 @@ from prescurv.problem import (
 from prescurv.solver import (
     SolverOptions,
     continuation_solve,
-    jacobian_coloured,
     jacobian_fd,
+    jacobian_sparse,
     newton_solve,
     residual,
     total_newton_iterations,
@@ -160,9 +160,14 @@ def test_newton_step_robust_to_fd_step_halving(monkeypatch):
     assert rel <= 1e-4
 
 
-# -- coloured sparse Jacobian against the dense oracle ------------------------------
+# -- sparse Jacobian against the dense oracle ----------------------------------------
 
 ANGULAR_F = "1/r^2 * exp(1.25 - r) * (1 + 0.03*sin(th)*cos(ph) - 0.02*sin(th)*sin(ph))"
+HYPERBOLIC = WarpProfile.hyperbolic((0.0, 10.0))
+CUSTOM = WarpProfile.custom((0.0, 1.0, 0.0, 1.0 / 6.0), (0.0, 5.0))
+
+# worst measured |jacobian_sparse - jacobian_fd| / max|J| over the cases below is 7.7e-11
+ORACLE_TOL = 5e-10
 
 
 def bumpy_field(mesh):
@@ -172,79 +177,46 @@ def bumpy_field(mesh):
                                + 0.01 * np.sin(th) ** 2 * np.sin(2 * ph))
 
 
+def manufactured_target(th, ph):
+    return 1.2 + 0.03 * np.cos(th) + 0.02 * np.sin(th) ** 2 * np.cos(2 * ph)
+
+
 ORACLE_CASES = {
     "euclidean-full": (EUCLID, ANGULAR_F, (16, 8)),
-    "custom-reduced": (WarpProfile.custom((0.0, 1.0, 0.0, 1.0 / 6.0), (0.0, 5.0)),
-                       "1/r^2 * exp(1.25 - r) * (1 + 0.03*cos(th))", (16, None)),
-    "hyperbolic-full": (WarpProfile.hyperbolic((0.0, 10.0)), ANGULAR_F, (16, 8)),
+    "custom-reduced": (CUSTOM, "1/r^2 * exp(1.25 - r) * (1 + 0.03*cos(th))", (16, None)),
+    "hyperbolic-full": (HYPERBOLIC, ANGULAR_F, (16, 8)),
+}
+
+# f manufactured from a callable target on the 3x finer mesh, or from its node values
+MANUFACTURED_CASES = {
+    "manufactured-hyperbolic-full": (HYPERBOLIC, "callable", (16, 8)),
+    "manufactured-custom-reduced": (CUSTOM, "nodes", (16, None)),
 }
 
 
 def oracle_case(case):
+    if case in MANUFACTURED_CASES:
+        profile, kind, (n_theta, n_phi) = MANUFACTURED_CASES[case]
+        mesh = build_mesh(n_theta, n_phi, reduced=n_phi is None)
+        target = (manufactured_target if kind == "callable"
+                  else field_from_function(mesh, manufactured_target))
+        base = closed_form_spec(profile=profile, f=parse_f("1"))
+        return closed_form_spec(profile=profile, f=manufacture_f(base, mesh, target)), mesh
     profile, f_text, (n_theta, n_phi) = ORACLE_CASES[case]
     spec = closed_form_spec(profile=profile, f=parse_f(f_text))
     return spec, build_mesh(n_theta, n_phi, reduced=n_phi is None)
 
 
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES) + sorted(MANUFACTURED_CASES))
 def test_coloured_jacobian_matches_dense_oracle(case):
+    """jacobian_sparse differences F on each row's jet, jacobian_fd the residual
+    of each perturbed field: the same differences, rounded differently."""
     spec, mesh = oracle_case(case)
     r = bumpy_field(mesh)
     dense = jacobian_fd(spec, mesh, 0.7, r)
-    coloured = jacobian_coloured(spec, mesh, 0.7, r)
-    assert coloured.shape == dense.shape
-    assert np.array_equal(coloured.toarray(), dense)
-
-
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_stacked_residual_matches_single_fields_bit_for_bit(case):
-    spec, mesh = oracle_case(case)
-    r = bumpy_field(mesh).flat()
-    stack = r * (1.0 + 1e-5 * np.random.default_rng(5).standard_normal((5, r.size)))
-    for t in (0.0, 0.7):
-        stacked = residual(spec, mesh, t, ScalarField(mesh, stack.reshape((5,) + mesh.shape)))
-        for member, rvec in zip(stacked.values, stack):
-            assert np.array_equal(member.ravel(), solver._residual_vec(spec, mesh, t, rvec))
-
-
-def test_stack_with_one_member_out_of_the_cone_raises():
-    spec = closed_form_spec(f=parse_f(ANGULAR_F))
-    mesh = build_mesh(16, 8)
-    good = bumpy_field(mesh).values
-    bad = field_from_function(mesh, lambda th, ph: 1 + 0.3 * np.cos(2 * th)).values
-    residual(spec, mesh, 0.7, ScalarField(mesh, np.stack([good, good])))
-    with pytest.raises(ConeViolation) as single:
-        residual(spec, mesh, 0.7, ScalarField(mesh, bad))
-    with pytest.raises(ConeViolation) as stacked:
-        residual(spec, mesh, 0.7, ScalarField(mesh, np.stack([good, bad, good])))
-    assert stacked.value.node == single.value.node  # a node of the mesh, not of the stack
-
-
-def test_coloured_jacobian_stacks_its_residual_passes(monkeypatch):
-    """All 2G colour-group perturbations go through ceil(2G n / FD_CHUNK_NODES)
-    stacked geometry passes, not one pass each."""
-    spec = closed_form_spec(f=parse_f(ANGULAR_F))
-    mesh = build_mesh(16, 8)
-    r = bumpy_field(mesh)
-    calls = []
-    monkeypatch.setattr(solver, "compute_geometry",
-                        lambda *args: calls.append(1) or compute_geometry(*args))
-    jacobian_coloured(spec, mesh, 0.7, r)
-    n_groups = len(solver._sparsity(mesh.n_theta, mesh.n_phi).groups)
-    assert 0 < len(calls) <= -(-2 * n_groups * mesh.n_nodes // solver.FD_CHUNK_NODES)
-
-
-@pytest.mark.parametrize("shape,most", [((16, 0), 5), ((16, 8), 40), ((32, 16), 57),
-                                        ((64, 32), 64), ((128, 64), 54)])
-def test_colouring_is_valid_and_no_larger_than_before(shape, most):
-    """Columns of one colour share no row of the stencil footprint, and the
-    greedy colouring needs no more groups than the earlier scipy colouring."""
-    sp = solver._sparsity(*shape)
-    mesh = build_mesh(shape[0], shape[1], reduced=not shape[1])
-    rows, cols = stencil_footprint(mesh)
-    assert len(sp.groups) <= most
-    per_row_colour = rows * len(sp.groups) + sp.colour[cols]
-    assert np.unique(per_row_colour).size == rows.size
+    sparse = jacobian_sparse(spec, mesh, 0.7, r)
+    assert sparse.shape == dense.shape
+    assert np.abs(sparse.toarray() - dense).max() <= ORACLE_TOL * np.abs(dense).max()
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES) + ["euclidean-cone-exit"])
@@ -283,41 +255,83 @@ def test_residual_forms_no_eigenvalues_or_capital_lambda(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(16, 8), (16, 4), (20, 10), (16, None)])
 def test_stencil_footprint_covers_dense_jacobian(shape):
+    """The shared pattern of the jet operators holds every nonzero of jacobian_fd."""
     mesh = build_mesh(shape[0], shape[1], reduced=shape[1] is None)
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
     dense = jacobian_fd(spec, mesh, 0.7, bumpy_field(mesh))
-    rows, cols = stencil_footprint(mesh)
-    outside = np.ones(dense.shape, dtype=bool)
-    outside[rows, cols] = False
-    assert not np.any(dense[outside])
+    op = jet_operators(mesh)[0]
+    stored = csc_array((np.ones(op.nnz), op.indices, op.indptr), shape=op.shape).toarray()
+    assert not np.any(dense[stored == 0])
+
+
+def force_cone_exit(monkeypatch, mesh, node, moved):
+    """Make the pointwise kernel raise ConeViolation at any point of `node`
+    whose r satisfies moved(r); the residual and jacobian_sparse both meet it."""
+    th, ph = mesh.theta_grid().ravel()[node], mesh.phi_grid().ravel()[node]
+    real = solver._pointwise_residual
+
+    def kernel(spec_, t_, geom, th_, ph_):
+        if np.any((th_ == th) & (ph_ == ph) & moved(geom.r)):
+            raise ConeViolation("forced cone exit", node=node)
+        return real(spec_, t_, geom, th_, ph_)
+
+    monkeypatch.setattr(solver, "_pointwise_residual", kernel)
 
 
 def test_coloured_group_falls_back_to_single_columns(monkeypatch):
-    """A colour-group perturbation that leaves the cone is redone column by
-    column: central where the column alone stays admissible, one-sided where
-    it does not (column 0 at +h below), exactly as the dense oracle does.
-    The forced exit is made in the residual itself, so it reaches the stacked
-    passes: a stack raises if any member moves node 0 the forbidden way."""
+    """A block of columns whose kernel pass leaves the cone is redone column by
+    column with _fd_column: its columns equal jacobian_fd's to the bit, one-sided
+    where the column alone is inadmissible (column 0 at +h below); the other
+    blocks still go through the kernel."""
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
     mesh = build_mesh(16, 8)
     r = bumpy_field(mesh)
     unpatched = jacobian_fd(spec, mesh, 0.7, r)
-    base = r.flat().copy()
-    real = solver.residual
-
-    def cone_exit_near_node_0(spec_, mesh_, t_, r_field):
-        for member in r_field.values.reshape(-1, mesh_.n_nodes):
-            moved = np.flatnonzero(member != base)
-            if 0 in moved and (moved.size > 1 or member[0] > base[0]):
-                raise ConeViolation("forced cone exit", node=0)
-        return real(spec_, mesh_, t_, r_field)
-
-    monkeypatch.setattr(solver, "residual", cone_exit_near_node_0)
+    op = jet_operators(mesh)[0]
+    per_block = 4
+    monkeypatch.setattr(solver, "FD_CHUNK_NODES", 2 * int(np.diff(op.indptr).max()) * per_block)
+    r0 = r.flat()[0]
+    force_cone_exit(monkeypatch, mesh, 0, lambda rs: rs > r0)
     dense = jacobian_fd(spec, mesh, 0.7, r)
-    coloured = jacobian_coloured(spec, mesh, 0.7, r).toarray()
-    assert np.array_equal(coloured, dense)
+    sparse = jacobian_sparse(spec, mesh, 0.7, r).toarray()
     assert not np.array_equal(dense[:, 0], unpatched[:, 0])  # column 0 went one-sided
     np.testing.assert_array_equal(dense[:, 1:], unpatched[:, 1:])
+    np.testing.assert_array_equal(sparse[:, :per_block], dense[:, :per_block])
+    rest = sparse[:, per_block:]
+    assert np.abs(rest - dense[:, per_block:]).max() <= ORACLE_TOL * np.abs(dense).max()
+    assert not np.array_equal(rest, dense[:, per_block:])
+
+
+def test_column_inadmissible_on_both_sides_raises(monkeypatch):
+    """A column whose +h and -h perturbations both leave the cone has no
+    difference: jacobian_sparse raises AdmissibilityError naming it."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    r = bumpy_field(mesh)
+    column = 37
+    r_j = r.flat()[column]
+    force_cone_exit(monkeypatch, mesh, column, lambda rs: rs != r_j)
+    residual(spec, mesh, 0.7, r)  # the unperturbed state is admissible
+    with pytest.raises(AdmissibilityError, match=f"Jacobian column {column}: both one-sided"):
+        jacobian_sparse(spec, mesh, 0.7, r)
+
+
+def test_jet_operators_are_built_with_the_first_jacobian_only(monkeypatch):
+    """A solve that starts at its root (the round closed-form case) builds no
+    Jacobian and no jet operators; the first Jacobian builds them for its mesh
+    shape, and later ones reuse them."""
+    from prescurv import mesh as mesh_module
+
+    spec = closed_form_spec()
+    mesh = build_mesh(24, 12)
+    built = _count_builds(monkeypatch)
+    misses = mesh_module._jet_operators.cache_info().misses
+    final, _ = continuation_solve(spec, mesh)
+    assert final.t == 1.0 and built == []
+    assert mesh_module._jet_operators.cache_info().misses == misses
+    for _ in range(2):
+        jacobian_sparse(spec, mesh, 0.5, bumpy_field(mesh))
+    assert mesh_module._jet_operators.cache_info().misses == misses + 1
 
 
 def singular_jacobian(spec, mesh, t, r_field):
@@ -325,7 +339,7 @@ def singular_jacobian(spec, mesh, t, r_field):
 
 
 def test_singular_jacobian_is_a_newton_failure(monkeypatch):
-    monkeypatch.setattr(solver, "jacobian_coloured", singular_jacobian)
+    monkeypatch.setattr(solver, "jacobian_sparse", singular_jacobian)
     spec = closed_form_spec()
     mesh = build_mesh(16, reduced=True)
     with pytest.raises(NewtonFailure, match="factorization"):
@@ -335,7 +349,7 @@ def test_singular_jacobian_is_a_newton_failure(monkeypatch):
 def test_cli_singular_jacobian_breaks_down_without_traceback(monkeypatch, tmp_path, capsys):
     """Every t-step fails to factor, so the continuation halves dt to
     underflow and the CLI exits 4 (continuation breakdown)."""
-    monkeypatch.setattr(solver, "jacobian_coloured", singular_jacobian)
+    monkeypatch.setattr(solver, "jacobian_sparse", singular_jacobian)
     cfg = tmp_path / "case.cfg"
     cfg.write_text("warp.kind = euclidean\nwarp.domain = 0,10\nmesh.n_theta = 16\n"
                    "mesh.reduced = true\nproblem.r1 = 0.5\nproblem.r2 = 2\nphi.rm = 1.25\n"
@@ -405,13 +419,13 @@ class _StaleFactor:
 def _count_builds(monkeypatch):
     """Record the iterate of every fresh Jacobian build."""
     built = []
-    real = solver.jacobian_coloured
+    real = solver.jacobian_sparse
 
     def counting(spec, mesh, t, r_field):
         built.append(r_field.flat().copy())
         return real(spec, mesh, t, r_field)
 
-    monkeypatch.setattr(solver, "jacobian_coloured", counting)
+    monkeypatch.setattr(solver, "jacobian_sparse", counting)
     return built
 
 

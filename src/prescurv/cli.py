@@ -22,6 +22,7 @@ from . import geometry as G
 from . import mesh as M
 from . import symm as SY
 from .config import (
+    CHECK_SAMPLES_MAX,
     build_monitor_params,
     build_problem,
     build_profile,
@@ -90,7 +91,8 @@ def _solve_inputs(cfg):
     A bad value raises its ConfigError here, before anything is written.
     """
     spec, mesh, opts = build_problem(cfg)
-    return spec, mesh, opts, build_monitor_params(cfg), _get_count(cfg, "check.samples")
+    return (spec, mesh, opts, build_monitor_params(cfg),
+            _get_count(cfg, "check.samples", CHECK_SAMPLES_MAX))
 
 
 def _run_solve(cfg, inputs, out_dir, force):
@@ -168,7 +170,7 @@ def cmd_solve(args) -> int:
 def cmd_check_assumptions(args) -> int:
     cfg = _load_config(args)
     spec, _, _ = build_problem(cfg)
-    rep = check_assumptions(spec, samples=_get_count(cfg, "check.samples"))
+    rep = check_assumptions(spec, samples=_get_count(cfg, "check.samples", CHECK_SAMPLES_MAX))
     print(margins_table(rep))
     return 0 if not rep.hard_failures else 3
 

@@ -51,6 +51,9 @@ KNOWN_KEYS = frozenset(DEFAULTS) | {
     "f.expr", "f.builtin", "f.manufactured", "f.rm", "f.alpha",
 }
 
+# check_assumptions evaluates f at check.samples^4 points: about 1M, 25 MB, at 32
+CHECK_SAMPLES_MAX = 32
+
 
 def check_key(key: str):
     """Raise ConfigError unless `key` is one of KNOWN_KEYS."""
@@ -132,10 +135,10 @@ def _keyed(section):
         raise ConfigError(str(exc), key=f"{section}.{str(exc).split()[0]}")
 
 
-def _get_count(cfg, key):
+def _get_count(cfg, key, most):
     value = _get_int(cfg, key)
-    if value < 1:
-        raise ConfigError(f"config key {key!r} must be >= 1, got {value}", key=key)
+    if not 1 <= value <= most:
+        raise ConfigError(f"config key {key!r} must be in [1, {most}], got {value}", key=key)
     return value
 
 

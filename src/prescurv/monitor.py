@@ -37,9 +37,7 @@ class MonitorRecord:
     kappa_max: float
     mu_min: float
     phi_test_max: float
-    phi_test_argmax: int
     p_test_max: float
-    p_test_argmax: int
     barrier_low_violated: bool
     barrier_high_violated: bool
 
@@ -79,9 +77,7 @@ def monitor(geom: GraphGeometry, spec: ProblemSpec, t: float,
         kappa_max=float(geom.kappa1.max()),
         mu_min=float(geom.mu1.min()),
         phi_test_max=float(phi_test.max()),
-        phi_test_argmax=int(np.argmax(phi_test)),
         p_test_max=float(p_test.max()),
-        p_test_argmax=int(np.argmax(p_test)),
         barrier_low_violated=bool(r.min() <= spec.r1),
         barrier_high_violated=bool(r.max() >= spec.r2),
     )

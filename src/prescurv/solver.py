@@ -4,15 +4,17 @@ The residual at each node is sigma_k/sigma_l of the Newton-tensor eigenvalues
 minus the homotopy value f^t: at n = 2 that is K - f^t, formed with no
 eigenvalues by a pointwise kernel over the node's 2-jet.  Newton's sparse
 central-difference Jacobian differences that kernel entry by entry (column
-j's step moves row i's jet by node j's stencil weights there), falling back
-to the dense oracle's column differences, jacobian_fd, where a perturbation
-is inadmissible.  Newton factors J with sparse LU and keeps the factor: while
-a factor is in hand, each iteration first tries the full chord step on it,
-kept only if it stays admissible, stays inside the guarded annulus and cuts
-max|res| by CHORD_CONTRACTION.  When the chord step misses, the Jacobian is
-rebuilt and refactored at the current iterate, and a backtracking line
-search accepts a step only if the iterate stays admissible, stays inside the
-guarded annulus, and decreases the residual.
+j's step moves row i's jet by node j's stencil weights there) in blocks of
+whole columns; a block that meets an inadmissible point is redone column by
+column through the same kernel, one-sided away from that point.  The dense
+oracle jacobian_fd serves the tests and selftest only.  Newton factors J with
+sparse LU and keeps the factor: while a factor is in hand, each iteration
+first tries the full chord step on it, kept only if it stays admissible,
+stays inside the guarded annulus and cuts max|res| by CHORD_CONTRACTION.
+When the chord step misses, the Jacobian is rebuilt and refactored at the
+current iterate, and a backtracking line search accepts a step only if the
+iterate stays admissible, stays inside the guarded annulus, and decreases
+the residual.
 Continuation marches t from the round solution at t = 0 to t = 1, hands the
 last factor from one t-step to the next, starts each t-step from a secant
 prediction through the last two accepted states, and halves the step on
@@ -21,7 +23,6 @@ failure and doubles it after consecutive easy solves.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,8 @@ MAX_HALVINGS = 20      # line-search backtracking steps before NewtonFailure
 CHORD_CONTRACTION = 0.1  # a step on a reused LU must cut max|res| by this factor
 
 # A trial point raising one of these is inadmissible: the line search steps
-# back from it, a chord step is dropped, the FD Jacobian differences
-# one-sided away from it, and a predicted t-step guess halves dt.
+# back from it, a chord step is dropped, jacobian_sparse differences the
+# column one-sided away from it, and a predicted t-step guess halves dt.
 INADMISSIBLE = (ConeViolation, DomainViolation, ProfileViolation, FEvalError)
 
 
@@ -117,51 +118,45 @@ def _fd_steps(rvec) -> np.ndarray:
     return FD_SCALE * (1.0 + np.abs(rvec))
 
 
-def _shifted_residual(spec, mesh, t, rvec, cols, h):
-    """Residual with rvec[cols] moved by h, or None where that point is inadmissible."""
-    trial = rvec.copy()
-    trial[cols] += h
-    try:
-        return _residual_vec(spec, mesh, t, trial)
-    except INADMISSIBLE:
-        return None
+def _kernel(spec, t, jet, th, ph) -> np.ndarray:
+    """F at points with 2-jets jet (the rows of a 6 x m array) and angles (th, ph)."""
+    return _pointwise_residual(spec, t, geometry_from_jet(spec.profile, *jet), th, ph)
 
 
-def _fd_column(spec, mesh, t, rvec, j, h, base):
-    """Column j of the FD Jacobian, differenced on its own.
+def _kernel_column(spec, t, jet, th, ph, j, h, step):
+    """Column j's entries on its rows, at jets jet +- step (step = h d_ij) and angles (th, ph).
 
-    Central; one-sided (against `base()`, the unperturbed residual) when one
-    perturbation leaves the admissible set; AdmissibilityError when both do.
+    Central; one-sided against the unperturbed kernel value where one
+    perturbation is inadmissible; AdmissibilityError where both are.
     """
-    plus = _shifted_residual(spec, mesh, t, rvec, j, h)
-    minus = _shifted_residual(spec, mesh, t, rvec, j, -h)
+    def shifted(sign):
+        try:
+            return _kernel(spec, t, jet + sign * step, th, ph)
+        except INADMISSIBLE:
+            return None
+
+    plus, minus = shifted(1.0), shifted(-1.0)
     if plus is not None and minus is not None:
         return (plus - minus) / (2.0 * h)
     if plus is not None:
-        return (plus - base()) / h
+        return (plus - _kernel(spec, t, jet, th, ph)) / h
     if minus is not None:
-        return (base() - minus) / h
+        return (_kernel(spec, t, jet, th, ph) - minus) / h
     raise AdmissibilityError(f"Jacobian column {j}: both one-sided perturbations inadmissible")
-
-
-def _base_residual(spec, mesh, t, rvec):
-    """The unperturbed residual, evaluated on first use only."""
-    return functools.cache(lambda: _residual_vec(spec, mesh, t, rvec))
 
 
 def jacobian_fd(spec: ProblemSpec, mesh: SphereMesh, t: float,
                 r_field: ScalarField) -> np.ndarray:
-    """Dense finite-difference Jacobian of the nodal residual: the test oracle.
+    """Dense central-difference Jacobian of the nodal residual: the test oracle.
 
-    Differences every column on its own with _fd_column (two residual
-    evaluations per node, one-sided where a perturbation is inadmissible);
-    newton_solve uses jacobian_sparse, which agrees with it to rounding.
+    Column j is (R(r + h_j e_j) - R(r - h_j e_j)) / 2h_j, two residuals of
+    the perturbed field; an inadmissible perturbation raises.  newton_solve
+    uses jacobian_sparse, which agrees with it to rounding.
     """
     rvec = r_field.flat()
-    h = _fd_steps(rvec)
-    base = _base_residual(spec, mesh, t, rvec)
-    return np.column_stack([_fd_column(spec, mesh, t, rvec, j, h[j], base)
-                            for j in range(rvec.size)])
+    return np.column_stack([(_residual_vec(spec, mesh, t, rvec + step)
+                             - _residual_vec(spec, mesh, t, rvec - step)) / (2.0 * step[j])
+                            for j, step in enumerate(np.diag(_fd_steps(rvec)))])
 
 
 def jacobian_sparse(spec: ProblemSpec, mesh: SphereMesh, t: float,
@@ -174,8 +169,10 @@ def jacobian_sparse(spec: ProblemSpec, mesh: SphereMesh, t: float,
     J_ij = (F_i(q_i + h_j d_ij) - F_i(q_i - h_j d_ij)) / 2h_j with F the
     pointwise kernel of residual: jacobian_fd's entry up to rounding.  The
     entries go through F in blocks of whole columns, at most FD_CHUNK_NODES
-    values a block.  A block that raises one of INADMISSIBLE is redone
-    column by column with _fd_column, exactly as jacobian_fd does.
+    values a block.  A block that raises one of INADMISSIBLE is redone one
+    column at a time through F on the column's rows: one-sided against
+    F_i(q_i) where only one side is admissible, AdmissibilityError where
+    neither is.  No residual of a whole field is evaluated.
     """
     ops = jet_operators(mesh)
     indices, indptr = ops[0].indices, ops[0].indptr
@@ -185,7 +182,6 @@ def jacobian_sparse(spec: ProblemSpec, mesh: SphereMesh, t: float,
     h_entry = np.repeat(h, np.diff(indptr))
     jet = np.stack([rvec] + [d.ravel() for d in frame_derivatives(r_field)])
     th, ph = mesh.theta_grid().ravel(), mesh.phi_grid().ravel()
-    base = _base_residual(spec, mesh, t, rvec)
     data = np.empty(indices.size)
     per_block = max(1, FD_CHUNK_NODES // (2 * int(np.diff(indptr).max())))
     for lo in range(0, n, per_block):
@@ -193,13 +189,15 @@ def jacobian_sparse(spec: ProblemSpec, mesh: SphereMesh, t: float,
         stored = slice(indptr[cols.start], indptr[cols.stop])
         rows, step = np.tile(indices[stored], 2), h_entry[stored] * weights[:, stored]
         try:
-            geom = geometry_from_jet(spec.profile, *(jet[:, rows] + np.hstack([step, -step])))
-            vals = _pointwise_residual(spec, t, geom, th[rows], ph[rows]).reshape(2, -1)
+            vals = _kernel(spec, t, jet[:, rows] + np.hstack([step, -step]),
+                           th[rows], ph[rows]).reshape(2, -1)
             data[stored] = (vals[0] - vals[1]) / (2.0 * h_entry[stored])
         except INADMISSIBLE:
             for j in cols:
                 column = slice(indptr[j], indptr[j + 1])
-                data[column] = _fd_column(spec, mesh, t, rvec, j, h[j], base)[indices[column]]
+                rows = indices[column]
+                data[column] = _kernel_column(spec, t, jet[:, rows], th[rows], ph[rows],
+                                              j, h[j], h[j] * weights[:, column])
     return csc_array((data, indices, indptr), shape=(n, n))
 
 

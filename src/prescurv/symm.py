@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import ConeViolation, DegeneratePair
 
-# FD steps: first derivatives scale with 1e-6, second with 1e-4 (truncation
-# vs roundoff balance at double precision).
-GRAD_STEP = 1e-6
+# FD step of the second-derivative probes, scaled by 1 + max|mu_i|
+# (truncation vs roundoff balance at double precision).
 HESS_STEP = 1e-4
 TIE_TOL = 1e-8
 

@@ -157,6 +157,8 @@ def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
     (lambda tmp: CLOSED_FORM.replace("warp.domain = 0,10", "warp.domain = 3,1"), "warp.domain"),
     (lambda tmp: CLOSED_FORM + "check.samples = 0\n", "check.samples"),
     (lambda tmp: CLOSED_FORM + "check.samples = -3\n", "check.samples"),
+    (lambda tmp: CLOSED_FORM + "check.samples = 33\n", "check.samples"),
+    (lambda tmp: CLOSED_FORM + "check.samples = 100000\n", "check.samples"),
     (lambda tmp: CLOSED_FORM.replace("phi.c = 1.0", "phi.c = inf"), "phi.c"),
     (lambda tmp: CLOSED_FORM.replace("f.expr = 1/r^2 * exp(1.25 - r)", "f.builtin = "
                                      "round_exponential\nf.rm = nan\nf.alpha = 1"), "f.rm"),
@@ -167,19 +169,24 @@ def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
         "target-leaves-cone", "target-phi-column-wrong", "l-above-k-minus-2",
         "t-step-inf",
         "t-step-nan", "newton-tol-nan", "max-newton-zero", "n-phi-odd", "coeffs-not-numeric",
-        "coeffs-nan", "domain-reversed", "samples-zero", "samples-negative", "phi-c-inf",
+        "coeffs-nan", "domain-reversed", "samples-zero", "samples-negative", "samples-above-bound",
+        "samples-huge", "phi-c-inf",
         "builtin-rm-nan", "unknown-key-typo", "unknown-key-fd-scale"])
 def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
     cfg = write_cfg(tmp_path, make_cfg(tmp_path))
-    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == 2
-    err = capsys.readouterr().err
-    assert f"(key: {key})" in err
-    assert "Traceback" not in err
+    out = str(tmp_path / "o")
+    assert main(["--config", cfg, "--out", out, "solve"]) == 2
+    captured = capsys.readouterr()
+    assert f"(key: {key})" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not os.path.exists(out)  # rejected before anything is written
 
 
 @pytest.mark.parametrize("command,line,key", [
     (["check-assumptions"], "check.samples = 0", "check.samples"),
     (["check-assumptions"], "check.samples = -3", "check.samples"),
+    (["check-assumptions"], "check.samples = 33", "check.samples"),
+    (["check-assumptions"], "check.samples = 100000", "check.samples"),
     (["verify-geometry"], "verify.n_theta = 4", "verify.n_theta"),
     (["verify-geometry"], "warp.kind = custom\nwarp.coeffs = 0,1", "warp.kind"),
     (["verify-geometry"], "verify.r_expr = 1 + log(th - 1)", "verify.r_expr"),
@@ -189,10 +196,12 @@ def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
     (["verify-geometry"], "verify.r_expr = 0", "verify.r_expr"),
     (["sweep", "--key", "solver.newton_tl", "--values", "1e-9,1e-11"], "", "solver.newton_tl"),
     (["sweep", "--key", "phi.c", "--values", "1,-1"], "", "phi.c"),
-], ids=["check-samples-zero", "check-samples-negative", "verify-n-theta-small",
+    (["sweep", "--key", "check.samples", "--values", "12,100000"], "", "check.samples"),
+], ids=["check-samples-zero", "check-samples-negative", "check-samples-above-bound",
+        "check-samples-huge", "verify-n-theta-small",
         "verify-custom-warp", "verify-r-expr-non-finite", "verify-r-expr-unparsed",
         "verify-r-expr-reads-r", "verify-r-expr-outside-domain", "verify-r-expr-lambda-zero",
-        "sweep-key-typo", "sweep-later-value-invalid"])
+        "sweep-key-typo", "sweep-later-value-invalid", "sweep-check-samples-huge"])
 def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
     cfg = write_cfg(tmp_path, CLOSED_FORM + line + "\n")
     out = str(tmp_path / "o")

@@ -73,18 +73,15 @@ def test_monitor_barrier_flags():
     assert not rec.barrier_ok
 
 
-def test_p_test_argmax_agreement():
+def test_p_test_max_is_log_kappa_over_tau():
+    """With A = 0 and a = 0 the curvature test function is P = ln(kappa_max / tau)."""
     spec = closed_form_spec()
     mesh = build_mesh(128, reduced=True)
-    # round graph: all nodes tie, both argmaxes resolve to the first node
-    geom = compute_geometry(mesh, ScalarField(mesh, np.full(128, 1.25)), EUCLID)
-    rec = monitor(geom, spec, 1.0, big_a=0.0, a_value=0.0)
-    assert rec.p_test_argmax == int(np.argmax(geom.kappa1)) == 0
-    # generic graph: with A = 0 and a -> 0, P = ln(kappa_max/tau), so the
-    # maximizer agrees with that of kappa_max/tau (log-monotonicity)
-    geom = compute_geometry(mesh, ScalarField(mesh, 1 + 0.1 * np.cos(3 * mesh.theta)), EUCLID)
-    rec = monitor(geom, spec, 1.0, big_a=0.0, a_value=0.0)
-    assert rec.p_test_argmax == int(np.argmax(geom.kappa1 / geom.tau))
+    for r in (np.full(128, 1.25), 1 + 0.1 * np.cos(3 * mesh.theta)):
+        geom = compute_geometry(mesh, ScalarField(mesh, r), EUCLID)
+        rec = monitor(geom, spec, 1.0, big_a=0.0, a_value=0.0)
+        want = float(np.max(np.log(geom.kappa1 / geom.tau)))
+        assert rec.p_test_max == pytest.approx(want, rel=1e-12)
 
 
 def test_refinement_stability_round_case():

@@ -278,28 +278,40 @@ def force_cone_exit(monkeypatch, mesh, node, moved):
     monkeypatch.setattr(solver, "_pointwise_residual", kernel)
 
 
-def test_coloured_group_falls_back_to_single_columns(monkeypatch):
-    """A block of columns whose kernel pass leaves the cone is redone column by
-    column with _fd_column: its columns equal jacobian_fd's to the bit, one-sided
-    where the column alone is inadmissible (column 0 at +h below); the other
-    blocks still go through the kernel."""
+def test_inadmissible_block_is_redone_column_by_column_through_the_kernel(monkeypatch):
+    """A block of columns whose kernel pass leaves the cone is redone one column
+    at a time through the pointwise kernel on the column's rows: column 0,
+    inadmissible at +h, is the one-sided (R(r) - R(r - h_0 e_0)) / h_0, every
+    other column matches the dense oracle, and no residual or geometry of a
+    whole field is evaluated during the build."""
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
     mesh = build_mesh(16, 8)
     r = bumpy_field(mesh)
-    unpatched = jacobian_fd(spec, mesh, 0.7, r)
+    dense = jacobian_fd(spec, mesh, 0.7, r)
     op = jet_operators(mesh)[0]
     per_block = 4
     monkeypatch.setattr(solver, "FD_CHUNK_NODES", 2 * int(np.diff(op.indptr).max()) * per_block)
-    r0 = r.flat()[0]
-    force_cone_exit(monkeypatch, mesh, 0, lambda rs: rs > r0)
-    dense = jacobian_fd(spec, mesh, 0.7, r)
+    rvec = r.flat()
+    force_cone_exit(monkeypatch, mesh, 0, lambda rs: rs > rvec[0])
+    step = np.zeros(rvec.size)
+    step[0] = solver._fd_steps(rvec)[0]
+    with pytest.raises(ConeViolation):
+        residual(spec, mesh, 0.7, field_from_flat(mesh, rvec + step))
+    one_sided = (residual(spec, mesh, 0.7, r).flat()
+                 - residual(spec, mesh, 0.7, field_from_flat(mesh, rvec - step)).flat()) / step[0]
+    calls = []
+    for name in ("residual", "compute_geometry"):
+        def counting(*args, real=getattr(solver, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(solver, name, counting)
     sparse = jacobian_sparse(spec, mesh, 0.7, r).toarray()
-    assert not np.array_equal(dense[:, 0], unpatched[:, 0])  # column 0 went one-sided
-    np.testing.assert_array_equal(dense[:, 1:], unpatched[:, 1:])
-    np.testing.assert_array_equal(sparse[:, :per_block], dense[:, :per_block])
-    rest = sparse[:, per_block:]
-    assert np.abs(rest - dense[:, per_block:]).max() <= ORACLE_TOL * np.abs(dense).max()
-    assert not np.array_equal(rest, dense[:, per_block:])
+    assert calls == []
+    tol = ORACLE_TOL * np.abs(dense).max()
+    assert np.abs(sparse[:, 0] - one_sided).max() <= tol
+    assert np.abs(sparse[:, 0] - dense[:, 0]).max() > tol  # column 0 went one-sided
+    assert np.abs(sparse[:, 1:] - dense[:, 1:]).max() <= tol
 
 
 def test_column_inadmissible_on_both_sides_raises(monkeypatch):

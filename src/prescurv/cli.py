@@ -131,9 +131,12 @@ def _run_solve(cfg, inputs, out_dir, force):
     report.timings[phase] = time.perf_counter() - t_phase
 
     t_mon = time.perf_counter()
+    # final is history[-1]: its geometry serves both its monitor row and geometry.csv
+    final_geom = None if final is None else G.compute_geometry(mesh, final.r_field, spec.profile)
     report.states = list(history)
     report.monitors = [
-        monitor_state(st, spec, mesh, params.alpha, params.big_a, params.gamma_arg)
+        monitor_state(st, spec, mesh, params.alpha, params.big_a, params.gamma_arg,
+                      geom=final_geom if st is final else None)
         for st in history
     ]
     report.timings["monitor"] = time.perf_counter() - t_mon
@@ -142,7 +145,7 @@ def _run_solve(cfg, inputs, out_dir, force):
         sol_path = os.path.join(out_dir, "solution.csv")
         geo_path = os.path.join(out_dir, "geometry.csv")
         write_field_csv(sol_path, final.r_field)
-        write_geometry_csv(geo_path, G.compute_geometry(mesh, final.r_field, spec.profile))
+        write_geometry_csv(geo_path, final_geom)
         report.files["solution_csv"] = sol_path
         report.files["geometry_csv"] = geo_path
     mon_path = os.path.join(out_dir, "monitor.csv")

@@ -84,9 +84,12 @@ def monitor(geom: GraphGeometry, spec: ProblemSpec, t: float,
 
 
 def monitor_state(state, spec: ProblemSpec, mesh, alpha=1.0, big_a=1.0,
-                  gamma_arg: str = "capital_lambda") -> MonitorRecord:
-    """Recompute the geometry of a continuation state and monitor it."""
-    geom = compute_geometry(mesh, state.r_field, spec.profile)
+                  gamma_arg: str = "capital_lambda",
+                  geom: GraphGeometry = None) -> MonitorRecord:
+    """Monitor a continuation state; its geometry is recomputed unless geom, the
+    geometry of state.r_field on mesh, is given."""
+    if geom is None:
+        geom = compute_geometry(mesh, state.r_field, spec.profile)
     return monitor(geom, spec, state.t, alpha=alpha, big_a=big_a, gamma_arg=gamma_arg)
 
 

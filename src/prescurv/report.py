@@ -1,10 +1,14 @@
 """Run report and CSV writers.
 
 One structured-text report per run (flat key=value lines plus fixed-order
-rows) and CSV files for fields, geometry, and monitor records, all three
-written by one row writer.  A report's status (converged, assumption-fail,
-breakdown or error) alone sets the run's exit code.  Float formatting uses
-shortest round-trip repr, so identical runs produce bit-identical files.
+rows) and three CSV files.  The node CSVs (solution and geometry, one row
+per mesh node) are streamed: each distinct colatitude and azimuth is
+formatted once, and the value columns are formatted column by column, a
+bounded block of rings at a time.  The monitor CSV is one block of its few
+rows.  Both go through one block writer.  A report's status (converged,
+assumption-fail, breakdown or error) alone sets the run's exit code.  Float
+formatting uses shortest round-trip repr, so identical runs produce
+bit-identical files.
 """
 
 from __future__ import annotations
@@ -23,30 +27,56 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: str, columns: dict):
-    """Write a header of the column names, then one row per entry of the columns."""
-    rows = np.column_stack(list(columns.values())).tolist()
+CSV_CHUNK_ROWS = 1024     # rows formatted and written at a time
+
+
+def _cells(column):
+    """A column's cells as shortest round-trip reprs of Python floats."""
+    return map(repr, np.asarray(column, dtype=float).ravel().tolist())
+
+
+def _write_csv(path: str, header, chunks):
+    """Write the header line, then each chunk (a list of cell columns) as its rows."""
     with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        fh.write(",".join(header) + "\n")
+        for chunk in chunks:
+            fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
+
+
+def _write_node_csv(path: str, mesh, names, columns):
+    """theta, phi, then the named node columns; node (i, j) is row i * n_phi + j.
+
+    Each distinct colatitude and azimuth is formatted once; the value columns
+    are formatted a block of whole rings (about CSV_CHUNK_ROWS rows) at a time.
+    """
+    per_ring = 1 if mesh.reduced else mesh.n_phi
+    theta = list(_cells(mesh.theta))
+    phi = list(_cells(np.reshape(mesh.phi_grid(), (mesh.n_theta, per_ring))[0]))
+    columns = [np.reshape(c, (mesh.n_theta, per_ring)) for c in columns]
+    step = max(1, CSV_CHUNK_ROWS // per_ring)
+
+    def chunks():
+        for a in range(0, mesh.n_theta, step):
+            rings = theta[a:a + step]
+            yield ([s for s in rings for _ in range(per_ring)], phi * len(rings),
+                   *(_cells(c[a:a + step]) for c in columns))
+
+    _write_csv(path, ("theta", "phi", *names), chunks())
 
 
 def write_field_csv(path: str, field_obj: ScalarField):
-    mesh = field_obj.mesh
-    _write_csv(path, {"theta": mesh.theta_grid().ravel(), "phi": mesh.phi_grid().ravel(),
-                      "value": field_obj.values.ravel()})
+    _write_node_csv(path, field_obj.mesh, ("value",), [field_obj.values])
 
 
 def write_geometry_csv(path: str, geom: GraphGeometry):
     cols = ("r", "v", "H", "kappa1", "kappa2", "mu1", "mu2", "tau")
-    _write_csv(path, {"theta": geom.mesh.theta_grid().ravel(),
-                      "phi": geom.mesh.phi_grid().ravel(),
-                      **{c: getattr(geom, c).ravel() for c in cols}})
+    _write_node_csv(path, geom.mesh, cols, [getattr(geom, c) for c in cols])
 
 
 def write_monitor_csv(path: str, records):
     cols = ("t", "r_min", "r_max", "tau_min", "grad_max", "kappa_max")
-    _write_csv(path, {c: [getattr(rec, c) for rec in records] for c in cols})
+    chunk = [_cells([getattr(rec, c) for rec in records]) for c in cols]
+    _write_csv(path, cols, [chunk] if records else [])
 
 
 @dataclass

@@ -415,7 +415,7 @@ def test_example_configs_run(tmp_path, command, name, code):
 
 
 def test_building_a_problem_does_not_import_scipy_optimize():
-    """scipy.optimize serves only the Jacobian colouring: the CLI's imports and
+    """The package never loads scipy.optimize: the CLI's imports and
     build_problem leave it unloaded."""
     cfg = os.path.join(CONFIGS, "closed_form.cfg")
     code = ("import sys\n"

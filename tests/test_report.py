@@ -1,0 +1,160 @@
+"""The CSV writers against the row-by-row format they replaced, byte for byte,
+and the single geometry of a solve's final state."""
+
+import contextlib
+import importlib
+import io
+import os
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from prescurv import cli, geometry, report
+from prescurv.config import build_problem, parse_config
+from prescurv.errors import ContinuationBreakdown
+from prescurv.mesh import ScalarField, build_mesh
+from prescurv.warp import WarpProfile
+
+monitor = importlib.import_module("prescurv.monitor")  # the package exports a function of that name
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+GEOMETRY_COLS = ("r", "v", "H", "kappa1", "kappa2", "mu1", "mu2", "tau")
+MONITOR_COLS = ("t", "r_min", "r_max", "tau_min", "grad_max", "kappa_max")
+# shortest repr: signed zero, exponent forms, the smallest subnormal, inexact sums
+STRESS = (-0.0, 1e-05, 1e16, 5e-324, 0.1 + 0.2, 1 / 3, 0.0, -1.5, 1.25, 2.0 ** -1074 * 3)
+
+
+def rowwise_csv(columns: dict) -> bytes:
+    """The row writer the streaming writers replaced: one repr per cell, row by row."""
+    rows = np.column_stack(list(columns.values())).tolist()
+    lines = [",".join(columns) + "\n"] + [",".join(map(repr, row)) + "\n" for row in rows]
+    return "".join(lines).encode()
+
+
+def node_columns(mesh, names, arrays):
+    return {"theta": mesh.theta_grid().ravel(), "phi": mesh.phi_grid().ravel(),
+            **{n: np.ravel(a) for n, a in zip(names, arrays)}}
+
+
+def stress_values(mesh, shift):
+    """Node values cycling through STRESS, offset so each column differs."""
+    return np.resize(np.roll(STRESS, shift), mesh.n_nodes).reshape(mesh.shape)
+
+
+MESHES = {"full-24x12": (24, 12, False), "reduced-20": (20, None, True)}
+
+
+@pytest.fixture(params=[1, 7, 60, report.CSV_CHUNK_ROWS],
+                ids=["chunk-1", "chunk-7", "chunk-60", "chunk-default"])
+def chunk_rows(request, monkeypatch):
+    """Chunks of one row, of 7 rows (less than a 12-node ring; 20 reduced rings
+    leave a partial last chunk), of five 12-node rings (24 rings leave a partial
+    last chunk), and the module default (one chunk)."""
+    monkeypatch.setattr(report, "CSV_CHUNK_ROWS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("mesh_key", list(MESHES))
+@pytest.mark.parametrize("values", ["stress", "random"])
+def test_field_csv_matches_rowwise_bytes(tmp_path, chunk_rows, mesh_key, values):
+    n_theta, n_phi, reduced = MESHES[mesh_key]
+    mesh = build_mesh(n_theta, n_phi, reduced=reduced)
+    vals = (stress_values(mesh, 0) if values == "stress"
+            else np.random.default_rng(3).standard_normal(mesh.shape))
+    path = tmp_path / "solution.csv"
+    report.write_field_csv(str(path), ScalarField(mesh, vals))
+    assert path.read_bytes() == rowwise_csv(node_columns(mesh, ("value",), [vals]))
+
+
+@pytest.mark.parametrize("mesh_key", list(MESHES))
+def test_geometry_csv_matches_rowwise_bytes(tmp_path, chunk_rows, mesh_key):
+    n_theta, n_phi, reduced = MESHES[mesh_key]
+    mesh = build_mesh(n_theta, n_phi, reduced=reduced)
+    # the writer reads only mesh and the named columns
+    stand_in = SimpleNamespace(mesh=mesh, **{c: stress_values(mesh, k)
+                                             for k, c in enumerate(GEOMETRY_COLS)})
+    path = tmp_path / "geometry.csv"
+    report.write_geometry_csv(str(path), stand_in)
+    arrays = [getattr(stand_in, c) for c in GEOMETRY_COLS]
+    assert path.read_bytes() == rowwise_csv(node_columns(mesh, GEOMETRY_COLS, arrays))
+
+    theta, phi = mesh.theta_grid(), mesh.phi_grid()
+    r = 1.1 + 0.05 * np.cos(theta) ** 2 + 0.02 * np.sin(theta) ** 2 * np.cos(2 * phi)
+    geom = geometry.compute_geometry(mesh, ScalarField(mesh, r), WarpProfile.euclidean())
+    report.write_geometry_csv(str(path), geom)
+    arrays = [getattr(geom, c) for c in GEOMETRY_COLS]
+    assert path.read_bytes() == rowwise_csv(node_columns(mesh, GEOMETRY_COLS, arrays))
+
+
+@pytest.mark.parametrize("n_records", [0, 1, 11])
+def test_monitor_csv_matches_rowwise_bytes(tmp_path, n_records):
+    records = [SimpleNamespace(**{c: STRESS[(i + k) % len(STRESS)]
+                                  for k, c in enumerate(MONITOR_COLS)})
+               for i in range(n_records)]
+    path = tmp_path / "monitor.csv"
+    report.write_monitor_csv(str(path), records)
+    expected = rowwise_csv({c: [getattr(rec, c) for rec in records] for c in MONITOR_COLS})
+    assert path.read_bytes() == expected
+    if not records:
+        assert expected == (",".join(MONITOR_COLS) + "\n").encode()
+
+
+def solve_counting_final_geometry(monkeypatch, argv):
+    """Run `prescurv solve`; return (exit code, final state, calls of compute_geometry
+    after the continuation returned, of them the calls on the final state's field)."""
+    seen = {"final": None, "after": []}
+    real_solve, real_geometry = cli.continuation_solve, geometry.compute_geometry
+
+    def solve(*args, **kwargs):
+        try:
+            final, history = real_solve(*args, **kwargs)
+        except ContinuationBreakdown as exc:
+            seen["final"] = exc.last_good
+            raise
+        seen["final"] = final
+        return final, history
+
+    def counted(mesh, r_field, profile):
+        if seen["final"] is not None:
+            seen["after"].append(r_field)
+        return real_geometry(mesh, r_field, profile)
+
+    monkeypatch.setattr(cli, "continuation_solve", solve)
+    monkeypatch.setattr(geometry, "compute_geometry", counted)
+    monkeypatch.setattr(monitor, "compute_geometry", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    final = seen["final"]
+    return code, final, seen["after"], sum(f is final.r_field for f in seen["after"])
+
+
+def test_converged_solve_forms_the_final_geometry_once(tmp_path, monkeypatch):
+    cfg = os.path.join(CONFIGS, "perturbed_axisym.cfg")
+    out = tmp_path / "out"
+    code, final, after, on_final = solve_counting_final_geometry(
+        monkeypatch, ["--config", cfg, "--out", str(out), "solve"])
+    assert code == 0 and final.t == 1.0
+    assert on_final == 1
+    n_rows = len((out / "monitor.csv").read_text().splitlines()) - 1
+    assert len(after) == n_rows  # one geometry per monitored state, none besides
+
+
+def test_breakdown_geometry_is_the_last_good_state(tmp_path, monkeypatch):
+    cfg = os.path.join(CONFIGS, "violates_outer.cfg")
+    out = tmp_path / "out"
+    code, last_good, after, on_final = solve_counting_final_geometry(
+        monkeypatch, ["--config", cfg, "--out", str(out), "--force", "solve"])
+    assert code == 4
+    assert on_final == 1
+    monkeypatch.undo()
+    spec, mesh, _ = build_problem(parse_config(cfg))
+    geom = geometry.compute_geometry(mesh, last_good.r_field, spec.profile)
+    arrays = [getattr(geom, c) for c in GEOMETRY_COLS]
+    assert (out / "geometry.csv").read_bytes() == \
+        rowwise_csv(node_columns(mesh, GEOMETRY_COLS, arrays))
+    assert (out / "solution.csv").read_bytes() == \
+        rowwise_csv(node_columns(mesh, ("value",), [last_good.r_field.values]))
+    last_row = (out / "monitor.csv").read_text().splitlines()[-1]
+    rec = monitor.monitor(geom, spec, last_good.t)
+    assert last_row == ",".join(repr(float(getattr(rec, c))) for c in MONITOR_COLS)

@@ -17,7 +17,6 @@ from prescurv import (
     monitor,
     parse_f,
 )
-from prescurv.geometry import compute_geometry
 from prescurv.solver import total_jacobians, total_newton_iterations
 
 
@@ -31,16 +30,16 @@ def main():
         phi_rm=1.25,
     )
     mesh = build_mesh(64, 32)
-    t0 = time.perf_counter()
-    final, history = continuation_solve(spec, mesh)
-    wall = time.perf_counter() - t0
 
-    print(f"{'t':>8s} {'iters':>5s} {'jacs':>4s} {'residual':>12s} {'r_min':>10s} {'r_max':>10s} {'kappa_max':>10s}")
-    for st in history:
-        geom = compute_geometry(mesh, st.r_field, profile)
+    def on_accept(st, geom):
         rec = monitor(geom, spec, st.t)
         print(f"{st.t:8.4f} {st.newton_iters:5d} {st.jacobians:4d} {st.residual_norm:12.3e} "
               f"{rec.r_min:10.6f} {rec.r_max:10.6f} {rec.kappa_max:10.6f}")
+
+    print(f"{'t':>8s} {'iters':>5s} {'jacs':>4s} {'residual':>12s} {'r_min':>10s} {'r_max':>10s} {'kappa_max':>10s}")
+    t0 = time.perf_counter()
+    final, history = continuation_solve(spec, mesh, on_accept=on_accept)
+    wall = time.perf_counter() - t0
     err = float(np.abs(final.r_field.values - 1.25).max())
     print(f"\nfinal max|r - 1.25| = {err:.3e}  "
           f"newton iterations = {total_newton_iterations(history)}  "

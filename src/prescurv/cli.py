@@ -100,13 +100,24 @@ def _run_solve(cfg, inputs, out_dir, force):
 
     Every outcome ends in report.txt: any PrescurvError of the assumption
     check or of the continuation, other than a breakdown, is status "error".
+    Each monitor row is formed as its state is accepted, on Newton's geometry
+    of it; only the latest geometry is kept, for geometry.csv.
     """
     t0 = time.perf_counter()
     spec, mesh, opts, params, samples = inputs
     _check_out_dir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     report = RunReport(status="error", config=dict(cfg))
-    final, history = None, []
+    final_geom = None
+
+    def on_accept(state, geom):
+        nonlocal final_geom
+        t_mon = time.perf_counter()
+        report.states.append(state)
+        report.monitors.append(
+            monitor_state(state, spec, geom, params.alpha, params.big_a, params.gamma_arg))
+        final_geom = geom
+        report.timings["monitor"] += time.perf_counter() - t_mon
 
     phase, t_phase = "assumptions", time.perf_counter()
     try:
@@ -119,32 +130,20 @@ def _run_solve(cfg, inputs, out_dir, force):
             return report
         # the check above, at check.samples, is the gate: the solver's own must not overrule it
         phase, t_phase = "solve", time.perf_counter()
-        final, history = continuation_solve(spec, mesh, opts, force=True)
+        report.timings["monitor"] = 0.0  # the share of solve_s spent in on_accept
+        continuation_solve(spec, mesh, opts, force=True, on_accept=on_accept)
         report.status = "converged"
-    except ContinuationBreakdown as exc:
-        history = exc.history or []
-        final = exc.last_good
+    except ContinuationBreakdown as exc:  # its last good state is the last one accepted
         report.status = "breakdown"
         report.message = str(exc)
     except PrescurvError as exc:
         report.message = str(exc)
     report.timings[phase] = time.perf_counter() - t_phase
 
-    t_mon = time.perf_counter()
-    # final is history[-1]: its geometry serves both its monitor row and geometry.csv
-    final_geom = None if final is None else G.compute_geometry(mesh, final.r_field, spec.profile)
-    report.states = list(history)
-    report.monitors = [
-        monitor_state(st, spec, mesh, params.alpha, params.big_a, params.gamma_arg,
-                      geom=final_geom if st is final else None)
-        for st in history
-    ]
-    report.timings["monitor"] = time.perf_counter() - t_mon
-
-    if final is not None:
+    if report.states:
         sol_path = os.path.join(out_dir, "solution.csv")
         geo_path = os.path.join(out_dir, "geometry.csv")
-        write_field_csv(sol_path, final.r_field)
+        write_field_csv(sol_path, report.states[-1].r_field)
         write_geometry_csv(geo_path, final_geom)
         report.files["solution_csv"] = sol_path
         report.files["geometry_csv"] = geo_path

@@ -44,11 +44,10 @@ class NewtonFailure(PrescurvError):
 class ContinuationBreakdown(PrescurvError):
     """The homotopy step underflowed; carries the last good state."""
 
-    def __init__(self, message, last_good=None, failed_interval=None, history=None):
+    def __init__(self, message, last_good=None, failed_interval=None):
         super().__init__(message)
         self.last_good = last_good
         self.failed_interval = failed_interval
-        self.history = history
 
 
 class FParseError(PrescurvError):

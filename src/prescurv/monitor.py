@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import GraphGeometry, compute_geometry
+from .geometry import GraphGeometry
 from .mesh import build_mesh
 from .problem import ProblemSpec
 from .solver import SolverOptions, continuation_solve
@@ -48,13 +48,11 @@ class MonitorRecord:
 
 def monitor(geom: GraphGeometry, spec: ProblemSpec, t: float,
             alpha: float = 1.0, big_a: float = 1.0,
-            gamma_arg: str = "capital_lambda",
-            a_value: float = None) -> MonitorRecord:
+            gamma_arg: str = "capital_lambda") -> MonitorRecord:
     """Evaluate all monitored quantities on one geometry snapshot.
 
     gamma_arg selects the argument fed to gamma(s) = alpha/s in the gradient
     test function: the accumulated warp integral (default) or the radius.
-    a_value overrides a = 0.5 * min tau in the curvature test function.
     """
     if gamma_arg not in GAMMA_ARGS:
         raise ValueError(f"gamma_arg must be one of {GAMMA_ARGS}")
@@ -62,12 +60,9 @@ def monitor(geom: GraphGeometry, spec: ProblemSpec, t: float,
     tau = geom.tau
     grad = np.sqrt(geom.r1 ** 2 + geom.r2 ** 2)
     tau_min = float(tau.min())
-    a = 0.5 * tau_min if a_value is None else a_value
-    if not a < tau_min:
-        raise ValueError("curvature test function needs a < min tau")
     s_arg = geom.capital_lambda if gamma_arg == "capital_lambda" else r
     phi_test = -np.log(tau) + alpha / s_arg
-    p_test = np.log(geom.kappa1) - np.log(tau - a) + big_a * geom.capital_lambda
+    p_test = np.log(geom.kappa1) - np.log(tau - 0.5 * tau_min) + big_a * geom.capital_lambda
     return MonitorRecord(
         t=t,
         r_min=float(r.min()),
@@ -83,13 +78,10 @@ def monitor(geom: GraphGeometry, spec: ProblemSpec, t: float,
     )
 
 
-def monitor_state(state, spec: ProblemSpec, mesh, alpha=1.0, big_a=1.0,
-                  gamma_arg: str = "capital_lambda",
-                  geom: GraphGeometry = None) -> MonitorRecord:
-    """Monitor a continuation state; its geometry is recomputed unless geom, the
-    geometry of state.r_field on mesh, is given."""
-    if geom is None:
-        geom = compute_geometry(mesh, state.r_field, spec.profile)
+def monitor_state(state, spec: ProblemSpec, geom: GraphGeometry, alpha=1.0, big_a=1.0,
+                  gamma_arg: str = "capital_lambda") -> MonitorRecord:
+    """Monitor a continuation state on geom, the node geometry of state.r_field
+    that continuation_solve hands to on_accept with the state."""
     return monitor(geom, spec, state.t, alpha=alpha, big_a=big_a, gamma_arg=gamma_arg)
 
 
@@ -125,8 +117,10 @@ def refinement_stability(make_spec: Callable[[object], ProblemSpec],
     for res in resolutions:
         mesh = build_mesh(res, reduced=True)
         spec = make_spec(mesh)
-        state, _ = continuation_solve(spec, mesh, opts, force=force)
-        rec = monitor_state(state, spec, mesh)
+        last = {}
+        state, _ = continuation_solve(spec, mesh, opts, force=force,
+                                      on_accept=lambda st, geom: last.update(geom=geom))
+        rec = monitor_state(state, spec, last["geom"])
         rows.append(RefinementRow(res, rec.tau_min, rec.grad_max, rec.kappa_max))
     a, b = rows[-2], rows[-1]
     changes = []

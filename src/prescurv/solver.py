@@ -2,7 +2,9 @@
 
 The residual at each node is sigma_k/sigma_l of the Newton-tensor eigenvalues
 minus the homotopy value f^t: at n = 2 that is K - f^t, formed with no
-eigenvalues by a pointwise kernel over the node's 2-jet.  Newton's sparse
+eigenvalues by a pointwise kernel over the node's 2-jet.  Newton forms each
+iterate's node geometry once, for residual; continuation hands an accepted
+state's geometry to on_accept, so no caller forms it again.  Newton's sparse
 central-difference Jacobian differences that kernel entry by entry (column
 j's step moves row i's jet by node j's stencil weights there) in blocks of
 whole columns; a block that meets an inadmissible point is redone column by
@@ -39,7 +41,7 @@ from .errors import (
     NewtonFailure,
     ProfileViolation,
 )
-from .geometry import compute_geometry, geometry_from_jet
+from .geometry import GraphGeometry, compute_geometry, geometry_from_jet
 from .mesh import ScalarField, SphereMesh, field_from_flat, frame_derivatives, jet_operators
 from .problem import ProblemSpec, blend_f_t, check_assumptions
 
@@ -78,6 +80,7 @@ class NewtonStats:
     halvings: int = 0
     jacobians: int = 0   # fresh Jacobian builds
     lu: object = field(default=None, compare=False, repr=False)  # factor in hand at return
+    geom: object = field(default=None, compare=False, repr=False)  # the solution's geometry
 
 
 @dataclass(frozen=True)
@@ -103,14 +106,16 @@ def _pointwise_residual(spec: ProblemSpec, t: float, geom, th, ph) -> np.ndarray
     return geom.K - blend_f_t(spec, t, geom, th, ph)
 
 
-def residual(spec: ProblemSpec, mesh: SphereMesh, t: float, r_field: ScalarField) -> ScalarField:
-    """Nodal residual K - f^t: the pointwise kernel at the nodes; raises on cone or domain exit."""
-    geom = compute_geometry(mesh, r_field, spec.profile)
+def residual(spec: ProblemSpec, t: float, geom: GraphGeometry) -> ScalarField:
+    """Nodal residual K - f^t on geom, a node geometry (compute_geometry's); raises on cone exit."""
+    mesh = geom.mesh
     return ScalarField(mesh, _pointwise_residual(spec, t, geom, mesh.theta_grid(), mesh.phi_grid()))
 
 
 def _residual_vec(spec, mesh, t, rvec):
-    return residual(spec, mesh, t, field_from_flat(mesh, rvec)).flat()
+    """(flat residual, node geometry) of the flat field rvec; raises on cone or domain exit."""
+    geom = compute_geometry(mesh, field_from_flat(mesh, rvec), spec.profile)
+    return residual(spec, t, geom).flat(), geom
 
 
 def _fd_steps(rvec) -> np.ndarray:
@@ -154,8 +159,8 @@ def jacobian_fd(spec: ProblemSpec, mesh: SphereMesh, t: float,
     uses jacobian_sparse, which agrees with it to rounding.
     """
     rvec = r_field.flat()
-    return np.column_stack([(_residual_vec(spec, mesh, t, rvec + step)
-                             - _residual_vec(spec, mesh, t, rvec - step)) / (2.0 * step[j])
+    return np.column_stack([(_residual_vec(spec, mesh, t, rvec + step)[0]
+                             - _residual_vec(spec, mesh, t, rvec - step)[0]) / (2.0 * step[j])
                             for j, step in enumerate(np.diag(_fd_steps(rvec)))])
 
 
@@ -216,7 +221,7 @@ def _check_guard(spec, rvec):
 
 
 def _trial_residual(spec, mesh, t, trial):
-    """Residual at trial, or None where trial leaves the guard or is inadmissible."""
+    """(residual, geometry) at trial, or None where trial leaves the guard or is inadmissible."""
     try:
         _check_guard(spec, trial)
         return _residual_vec(spec, mesh, t, trial)
@@ -229,7 +234,8 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
     """Chord-accelerated damped Newton for the nodal equation at fixed t.
 
     Returns (solution field, NewtonStats); stats.lu is the factor in hand at
-    return, for the next call.  While a factor `lu` (of an earlier Jacobian,
+    return, for the next call, and stats.geom the geometry the solution's
+    residual was formed from.  While a factor `lu` (of an earlier Jacobian,
     possibly at another t) is in hand, an iteration first tries the full
     chord step lu.solve(-res), and keeps it only if the trial is inside the
     guarded annulus, admissible, and cuts max|res| by CHORD_CONTRACTION.
@@ -243,18 +249,20 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
     """
     rvec = r_init.flat().copy()
     _check_guard(spec, rvec)
-    res = _residual_vec(spec, mesh, t, rvec)  # raises if r_init inadmissible
+    res, geom = _residual_vec(spec, mesh, t, rvec)  # raises if r_init inadmissible
     norm = float(np.abs(res).max())
-    halvings_total = jacobians = 0
-    for it in range(opts.max_newton):
-        if norm <= opts.newton_tol:
-            return field_from_flat(mesh, rvec), NewtonStats(it, norm, halvings_total, jacobians, lu)
+    it = halvings_total = jacobians = 0
+    while not norm <= opts.newton_tol:
+        if it == opts.max_newton:
+            raise NewtonFailure(f"no convergence in {opts.max_newton} iterations at t={t:g} "
+                                f"(|res|={norm:.3e})")
+        it += 1
         if lu is not None:
             trial = rvec + lu.solve(-res)
-            trial_res = _trial_residual(spec, mesh, t, trial)
-            if (trial_res is not None
-                    and (trial_norm := float(np.abs(trial_res).max())) <= CHORD_CONTRACTION * norm):
-                rvec, res, norm = trial, trial_res, trial_norm
+            got = _trial_residual(spec, mesh, t, trial)
+            if (got is not None
+                    and (trial_norm := float(np.abs(got[0]).max())) <= CHORD_CONTRACTION * norm):
+                rvec, (res, geom), norm = trial, got, trial_norm
                 continue
         jac = jacobian_sparse(spec, mesh, t, field_from_flat(mesh, rvec))
         jacobians += 1
@@ -268,25 +276,20 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
         scale = 1.0
         for k in range(MAX_HALVINGS + 1):
             trial = rvec + scale * step
-            trial_res = _trial_residual(spec, mesh, t, trial)
-            if trial_res is not None and (trial_norm := float(np.abs(trial_res).max())) < norm:
-                rvec, res, norm = trial, trial_res, trial_norm
+            got = _trial_residual(spec, mesh, t, trial)
+            if got is not None and (trial_norm := float(np.abs(got[0]).max())) < norm:
+                rvec, (res, geom), norm = trial, got, trial_norm
                 halvings_total += k
                 break
             scale *= DAMPING
         else:
-            raise NewtonFailure(
-                f"line search failed after {MAX_HALVINGS} halvings at t={t:g}"
-            )
-    if norm <= opts.newton_tol:
-        return field_from_flat(mesh, rvec), NewtonStats(opts.max_newton, norm, halvings_total,
-                                                        jacobians, lu)
-    raise NewtonFailure(f"no convergence in {opts.max_newton} iterations at t={t:g} (|res|={norm:.3e})")
+            raise NewtonFailure(f"line search failed after {MAX_HALVINGS} halvings at t={t:g}")
+    return field_from_flat(mesh, rvec), NewtonStats(it, norm, halvings_total, jacobians, lu, geom)
 
 
 def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
                        opts: SolverOptions = SolverOptions(),
-                       force: bool = False):
+                       force: bool = False, on_accept=None):
     """March the homotopy from the round solution at t = 0 to t = 1.
 
     Refuses to run when the assumption check fails beyond boundary cases,
@@ -294,9 +297,11 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     prediction through the last two accepted states (from the last state on
     the first step) and hands it the factor of the last fresh Jacobian; a
     failed t-step drops the factor and halves dt, and so does a prediction
-    that is inadmissible or outside the guard.  Raises ContinuationBreakdown
-    (carrying the last good state and the failed t-interval) when the
-    t-step underflows.  Returns (final state, history of accepted states).
+    that is inadmissible or outside the guard.  As each state is accepted,
+    t = 0 included, on_accept(state, geom) is called with the node geometry
+    Newton formed its residual from.  Raises ContinuationBreakdown (carrying
+    the last good state and the failed t-interval) when the t-step
+    underflows.  Returns (final state, history of accepted states).
     """
     report = check_assumptions(spec)
     if report.hard_failures and not force:
@@ -308,6 +313,8 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     sol, stats = newton_solve(spec, mesh, 0.0, r_init, opts)
     state = ContinuationState(0.0, sol, stats.iterations, stats.residual_norm, stats.jacobians)
     history = [state]
+    if on_accept is not None:
+        on_accept(state, stats.geom)
     lu, slope = stats.lu, np.zeros(mesh.n_nodes)
 
     dt = opts.t_step_init
@@ -326,13 +333,14 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
                     f"t-step underflow below {opts.t_step_min:g} in [{t:g}, {t_try:g}]",
                     last_good=state,
                     failed_interval=(t, t_try),
-                    history=history,
                 )
             continue
         slope = (sol_try.flat() - sol.flat()) / (t_try - t)
         t, sol, lu = t_try, sol_try, stats.lu
         state = ContinuationState(t, sol, stats.iterations, stats.residual_norm, stats.jacobians)
         history.append(state)
+        if on_accept is not None:
+            on_accept(state, stats.geom)
         if stats.iterations <= 4:
             easy_streak += 1
         else:

@@ -42,12 +42,13 @@ def test_monitor_perturbed_kappa_range():
     assert rec.tau_min > 0 and 0.5 * rec.tau_min < rec.tau_min  # a < min tau by construction
 
 
-def test_monitor_a_override_validation():
+def test_monitor_gamma_arg_validation():
+    """An unknown gamma_arg is refused; the default a = 0.5 min tau keeps
+    tau - a > 0, so P is finite."""
     spec = closed_form_spec()
     mesh = build_mesh(32, reduced=True)
     geom = compute_geometry(mesh, ScalarField(mesh, np.full(32, 1.25)), EUCLID)
-    with pytest.raises(ValueError):
-        monitor(geom, spec, 1.0, a_value=2.0)  # a >= min tau
+    assert np.isfinite(monitor(geom, spec, 1.0).p_test_max)
     with pytest.raises(ValueError):
         monitor(geom, spec, 1.0, gamma_arg="lambda")
 
@@ -73,14 +74,15 @@ def test_monitor_barrier_flags():
     assert not rec.barrier_ok
 
 
-def test_p_test_max_is_log_kappa_over_tau():
-    """With A = 0 and a = 0 the curvature test function is P = ln(kappa_max / tau)."""
+def test_p_test_max_is_log_kappa_over_tau_minus_a():
+    """With A = 0 the curvature test function is P = ln(kappa_max / (tau - a)),
+    a = 0.5 min tau."""
     spec = closed_form_spec()
     mesh = build_mesh(128, reduced=True)
     for r in (np.full(128, 1.25), 1 + 0.1 * np.cos(3 * mesh.theta)):
         geom = compute_geometry(mesh, ScalarField(mesh, r), EUCLID)
-        rec = monitor(geom, spec, 1.0, big_a=0.0, a_value=0.0)
-        want = float(np.max(np.log(geom.kappa1 / geom.tau)))
+        rec = monitor(geom, spec, 1.0, big_a=0.0)
+        want = float(np.max(np.log(geom.kappa1 / (geom.tau - 0.5 * geom.tau.min()))))
         assert rec.p_test_max == pytest.approx(want, rel=1e-12)
 
 
@@ -123,13 +125,19 @@ def test_refinement_stability_flags_growth():
     assert table.stability_ratio > 0.4
 
 
-def test_monitor_state_recomputes_from_field():
+def test_monitor_state_reads_the_accepted_geometry():
+    """monitor_state on the geometry continuation_solve hands to on_accept is
+    the monitor of that state's recomputed geometry, field for field."""
     from prescurv.solver import continuation_solve
 
-    spec = closed_form_spec()
+    spec = closed_form_spec(f=parse_f("1/r^2 * exp(1.25 - r) * (1 + 0.05*cos(th))"))
     mesh = build_mesh(32, reduced=True)
-    final, history = continuation_solve(spec, mesh)
-    rec = monitor_state(final, spec, mesh)
-    assert rec.t == 1.0
-    assert rec.r_min == pytest.approx(1.25, abs=1e-8)
-    assert rec.barrier_ok
+    accepted = []
+    final, history = continuation_solve(spec, mesh,
+                                        on_accept=lambda st, geom: accepted.append((st, geom)))
+    assert [st for st, _ in accepted] == history and history[-1] is final
+    for st, geom in accepted:
+        assert geom.mesh is mesh and np.array_equal(geom.r, st.r_field.values)
+        oracle = compute_geometry(mesh, st.r_field, spec.profile)
+        assert monitor_state(st, spec, geom) == monitor(oracle, spec, st.t)
+    assert final.t == 1.0 and monitor_state(final, spec, accepted[-1][1]).barrier_ok

@@ -1,16 +1,18 @@
 """The CSV writers against the row-by-row format they replaced, byte for byte,
-and the single geometry of a solve's final state."""
+and a solve's geometries: each formed once, by Newton, and read by the
+monitors and geometry.csv."""
 
 import contextlib
 import importlib
 import io
 import os
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from prescurv import cli, geometry, report
+from prescurv import cli, geometry, report, solver
 from prescurv.config import build_problem, parse_config
 from prescurv.errors import ContinuationBreakdown
 from prescurv.mesh import ScalarField, build_mesh
@@ -100,11 +102,16 @@ def test_monitor_csv_matches_rowwise_bytes(tmp_path, n_records):
         assert expected == (",".join(MONITOR_COLS) + "\n").encode()
 
 
-def solve_counting_final_geometry(monkeypatch, argv):
-    """Run `prescurv solve`; return (exit code, final state, calls of compute_geometry
-    after the continuation returned, of them the calls on the final state's field)."""
-    seen = {"final": None, "after": []}
-    real_solve, real_geometry = cli.continuation_solve, geometry.compute_geometry
+def solve_counting_geometries(monkeypatch, argv):
+    """Run `prescurv solve`; return (exit code, final state, accepted states,
+    node fields of the compute_geometry calls made after the continuation
+    returned or broke down, and of those made outside newton_solve).
+
+    The accepted states are the continuation's history, or None on a breakdown.
+    """
+    seen = {"final": None, "history": None, "in_newton": 0, "after": [], "outside": []}
+    real_solve, real_newton = cli.continuation_solve, solver.newton_solve
+    real_geometry = geometry.compute_geometry
 
     def solve(*args, **kwargs):
         try:
@@ -112,49 +119,99 @@ def solve_counting_final_geometry(monkeypatch, argv):
         except ContinuationBreakdown as exc:
             seen["final"] = exc.last_good
             raise
-        seen["final"] = final
+        seen["final"], seen["history"] = final, history
         return final, history
+
+    def newton(*args, **kwargs):
+        seen["in_newton"] += 1
+        try:
+            return real_newton(*args, **kwargs)
+        finally:
+            seen["in_newton"] -= 1
 
     def counted(mesh, r_field, profile):
         if seen["final"] is not None:
             seen["after"].append(r_field)
+        if not seen["in_newton"]:
+            seen["outside"].append(r_field)
         return real_geometry(mesh, r_field, profile)
 
     monkeypatch.setattr(cli, "continuation_solve", solve)
-    monkeypatch.setattr(geometry, "compute_geometry", counted)
-    monkeypatch.setattr(monitor, "compute_geometry", counted)
+    monkeypatch.setattr(solver, "newton_solve", newton)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "prescurv" and \
+                getattr(module, "compute_geometry", None) is real_geometry:
+            monkeypatch.setattr(module, "compute_geometry", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    final = seen["final"]
-    return code, final, seen["after"], sum(f is final.r_field for f in seen["after"])
+    return code, seen["final"], seen["history"], seen["after"], seen["outside"]
+
+
+def node_csvs_match(out, mesh, state, geom):
+    """solution.csv and geometry.csv of out hold state and geom, byte for byte."""
+    arrays = [getattr(geom, c) for c in GEOMETRY_COLS]
+    return ((out / "geometry.csv").read_bytes()
+            == rowwise_csv(node_columns(mesh, GEOMETRY_COLS, arrays))
+            and (out / "solution.csv").read_bytes()
+            == rowwise_csv(node_columns(mesh, ("value",), [state.r_field.values])))
+
+
+def monitor_row(spec, state, mesh):
+    """The monitor.csv row of state, from its geometry recomputed from its field."""
+    rec = monitor.monitor(geometry.compute_geometry(mesh, state.r_field, spec.profile),
+                          spec, state.t)
+    return ",".join(repr(float(getattr(rec, c))) for c in MONITOR_COLS)
 
 
 def test_converged_solve_forms_the_final_geometry_once(tmp_path, monkeypatch):
+    """Newton forms every geometry of a solve: none is formed outside newton_solve,
+    none after the continuation returns, and geometry.csv is the final state's."""
     cfg = os.path.join(CONFIGS, "perturbed_axisym.cfg")
     out = tmp_path / "out"
-    code, final, after, on_final = solve_counting_final_geometry(
+    code, final, _, after, outside = solve_counting_geometries(
         monkeypatch, ["--config", cfg, "--out", str(out), "solve"])
     assert code == 0 and final.t == 1.0
-    assert on_final == 1
-    n_rows = len((out / "monitor.csv").read_text().splitlines()) - 1
-    assert len(after) == n_rows  # one geometry per monitored state, none besides
+    assert after == [] and outside == []
+    monkeypatch.undo()
+    spec, mesh, _ = build_problem(parse_config(cfg))
+    geom = geometry.compute_geometry(mesh, final.r_field, spec.profile)
+    assert node_csvs_match(out, mesh, final, geom)
 
 
 def test_breakdown_geometry_is_the_last_good_state(tmp_path, monkeypatch):
     cfg = os.path.join(CONFIGS, "violates_outer.cfg")
     out = tmp_path / "out"
-    code, last_good, after, on_final = solve_counting_final_geometry(
+    code, last_good, _, after, outside = solve_counting_geometries(
         monkeypatch, ["--config", cfg, "--out", str(out), "--force", "solve"])
     assert code == 4
-    assert on_final == 1
+    assert after == [] and outside == []
     monkeypatch.undo()
     spec, mesh, _ = build_problem(parse_config(cfg))
     geom = geometry.compute_geometry(mesh, last_good.r_field, spec.profile)
-    arrays = [getattr(geom, c) for c in GEOMETRY_COLS]
-    assert (out / "geometry.csv").read_bytes() == \
-        rowwise_csv(node_columns(mesh, GEOMETRY_COLS, arrays))
-    assert (out / "solution.csv").read_bytes() == \
-        rowwise_csv(node_columns(mesh, ("value",), [last_good.r_field.values]))
-    last_row = (out / "monitor.csv").read_text().splitlines()[-1]
-    rec = monitor.monitor(geom, spec, last_good.t)
-    assert last_row == ",".join(repr(float(getattr(rec, c))) for c in MONITOR_COLS)
+    assert node_csvs_match(out, mesh, last_good, geom)
+    assert (out / "monitor.csv").read_text().splitlines()[-1] == monitor_row(spec, last_good, mesh)
+
+
+def test_every_monitor_row_equals_its_recomputed_oracle(tmp_path, monkeypatch):
+    """On a 16x8 non-axisymmetric solve that takes both chord and fresh Newton
+    steps, each monitor.csv row is the monitor of its state's geometry formed
+    again from the state's field."""
+    text = open(os.path.join(CONFIGS, "closed_form.cfg")).read()
+    text = text.replace("mesh.n_theta = 64", "mesh.n_theta = 16").replace(
+        "mesh.n_phi = 32", "mesh.n_phi = 8").replace(
+        "f.expr = 1/r^2 * exp(1.25 - r)",
+        "f.expr = 1/r^2 * exp(1.25 - r) * (1 + 0.03*sin(th)*cos(ph) - 0.02*sin(th)*sin(ph))")
+    cfg = tmp_path / "angular.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    code, final, history, _, _ = solve_counting_geometries(
+        monkeypatch, ["--config", str(cfg), "--out", str(out), "solve"])
+    assert code == 0 and final is history[-1]
+    iterations = sum(st.newton_iters for st in history)
+    jacobians = sum(st.jacobians for st in history)
+    assert iterations > jacobians >= 1  # chord steps and fresh ones
+    monkeypatch.undo()
+    spec, mesh, _ = build_problem(parse_config(str(cfg)))
+    assert (mesh.n_theta, mesh.n_phi) == (16, 8)
+    rows = (out / "monitor.csv").read_text().splitlines()[1:]
+    assert rows == [monitor_row(spec, st, mesh) for st in history]

@@ -1,6 +1,9 @@
-"""The example scripts import only names the package still provides."""
+"""The example scripts import only names the package still provides, and the
+closed-form run prints its continuation trace and an exact final radius."""
 
+import contextlib
 import importlib.util
+import io
 import os
 
 import pytest
@@ -8,9 +11,24 @@ import pytest
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
-@pytest.mark.parametrize("name", ["closed_form_run", "manufactured_convergence"])
-def test_script_imports(name):
+def load_script(name):
     spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # main() runs only under __main__
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("name", ["closed_form_run", "manufactured_convergence"])
+def test_script_imports(name):
+    assert callable(load_script(name).main)
+
+
+def test_closed_form_run_main_reports_the_exact_round_solution():
+    """One trace row per accepted t-step, t = 0 to 1, then max|r - 1.25| = 0."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        load_script("closed_form_run").main()
+    lines = buf.getvalue().strip().splitlines()
+    rows = [line.split() for line in lines[1:] if line.strip()][:-1]
+    assert [float(row[0]) for row in rows] == [round(0.1 * i, 4) for i in range(11)]
+    assert lines[-1].startswith("final max|r - 1.25| = 0.000e+00 ")

@@ -58,19 +58,24 @@ def const_field(mesh, value):
     return field_from_flat(mesh, np.full(mesh.n_nodes, float(value)))
 
 
+def field_residual(spec, mesh, t, r_field):
+    """The residual of r_field: its node geometry, then residual on it."""
+    return residual(spec, t, compute_geometry(mesh, r_field, spec.profile))
+
+
 # -- residual ------------------------------------------------------------------
 
 def test_residual_zero_at_round_start():
     spec = closed_form_spec()
     mesh = build_mesh(32, 16)
-    res = residual(spec, mesh, 0.0, const_field(mesh, spec.phi_rm))
+    res = field_residual(spec, mesh, 0.0, const_field(mesh, spec.phi_rm))
     assert np.abs(res.values).max() <= 1e-12
 
 
 def test_residual_zero_at_closed_form_root():
     spec = closed_form_spec()
     mesh = build_mesh(32, 16)
-    res = residual(spec, mesh, 1.0, const_field(mesh, 1.25))
+    res = field_residual(spec, mesh, 1.0, const_field(mesh, 1.25))
     assert np.abs(res.values).max() <= 1e-12
 
 
@@ -87,7 +92,7 @@ def test_residual_evaluates_lambda_once_beside_f(monkeypatch):
                        (closed_form_spec(f=round_exp), {0.0: 1, 0.5: 2})):
         for t, count in want.items():
             calls.clear()
-            residual(spec, mesh, t, const_field(mesh, 1.2))
+            field_residual(spec, mesh, t, const_field(mesh, 1.2))
             assert len(calls) == count
 
 
@@ -96,7 +101,7 @@ def test_residual_cone_violation_names_node():
     mesh = build_mesh(32, reduced=True)
     bad = ScalarField(mesh, 1 + 0.3 * np.cos(2 * mesh.theta))
     with pytest.raises(ConeViolation) as err:
-        residual(spec, mesh, 0.0, bad)
+        field_residual(spec, mesh, 0.0, bad)
     assert err.value.node is not None
 
 
@@ -105,7 +110,7 @@ def test_residual_domain_violation():
                             r1=0.8, r2=2.0, phi_rm=1.25)
     mesh = build_mesh(16, 8)
     with pytest.raises(DomainViolation):
-        residual(spec, mesh, 0.0, const_field(mesh, 3.0))
+        field_residual(spec, mesh, 0.0, const_field(mesh, 3.0))
 
 
 # -- finite-difference Jacobian ---------------------------------------------------
@@ -150,7 +155,7 @@ def test_newton_step_robust_to_fd_step_halving(monkeypatch):
     r0 = ScalarField(mesh, 1.25 + 0.05 * np.cos(mesh.theta))
     from prescurv.solver import _residual_vec
 
-    res = _residual_vec(spec, mesh, 0.5, r0.flat())
+    res, _ = _residual_vec(spec, mesh, 0.5, r0.flat())
     steps = {}
     for scale in (1e-6, 5e-7):
         monkeypatch.setattr(solver, "FD_SCALE", scale)
@@ -248,7 +253,7 @@ def test_residual_forms_no_eigenvalues_or_capital_lambda(monkeypatch):
     monkeypatch.setattr(WarpProfile, "capital_lambda", refuse)
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
     mesh = build_mesh(16, 8)
-    residual(spec, mesh, 0.5, const_field(mesh, 1.25))
+    field_residual(spec, mesh, 0.5, const_field(mesh, 1.25))
     _, stats = newton_solve(spec, mesh, 0.5, const_field(mesh, 1.25))
     assert stats.iterations > 0 and stats.residual_norm <= SolverOptions().newton_tol
 
@@ -296,9 +301,10 @@ def test_inadmissible_block_is_redone_column_by_column_through_the_kernel(monkey
     step = np.zeros(rvec.size)
     step[0] = solver._fd_steps(rvec)[0]
     with pytest.raises(ConeViolation):
-        residual(spec, mesh, 0.7, field_from_flat(mesh, rvec + step))
-    one_sided = (residual(spec, mesh, 0.7, r).flat()
-                 - residual(spec, mesh, 0.7, field_from_flat(mesh, rvec - step)).flat()) / step[0]
+        field_residual(spec, mesh, 0.7, field_from_flat(mesh, rvec + step))
+    one_sided = (field_residual(spec, mesh, 0.7, r).flat()
+                 - field_residual(spec, mesh, 0.7, field_from_flat(mesh, rvec - step)).flat()
+                 ) / step[0]
     calls = []
     for name in ("residual", "compute_geometry"):
         def counting(*args, real=getattr(solver, name), name=name):
@@ -323,7 +329,7 @@ def test_column_inadmissible_on_both_sides_raises(monkeypatch):
     column = 37
     r_j = r.flat()[column]
     force_cone_exit(monkeypatch, mesh, column, lambda rs: rs != r_j)
-    residual(spec, mesh, 0.7, r)  # the unperturbed state is admissible
+    field_residual(spec, mesh, 0.7, r)  # the unperturbed state is admissible
     with pytest.raises(AdmissibilityError, match=f"Jacobian column {column}: both one-sided"):
         jacobian_sparse(spec, mesh, 0.7, r)
 
@@ -379,10 +385,10 @@ def test_line_search_backtracks_when_trial_f_is_not_positive():
     spec = closed_form_spec(f=parse_f("(1 + 2.5*(r - 1.25)) / r^2"))
     mesh = build_mesh(16, reduced=True)
     start = const_field(mesh, 1.7)
-    res = residual(spec, mesh, 1.0, start).flat()
+    res = field_residual(spec, mesh, 1.0, start).flat()
     full_step = start.flat() + np.linalg.solve(jacobian_fd(spec, mesh, 1.0, start), -res)
     with pytest.raises(FEvalError):
-        residual(spec, mesh, 1.0, field_from_flat(mesh, full_step))
+        field_residual(spec, mesh, 1.0, field_from_flat(mesh, full_step))
     sol, stats = newton_solve(spec, mesh, 1.0, start)
     assert stats.halvings >= 1
     assert np.abs(sol.values - 1.25).max() <= 1e-8
@@ -451,7 +457,7 @@ def test_stale_chord_step_is_discarded_and_the_jacobian_rebuilt(monkeypatch, mis
     mesh = build_mesh(16, 8)
     start = bumpy_field(mesh)
     r0 = start.flat()
-    res = residual(spec, mesh, 0.5, start).flat()
+    res = field_residual(spec, mesh, 0.5, start).flat()
     newton_step = np.linalg.solve(jacobian_fd(spec, mesh, 0.5, start), -res)
     cone_exit = field_from_function(mesh, lambda th, ph: 1 + 0.3 * np.cos(2 * th)).flat()
     step = {"contraction": 0.5 * newton_step,     # max|res| only halves
@@ -460,7 +466,7 @@ def test_stale_chord_step_is_discarded_and_the_jacobian_rebuilt(monkeypatch, mis
             "non-finite": np.full(r0.size, np.nan)}[miss]
     if miss == "cone":
         with pytest.raises(ConeViolation):
-            residual(spec, mesh, 0.5, field_from_flat(mesh, r0 + step))
+            field_residual(spec, mesh, 0.5, field_from_flat(mesh, r0 + step))
     built = _count_builds(monkeypatch)
     sol, stats = newton_solve(spec, mesh, 0.5, start, lu=_StaleFactor(step))
     assert np.array_equal(built[0], r0)  # the stale trial was not accepted
@@ -496,7 +502,7 @@ def test_continuation_closed_form():
     assert np.abs(final.r_field.values - 1.25).max() <= 1e-6
     assert total_newton_iterations(history) <= 20
     # re-evaluated residual equals the reported norm (no hidden state)
-    res = residual(spec, mesh, final.t, final.r_field)
+    res = field_residual(spec, mesh, final.t, final.r_field)
     assert abs(np.abs(res.values).max() - final.residual_norm) <= 1e-12
 
 
@@ -571,11 +577,11 @@ def test_inadmissible_prediction_halves_the_t_step(monkeypatch, error):
     real = solver.residual
     raised = []
 
-    def refuse_first_guess_at_03(spec_, mesh_, t, r_field):
+    def refuse_first_guess_at_03(spec_, t, geom):
         if abs(t - 0.3) < 1e-12 and not raised:
             raised.append(t)
             raise error("forced: predicted guess is inadmissible")
-        return real(spec_, mesh_, t, r_field)
+        return real(spec_, t, geom)
 
     monkeypatch.setattr(solver, "residual", refuse_first_guess_at_03)
     built = _count_builds(monkeypatch)
@@ -618,7 +624,7 @@ def test_manufactured_residual_at_target_is_truncation():
         spec = closed_form_spec(f=manufacture_f(base, mesh, target), phi_rm=1.0)
         tf = ScalarField(mesh, np.broadcast_to(
             target(mesh.theta, None)[:, None], mesh.shape).copy())
-        norms[nt] = float(np.abs(residual(spec, mesh, 1.0, tf).values).max())
+        norms[nt] = float(np.abs(field_residual(spec, mesh, 1.0, tf).values).max())
     assert norms[128] <= 1e-5
     assert norms[64] / norms[128] >= 8.0
 

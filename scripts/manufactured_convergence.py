@@ -65,12 +65,12 @@ def study(profile, base, opts, target, meshes):
         print(line)
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--euclidean", action="store_true",
                     help="run in the euclidean warp (scale-degenerate; breaks down)")
     ap.add_argument("--resolutions", default="64,128,256")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     profile = (WarpProfile.euclidean((0.0, 10.0)) if args.euclidean
                else WarpProfile.hyperbolic((0.0, 10.0)))

@@ -32,10 +32,6 @@ class AdmissibilityError(PrescurvError):
 class AssumptionFailure(PrescurvError):
     """The prescribed-curvature function violates a barrier/monotonicity assumption."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class NewtonFailure(PrescurvError):
     """Newton iteration did not converge (max iterations or line-search exhaustion)."""

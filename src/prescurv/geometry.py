@@ -60,10 +60,12 @@ class GraphGeometry:
 
     mesh: SphereMesh
     profile: WarpProfile
-    r: np.ndarray
+    r: np.ndarray  # r .. r22: the 2-jet it is formed from
     r1: np.ndarray
     r2: np.ndarray
     r11: np.ndarray
+    r12: np.ndarray
+    r22: np.ndarray
     lam: np.ndarray
     dlam: np.ndarray
     v: np.ndarray
@@ -148,8 +150,8 @@ def geometry_from_jet(profile: WarpProfile, r, r1, r2, r11, r12, r22,
     vh22 = dlam2 * r2r2 + lam2_dlam - lam * r22
 
     return GraphGeometry(
-        mesh=mesh, profile=profile, r=r, r1=r1, r2=r2, r11=r11, lam=lam, dlam=dlam, v=v,
-        g11=g11, g12=g12, g22=g22, h11=vh11 / v, h12=vh12 / v, h22=vh22 / v,
+        mesh=mesh, profile=profile, r=r, r1=r1, r2=r2, r11=r11, r12=r12, r22=r22, lam=lam,
+        dlam=dlam, v=v, g11=g11, g12=g12, g22=g22, h11=vh11 / v, h12=vh12 / v, h22=vh22 / v,
         H=(g22 * vh11 - 2.0 * g12 * vh12 + g11 * vh22) / (det_g * v),
         K=(vh11 * vh22 - vh12 * vh12) / (det_g * v2),
         nu_r=lam / v,

@@ -9,9 +9,10 @@ extra under periodicity and keep the 1/sin(theta)-amplified terms at the
 pole rows from dominating the overall (colatitude-limited) 4th-order error.
 The reduced mode keeps only the colatitude line for axisymmetric fields.
 One cached ghost map per mesh shape holds both continuations and one table
-the stencil weights.  frame_derivatives gives the orthonormal-frame gradient
-and covariant Hessian of a field, slicing each stencil it needs once;
-jet_operators gives the same maps as sparse matrices, for the Jacobian.
+the stencil weights.  frame_derivatives, the one definition of the 2-jet,
+gives the orthonormal-frame gradient and covariant Hessian of a field,
+slicing each stencil it needs once; jet_operators gives the same maps as
+sparse matrices, column by column from frame_derivatives, for the Jacobian.
 """
 
 from __future__ import annotations
@@ -194,48 +195,34 @@ def dphi2(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _jet_operators(n_theta: int, n_phi: int):
+    # Column j is the jet of the unit field at node j.  The six maps commute
+    # with azimuthal rotation (the ghost map shifts every column by the same
+    # offsets and the same through-pole shift n_phi/2; 1/sin and cot depend on
+    # theta only), so one unit field per ring, turned, gives the ring's columns.
     mesh = build_mesh(n_theta, n_phi, reduced=not n_phi)
-    n, node = mesh.n_nodes, np.arange(mesh.n_nodes)
-    theta = mesh.theta_grid().ravel()
-    sin = np.sin(theta)
-
-    def taps(name, sources, spacing, signs=(1.0,) * 7):
-        """(source node, weight) at every node, one pair per tap of the stencil `name`."""
-        weights, denominator, order = _WEIGHTS[name]
-        scale = 1.0 / (denominator * spacing ** order)
-        return [(s.ravel(), np.full(n, w * scale) * np.ravel(g))
-                for w, s, g in zip(weights, sources, signs)]
-
-    src, sign, cols = _ghost_map(n_theta, n_phi)
-    rows = [src[k:k + n_theta] for k in range(5)]
-    d1 = taps("dtheta", rows, mesh.dtheta)
-    cot_d1 = [(c, np.cos(theta) / sin * v) for c, v in d1]
-    zero = [(node, np.zeros(n))]
-    ops = [[(node, np.ones(n))], d1, zero, taps("dtheta2", rows, mesh.dtheta), zero, cot_d1]
-    if n_phi:
-        cols = [cols[:, k:k + n_phi] for k in range(7)]
-        odd = np.broadcast_to(sign, src.shape)
-        ops[2] = [(c, v / sin) for c, v in taps("dphi", cols, mesh.dphi)]
-        ops[4] = [(c2[c1], v1 * v2[c1]) for c2, v2 in ops[2] for c1, v1 in
-                  taps("dtheta", rows, mesh.dtheta, [odd[k:k + n_theta] for k in range(5)])]
-        ops[5] = [(c, v / sin ** 2) for c, v in taps("dphi2", cols, mesh.dphi)] + cot_d1
-    # every tap of every operator on one CSC pattern, zero weights included, duplicates summed
-    tap_list = [(a, c, v) for a, op in enumerate(ops) for c, v in op]
-    pattern, where = np.unique(np.concatenate([c * n + node for _, c, _ in tap_list]),
-                               return_inverse=True)
-    which = np.repeat([a for a, _, _ in tap_list], n) * pattern.size + where
-    data = np.bincount(which, np.concatenate([v for _, _, v in tap_list]), len(ops) * pattern.size)
-    indices, indptr = pattern % n, np.searchsorted(pattern // n, np.arange(n + 1))
-    return tuple(csc_array((d, indices, indptr), shape=(n, n)) for d in data.reshape(len(ops), -1))
+    width = max(n_phi, 1)
+    indices, data, sizes = [], [], []
+    for i in range(n_theta):
+        unit = np.zeros(mesh.shape)
+        unit.flat[i * width] = 1.0
+        jet = np.stack((unit,) + frame_derivatives(ScalarField(mesh, unit))).reshape(6, n_theta, width)
+        a, b = np.nonzero(jet.any(axis=0))  # the union of the six maps' entries
+        turned = a * width + (b + np.arange(width)[:, None]) % width  # row k: azimuth k's rows
+        order = np.argsort(turned, axis=1)
+        indices.append(np.take_along_axis(turned, order, axis=1).ravel())
+        data.append(jet[:, a, b][:, order].reshape(6, -1))
+        sizes.append(a.size)
+    indices, n = np.concatenate(indices), mesh.n_nodes
+    indptr = np.concatenate(([0], np.cumsum(np.repeat(sizes, width))))
+    return tuple(csc_array((d, indices, indptr), shape=(n, n)) for d in np.hstack(data))
 
 
 def jet_operators(mesh: SphereMesh) -> tuple:
     """Sparse matrices (I, D_1, D_2, D_11, D_12, D_22) mapping r to its 2-jet, cached per mesh shape.
 
-    D_a r is frame_derivatives(r)'s component a up to rounding: D_1 = D_theta,
-    D_2 = diag(1/sin) D_phi, D_11 = D_theta theta, D_12 = D_theta^odd D_2 and
-    D_22 = diag(1/sin^2) D_phi phi + diag(cot) D_1, from the stencils' ghost
-    map and weights.  All six store the same CSC entries, their union.
+    Column j of D_a is component a of frame_derivatives of the unit field at
+    node j, so D_a r is frame_derivatives(r)'s component a up to rounding.
+    All six store the same CSC entries: the union of their nonzeros.
     """
     return _jet_operators(mesh.n_theta, mesh.n_phi)
 

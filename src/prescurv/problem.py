@@ -194,7 +194,12 @@ class ExpressionF:
 
 
 def parse_f(text: str) -> ExpressionF:
-    """Parse a prescribed-function expression over (r, th, ph, nur)."""
+    """Parse a prescribed-function expression over (r, th, ph, nur).
+
+    Unary minus binds tighter than ^: -r^2 is (-r)^2 and exp(-r^2) is
+    e^(+r^2); write -(r^2) for -r^2.  ^ takes one exponent: 2^3^2 is a parse
+    error.  tests/test_problem.py pins both rules.
+    """
     return ExpressionF(text=text, tree=_Parser(text).parse())
 
 

@@ -3,13 +3,14 @@
 The residual at each node is sigma_k/sigma_l of the Newton-tensor eigenvalues
 minus the homotopy value f^t: at n = 2 that is K - f^t, formed with no
 eigenvalues by a pointwise kernel over the node's 2-jet.  Newton forms each
-iterate's node geometry once, for residual; continuation hands an accepted
-state's geometry to on_accept, so no caller forms it again.  Newton's sparse
-central-difference Jacobian differences that kernel entry by entry (column
-j's step moves row i's jet by node j's stencil weights there) in blocks of
-whole columns; a block that meets an inadmissible point is redone column by
-column through the same kernel, one-sided away from that point.  The dense
-oracle jacobian_fd serves the tests and selftest only.  Newton factors J with
+iterate's node geometry, 2-jet included, once, for residual and for
+jacobian_sparse; continuation hands an accepted state's geometry to
+on_accept, so no caller forms it again.  Newton's sparse central-difference
+Jacobian differences that kernel entry by entry (column j's step moves row
+i's jet by node j's stencil weights there) in blocks of whole columns; a
+block that meets an inadmissible point is redone column by column through
+the same kernel, one-sided away from that point.  The dense oracle
+jacobian_fd serves the tests and selftest only.  Newton factors J with
 sparse LU and keeps the factor: while a factor is in hand, each iteration
 first tries the full chord step on it, kept only if it stays admissible,
 stays inside the guarded annulus and cuts max|res| by CHORD_CONTRACTION.
@@ -42,7 +43,7 @@ from .errors import (
     ProfileViolation,
 )
 from .geometry import GraphGeometry, compute_geometry, geometry_from_jet
-from .mesh import ScalarField, SphereMesh, field_from_flat, frame_derivatives, jet_operators
+from .mesh import ScalarField, SphereMesh, field_from_flat, jet_operators
 from .problem import ProblemSpec, blend_f_t, check_assumptions
 
 GUARD_FRACTION = 0.05  # hard annulus guard widens (r1, r2) by this fraction of the width
@@ -164,13 +165,13 @@ def jacobian_fd(spec: ProblemSpec, mesh: SphereMesh, t: float,
                             for j, step in enumerate(np.diag(_fd_steps(rvec)))])
 
 
-def jacobian_sparse(spec: ProblemSpec, mesh: SphereMesh, t: float,
-                    r_field: ScalarField) -> csc_array:
+def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_array:
     """Sparse finite-difference Jacobian, each stored entry differenced on its own row.
 
     Column j's step h_j (jacobian_fd's) moves row i's 2-jet
-    q_i = (r, r_1, r_2, r_11, r_12, r_22) by h_j d_ij, d_ij the weights of
-    node j in row i's stencils (the entries of the mesh's jet_operators), so
+    q_i = (r, r_1, r_2, r_11, r_12, r_22), read off the node geometry geom, by
+    h_j d_ij, d_ij the weights of node j in row i's stencils (the entries of
+    the mesh's jet_operators), so
     J_ij = (F_i(q_i + h_j d_ij) - F_i(q_i - h_j d_ij)) / 2h_j with F the
     pointwise kernel of residual: jacobian_fd's entry up to rounding.  The
     entries go through F in blocks of whole columns, at most FD_CHUNK_NODES
@@ -179,13 +180,13 @@ def jacobian_sparse(spec: ProblemSpec, mesh: SphereMesh, t: float,
     F_i(q_i) where only one side is admissible, AdmissibilityError where
     neither is.  No residual of a whole field is evaluated.
     """
+    mesh, n = geom.mesh, geom.mesh.n_nodes
     ops = jet_operators(mesh)
     indices, indptr = ops[0].indices, ops[0].indptr
     weights = np.stack([op.data for op in ops])
-    rvec, n = r_field.flat(), mesh.n_nodes
-    h = _fd_steps(rvec)
+    jet = np.stack([geom.r, geom.r1, geom.r2, geom.r11, geom.r12, geom.r22]).reshape(6, n)
+    h = _fd_steps(jet[0])
     h_entry = np.repeat(h, np.diff(indptr))
-    jet = np.stack([rvec] + [d.ravel() for d in frame_derivatives(r_field)])
     th, ph = mesh.theta_grid().ravel(), mesh.phi_grid().ravel()
     data = np.empty(indices.size)
     per_block = max(1, FD_CHUNK_NODES // (2 * int(np.diff(indptr).max())))
@@ -264,7 +265,7 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
                     and (trial_norm := float(np.abs(got[0]).max())) <= CHORD_CONTRACTION * norm):
                 rvec, (res, geom), norm = trial, got, trial_norm
                 continue
-        jac = jacobian_sparse(spec, mesh, t, field_from_flat(mesh, rvec))
+        jac = jacobian_sparse(spec, t, geom)
         jacobians += 1
         try:
             lu = splu(jac)
@@ -305,9 +306,7 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     """
     report = check_assumptions(spec)
     if report.hard_failures and not force:
-        raise AssumptionFailure(
-            f"assumption check failed: {', '.join(report.hard_failures)}", report=report
-        )
+        raise AssumptionFailure(f"assumption check failed: {', '.join(report.hard_failures)}")
 
     r_init = field_from_flat(mesh, np.full(mesh.n_nodes, spec.phi_rm))
     sol, stats = newton_solve(spec, mesh, 0.0, r_init, opts)

@@ -219,7 +219,7 @@ def test_coloured_jacobian_matches_dense_oracle(case):
     spec, mesh = oracle_case(case)
     r = bumpy_field(mesh)
     dense = jacobian_fd(spec, mesh, 0.7, r)
-    sparse = jacobian_sparse(spec, mesh, 0.7, r)
+    sparse = jacobian_sparse(spec, 0.7, compute_geometry(mesh, r, spec.profile))
     assert sparse.shape == dense.shape
     assert np.abs(sparse.toarray() - dense).max() <= ORACLE_TOL * np.abs(dense).max()
 
@@ -305,6 +305,7 @@ def test_inadmissible_block_is_redone_column_by_column_through_the_kernel(monkey
     one_sided = (field_residual(spec, mesh, 0.7, r).flat()
                  - field_residual(spec, mesh, 0.7, field_from_flat(mesh, rvec - step)).flat()
                  ) / step[0]
+    geom = compute_geometry(mesh, r, spec.profile)
     calls = []
     for name in ("residual", "compute_geometry"):
         def counting(*args, real=getattr(solver, name), name=name):
@@ -312,7 +313,7 @@ def test_inadmissible_block_is_redone_column_by_column_through_the_kernel(monkey
             return real(*args)
 
         monkeypatch.setattr(solver, name, counting)
-    sparse = jacobian_sparse(spec, mesh, 0.7, r).toarray()
+    sparse = jacobian_sparse(spec, 0.7, geom).toarray()
     assert calls == []
     tol = ORACLE_TOL * np.abs(dense).max()
     assert np.abs(sparse[:, 0] - one_sided).max() <= tol
@@ -331,7 +332,7 @@ def test_column_inadmissible_on_both_sides_raises(monkeypatch):
     force_cone_exit(monkeypatch, mesh, column, lambda rs: rs != r_j)
     field_residual(spec, mesh, 0.7, r)  # the unperturbed state is admissible
     with pytest.raises(AdmissibilityError, match=f"Jacobian column {column}: both one-sided"):
-        jacobian_sparse(spec, mesh, 0.7, r)
+        jacobian_sparse(spec, 0.7, compute_geometry(mesh, r, spec.profile))
 
 
 def test_jet_operators_are_built_with_the_first_jacobian_only(monkeypatch):
@@ -348,12 +349,50 @@ def test_jet_operators_are_built_with_the_first_jacobian_only(monkeypatch):
     assert final.t == 1.0 and built == []
     assert mesh_module._jet_operators.cache_info().misses == misses
     for _ in range(2):
-        jacobian_sparse(spec, mesh, 0.5, bumpy_field(mesh))
+        jacobian_sparse(spec, 0.5, compute_geometry(mesh, bumpy_field(mesh), spec.profile))
     assert mesh_module._jet_operators.cache_info().misses == misses + 1
 
 
-def singular_jacobian(spec, mesh, t, r_field):
-    return csc_array((mesh.n_nodes, mesh.n_nodes))
+def test_newton_forms_each_iterates_jet_once_through_compute_geometry(monkeypatch):
+    """A 16x8 Newton solve that builds J calls frame_derivatives only inside
+    compute_geometry, once per iterate (no field twice), and never inside
+    jacobian_sparse, which reads the jet of the geometry Newton holds."""
+    from prescurv import mesh as mesh_module
+
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    jet_operators(mesh)  # built once per mesh shape, from unit fields
+    fields, geometries, building = [], [], []
+    real_fd, real_geometry, real_jacobian = (mesh_module.frame_derivatives,
+                                              solver.compute_geometry, solver.jacobian_sparse)
+
+    def frame_derivatives(field):
+        assert not building, "frame_derivatives called inside jacobian_sparse"
+        fields.append(field.values.tobytes())
+        return real_fd(field)
+
+    def compute_geometry_(*args):
+        geometries.append(args)
+        return real_geometry(*args)
+
+    def jacobian(*args):
+        building.append(True)
+        try:
+            return real_jacobian(*args)
+        finally:
+            building.pop()
+
+    for module in (mesh_module, geometry, solver):
+        monkeypatch.setattr(module, "frame_derivatives", frame_derivatives, raising=False)
+    monkeypatch.setattr(solver, "compute_geometry", compute_geometry_)
+    monkeypatch.setattr(solver, "jacobian_sparse", jacobian)
+    _, stats = newton_solve(spec, mesh, 0.5, bumpy_field(mesh))
+    assert stats.jacobians >= 1 and stats.residual_norm <= SolverOptions().newton_tol
+    assert len(fields) == len(set(fields)) == len(geometries)
+
+
+def singular_jacobian(spec, t, geom):
+    return csc_array((geom.mesh.n_nodes, geom.mesh.n_nodes))
 
 
 def test_singular_jacobian_is_a_newton_failure(monkeypatch):
@@ -439,9 +478,9 @@ def _count_builds(monkeypatch):
     built = []
     real = solver.jacobian_sparse
 
-    def counting(spec, mesh, t, r_field):
-        built.append(r_field.flat().copy())
-        return real(spec, mesh, t, r_field)
+    def counting(spec, t, geom):
+        built.append(geom.r.ravel().copy())
+        return real(spec, t, geom)
 
     monkeypatch.setattr(solver, "jacobian_sparse", counting)
     return built

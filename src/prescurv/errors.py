@@ -13,6 +13,13 @@ class ProfileViolation(PrescurvError):
     """The warping function or its derivative is non-positive at a point."""
 
 
+class NonFiniteField(PrescurvError, ValueError):
+    """A node field holds an infinite or NaN value.
+
+    Also a ValueError, which callers validating outside input catch.
+    """
+
+
 class ConeViolation(PrescurvError):
     """Eigenvalues left the admissibility cone (some sigma_j <= 0)."""
 

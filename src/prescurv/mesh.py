@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csc_array
 
+from .errors import NonFiniteField
+
 
 @dataclass(frozen=True)
 class SphereMesh:
@@ -94,7 +96,7 @@ class ScalarField:
         if v.shape != self.mesh.shape:
             raise ValueError(f"field shape {v.shape} != mesh shape {self.mesh.shape}")
         if not np.all(np.isfinite(v)):
-            raise ValueError("field has non-finite values")
+            raise NonFiniteField("field has non-finite values")
         object.__setattr__(self, "values", v)
 
     def flat(self):

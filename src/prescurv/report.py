@@ -2,8 +2,10 @@
 
 One structured-text report per run (flat key=value lines plus fixed-order
 rows) and three CSV files.  The node CSVs (solution and geometry, one row
-per mesh node) are streamed: each distinct colatitude and azimuth is
-formatted once, and the value columns are formatted column by column, a
+per mesh node) are streamed: each distinct azimuth is formatted once, and
+so is each ring's colatitude and each ring's value of a column that is
+constant on every ring (a round or axisymmetric field; the test compares
+bit patterns).  Every other value column is formatted column by column, a
 bounded block of rings at a time.  The monitor CSV is one block of its few
 rows.  Both go through one block writer.  A report's status (converged,
 assumption-fail, breakdown or error) alone sets the run's exit code.  Float
@@ -43,23 +45,46 @@ def _write_csv(path: str, header, chunks):
             fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
 
+def _ring_cells(column, per_ring):
+    """column's n_theta ring values formatted once, if every ring holds one bit pattern; else None.
+
+    column is n_theta x per_ring.  Bit patterns, not float ==, so a ring
+    holding 0.0 and -0.0 keeps each zero's text.  A reduced mesh's rings are
+    single nodes, so its columns keep the bounded blocks.
+    """
+    if per_ring > 1:
+        bits = column.view(np.int64)
+        if (bits == bits[:, :1]).all():
+            return list(_cells(column[:, 0]))
+    return None
+
+
 def _write_node_csv(path: str, mesh, names, columns):
     """theta, phi, then the named node columns; node (i, j) is row i * n_phi + j.
 
-    Each distinct colatitude and azimuth is formatted once; the value columns
-    are formatted a block of whole rings (about CSV_CHUNK_ROWS rows) at a time.
+    Each distinct azimuth is formatted once.  theta and every value column
+    constant on each ring are formatted once per ring, each ring's cell
+    repeated per node of the ring; any other value column is formatted a
+    block of whole rings (about CSV_CHUNK_ROWS rows) at a time.
     """
     per_ring = 1 if mesh.reduced else mesh.n_phi
-    theta = list(_cells(mesh.theta))
-    phi = list(_cells(np.reshape(mesh.phi_grid(), (mesh.n_theta, per_ring))[0]))
-    columns = [np.reshape(c, (mesh.n_theta, per_ring)) for c in columns]
+    rings = (mesh.n_theta, per_ring)
+    phi = list(_cells(np.reshape(mesh.phi_grid(), rings)[0]))
+    columns = [np.reshape(np.asarray(c, dtype=float), rings) for c in columns]
+    # per column: its ring cells (a list), or its node values to format by blocks
+    columns = [list(_cells(mesh.theta))] + [_ring_cells(c, per_ring) or c for c in columns]
     step = max(1, CSV_CHUNK_ROWS // per_ring)
+
+    def cells(column, a):
+        if isinstance(column, list):
+            return [s for s in column[a:a + step] for _ in range(per_ring)]
+        return _cells(column[a:a + step])
 
     def chunks():
         for a in range(0, mesh.n_theta, step):
-            rings = theta[a:a + step]
-            yield ([s for s in rings for _ in range(per_ring)], phi * len(rings),
-                   *(_cells(c[a:a + step]) for c in columns))
+            n_rings = min(step, mesh.n_theta - a)
+            theta, *values = (cells(c, a) for c in columns)
+            yield (theta, phi * n_rings, *values)
 
     _write_csv(path, ("theta", "phi", *names), chunks())
 

@@ -40,6 +40,7 @@ from .errors import (
     DomainViolation,
     FEvalError,
     NewtonFailure,
+    NonFiniteField,
     ProfileViolation,
 )
 from .geometry import GraphGeometry, compute_geometry, geometry_from_jet
@@ -55,8 +56,9 @@ CHORD_CONTRACTION = 0.1  # a step on a reused LU must cut max|res| by this facto
 
 # A trial point raising one of these is inadmissible: the line search steps
 # back from it, a chord step is dropped, jacobian_sparse differences the
-# column one-sided away from it, and a predicted t-step guess halves dt.
-INADMISSIBLE = (ConeViolation, DomainViolation, ProfileViolation, FEvalError)
+# column one-sided away from it, and a predicted t-step guess halves dt.  A
+# residual or a secant guess that is not finite raises NonFiniteField.
+INADMISSIBLE = (ConeViolation, DomainViolation, ProfileViolation, FEvalError, NonFiniteField)
 
 
 @dataclass(frozen=True)
@@ -298,11 +300,12 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     prediction through the last two accepted states (from the last state on
     the first step) and hands it the factor of the last fresh Jacobian; a
     failed t-step drops the factor and halves dt, and so does a prediction
-    that is inadmissible or outside the guard.  As each state is accepted,
-    t = 0 included, on_accept(state, geom) is called with the node geometry
-    Newton formed its residual from.  Raises ContinuationBreakdown (carrying
-    the last good state and the failed t-interval) when the t-step
-    underflows.  Returns (final state, history of accepted states).
+    that is inadmissible (not finite included) or outside the guard.  As
+    each state is accepted, t = 0 included, on_accept(state, geom) is called
+    with the node geometry Newton formed its residual from.  Raises
+    ContinuationBreakdown (carrying the last good state and the failed
+    t-interval) when the t-step underflows.  Returns (final state, history
+    of accepted states).
     """
     report = check_assumptions(spec)
     if report.hard_failures and not force:
@@ -321,8 +324,8 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     easy_streak = 0
     while t < 1.0:
         t_try = 1.0 if t + dt >= 1.0 - 1e-12 else t + dt
-        guess = field_from_flat(mesh, sol.flat() + (t_try - t) * slope)
         try:
+            guess = field_from_flat(mesh, sol.flat() + (t_try - t) * slope)
             sol_try, stats = newton_solve(spec, mesh, t_try, guess, opts, lu)
         except INADMISSIBLE + (NewtonFailure, AdmissibilityError):
             lu = None

@@ -423,16 +423,28 @@ def test_building_a_problem_does_not_import_scipy_optimize():
             "from prescurv.config import build_problem, parse_config\n"
             f"build_problem(parse_config({cfg!r}))\n"
             "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+
+
+def run_python(args):
+    """Run the interpreter on args in a fresh process that imports this prescurv."""
     src = os.path.dirname(os.path.dirname(prescurv.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     assert "ok   jacobian-sparse-vs-dense" in capsys.readouterr().out
+
+
+def test_python_m_prescurv_runs_the_cli():
+    """`python -m prescurv selftest` from a source tree runs the CLI's selftest."""
+    proc = run_python(["-m", "prescurv", "selftest"])
+    assert proc.returncode == 0, proc.stderr
+    assert "ok   jacobian-sparse-vs-dense" in proc.stdout
 
 
 def test_sweep_command(tmp_path, capsys):

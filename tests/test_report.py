@@ -1,6 +1,7 @@
-"""The CSV writers against the row-by-row format they replaced, byte for byte,
-and a solve's geometries: each formed once, by Newton, and read by the
-monitors and geometry.csv."""
+"""The CSV writers against the row-by-row format they replaced, byte for byte
+(columns constant on every ring, formatted once per ring, included), and a
+solve's geometries: each formed once, by Newton, and read by the monitors and
+geometry.csv."""
 
 import contextlib
 import importlib
@@ -39,9 +40,50 @@ def node_columns(mesh, names, arrays):
             **{n: np.ravel(a) for n, a in zip(names, arrays)}}
 
 
-def stress_values(mesh, shift):
+def stress_values(mesh, shift=0):
     """Node values cycling through STRESS, offset so each column differs."""
     return np.resize(np.roll(STRESS, shift), mesh.n_nodes).reshape(mesh.shape)
+
+
+def ring_values(mesh, shift=0):
+    """Node values constant on each ring, ring i holding STRESS[i + shift] (cyclic)."""
+    rings = np.resize(np.roll(STRESS, -shift), mesh.n_theta)
+    return np.repeat(rings[:, None], 1 if mesh.reduced else mesh.n_phi, axis=1).reshape(mesh.shape)
+
+
+def signed_zero_ring(mesh, shift=0):
+    """Ring-constant values, except that ring 3 holds 0.0 and -0.0: equal as
+    floats, so a float == test would call the column ring-constant."""
+    vals = ring_values(mesh, shift).reshape(mesh.n_theta, -1)  # one column when reduced
+    vals[3] = 0.0
+    vals[3, ::2] = -0.0
+    return vals.reshape(mesh.shape)
+
+
+def one_ring_varying(mesh, shift=0):
+    """Ring-constant values, except that ring 5 holds two different subnormals."""
+    vals = ring_values(mesh, shift).reshape(mesh.n_theta, -1)
+    vals[5] = 5e-324
+    vals[5, -1] = 2.0 ** -1074 * 3
+    return vals.reshape(mesh.shape)
+
+
+# node values; the ring-constant ones are formatted once per ring on a full mesh
+FIELDS = {
+    "stress": stress_values,
+    "random": lambda mesh, shift=0: np.random.default_rng(3 + shift).standard_normal(mesh.shape),
+    "round": lambda mesh, shift=0: np.full(mesh.shape, 1.25),
+    "axisymmetric": ring_values,
+    "smooth-axisymmetric": lambda mesh, shift=0: np.broadcast_to(
+        1.1 + 0.05 * np.cos(mesh.theta_grid()) ** 2, mesh.shape),
+    "signed-zero-ring": signed_zero_ring,
+    "one-ring-varying": one_ring_varying,
+}
+# each geometry stand-in's columns cycle through these FIELDS
+GEOMETRY_STAND_INS = {
+    "stress": ("stress",),
+    "partly-ring-constant": ("axisymmetric", "stress", "signed-zero-ring", "one-ring-varying"),
+}
 
 
 MESHES = {"full-24x12": (24, 12, False), "reduced-20": (20, None, True)}
@@ -58,12 +100,11 @@ def chunk_rows(request, monkeypatch):
 
 
 @pytest.mark.parametrize("mesh_key", list(MESHES))
-@pytest.mark.parametrize("values", ["stress", "random"])
+@pytest.mark.parametrize("values", list(FIELDS))
 def test_field_csv_matches_rowwise_bytes(tmp_path, chunk_rows, mesh_key, values):
     n_theta, n_phi, reduced = MESHES[mesh_key]
     mesh = build_mesh(n_theta, n_phi, reduced=reduced)
-    vals = (stress_values(mesh, 0) if values == "stress"
-            else np.random.default_rng(3).standard_normal(mesh.shape))
+    vals = FIELDS[values](mesh)
     path = tmp_path / "solution.csv"
     report.write_field_csv(str(path), ScalarField(mesh, vals))
     assert path.read_bytes() == rowwise_csv(node_columns(mesh, ("value",), [vals]))
@@ -73,13 +114,14 @@ def test_field_csv_matches_rowwise_bytes(tmp_path, chunk_rows, mesh_key, values)
 def test_geometry_csv_matches_rowwise_bytes(tmp_path, chunk_rows, mesh_key):
     n_theta, n_phi, reduced = MESHES[mesh_key]
     mesh = build_mesh(n_theta, n_phi, reduced=reduced)
-    # the writer reads only mesh and the named columns
-    stand_in = SimpleNamespace(mesh=mesh, **{c: stress_values(mesh, k)
-                                             for k, c in enumerate(GEOMETRY_COLS)})
     path = tmp_path / "geometry.csv"
-    report.write_geometry_csv(str(path), stand_in)
-    arrays = [getattr(stand_in, c) for c in GEOMETRY_COLS]
-    assert path.read_bytes() == rowwise_csv(node_columns(mesh, GEOMETRY_COLS, arrays))
+    for kinds in GEOMETRY_STAND_INS.values():
+        # the writer reads only mesh and the named columns
+        stand_in = SimpleNamespace(mesh=mesh, **{c: FIELDS[kinds[k % len(kinds)]](mesh, k)
+                                                 for k, c in enumerate(GEOMETRY_COLS)})
+        report.write_geometry_csv(str(path), stand_in)
+        arrays = [getattr(stand_in, c) for c in GEOMETRY_COLS]
+        assert path.read_bytes() == rowwise_csv(node_columns(mesh, GEOMETRY_COLS, arrays))
 
     theta, phi = mesh.theta_grid(), mesh.phi_grid()
     r = 1.1 + 0.05 * np.cos(theta) ** 2 + 0.02 * np.sin(theta) ** 2 * np.cos(2 * phi)
@@ -87,6 +129,32 @@ def test_geometry_csv_matches_rowwise_bytes(tmp_path, chunk_rows, mesh_key):
     report.write_geometry_csv(str(path), geom)
     arrays = [getattr(geom, c) for c in GEOMETRY_COLS]
     assert path.read_bytes() == rowwise_csv(node_columns(mesh, GEOMETRY_COLS, arrays))
+
+
+def test_ring_constant_columns_are_formatted_once_per_ring(tmp_path, monkeypatch):
+    """On a round 24x12 solution and its geometry, every value column is constant
+    on each ring, and each is formatted n_theta cells, not n_theta * n_phi."""
+    mesh = build_mesh(24, 12)
+    r = ScalarField(mesh, np.full(mesh.shape, 1.1))
+    geom = geometry.compute_geometry(mesh, r, WarpProfile.euclidean())
+    formatted = []
+    real_cells = report._cells
+
+    def counting(column):
+        formatted.append(np.size(column))
+        return real_cells(column)
+
+    monkeypatch.setattr(report, "_cells", counting)
+    report.write_field_csv(str(tmp_path / "solution.csv"), r)
+    # the azimuths, the colatitudes, then the one value column
+    assert sorted(formatted) == sorted([mesh.n_phi, mesh.n_theta, mesh.n_theta])
+    formatted.clear()
+    report.write_geometry_csv(str(tmp_path / "geometry.csv"), geom)
+    assert sorted(formatted) == sorted([mesh.n_phi] + [mesh.n_theta] * (1 + len(GEOMETRY_COLS)))
+    monkeypatch.undo()
+    arrays = [getattr(geom, c) for c in GEOMETRY_COLS]
+    assert (tmp_path / "geometry.csv").read_bytes() == rowwise_csv(
+        node_columns(mesh, GEOMETRY_COLS, arrays))
 
 
 @pytest.mark.parametrize("n_records", [0, 1, 11])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.sparse import csc_array
@@ -12,6 +14,7 @@ from prescurv.errors import (
     DomainViolation,
     FEvalError,
     NewtonFailure,
+    NonFiniteField,
     ProfileViolation,
 )
 from prescurv.geometry import compute_geometry
@@ -403,14 +406,17 @@ def test_singular_jacobian_is_a_newton_failure(monkeypatch):
         newton_solve(spec, mesh, 0.0, const_field(mesh, spec.phi_rm + 0.1))
 
 
+REDUCED_CASE = ("warp.kind = euclidean\nwarp.domain = 0,10\nmesh.n_theta = 16\n"
+                "mesh.reduced = true\nproblem.r1 = 0.5\nproblem.r2 = 2\nphi.rm = 1.25\n"
+                "f.expr = 1/r^2 * exp(1.25 - r) * (1 + 0.03*cos(th))\n")
+
+
 def test_cli_singular_jacobian_breaks_down_without_traceback(monkeypatch, tmp_path, capsys):
     """Every t-step fails to factor, so the continuation halves dt to
     underflow and the CLI exits 4 (continuation breakdown)."""
     monkeypatch.setattr(solver, "jacobian_sparse", singular_jacobian)
     cfg = tmp_path / "case.cfg"
-    cfg.write_text("warp.kind = euclidean\nwarp.domain = 0,10\nmesh.n_theta = 16\n"
-                   "mesh.reduced = true\nproblem.r1 = 0.5\nproblem.r2 = 2\nphi.rm = 1.25\n"
-                   "f.expr = 1/r^2 * exp(1.25 - r) * (1 + 0.03*cos(th))\n")
+    cfg.write_text(REDUCED_CASE)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "solve"]) == 4
     out = capsys.readouterr()
     assert "Traceback" not in out.out + out.err
@@ -431,6 +437,53 @@ def test_line_search_backtracks_when_trial_f_is_not_positive():
     sol, stats = newton_solve(spec, mesh, 1.0, start)
     assert stats.halvings >= 1
     assert np.abs(sol.values - 1.25).max() <= 1e-8
+
+
+def infinite_curvature_at(monkeypatch, call):
+    """Make K = +inf at node 0 in the call-th full-field residual (Jacobian
+    kernel blocks not counted), so that residual's value there is not finite;
+    returns the list of the t so hit."""
+    real = solver._pointwise_residual
+    calls, hits = [], []
+
+    def kernel(spec, t, geom, th, ph):
+        if geom.mesh is not None:
+            calls.append(t)
+            if len(calls) == call:
+                hits.append(t)
+                K = geom.K.copy()
+                K.flat[0] = np.inf  # inside the cone, so only the residual's value is bad
+                geom = dataclasses.replace(geom, K=K)
+        return real(spec, t, geom, th, ph)
+
+    monkeypatch.setattr(solver, "_pointwise_residual", kernel)
+    return hits
+
+
+def test_non_finite_residual_is_inadmissible():
+    spec = closed_form_spec()
+    mesh = build_mesh(16, 8)
+    geom = compute_geometry(mesh, const_field(mesh, 1.2), spec.profile)
+    K = geom.K.copy()
+    K.flat[0] = np.inf
+    with pytest.raises(NonFiniteField) as err:
+        residual(spec, 0.5, dataclasses.replace(geom, K=K))
+    assert isinstance(err.value, solver.INADMISSIBLE)
+
+
+def test_line_search_backtracks_from_a_non_finite_trial_residual(monkeypatch):
+    """The first line-search trial's residual is infinite at one node: Newton
+    halves the step and converges, as from any inadmissible trial."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    start = bumpy_field(mesh)
+    clean_sol, clean = newton_solve(spec, mesh, 0.5, start)
+    hits = infinite_curvature_at(monkeypatch, 2)  # call 1: the start
+    sol, stats = newton_solve(spec, mesh, 0.5, start)
+    assert hits == [0.5]
+    assert clean.halvings == 0 and stats.halvings >= 1
+    assert stats.residual_norm <= SolverOptions().newton_tol
+    assert np.abs(sol.values - clean_sol.values).max() <= 1e-8
 
 
 # -- Newton ----------------------------------------------------------------------
@@ -606,11 +659,12 @@ def test_continuation_starts_each_step_from_the_secant_prediction(monkeypatch):
         assert not np.array_equal(starts[t_try], sols[t])
 
 
-@pytest.mark.parametrize("error", [FEvalError, ProfileViolation])
+@pytest.mark.parametrize("error", [FEvalError, ProfileViolation, NonFiniteField])
 def test_inadmissible_prediction_halves_the_t_step(monkeypatch, error):
-    """A predicted guess whose residual raises FEvalError or ProfileViolation
-    fails its t-step like any Newton failure: dt halves, the factor is
-    dropped, and the path still reaches t = 1 with no raw error."""
+    """A predicted guess whose residual raises FEvalError, ProfileViolation
+    or NonFiniteField fails its t-step like any Newton failure: dt halves,
+    the factor is dropped, and the path still reaches t = 1 with no raw
+    error."""
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
     mesh = build_mesh(16, 8)
     real = solver.residual
@@ -629,6 +683,43 @@ def test_inadmissible_prediction_halves_the_t_step(monkeypatch, error):
     assert raised and final.t == 1.0
     assert ts[:4] == [0.0, 0.1, 0.2, 0.25]
     assert len(built) == 2  # one build before the failed step, one after it
+
+
+def test_non_finite_secant_guess_halves_the_t_step(monkeypatch):
+    """A secant guess that is not finite is inadmissible: the t-step halves.
+    Here the accepted state at t = 0.1 sits at 1e308 on one node, so the
+    secant slope is infinite, every guess overflows, Newton never runs past
+    t = 0.1, and dt halves to underflow: a breakdown, not a raw error."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    real = solver.newton_solve
+    tried = []
+
+    def huge_first_step(spec_, mesh_, t, r_init, opts, lu=None):
+        tried.append(t)
+        sol, stats = real(spec_, mesh_, t, r_init, opts, lu)
+        if len(tried) == 2:  # the state accepted at t = 0.1
+            values = sol.values.copy()
+            values.flat[0] = 1e308
+            sol = ScalarField(mesh_, values)
+        return sol, stats
+
+    monkeypatch.setattr(solver, "newton_solve", huge_first_step)
+    with np.errstate(over="ignore"), pytest.raises(ContinuationBreakdown) as err:
+        continuation_solve(spec, mesh)
+    assert err.value.last_good.t == pytest.approx(0.1)
+    assert tried == [0.0, pytest.approx(0.1)]
+
+
+def test_cli_non_finite_residual_at_a_trial_solves_without_traceback(monkeypatch, tmp_path, capsys):
+    """The third residual of a CLI solve (the first trial of the t = 0.1 step)
+    is infinite at one node; the solve goes on and exits 0."""
+    hits = infinite_curvature_at(monkeypatch, 3)
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(REDUCED_CASE)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "solve"]) == 0
+    out = capsys.readouterr()
+    assert hits == [pytest.approx(0.1)] and "Traceback" not in out.out + out.err
 
 
 def test_continuation_refuses_failed_assumptions():

@@ -7,13 +7,12 @@ iterate's node geometry, 2-jet included, once, for residual and for
 jacobian_sparse; continuation hands an accepted state's geometry to
 on_accept, so no caller forms it again.  Newton's sparse central-difference
 Jacobian differences that kernel entry by entry (column j's step moves row
-i's jet by node j's stencil weights there) in blocks of whole columns; a
-block that meets an inadmissible point is redone column by column through
-the same kernel, one-sided away from that point.  The dense oracle
-jacobian_fd serves the tests and selftest only.  Newton factors J with
-sparse LU and keeps the factor: while a factor is in hand, each iteration
-first tries the full chord step on it, kept only if it stays admissible,
-stays inside the guarded annulus and cuts max|res| by CHORD_CONTRACTION.
+i's jet by node j's stencil weights there); a perturbed jet that is
+inadmissible fails the build, as it fails the dense oracle jacobian_fd,
+which serves the tests and selftest only.  Newton factors J with sparse LU
+and keeps the factor: while a factor is in hand, each iteration first tries
+the full chord step on it, kept only if it stays admissible, stays inside
+the guarded annulus and cuts max|res| by CHORD_CONTRACTION.
 When the chord step misses, the Jacobian is rebuilt and refactored at the
 current iterate, and a backtracking line search accepts a step only if the
 iterate stays admissible, stays inside the guarded annulus, and decreases
@@ -55,9 +54,9 @@ MAX_HALVINGS = 20      # line-search backtracking steps before NewtonFailure
 CHORD_CONTRACTION = 0.1  # a step on a reused LU must cut max|res| by this factor
 
 # A trial point raising one of these is inadmissible: the line search steps
-# back from it, a chord step is dropped, jacobian_sparse differences the
-# column one-sided away from it, and a predicted t-step guess halves dt.  A
-# residual or a secant guess that is not finite raises NonFiniteField.
+# back from it, a chord step is dropped, jacobian_sparse raises
+# AdmissibilityError, and a predicted t-step guess halves dt.  A residual or
+# a secant guess that is not finite raises NonFiniteField.
 INADMISSIBLE = (ConeViolation, DomainViolation, ProfileViolation, FEvalError, NonFiniteField)
 
 
@@ -126,33 +125,6 @@ def _fd_steps(rvec) -> np.ndarray:
     return FD_SCALE * (1.0 + np.abs(rvec))
 
 
-def _kernel(spec, t, jet, th, ph) -> np.ndarray:
-    """F at points with 2-jets jet (the rows of a 6 x m array) and angles (th, ph)."""
-    return _pointwise_residual(spec, t, geometry_from_jet(spec.profile, *jet), th, ph)
-
-
-def _kernel_column(spec, t, jet, th, ph, j, h, step):
-    """Column j's entries on its rows, at jets jet +- step (step = h d_ij) and angles (th, ph).
-
-    Central; one-sided against the unperturbed kernel value where one
-    perturbation is inadmissible; AdmissibilityError where both are.
-    """
-    def shifted(sign):
-        try:
-            return _kernel(spec, t, jet + sign * step, th, ph)
-        except INADMISSIBLE:
-            return None
-
-    plus, minus = shifted(1.0), shifted(-1.0)
-    if plus is not None and minus is not None:
-        return (plus - minus) / (2.0 * h)
-    if plus is not None:
-        return (plus - _kernel(spec, t, jet, th, ph)) / h
-    if minus is not None:
-        return (_kernel(spec, t, jet, th, ph) - minus) / h
-    raise AdmissibilityError(f"Jacobian column {j}: both one-sided perturbations inadmissible")
-
-
 def jacobian_fd(spec: ProblemSpec, mesh: SphereMesh, t: float,
                 r_field: ScalarField) -> np.ndarray:
     """Dense central-difference Jacobian of the nodal residual: the test oracle.
@@ -176,36 +148,29 @@ def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_arr
     the mesh's jet_operators), so
     J_ij = (F_i(q_i + h_j d_ij) - F_i(q_i - h_j d_ij)) / 2h_j with F the
     pointwise kernel of residual: jacobian_fd's entry up to rounding.  The
-    entries go through F in blocks of whole columns, at most FD_CHUNK_NODES
-    values a block.  A block that raises one of INADMISSIBLE is redone one
-    column at a time through F on the column's rows: one-sided against
-    F_i(q_i) where only one side is admissible, AdmissibilityError where
-    neither is.  No residual of a whole field is evaluated.
+    stored entries go through F in blocks of FD_CHUNK_NODES kernel values.
+    A perturbed jet that raises one of INADMISSIBLE fails the build with
+    AdmissibilityError, as it fails jacobian_fd.  No residual of a whole
+    field is evaluated.
     """
     mesh, n = geom.mesh, geom.mesh.n_nodes
     ops = jet_operators(mesh)
     indices, indptr = ops[0].indices, ops[0].indptr
     weights = np.stack([op.data for op in ops])
     jet = np.stack([geom.r, geom.r1, geom.r2, geom.r11, geom.r12, geom.r22]).reshape(6, n)
-    h = _fd_steps(jet[0])
-    h_entry = np.repeat(h, np.diff(indptr))
+    h = np.repeat(_fd_steps(jet[0]), np.diff(indptr))
     th, ph = mesh.theta_grid().ravel(), mesh.phi_grid().ravel()
     data = np.empty(indices.size)
-    per_block = max(1, FD_CHUNK_NODES // (2 * int(np.diff(indptr).max())))
-    for lo in range(0, n, per_block):
-        cols = range(lo, min(lo + per_block, n))
-        stored = slice(indptr[cols.start], indptr[cols.stop])
-        rows, step = np.tile(indices[stored], 2), h_entry[stored] * weights[:, stored]
+    for lo in range(0, indices.size, FD_CHUNK_NODES // 2):
+        stored = slice(lo, lo + FD_CHUNK_NODES // 2)
+        rows, step = np.tile(indices[stored], 2), h[stored] * weights[:, stored]
         try:
-            vals = _kernel(spec, t, jet[:, rows] + np.hstack([step, -step]),
-                           th[rows], ph[rows]).reshape(2, -1)
-            data[stored] = (vals[0] - vals[1]) / (2.0 * h_entry[stored])
-        except INADMISSIBLE:
-            for j in cols:
-                column = slice(indptr[j], indptr[j + 1])
-                rows = indices[column]
-                data[column] = _kernel_column(spec, t, jet[:, rows], th[rows], ph[rows],
-                                              j, h[j], h[j] * weights[:, column])
+            shifted = geometry_from_jet(spec.profile, *(jet[:, rows] + np.hstack([step, -step])))
+            vals = _pointwise_residual(spec, t, shifted, th[rows], ph[rows]).reshape(2, -1)
+        except INADMISSIBLE as exc:
+            raise AdmissibilityError(f"Jacobian at t={t:g}: a perturbed 2-jet is inadmissible "
+                                     f"({type(exc).__name__})") from exc
+        data[stored] = (vals[0] - vals[1]) / (2.0 * h[stored])
     return csc_array((data, indices, indptr), shape=(n, n))
 
 
@@ -304,8 +269,9 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     each state is accepted, t = 0 included, on_accept(state, geom) is called
     with the node geometry Newton formed its residual from.  Raises
     ContinuationBreakdown (carrying the last good state and the failed
-    t-interval) when the t-step underflows.  Returns (final state, history
-    of accepted states).
+    t-interval, its message the error that rejected the last t-step) when
+    the t-step underflows.  Returns (final state, history of accepted
+    states).
     """
     report = check_assumptions(spec)
     if report.hard_failures and not force:
@@ -327,15 +293,16 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
         try:
             guess = field_from_flat(mesh, sol.flat() + (t_try - t) * slope)
             sol_try, stats = newton_solve(spec, mesh, t_try, guess, opts, lu)
-        except INADMISSIBLE + (NewtonFailure, AdmissibilityError):
+        except INADMISSIBLE + (NewtonFailure, AdmissibilityError) as exc:
             lu = None
             dt *= 0.5
             if dt < opts.t_step_min:
                 raise ContinuationBreakdown(
-                    f"t-step underflow below {opts.t_step_min:g} in [{t:g}, {t_try:g}]",
+                    f"t-step underflow below {opts.t_step_min:g} in [{t:g}, {t_try:g}]: "
+                    f"{type(exc).__name__}: {exc}",
                     last_good=state,
                     failed_interval=(t, t_try),
-                )
+                ) from exc
             continue
         slope = (sol_try.flat() - sol.flat()) / (t_try - t)
         t, sol, lu = t_try, sol_try, stats.lu

@@ -286,29 +286,38 @@ def force_cone_exit(monkeypatch, mesh, node, moved):
     monkeypatch.setattr(solver, "_pointwise_residual", kernel)
 
 
-def test_inadmissible_block_is_redone_column_by_column_through_the_kernel(monkeypatch):
-    """A block of columns whose kernel pass leaves the cone is redone one column
-    at a time through the pointwise kernel on the column's rows: column 0,
-    inadmissible at +h, is the one-sided (R(r) - R(r - h_0 e_0)) / h_0, every
-    other column matches the dense oracle, and no residual or geometry of a
-    whole field is evaluated during the build."""
+@pytest.mark.parametrize("moved", [np.greater, np.not_equal], ids=["plus-side", "both-sides"])
+def test_inadmissible_perturbation_fails_the_build(monkeypatch, moved):
+    """Column 37's perturbed 2-jet leaves the cone at +h only, or on both
+    sides: jacobian_sparse raises AdmissibilityError naming t after at most
+    one kernel pass per block, with no column redone."""
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
     mesh = build_mesh(16, 8)
     r = bumpy_field(mesh)
-    dense = jacobian_fd(spec, mesh, 0.7, r)
-    op = jet_operators(mesh)[0]
-    per_block = 4
-    monkeypatch.setattr(solver, "FD_CHUNK_NODES", 2 * int(np.diff(op.indptr).max()) * per_block)
-    rvec = r.flat()
-    force_cone_exit(monkeypatch, mesh, 0, lambda rs: rs > rvec[0])
-    step = np.zeros(rvec.size)
-    step[0] = solver._fd_steps(rvec)[0]
-    with pytest.raises(ConeViolation):
-        field_residual(spec, mesh, 0.7, field_from_flat(mesh, rvec + step))
-    one_sided = (field_residual(spec, mesh, 0.7, r).flat()
-                 - field_residual(spec, mesh, 0.7, field_from_flat(mesh, rvec - step)).flat()
-                 ) / step[0]
+    column = 37
+    r_j = r.flat()[column]
     geom = compute_geometry(mesh, r, spec.profile)
+    force_cone_exit(monkeypatch, mesh, column, lambda rs: moved(rs, r_j))
+    residual(spec, 0.7, geom)  # the unperturbed state is admissible
+    passes = []
+
+    def counting(*args, real=solver._pointwise_residual):
+        passes.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_pointwise_residual", counting)
+    with pytest.raises(AdmissibilityError, match=r"Jacobian at t=0\.7: .*\(ConeViolation\)"):
+        jacobian_sparse(spec, 0.7, geom)
+    blocks = -(-2 * jet_operators(mesh)[0].nnz // solver.FD_CHUNK_NODES)
+    assert 1 <= len(passes) <= blocks
+
+
+def test_jacobian_build_forms_no_whole_field_residual_or_geometry(monkeypatch):
+    """jacobian_sparse differences the pointwise kernel on each entry's row:
+    no residual or geometry of a whole field is formed during a build."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    geom = compute_geometry(mesh, bumpy_field(mesh), spec.profile)
     calls = []
     for name in ("residual", "compute_geometry"):
         def counting(*args, real=getattr(solver, name), name=name):
@@ -316,26 +325,8 @@ def test_inadmissible_block_is_redone_column_by_column_through_the_kernel(monkey
             return real(*args)
 
         monkeypatch.setattr(solver, name, counting)
-    sparse = jacobian_sparse(spec, 0.7, geom).toarray()
+    jacobian_sparse(spec, 0.7, geom)
     assert calls == []
-    tol = ORACLE_TOL * np.abs(dense).max()
-    assert np.abs(sparse[:, 0] - one_sided).max() <= tol
-    assert np.abs(sparse[:, 0] - dense[:, 0]).max() > tol  # column 0 went one-sided
-    assert np.abs(sparse[:, 1:] - dense[:, 1:]).max() <= tol
-
-
-def test_column_inadmissible_on_both_sides_raises(monkeypatch):
-    """A column whose +h and -h perturbations both leave the cone has no
-    difference: jacobian_sparse raises AdmissibilityError naming it."""
-    spec = closed_form_spec(f=parse_f(ANGULAR_F))
-    mesh = build_mesh(16, 8)
-    r = bumpy_field(mesh)
-    column = 37
-    r_j = r.flat()[column]
-    force_cone_exit(monkeypatch, mesh, column, lambda rs: rs != r_j)
-    field_residual(spec, mesh, 0.7, r)  # the unperturbed state is admissible
-    with pytest.raises(AdmissibilityError, match=f"Jacobian column {column}: both one-sided"):
-        jacobian_sparse(spec, 0.7, compute_geometry(mesh, r, spec.profile))
 
 
 def test_jet_operators_are_built_with_the_first_jacobian_only(monkeypatch):
@@ -720,6 +711,26 @@ def test_cli_non_finite_residual_at_a_trial_solves_without_traceback(monkeypatch
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "solve"]) == 0
     out = capsys.readouterr()
     assert hits == [pytest.approx(0.1)] and "Traceback" not in out.out + out.err
+
+
+def test_failed_jacobian_builds_break_down_naming_the_error(monkeypatch):
+    """Every Jacobian build at t > 0 meets an inadmissible perturbed jet: each
+    t-step fails, dt halves to underflow from the round state at t = 0, and
+    the breakdown's message names the error that rejected the last t-step."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    real = solver._pointwise_residual
+
+    def kernel(spec_, t, geom, th, ph):
+        if t > 0 and geom.mesh is None:  # a Jacobian block, not a node field
+            raise ConeViolation("forced cone exit")
+        return real(spec_, t, geom, th, ph)
+
+    monkeypatch.setattr(solver, "_pointwise_residual", kernel)
+    with pytest.raises(ContinuationBreakdown) as err:
+        continuation_solve(spec, mesh)
+    assert err.value.last_good.t == 0.0
+    assert "AdmissibilityError: Jacobian at t=" in str(err.value)
 
 
 def test_continuation_refuses_failed_assumptions():

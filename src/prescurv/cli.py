@@ -77,7 +77,9 @@ def _load_config(args):
 
 
 def _check_out_dir(path):
-    """Raise ConfigError unless the deepest existing one of path and its parents is a directory."""
+    """Raise ConfigError unless path is set and its deepest existing prefix is a directory."""
+    if not path:
+        raise ConfigError("output path is empty")
     head = os.path.abspath(path)
     while not os.path.exists(head):
         head = os.path.dirname(head)
@@ -352,7 +354,7 @@ def _selftest_checks():
                       (WarpProfile.hyperbolic((0.0, 10.0)), 1.2)):
         geom = G.compute_geometry(mesh, M.ScalarField(mesh, np.full(mesh.shape, c)), prof_c)
         ratio, ok_mask = SY.quotient_ratio_batch(geom.mu_stack(), q2)
-        target = threshold(prof_c, c)
+        target = threshold(*prof_c.eval_lambda(c))
         worst = max(worst, float(np.abs(ratio - target).max()))
         if not ok_mask.all():
             worst = np.inf
@@ -394,8 +396,9 @@ def _selftest_checks():
     yield "phi-barrier-shape", ok_phi, ""
     mr = M.build_mesh(64, reduced=True)
     fman = manufacture_f(spec, mr, lambda t, p: 1 + 0.05 * np.cos(t))
-    lam_f = np.array([float(eval_f(fman, r, 0.8, 0.0, 0.9)) *
-                      float(prof.eval_lambda(r)[0] ** 2) for r in (0.7, 1.0, 1.6)])
+    r_s = np.array([0.7, 1.0, 1.6])
+    lam, dlam = prof.eval_lambda(r_s)
+    lam_f = eval_f(fman, r_s, 0.8, 0.0, 0.9, lam, dlam) * lam ** 2
     err = float(np.abs(lam_f / lam_f[0] - 1).max())
     yield "manufactured-r-independence", err <= 1e-12, f"rel {err:.1e}"
 

@@ -226,8 +226,7 @@ def build_problem(cfg):
     elif src == "f.builtin":
         if cfg["f.builtin"] != "round_exponential":
             raise ConfigError(f"unknown builtin {cfg['f.builtin']!r}", key="f.builtin")
-        f = RoundExponentialF(rm=_get_float(cfg, "f.rm"), alpha=_get_float(cfg, "f.alpha"),
-                              profile=profile)
+        f = RoundExponentialF(rm=_get_float(cfg, "f.rm"), alpha=_get_float(cfg, "f.alpha"))
     else:
         target = _load_target_csv(cfg["f.manufactured"], mesh)
         try:

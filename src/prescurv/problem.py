@@ -6,8 +6,9 @@ ProblemSpec.q, not a parameter.  The prescribed function is either a parsed
 arithmetic expression over (r, th, ph, nur), the builtin round-exponential
 profile threshold times exp(alpha (rm - r)), or a manufactured evaluator
 reverse-engineered from a target graph so the target solves the equation
-exactly at the continuum level.  The homotopy endpoint at t = 0 is phi(r)
-times the constant-graph threshold zeta(r)^2, with phi(r) = exp(c (rm - r)).
+exactly at the continuum level.  Each reads lambda, lambda' at r from its
+caller: evaluate(r, th, ph, nur, lam, dlam).  The homotopy endpoint at t = 0
+is phi(r) times the constant-graph threshold zeta^2, phi(r) = exp(c (rm - r)).
 """
 
 from __future__ import annotations
@@ -177,12 +178,11 @@ class ExpressionF:
     text: str
     tree: tuple
 
-    def evaluate(self, r, th, ph, nur):
+    def evaluate(self, r, th, ph, nur, lam=None, dlam=None):  # reads no lam, dlam
         env = {"r": np.asarray(r, dtype=float), "th": np.asarray(th, dtype=float),
                "ph": np.asarray(ph, dtype=float), "nur": np.asarray(nur, dtype=float)}
         with np.errstate(all="ignore"):
-            out = _eval_tree(self.tree, env)
-        return np.broadcast_to(out, np.broadcast(*env.values()).shape).astype(float)
+            return _eval_tree(self.tree, env)
 
     def variables(self) -> set:
         """The names in VARS that the expression reads."""
@@ -205,24 +205,20 @@ def parse_f(text: str) -> ExpressionF:
 
 # -- builtin and manufactured prescribed functions ---------------------------
 
-def threshold(profile: WarpProfile, r):
-    """Constant-graph value K = zeta(r)^2 of the round graph at radius r."""
-    return profile.zeta(r) ** 2
+def threshold(lam, dlam):
+    """Constant-graph value K = zeta^2 of the round graph, zeta = lambda'/lambda = dlam/lam."""
+    return (dlam / lam) ** 2
 
 
 @dataclass(frozen=True)
 class RoundExponentialF:
-    """f = threshold(r) * exp(alpha (rm - r)); solved exactly by r = rm."""
+    """f = threshold(lam, dlam) * exp(alpha (rm - r)) on the caller's warp; solved exactly by r = rm."""
 
     rm: float
     alpha: float
-    profile: WarpProfile
 
-    def evaluate(self, r, th, ph, nur):
-        r = np.asarray(r, dtype=float)
-        val = threshold(self.profile, r) * np.exp(self.alpha * (self.rm - r))
-        shape = np.broadcast(r, np.asarray(th), np.asarray(ph), np.asarray(nur)).shape
-        return np.broadcast_to(val, shape).astype(float)
+    def evaluate(self, r, th, ph, nur, lam, dlam):
+        return threshold(lam, dlam) * np.exp(self.alpha * (self.rm - np.asarray(r, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -238,34 +234,34 @@ class ManufacturedF:
     keeps r* an exact solution (f = Q* at r = r*) and makes lambda^2 f
     strictly decreasing in r.  Q* and lambda(r*) are node arrays on the
     solve mesh `mesh`; a point (th, ph) reads the node whose cell holds it.
-    check_assumptions samples the nodes of `mesh`.
+    lambda(r) is the caller's lam.  check_assumptions samples the nodes of `mesh`.
     """
 
     mesh: SphereMesh
     q: np.ndarray           # K of the target graph at the nodes of mesh
     lam: np.ndarray         # lambda(r*) at the nodes of mesh
     exponent: int           # p: 2 is the boundary case, larger is strictly monotone
-    profile: WarpProfile
 
-    def evaluate(self, r, th, ph, nur):
+    def evaluate(self, r, th, ph, nur, lam, dlam):
         m = self.mesh
         # colatitude cell j is [j, j + 1) dtheta; azimuth cell j is centred on phi_j
         node = (np.asarray(th, dtype=float) * (m.n_theta / np.pi)).astype(np.intp)
         if not m.reduced:
             col = np.rint(np.asarray(ph, dtype=float) * (m.n_phi / (2.0 * np.pi))).astype(np.intp)
             node = node * m.n_phi + col % m.n_phi
-        lam, _ = self.profile.eval_lambda(np.asarray(r, dtype=float))
-        val = self.q.take(node, mode="clip") * (self.lam.take(node, mode="clip") / lam) ** self.exponent
-        shape = np.broadcast(np.asarray(r), np.asarray(th), np.asarray(ph), np.asarray(nur)).shape
-        return np.broadcast_to(val, shape).astype(float)
+        return self.q.take(node, mode="clip") * (self.lam.take(node, mode="clip") / lam) ** self.exponent
 
 
 FExpr = Union[ExpressionF, RoundExponentialF, ManufacturedF]
 
 
-def eval_f(f: FExpr, r, th, ph, nur):
-    """Evaluate the prescribed function; must come out finite and positive."""
-    out = np.asarray(f.evaluate(r, th, ph, nur), dtype=float)
+def eval_f(f: FExpr, r, th, ph, nur, lam=None, dlam=None):
+    """f broadcast over (r, th, ph, nur); must come out finite and positive.
+
+    (lam, dlam) are lambda, lambda' at r: only a builtin or manufactured f reads them.
+    """
+    shape = np.broadcast(r, th, ph, nur).shape
+    out = np.broadcast_to(f.evaluate(r, th, ph, nur, lam, dlam), shape).astype(float)
     if not np.all(np.isfinite(out)):
         raise FEvalError("prescribed function produced a non-finite value")
     if np.any(out <= 0.0):
@@ -309,13 +305,13 @@ def phi_value(spec: ProblemSpec, r):
 def blend_f_t(spec: ProblemSpec, t: float, geom, th, ph):
     """Homotopy value t f + (1 - t) phi(r) threshold(r) at the points of a GraphGeometry; affine in t.
 
-    (th, ph) are the points' angles.  threshold(r) = zeta^2 takes
-    zeta = lambda'/lambda from the geometry: no second lambda evaluation.
+    (th, ph) are the points' angles.  The threshold and f both read the
+    geometry's lambda and lambda': no second lambda evaluation.
     """
-    f0 = phi_value(spec, geom.r) * (geom.dlam / geom.lam) ** 2
+    f0 = phi_value(spec, geom.r) * threshold(geom.lam, geom.dlam)
     if t == 0.0:
         return f0
-    f = eval_f(spec.f, geom.r, th, ph, geom.nu_r)
+    f = eval_f(spec.f, geom.r, th, ph, geom.nu_r, geom.lam, geom.dlam)
     return t * f + (1.0 - t) * f0
 
 
@@ -353,7 +349,7 @@ def manufacture_f(spec: ProblemSpec, mesh: SphereMesh, target) -> ManufacturedF:
     nodes = (slice((m - 1) // 2, None, m), slice(None, None, m))[:len(mesh.shape)]
     # sigma_2/sigma_0 of mu is K at the only order (k, l) = (2, 0)
     return ManufacturedF(mesh=mesh, q=np.ascontiguousarray(geom.K[nodes]),
-                         lam=np.ascontiguousarray(geom.lam[nodes]), exponent=2, profile=spec.profile)
+                         lam=np.ascontiguousarray(geom.lam[nodes]), exponent=2)
 
 
 # -- assumption checking -----------------------------------------------------
@@ -427,16 +423,16 @@ def check_assumptions(spec: ProblemSpec, samples: int = 12) -> AssumptionReport:
     pad = 1e-3 * (r_hi - r_lo)
 
     def f_on(r_grid):
+        """(f, lambda, lambda') on the sample tensor: lambda once per radius grid."""
         R = r_grid[:, None, None]
-        TH = th[None, :, None]
-        PH = ph[None, :, None]
-        NU = nur[None, None, :]
-        return eval_f(spec.f, R, TH, PH, NU), R
+        lam, dlam = spec.profile.eval_lambda(R)
+        return eval_f(spec.f, R, th[None, :, None], ph[None, :, None], nur[None, None, :],
+                      lam, dlam), lam, dlam
 
     def barrier(name, r_grid, inner_side):
         """f > threshold on the inner side, f < threshold on the outer side."""
-        f_val, R = f_on(r_grid)
-        thr = threshold(spec.profile, R)
+        f_val, lam, dlam = f_on(r_grid)
+        thr = threshold(lam, dlam)
         gap = f_val - thr if inner_side else thr - f_val
         m, at = _worst(gap / thr, r_grid, th, ph, nur, minimize=True)
         return AssumptionResult(name, m > STRICT_TOL, m, at, boundary_case=abs(m) <= STRICT_TOL)
@@ -446,8 +442,7 @@ def check_assumptions(spec: ProblemSpec, samples: int = 12) -> AssumptionReport:
     r_mid = np.linspace(spec.r1 + 2 * h, spec.r2 - 2 * h, samples)
 
     def g_on(r_grid):
-        vals, R = f_on(r_grid)
-        lam, _ = spec.profile.eval_lambda(R)
+        vals, lam, _ = f_on(r_grid)
         return vals * lam ** 2
 
     # an f near the float range overflows a margin or lambda^2 f: that margin is

@@ -3,8 +3,9 @@
 Builtin kinds cover the three space forms (lambda = r, sin r, sinh r); custom
 profiles are polynomials in r, held as ascending coefficient arrays, so that
 lambda', the antiderivative and validation stay closed form.  `eval_lambda`
-returns (lambda, lambda'), all the geometry and the problem layer read.  All
-evaluators are vectorized over numpy arrays.
+returns (lambda, lambda'), all the geometry and the problem layer read: the
+threshold zeta^2 = (lambda'/lambda)^2 is problem.threshold of those values.
+All evaluators are vectorized over numpy arrays.
 """
 
 from __future__ import annotations
@@ -105,11 +106,6 @@ class WarpProfile:
         if np.any(dlam <= 0):
             raise ProfileViolation(f"lambda' <= 0 inside domain ({self.kind})")
         return lam, dlam
-
-    def zeta(self, r):
-        """lambda'(r) / lambda(r)."""
-        lam, dlam = self.eval_lambda(r)
-        return dlam / lam
 
     def capital_lambda(self, r):
         """Antiderivative of lambda from 0 to r, in closed form for every kind."""

@@ -189,7 +189,7 @@ def test_criterion_3_constant_graph_identity():
             geom = compute_geometry(mesh, ScalarField(mesh, np.full(mesh.shape, c)), profile)
             ratio, ok = quotient_ratio_batch(geom.mu_stack(), Q20)
             assert ok.all()
-            worst = max(worst, float(np.abs(ratio - threshold(profile, c)).max()))
+            worst = max(worst, float(np.abs(ratio - threshold(*profile.eval_lambda(c))).max()))
     report(f"criterion 3: constant-graph identity worst residual {worst:.2e}")
     assert worst <= 1e-10
 

@@ -218,11 +218,11 @@ def test_solve_missing_config():
 
 
 @pytest.mark.parametrize("bad", ["config-is-directory", "config-not-utf8", "out-is-file",
-                                 "out-under-file"])
-def test_bad_paths_exit_2(tmp_path, capsys, bad):
+                                 "out-under-file", "out-is-empty"])
+def test_bad_paths_exit_2(tmp_path, capsys, monkeypatch, bad):
     """A config path that is a directory or not UTF-8 text, and an --out that
-    is a regular file or lies under one, are config errors: exit 2 with one
-    'config error:' line, nothing written, from solve and from sweep."""
+    is empty, a regular file or lies under one, are config errors: exit 2 with
+    one 'config error:' line, nothing written, from solve and from sweep."""
     cfg = write_cfg(tmp_path, CLOSED_FORM)
     out = tmp_path / "o"
     if bad == "config-is-directory":
@@ -230,6 +230,9 @@ def test_bad_paths_exit_2(tmp_path, capsys, bad):
         os.mkdir(cfg)
     elif bad == "config-not-utf8":
         (tmp_path / "case.cfg").write_bytes(b"# caf\xe9\n" + CLOSED_FORM.encode())
+    elif bad == "out-is-empty":
+        monkeypatch.chdir(tmp_path)  # a write to the current directory shows in the walk
+        out = ""
     else:
         (tmp_path / "taken").write_text("not a directory\n")
         out = tmp_path / "taken" / ("sub" if bad == "out-under-file" else "")

@@ -56,11 +56,11 @@ def test_constant_graph_matches_threshold(profile, c):
     """At r = const the curvature quotient equals the constant-graph threshold."""
     mesh = build_mesh(24, 16)
     geom = compute_geometry(mesh, const_field(mesh, c), profile)
-    zeta = profile.zeta(c)
-    assert np.abs(geom.mu1 - zeta).max() <= 1e-10
+    lam, dlam = profile.eval_lambda(c)
+    assert np.abs(geom.mu1 - dlam / lam).max() <= 1e-10
     ratio, ok = quotient_ratio_batch(geom.mu_stack(), Q20)
     assert ok.all()
-    assert np.abs(ratio - threshold(profile, c)).max() <= 1e-10
+    assert np.abs(ratio - threshold(lam, dlam)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("profile", [

@@ -125,14 +125,15 @@ def test_parser_against_python_eval_oracle():
 
 def test_threshold_euclidean_is_inverse_square():
     for r in (0.5, 1.25, 3.0):
-        assert threshold(EUCLID, r) == pytest.approx(1.0 / r ** 2, rel=1e-14)
+        assert threshold(*EUCLID.eval_lambda(r)) == pytest.approx(1.0 / r ** 2, rel=1e-14)
 
 
 def test_round_exponential_matches_threshold_at_rm():
-    f = RoundExponentialF(rm=1.25, alpha=1.0, profile=EUCLID)
-    assert float(eval_f(f, 1.25, 0.3, 0.2, 0.9)) == pytest.approx(0.64, rel=1e-14)
-    got = float(eval_f(f, 0.8, 0.0, 0.0, 1.0))
-    want = threshold(EUCLID, 0.8) * math.exp(1.25 - 0.8)
+    f = RoundExponentialF(rm=1.25, alpha=1.0)
+    got = float(eval_f(f, 1.25, 0.3, 0.2, 0.9, *EUCLID.eval_lambda(1.25)))
+    assert got == pytest.approx(0.64, rel=1e-14)
+    got = float(eval_f(f, 0.8, 0.0, 0.0, 1.0, *EUCLID.eval_lambda(0.8)))
+    want = threshold(*EUCLID.eval_lambda(0.8)) * math.exp(1.25 - 0.8)
     assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -156,13 +157,13 @@ def test_blend_endpoints():
     spec = closed_form_spec()
     geom = graph_geometry(lambda th, ph: 1.1 + 0.1 * np.cos(th) * np.sin(ph))
     mesh = geom.mesh
-    f0 = phi_value(spec, geom.r) * threshold(EUCLID, geom.r)
+    f0 = phi_value(spec, geom.r) * threshold(*EUCLID.eval_lambda(geom.r))
     assert np.array_equal(blend(spec, 0.0, geom), f0)
     f1 = eval_f(spec.f, geom.r, mesh.theta_grid(), mesh.phi_grid(), geom.nu_r)
     assert np.array_equal(blend(spec, 1.0, geom), f1)
     at_rm = graph_geometry(lambda th, ph: np.full(th.shape, spec.phi_rm))
     np.testing.assert_allclose(blend(spec, 0.0, at_rm),
-                               threshold(EUCLID, spec.phi_rm), rtol=1e-15)  # phi(rm) = 1
+                               threshold(*EUCLID.eval_lambda(spec.phi_rm)), rtol=1e-15)  # phi(rm) = 1
 
 
 @settings(max_examples=60)
@@ -205,7 +206,7 @@ def test_manufacture_constant_target():
     spec = closed_form_spec()
     f = manufacture_f(spec, mesh, lambda th, ph: np.full_like(th, 1.0))
     for r in (0.7, 1.0, 1.6):
-        got = float(eval_f(f, r, 0.8, 0.0, 0.9))
+        got = float(eval_f(f, r, 0.8, 0.0, 0.9, *EUCLID.eval_lambda(r)))
         assert got == pytest.approx(1.0 / r ** 2, rel=1e-9)
 
 
@@ -215,8 +216,8 @@ def test_manufactured_radial_independence():
     f = manufacture_f(spec, mesh, lambda th, ph: 1 + 0.05 * np.cos(th))
     vals = []
     for r in (0.7, 1.0, 1.6):
-        lam, _ = EUCLID.eval_lambda(r)
-        vals.append(float(eval_f(f, r, 0.8, 0.0, 0.9)) * lam ** 2)
+        lam, dlam = EUCLID.eval_lambda(r)
+        vals.append(float(eval_f(f, r, 0.8, 0.0, 0.9, lam, dlam)) * lam ** 2)
     assert np.ptp(vals) <= 1e-12 * abs(vals[0])
 
 
@@ -250,9 +251,11 @@ def test_manufactured_reads_the_node_of_each_cell():
     f = manufacture_f(closed_form_spec(), mesh,
                       lambda th, ph: 1 + 0.05 * np.sin(th) * np.cos(ph))
     th, ph = mesh.theta_grid(), mesh.phi_grid()
-    at_nodes = eval_f(f, 1.0, th, ph, 0.9)
+    lam, dlam = EUCLID.eval_lambda(1.0)
+    at_nodes = eval_f(f, 1.0, th, ph, 0.9, lam, dlam)
     for dth, dph in ((0.4, -0.4), (-0.4, 0.4)):
-        moved = eval_f(f, 1.0, th + dth * mesh.dtheta, (ph + dph * mesh.dphi) % (2 * np.pi), 0.9)
+        moved = eval_f(f, 1.0, th + dth * mesh.dtheta, (ph + dph * mesh.dphi) % (2 * np.pi), 0.9,
+                       lam, dlam)
         assert np.array_equal(moved, at_nodes)
 
 

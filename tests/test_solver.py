@@ -82,21 +82,54 @@ def test_residual_zero_at_closed_form_root():
     assert np.abs(res.values).max() <= 1e-12
 
 
-def test_residual_evaluates_lambda_once_beside_f(monkeypatch):
-    """compute_geometry evaluates lambda and the t = 0 endpoint reuses it; only
-    an f that reads lambda itself evaluates it again, and only for t > 0."""
+def count_eval_lambda(monkeypatch):
+    """A list that gains one entry per WarpProfile.eval_lambda call."""
     calls = []
     original = WarpProfile.eval_lambda
     monkeypatch.setattr(WarpProfile, "eval_lambda",
                         lambda self, r: calls.append(1) or original(self, r))
+    return calls
+
+
+def every_kind_of_f(mesh):
+    """An expression, the builtin and a manufactured prescription, on the euclidean warp."""
+    return (parse_f("1/r^2 * exp(1.25 - r)"), RoundExponentialF(rm=1.25, alpha=1.0),
+            manufacture_f(closed_form_spec(), mesh,
+                          lambda th, ph: 1 + 0.05 * np.sin(th) * np.cos(ph)))
+
+
+def test_residual_evaluates_lambda_once_beside_f(monkeypatch):
+    """compute_geometry evaluates lambda; the t = 0 endpoint and every kind of
+    f read the geometry's, so no residual evaluates it again."""
     mesh = build_mesh(16, 8)
-    round_exp = RoundExponentialF(rm=1.25, alpha=1.0, profile=EUCLID)
-    for spec, want in ((closed_form_spec(), {0.0: 1, 0.5: 1}),
-                       (closed_form_spec(f=round_exp), {0.0: 1, 0.5: 2})):
-        for t, count in want.items():
+    fs = every_kind_of_f(mesh)
+    calls = count_eval_lambda(monkeypatch)
+    for f in fs:
+        for t in (0.0, 0.5):
             calls.clear()
-            field_residual(spec, mesh, t, const_field(mesh, 1.2))
-            assert len(calls) == count
+            field_residual(closed_form_spec(f=f), mesh, t, const_field(mesh, 1.2))
+            assert len(calls) == 1
+
+
+def test_check_assumptions_evaluates_lambda_once_per_radius_grid(monkeypatch):
+    """Two barrier grids and three monotonicity grids: each evaluates lambda
+    once and hands it to f and to the threshold."""
+    fs = every_kind_of_f(build_mesh(16, 8))
+    calls = count_eval_lambda(monkeypatch)
+    for f in fs:
+        calls.clear()
+        check_assumptions(closed_form_spec(f=f))
+        assert len(calls) == 5
+
+
+def test_builtin_follows_the_problem_warp():
+    """The builtin's threshold is the problem's warp's: r = rm solves t = 1 in
+    the hyperbolic warp, where K of the round graph is coth^2 rm."""
+    spec = closed_form_spec(profile=WarpProfile.hyperbolic((0.0, 10.0)),
+                            f=RoundExponentialF(rm=1.25, alpha=1.0))
+    mesh = build_mesh(16, 8)
+    res = field_residual(spec, mesh, 1.0, const_field(mesh, 1.25))
+    assert np.abs(res.values).max() <= 1e-12
 
 
 def test_residual_cone_violation_names_node():
@@ -126,7 +159,7 @@ def test_jacobian_zeroth_order_sign_and_invertibility():
     rm = spec.phi_rm
 
     def f0(r):
-        return float(phi_value(spec, r)) * threshold(EUCLID, r)
+        return float(phi_value(spec, r)) * threshold(*EUCLID.eval_lambda(r))
 
     slope = (f0(rm + h) - f0(rm - h)) / (2 * h)
     assert -slope > 0.1  # strictly positive zeroth-order contribution
@@ -839,7 +872,7 @@ def test_continuation_spherical_warp_round_case():
     from prescurv.problem import RoundExponentialF, check_assumptions
 
     profile = WarpProfile.spherical((0.0, np.pi / 2))
-    f = RoundExponentialF(rm=0.75, alpha=1.0, profile=profile)
+    f = RoundExponentialF(rm=0.75, alpha=1.0)
     spec = ProblemSpec(profile, f, r1=0.3, r2=1.2, phi_rm=0.75)
     rep = check_assumptions(spec)
     assert rep.all_passed

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prescurv.errors import DomainViolation, ProfileViolation
+from prescurv.problem import threshold
 from prescurv.warp import WarpProfile, validate_profile
 
 COTH_1 = 1.3130352854993313  # cosh(1)/sinh(1), high-precision oracle
@@ -37,10 +38,12 @@ def test_eval_lambda_custom_polynomial():
     assert dlam == pytest.approx(1.5, abs=1e-15)
 
 
-def test_zeta_values():
-    assert WarpProfile.euclidean((0.0, 10.0)).zeta(2.0) == pytest.approx(0.5, abs=1e-15)
-    assert WarpProfile.spherical((0.0, np.pi / 2)).zeta(np.pi / 4) == pytest.approx(1.0, abs=1e-14)
-    assert WarpProfile.hyperbolic((0.0, 10.0)).zeta(1.0) == pytest.approx(COTH_1, abs=1e-14)
+def test_threshold_values():
+    """threshold(lambda, lambda') is zeta^2, zeta = lambda'/lambda."""
+    for prof, r, zeta, tol in ((WarpProfile.euclidean((0.0, 10.0)), 2.0, 0.5, 1e-15),
+                               (WarpProfile.spherical((0.0, np.pi / 2)), np.pi / 4, 1.0, 1e-14),
+                               (WarpProfile.hyperbolic((0.0, 10.0)), 1.0, COTH_1, 1e-14)):
+        assert threshold(*prof.eval_lambda(r)) == pytest.approx(zeta ** 2, abs=tol)
 
 
 def test_capital_lambda_closed_forms():
@@ -75,10 +78,10 @@ def test_capital_lambda_derivative_is_lambda(prof):
 @settings(max_examples=60)
 @given(r=st.floats(min_value=0.2, max_value=9.8),
        kind=st.sampled_from(["euclidean", "hyperbolic"]))
-def test_zeta_times_lambda_is_dlambda(r, kind):
+def test_threshold_times_lambda_squared_is_dlambda_squared(r, kind):
     prof = WarpProfile(kind, (0.1, 10.0))
     lam, dlam = prof.eval_lambda(r)
-    assert prof.zeta(r) * lam == pytest.approx(dlam, rel=1e-15, abs=1e-300)
+    assert threshold(lam, dlam) * lam ** 2 == pytest.approx(dlam ** 2, rel=1e-15, abs=1e-300)
 
 
 def test_validate_builtins_pass():

@@ -3,12 +3,14 @@
 The residual at each node is sigma_k/sigma_l of the Newton-tensor eigenvalues
 minus the homotopy value f^t: at n = 2 that is K - f^t, formed with no
 eigenvalues by a pointwise kernel over the node's 2-jet.  Newton forms each
-iterate's node geometry, 2-jet included, once, for residual and for
+distinct field's node geometry, 2-jet included, once, for residual and for
 jacobian_sparse; continuation hands an accepted state's geometry to
-on_accept, so no caller forms it again.  Newton's sparse central-difference
-Jacobian differences that kernel entry by entry (column j's step moves row
-i's jet by node j's stencil weights there); a perturbed jet that is
-inadmissible fails the build, as it fails the dense oracle jacobian_fd,
+on_accept and to the next t-step's Newton, which starts from it when its
+guess is that state (the first t-step, or a path that does not move), so no
+caller forms it again.  Newton's sparse central-difference Jacobian
+differences that kernel entry by entry (column j's step moves row i's jet by
+node j's stencil weights there); a perturbed jet that is inadmissible fails
+the build, as it fails the dense oracle jacobian_fd,
 which serves the tests and selftest only.  Newton factors J with sparse LU
 and keeps the factor: while a factor is in hand, each iteration first tries
 the full chord step on it, kept only if it stays admissible, stays inside
@@ -82,7 +84,7 @@ class NewtonStats:
     halvings: int = 0
     jacobians: int = 0   # fresh Jacobian builds
     lu: object = field(default=None, compare=False, repr=False)  # factor in hand at return
-    geom: object = field(default=None, compare=False, repr=False)  # the solution's geometry
+    geom: object = field(default=None, compare=False, repr=False)  # the solution's, or the caller's
 
 
 @dataclass(frozen=True)
@@ -198,15 +200,19 @@ def _trial_residual(spec, mesh, t, trial):
 
 
 def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarField,
-                 opts: SolverOptions = SolverOptions(), lu=None):
+                 opts: SolverOptions = SolverOptions(), lu=None, geom=None):
     """Chord-accelerated damped Newton for the nodal equation at fixed t.
 
     Returns (solution field, NewtonStats); stats.lu is the factor in hand at
     return, for the next call, and stats.geom the geometry the solution's
-    residual was formed from.  While a factor `lu` (of an earlier Jacobian,
-    possibly at another t) is in hand, an iteration first tries the full
-    chord step lu.solve(-res), and keeps it only if the trial is inside the
-    guarded annulus, admissible, and cuts max|res| by CHORD_CONTRACTION.
+    residual was formed from.  A node geometry `geom` on this mesh whose r
+    equals r_init node for node is the start's geometry and is not formed
+    again (stats.geom is then geom if no step is taken); any other geom is
+    ignored.  Either way the start residual at t, cone check included, is
+    evaluated.  While a factor `lu` (of an earlier Jacobian, possibly at
+    another t) is in hand, an iteration first tries the full chord step
+    lu.solve(-res), and keeps it only if the trial is inside the guarded
+    annulus, admissible, and cuts max|res| by CHORD_CONTRACTION.
     Otherwise the trial and the factor are dropped: the sparse Jacobian
     (jacobian_sparse) is built at the current iterate and
     factored by splu, and its Newton step is damped by a backtracking line
@@ -217,7 +223,10 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
     """
     rvec = r_init.flat().copy()
     _check_guard(spec, rvec)
-    res, geom = _residual_vec(spec, mesh, t, rvec)  # raises if r_init inadmissible
+    if geom is not None and geom.mesh is mesh and np.array_equal(geom.r.ravel(), rvec):
+        res = residual(spec, t, geom).flat()
+    else:
+        res, geom = _residual_vec(spec, mesh, t, rvec)  # either raises if r_init inadmissible
     norm = float(np.abs(res).max())
     it = halvings_total = jacobians = 0
     while not norm <= opts.newton_tol:
@@ -263,11 +272,13 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     Refuses to run when the assumption check fails beyond boundary cases,
     unless `force` is set.  Each t-step starts Newton from the secant
     prediction through the last two accepted states (from the last state on
-    the first step) and hands it the factor of the last fresh Jacobian; a
-    failed t-step drops the factor and halves dt, and so does a prediction
-    that is inadmissible (not finite included) or outside the guard.  As
-    each state is accepted, t = 0 included, on_accept(state, geom) is called
-    with the node geometry Newton formed its residual from.  Raises
+    the first step), and hands it the factor of the last fresh Jacobian and
+    the last accepted state's geometry, which Newton reuses, on a retry too,
+    when the prediction is that state; a failed t-step drops the factor and
+    halves dt, and so does a prediction that is inadmissible (not finite
+    included) or outside the guard.  As each state is accepted, t = 0
+    included, on_accept(state, geom) is called with the node geometry of its
+    residual: one object for as long as the state does not move.  Raises
     ContinuationBreakdown (carrying the last good state and the failed
     t-interval, its message the error that rejected the last t-step) when
     the t-step underflows.  Returns (final state, history of accepted
@@ -283,7 +294,7 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     history = [state]
     if on_accept is not None:
         on_accept(state, stats.geom)
-    lu, slope = stats.lu, np.zeros(mesh.n_nodes)
+    lu, geom, slope = stats.lu, stats.geom, np.zeros(mesh.n_nodes)
 
     dt = opts.t_step_init
     t = 0.0
@@ -292,7 +303,7 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
         t_try = 1.0 if t + dt >= 1.0 - 1e-12 else t + dt
         try:
             guess = field_from_flat(mesh, sol.flat() + (t_try - t) * slope)
-            sol_try, stats = newton_solve(spec, mesh, t_try, guess, opts, lu)
+            sol_try, stats = newton_solve(spec, mesh, t_try, guess, opts, lu, geom)
         except INADMISSIBLE + (NewtonFailure, AdmissibilityError) as exc:
             lu = None
             dt *= 0.5
@@ -305,7 +316,7 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
                 ) from exc
             continue
         slope = (sol_try.flat() - sol.flat()) / (t_try - t)
-        t, sol, lu = t_try, sol_try, stats.lu
+        t, sol, lu, geom = t_try, sol_try, stats.lu, stats.geom
         state = ContinuationState(t, sol, stats.iterations, stats.residual_norm, stats.jacobians)
         history.append(state)
         if on_accept is not None:

@@ -173,11 +173,12 @@ def test_monitor_csv_matches_rowwise_bytes(tmp_path, n_records):
 def solve_counting_geometries(monkeypatch, argv):
     """Run `prescurv solve`; return (exit code, final state, accepted states,
     node fields of the compute_geometry calls made after the continuation
-    returned or broke down, and of those made outside newton_solve).
+    returned or broke down, of those made outside newton_solve, and of all).
 
     The accepted states are the continuation's history, or None on a breakdown.
     """
-    seen = {"final": None, "history": None, "in_newton": 0, "after": [], "outside": []}
+    seen = {"final": None, "history": None, "in_newton": 0, "after": [], "outside": [],
+            "all": []}
     real_solve, real_newton = cli.continuation_solve, solver.newton_solve
     real_geometry = geometry.compute_geometry
 
@@ -198,6 +199,7 @@ def solve_counting_geometries(monkeypatch, argv):
             seen["in_newton"] -= 1
 
     def counted(mesh, r_field, profile):
+        seen["all"].append(r_field)
         if seen["final"] is not None:
             seen["after"].append(r_field)
         if not seen["in_newton"]:
@@ -212,7 +214,7 @@ def solve_counting_geometries(monkeypatch, argv):
             monkeypatch.setattr(module, "compute_geometry", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    return code, seen["final"], seen["history"], seen["after"], seen["outside"]
+    return code, seen["final"], seen["history"], seen["after"], seen["outside"], seen["all"]
 
 
 def node_csvs_match(out, mesh, state, geom):
@@ -236,7 +238,7 @@ def test_converged_solve_forms_the_final_geometry_once(tmp_path, monkeypatch):
     none after the continuation returns, and geometry.csv is the final state's."""
     cfg = os.path.join(CONFIGS, "perturbed_axisym.cfg")
     out = tmp_path / "out"
-    code, final, _, after, outside = solve_counting_geometries(
+    code, final, _, after, outside, _ = solve_counting_geometries(
         monkeypatch, ["--config", cfg, "--out", str(out), "solve"])
     assert code == 0 and final.t == 1.0
     assert after == [] and outside == []
@@ -249,7 +251,7 @@ def test_converged_solve_forms_the_final_geometry_once(tmp_path, monkeypatch):
 def test_breakdown_geometry_is_the_last_good_state(tmp_path, monkeypatch):
     cfg = os.path.join(CONFIGS, "violates_outer.cfg")
     out = tmp_path / "out"
-    code, last_good, _, after, outside = solve_counting_geometries(
+    code, last_good, _, after, outside, _ = solve_counting_geometries(
         monkeypatch, ["--config", cfg, "--out", str(out), "--force", "solve"])
     assert code == 4
     assert after == [] and outside == []
@@ -272,7 +274,7 @@ def test_every_monitor_row_equals_its_recomputed_oracle(tmp_path, monkeypatch):
     cfg = tmp_path / "angular.cfg"
     cfg.write_text(text)
     out = tmp_path / "out"
-    code, final, history, _, _ = solve_counting_geometries(
+    code, final, history, _, _, _ = solve_counting_geometries(
         monkeypatch, ["--config", str(cfg), "--out", str(out), "solve"])
     assert code == 0 and final is history[-1]
     iterations = sum(st.newton_iters for st in history)
@@ -281,5 +283,24 @@ def test_every_monitor_row_equals_its_recomputed_oracle(tmp_path, monkeypatch):
     monkeypatch.undo()
     spec, mesh, _ = build_problem(parse_config(str(cfg)))
     assert (mesh.n_theta, mesh.n_phi) == (16, 8)
+    rows = (out / "monitor.csv").read_text().splitlines()[1:]
+    assert rows == [monitor_row(spec, st, mesh) for st in history]
+
+
+@pytest.mark.parametrize("name", ["closed_form.cfg", "builtin_round.cfg", "hyperbolic_round.cfg"])
+def test_round_solve_forms_one_geometry(tmp_path, monkeypatch, name):
+    """On a round config the path does not move: every t-step starts at the
+    accepted state and reuses its geometry, so the solve forms one, and the
+    CSVs still hold what a geometry formed afresh from each state gives."""
+    cfg = os.path.join(CONFIGS, name)
+    out = tmp_path / "out"
+    code, final, history, _, _, formed = solve_counting_geometries(
+        monkeypatch, ["--config", cfg, "--out", str(out), "solve"])
+    assert code == 0 and final.t == 1.0 and len(history) == 11
+    assert len(formed) == 1
+    monkeypatch.undo()
+    spec, mesh, _ = build_problem(parse_config(cfg))
+    geom = geometry.compute_geometry(mesh, final.r_field, spec.profile)
+    assert node_csvs_match(out, mesh, final, geom)
     rows = (out / "monitor.csv").read_text().splitlines()[1:]
     assert rows == [monitor_row(spec, st, mesh) for st in history]

@@ -539,6 +539,68 @@ def test_newton_rejects_bad_initial_data():
         newton_solve(spec2, mesh, 0.0, const_field(mesh, 2.3))  # beyond the guard
 
 
+def count_geometries(monkeypatch):
+    """Record the field of every compute_geometry call Newton makes."""
+    formed = []
+    real = solver.compute_geometry
+
+    def counting(mesh, r_field, profile):
+        formed.append(r_field)
+        return real(mesh, r_field, profile)
+
+    monkeypatch.setattr(solver, "compute_geometry", counting)
+    return formed
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_newton_starts_from_a_matching_geometry(monkeypatch, t):
+    """A geometry formed from r_init itself is the start's: Newton returns the
+    same field and stats as without it and forms one geometry fewer; at
+    t = 0, where the round start takes no step, stats.geom is that object."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    start = const_field(mesh, spec.phi_rm)
+    geom = compute_geometry(mesh, start, spec.profile)
+    formed = count_geometries(monkeypatch)
+    plain_sol, plain = newton_solve(spec, mesh, t, start)
+    n_plain = len(formed)
+    sol, stats = newton_solve(spec, mesh, t, start, geom=geom)
+    assert np.array_equal(sol.values, plain_sol.values) and stats == plain
+    assert len(formed) - n_plain == n_plain - 1
+    assert (stats.geom is geom) == (stats.iterations == 0) == (t == 0.0)
+
+
+def test_newton_ignores_a_geometry_one_ulp_off(monkeypatch):
+    """A geometry whose r differs from r_init at one node by one ulp is not
+    the start's: the results equal a call without it, and stats.geom is a
+    geometry formed afresh from r_init."""
+    spec = closed_form_spec()
+    mesh = build_mesh(16, 8)
+    start = const_field(mesh, spec.phi_rm)
+    off = start.values.copy()
+    off.flat[5] = np.nextafter(off.flat[5], np.inf)
+    geom = compute_geometry(mesh, ScalarField(mesh, off), spec.profile)
+    formed = count_geometries(monkeypatch)
+    plain_sol, plain = newton_solve(spec, mesh, 0.0, start)
+    sol, stats = newton_solve(spec, mesh, 0.0, start, geom=geom)
+    assert np.array_equal(sol.values, plain_sol.values) and stats == plain
+    assert stats.iterations == 0 and len(formed) == 2
+    assert stats.geom is not geom and np.array_equal(stats.geom.r, start.values)
+
+
+def test_newton_from_a_matching_geometry_outside_the_cone_raises():
+    """Reusing the start's geometry skips no check: a start outside Gamma_2
+    raises ConeViolation with its geometry handed in, as without it."""
+    spec = closed_form_spec()
+    mesh = build_mesh(16, 8)
+    bad = field_from_function(mesh, lambda th, ph: 1 + 0.3 * np.cos(2 * th))
+    geom = compute_geometry(mesh, bad, spec.profile)
+    assert not np.all(geom.in_cone)
+    for given in (None, geom):
+        with pytest.raises(ConeViolation):
+            newton_solve(spec, mesh, 0.5, bad, geom=given)
+
+
 
 class _StaleFactor:
     """Stands in for a factor in hand whose chord step is `step`."""
@@ -664,18 +726,20 @@ def test_continuation_starts_each_step_from_the_secant_prediction(monkeypatch):
     through the last two accepted states (zero on the first step)."""
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
     mesh = build_mesh(16, 8)
-    starts = {}
+    starts, given, accepted = {}, {}, {}
     real = solver.newton_solve
 
-    def spying(spec_, mesh_, t, r_init, opts, lu=None):
-        starts[t] = r_init.flat().copy()
-        return real(spec_, mesh_, t, r_init, opts, lu)
+    def spying(spec_, mesh_, t, r_init, opts, lu=None, geom=None):
+        starts[t], given[t] = r_init.flat().copy(), geom
+        return real(spec_, mesh_, t, r_init, opts, lu, geom)
 
     monkeypatch.setattr(solver, "newton_solve", spying)
-    _, history = continuation_solve(spec, mesh)
+    _, history = continuation_solve(
+        spec, mesh, on_accept=lambda st, geom: accepted.setdefault(st.t, geom))
     sols = {st.t: st.r_field.flat() for st in history}
     ts = [st.t for st in history]
     assert np.array_equal(starts[ts[1]], sols[ts[0]])
+    assert given[ts[1]] is accepted[ts[0]] is not None
     for t_prev, t, t_try in zip(ts, ts[1:], ts[2:]):
         slope = (sols[t] - sols[t_prev]) / (t - t_prev)
         np.testing.assert_allclose(starts[t_try], sols[t] + (t_try - t) * slope,
@@ -719,9 +783,9 @@ def test_non_finite_secant_guess_halves_the_t_step(monkeypatch):
     real = solver.newton_solve
     tried = []
 
-    def huge_first_step(spec_, mesh_, t, r_init, opts, lu=None):
+    def huge_first_step(spec_, mesh_, t, r_init, opts, lu=None, geom=None):
         tried.append(t)
-        sol, stats = real(spec_, mesh_, t, r_init, opts, lu)
+        sol, stats = real(spec_, mesh_, t, r_init, opts, lu, geom)
         if len(tried) == 2:  # the state accepted at t = 0.1
             values = sol.values.copy()
             values.flat[0] = 1e308

@@ -21,7 +21,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_array
 
 from .errors import NonFiniteField
 
@@ -201,6 +200,8 @@ def _jet_operators(n_theta: int, n_phi: int):
     # with azimuthal rotation (the ghost map shifts every column by the same
     # offsets and the same through-pole shift n_phi/2; 1/sin and cot depend on
     # theta only), so one unit field per ring, turned, gives the ring's columns.
+    from scipy.sparse import csc_array  # here, so a run that builds no Jacobian never loads scipy
+
     mesh = build_mesh(n_theta, n_phi, reduced=not n_phi)
     width = max(n_phi, 1)
     indices, data, sizes = [], [], []
@@ -225,6 +226,8 @@ def jet_operators(mesh: SphereMesh) -> tuple:
     Column j of D_a is component a of frame_derivatives of the unit field at
     node j, so D_a r is frame_derivatives(r)'s component a up to rounding.
     All six store the same CSC entries: the union of their nonzeros.
+    scipy.sparse loads on first use, so a run that builds no Jacobian never
+    loads it.
     """
     return _jet_operators(mesh.n_theta, mesh.n_phi)
 

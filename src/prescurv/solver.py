@@ -23,15 +23,17 @@ Continuation marches t from the round solution at t = 0 to t = 1, hands the
 last factor from one t-step to the next, starts each t-step from a secant
 prediction through the last two accepted states, and halves the step on
 failure and doubles it after consecutive easy solves.
+scipy.sparse and its splu are imported where the first Jacobian is built
+and factored, so a run that builds none (a round solve, for one) never
+loads scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csc_array
-from scipy.sparse.linalg import splu
 
 from .errors import (
     AdmissibilityError,
@@ -47,6 +49,9 @@ from .errors import (
 from .geometry import GraphGeometry, compute_geometry, geometry_from_jet
 from .mesh import ScalarField, SphereMesh, field_from_flat, jet_operators
 from .problem import ProblemSpec, blend_f_t, check_assumptions
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_array
 
 GUARD_FRACTION = 0.05  # hard annulus guard widens (r1, r2) by this fraction of the width
 DAMPING = 0.5          # line-search backtracking factor
@@ -155,6 +160,8 @@ def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_arr
     AdmissibilityError, as it fails jacobian_fd.  No residual of a whole
     field is evaluated.
     """
+    from scipy.sparse import csc_array
+
     mesh, n = geom.mesh, geom.mesh.n_nodes
     ops = jet_operators(mesh)
     indices, indptr = ops[0].indices, ops[0].indptr
@@ -241,6 +248,8 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
                     and (trial_norm := float(np.abs(got[0]).max())) <= CHORD_CONTRACTION * norm):
                 rvec, (res, geom), norm = trial, got, trial_norm
                 continue
+        from scipy.sparse.linalg import splu
+
         jac = jacobian_sparse(spec, t, geom)
         jacobians += 1
         try:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -428,6 +429,86 @@ def test_building_a_problem_does_not_import_scipy_optimize():
             "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n")
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
+
+
+def config_paths():
+    return sorted(os.path.abspath(os.path.join(CONFIGS, name))
+                  for name in os.listdir(CONFIGS) if name.endswith(".cfg"))
+
+
+def test_importing_and_building_every_problem_does_not_import_scipy():
+    """scipy loads with the first Jacobian: importing the package and the CLI
+    and building the problem of every config leave it unloaded.
+    verify_geometry.cfg has no problem section, so building one fails."""
+    code = ("import sys\n"
+            "import prescurv\n"
+            "import prescurv.cli\n"
+            "from prescurv.config import build_problem, parse_config\n"
+            "from prescurv.errors import ConfigError\n"
+            f"for cfg in {config_paths()!r}:\n"
+            "    try:\n"
+            "        build_problem(parse_config(cfg))\n"
+            "    except ConfigError:\n"
+            "        assert cfg.endswith('verify_geometry.cfg'), cfg\n"
+            "    assert 'scipy' not in sys.modules, cfg\n")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+
+
+# In a fresh process, run cli.main on each argument list and print one line
+# per run: exit code, whether scipy (or scipy.sparse.linalg) is loaded, and
+# whether the run printed jacobians=0.
+RUN_MAIN = """
+import contextlib, io, json, sys
+from prescurv.cli import main
+for args in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(args)
+    print(json.dumps([code, 'scipy' in sys.modules, 'scipy.sparse.linalg' in sys.modules,
+                      'jacobians=0' in out.getvalue()]))
+"""
+
+
+def test_runs_that_build_no_jacobian_do_not_import_scipy(tmp_path):
+    """Round solves, a refused solve, every check-assumptions run and
+    verify-geometry build no Jacobian, and never load scipy."""
+    cfgs = {os.path.basename(p)[:-4]: p for p in config_paths()}
+    runs, expected = [], []
+    for name in ("closed_form", "builtin_round", "hyperbolic_round"):
+        runs.append(["--config", cfgs[name], "--out", str(tmp_path / name), "solve"])
+        expected.append([0, False, False, True])
+    runs.append(["--config", cfgs["violates_outer"], "--out", str(tmp_path / "v"), "solve"])
+    expected.append([3, False, False, False])
+    for name, path in cfgs.items():
+        runs.append(["--config", path, "check-assumptions"])
+        code = {"violates_outer": 3, "verify_geometry": 2}.get(name, 0)
+        expected.append([code, False, False, False])
+    runs.append(["--config", cfgs["verify_geometry"], "verify-geometry"])
+    expected.append([0, False, False, False])
+    proc = run_python(["-c", RUN_MAIN, json.dumps(runs)])
+    assert proc.returncode == 0, proc.stderr
+    got = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert list(zip(runs, got)) == list(zip(runs, expected))
+
+
+def test_a_jacobian_build_imports_scipy_and_rebinds_no_module_name(tmp_path):
+    """The positive control: a solve that builds a Jacobian loads
+    scipy.sparse.linalg, and every prescurv module keeps its set of
+    module-level names (scipy is imported inside functions only)."""
+    code = ("import json, sys\n"
+            "import prescurv.cli\n"
+            "def names():\n"
+            "    return {m: sorted(vars(mod)) for m, mod in sys.modules.items()\n"
+            "            if m == 'prescurv' or m.startswith('prescurv.')}\n"
+            "before = names()\n"
+            + RUN_MAIN +
+            "assert names() == before, 'module-level names changed'\n")
+    cfg = os.path.abspath(os.path.join(CONFIGS, "perturbed_axisym.cfg"))
+    runs = [["--config", cfg, "--out", str(tmp_path / "o"), "solve"]]
+    proc = run_python(["-c", code, json.dumps(runs)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, True, True, False]
 
 
 def run_python(args):

@@ -10,7 +10,6 @@ report's RunReport.exit_code() is its exit code (a sweep's: the largest).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -20,7 +19,6 @@ import numpy as np
 
 from . import geometry as G
 from . import mesh as M
-from . import symm as SY
 from .config import (
     CHECK_SAMPLES_MAX,
     build_monitor_params,
@@ -37,23 +35,13 @@ from .config import (
 from .errors import (
     ConfigError,
     ContinuationBreakdown,
-    DegeneratePair,
     DomainViolation,
     FParseError,
     PrescurvError,
     ProfileViolation,
 )
 from .monitor import monitor_state
-from .problem import (
-    ProblemSpec,
-    blend_f_t,
-    check_assumptions,
-    eval_f,
-    manufacture_f,
-    parse_f,
-    phi_value,
-    threshold,
-)
+from .problem import check_assumptions, parse_f
 from .report import (
     RunReport,
     margins_table,
@@ -62,10 +50,7 @@ from .report import (
     write_monitor_csv,
     write_report,
 )
-from .solver import (continuation_solve, jacobian_fd, jacobian_sparse, total_jacobians,
-                     total_newton_iterations)
-from .symm import QuotientOrder
-from .warp import WarpProfile, validate_profile
+from .solver import continuation_solve, total_jacobians, total_newton_iterations
 
 
 def _load_config(args):
@@ -245,182 +230,18 @@ def cmd_verify_geometry(args) -> int:
     return 0 if ok else 1
 
 
-def _selftest_checks():
-    """Curated property suite; yields (name, pass, detail)."""
-    import itertools
-
-    rng = np.random.default_rng(20240811)
-
-    # warp profiles
-    for kind, dom in (("euclidean", (0.1, 10.0)), ("spherical", (0.1, np.pi / 2)),
-                      ("hyperbolic", (0.1, 10.0))):
-        prof = WarpProfile(kind, dom)
-        rep = validate_profile(prof)
-        yield f"warp-validate-{kind}", rep.ok, ""
-        grid = np.linspace(dom[0] + 0.05, dom[1] - 0.05, 7)
-        h = 1e-6
-        fd = (prof.capital_lambda(grid + h) - prof.capital_lambda(grid - h)) / (2 * h)
-        lam = prof.eval_lambda(grid)[0]
-        err = float(np.abs(fd / lam - 1).max())
-        yield f"warp-antiderivative-{kind}", err <= 1e-8, f"rel {err:.1e}"
-
-    # elementary symmetric functions vs brute force
-    def brute(mu, k):
-        if k == 0:
-            return 1.0
-        return float(sum(math.prod(c) for c in itertools.combinations(mu, k)))
-
-    worst = 0.0
-    for n in range(2, 7):
-        for k in range(0, n + 1):
-            mu = rng.uniform(-2, 3, n)
-            worst = max(worst, abs(SY.sigma(mu, k) - brute(mu, k)) / max(1.0, abs(brute(mu, k))))
-    yield "sigma-vs-bruteforce", worst <= 1e-12, f"rel {worst:.1e}"
-
-    worst = 0.0
-    for n in range(2, 7):
-        mu = rng.uniform(-1, 2, n)
-        for k in range(1, n + 1):
-            for i in range(n):
-                lhs = SY.sigma(mu, k)
-                head = SY.sigma_minor(mu, k, i) if k <= n - 1 else 0.0
-                rhs = head + mu[i] * SY.sigma_minor(mu, k - 1, i)
-                worst = max(worst, abs(lhs - rhs))
-    yield "sigma-deleted-entry-identity", worst <= 1e-12, f"abs {worst:.1e}"
-
-    worst = 0.0
-    for n in range(2, 7):
-        mu = rng.uniform(0.2, 2, n)
-        for k in range(1, n + 1):
-            euler = sum(mu[i] * SY.sigma_minor(mu, k - 1, i) for i in range(n))
-            worst = max(worst, abs(euler - k * SY.sigma(mu, k)) / max(1.0, k * abs(SY.sigma(mu, k))))
-    yield "sigma-euler-identity", worst <= 1e-12, f"rel {worst:.1e}"
-
-    # quotient operator: gradient, cone bound, concavity, off-diagonal identity
-    worst_g, worst_b, worst_c, worst_o = 0.0, np.inf, -np.inf, 0.0
-    count = 0
-    while count < 25:
-        n = int(rng.integers(2, 6))
-        pairs = [(k, l) for k in range(2, n + 1) for l in range(0, k - 1)]
-        k, l = pairs[int(rng.integers(len(pairs)))]
-        mu = rng.uniform(0.1, 3, n)
-        if not SY.in_gamma_k(mu, k):
-            continue
-        count += 1
-        q = QuotientOrder(k, l)
-        grad = np.array(SY.quotient_gradient_diag(mu, q))
-        h = 1e-6 * (1 + float(np.abs(mu).max()))
-        for i in range(n):
-            p, m = mu.copy(), mu.copy()
-            p[i] += h
-            m[i] -= h
-            fd = (SY.quotient_value(p, q) - SY.quotient_value(m, q)) / (2 * h)
-            worst_g = max(worst_g, abs(grad[i] - fd) / abs(grad).max())
-        worst_b = min(worst_b, float(grad.sum()) - SY.cone_lower_bound(n, q))
-        worst_c = max(worst_c, SY.concavity_probe(mu, q, trials=8, rng=rng))
-        if k >= 3:
-            eta = np.sort(rng.uniform(0.3, 3, n))
-            if SY.in_gamma_k(eta, k) and eta[-1] - eta[0] > 0.1:
-                try:
-                    worst_o = max(worst_o, SY.offdiag_identity_residual(eta, q, n - 1))
-                except DegeneratePair:
-                    pass
-    yield "quotient-gradient-vs-fd", worst_g <= 1e-6, f"rel {worst_g:.1e}"
-    yield "quotient-cone-lower-bound", worst_b >= -1e-10, f"slack {worst_b:.1e}"
-    yield "quotient-concavity", worst_c <= 1e-6, f"second deriv {worst_c:.1e}"
-    yield "quotient-offdiag-identity", worst_o <= 1e-5, f"resid {worst_o:.1e}"
-
-    # mesh quadrature and derivative oracles
-    mesh = M.build_mesh(32, 64)
-    yield "mesh-area", abs(float(mesh.weights.sum()) - 4 * np.pi) <= 1e-3, ""
-    th, ph = mesh.theta_grid(), mesh.phi_grid()
-    f = M.ScalarField(mesh, np.cos(th))
-    _, _, h11, h12, h22 = M.frame_derivatives(f)
-    err = max(float(np.abs(h11 + np.cos(th)).max()),
-              float(np.abs(h22 + np.cos(th)).max()),
-              float(np.abs(h12).max()))
-    yield "mesh-hessian-eigenfunction", err <= 1e-5, f"abs {err:.1e}"
-
-    # geometry: round graph and constant-graph identity across profiles
-    prof = WarpProfile.euclidean((0.0, 10.0))
-    rho = 1.4
-    geom = G.compute_geometry(mesh, M.ScalarField(mesh, np.full(mesh.shape, rho)), prof)
-    err = max(float(np.abs(geom.kappa1 - 1 / rho).max()), float(np.abs(geom.tau - rho).max()))
-    yield "geometry-round-graph", err <= 1e-8, f"abs {err:.1e}"
-    q2 = QuotientOrder(2, 0)
-    worst = 0.0
-    for prof_c, c in ((WarpProfile.euclidean((0.0, 10.0)), 1.7),
-                      (WarpProfile.spherical((0.0, np.pi / 2)), 0.9),
-                      (WarpProfile.hyperbolic((0.0, 10.0)), 1.2)):
-        geom = G.compute_geometry(mesh, M.ScalarField(mesh, np.full(mesh.shape, c)), prof_c)
-        ratio, ok_mask = SY.quotient_ratio_batch(geom.mu_stack(), q2)
-        target = threshold(*prof_c.eval_lambda(c))
-        worst = max(worst, float(np.abs(ratio - target).max()))
-        if not ok_mask.all():
-            worst = np.inf
-    yield "geometry-constant-graph-identity", worst <= 1e-10, f"abs {worst:.1e}"
-
-    # translated unit sphere has unit curvatures
-    eps = 0.12
-    m4 = M.build_mesh(64, 128)
-    f4 = M.field_from_function(
-        m4, lambda t, p: eps * np.cos(t) + np.sqrt(1 - eps ** 2 * np.sin(t) ** 2))
-    g4 = G.compute_geometry(m4, f4, prof)
-    err = max(float(np.abs(g4.kappa1 - 1).max()), float(np.abs(g4.kappa2 - 1).max()))
-    yield "geometry-translated-sphere", err <= 1e-6, f"abs {err:.1e}"
-
-    # H and K of the kernel against the flat embedding oracle's kappa1 + kappa2, kappa1 kappa2
-    m128 = M.build_mesh(128, 64)
-    f128 = M.field_from_function(m128, lambda t, p: 1 + 0.1 * np.sin(t) * np.cos(p))
-    g128 = G.compute_geometry(m128, f128, prof)
-    k1o, k2o = G.extrinsic_shape_operator(m128, f128)
-    err = max(float((np.abs(g128.H - (k1o + k2o)) / np.abs(k1o + k2o)).max()),
-              float((np.abs(g128.K - k1o * k2o) / np.abs(k1o * k2o)).max()))
-    yield "geometry-H-K-vs-embedding", err <= 1e-5, f"rel {err:.1e}"
-
-    # prescribed-function machinery
-    try:
-        parse_f("foo(r)")
-        yield "fexpr-rejects-unknown", False, ""
-    except FParseError:
-        yield "fexpr-rejects-unknown", True, ""
-    spec = ProblemSpec(prof, parse_f("1/r^2 * exp(1.25 - r)"), 0.5, 2.0, 1.25)
-    geom = G.compute_geometry(mesh, M.ScalarField(mesh, np.full(mesh.shape, 1.1)), prof)
-    vals = [blend_f_t(spec, t, geom, th, ph) for t in (0.0, 0.5, 1.0)]
-    err = float(np.abs(vals[1] - 0.5 * (vals[0] + vals[2])).max())
-    yield "blend-affine-in-t", err <= 1e-14, ""
-    grid = np.linspace(0.51, 1.99, 41)
-    phis = phi_value(spec, grid)
-    ok_phi = bool(np.all(phis > 0) and np.all((phis >= 1) == (grid <= spec.phi_rm))
-                  and np.all(np.diff(phis) < 0))
-    yield "phi-barrier-shape", ok_phi, ""
-    mr = M.build_mesh(64, reduced=True)
-    fman = manufacture_f(spec, mr, lambda t, p: 1 + 0.05 * np.cos(t))
-    r_s = np.array([0.7, 1.0, 1.6])
-    lam, dlam = prof.eval_lambda(r_s)
-    lam_f = eval_f(fman, r_s, 0.8, 0.0, 0.9, lam, dlam) * lam ** 2
-    err = float(np.abs(lam_f / lam_f[0] - 1).max())
-    yield "manufactured-r-independence", err <= 1e-12, f"rel {err:.1e}"
-
-    # the sparse Jacobian against its dense oracle: the same differences, rounded differently
-    spec = ProblemSpec(prof, parse_f("1/r^2 * exp(1.25 - r) * (1 + 0.03*sin(th)*cos(ph))"),
-                       0.5, 2.0, 1.25)
-    m16 = M.build_mesh(16, 8)
-    r16 = M.field_from_function(m16, lambda t, p: 1.25 + 0.04 * np.cos(t)
-                                + 0.02 * np.sin(t) * np.cos(p) + 0.01 * np.sin(t) ** 2 * np.sin(2 * p))
-    dense = jacobian_fd(spec, m16, 0.7, r16)
-    sparse = jacobian_sparse(spec, 0.7, G.compute_geometry(m16, r16, prof))
-    err = float(np.abs(sparse - dense).max() / np.abs(dense).max())
-    yield "jacobian-sparse-vs-dense", err <= 5e-10, f"rel {err:.1e}"
-    return
-
-
 def cmd_selftest(_args) -> int:
+    """Run every check of prescurv.selftest; one that raises fails, and the rest still run."""
+    from .selftest import CHECKS  # loaded here only: importing the CLI does not compile the checks
+
     failures = 0
-    for name, passed, detail in _selftest_checks():
-        tag = "ok  " if passed else "FAIL"
-        suffix = f"  [{detail}]" if detail else ""
-        print(f"{tag} {name}{suffix}")
+    for check in CHECKS:
+        try:
+            result = check.run()
+            passed, detail = result.passed, str(result)
+        except Exception as exc:
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        print(f"{'ok  ' if passed else 'FAIL'} {check.name}  [{detail}]")
         failures += 0 if passed else 1
     print(f"selftest: {failures} failure(s)")
     return 0 if failures == 0 else 1

@@ -1,19 +1,18 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.
+lines and timings.  Criteria 1 and 3 run checks of prescurv.selftest, the
+ones `prescurv selftest` prints and tests/test_selftest.py runs by name.
 """
 
 import dataclasses
-import itertools
-import math
 import time
 
 import numpy as np
 import pytest
 
 from prescurv.cli import main as cli_main
-from prescurv.errors import ContinuationBreakdown, DegeneratePair
+from prescurv.errors import ContinuationBreakdown
 from prescurv.geometry import (
     check_codazzi_flat,
     check_support_identities,
@@ -21,34 +20,17 @@ from prescurv.geometry import (
     extrinsic_shape_operator,
 )
 from prescurv.mesh import ScalarField, build_mesh, field_from_function
-from prescurv.problem import (
-    ProblemSpec,
-    check_assumptions,
-    manufacture_f,
-    parse_f,
-    threshold,
-)
+from prescurv.problem import ProblemSpec, check_assumptions, manufacture_f, parse_f
+from prescurv.selftest import CHECKS
 from prescurv.solver import (
     SolverOptions,
     continuation_solve,
     newton_solve,
     total_newton_iterations,
 )
-from prescurv.symm import (
-    QuotientOrder,
-    concavity_probe,
-    cone_lower_bound,
-    in_gamma_k,
-    offdiag_identity_residual,
-    quotient_gradient_diag,
-    quotient_ratio_batch,
-    quotient_value,
-    sigma,
-)
 from prescurv.warp import WarpProfile
 
 EUCLID = WarpProfile.euclidean((0.0, 10.0))
-Q20 = QuotientOrder(2, 0)
 
 
 def closed_form_spec(**kw):
@@ -63,88 +45,17 @@ def report(line):
 
 
 def test_criterion_1_symmetric_function_suite():
-    """sigma vs brute force (exact to 1e-12, n <= 8); gradient vs FD <= 1e-6;
-    cone lower bound within 1e-10; off-diagonal identity <= 1e-5 on 50
-    triples; concavity <= 1e-6 on 100 samples; all in under 10 s."""
+    """The sigma and quotient checks of prescurv.selftest: sigma vs brute force
+    (rel 1e-12, n <= 8), the deleted-entry and Euler identities, gradient vs
+    FD <= 1e-6 and cone lower bound within 1e-10 on 100 cone points each,
+    off-diagonal identity <= 1e-5 on 50 triples, concavity <= 1e-6 on 100
+    cone points; all in under 10 s."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(11)
-
-    def brute(mu, k):
-        if k == 0:
-            return 1.0
-        return float(sum(math.prod(c) for c in itertools.combinations(mu, k)))
-
-    worst_sigma = 0.0
-    for n in range(2, 9):
-        for k in range(0, n + 1):
-            for _ in range(3):
-                mu = rng.uniform(-2.0, 3.0, n)
-                want = brute(mu, k)
-                worst_sigma = max(worst_sigma, abs(sigma(mu, k) - want) / max(1.0, abs(want)))
-
-    def orders(n, k_min=2):
-        return [(k, l) for k in range(k_min, n + 1) for l in range(0, k - 1)]
-
-    worst_grad, worst_bound = 0.0, np.inf
-    count = 0
-    while count < 100:
-        n = int(rng.integers(2, 6))
-        k, l = orders(n)[int(rng.integers(len(orders(n))))]
-        mu = rng.uniform(-0.5, 3.0, n)
-        if not in_gamma_k(mu, k):
-            continue
-        count += 1
-        q = QuotientOrder(k, l)
-        grad = np.asarray(quotient_gradient_diag(mu, q))
-        h = 1e-6 * (1.0 + float(np.abs(mu).max()))
-        for i in range(n):
-            p, m = mu.copy(), mu.copy()
-            p[i] += h
-            m[i] -= h
-            fd = (quotient_value(p, q) - quotient_value(m, q)) / (2 * h)
-            worst_grad = max(worst_grad, abs(grad[i] - fd) / np.abs(grad).max())
-        worst_bound = min(worst_bound, float(grad.sum()) - cone_lower_bound(n, q))
-
-    worst_off = 0.0
-    count = 0
-    while count < 50:
-        n = int(rng.integers(3, 7))
-        avail = orders(n, k_min=3)
-        if not avail:
-            continue
-        k, l = avail[int(rng.integers(len(avail)))]
-        eta = np.sort(rng.uniform(0.3, 3.0, n))
-        if not in_gamma_k(eta, k):
-            continue
-        i = int(rng.integers(1, n))
-        if eta[i] - eta[0] < 0.05:
-            continue
-        count += 1
-        try:
-            worst_off = max(worst_off, offdiag_identity_residual(eta, QuotientOrder(k, l), i))
-        except DegeneratePair:
-            count -= 1
-
-    worst_conc = -np.inf
-    count = 0
-    while count < 100:
-        n = int(rng.integers(2, 6))
-        k, l = orders(n)[int(rng.integers(len(orders(n))))]
-        mu = rng.uniform(0.1, 3.0, n)
-        if not in_gamma_k(mu, k):
-            continue
-        count += 1
-        worst_conc = max(worst_conc, concavity_probe(mu, QuotientOrder(k, l), trials=10, rng=rng))
-
+    results = {c.name: c.run() for c in CHECKS if c.name.startswith(("sigma-", "quotient-"))}
     elapsed = time.perf_counter() - t0
-    report(f"criterion 1: sigma {worst_sigma:.1e} grad {worst_grad:.1e} "
-           f"bound-slack {worst_bound:.1e} offdiag {worst_off:.1e} "
-           f"concavity {worst_conc:.1e} in {elapsed:.1f}s")
-    assert worst_sigma <= 1e-12
-    assert worst_grad <= 1e-6
-    assert worst_bound >= -1e-10
-    assert worst_off <= 1e-5
-    assert worst_conc <= 1e-6
+    report("criterion 1: " + "; ".join(f"{name} {res}" for name, res in results.items())
+           + f" in {elapsed:.1f}s")
+    assert [name for name, res in results.items() if not res.passed] == []
     assert elapsed < 10.0
 
 
@@ -175,23 +86,10 @@ def test_criterion_2_geometry_oracle():
 
 def test_criterion_3_constant_graph_identity():
     """sigma_k/sigma_l at r = c equals the constant-graph threshold to 1e-10
-    for every profile and a grid of radii."""
-    mesh = build_mesh(24, 16)
-    worst = 0.0
-    cases = [
-        (EUCLID, np.linspace(0.4, 3.0, 7)),
-        (WarpProfile.spherical((0.0, np.pi / 2)), np.linspace(0.3, 1.4, 7)),
-        (WarpProfile.hyperbolic((0.0, 10.0)), np.linspace(0.4, 3.0, 7)),
-        (WarpProfile.custom([0.0, 1.0, 0.0, 1.0 / 6.0], (0.0, 5.0)), np.linspace(0.5, 2.5, 7)),
-    ]
-    for profile, grid in cases:
-        for c in grid:
-            geom = compute_geometry(mesh, ScalarField(mesh, np.full(mesh.shape, c)), profile)
-            ratio, ok = quotient_ratio_batch(geom.mu_stack(), Q20)
-            assert ok.all()
-            worst = max(worst, float(np.abs(ratio - threshold(*profile.eval_lambda(c))).max()))
-    report(f"criterion 3: constant-graph identity worst residual {worst:.2e}")
-    assert worst <= 1e-10
+    for 4 profiles x 7 radii (prescurv.selftest's geometry-constant-graph-identity)."""
+    res = next(c for c in CHECKS if c.name == "geometry-constant-graph-identity").run()
+    report(f"criterion 3: constant-graph identity {res}")
+    assert res.passed
 
 
 def test_criterion_4_closed_form_solve():

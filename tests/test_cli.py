@@ -13,6 +13,7 @@ from prescurv.config import build_problem, parse_config
 from prescurv.errors import NewtonFailure
 from prescurv.geometry import compute_geometry
 from prescurv.mesh import ScalarField
+from prescurv.selftest import CHECKS
 
 CLOSED_FORM = """
 warp.kind = euclidean
@@ -519,16 +520,23 @@ def run_python(args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
+def assert_every_check_ok(stdout):
+    """`selftest` printed each check of CHECKS ok, by name and in order, then no failures."""
+    lines = stdout.splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [["ok", c.name] for c in CHECKS]
+    assert lines[-1] == "selftest: 0 failure(s)"
+
+
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
-    assert "ok   jacobian-sparse-vs-dense" in capsys.readouterr().out
+    assert_every_check_ok(capsys.readouterr().out)
 
 
 def test_python_m_prescurv_runs_the_cli():
     """`python -m prescurv selftest` from a source tree runs the CLI's selftest."""
     proc = run_python(["-m", "prescurv", "selftest"])
     assert proc.returncode == 0, proc.stderr
-    assert "ok   jacobian-sparse-vs-dense" in proc.stdout
+    assert_every_check_ok(proc.stdout)
 
 
 def test_sweep_command(tmp_path, capsys):

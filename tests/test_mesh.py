@@ -29,11 +29,6 @@ def test_resolution_bounds():
         build_mesh(32, 5)  # odd azimuth breaks the through-pole closure
 
 
-def test_total_quadrature_weight():
-    mesh = build_mesh(32, 64)
-    assert abs(float(mesh.weights.sum()) - 4 * np.pi) <= 1e-3
-
-
 def test_field_validation():
     mesh = build_mesh(16, 4)
     with pytest.raises(ValueError):

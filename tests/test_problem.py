@@ -176,15 +176,6 @@ def test_blend_affine_in_t(t, r):
     np.testing.assert_allclose(ft, (1 - t) * f0 + t * f1, rtol=1e-13, atol=1e-13)
 
 
-def test_phi_invariants_on_grid():
-    spec = closed_form_spec()
-    grid = np.linspace(0.51, 1.99, 101)
-    phis = phi_value(spec, grid)
-    assert np.all(phis > 0)
-    assert np.all((phis >= 1.0) == (grid <= spec.phi_rm))
-    assert np.all(np.diff(phis) < 0)
-
-
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         closed_form_spec(r1=2.5)
@@ -208,17 +199,6 @@ def test_manufacture_constant_target():
     for r in (0.7, 1.0, 1.6):
         got = float(eval_f(f, r, 0.8, 0.0, 0.9, *EUCLID.eval_lambda(r)))
         assert got == pytest.approx(1.0 / r ** 2, rel=1e-9)
-
-
-def test_manufactured_radial_independence():
-    mesh = build_mesh(64, reduced=True)
-    spec = closed_form_spec()
-    f = manufacture_f(spec, mesh, lambda th, ph: 1 + 0.05 * np.cos(th))
-    vals = []
-    for r in (0.7, 1.0, 1.6):
-        lam, dlam = EUCLID.eval_lambda(r)
-        vals.append(float(eval_f(f, r, 0.8, 0.0, 0.9, lam, dlam)) * lam ** 2)
-    assert np.ptp(vals) <= 1e-12 * abs(vals[0])
 
 
 def test_manufacture_rejects_bad_targets():

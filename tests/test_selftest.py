@@ -1,0 +1,58 @@
+"""Every check of prescurv.selftest in Tier-1, by name, and `selftest`'s handling of a raising check."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import prescurv
+from prescurv import cli, selftest
+from prescurv.errors import AdmissibilityError
+from prescurv.selftest import CHECKS, Check, quotient_offdiag_identity
+
+CHECK_IDS = [c.name for c in CHECKS]
+
+
+def test_importing_the_checks_does_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(prescurv.__file__))
+    code = "import sys, prescurv.selftest; assert 'scipy' not in sys.modules, 'scipy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_check_names_are_unique():
+    assert len(set(CHECK_IDS)) == len(CHECK_IDS)
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=CHECK_IDS)
+def test_check_passes(check):
+    result = check.run()
+    assert result.passed, str(result)
+
+
+def test_a_sampled_check_reads_the_same_value_in_any_order():
+    sampled = [c for c in CHECKS if c.name.startswith(("sigma-", "quotient-"))]
+    assert [c.run() for c in sampled] == [c.run() for c in reversed(sampled)][::-1]
+
+
+def test_the_offdiag_check_fails_when_it_evaluates_too_few_triples():
+    result = quotient_offdiag_identity(draws=20)
+    assert result.value <= result.bound and not result.passed
+
+
+@pytest.mark.parametrize("exc", [FloatingPointError("overflow encountered in multiply"),
+                                 AdmissibilityError("a perturbed 2-jet is inadmissible")])
+def test_a_check_that_raises_fails_and_the_rest_still_run(monkeypatch, capsys, exc):
+    def raises():
+        raise exc
+
+    first, last = CHECKS[0], CHECKS[-1]
+    monkeypatch.setattr(selftest, "CHECKS", (first, Check("mesh-area", raises), last))
+    assert cli.main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"ok   {first.name}  [")
+    assert lines[1] == f"FAIL mesh-area  [{type(exc).__name__}: {exc}]"
+    assert lines[2].startswith(f"ok   {last.name}  [")
+    assert lines[3:] == ["selftest: 1 failure(s)"]

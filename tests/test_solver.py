@@ -34,6 +34,7 @@ from prescurv.problem import (
     phi_value,
     threshold,
 )
+from prescurv.selftest import JACOBIAN_ORACLE_TOL
 from prescurv.solver import (
     SolverOptions,
     continuation_solve,
@@ -207,9 +208,6 @@ ANGULAR_F = "1/r^2 * exp(1.25 - r) * (1 + 0.03*sin(th)*cos(ph) - 0.02*sin(th)*si
 HYPERBOLIC = WarpProfile.hyperbolic((0.0, 10.0))
 CUSTOM = WarpProfile.custom((0.0, 1.0, 0.0, 1.0 / 6.0), (0.0, 5.0))
 
-# worst measured |jacobian_sparse - jacobian_fd| / max|J| over the cases below is 7.7e-11
-ORACLE_TOL = 5e-10
-
 
 def bumpy_field(mesh):
     """A non-round admissible graph near r = 1.25, not symmetric in theta or phi."""
@@ -257,7 +255,7 @@ def test_coloured_jacobian_matches_dense_oracle(case):
     dense = jacobian_fd(spec, mesh, 0.7, r)
     sparse = jacobian_sparse(spec, 0.7, compute_geometry(mesh, r, spec.profile))
     assert sparse.shape == dense.shape
-    assert np.abs(sparse.toarray() - dense).max() <= ORACLE_TOL * np.abs(dense).max()
+    assert np.abs(sparse.toarray() - dense).max() <= JACOBIAN_ORACLE_TOL * np.abs(dense).max()
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES) + ["euclidean-cone-exit"])

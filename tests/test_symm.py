@@ -1,16 +1,13 @@
-import itertools
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prescurv.errors import ConeViolation, DegeneratePair
+from prescurv.selftest import admissible_orders, random_cone_point, sigma_bruteforce
 from prescurv.symm import (
     QuotientOrder,
     concavity_probe,
-    cone_lower_bound,
     elementary_batch,
     f_coeffs,
     in_gamma_k,
@@ -25,42 +22,12 @@ from prescurv.symm import (
 RNG = np.random.default_rng(20240811)
 
 
-def sigma_bruteforce(mu, k):
-    """Independent oracle: explicit sum over k-subsets."""
-    if k == 0:
-        return 1.0
-    return float(sum(math.prod(c) for c in itertools.combinations(mu, k)))
-
-
-def admissible_orders(n, k_min=2):
-    return [(k, l) for k in range(k_min, n + 1) for l in range(0, k - 1)]
-
-
-def random_cone_point(rng, n, k, lo=-0.5, hi=3.0):
-    while True:
-        mu = rng.uniform(lo, hi, n)
-        if in_gamma_k(mu, k):
-            return mu
-
-
 # -- sigma values ------------------------------------------------------------
 
 def test_sigma_examples():
     assert sigma((1.0, 1.0), 2) == 1.0
     assert sigma((1.0, 2.0, 3.0), 2) == pytest.approx(11.0, rel=1e-15)
     assert sigma((4.0, -2.0, 7.0), 0) == 1.0
-
-
-def test_sigma_matches_bruteforce_all_orders():
-    worst = 0.0
-    for n in range(2, 9):
-        for k in range(0, n + 1):
-            for _ in range(4):
-                mu = RNG.uniform(-2.0, 3.0, n)
-                got = sigma(mu, k)
-                want = sigma_bruteforce(mu, k)
-                worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    assert worst <= 1e-12
 
 
 @settings(max_examples=80)
@@ -84,17 +51,6 @@ def test_sigma_minor_examples():
     assert sigma_minor((1.0, 2.0, 3.0), 2, 0) == pytest.approx(6.0)
     assert sigma_minor((5.0, 7.0), 0, 0) == 1.0
     assert sigma_minor((5.0, 7.0), -1, 1) == 0.0
-
-
-def test_deleted_entry_identity_exhaustive():
-    """sigma_k(mu) = sigma_k(mu|i) + mu_i sigma_{k-1}(mu|i) for all i, k, n <= 6."""
-    for n in range(2, 7):
-        mu = RNG.uniform(-1.0, 2.0, n)
-        for k in range(1, n + 1):
-            for i in range(n):
-                head = sigma_minor(mu, k, i) if k <= n - 1 else 0.0
-                rhs = head + mu[i] * sigma_minor(mu, k - 1, i)
-                assert sigma(mu, k) == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_euler_identity_fd():
@@ -144,36 +100,6 @@ def test_gradient_examples():
     assert np.allclose(g, 0.5773502691896257, rtol=1e-12)  # 1/sqrt(3)
     g = quotient_gradient_diag((1.0, 1.0), QuotientOrder(2, 0))
     assert np.allclose(g, 0.5, rtol=1e-12)
-
-
-def test_gradient_matches_fd_on_cone_samples():
-    worst = 0.0
-    for _ in range(100):
-        n = int(RNG.integers(2, 6))
-        k, l = admissible_orders(n)[int(RNG.integers(len(admissible_orders(n))))]
-        mu = random_cone_point(RNG, n, k)
-        q = QuotientOrder(k, l)
-        grad = np.asarray(quotient_gradient_diag(mu, q))
-        assert np.all(grad > 0.0)
-        h = 1e-6 * (1.0 + np.abs(mu).max())
-        for i in range(n):
-            p, m = mu.copy(), mu.copy()
-            p[i] += h
-            m[i] -= h
-            fd = (quotient_value(p, q) - quotient_value(m, q)) / (2 * h)
-            worst = max(worst, abs(grad[i] - fd) / np.abs(grad).max())
-    assert worst <= 1e-6
-
-
-def test_gradient_sum_lower_bound():
-    worst = np.inf
-    for _ in range(100):
-        n = int(RNG.integers(2, 6))
-        k, l = admissible_orders(n)[int(RNG.integers(len(admissible_orders(n))))]
-        mu = random_cone_point(RNG, n, k)
-        total = sum(quotient_gradient_diag(mu, QuotientOrder(k, l)))
-        worst = min(worst, total - cone_lower_bound(n, QuotientOrder(k, l)))
-    assert worst >= -1e-10
 
 
 def test_gradient_ordering_for_ascending_entries():
@@ -236,26 +162,6 @@ def test_offdiag_identity_examples():
     assert offdiag_identity_residual((1.0, 4.0, 9.0), QuotientOrder(3, 1), 1) <= 1e-5
 
 
-def test_offdiag_identity_random_sample():
-    worst = 0.0
-    count = 0
-    while count < 50:
-        n = int(RNG.integers(3, 7))
-        orders = admissible_orders(n, k_min=3)
-        if not orders:
-            continue
-        k, l = orders[int(RNG.integers(len(orders)))]
-        eta = np.sort(RNG.uniform(0.3, 3.0, n))
-        if not in_gamma_k(eta, k) or eta[-1] - eta[0] < 0.1:
-            continue
-        i = int(RNG.integers(1, n))
-        if eta[i] - eta[0] < 0.05:
-            continue
-        count += 1
-        worst = max(worst, offdiag_identity_residual(eta, QuotientOrder(k, l), i))
-    assert worst <= 1e-5
-
-
 def test_offdiag_identity_degenerate_pair():
     with pytest.raises(DegeneratePair):
         offdiag_identity_residual((2.0, 2.0 + 1e-12, 3.0), QuotientOrder(3, 0), 1)
@@ -281,16 +187,6 @@ def test_concavity_random_directions():
                            rng=np.random.default_rng(1)) <= 1e-6
     assert concavity_probe((1.0, 2.0, 3.0), QuotientOrder(3, 1), trials=100,
                            rng=np.random.default_rng(2)) <= 1e-6
-
-
-def test_concavity_random_cone_points():
-    worst = -np.inf
-    for _ in range(100):
-        n = int(RNG.integers(2, 6))
-        k, l = admissible_orders(n)[int(RNG.integers(len(admissible_orders(n))))]
-        mu = random_cone_point(RNG, n, k, lo=0.1)
-        worst = max(worst, concavity_probe(mu, QuotientOrder(k, l), trials=10, rng=RNG))
-    assert worst <= 1e-6
 
 
 # -- vectorized helpers --------------------------------------------------------

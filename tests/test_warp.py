@@ -61,20 +61,6 @@ def test_capital_lambda_custom_vs_antiderivative():
         assert prof.capital_lambda(r) == pytest.approx(exact, rel=1e-12)
 
 
-@pytest.mark.parametrize("prof", [
-    WarpProfile.euclidean((0.1, 10.0)),
-    WarpProfile.spherical((0.1, np.pi / 2)),
-    WarpProfile.hyperbolic((0.1, 10.0)),
-])
-def test_capital_lambda_derivative_is_lambda(prof):
-    r_lo, r_hi = prof.domain
-    grid = np.linspace(r_lo + 0.05, r_hi - 0.05, 11)
-    h = 1e-6
-    fd = (prof.capital_lambda(grid + h) - prof.capital_lambda(grid - h)) / (2 * h)
-    lam, _ = prof.eval_lambda(grid)
-    assert np.abs(fd / lam - 1).max() <= 1e-8
-
-
 @settings(max_examples=60)
 @given(r=st.floats(min_value=0.2, max_value=9.8),
        kind=st.sampled_from(["euclidean", "hyperbolic"]))
@@ -82,13 +68,6 @@ def test_threshold_times_lambda_squared_is_dlambda_squared(r, kind):
     prof = WarpProfile(kind, (0.1, 10.0))
     lam, dlam = prof.eval_lambda(r)
     assert threshold(lam, dlam) * lam ** 2 == pytest.approx(dlam ** 2, rel=1e-15, abs=1e-300)
-
-
-def test_validate_builtins_pass():
-    for prof in (WarpProfile.euclidean((0.1, 10.0)),
-                 WarpProfile.spherical((0.1, np.pi / 2)),
-                 WarpProfile.hyperbolic((0.1, 10.0))):
-        assert validate_profile(prof).ok
 
 
 def test_validate_spherical_beyond_cap_fails():

@@ -14,34 +14,19 @@ import os
 import re
 import sys
 import time
+from functools import partial
 
-import numpy as np
-
-from . import geometry as G
-from . import mesh as M
 from .config import (
-    CHECK_SAMPLES_MAX,
+    build_check_samples,
     build_monitor_params,
     build_problem,
-    build_profile,
+    build_verify,
     check_key,
     parse_config,
-    _get,
-    _get_float,
-    _get_count,
-    _get_int,
-    _keyed,
 )
-from .errors import (
-    ConfigError,
-    ContinuationBreakdown,
-    DomainViolation,
-    FParseError,
-    PrescurvError,
-    ProfileViolation,
-)
+from .errors import ConfigError, ContinuationBreakdown, PrescurvError
 from .monitor import monitor_state
-from .problem import check_assumptions, parse_f
+from .problem import check_assumptions
 from .report import (
     RunReport,
     margins_table,
@@ -78,8 +63,7 @@ def _solve_inputs(cfg):
     A bad value raises its ConfigError here, before anything is written.
     """
     spec, mesh, opts = build_problem(cfg)
-    return (spec, mesh, opts, build_monitor_params(cfg),
-            _get_count(cfg, "check.samples", CHECK_SAMPLES_MAX))
+    return spec, mesh, opts, build_monitor_params(cfg), build_check_samples(cfg)
 
 
 def _run_solve(cfg, inputs, out_dir, force):
@@ -159,83 +143,15 @@ def cmd_solve(args) -> int:
 def cmd_check_assumptions(args) -> int:
     cfg = _load_config(args)
     spec, _, _ = build_problem(cfg)
-    rep = check_assumptions(spec, samples=_get_count(cfg, "check.samples", CHECK_SAMPLES_MAX))
+    rep = check_assumptions(spec, samples=build_check_samples(cfg))
     print(margins_table(rep))
     return 0 if not rep.hard_failures else 3
 
 
-def cmd_verify_geometry(args) -> int:
-    cfg = _load_config(args)
-    profile = build_profile(cfg)
-    if profile.kind == "custom":
-        raise ConfigError("verify-geometry checks hold on a builtin space-form warp only, "
-                          "not on a custom one", key="warp.kind")
-    try:
-        r_expr = parse_f(_get(cfg, "verify.r_expr"))
-    except FParseError as exc:
-        raise ConfigError(f"verify.r_expr: {exc}", key="verify.r_expr")
-    if reads := sorted(r_expr.variables() - {"th", "ph"}):
-        raise ConfigError(f"verify.r_expr is a graph r(th, ph) and may not read {', '.join(reads)}",
-                          key="verify.r_expr")
-    tol_oracle = _get_float(cfg, "verify.tol_oracle")
-    tol_ident = _get_float(cfg, "verify.tol_identities")
-    n_theta = _get_int(cfg, "verify.n_theta")
-    n_phi = _get_int(cfg, "verify.n_phi")
-    with _keyed("verify"):
-        full = M.build_mesh(n_theta, n_phi) if profile.kind == "euclidean" else None
-        lines = [M.build_mesh(nt, reduced=True) for nt in (n_theta, 2 * n_theta)]
-
-    def field_on(mesh):
-        th, ph = mesh.theta_grid(), mesh.phi_grid()
-        values = np.asarray(r_expr.evaluate(np.asarray(th), th, ph, 1.0), dtype=float)
-        try:
-            field = M.ScalarField(mesh, np.broadcast_to(values, mesh.shape).copy())
-            profile.eval_lambda(field.values)  # inside the warp domain, lambda, lambda' > 0
-        except (ValueError, DomainViolation, ProfileViolation) as exc:
-            raise ConfigError(f"verify.r_expr: {exc}", key="verify.r_expr")
-        return field
-
-    # every input is read and every field formed before the first check runs
-    r_full = field_on(full) if full is not None else None
-    r_lines = [field_on(mesh) for mesh in lines]
-    ok = True
-
-    if full is not None:
-        geom = G.compute_geometry(full, r_full, profile)
-        k1o, k2o = G.extrinsic_shape_operator(full, r_full)
-        rel = max(
-            float((np.abs(geom.kappa1 - k1o) / np.abs(k1o)).max()),
-            float((np.abs(geom.kappa2 - k2o) / np.abs(k2o)).max()),
-        )
-        good = rel <= tol_oracle
-        ok &= good
-        print(f"{'ok' if good else 'FAIL'} embedding-oracle max rel err {rel:.3e} (tol {tol_oracle:g})")
-    else:
-        print("-- embedding oracle skipped (needs the euclidean ambient)")
-
-    prev = None
-    for mesh, r_field in zip(lines, r_lines):
-        geom = G.compute_geometry(mesh, r_field, profile)
-        res = G.check_support_identities(geom)
-        cz = G.check_codazzi_flat(geom) if profile.kind == "euclidean" else None
-        worst = max(res.worst, cz if cz is not None else 0.0)
-        if prev is not None:
-            ratio = prev / max(worst, 1e-300)
-            decreasing = ratio > 2.0
-            good = worst <= tol_ident and decreasing
-            ok &= good
-            print(f"{'ok' if good else 'FAIL'} identity residuals {worst:.3e} at "
-                  f"{mesh.n_theta} nodes (tol {tol_ident:g}, refinement ratio {ratio:.1f})")
-        prev = worst
-    return 0 if ok else 1
-
-
-def cmd_selftest(_args) -> int:
-    """Run every check of prescurv.selftest; one that raises fails, and the rest still run."""
-    from .selftest import CHECKS  # loaded here only: importing the CLI does not compile the checks
-
+def _run_checks(checks, label) -> int:
+    """Run each check and print its line; one that raises fails, and the rest still run."""
     failures = 0
-    for check in CHECKS:
+    for check in checks:
         try:
             result = check.run()
             passed, detail = result.passed, str(result)
@@ -243,8 +159,26 @@ def cmd_selftest(_args) -> int:
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         print(f"{'ok  ' if passed else 'FAIL'} {check.name}  [{detail}]")
         failures += 0 if passed else 1
-    print(f"selftest: {failures} failure(s)")
+    print(f"{label}: {failures} failure(s)")
     return 0 if failures == 0 else 1
+
+
+def cmd_verify_geometry(args) -> int:
+    profile, full, lines, tol_oracle, tol_identities = build_verify(_load_config(args))
+    from .selftest import Check, embedding_oracle, identity_refinement  # loaded here only
+
+    checks = [Check("embedding-oracle", partial(embedding_oracle, profile, full, tol_oracle)),
+              Check("identity-refinement",
+                    partial(identity_refinement, profile, *lines, tol_identities, 2.0))]
+    if full is None:
+        print("-- embedding oracle skipped (needs the euclidean ambient)")
+        checks = checks[1:]
+    return _run_checks(checks, "verify-geometry")
+
+
+def cmd_selftest(_args) -> int:
+    from .selftest import CHECKS  # loaded here only: importing the CLI does not compile the checks
+    return _run_checks(CHECKS, "selftest")
 
 
 def cmd_sweep(args) -> int:

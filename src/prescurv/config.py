@@ -3,8 +3,9 @@
 One `key = value` pair per line, `#` comments, dotted section keys
 (warp.*, mesh.*, problem.*, phi.*, f.*, solver.*, monitor.*, verify.*).
 Builders turn the raw mapping into WarpProfile / SphereMesh / ProblemSpec /
-SolverOptions, raising ConfigError with the offending key on bad input.  A
-key outside KNOWN_KEYS is a ConfigError too: a typo must not run the defaults.
+SolverOptions and the inputs of each subcommand, raising ConfigError with the
+offending key on bad input.  A key outside KNOWN_KEYS is a ConfigError too: a
+typo must not run the defaults.  No other module reads a config key.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConfigError, FParseError
-from .mesh import ScalarField, SphereMesh, build_mesh
+from .errors import AdmissibilityError, ConfigError, DomainViolation, FParseError, ProfileViolation
+from .mesh import ScalarField, SphereMesh, build_mesh, field_from_function
 from .monitor import GAMMA_ARGS
 from .problem import ProblemSpec, RoundExponentialF, manufacture_f, parse_f
 from .solver import SolverOptions
@@ -135,11 +136,12 @@ def _keyed(section):
         raise ConfigError(str(exc), key=f"{section}.{str(exc).split()[0]}")
 
 
-def _get_count(cfg, key, most):
-    value = _get_int(cfg, key)
-    if not 1 <= value <= most:
-        raise ConfigError(f"config key {key!r} must be in [1, {most}], got {value}", key=key)
-    return value
+def build_check_samples(cfg) -> int:
+    samples = _get_int(cfg, "check.samples")
+    if not 1 <= samples <= CHECK_SAMPLES_MAX:
+        raise ConfigError(f"config key 'check.samples' must be in [1, {CHECK_SAMPLES_MAX}], "
+                          f"got {samples}", key="check.samples")
+    return samples
 
 
 def build_profile(cfg) -> WarpProfile:
@@ -259,3 +261,42 @@ def build_monitor_params(cfg) -> MonitorParams:
                           key="monitor.gamma_arg")
     return MonitorParams(alpha=_get_float(cfg, "monitor.alpha"),
                          big_a=_get_float(cfg, "monitor.A"), gamma_arg=gamma_arg)
+
+
+def build_verify(cfg):
+    """verify-geometry's (profile, full, lines, tol_oracle, tol_identities).
+
+    full is r on the full mesh (None off the euclidean ambient), lines is r on
+    the reduced lines of n_theta and 2 n_theta nodes.  Every field is formed
+    here, so a bad input raises its ConfigError before any check runs.
+    """
+    profile = build_profile(cfg)
+    if profile.kind == "custom":
+        raise ConfigError("verify-geometry checks hold on a builtin space-form warp only, "
+                          "not on a custom one", key="warp.kind")
+    try:
+        r_expr = parse_f(_get(cfg, "verify.r_expr"))
+    except FParseError as exc:
+        raise ConfigError(f"verify.r_expr: {exc}", key="verify.r_expr")
+    if reads := sorted(r_expr.variables() - {"th", "ph"}):
+        raise ConfigError(f"verify.r_expr is a graph r(th, ph) and may not read {', '.join(reads)}",
+                          key="verify.r_expr")
+    tol_oracle = _get_float(cfg, "verify.tol_oracle")
+    tol_identities = _get_float(cfg, "verify.tol_identities")
+    n_theta = _get_int(cfg, "verify.n_theta")
+    n_phi = _get_int(cfg, "verify.n_phi")
+    with _keyed("verify"):
+        full = build_mesh(n_theta, n_phi) if profile.kind == "euclidean" else None
+        lines = [build_mesh(nt, reduced=True) for nt in (n_theta, 2 * n_theta)]
+
+    def field_on(mesh):
+        try:
+            field = field_from_function(mesh, lambda th, ph: np.broadcast_to(
+                r_expr.evaluate(th, th, ph, 1.0), mesh.shape).copy())
+            profile.eval_lambda(field.values)  # inside the warp domain, lambda, lambda' > 0
+        except (ValueError, DomainViolation, ProfileViolation) as exc:
+            raise ConfigError(f"verify.r_expr: {exc}", key="verify.r_expr")
+        return field
+
+    return (profile, field_on(full) if full is not None else None,
+            [field_on(mesh) for mesh in lines], tol_oracle, tol_identities)

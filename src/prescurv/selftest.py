@@ -4,7 +4,9 @@ A check is a function of no arguments that returns a Result: the worst value
 it measured, its bound and whether it passed.  CHECKS lists them in the order
 `prescurv selftest` prints them; tests/test_selftest.py runs each one by name.
 A sampled check seeds its own generator with SEED, so its value does not
-depend on which checks ran before it.  Nothing here is on a solve path.
+depend on which checks ran before it.  `prescurv verify-geometry` runs
+embedding_oracle and identity_refinement on the config's graph and bounds.
+Nothing here is on a solve path.
 """
 
 from __future__ import annotations
@@ -202,8 +204,9 @@ def _constant_geometry(mesh, c, profile=EUCLID):
 
 def geometry_round_graph():
     rho = 1.4
-    geom = _constant_geometry(M.build_mesh(32, 64), rho)
-    err = max(np.abs(geom.kappa1 - 1 / rho).max(), np.abs(geom.tau - rho).max())
+    geom = _constant_geometry(M.build_mesh(128, 64), rho)
+    err = max(np.abs(geom.kappa1 - 1 / rho).max(), np.abs(geom.mu1 - 1 / rho).max(),
+              np.abs(geom.tau - rho).max())
     return _at_most("abs err", err, 1e-8)
 
 
@@ -233,14 +236,37 @@ def geometry_translated_sphere():
     return _at_most("abs err", err, 1e-6)
 
 
+def embedding_oracle(profile, field, tol):
+    """kappa1, kappa2, H and K of the kernel against the flat embedding oracle: worst rel err."""
+    geom = G.compute_geometry(field.mesh, field, profile)
+    k1, k2 = G.extrinsic_shape_operator(field.mesh, field)
+    pairs = ((geom.kappa1, k1), (geom.kappa2, k2), (geom.H, k1 + k2), (geom.K, k1 * k2))
+    rel = max((np.abs(got - want) / np.abs(want)).max() for got, want in pairs)
+    return _at_most("rel err", rel, tol)
+
+
 def geometry_H_K_vs_embedding():
-    """H and K of the kernel against the flat embedding oracle's kappa1 + kappa2, kappa1 kappa2."""
     mesh = M.build_mesh(128, 64)
-    field = M.field_from_function(mesh, lambda t, p: 1 + 0.1 * np.sin(t) * np.cos(p))
-    geom = G.compute_geometry(mesh, field, EUCLID)
-    k1, k2 = G.extrinsic_shape_operator(mesh, field)
-    return _at_most("rel err", max((np.abs(geom.H - (k1 + k2)) / np.abs(k1 + k2)).max(),
-                                   (np.abs(geom.K - k1 * k2) / np.abs(k1 * k2)).max()), 1e-5)
+    return embedding_oracle(EUCLID, M.field_from_function(
+        mesh, lambda t, p: 1 + 0.1 * np.sin(t) * np.cos(p)), 1e-5)
+
+
+def identity_refinement(profile, coarse, fine, tol, min_ratio):
+    """Support and (flat warp) Codazzi residuals: each <= tol on fine, falls by > min_ratio."""
+    def residuals(field):
+        geom = G.compute_geometry(field.mesh, field, profile)
+        flat = (G.check_codazzi_flat(geom),) if profile.kind == "euclidean" else ()
+        return np.array((G.check_support_identities(geom).worst, *flat))
+
+    before, after = residuals(coarse), residuals(fine)
+    ratio = float((before / np.maximum(after, 1e-300)).min())
+    return Result(f"refinement ratio {ratio:.1f}, residual", float(after.max()), tol,
+                  bool(after.max() <= tol and ratio > min_ratio))
+
+
+def _identity_refinement_on(profile, fn):
+    lines = (M.build_mesh(nt, reduced=True) for nt in (128, 256))
+    return identity_refinement(profile, *(M.field_from_function(m, fn) for m in lines), 1e-4, 8.0)
 
 
 def fexpr_rejects_unknown():
@@ -307,6 +333,11 @@ CHECKS = (
     Check("geometry-constant-graph-identity", geometry_constant_graph_identity),
     Check("geometry-translated-sphere", geometry_translated_sphere),
     Check("geometry-H-K-vs-embedding", geometry_H_K_vs_embedding),
+    Check("geometry-identity-refinement-euclidean", partial(
+        _identity_refinement_on, EUCLID, lambda t, p: 1 + 0.1 * np.cos(t))),
+    Check("geometry-identity-refinement-spherical", partial(
+        _identity_refinement_on, WarpProfile.spherical((0.0, np.pi / 2)),
+        lambda t, p: 0.8 + 0.05 * np.cos(t))),
     Check("fexpr-rejects-unknown", fexpr_rejects_unknown),
     Check("blend-affine-in-t", blend_affine_in_t),
     Check("phi-barrier-shape", phi_barrier_shape),

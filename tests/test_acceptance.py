@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.  Criteria 1 and 3 run checks of prescurv.selftest, the
-ones `prescurv selftest` prints and tests/test_selftest.py runs by name.
+lines and timings.  Criteria 1, 2, 3 and 8 run checks of prescurv.selftest,
+the ones `prescurv selftest` prints and tests/test_selftest.py runs by name.
 """
 
 import dataclasses
@@ -13,13 +13,7 @@ import pytest
 
 from prescurv.cli import main as cli_main
 from prescurv.errors import ContinuationBreakdown
-from prescurv.geometry import (
-    check_codazzi_flat,
-    check_support_identities,
-    compute_geometry,
-    extrinsic_shape_operator,
-)
-from prescurv.mesh import ScalarField, build_mesh, field_from_function
+from prescurv.mesh import ScalarField, build_mesh
 from prescurv.problem import ProblemSpec, check_assumptions, manufacture_f, parse_f
 from prescurv.selftest import CHECKS
 from prescurv.solver import (
@@ -59,35 +53,27 @@ def test_criterion_1_symmetric_function_suite():
     assert elapsed < 10.0
 
 
-def test_criterion_2_geometry_oracle():
-    """Mixed curvature form vs flat-embedding oracle at 128x64 within 1e-5
-    relative on r = 1 + 0.1 sin(th) cos(ph); round graph exact to 1e-8;
-    under 30 s."""
-    t0 = time.perf_counter()
-    mesh = build_mesh(128, 64)
-    field = field_from_function(mesh, lambda t, p: 1 + 0.1 * np.sin(t) * np.cos(p))
-    geom = compute_geometry(mesh, field, EUCLID)
-    k1, k2 = extrinsic_shape_operator(mesh, field)
-    rel = max(float((np.abs(geom.kappa1 - k1) / np.abs(k1)).max()),
-              float((np.abs(geom.kappa2 - k2) / np.abs(k2)).max()))
+def run_check(name):
+    return next(c for c in CHECKS if c.name == name).run()
 
-    rho = 1.4
-    round_geom = compute_geometry(mesh, ScalarField(mesh, np.full(mesh.shape, rho)), EUCLID)
-    round_err = max(float(np.abs(round_geom.kappa1 - 1 / rho).max()),
-                    float(np.abs(round_geom.mu1 - 1 / rho).max()),
-                    float(np.abs(round_geom.tau - rho).max()))
+
+def test_criterion_2_geometry_oracle():
+    """kappa1, kappa2, H and K vs the flat-embedding oracle at 128x64 within
+    1e-5 relative on r = 1 + 0.1 sin(th) cos(ph); kappa1, mu1 and tau of the
+    round graph at 128x64 exact to 1e-8 (prescurv.selftest's
+    geometry-H-K-vs-embedding and geometry-round-graph); under 30 s."""
+    t0 = time.perf_counter()
+    oracle, round_graph = run_check("geometry-H-K-vs-embedding"), run_check("geometry-round-graph")
     elapsed = time.perf_counter() - t0
-    report(f"criterion 2: oracle rel err {rel:.2e}, round graph err {round_err:.2e} "
-           f"in {elapsed:.1f}s")
-    assert rel <= 1e-5
-    assert round_err <= 1e-8
+    report(f"criterion 2: oracle {oracle}; round graph {round_graph} in {elapsed:.1f}s")
+    assert oracle.passed and round_graph.passed
     assert elapsed < 30.0
 
 
 def test_criterion_3_constant_graph_identity():
     """sigma_k/sigma_l at r = c equals the constant-graph threshold to 1e-10
     for 4 profiles x 7 radii (prescurv.selftest's geometry-constant-graph-identity)."""
-    res = next(c for c in CHECKS if c.name == "geometry-constant-graph-identity").run()
+    res = run_check("geometry-constant-graph-identity")
     report(f"criterion 3: constant-graph identity {res}")
     assert res.passed
 
@@ -197,17 +183,12 @@ def test_criterion_7_t0_uniqueness():
 
 
 def test_criterion_8_identity_checks():
-    """Support-function and flat-Codazzi residuals <= 1e-4 at 256 reduced
-    nodes, decreasing by >= 8 from 128."""
-    worsts = {}
-    for nt in (128, 256):
-        mesh = build_mesh(nt, reduced=True)
-        geom = compute_geometry(mesh, ScalarField(mesh, 1 + 0.1 * np.cos(mesh.theta)), EUCLID)
-        worsts[nt] = max(check_support_identities(geom).worst, check_codazzi_flat(geom))
-    ratio = worsts[128] / worsts[256]
-    report(f"criterion 8: residual {worsts[256]:.2e} at 256 nodes, ratio {ratio:.1f}")
-    assert worsts[256] <= 1e-4
-    assert ratio >= 8.0
+    """Support-function and flat-Codazzi residuals of r = 1 + 0.1 cos(th)
+    <= 1e-4 at 256 reduced nodes, each falling by > 8 from 128
+    (prescurv.selftest's geometry-identity-refinement-euclidean)."""
+    res = run_check("geometry-identity-refinement-euclidean")
+    report(f"criterion 8: {res}")
+    assert res.passed
 
 
 def test_criterion_9_negative_configs(tmp_path, capsys):

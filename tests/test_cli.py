@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import prescurv
-from prescurv import solver
+from prescurv import geometry, solver
 from prescurv.cli import main
 from prescurv.config import build_problem, parse_config
-from prescurv.errors import NewtonFailure
+from prescurv.errors import AdmissibilityError, NewtonFailure
 from prescurv.geometry import compute_geometry
 from prescurv.mesh import ScalarField
 from prescurv.selftest import CHECKS
@@ -363,27 +363,48 @@ def test_check_assumptions_command(tmp_path, capsys):
     assert "margin" in out
 
 
-def test_verify_geometry_command(tmp_path):
-    cfg = write_cfg(tmp_path, """
-warp.kind = euclidean
+VERIFY = """
+warp.kind = {kind}
 warp.domain = 0,10
 verify.r_expr = 1 + 0.1*cos(th)
 verify.n_theta = 64
 verify.n_phi = 32
-""")
-    assert main(["--config", cfg, "verify-geometry"]) == 0
+"""
 
 
-def test_verify_geometry_fail_path(tmp_path):
-    cfg = write_cfg(tmp_path, """
-warp.kind = euclidean
-warp.domain = 0,10
-verify.r_expr = 1 + 0.1*cos(th)
-verify.n_theta = 64
-verify.n_phi = 32
-verify.tol_oracle = 1e-12
-""")
-    assert main(["--config", cfg, "verify-geometry"]) == 1
+def run_verify(tmp_path, kind="euclidean", extra=""):
+    cfg = write_cfg(tmp_path, VERIFY.format(kind=kind) + extra)
+    return main(["--config", cfg, "verify-geometry"])
+
+
+def test_verify_geometry_command(tmp_path, capsys):
+    assert run_verify(tmp_path) == 0
+    assert_every_check_ok(capsys.readouterr().out, ["embedding-oracle", "identity-refinement"],
+                          "verify-geometry")
+
+
+def test_verify_geometry_skips_the_embedding_oracle_off_the_flat_warp(tmp_path, capsys):
+    assert run_verify(tmp_path, "hyperbolic") == 0
+    skip, _, rest = capsys.readouterr().out.partition("\n")
+    assert skip == "-- embedding oracle skipped (needs the euclidean ambient)"
+    assert_every_check_ok(rest, ["identity-refinement"], "verify-geometry")
+
+
+def test_verify_geometry_fail_path(tmp_path, capsys):
+    assert run_verify(tmp_path, extra="verify.tol_oracle = 1e-12\n") == 1
+    assert capsys.readouterr().out.startswith("FAIL embedding-oracle  [rel err ")
+
+
+def test_verify_geometry_runs_past_a_check_that_raises(tmp_path, capsys, monkeypatch):
+    def raises(*args):
+        raise AdmissibilityError("degenerate embedding")
+
+    monkeypatch.setattr(geometry, "extrinsic_shape_operator", raises)
+    assert run_verify(tmp_path) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL embedding-oracle  [AdmissibilityError: degenerate embedding]"
+    assert lines[1].startswith("ok   identity-refinement  [refinement ratio ")
+    assert lines[2:] == ["verify-geometry: 1 failure(s)"]
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -520,11 +541,11 @@ def run_python(args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
-def assert_every_check_ok(stdout):
-    """`selftest` printed each check of CHECKS ok, by name and in order, then no failures."""
+def assert_every_check_ok(stdout, names=tuple(c.name for c in CHECKS), label="selftest"):
+    """stdout has each named check ok, in order, then `<label>: 0 failure(s)`."""
     lines = stdout.splitlines()
-    assert [line.split()[:2] for line in lines[:-1]] == [["ok", c.name] for c in CHECKS]
-    assert lines[-1] == "selftest: 0 failure(s)"
+    assert [line.split()[:2] for line in lines[:-1]] == [["ok", name] for name in names]
+    assert lines[-1] == f"{label}: 0 failure(s)"
 
 
 def test_selftest_command(capsys):

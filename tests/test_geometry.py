@@ -159,14 +159,12 @@ def test_oracle_cross_validates_geometry():
 
 
 def test_oracle_translated_sphere_unit_curvature():
-    """r(th) = eps cos th + sqrt(1 - eps^2 sin^2 th) is a shifted unit sphere."""
+    """r(th) = eps cos th + sqrt(1 - eps^2 sin^2 th) is a shifted unit sphere (the kernel's
+    curvatures of it: prescurv.selftest's geometry-translated-sphere)."""
     eps = 0.12
     mesh = build_mesh(64, 128)
     field = field_from_function(
         mesh, lambda t, p: eps * np.cos(t) + np.sqrt(1 - eps ** 2 * np.sin(t) ** 2))
-    geom = compute_geometry(mesh, field, EUCLID)
-    assert np.abs(geom.kappa1 - 1.0).max() <= 1e-6
-    assert np.abs(geom.kappa2 - 1.0).max() <= 1e-6
     k1, k2 = extrinsic_shape_operator(mesh, field)
     assert np.abs(k1 - 1.0).max() <= 1e-6
     assert np.abs(k2 - 1.0).max() <= 1e-6
@@ -207,25 +205,17 @@ def test_support_identities_constant_graph():
     assert check_support_identities(geom).worst <= 1e-10
 
 
+def _euclid_refinement(check):
+    """check on r = 1 + 0.1 cos th at 128, then 256 reduced nodes."""
+    meshes = (build_mesh(nt, reduced=True) for nt in (128, 256))
+    return [check(compute_geometry(m, ScalarField(m, 1 + 0.1 * np.cos(m.theta)), EUCLID))
+            for m in meshes]
+
+
 def test_support_identities_refinement():
-    worsts = {}
-    for nt in (128, 256):
-        red = build_mesh(nt, reduced=True)
-        geom = compute_geometry(red, ScalarField(red, 1 + 0.1 * np.cos(red.theta)), EUCLID)
-        worsts[nt] = check_support_identities(geom).worst
-    assert worsts[256] <= 1e-4
-    assert worsts[128] / worsts[256] >= 8.0
-
-
-def test_support_identities_spherical_profile():
-    prof = WarpProfile.spherical((0.0, np.pi / 2))
-    worsts = {}
-    for nt in (128, 256):
-        red = build_mesh(nt, reduced=True)
-        geom = compute_geometry(red, ScalarField(red, 0.8 + 0.05 * np.cos(red.theta)), prof)
-        worsts[nt] = check_support_identities(geom).worst
-    assert worsts[256] <= 1e-4
-    assert worsts[128] / worsts[256] >= 8.0
+    coarse, fine = _euclid_refinement(lambda geom: check_support_identities(geom).worst)
+    assert fine <= 1e-4
+    assert coarse / fine >= 8.0
 
 
 def test_support_identities_preconditions():
@@ -247,13 +237,9 @@ def test_codazzi_constant_graph():
 
 
 def test_codazzi_refinement():
-    worsts = {}
-    for nt in (128, 256):
-        red = build_mesh(nt, reduced=True)
-        geom = compute_geometry(red, ScalarField(red, 1 + 0.1 * np.cos(red.theta)), EUCLID)
-        worsts[nt] = check_codazzi_flat(geom)
-    assert worsts[256] <= 1e-4
-    assert worsts[128] / worsts[256] >= 8.0
+    coarse, fine = _euclid_refinement(check_codazzi_flat)
+    assert fine <= 1e-4
+    assert coarse / fine >= 8.0
 
 
 def test_codazzi_preconditions():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prescurv.errors import ConeViolation, DegeneratePair
-from prescurv.selftest import admissible_orders, random_cone_point, sigma_bruteforce
+from prescurv.selftest import SEED, admissible_orders, random_cone_point, sigma_bruteforce
 from prescurv.symm import (
     QuotientOrder,
     concavity_probe,
@@ -18,9 +18,6 @@ from prescurv.symm import (
     sigma,
     sigma_minor,
 )
-
-RNG = np.random.default_rng(20240811)
-
 
 # -- sigma values ------------------------------------------------------------
 
@@ -55,8 +52,9 @@ def test_sigma_minor_examples():
 
 def test_euler_identity_fd():
     """sum_i mu_i d(sigma_k)/d(mu_i) = k sigma_k, derivatives by central FD."""
+    rng = np.random.default_rng(SEED)
     for n in range(2, 6):
-        mu = RNG.uniform(0.3, 2.0, n)
+        mu = rng.uniform(0.3, 2.0, n)
         h = 1e-6 * (1.0 + np.abs(mu).max())
         for k in range(1, n + 1):
             total = 0.0
@@ -103,10 +101,11 @@ def test_gradient_examples():
 
 
 def test_gradient_ordering_for_ascending_entries():
+    rng = np.random.default_rng(SEED)
     for _ in range(20):
-        n = int(RNG.integers(3, 6))
-        k, l = admissible_orders(n)[int(RNG.integers(len(admissible_orders(n))))]
-        mu = np.sort(random_cone_point(RNG, n, k, lo=0.1))
+        n = int(rng.integers(3, 6))
+        k, l = admissible_orders(n)[int(rng.integers(len(admissible_orders(n))))]
+        mu = np.sort(random_cone_point(rng, n, k, lo=0.1))
         g = quotient_gradient_diag(mu, QuotientOrder(k, l))
         assert all(g[i] >= g[i + 1] - 1e-14 for i in range(n - 1))
 
@@ -145,10 +144,11 @@ def test_f_coeffs():
 
 def test_f_coeffs_ordering_and_floor():
     """Ascending eta: F ascending, and F^22 >= sum F / (n(n-1)) (i >= 2 rows)."""
+    rng = np.random.default_rng(SEED)
     for _ in range(50):
-        n = int(RNG.integers(3, 6))
-        k, l = admissible_orders(n)[int(RNG.integers(len(admissible_orders(n))))]
-        mu = np.sort(random_cone_point(RNG, n, k, lo=0.05))
+        n = int(rng.integers(3, 6))
+        k, l = admissible_orders(n)[int(rng.integers(len(admissible_orders(n))))]
+        mu = np.sort(random_cone_point(rng, n, k, lo=0.05))
         f = f_coeffs(quotient_gradient_diag(mu, QuotientOrder(k, l)))
         assert all(f[i] <= f[i + 1] + 1e-14 for i in range(n - 1))
         floor = sum(f) / (n * (n - 1))
@@ -192,7 +192,7 @@ def test_concavity_random_directions():
 # -- vectorized helpers --------------------------------------------------------
 
 def test_elementary_batch_matches_scalar():
-    mu = RNG.uniform(-1.0, 2.0, (40, 3))
+    mu = np.random.default_rng(SEED).uniform(-1.0, 2.0, (40, 3))
     e = elementary_batch(mu, 3)
     for j in range(40):
         for k in range(4):

@@ -3,8 +3,10 @@
 Subcommands: solve, check-assumptions, verify-geometry, selftest, sweep.
 Exit codes: 0 success/converged, 1 any other typed error, 2 config error
 (nothing written), 3 assumption failure (without --force), 4 continuation
-breakdown.  A solve past its config always writes report.txt, and that
-report's RunReport.exit_code() is its exit code (a sweep's: the largest).
+breakdown.  A solve past its config writes report.txt, and that report's
+RunReport.exit_code() is its exit code (a sweep's: the largest).  An output
+that cannot be written is status "error"; if report.txt itself cannot be
+written, the run prints "error: cannot write ..." and exits 1.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .config import (
     check_key,
     parse_config,
 )
-from .errors import ConfigError, ContinuationBreakdown, PrescurvError
+from .errors import ConfigError, ContinuationBreakdown, OutputError, PrescurvError
 from .monitor import monitor_state
 from .problem import check_assumptions
 from .report import (
@@ -57,6 +59,19 @@ def _check_out_dir(path):
         raise ConfigError(f"output path {path}: {head} is not a directory")
 
 
+def _cannot_write(path, exc: OSError) -> str:
+    return f"cannot write {path}: {exc.strerror or exc}"
+
+
+def _write_report(out_dir, report):
+    """Write out_dir/report.txt; an OSError raises OutputError naming the path."""
+    path = os.path.join(out_dir, "report.txt")
+    try:
+        write_report(path, report)
+    except OSError as exc:
+        raise OutputError(_cannot_write(path, exc)) from exc
+
+
 def _solve_inputs(cfg):
     """Every config read of a solve: (spec, mesh, opts, monitor params, check.samples).
 
@@ -70,14 +85,19 @@ def _run_solve(cfg, inputs, out_dir, force):
     """Shared solve pipeline on cfg's _solve_inputs; returns a RunReport (files already written).
 
     Every outcome ends in report.txt: any PrescurvError of the assumption
-    check or of the continuation, other than a breakdown, is status "error".
+    check or of the continuation, other than a breakdown, is status "error",
+    and so is a CSV that cannot be written (the others still are).  An output
+    directory or report.txt that cannot be written raises OutputError.
     Each monitor row is formed as its state is accepted, on Newton's geometry
     of it; only the latest geometry is kept, for geometry.csv.
     """
     t0 = time.perf_counter()
     spec, mesh, opts, params, samples = inputs
     _check_out_dir(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(_cannot_write(out_dir, exc)) from exc
     report = RunReport(status="error", config=dict(cfg))
     final_geom = None
 
@@ -97,7 +117,7 @@ def _run_solve(cfg, inputs, out_dir, force):
         if report.assumptions.hard_failures and not force:
             report.status = "assumption-fail"
             report.message = "failed: " + ", ".join(report.assumptions.hard_failures)
-            write_report(os.path.join(out_dir, "report.txt"), report)
+            _write_report(out_dir, report)
             return report
         # the check above, at check.samples, is the gate: the solver's own must not overrule it
         phase, t_phase = "solve", time.perf_counter()
@@ -111,18 +131,24 @@ def _run_solve(cfg, inputs, out_dir, force):
         report.message = str(exc)
     report.timings[phase] = time.perf_counter() - t_phase
 
+    outputs = []
     if report.states:
-        sol_path = os.path.join(out_dir, "solution.csv")
-        geo_path = os.path.join(out_dir, "geometry.csv")
-        write_field_csv(sol_path, report.states[-1].r_field)
-        write_geometry_csv(geo_path, final_geom)
-        report.files["solution_csv"] = sol_path
-        report.files["geometry_csv"] = geo_path
-    mon_path = os.path.join(out_dir, "monitor.csv")
-    write_monitor_csv(mon_path, report.monitors)
-    report.files["monitor_csv"] = mon_path
+        outputs += [("solution", write_field_csv, report.states[-1].r_field),
+                    ("geometry", write_geometry_csv, final_geom)]
+    outputs.append(("monitor", write_monitor_csv, report.monitors))
+    t_write = time.perf_counter()
+    for name, writer, data in outputs:
+        path = os.path.join(out_dir, f"{name}.csv")
+        try:
+            writer(path, data)
+        except OSError as exc:
+            report.status = "error"
+            report.message = "; ".join(filter(None, [report.message, _cannot_write(path, exc)]))
+            continue
+        report.files[f"{name}_csv"] = path
+    report.timings["write"] = time.perf_counter() - t_write
     report.timings["total"] = time.perf_counter() - t0
-    write_report(os.path.join(out_dir, "report.txt"), report)
+    _write_report(out_dir, report)
     return report
 
 
@@ -200,9 +226,17 @@ def cmd_sweep(args) -> int:
     subs = [{**cfg, args.key: val} for val in values]
     inputs = [_solve_inputs(sub) for sub in subs]  # every config error before the first solve
     _check_out_dir(args.out)
+    for name in names:
+        _check_out_dir(os.path.join(args.out, name))
     worst = 0
     for val, name, sub, inp in zip(values, names, subs, inputs):
-        report = _run_solve(sub, inp, os.path.join(args.out, name), args.force)
+        try:
+            report = _run_solve(sub, inp, os.path.join(args.out, name), args.force)
+        except OutputError as exc:  # this value wrote no report; the next ones still run
+            print(f"{args.key}={val}: error")
+            print(f"error: {exc}", file=sys.stderr)
+            worst = max(worst, 1)
+            continue
         print(f"{args.key}={val}: {report.status}")
         worst = max(worst, report.exit_code())
     return worst

@@ -65,6 +65,10 @@ class FEvalError(PrescurvError):
     """A prescribed-function expression produced a non-finite or non-positive value."""
 
 
+class OutputError(PrescurvError):
+    """An output directory or file of a run cannot be written."""
+
+
 class ConfigError(PrescurvError):
     """A configuration file is malformed or inconsistent; carries the offending key."""
 

@@ -2,15 +2,17 @@
 
 One structured-text report per run (flat key=value lines plus fixed-order
 rows) and three CSV files.  The node CSVs (solution and geometry, one row
-per mesh node) are streamed: each distinct azimuth is formatted once, and
-so is each ring's colatitude and each ring's value of a column that is
-constant on every ring (a round or axisymmetric field; the test compares
-bit patterns).  Every other value column is formatted column by column, a
-bounded block of rings at a time.  The monitor CSV is one block of its few
-rows.  Both go through one block writer.  A report's status (converged,
-assumption-fail, breakdown or error) alone sets the run's exit code.  Float
-formatting uses shortest round-trip repr, so identical runs produce
-bit-identical files.
+per mesh node) are streamed a bounded block of whole rings at a time: each
+distinct azimuth is formatted once, and so is each ring's colatitude and
+each ring's value of a column that is constant on every ring (a round or
+axisymmetric field; the test compares bit patterns).  When every value
+column is ring-constant, a ring's rows differ only in phi, so its text is
+one join of the azimuths between the ring's row head (theta) and row tail
+(its values).  Otherwise the block's other value columns are formatted
+column by column and its rows joined cell by cell.  The monitor CSV is one
+block of its few rows.  A report's status (converged, assumption-fail,
+breakdown or error) alone sets the run's exit code.  Float formatting uses
+shortest round-trip repr, so identical runs produce bit-identical files.
 """
 
 from __future__ import annotations
@@ -37,12 +39,17 @@ def _cells(column):
     return map(repr, np.asarray(column, dtype=float).ravel().tolist())
 
 
-def _write_csv(path: str, header, chunks):
-    """Write the header line, then each chunk (a list of cell columns) as its rows."""
+def _rows(columns) -> str:
+    """The text of the rows whose cells are the given columns, side by side."""
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _write_csv(path: str, header, blocks):
+    """Write the header line, then each block of row text, one write per block."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for chunk in chunks:
-            fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
+        for block in blocks:
+            fh.write(block)
 
 
 def _ring_cells(column, per_ring):
@@ -62,31 +69,44 @@ def _ring_cells(column, per_ring):
 def _write_node_csv(path: str, mesh, names, columns):
     """theta, phi, then the named node columns; node (i, j) is row i * n_phi + j.
 
-    Each distinct azimuth is formatted once.  theta and every value column
-    constant on each ring are formatted once per ring, each ring's cell
-    repeated per node of the ring; any other value column is formatted a
-    block of whole rings (about CSV_CHUNK_ROWS rows) at a time.
+    Each distinct azimuth is formatted once, and theta and every value column
+    constant on each ring once per ring.  The rows go out a block of whole
+    rings (about CSV_CHUNK_ROWS rows, at least one ring) per write.  If every
+    value column is ring-constant, ring i's text is head + (tail + head).join(phi)
+    + tail, with head its theta cell and a comma, tail a comma, its value
+    cells and a newline.  Otherwise each ring cell is repeated per node of the
+    ring, any other value column is formatted a block at a time, and the
+    block's rows are joined cell by cell.
     """
     per_ring = 1 if mesh.reduced else mesh.n_phi
     rings = (mesh.n_theta, per_ring)
     phi = list(_cells(np.reshape(mesh.phi_grid(), rings)[0]))
+    theta = list(_cells(mesh.theta))
     columns = [np.reshape(np.asarray(c, dtype=float), rings) for c in columns]
     # per column: its ring cells (a list), or its node values to format by blocks
-    columns = [list(_cells(mesh.theta))] + [_ring_cells(c, per_ring) or c for c in columns]
+    columns = [_ring_cells(c, per_ring) or c for c in columns]
+    by_ring = all(isinstance(c, list) for c in columns)
     step = max(1, CSV_CHUNK_ROWS // per_ring)
+
+    def ring_text(i):
+        head = theta[i] + ","
+        tail = "," + ",".join([c[i] for c in columns]) + "\n"
+        return head + (tail + head).join(phi) + tail
 
     def cells(column, a):
         if isinstance(column, list):
             return [s for s in column[a:a + step] for _ in range(per_ring)]
         return _cells(column[a:a + step])
 
-    def chunks():
+    def blocks():
         for a in range(0, mesh.n_theta, step):
-            n_rings = min(step, mesh.n_theta - a)
-            theta, *values = (cells(c, a) for c in columns)
-            yield (theta, phi * n_rings, *values)
+            if by_ring:
+                yield "".join(map(ring_text, range(a, min(a + step, mesh.n_theta))))
+            else:
+                n_rings = min(step, mesh.n_theta - a)
+                yield _rows([cells(theta, a), phi * n_rings, *(cells(c, a) for c in columns)])
 
-    _write_csv(path, ("theta", "phi", *names), chunks())
+    _write_csv(path, ("theta", "phi", *names), blocks())
 
 
 def write_field_csv(path: str, field_obj: ScalarField):
@@ -100,8 +120,8 @@ def write_geometry_csv(path: str, geom: GraphGeometry):
 
 def write_monitor_csv(path: str, records):
     cols = ("t", "r_min", "r_max", "tau_min", "grad_max", "kappa_max")
-    chunk = [_cells([getattr(rec, c) for rec in records]) for c in cols]
-    _write_csv(path, cols, [chunk] if records else [])
+    block = [_cells([getattr(rec, c) for rec in records]) for c in cols]
+    _write_csv(path, cols, [_rows(block)] if records else [])
 
 
 @dataclass

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import prescurv
-from prescurv import geometry, solver
+from prescurv import cli, geometry, report, solver
 from prescurv.cli import main
 from prescurv.config import build_problem, parse_config
 from prescurv.errors import AdmissibilityError, NewtonFailure
 from prescurv.geometry import compute_geometry
 from prescurv.mesh import ScalarField
 from prescurv.selftest import CHECKS
+from test_report import GEOMETRY_COLS, node_columns, rowwise_csv
 
 CLOSED_FORM = """
 warp.kind = euclidean
@@ -315,6 +316,105 @@ def test_sweep_solves_past_a_failed_value(tmp_path, capsys):
     runs = sorted(os.listdir(out))
     assert runs == ["f_expr_1_r_2___exp_1p25_-_r_", "f_expr_r_-_1"]
     assert all(os.path.exists(os.path.join(out, run, "report.txt")) for run in runs)
+
+
+@pytest.mark.parametrize("blocked", ["solution.csv", "report.txt", "out-dir"])
+def test_unwritable_output_is_a_typed_error(tmp_path, blocked):
+    """A directory where solution.csv or report.txt goes, or an --out whose
+    name is too long to create, exits 1 with 'cannot write <path>: <reason>',
+    never a traceback.  A CSV that cannot be written makes report.txt's
+    status error, and the other files are still written."""
+    cfg = write_cfg(tmp_path, CLOSED_FORM)
+    out = tmp_path / ("o" * 300 if blocked == "out-dir" else "out")
+    if blocked != "out-dir":
+        (out / blocked).mkdir(parents=True)
+    proc = run_python(["-m", "prescurv", "--config", cfg, "--out", str(out), "solve"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    path = out if blocked == "out-dir" else out / blocked
+    reason = "File name too long" if blocked == "out-dir" else "Is a directory"
+    message = f"cannot write {path}: {reason}"
+    if blocked == "solution.csv":
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == f"error: {message}"
+        text = (out / "report.txt").read_text()
+        assert text.startswith(f"status = error\nmessage = {message}\n")
+        assert "solution_csv =" not in text and "geometry_csv =" in text
+        assert (out / "geometry.csv").is_file() and (out / "monitor.csv").is_file()
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+    if blocked == "report.txt":
+        assert all((out / name).is_file()
+                   for name in ("solution.csv", "geometry.csv", "monitor.csv"))
+
+
+def test_sweep_goes_on_past_a_value_it_cannot_write(tmp_path):
+    cfg = write_cfg(tmp_path, CLOSED_FORM)
+    out = tmp_path / "sweep"
+    (out / "phi_c_1" / "report.txt").mkdir(parents=True)
+    proc = run_python(["-m", "prescurv", "--config", cfg, "--out", str(out),
+                       "sweep", "--key", "phi.c", "--values", "1,2"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: cannot write {out / 'phi_c_1' / 'report.txt'}: Is a directory\n"
+    assert proc.stdout.splitlines() == ["phi.c=1: error", "phi.c=2: converged"]
+    assert (out / "phi_c_2" / "report.txt").read_text().startswith("status = converged")
+
+
+def test_sweep_value_directory_taken_by_a_file_exits_2(tmp_path, capsys):
+    """A regular file where a later value's run directory goes is a config
+    error of the sweep, found before the first solve: nothing is written."""
+    cfg = write_cfg(tmp_path, CLOSED_FORM)
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "phi_c_2").write_text("not a directory\n")
+    assert main(["--config", cfg, "--out", str(out), "sweep",
+                 "--key", "phi.c", "--values", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: output path {out / 'phi_c_2'}:")
+    assert sorted(os.listdir(out)) == ["phi_c_2"]
+
+
+def test_report_times_the_csv_writes(tmp_path):
+    """[timings] holds write_s, the wall time of writing the three CSVs."""
+    cfg = write_cfg(tmp_path, CLOSED_FORM)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "solve"]) == 0
+    lines = (out / "report.txt").read_text().splitlines()
+    timings = lines[lines.index("[timings]") + 1:]
+    assert [line.split(" = ")[0] for line in timings] == [
+        "assumptions_s", "monitor_s", "solve_s", "total_s", "write_s"]
+    assert float(timings[-1].split(" = ")[1]) >= 0.0
+
+
+def test_round_solve_csvs_match_rowwise_bytes(tmp_path, monkeypatch):
+    """A round full-mesh solve, its node CSVs written in blocks of three rings
+    and a partial last block: solution.csv holds the final field and
+    geometry.csv that field's geometry, byte for byte as the row writer."""
+    monkeypatch.setattr(report, "CSV_CHUNK_ROWS", 48)
+    finals = []
+
+    def solve(*args, **kwargs):
+        final, history = real_solve(*args, **kwargs)
+        finals.append(final.r_field)
+        return final, history
+
+    real_solve = cli.continuation_solve
+    monkeypatch.setattr(cli, "continuation_solve", solve)
+    cfg = write_cfg(tmp_path, CLOSED_FORM)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "solve"]) == 0
+    spec, mesh, _ = build_problem(parse_config(cfg))
+    [final] = finals
+    assert (mesh.n_theta, mesh.n_phi) == (32, 16)
+    assert np.unique(final.values).size == 1  # round: every column is ring-constant
+    geom = compute_geometry(mesh, final, spec.profile)
+    assert (out / "solution.csv").read_bytes() == rowwise_csv(
+        node_columns(mesh, ("value",), [final.values]))
+    assert (out / "geometry.csv").read_bytes() == rowwise_csv(
+        node_columns(mesh, GEOMETRY_COLS, [getattr(geom, c) for c in GEOMETRY_COLS]))
 
 
 def test_sweep_values_sharing_a_directory_exit_2(tmp_path, capsys):

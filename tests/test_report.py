@@ -1,5 +1,6 @@
 """The CSV writers against the row-by-row format they replaced, byte for byte
-(columns constant on every ring, formatted once per ring, included), and a
+(columns constant on every ring, formatted once per ring, and files whose
+every value column is, written a ring's join at a time, included), and a
 solve's geometries: each formed once, by Newton, and read by the monitors and
 geometry.csv."""
 
@@ -83,7 +84,16 @@ FIELDS = {
 GEOMETRY_STAND_INS = {
     "stress": ("stress",),
     "partly-ring-constant": ("axisymmetric", "stress", "signed-zero-ring", "one-ring-varying"),
+    "ring-constant": ("axisymmetric", "round", "smooth-axisymmetric"),
+    "ring-constant-but-one": ("axisymmetric",) * (len(GEOMETRY_COLS) - 1) + ("one-ring-varying",),
 }
+
+
+def geometry_stand_in(mesh, kinds):
+    """The geometry writer reads only mesh and the named columns: column k is
+    FIELDS[kinds[k % len(kinds)]] with shift k."""
+    return SimpleNamespace(mesh=mesh, **{c: FIELDS[kinds[k % len(kinds)]](mesh, k)
+                                         for k, c in enumerate(GEOMETRY_COLS)})
 
 
 MESHES = {"full-24x12": (24, 12, False), "reduced-20": (20, None, True)}
@@ -116,9 +126,7 @@ def test_geometry_csv_matches_rowwise_bytes(tmp_path, chunk_rows, mesh_key):
     mesh = build_mesh(n_theta, n_phi, reduced=reduced)
     path = tmp_path / "geometry.csv"
     for kinds in GEOMETRY_STAND_INS.values():
-        # the writer reads only mesh and the named columns
-        stand_in = SimpleNamespace(mesh=mesh, **{c: FIELDS[kinds[k % len(kinds)]](mesh, k)
-                                                 for k, c in enumerate(GEOMETRY_COLS)})
+        stand_in = geometry_stand_in(mesh, kinds)
         report.write_geometry_csv(str(path), stand_in)
         arrays = [getattr(stand_in, c) for c in GEOMETRY_COLS]
         assert path.read_bytes() == rowwise_csv(node_columns(mesh, GEOMETRY_COLS, arrays))
@@ -155,6 +163,56 @@ def test_ring_constant_columns_are_formatted_once_per_ring(tmp_path, monkeypatch
     arrays = [getattr(geom, c) for c in GEOMETRY_COLS]
     assert (tmp_path / "geometry.csv").read_bytes() == rowwise_csv(
         node_columns(mesh, GEOMETRY_COLS, arrays))
+
+
+def ring_constant(values, mesh):
+    """Each ring of values holds one bit pattern."""
+    bits = np.asarray(values, dtype=float).reshape(mesh.n_theta, -1).view(np.int64)
+    return bool((bits == bits[:, :1]).all())
+
+
+@pytest.mark.parametrize("radius", ["round", "axisymmetric"])
+def test_ring_constant_128x64_node_csvs_match_rowwise_bytes(tmp_path, radius):
+    """A round 128x64 solution and an axisymmetric, non-round one: every value
+    column of both node CSVs is constant on each ring (the ring values differ
+    when not round), and both files hold the row-by-row bytes."""
+    mesh = build_mesh(128, 64)
+    theta = mesh.theta_grid()
+    r = np.full(mesh.shape, 1.25) if radius == "round" else np.broadcast_to(
+        1.1 + 0.05 * np.cos(theta) ** 2 + 0.01 * np.cos(theta), mesh.shape).copy()
+    field_obj = ScalarField(mesh, r)
+    geom = geometry.compute_geometry(mesh, field_obj, WarpProfile.euclidean())
+    arrays = [getattr(geom, c) for c in GEOMETRY_COLS]
+    assert all(ring_constant(a, mesh) for a in [r] + arrays)
+    assert (radius == "round") == all(np.unique(a).size == 1 for a in [r] + arrays)
+    report.write_field_csv(str(tmp_path / "solution.csv"), field_obj)
+    report.write_geometry_csv(str(tmp_path / "geometry.csv"), geom)
+    assert (tmp_path / "solution.csv").read_bytes() == rowwise_csv(
+        node_columns(mesh, ("value",), [r]))
+    assert (tmp_path / "geometry.csv").read_bytes() == rowwise_csv(
+        node_columns(mesh, GEOMETRY_COLS, arrays))
+
+
+@pytest.mark.parametrize("mesh_key", list(MESHES))
+@pytest.mark.parametrize("kinds", list(GEOMETRY_STAND_INS))
+def test_node_writer_writes_at_most_a_block_of_rows(monkeypatch, chunk_rows, mesh_key, kinds):
+    """Each write of the node writer after the header carries whole rows, at most
+    max(CSV_CHUNK_ROWS, n_phi) of them, whether every column is ring-constant or not."""
+    n_theta, n_phi, reduced = MESHES[mesh_key]
+    mesh = build_mesh(n_theta, n_phi, reduced=reduced)
+    stand_in = geometry_stand_in(mesh, GEOMETRY_STAND_INS[kinds])
+    writes = []
+    recording_file = contextlib.nullcontext(SimpleNamespace(write=writes.append))
+    monkeypatch.setattr(report, "open", lambda path, mode: recording_file, raising=False)
+    report.write_geometry_csv("geometry.csv", stand_in)
+    header, *blocks = writes
+    assert header == ",".join(("theta", "phi") + GEOMETRY_COLS) + "\n"
+    assert all(block.endswith("\n") for block in blocks)
+    rows = [block.count("\n") for block in blocks]
+    assert sum(rows) == mesh.n_nodes
+    assert max(rows) <= max(chunk_rows, 1 if reduced else n_phi)
+    arrays = [getattr(stand_in, c) for c in GEOMETRY_COLS]
+    assert "".join(writes).encode() == rowwise_csv(node_columns(mesh, GEOMETRY_COLS, arrays))
 
 
 @pytest.mark.parametrize("n_records", [0, 1, 11])

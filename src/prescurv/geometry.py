@@ -205,35 +205,19 @@ def extrinsic_shape_operator(mesh: SphereMesh, r_field: ScalarField):
     return _sym_pair_eigs(E, F, G, L, M, P)
 
 
-@dataclass(frozen=True)
-class SupportResiduals:
-    """Max-norm residuals of the support-function identities on an axisymmetric graph."""
-
-    grad_capital_lambda: float   # surface gradient of Lambda vs lambda <e_r, E_1>
-    grad_tau: float              # surface gradient of tau vs (grad Lambda) h
-    hess_capital_lambda_mm: float  # meridian-meridian Hessian of Lambda
-    hess_capital_lambda_pp: float  # parallel-parallel Hessian of Lambda
-
-    @property
-    def worst(self) -> float:
-        return max(
-            self.grad_capital_lambda,
-            self.grad_tau,
-            self.hess_capital_lambda_mm,
-            self.hess_capital_lambda_pp,
-        )
-
-
 def _axisym_frame_curvatures(geom: GraphGeometry):
     """(meridian, parallel) normal curvatures from the diagonal frame components."""
     return geom.h11 / geom.g11, geom.h22 / geom.g22
 
 
-def check_support_identities(geom: GraphGeometry) -> SupportResiduals:
-    """Residuals of grad Lambda, grad tau, and hess Lambda identities on the surface.
+def check_support_identities(geom: GraphGeometry) -> float:
+    """Worst max-norm residual of the support-function identities on the surface.
 
-    Axisymmetric (reduced) graphs only, over a builtin space-form profile:
-    intrinsic covariant differentiation along the surface is then 1D in theta.
+    They relate the surface gradient of Lambda to lambda <e_r, E_1>, that of
+    tau to (grad Lambda) h, and the meridian-meridian and parallel-parallel
+    Hessian of Lambda to lambda' - tau kappa.  Axisymmetric (reduced) graphs
+    only, over a builtin space-form profile: intrinsic covariant
+    differentiation along the surface is then 1D in theta.
     """
     mesh = geom.mesh
     if not mesh.reduced:
@@ -263,12 +247,7 @@ def check_support_identities(geom: GraphGeometry) -> SupportResiduals:
     lhs_pp = dL * (dlam * rt + lam * cot) / (g_mm * lam)
     r10b = np.abs(lhs_pp - (dlam - tau * kap_p))
 
-    return SupportResiduals(
-        grad_capital_lambda=float(r8.max()),
-        grad_tau=float(r9.max()),
-        hess_capital_lambda_mm=float(r10a.max()),
-        hess_capital_lambda_pp=float(r10b.max()),
-    )
+    return float(max(r8.max(), r9.max(), r10a.max(), r10b.max()))
 
 
 def check_codazzi_flat(geom: GraphGeometry) -> float:

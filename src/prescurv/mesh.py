@@ -12,7 +12,8 @@ One cached ghost map per mesh shape holds both continuations and one table
 the stencil weights.  frame_derivatives, the one definition of the 2-jet,
 gives the orthonormal-frame gradient and covariant Hessian of a field,
 slicing each stencil it needs once; jet_operators gives the same maps as
-sparse matrices, column by column from frame_derivatives, for the Jacobian.
+one shared sparse pattern and six rows of weights, column by column from
+frame_derivatives, for the Jacobian.
 """
 
 from __future__ import annotations
@@ -200,11 +201,9 @@ def _jet_operators(n_theta: int, n_phi: int):
     # with azimuthal rotation (the ghost map shifts every column by the same
     # offsets and the same through-pole shift n_phi/2; 1/sin and cot depend on
     # theta only), so one unit field per ring, turned, gives the ring's columns.
-    from scipy.sparse import csc_array  # here, so a run that builds no Jacobian never loads scipy
-
     mesh = build_mesh(n_theta, n_phi, reduced=not n_phi)
     width = max(n_phi, 1)
-    indices, data, sizes = [], [], []
+    indices, weights, sizes = [], [], []
     for i in range(n_theta):
         unit = np.zeros(mesh.shape)
         unit.flat[i * width] = 1.0
@@ -213,21 +212,22 @@ def _jet_operators(n_theta: int, n_phi: int):
         turned = a * width + (b + np.arange(width)[:, None]) % width  # row k: azimuth k's rows
         order = np.argsort(turned, axis=1)
         indices.append(np.take_along_axis(turned, order, axis=1).ravel())
-        data.append(jet[:, a, b][:, order].reshape(6, -1))
+        weights.append(jet[:, a, b][:, order].reshape(6, -1))
         sizes.append(a.size)
-    indices, n = np.concatenate(indices), mesh.n_nodes
+    indices, weights = np.concatenate(indices), np.hstack(weights)
     indptr = np.concatenate(([0], np.cumsum(np.repeat(sizes, width))))
-    return tuple(csc_array((d, indices, indptr), shape=(n, n)) for d in np.hstack(data))
+    indices.flags.writeable = indptr.flags.writeable = weights.flags.writeable = False
+    return indices, indptr, weights
 
 
 def jet_operators(mesh: SphereMesh) -> tuple:
-    """Sparse matrices (I, D_1, D_2, D_11, D_12, D_22) mapping r to its 2-jet, cached per mesh shape.
+    """Read-only (indices, indptr, weights) of the maps from r to its 2-jet, cached per mesh shape.
 
-    Column j of D_a is component a of frame_derivatives of the unit field at
-    node j, so D_a r is frame_derivatives(r)'s component a up to rounding.
-    All six store the same CSC entries: the union of their nonzeros.
-    scipy.sparse loads on first use, so a run that builds no Jacobian never
-    loads it.
+    The maps (I, D_1, D_2, D_11, D_12, D_22) share one CSC pattern, the
+    union of their nonzeros, with row indices sorted within each column;
+    weights, shape (6, nnz), holds their values in that order.  Column j of
+    D_a is component a of frame_derivatives of the unit field at node j, so
+    D_a r is frame_derivatives(r)'s component a up to rounding.
     """
     return _jet_operators(mesh.n_theta, mesh.n_phi)
 

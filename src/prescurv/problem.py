@@ -374,11 +374,6 @@ class AssumptionReport:
     radial_monotonicity: AssumptionResult  # d/dr (lambda^2 f) <= 0 inside
 
     @property
-    def all_passed(self) -> bool:
-        return (self.inner_barrier.passed and self.outer_barrier.passed
-                and self.radial_monotonicity.passed)
-
-    @property
     def results(self):
         return (self.inner_barrier, self.outer_barrier, self.radial_monotonicity)
 

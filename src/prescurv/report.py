@@ -2,17 +2,18 @@
 
 One structured-text report per run (flat key=value lines plus fixed-order
 rows) and three CSV files.  The node CSVs (solution and geometry, one row
-per mesh node) are streamed a bounded block of whole rings at a time: each
-distinct azimuth is formatted once, and so is each ring's colatitude and
-each ring's value of a column that is constant on every ring (a round or
-axisymmetric field; the test compares bit patterns).  When every value
-column is ring-constant, a ring's rows differ only in phi, so its text is
-one join of the azimuths between the ring's row head (theta) and row tail
-(its values).  Otherwise the block's other value columns are formatted
-column by column and its rows joined cell by cell.  The monitor CSV is one
-block of its few rows.  A report's status (converged, assumption-fail,
-breakdown or error) alone sets the run's exit code.  Float formatting uses
-shortest round-trip repr, so identical runs produce bit-identical files.
+per mesh node) are streamed a bounded block of whole rings at a time, and
+each distinct azimuth and each ring's colatitude is formatted once.  When
+every value column is constant on every ring (a round or axisymmetric
+field, or any field on a reduced mesh, whose rings are single nodes; the
+test compares bit patterns), each column is formatted once per ring, and a
+ring's rows, which differ only in phi, are one join of the azimuths between
+the ring's row head (theta) and row tail (its values).  Otherwise the
+block's value columns are formatted a block at a time and its rows joined
+cell by cell.  The monitor CSV is one block of its few rows.  A report's
+status (converged, assumption-fail, breakdown or error) alone sets the
+run's exit code.  Float formatting uses shortest round-trip repr, so
+identical runs produce bit-identical files.
 """
 
 from __future__ import annotations
@@ -52,40 +53,36 @@ def _write_csv(path: str, header, blocks):
             fh.write(block)
 
 
-def _ring_cells(column, per_ring):
-    """column's n_theta ring values formatted once, if every ring holds one bit pattern; else None.
+def _ring_constant(column) -> bool:
+    """Whether each ring (row) of column, n_theta x per_ring, holds one bit pattern.
 
-    column is n_theta x per_ring.  Bit patterns, not float ==, so a ring
-    holding 0.0 and -0.0 keeps each zero's text.  A reduced mesh's rings are
-    single nodes, so its columns keep the bounded blocks.
+    Bit patterns, not float ==, so a ring holding 0.0 and -0.0 keeps each
+    zero's text.
     """
-    if per_ring > 1:
-        bits = column.view(np.int64)
-        if (bits == bits[:, :1]).all():
-            return list(_cells(column[:, 0]))
-    return None
+    bits = column.view(np.int64)
+    return bool((bits == bits[:, :1]).all())
 
 
 def _write_node_csv(path: str, mesh, names, columns):
     """theta, phi, then the named node columns; node (i, j) is row i * n_phi + j.
 
-    Each distinct azimuth is formatted once, and theta and every value column
-    constant on each ring once per ring.  The rows go out a block of whole
-    rings (about CSV_CHUNK_ROWS rows, at least one ring) per write.  If every
-    value column is ring-constant, ring i's text is head + (tail + head).join(phi)
+    Each distinct azimuth and each ring's theta is formatted once.  The rows
+    go out a block of whole rings (about CSV_CHUNK_ROWS rows, at least one
+    ring) per write.  If every value column is ring-constant, each is
+    formatted once per ring, and ring i's text is head + (tail + head).join(phi)
     + tail, with head its theta cell and a comma, tail a comma, its value
-    cells and a newline.  Otherwise each ring cell is repeated per node of the
-    ring, any other value column is formatted a block at a time, and the
-    block's rows are joined cell by cell.
+    cells and a newline.  Otherwise theta is repeated per node of its ring,
+    the value columns are formatted a block at a time, and the block's rows
+    are joined cell by cell.
     """
     per_ring = 1 if mesh.reduced else mesh.n_phi
     rings = (mesh.n_theta, per_ring)
     phi = list(_cells(np.reshape(mesh.phi_grid(), rings)[0]))
     theta = list(_cells(mesh.theta))
     columns = [np.reshape(np.asarray(c, dtype=float), rings) for c in columns]
-    # per column: its ring cells (a list), or its node values to format by blocks
-    columns = [_ring_cells(c, per_ring) or c for c in columns]
-    by_ring = all(isinstance(c, list) for c in columns)
+    by_ring = all(map(_ring_constant, columns))
+    if by_ring:
+        columns = [list(_cells(c[:, 0])) for c in columns]
     step = max(1, CSV_CHUNK_ROWS // per_ring)
 
     def ring_text(i):
@@ -93,18 +90,14 @@ def _write_node_csv(path: str, mesh, names, columns):
         tail = "," + ",".join([c[i] for c in columns]) + "\n"
         return head + (tail + head).join(phi) + tail
 
-    def cells(column, a):
-        if isinstance(column, list):
-            return [s for s in column[a:a + step] for _ in range(per_ring)]
-        return _cells(column[a:a + step])
-
     def blocks():
         for a in range(0, mesh.n_theta, step):
+            b = min(a + step, mesh.n_theta)
             if by_ring:
-                yield "".join(map(ring_text, range(a, min(a + step, mesh.n_theta))))
+                yield "".join(map(ring_text, range(a, b)))
             else:
-                n_rings = min(step, mesh.n_theta - a)
-                yield _rows([cells(theta, a), phi * n_rings, *(cells(c, a) for c in columns)])
+                nodes_theta = [s for s in theta[a:b] for _ in range(per_ring)]
+                yield _rows([nodes_theta, phi * (b - a), *(_cells(c[a:b]) for c in columns)])
 
     _write_csv(path, ("theta", "phi", *names), blocks())
 

@@ -256,7 +256,7 @@ def identity_refinement(profile, coarse, fine, tol, min_ratio):
     def residuals(field):
         geom = G.compute_geometry(field.mesh, field, profile)
         flat = (G.check_codazzi_flat(geom),) if profile.kind == "euclidean" else ()
-        return np.array((G.check_support_identities(geom).worst, *flat))
+        return np.array((G.check_support_identities(geom), *flat))
 
     before, after = residuals(coarse), residuals(fine)
     ratio = float((before / np.maximum(after, 1e-300)).min())

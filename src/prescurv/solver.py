@@ -23,9 +23,9 @@ Continuation marches t from the round solution at t = 0 to t = 1, hands the
 last factor from one t-step to the next, starts each t-step from a secant
 prediction through the last two accepted states, and halves the step on
 failure and doubles it after consecutive easy solves.
-scipy.sparse and its splu are imported where the first Jacobian is built
-and factored, so a run that builds none (a round solve, for one) never
-loads scipy.
+scipy.sparse is known to this module only: jacobian_sparse imports it to
+form J and newton_solve to factor J, so a run that builds no Jacobian (a
+round solve, for one) never loads scipy.
 """
 
 from __future__ import annotations
@@ -151,11 +151,13 @@ def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_arr
 
     Column j's step h_j (jacobian_fd's) moves row i's 2-jet
     q_i = (r, r_1, r_2, r_11, r_12, r_22), read off the node geometry geom, by
-    h_j d_ij, d_ij the weights of node j in row i's stencils (the entries of
-    the mesh's jet_operators), so
+    h_j d_ij, d_ij the weights of node j in row i's stencils (jet_operators'
+    weights on the mesh's shared pattern), so
     J_ij = (F_i(q_i + h_j d_ij) - F_i(q_i - h_j d_ij)) / 2h_j with F the
     pointwise kernel of residual: jacobian_fd's entry up to rounding.  The
-    stored entries go through F in blocks of FD_CHUNK_NODES kernel values.
+    stored entries go through F in blocks of FD_CHUNK_NODES kernel values,
+    and J, which shares that read-only pattern, is the one sparse matrix
+    the build forms.
     A perturbed jet that raises one of INADMISSIBLE fails the build with
     AdmissibilityError, as it fails jacobian_fd.  No residual of a whole
     field is evaluated.
@@ -163,9 +165,7 @@ def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_arr
     from scipy.sparse import csc_array
 
     mesh, n = geom.mesh, geom.mesh.n_nodes
-    ops = jet_operators(mesh)
-    indices, indptr = ops[0].indices, ops[0].indptr
-    weights = np.stack([op.data for op in ops])
+    indices, indptr, weights = jet_operators(mesh)
     jet = np.stack([geom.r, geom.r1, geom.r2, geom.r11, geom.r12, geom.r22]).reshape(6, n)
     h = np.repeat(_fd_steps(jet[0]), np.diff(indptr))
     th, ph = mesh.theta_grid().ravel(), mesh.phi_grid().ravel()

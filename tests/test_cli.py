@@ -540,19 +540,6 @@ def test_example_configs_run(tmp_path, command, name, code):
     assert np.array_equal(np.loadtxt(geo_path, delimiter=",", skiprows=1), expected)
 
 
-def test_building_a_problem_does_not_import_scipy_optimize():
-    """The package never loads scipy.optimize: the CLI's imports and
-    build_problem leave it unloaded."""
-    cfg = os.path.join(CONFIGS, "closed_form.cfg")
-    code = ("import sys\n"
-            "import prescurv.cli\n"
-            "from prescurv.config import build_problem, parse_config\n"
-            f"build_problem(parse_config({cfg!r}))\n"
-            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n")
-    proc = run_python(["-c", code])
-    assert proc.returncode == 0, proc.stderr
-
-
 def config_paths():
     return sorted(os.path.abspath(os.path.join(CONFIGS, name))
                   for name in os.listdir(CONFIGS) if name.endswith(".cfg"))
@@ -578,8 +565,8 @@ def test_importing_and_building_every_problem_does_not_import_scipy():
 
 
 # In a fresh process, run cli.main on each argument list and print one line
-# per run: exit code, whether scipy (or scipy.sparse.linalg) is loaded, and
-# whether the run printed jacobians=0.
+# per run: exit code, whether scipy, scipy.sparse.linalg and scipy.optimize
+# are loaded, and whether the run printed jacobians=0.
 RUN_MAIN = """
 import contextlib, io, json, sys
 from prescurv.cli import main
@@ -588,7 +575,7 @@ for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(out):
         code = main(args)
     print(json.dumps([code, 'scipy' in sys.modules, 'scipy.sparse.linalg' in sys.modules,
-                      'jacobians=0' in out.getvalue()]))
+                      'scipy.optimize' in sys.modules, 'jacobians=0' in out.getvalue()]))
 """
 
 
@@ -599,15 +586,15 @@ def test_runs_that_build_no_jacobian_do_not_import_scipy(tmp_path):
     runs, expected = [], []
     for name in ("closed_form", "builtin_round", "hyperbolic_round"):
         runs.append(["--config", cfgs[name], "--out", str(tmp_path / name), "solve"])
-        expected.append([0, False, False, True])
+        expected.append([0, False, False, False, True])
     runs.append(["--config", cfgs["violates_outer"], "--out", str(tmp_path / "v"), "solve"])
-    expected.append([3, False, False, False])
+    expected.append([3, False, False, False, False])
     for name, path in cfgs.items():
         runs.append(["--config", path, "check-assumptions"])
         code = {"violates_outer": 3, "verify_geometry": 2}.get(name, 0)
-        expected.append([code, False, False, False])
+        expected.append([code, False, False, False, False])
     runs.append(["--config", cfgs["verify_geometry"], "verify-geometry"])
-    expected.append([0, False, False, False])
+    expected.append([0, False, False, False, False])
     proc = run_python(["-c", RUN_MAIN, json.dumps(runs)])
     assert proc.returncode == 0, proc.stderr
     got = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -616,7 +603,8 @@ def test_runs_that_build_no_jacobian_do_not_import_scipy(tmp_path):
 
 def test_a_jacobian_build_imports_scipy_and_rebinds_no_module_name(tmp_path):
     """The positive control: a solve that builds a Jacobian loads
-    scipy.sparse.linalg, and every prescurv module keeps its set of
+    scipy.sparse.linalg but not scipy.optimize (the package colours no
+    Jacobian through it), and every prescurv module keeps its set of
     module-level names (scipy is imported inside functions only)."""
     code = ("import json, sys\n"
             "import prescurv.cli\n"
@@ -630,7 +618,7 @@ def test_a_jacobian_build_imports_scipy_and_rebinds_no_module_name(tmp_path):
     runs = [["--config", cfg, "--out", str(tmp_path / "o"), "solve"]]
     proc = run_python(["-c", code, json.dumps(runs)])
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, True, True, False]
+    assert json.loads(proc.stdout) == [0, True, True, False, False]
 
 
 def run_python(args):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from prescurv.mesh import (
     ScalarField,
@@ -134,27 +135,29 @@ def test_stencils_and_footprint_follow_the_continuation_rule(shape):
                 for dj in reach:
                     row, col, _ = continued(mesh, i + di, j + dj)
                     pairs.add((i * width + j, row * width + col))
-    op = jet_operators(mesh)[0]  # the pattern the six jet operators share
-    cols = np.repeat(np.arange(mesh.n_nodes), np.diff(op.indptr))
-    stored = set(zip(op.indices.tolist(), cols.tolist()))
-    assert op.has_sorted_indices and len(stored) == op.nnz and stored <= pairs
+    indices, indptr, _ = jet_operators(mesh)  # the pattern the six jet operators share
+    cols = np.repeat(np.arange(mesh.n_nodes), np.diff(indptr))
+    stored = set(zip(indices.tolist(), cols.tolist()))
+    assert all(np.all(np.diff(indices[a:b]) > 0) for a, b in zip(indptr, indptr[1:]))
+    assert len(stored) == indices.size and stored <= pairs
     assert len(pairs - stored) == (216 if shape == (16, 4) else 0)
 
 
 @pytest.mark.parametrize("shape", [(16, 8), (16, 4), (20, 10), (16, None)])
 def test_jet_operators_match_frame_derivatives(shape):
     """(I, D_1, D_2, D_11, D_12, D_22) r is (r, frame_derivatives(r)) to rounding,
-    and all six store the same entries."""
+    D_a being weights[a] on the shared pattern; the arrays are cached and read-only."""
     mesh = build_mesh(shape[0], shape[1], reduced=shape[1] is None)
     vals = 1.0 + 0.1 * np.random.default_rng(11).standard_normal(mesh.shape)
-    ops = jet_operators(mesh)
+    ops = indices, indptr, weights = jet_operators(mesh)
     want = (vals,) + frame_derivatives(ScalarField(mesh, vals))
-    for op, component in zip(ops, want):
-        assert np.array_equal(op.indices, ops[0].indices)
-        assert np.array_equal(op.indptr, ops[0].indptr)
+    assert weights.shape == (6, indices.size)
+    for row, component in zip(weights, want):
+        op = csc_array((row, indices, indptr), shape=(mesh.n_nodes, mesh.n_nodes))
         err = np.abs(op @ vals.ravel() - component.ravel()).max()
         assert err <= 1e-13 * max(np.abs(component).max(), 1.0)
     assert jet_operators(build_mesh(shape[0], shape[1], reduced=shape[1] is None)) is ops
+    assert not any(a.flags.writeable for a in ops)
 
 
 def smooth_test_errors(n_theta):

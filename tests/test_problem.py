@@ -249,7 +249,7 @@ def test_check_assumptions_closed_form_margins():
     assert outer.passed and outer.margin == pytest.approx(OUTER_MARGIN, rel=1e-9)
     assert outer.worst_point[0] == pytest.approx(2.0)
     assert mono.passed and mono.margin == pytest.approx(MONO_MARGIN, rel=1e-3)
-    assert rep.all_passed and not rep.hard_failures
+    assert all(r.passed for r in rep.results) and not rep.hard_failures
 
 
 def test_check_assumptions_threshold_equality_fails():

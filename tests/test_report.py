@@ -1,8 +1,8 @@
 """The CSV writers against the row-by-row format they replaced, byte for byte
-(columns constant on every ring, formatted once per ring, and files whose
-every value column is, written a ring's join at a time, included), and a
-solve's geometries: each formed once, by Newton, and read by the monitors and
-geometry.csv."""
+(files whose every value column is constant on every ring, written a ring's
+join at a time, and files in which only some are, written cell by cell,
+included), and a solve's geometries: each formed once, by Newton, and read by
+the monitors and geometry.csv."""
 
 import contextlib
 import importlib
@@ -69,7 +69,8 @@ def one_ring_varying(mesh, shift=0):
     return vals.reshape(mesh.shape)
 
 
-# node values; the ring-constant ones are formatted once per ring on a full mesh
+# node values; a file whose value columns are all ring-constant (any file on a
+# reduced mesh, whose rings are single nodes) is written a ring at a time
 FIELDS = {
     "stress": stress_values,
     "random": lambda mesh, shift=0: np.random.default_rng(3 + shift).standard_normal(mesh.shape),

@@ -52,7 +52,8 @@ KNOWN_KEYS = frozenset(DEFAULTS) | {
     "f.expr", "f.builtin", "f.manufactured", "f.rm", "f.alpha",
 }
 
-# check_assumptions evaluates f at check.samples^4 points: about 1M, 25 MB, at 32
+# check_assumptions evaluates f at up to check.samples^4 points, as many only
+# when f reads all four variables (r, th, ph, nur): about 1M, 25 MB, at 32
 CHECK_SAMPLES_MAX = 32
 
 

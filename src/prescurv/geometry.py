@@ -55,7 +55,8 @@ class GraphGeometry:
     """Pointwise geometric state of the graph surface; arrays shaped like r.
 
     mesh holds the points as nodes (compute_geometry) or is None (geometry_from_jet).
-    The cached properties are computed on first read, never by the residual.
+    The cached properties are computed on first read; of them, the residual
+    reads in_cone alone.
     """
 
     mesh: SphereMesh
@@ -79,9 +80,13 @@ class GraphGeometry:
     K: np.ndarray         # sigma_2(mu) = det h / det g
     nu_r: np.ndarray      # <nu, d/dr> = lambda / v
 
-    @property
+    @cached_property
     def in_cone(self):
-        """Per-node mask of mu in Gamma_2: sigma_1 = H > 0 and sigma_2 = K > 0."""
+        """Per-node mask of mu in Gamma_2: sigma_1 = H > 0 and sigma_2 = K > 0.
+
+        Geometry-only, so a geometry that serves several residuals (every
+        t-step that starts at an unmoved state) forms it once.
+        """
         return (self.H > 0.0) & (self.K > 0.0)
 
     @cached_property

@@ -14,6 +14,7 @@ is phi(r) times the constant-graph threshold zeta^2, phi(r) = exp(c (rm - r)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Optional, Union
 
 import numpy as np
@@ -256,12 +257,14 @@ FExpr = Union[ExpressionF, RoundExponentialF, ManufacturedF]
 
 
 def eval_f(f: FExpr, r, th, ph, nur, lam=None, dlam=None):
-    """f broadcast over (r, th, ph, nur); must come out finite and positive.
+    """f at (r, th, ph, nur); must come out finite and positive.
 
+    The value has f.evaluate's own shape, which broadcasts against the
+    arguments: an f that ignores a variable is not spread along that
+    variable's axes (a constant f is 0-d), and the checks run on that shape.
     (lam, dlam) are lambda, lambda' at r: only a builtin or manufactured f reads them.
     """
-    shape = np.broadcast(r, th, ph, nur).shape
-    out = np.broadcast_to(f.evaluate(r, th, ph, nur, lam, dlam), shape).astype(float)
+    out = np.array(f.evaluate(r, th, ph, nur, lam, dlam), dtype=float)
     if not np.all(np.isfinite(out)):
         raise FEvalError("prescribed function produced a non-finite value")
     if np.any(out <= 0.0):
@@ -302,17 +305,40 @@ def phi_value(spec: ProblemSpec, r):
     return np.exp(spec.phi_c * (spec.phi_rm - np.asarray(r, dtype=float)))
 
 
+class HomotopyEndpoints:
+    """The homotopy's endpoints at the points of a GraphGeometry geom, (th, ph) the points' angles.
+
+    f0 = phi(r) threshold(r) and f, each formed on first read from the
+    geometry's lambda and lambda' (no second lambda evaluation) and kept, so
+    one object serves every t on its geometry.  at(t) reads no f at t = 0.
+    """
+
+    def __init__(self, spec: ProblemSpec, geom, th, ph):
+        self.spec, self.geom, self.th, self.ph = spec, geom, th, ph
+
+    @cached_property
+    def f0(self):
+        return phi_value(self.spec, self.geom.r) * threshold(self.geom.lam, self.geom.dlam)
+
+    @cached_property
+    def f(self):
+        g = self.geom
+        return eval_f(self.spec.f, g.r, self.th, self.ph, g.nu_r, g.lam, g.dlam)
+
+    def at(self, t: float):
+        """The homotopy value f^t = t f + (1 - t) f0: affine in t."""
+        if t == 0.0:
+            return self.f0
+        return t * self.f + (1.0 - t) * self.f0
+
+
 def blend_f_t(spec: ProblemSpec, t: float, geom, th, ph):
     """Homotopy value t f + (1 - t) phi(r) threshold(r) at the points of a GraphGeometry; affine in t.
 
-    (th, ph) are the points' angles.  The threshold and f both read the
-    geometry's lambda and lambda': no second lambda evaluation.
+    (th, ph) are the points' angles.  One evaluation of HomotopyEndpoints;
+    a caller that reads several t on one geometry keeps that object instead.
     """
-    f0 = phi_value(spec, geom.r) * threshold(geom.lam, geom.dlam)
-    if t == 0.0:
-        return f0
-    f = eval_f(spec.f, geom.r, th, ph, geom.nu_r, geom.lam, geom.dlam)
-    return t * f + (1.0 - t) * f0
+    return HomotopyEndpoints(spec, geom, th, ph).at(t)
 
 
 # odd, so every solve colatitude is a colatitude of the finer mesh; a finer
@@ -394,7 +420,12 @@ def _angular_samples(spec: ProblemSpec, samples: int):
 
 
 def _worst(values, r_grid, th, ph, nur, minimize=True):
-    """(extreme value, (r, th, ph, nur) where attained) over the sample tensor."""
+    """(extreme value, (r, th, ph, nur) where attained) over the sample tensor.
+
+    values may be compact: an axis of length 1 stands for every sample on it
+    and reads its first, which is where argmin/argmax over the full tensor
+    lands too (the first extreme in C order).
+    """
     flat = np.argmin(values) if minimize else np.argmax(values)
     ir, ia, inu = np.unravel_index(flat, values.shape)
     val = float(values[ir, ia, inu])
@@ -409,7 +440,9 @@ def check_assumptions(spec: ProblemSpec, samples: int = 12) -> AssumptionReport:
     (threshold - f) / threshold for r >= r2.  The monotonicity margin is the
     worst (largest) sampled radial derivative of lambda^2 f, which must be
     <= 0.  Margins are reported as found; an equality case within
-    finite-difference noise is flagged boundary_case.
+    finite-difference noise is flagged boundary_case.  f is evaluated and
+    reduced on its own broadcast shape (eval_f): an f of r alone is one
+    value per sampled radius, not samples^3.
     """
     th, ph = _angular_samples(spec, samples)
     nur = np.linspace(1.0 / samples, 1.0, samples)
@@ -418,7 +451,8 @@ def check_assumptions(spec: ProblemSpec, samples: int = 12) -> AssumptionReport:
     pad = 1e-3 * (r_hi - r_lo)
 
     def f_on(r_grid):
-        """(f, lambda, lambda') on the sample tensor: lambda once per radius grid."""
+        """(f, lambda, lambda') on the sample tensor, each in its own compact shape
+        (f spreads only along the variables it reads): lambda once per radius grid."""
         R = r_grid[:, None, None]
         lam, dlam = spec.profile.eval_lambda(R)
         return eval_f(spec.f, R, th[None, :, None], ph[None, :, None], nur[None, None, :],

@@ -4,11 +4,13 @@ The residual at each node is sigma_k/sigma_l of the Newton-tensor eigenvalues
 minus the homotopy value f^t: at n = 2 that is K - f^t, formed with no
 eigenvalues by a pointwise kernel over the node's 2-jet.  Newton forms each
 distinct field's node geometry, 2-jet included, once, for residual and for
-jacobian_sparse; continuation hands an accepted state's geometry to
-on_accept and to the next t-step's Newton, which starts from it when its
-guess is that state (the first t-step, or a path that does not move), so no
-caller forms it again.  Newton's sparse central-difference Jacobian
-differences that kernel entry by entry (column j's step moves row i's jet by
+jacobian_sparse, together with the homotopy endpoints f^0 and f at its
+nodes (HomotopyEndpoints: each formed on first read, f never at t = 0);
+continuation hands an accepted state's geometry to on_accept, and the
+geometry with its endpoints to the next t-step's Newton, which starts from
+them when its guess is that state (the first t-step, or a path that does
+not move), so no caller forms either again.  Newton's sparse
+central-difference Jacobian differences that kernel entry by entry (column j's step moves row i's jet by
 node j's stencil weights there); a perturbed jet that is inadmissible fails
 the build, as it fails the dense oracle jacobian_fd,
 which serves the tests and selftest only.  Newton factors J with sparse LU
@@ -48,7 +50,7 @@ from .errors import (
 )
 from .geometry import GraphGeometry, compute_geometry, geometry_from_jet
 from .mesh import ScalarField, SphereMesh, field_from_flat, jet_operators
-from .problem import ProblemSpec, blend_f_t, check_assumptions
+from .problem import HomotopyEndpoints, ProblemSpec, check_assumptions
 
 if TYPE_CHECKING:
     from scipy.sparse import csc_array
@@ -89,7 +91,13 @@ class NewtonStats:
     halvings: int = 0
     jacobians: int = 0   # fresh Jacobian builds
     lu: object = field(default=None, compare=False, repr=False)  # factor in hand at return
-    geom: object = field(default=None, compare=False, repr=False)  # the solution's, or the caller's
+    # the solution's node geometry with its homotopy endpoints, or the caller's
+    ends: object = field(default=None, compare=False, repr=False)
+
+    @property
+    def geom(self):
+        """The node geometry the solution's residual was formed from."""
+        return self.ends.geom
 
 
 @dataclass(frozen=True)
@@ -101,30 +109,44 @@ class ContinuationState:
     jacobians: int
 
 
-def _pointwise_residual(spec: ProblemSpec, t: float, geom, th, ph) -> np.ndarray:
-    """F: K - f^t at each point of geom, (th, ph) the points' angles.
+def _pointwise_residual(t: float, ends: HomotopyEndpoints) -> np.ndarray:
+    """F: K - f^t at each point of ends.geom, f^t from the endpoints ends.
 
     K = sigma_2(mu) is sigma_k/sigma_l(mu) at the one order ProblemSpec
     admits, (2, 0), and mu is in Gamma_2 where H = sigma_1(mu) > 0 and K > 0;
     raises ConeViolation naming the first point (flat index) outside it.
     """
+    geom = ends.geom
     ok = geom.in_cone
     if not np.all(ok):
         point = int(np.argmin(ok.ravel()))
         raise ConeViolation(f"Newton eigenvalues left the cone at node {point}", node=point)
-    return geom.K - blend_f_t(spec, t, geom, th, ph)
+    return geom.K - ends.at(t)
 
 
-def residual(spec: ProblemSpec, t: float, geom: GraphGeometry) -> ScalarField:
-    """Nodal residual K - f^t on geom, a node geometry (compute_geometry's); raises on cone exit."""
+def _node_endpoints(spec: ProblemSpec, geom) -> HomotopyEndpoints:
+    """The homotopy endpoints at the nodes of geom; geom itself if it is such endpoints."""
+    if isinstance(geom, HomotopyEndpoints):
+        return geom
     mesh = geom.mesh
-    return ScalarField(mesh, _pointwise_residual(spec, t, geom, mesh.theta_grid(), mesh.phi_grid()))
+    return HomotopyEndpoints(spec, geom, mesh.theta_grid(), mesh.phi_grid())
+
+
+def residual(spec: ProblemSpec, t: float, geom) -> ScalarField:
+    """Nodal residual K - f^t on geom; raises on cone exit.
+
+    geom is a node geometry (compute_geometry's), or the HomotopyEndpoints at
+    its nodes, whose f^0 and f it reads and keeps: so a caller that holds
+    those endpoints evaluates f once for every t on that geometry.
+    """
+    ends = _node_endpoints(spec, geom)
+    return ScalarField(ends.geom.mesh, _pointwise_residual(t, ends))
 
 
 def _residual_vec(spec, mesh, t, rvec):
-    """(flat residual, node geometry) of the flat field rvec; raises on cone or domain exit."""
-    geom = compute_geometry(mesh, field_from_flat(mesh, rvec), spec.profile)
-    return residual(spec, t, geom).flat(), geom
+    """(flat residual, node endpoints) of the flat field rvec; raises on cone or domain exit."""
+    ends = _node_endpoints(spec, compute_geometry(mesh, field_from_flat(mesh, rvec), spec.profile))
+    return residual(spec, t, ends).flat(), ends
 
 
 def _fd_steps(rvec) -> np.ndarray:
@@ -175,7 +197,8 @@ def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_arr
         rows, step = np.tile(indices[stored], 2), h[stored] * weights[:, stored]
         try:
             shifted = geometry_from_jet(spec.profile, *(jet[:, rows] + np.hstack([step, -step])))
-            vals = _pointwise_residual(spec, t, shifted, th[rows], ph[rows]).reshape(2, -1)
+            vals = _pointwise_residual(
+                t, HomotopyEndpoints(spec, shifted, th[rows], ph[rows])).reshape(2, -1)
         except INADMISSIBLE as exc:
             raise AdmissibilityError(f"Jacobian at t={t:g}: a perturbed 2-jet is inadmissible "
                                      f"({type(exc).__name__})") from exc
@@ -198,7 +221,7 @@ def _check_guard(spec, rvec):
 
 
 def _trial_residual(spec, mesh, t, trial):
-    """(residual, geometry) at trial, or None where trial leaves the guard or is inadmissible."""
+    """(residual, node endpoints) at trial, or None where trial leaves the guard or is inadmissible."""
     try:
         _check_guard(spec, trial)
         return _residual_vec(spec, mesh, t, trial)
@@ -211,10 +234,12 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
     """Chord-accelerated damped Newton for the nodal equation at fixed t.
 
     Returns (solution field, NewtonStats); stats.lu is the factor in hand at
-    return, for the next call, and stats.geom the geometry the solution's
-    residual was formed from.  A node geometry `geom` on this mesh whose r
-    equals r_init node for node is the start's geometry and is not formed
-    again (stats.geom is then geom if no step is taken); any other geom is
+    return, for the next call, stats.geom the geometry the solution's
+    residual was formed from, and stats.ends that geometry with its homotopy
+    endpoints (HomotopyEndpoints).  A node geometry `geom` on this mesh whose
+    r equals r_init node for node, or a stats.ends of this spec holding one,
+    is the start's: neither that geometry nor an endpoint it holds is formed
+    again (stats.geom is then geom's if no step is taken); any other geom is
     ignored.  Either way the start residual at t, cone check included, is
     evaluated.  While a factor `lu` (of an earlier Jacobian, possibly at
     another t) is in hand, an iteration first tries the full chord step
@@ -230,10 +255,12 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
     """
     rvec = r_init.flat().copy()
     _check_guard(spec, rvec)
-    if geom is not None and geom.mesh is mesh and np.array_equal(geom.r.ravel(), rvec):
-        res = residual(spec, t, geom).flat()
+    ends = None if geom is None else _node_endpoints(spec, geom)
+    if (ends is not None and ends.spec is spec and ends.geom.mesh is mesh
+            and np.array_equal(ends.geom.r.ravel(), rvec)):
+        res = residual(spec, t, ends).flat()
     else:
-        res, geom = _residual_vec(spec, mesh, t, rvec)  # either raises if r_init inadmissible
+        res, ends = _residual_vec(spec, mesh, t, rvec)  # either raises if r_init inadmissible
     norm = float(np.abs(res).max())
     it = halvings_total = jacobians = 0
     while not norm <= opts.newton_tol:
@@ -246,11 +273,11 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
             got = _trial_residual(spec, mesh, t, trial)
             if (got is not None
                     and (trial_norm := float(np.abs(got[0]).max())) <= CHORD_CONTRACTION * norm):
-                rvec, (res, geom), norm = trial, got, trial_norm
+                rvec, (res, ends), norm = trial, got, trial_norm
                 continue
         from scipy.sparse.linalg import splu
 
-        jac = jacobian_sparse(spec, t, geom)
+        jac = jacobian_sparse(spec, t, ends.geom)
         jacobians += 1
         try:
             lu = splu(jac)
@@ -264,13 +291,13 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
             trial = rvec + scale * step
             got = _trial_residual(spec, mesh, t, trial)
             if got is not None and (trial_norm := float(np.abs(got[0]).max())) < norm:
-                rvec, (res, geom), norm = trial, got, trial_norm
+                rvec, (res, ends), norm = trial, got, trial_norm
                 halvings_total += k
                 break
             scale *= DAMPING
         else:
             raise NewtonFailure(f"line search failed after {MAX_HALVINGS} halvings at t={t:g}")
-    return field_from_flat(mesh, rvec), NewtonStats(it, norm, halvings_total, jacobians, lu, geom)
+    return field_from_flat(mesh, rvec), NewtonStats(it, norm, halvings_total, jacobians, lu, ends)
 
 
 def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
@@ -282,12 +309,15 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     unless `force` is set.  Each t-step starts Newton from the secant
     prediction through the last two accepted states (from the last state on
     the first step), and hands it the factor of the last fresh Jacobian and
-    the last accepted state's geometry, which Newton reuses, on a retry too,
-    when the prediction is that state; a failed t-step drops the factor and
-    halves dt, and so does a prediction that is inadmissible (not finite
-    included) or outside the guard.  As each state is accepted, t = 0
-    included, on_accept(state, geom) is called with the node geometry of its
-    residual: one object for as long as the state does not move.  Raises
+    the last accepted state's geometry with its homotopy endpoints
+    (stats.ends), which Newton reuses, on a retry too, when the prediction is
+    that state: then f is evaluated once for all those t-steps.  The
+    endpoints stay with the continuation and are freed with it.  A failed
+    t-step drops the factor and halves dt, and so does a prediction that is
+    inadmissible (not finite included) or outside the guard.  As each state
+    is accepted, t = 0 included, on_accept(state, geom) is called with the
+    node geometry of its residual (without the endpoints): one object for as
+    long as the state does not move.  Raises
     ContinuationBreakdown (carrying the last good state and the failed
     t-interval, its message the error that rejected the last t-step) when
     the t-step underflows.  Returns (final state, history of accepted
@@ -303,7 +333,7 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     history = [state]
     if on_accept is not None:
         on_accept(state, stats.geom)
-    lu, geom, slope = stats.lu, stats.geom, np.zeros(mesh.n_nodes)
+    lu, ends, slope = stats.lu, stats.ends, np.zeros(mesh.n_nodes)
 
     dt = opts.t_step_init
     t = 0.0
@@ -312,7 +342,7 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
         t_try = 1.0 if t + dt >= 1.0 - 1e-12 else t + dt
         try:
             guess = field_from_flat(mesh, sol.flat() + (t_try - t) * slope)
-            sol_try, stats = newton_solve(spec, mesh, t_try, guess, opts, lu, geom)
+            sol_try, stats = newton_solve(spec, mesh, t_try, guess, opts, lu, ends)
         except INADMISSIBLE + (NewtonFailure, AdmissibilityError) as exc:
             lu = None
             dt *= 0.5
@@ -325,7 +355,7 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
                 ) from exc
             continue
         slope = (sol_try.flat() - sol.flat()) / (t_try - t)
-        t, sol, lu, geom = t_try, sol_try, stats.lu, stats.geom
+        t, sol, lu, ends = t_try, sol_try, stats.lu, stats.ends
         state = ContinuationState(t, sol, stats.iterations, stats.residual_norm, stats.jacobians)
         history.append(state)
         if on_accept is not None:

@@ -1,10 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prescurv import problem
 from prescurv.errors import AdmissibilityError, FEvalError, FParseError
 from prescurv.geometry import compute_geometry
 from prescurv.mesh import ScalarField, build_mesh, field_from_function
@@ -21,6 +23,7 @@ from prescurv.problem import (
     threshold,
 )
 from prescurv.warp import WarpProfile
+from test_solver import every_kind_of_f
 
 EUCLID = WarpProfile.euclidean((0.0, 10.0))
 
@@ -277,6 +280,51 @@ def test_check_assumptions_overflow_fails_without_a_warning():
     assert rep.outer_barrier.margin == -np.inf and not rep.outer_barrier.passed
     assert np.isnan(rep.radial_monotonicity.margin) and not rep.radial_monotonicity.passed
     assert rep.hard_failures == ("outer_barrier", "radial_monotonicity")
+
+
+def _bits(report):
+    """Each result's fields, its floats as IEEE bit patterns, so nan margins compare too."""
+    return [(r.name, r.passed, r.boundary_case,
+             [struct.pack("<d", x) for x in (r.margin, *r.worst_point)]) for r in report.results]
+
+
+COMPACT_CASES = list(every_kind_of_f(build_mesh(16, 8))) + [
+    parse_f("2"), parse_f("1 + nur^2"), parse_f("2 + sin(th)"), parse_f("1e308")]
+
+
+@pytest.mark.parametrize("f", COMPACT_CASES,
+                         ids=["expression", "builtin", "manufactured", "constant", "nur-only",
+                              "th-only", "overflow"])
+def test_check_assumptions_on_compact_f_matches_the_full_sample_tensor(monkeypatch, f):
+    """eval_f returns f in its own broadcast shape, and check_assumptions
+    reduces on it: the report equals, margins and worst points bit for bit,
+    a check whose f is first spread over the full (r, angle, nur) sample
+    tensor."""
+    spec = closed_form_spec(f=f)
+    compact = check_assumptions(spec)
+    real = problem.eval_f
+
+    def full_eval_f(f_, r, th, ph, nur, lam=None, dlam=None):
+        shape = np.broadcast(r, th, ph, nur).shape
+        return np.broadcast_to(real(f_, r, th, ph, nur, lam, dlam), shape).astype(float)
+
+    monkeypatch.setattr(problem, "eval_f", full_eval_f)
+    full = check_assumptions(spec)
+    assert _bits(compact) == _bits(full)
+    if not any(np.isnan(r.margin) for r in full.results):
+        assert compact == full
+
+
+def test_eval_f_keeps_the_shape_of_the_value():
+    """A constant f comes back 0-d and an f of r alone in r's shape; both still
+    checked, so a non-positive constant raises."""
+    r = np.linspace(1.0, 2.0, 5)[:, None, None]
+    th, ph, nur = np.zeros((1, 3, 1)), np.zeros((1, 3, 1)), np.ones((1, 1, 4))
+    assert eval_f(parse_f("2"), r, th, ph, nur).shape == ()
+    assert eval_f(parse_f("1/r^2"), r, th, ph, nur).shape == r.shape
+    assert eval_f(parse_f("1/r^2 + sin(th)^2"), r, th, ph, nur).shape == (5, 3, 1)
+    with pytest.raises(FEvalError):
+        eval_f(parse_f("0 * r"), r, th, ph, nur)
 
 
 def test_check_assumptions_manufactured_monotonicity_boundary():

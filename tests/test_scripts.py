@@ -19,7 +19,7 @@ def load_script(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["closed_form_run", "manufactured_convergence"])
+@pytest.mark.parametrize("name", ["closed_form_run", "manufactured_convergence", "compare_outputs"])
 def test_script_imports(name):
     assert callable(load_script(name).main)
 
@@ -47,3 +47,46 @@ def test_manufactured_convergence_main_converges_on_every_mesh():
     assert not any("breakdown" in row for row in rows)
     ratios = [float(row.split("ratio =")[1]) for row in rows if "ratio =" in row]
     assert len(ratios) == 3 and min(ratios) >= 12.0
+
+
+ROUND_16X8 = """\
+warp.kind = euclidean
+warp.domain = 0,10
+mesh.n_theta = 16
+mesh.n_phi = 8
+problem.r1 = 0.5
+problem.r2 = 2
+phi.rm = 1.25
+f.expr = 1/r^2 * exp(1.25 - r)
+"""
+
+
+def test_compare_outputs_passes_equal_runs_and_fails_one_changed_byte(tmp_path):
+    """Two solves of one config into two trees compare identical, though their
+    report.txt timings and paths differ; one changed digit in solution.csv
+    fails the comparison, which names the file and the value difference."""
+    from prescurv.cli import main
+
+    script = load_script("compare_outputs")
+    cfg = tmp_path / "round.cfg"
+    cfg.write_text(ROUND_16X8)
+    for side in ("a", "b"):
+        out = tmp_path / side / "round"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", str(cfg), "--out", str(out), "solve"])
+        (out / "exit_code").write_text(f"{code}\n")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert script.compare(str(tmp_path / "a"), str(tmp_path / "b"))
+    lines = buf.getvalue().splitlines()
+    assert lines == [f"round/{name}: identical" for name in script.FILES]
+
+    solution = tmp_path / "b" / "round" / "solution.csv"
+    text = solution.read_text()
+    assert text.endswith(",1.25\n")
+    solution.write_text(text[:-2] + "6\n")  # the last node reads 1.26
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert not script.compare(str(tmp_path / "a"), str(tmp_path / "b"))
+    assert "round/solution.csv: max |diff| = 1.000e-02" in buf.getvalue().splitlines()
+    assert "round/geometry.csv: identical" in buf.getvalue().splitlines()

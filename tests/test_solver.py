@@ -26,6 +26,7 @@ from prescurv.mesh import (
     jet_operators,
 )
 from prescurv.problem import (
+    HomotopyEndpoints,
     ProblemSpec,
     RoundExponentialF,
     check_assumptions,
@@ -309,10 +310,10 @@ def force_cone_exit(monkeypatch, mesh, node, moved):
     th, ph = mesh.theta_grid().ravel()[node], mesh.phi_grid().ravel()[node]
     real = solver._pointwise_residual
 
-    def kernel(spec_, t_, geom, th_, ph_):
-        if np.any((th_ == th) & (ph_ == ph) & moved(geom.r)):
+    def kernel(t_, ends):
+        if np.any((ends.th == th) & (ends.ph == ph) & moved(ends.geom.r)):
             raise ConeViolation("forced cone exit", node=node)
-        return real(spec_, t_, geom, th_, ph_)
+        return real(t_, ends)
 
     monkeypatch.setattr(solver, "_pointwise_residual", kernel)
 
@@ -468,15 +469,16 @@ def infinite_curvature_at(monkeypatch, call):
     real = solver._pointwise_residual
     calls, hits = [], []
 
-    def kernel(spec, t, geom, th, ph):
+    def kernel(t, ends):
+        geom = ends.geom
         if geom.mesh is not None:
             calls.append(t)
             if len(calls) == call:
                 hits.append(t)
                 K = geom.K.copy()
                 K.flat[0] = np.inf  # inside the cone, so only the residual's value is bad
-                geom = dataclasses.replace(geom, K=K)
-        return real(spec, t, geom, th, ph)
+                ends = HomotopyEndpoints(ends.spec, dataclasses.replace(geom, K=K), ends.th, ends.ph)
+        return real(t, ends)
 
     monkeypatch.setattr(solver, "_pointwise_residual", kernel)
     return hits
@@ -737,7 +739,7 @@ def test_continuation_starts_each_step_from_the_secant_prediction(monkeypatch):
     sols = {st.t: st.r_field.flat() for st in history}
     ts = [st.t for st in history]
     assert np.array_equal(starts[ts[1]], sols[ts[0]])
-    assert given[ts[1]] is accepted[ts[0]] is not None
+    assert given[ts[1]].geom is accepted[ts[0]] is not None
     for t_prev, t, t_try in zip(ts, ts[1:], ts[2:]):
         slope = (sols[t] - sols[t_prev]) / (t - t_prev)
         np.testing.assert_allclose(starts[t_try], sols[t] + (t_try - t) * slope,
@@ -769,6 +771,65 @@ def test_inadmissible_prediction_halves_the_t_step(monkeypatch, error):
     assert raised and final.t == 1.0
     assert ts[:4] == [0.0, 0.1, 0.2, 0.25]
     assert len(built) == 2  # one build before the failed step, one after it
+
+
+def count_f_through_the_residual(monkeypatch, spec):
+    """A list that gains the t of each evaluation of spec.f made inside solver.residual."""
+    inside, evaluated = [], []
+    real_residual, real_evaluate = solver.residual, type(spec.f).evaluate
+
+    def residual_(spec_, t, geom):
+        inside.append(t)
+        try:
+            return real_residual(spec_, t, geom)
+        finally:
+            inside.pop()
+
+    def evaluate(self, *args):
+        if inside:
+            evaluated.append(inside[-1])
+        return real_evaluate(self, *args)
+
+    monkeypatch.setattr(solver, "residual", residual_)
+    monkeypatch.setattr(type(spec.f), "evaluate", evaluate)
+    return evaluated
+
+
+def test_round_continuation_evaluates_f_once(monkeypatch):
+    """Every t-step of a round solve starts at the unmoved round state, and
+    the geometry handed to it carries its homotopy endpoints: f is evaluated
+    once, on the first t > 0 step, and never at t = 0."""
+    spec = closed_form_spec()
+    mesh = build_mesh(32, 16)
+    evaluated = count_f_through_the_residual(monkeypatch, spec)
+    seen = []
+    _, history = continuation_solve(spec, mesh, on_accept=lambda st, geom: seen.append(len(evaluated)))
+    assert [round(st.t, 12) for st in history] == [round(0.1 * i, 12) for i in range(11)]
+    assert evaluated == [pytest.approx(0.1)]
+    assert seen == [0] + [1] * 10
+
+
+def test_a_retried_t_step_forms_no_new_f(monkeypatch):
+    """A t-step that fails after its start residual (here a forced
+    NewtonFailure at t = 0.1) is retried at t = 0.05 from the same accepted
+    state: the retry reuses that state's f, so f is evaluated once in all."""
+    spec = closed_form_spec()
+    mesh = build_mesh(32, 16)
+    evaluated = count_f_through_the_residual(monkeypatch, spec)
+    counting_residual, failed = solver.residual, []
+
+    def fail_once_at_01(spec_, t, geom):
+        res = counting_residual(spec_, t, geom)
+        if abs(t - 0.1) < 1e-12 and not failed:
+            failed.append(t)
+            raise NewtonFailure("forced: the t-step fails after its start residual")
+        return res
+
+    monkeypatch.setattr(solver, "residual", fail_once_at_01)
+    final, history = continuation_solve(spec, mesh)
+    assert failed and final.t == 1.0
+    assert [round(st.t, 12) for st in history[:2]] == [0.0, 0.05]
+    assert evaluated == [pytest.approx(0.1)]
 
 
 def test_non_finite_secant_guess_halves_the_t_step(monkeypatch):
@@ -816,10 +877,10 @@ def test_failed_jacobian_builds_break_down_naming_the_error(monkeypatch):
     mesh = build_mesh(16, 8)
     real = solver._pointwise_residual
 
-    def kernel(spec_, t, geom, th, ph):
-        if t > 0 and geom.mesh is None:  # a Jacobian block, not a node field
+    def kernel(t, ends):
+        if t > 0 and ends.geom.mesh is None:  # a Jacobian block, not a node field
             raise ConeViolation("forced cone exit")
-        return real(spec_, t, geom, th, ph)
+        return real(t, ends)
 
     monkeypatch.setattr(solver, "_pointwise_residual", kernel)
     with pytest.raises(ContinuationBreakdown) as err:

@@ -4,10 +4,10 @@
     python scripts/compare_outputs.py SRC_A SRC_B [--work DIR]
 
 SRC_A and SRC_B are checkouts of this repository.  Every configs/*.cfg of
-SRC_B is solved with and without --force, and so is the 64x32 headline (an
-angular f on the euclidean annulus (0.5, 2)), under each tree in turn:
-`python -m prescurv` with PYTHONPATH=<tree>/src, into DIR/a/<run> and
-DIR/b/<run> (a temporary directory unless --work is given).  Each run
+SRC_B, the 64x32 headline among them, is solved with and without --force,
+under each tree in turn: `python -m prescurv` with PYTHONPATH=<tree>/src,
+into DIR/a/<run> and DIR/b/<run> (a temporary directory unless --work is
+given).  Each run
 directory also records the run's exit code in a file `exit_code`.
 
 Then, run by run, the exit codes are compared, the three CSVs byte for
@@ -28,27 +28,13 @@ import subprocess
 import sys
 import tempfile
 
-HEADLINE = """\
-warp.kind = euclidean
-warp.domain = 0,10
-mesh.n_theta = 64
-mesh.n_phi = 32
-problem.r1 = 0.5
-problem.r2 = 2
-phi.rm = 1.25
-f.expr = 1/r^2*exp(1.25-r)*(1+0.03*sin(th)*cos(ph))
-"""
-
 FILES = ("exit_code", "solution.csv", "geometry.csv", "monitor.csv", "report.txt")
 _CELL = re.compile(r"[^\s,=]+")
 
 
-def runs(src_b: str, work: str):
-    """(name, config path, force) of every run: each config of SRC_B, then the headline."""
-    headline = os.path.join(work, "headline64.cfg")
-    with open(headline, "w") as fh:
-        fh.write(HEADLINE)
-    configs = sorted(glob.glob(os.path.join(src_b, "configs", "*.cfg"))) + [headline]
+def runs(src_b: str):
+    """(name, config path, force) of every run: each config of SRC_B, without and with --force."""
+    configs = sorted(glob.glob(os.path.join(src_b, "configs", "*.cfg")))
     return [(os.path.splitext(os.path.basename(cfg))[0] + ("-force" if force else ""), cfg, force)
             for cfg in configs for force in (False, True)]
 
@@ -148,7 +134,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = os.path.abspath(args.work or tmp)
         os.makedirs(work, exist_ok=True)
-        plan = runs(args.src_b, work)
+        plan = runs(args.src_b)
         for src, side in ((args.src_a, "a"), (args.src_b, "b")):
             solve_all(src, plan, os.path.join(work, side))
         same = compare(os.path.join(work, "a"), os.path.join(work, "b"))

@@ -6,7 +6,7 @@ warped product dr^2 + lambda(r)^2 g', by damped-Newton homotopy continuation
 from the unique round solution.
 """
 
-from .warp import WarpProfile, validate_profile
+from .warp import WarpProfile
 from .symm import (
     QuotientOrder,
     sigma,
@@ -26,7 +26,6 @@ from .mesh import (
     field_from_function,
     field_from_flat,
     frame_derivatives,
-    integrate,
 )
 from .geometry import (
     GraphGeometry,
@@ -39,7 +38,6 @@ from .problem import (
     ProblemSpec,
     parse_f,
     eval_f,
-    blend_f_t,
     phi_value,
     threshold,
     manufacture_f,

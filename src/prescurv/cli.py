@@ -105,8 +105,7 @@ def _run_solve(cfg, inputs, out_dir, force):
         nonlocal final_geom
         t_mon = time.perf_counter()
         report.states.append(state)
-        report.monitors.append(
-            monitor_state(state, spec, geom, params.alpha, params.big_a, params.gamma_arg))
+        report.monitors.append(monitor_state(state, spec, geom, params.alpha, params.big_a))
         final_geom = geom
         report.timings["monitor"] += time.perf_counter() - t_mon
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import AdmissibilityError, ConfigError, DomainViolation, FParseError, ProfileViolation
 from .mesh import ScalarField, SphereMesh, build_mesh, field_from_function
-from .monitor import GAMMA_ARGS
 from .problem import ProblemSpec, RoundExponentialF, manufacture_f, parse_f
 from .solver import SolverOptions
 from .warp import WarpProfile
@@ -36,7 +35,6 @@ DEFAULTS = {
     "solver.t_step_min": "1e-3",
     "monitor.alpha": "1.0",
     "monitor.A": "1.0",
-    "monitor.gamma_arg": "capital_lambda",
     "verify.r_expr": "1 + 0.1*cos(th)",
     "verify.n_theta": "128",
     "verify.n_phi": "64",
@@ -252,16 +250,11 @@ def build_problem(cfg):
 class MonitorParams:
     alpha: float
     big_a: float
-    gamma_arg: str
 
 
 def build_monitor_params(cfg) -> MonitorParams:
-    gamma_arg = _get(cfg, "monitor.gamma_arg")
-    if gamma_arg not in GAMMA_ARGS:
-        raise ConfigError(f"monitor.gamma_arg must be one of {GAMMA_ARGS}, got {gamma_arg!r}",
-                          key="monitor.gamma_arg")
     return MonitorParams(alpha=_get_float(cfg, "monitor.alpha"),
-                         big_a=_get_float(cfg, "monitor.A"), gamma_arg=gamma_arg)
+                         big_a=_get_float(cfg, "monitor.A"))
 
 
 def build_verify(cfg):

@@ -34,7 +34,6 @@ class SphereMesh:
     phi: np.ndarray     # (n_phi,) or empty
     dtheta: float
     dphi: float         # 0.0 in reduced mode
-    weights: np.ndarray  # quadrature weights per node, sums to 4*pi
 
     @property
     def reduced(self):
@@ -62,26 +61,18 @@ class SphereMesh:
 
 
 def build_mesh(n_theta: int, n_phi: int = None, reduced: bool = False) -> SphereMesh:
-    """Build a staggered colatitude/azimuth mesh.
-
-    The colatitude quadrature weight is the exact cell integral of sin(theta)
-    (= sin(theta_j) * 2 sin(dtheta/2), i.e. sin(theta) dtheta up to O(dtheta^2)),
-    so the total weight is 4*pi to roundoff.
-    """
+    """Build a staggered colatitude/azimuth mesh: its nodes and spacings."""
     if n_theta < 16:
         raise ValueError("n_theta must be >= 16")
     dtheta = np.pi / n_theta
     theta = (np.arange(n_theta) + 0.5) * dtheta
-    w_theta = 2.0 * np.sin(theta) * np.sin(0.5 * dtheta)
     if reduced:
-        weights = w_theta * 2.0 * np.pi
-        return SphereMesh(n_theta, 0, theta, np.empty(0), dtheta, 0.0, weights)
+        return SphereMesh(n_theta, 0, theta, np.empty(0), dtheta, 0.0)
     if n_phi is None or n_phi < 4 or n_phi % 2 != 0:
         raise ValueError("n_phi must be an even integer >= 4")
     dphi = 2.0 * np.pi / n_phi
     phi = np.arange(n_phi) * dphi
-    weights = np.broadcast_to((w_theta * dphi)[:, None], (n_theta, n_phi)).copy()
-    return SphereMesh(n_theta, n_phi, theta, phi, dtheta, dphi, weights)
+    return SphereMesh(n_theta, n_phi, theta, phi, dtheta, dphi)
 
 
 @dataclass(frozen=True)
@@ -256,8 +247,3 @@ def frame_derivatives(field: ScalarField):
     r12 = dtheta(mesh, r2, parity=-1)
     r22 = dphi2(mesh, v) / sin ** 2 + cot[:, None] * r1
     return r1, r2, r11, r12, r22
-
-
-def integrate(field: ScalarField) -> float:
-    """Quadrature-weighted sum over the sphere."""
-    return float(np.sum(field.values * field.mesh.weights))

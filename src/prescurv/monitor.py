@@ -5,8 +5,10 @@ gradient maximum, the largest principal curvature, the smallest Newton
 eigenvalue, and two auxiliary test functions whose maxima drive the gradient
 and curvature estimates:
 
-    Phi = -ln tau + alpha / s        (s = the accumulated warp integral, or r)
-    P   = ln kappa_max - ln(tau - a) + A * s,   a = 0.5 * min tau
+    Phi = -ln tau + alpha / Lambda(r)
+    P   = ln kappa_max - ln(tau - a) + A * Lambda(r),   a = 0.5 * min tau
+
+with Lambda the accumulated warp integral (the antiderivative of lambda).
 
 Only the monitored quantities are evaluated; the estimates' constants are
 not reproduced.
@@ -23,9 +25,6 @@ from .geometry import GraphGeometry
 from .mesh import build_mesh
 from .problem import ProblemSpec
 from .solver import SolverOptions, continuation_solve
-
-GAMMA_ARGS = ("capital_lambda", "r")
-
 
 @dataclass(frozen=True)
 class MonitorRecord:
@@ -47,21 +46,13 @@ class MonitorRecord:
 
 
 def monitor(geom: GraphGeometry, spec: ProblemSpec, t: float,
-            alpha: float = 1.0, big_a: float = 1.0,
-            gamma_arg: str = "capital_lambda") -> MonitorRecord:
-    """Evaluate all monitored quantities on one geometry snapshot.
-
-    gamma_arg selects the argument fed to gamma(s) = alpha/s in the gradient
-    test function: the accumulated warp integral (default) or the radius.
-    """
-    if gamma_arg not in GAMMA_ARGS:
-        raise ValueError(f"gamma_arg must be one of {GAMMA_ARGS}")
+            alpha: float = 1.0, big_a: float = 1.0) -> MonitorRecord:
+    """Evaluate all monitored quantities on one geometry snapshot."""
     r = geom.r
     tau = geom.tau
     grad = np.sqrt(geom.r1 ** 2 + geom.r2 ** 2)
     tau_min = float(tau.min())
-    s_arg = geom.capital_lambda if gamma_arg == "capital_lambda" else r
-    phi_test = -np.log(tau) + alpha / s_arg
+    phi_test = -np.log(tau) + alpha / geom.capital_lambda
     p_test = np.log(geom.kappa1) - np.log(tau - 0.5 * tau_min) + big_a * geom.capital_lambda
     return MonitorRecord(
         t=t,
@@ -78,11 +69,11 @@ def monitor(geom: GraphGeometry, spec: ProblemSpec, t: float,
     )
 
 
-def monitor_state(state, spec: ProblemSpec, geom: GraphGeometry, alpha=1.0, big_a=1.0,
-                  gamma_arg: str = "capital_lambda") -> MonitorRecord:
+def monitor_state(state, spec: ProblemSpec, geom: GraphGeometry, alpha=1.0,
+                  big_a=1.0) -> MonitorRecord:
     """Monitor a continuation state on geom, the node geometry of state.r_field
     that continuation_solve hands to on_accept with the state."""
-    return monitor(geom, spec, state.t, alpha=alpha, big_a=big_a, gamma_arg=gamma_arg)
+    return monitor(geom, spec, state.t, alpha=alpha, big_a=big_a)
 
 
 @dataclass(frozen=True)

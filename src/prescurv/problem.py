@@ -332,15 +332,6 @@ class HomotopyEndpoints:
         return t * self.f + (1.0 - t) * self.f0
 
 
-def blend_f_t(spec: ProblemSpec, t: float, geom, th, ph):
-    """Homotopy value t f + (1 - t) phi(r) threshold(r) at the points of a GraphGeometry; affine in t.
-
-    (th, ph) are the points' angles.  One evaluation of HomotopyEndpoints;
-    a caller that reads several t on one geometry keeps that object instead.
-    """
-    return HomotopyEndpoints(spec, geom, th, ph).at(t)
-
-
 # odd, so every solve colatitude is a colatitude of the finer mesh; a finer
 # mesh loses accuracy to roundoff in the 1/sin^2 azimuthal terms at its pole rows
 MANUFACTURE_REFINE = 3

@@ -2,9 +2,9 @@
 
 Builtin kinds cover the three space forms (lambda = r, sin r, sinh r); custom
 profiles are polynomials in r, held as ascending coefficient arrays, so that
-lambda', the antiderivative and validation stay closed form.  `eval_lambda`
-returns (lambda, lambda'), all the geometry and the problem layer read: the
-threshold zeta^2 = (lambda'/lambda)^2 is problem.threshold of those values.
+lambda' and the antiderivative stay closed form.  `eval_lambda` returns
+(lambda, lambda'), all the geometry and the problem layer read: the threshold
+zeta^2 = (lambda'/lambda)^2 is problem.threshold of those values.
 All evaluators are vectorized over numpy arrays.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -28,9 +28,9 @@ class WarpProfile:
 
     `domain` is the admissible radius interval; evaluation uses the closed
     interval so that endpoint radii (e.g. pi/2 for the spherical cap) remain
-    queryable.  Validity of lambda > 0 and lambda' > 0 is *reported* by
-    `validate_profile`, not enforced at construction, so invalid profiles can
-    be represented and diagnosed.
+    queryable.  lambda > 0 and lambda' > 0 are not enforced at construction
+    but where lambda is evaluated: `eval_lambda` raises ProfileViolation at
+    radii where either fails.
     """
 
     kind: str
@@ -117,32 +117,3 @@ class WarpProfile:
         if self.kind == "hyperbolic":
             return np.cosh(r) - 1.0
         return P.polyval(r, self._poly[2])
-
-
-@dataclass(frozen=True)
-class ProfileReport:
-    """Outcome of sampling lambda, lambda' over the domain."""
-
-    ok: bool
-    first_violation_r: Optional[float] = None
-    quantity: Optional[str] = None
-    value: Optional[float] = None
-
-
-def validate_profile(profile: WarpProfile, samples: int = 2048) -> ProfileReport:
-    """Sample lambda and lambda' on a dense grid; report the first sign violation."""
-    r_lo, r_hi = profile.domain
-    pad = 1e-9 * (r_hi - r_lo)
-    grid = np.linspace(r_lo + pad, r_hi - pad, samples)
-    lam, dlam = profile._raw(grid)
-    bad_lam = lam <= 0
-    bad_dlam = dlam <= 0
-    if not bad_lam.any() and not bad_dlam.any():
-        return ProfileReport(ok=True)
-    idx_lam = np.argmax(bad_lam) if bad_lam.any() else samples
-    idx_dlam = np.argmax(bad_dlam) if bad_dlam.any() else samples
-    if idx_lam <= idx_dlam:
-        i = int(idx_lam)
-        return ProfileReport(False, float(grid[i]), "lambda", float(lam[i]))
-    i = int(idx_dlam)
-    return ProfileReport(False, float(grid[i]), "lambda_prime", float(dlam[i]))

@@ -167,6 +167,7 @@ def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
                                      "round_exponential\nf.rm = nan\nf.alpha = 1"), "f.rm"),
     (lambda tmp: CLOSED_FORM + "solver.newton_tl = 1e-9\n", "solver.newton_tl"),
     (lambda tmp: CLOSED_FORM + "solver.jacobian_fd_scale = 1e-8\n", "solver.jacobian_fd_scale"),
+    (lambda tmp: CLOSED_FORM + "monitor.gamma_arg = r\n", "monitor.gamma_arg"),
 ], ids=["k-above-dimension", "phi-rm-outside-annulus", "phi-c-negative",
         "annulus-outside-domain", "target-not-numeric", "target-nan", "target-outside-annulus",
         "target-leaves-cone", "target-phi-column-wrong", "l-above-k-minus-2",
@@ -174,7 +175,7 @@ def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
         "t-step-nan", "newton-tol-nan", "max-newton-zero", "n-phi-odd", "coeffs-not-numeric",
         "coeffs-nan", "domain-reversed", "samples-zero", "samples-negative", "samples-above-bound",
         "samples-huge", "phi-c-inf",
-        "builtin-rm-nan", "unknown-key-typo", "unknown-key-fd-scale"])
+        "builtin-rm-nan", "unknown-key-typo", "unknown-key-fd-scale", "unknown-key-gamma-arg"])
 def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
     cfg = write_cfg(tmp_path, make_cfg(tmp_path))
     out = str(tmp_path / "o")
@@ -519,6 +520,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
     ("verify-geometry", "verify_geometry", 0),
     ("solve", "builtin_round", 0),
     ("solve", "closed_form", 0),
+    ("solve", "headline", 0),
     ("solve", "hyperbolic_round", 0),
     ("solve", "perturbed_axisym", 0),
     ("solve", "violates_outer", 3),

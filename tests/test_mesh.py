@@ -9,9 +9,7 @@ from prescurv.mesh import (
     dphi2,
     dtheta,
     dtheta2,
-    field_from_function,
     frame_derivatives,
-    integrate,
     jet_operators,
 )
 
@@ -210,17 +208,3 @@ def test_reduced_matches_full_on_axisymmetric_fields():
     f_red = ScalarField(red, fn(red.theta))
     for a, b in zip(frame_derivatives(f_full), frame_derivatives(f_red)):
         assert np.abs(a[:, 0] - b).max() <= 1e-10
-
-
-def test_integrate_examples():
-    mesh = build_mesh(32, 64)
-    assert integrate(ScalarField(mesh, np.ones(mesh.shape))) == pytest.approx(4 * np.pi, abs=1e-3)
-    assert abs(integrate(field_from_function(mesh, lambda t, p: np.cos(t)))) <= 1e-10
-    fine = build_mesh(128, 16)
-    got = integrate(field_from_function(fine, lambda t, p: np.cos(t) ** 2))
-    assert got == pytest.approx(4 * np.pi / 3, abs=1e-3)
-
-
-def test_reduced_integrate_covers_full_sphere():
-    red = build_mesh(64, reduced=True)
-    assert integrate(ScalarField(red, np.ones(64))) == pytest.approx(4 * np.pi, abs=1e-3)

@@ -42,27 +42,21 @@ def test_monitor_perturbed_kappa_range():
     assert rec.tau_min > 0 and 0.5 * rec.tau_min < rec.tau_min  # a < min tau by construction
 
 
-def test_monitor_gamma_arg_validation():
-    """An unknown gamma_arg is refused; the default a = 0.5 min tau keeps
-    tau - a > 0, so P is finite."""
+def test_monitor_p_test_is_finite_at_the_default_a():
+    """The default a = 0.5 min tau keeps tau - a > 0, so P is finite."""
     spec = closed_form_spec()
     mesh = build_mesh(32, reduced=True)
     geom = compute_geometry(mesh, ScalarField(mesh, np.full(32, 1.25)), EUCLID)
     assert np.isfinite(monitor(geom, spec, 1.0).p_test_max)
-    with pytest.raises(ValueError):
-        monitor(geom, spec, 1.0, gamma_arg="lambda")
 
 
-def test_monitor_gamma_argument_choices():
+def test_monitor_phi_test_divides_by_capital_lambda():
+    """Phi = -ln tau + alpha / Lambda(r), Lambda = r^2 / 2 in the euclidean warp."""
     spec = closed_form_spec()
     mesh = build_mesh(32, reduced=True)
     geom = compute_geometry(mesh, ScalarField(mesh, np.full(32, 1.25)), EUCLID)
-    via_integral = monitor(geom, spec, 1.0, gamma_arg="capital_lambda")
-    via_radius = monitor(geom, spec, 1.0, gamma_arg="r")
-    # gamma(s) = alpha/s with s = r^2/2 vs s = r differ on a round graph
-    assert via_integral.phi_test_max != via_radius.phi_test_max
     want = -np.log(1.25) + 1.0 / (1.25 ** 2 / 2)
-    assert via_integral.phi_test_max == pytest.approx(want, rel=1e-12)
+    assert monitor(geom, spec, 1.0).phi_test_max == pytest.approx(want, rel=1e-12)
 
 
 def test_monitor_barrier_flags():

@@ -11,10 +11,10 @@ from prescurv.errors import AdmissibilityError, FEvalError, FParseError
 from prescurv.geometry import compute_geometry
 from prescurv.mesh import ScalarField, build_mesh, field_from_function
 from prescurv.problem import (
+    HomotopyEndpoints,
     ManufacturedF,
     ProblemSpec,
     RoundExponentialF,
-    blend_f_t,
     check_assumptions,
     eval_f,
     manufacture_f,
@@ -152,8 +152,8 @@ def graph_geometry(fn):
 
 
 def blend(spec, t, geom):
-    """blend_f_t at the nodes of geom's mesh."""
-    return blend_f_t(spec, t, geom, geom.mesh.theta_grid(), geom.mesh.phi_grid())
+    """The homotopy value f^t at the nodes of geom's mesh."""
+    return HomotopyEndpoints(spec, geom, geom.mesh.theta_grid(), geom.mesh.phi_grid()).at(t)
 
 
 def test_blend_endpoints():

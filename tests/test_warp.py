@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from prescurv.errors import DomainViolation, ProfileViolation
 from prescurv.problem import threshold
-from prescurv.warp import WarpProfile, validate_profile
+from prescurv.warp import WarpProfile
 
 COTH_1 = 1.3130352854993313  # cosh(1)/sinh(1), high-precision oracle
 
@@ -68,19 +68,6 @@ def test_threshold_times_lambda_squared_is_dlambda_squared(r, kind):
     prof = WarpProfile(kind, (0.1, 10.0))
     lam, dlam = prof.eval_lambda(r)
     assert threshold(lam, dlam) * lam ** 2 == pytest.approx(dlam ** 2, rel=1e-15, abs=1e-300)
-
-
-def test_validate_spherical_beyond_cap_fails():
-    rep = validate_profile(WarpProfile("spherical", (0.1, 3.0)))
-    assert not rep.ok
-    assert rep.quantity == "lambda_prime"
-    assert rep.first_violation_r >= np.pi / 2 - 1e-2
-
-
-def test_validate_decreasing_custom_fails():
-    rep = validate_profile(WarpProfile.custom([1.0, -1.0], (0.0, 2.0)))
-    assert not rep.ok
-    assert rep.quantity == "lambda_prime"
 
 
 def test_domain_violation():

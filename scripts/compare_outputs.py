@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
-"""Compare what two source trees of prescurv write for the same solves.
+"""Compare what two source trees of prescurv write and print for the same runs.
 
     python scripts/compare_outputs.py SRC_A SRC_B [--work DIR]
 
 SRC_A and SRC_B are checkouts of this repository.  Every configs/*.cfg of
 SRC_B, the 64x32 headline among them, is solved with and without --force,
-under each tree in turn: `python -m prescurv` with PYTHONPATH=<tree>/src,
-into DIR/a/<run> and DIR/b/<run> (a temporary directory unless --work is
-given).  Each run
-directory also records the run's exit code in a file `exit_code`.
+and checked by verify-geometry, under each tree in turn: `python -m
+prescurv` with PYTHONPATH=<tree>/src, into DIR/a/<run> and DIR/b/<run> (a
+temporary directory unless --work is given).  Each run directory also
+records the run's exit code in a file `exit_code`, and what it printed,
+stdout then stderr, in `output.txt`, where the run directory's path reads
+<out>.
 
-Then, run by run, the exit codes are compared, the three CSVs byte for
-byte, and report.txt with its [timings] section dropped and the paths in
-[files] reduced to file names.  Each file prints "identical" or, where it
-differs, the largest numeric difference between matching cells (or where the
-text stops matching).  The exit status is 1 on any difference, else 0.
+Then, run by run, the exit codes and printed output are compared, the three
+CSVs byte for byte, and report.txt with its [timings] section dropped and
+the paths in [files] reduced to file names.  Each file prints "identical"
+or, where it differs, the largest numeric difference between matching cells
+(or where the text stops matching).  The exit status is 1 on any
+difference, else 0.
 """
 
 from __future__ import annotations
@@ -28,28 +31,36 @@ import subprocess
 import sys
 import tempfile
 
-FILES = ("exit_code", "solution.csv", "geometry.csv", "monitor.csv", "report.txt")
+FILES = ("exit_code", "output.txt", "solution.csv", "geometry.csv", "monitor.csv", "report.txt")
+# (run name suffix, subcommand argv) of the runs made on each config
+COMMANDS = (("", ["solve"]), ("-force", ["--force", "solve"]), ("-verify", ["verify-geometry"]))
 _CELL = re.compile(r"[^\s,=]+")
 
 
 def runs(src_b: str):
-    """(name, config path, force) of every run: each config of SRC_B, without and with --force."""
+    """(name, config path, subcommand argv) of every run: each of COMMANDS on each config of SRC_B."""
     configs = sorted(glob.glob(os.path.join(src_b, "configs", "*.cfg")))
-    return [(os.path.splitext(os.path.basename(cfg))[0] + ("-force" if force else ""), cfg, force)
-            for cfg in configs for force in (False, True)]
+    return [(os.path.splitext(os.path.basename(cfg))[0] + suffix, cfg, command)
+            for cfg in configs for suffix, command in COMMANDS]
 
 
 def solve_all(src: str, plan, out_root: str):
-    """Run each planned solve under the source tree src; write each exit code beside its outputs."""
+    """Run each planned command under the source tree src and record it beside its outputs."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(src), "src"))
-    for name, cfg, force in plan:
+    for name, cfg, command in plan:
         out = os.path.join(out_root, name)
         os.makedirs(out, exist_ok=True)
         argv = [sys.executable, "-m", "prescurv", "--config", cfg, "--out", out]
-        done = subprocess.run(argv + ["--force"] * force + ["solve"], env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        with open(os.path.join(out, "exit_code"), "w") as fh:
-            fh.write(f"{done.returncode}\n")
+        done = subprocess.run(argv + command, env=env, capture_output=True, text=True)
+        record(out, done.returncode, done.stdout + done.stderr)
+
+
+def record(out: str, code: int, printed: str):
+    """Write a run's exit code and printed output into its directory out, out read as <out>."""
+    with open(os.path.join(out, "exit_code"), "w") as fh:
+        fh.write(f"{code}\n")
+    with open(os.path.join(out, "output.txt"), "w") as fh:
+        fh.write(printed.replace(out, "<out>"))
 
 
 def _normalised(text: str, name: str) -> str:

@@ -14,7 +14,6 @@ from .symm import (
     in_gamma_k,
     quotient_value,
     quotient_gradient_diag,
-    f_coeffs,
     cone_lower_bound,
     offdiag_identity_residual,
     concavity_probe,

@@ -272,7 +272,7 @@ def build_verify(cfg):
         r_expr = parse_f(_get(cfg, "verify.r_expr"))
     except FParseError as exc:
         raise ConfigError(f"verify.r_expr: {exc}", key="verify.r_expr")
-    if reads := sorted(r_expr.variables() - {"th", "ph"}):
+    if reads := sorted(r_expr.variables - {"th", "ph"}):
         raise ConfigError(f"verify.r_expr is a graph r(th, ph) and may not read {', '.join(reads)}",
                           key="verify.r_expr")
     tol_oracle = _get_float(cfg, "verify.tol_oracle")

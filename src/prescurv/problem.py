@@ -2,8 +2,9 @@
 
 On a surface (n = 2) the only admissible quotient order is (k, l) = (2, 0), so
 the equation is K = sigma_2(mu) = f and the order is the constant
-ProblemSpec.q, not a parameter.  The prescribed function is either a parsed
-arithmetic expression over (r, th, ph, nur), the builtin round-exponential
+ProblemSpec.q, not a parameter.  The prescribed function is either an
+arithmetic expression over (r, th, ph, nur), compiled by its parser into one
+function of the variables' values, the builtin round-exponential
 profile threshold times exp(alpha (rm - r)), or a manufactured evaluator
 reverse-engineered from a target graph so the target solves the equation
 exactly at the continuum level.  Each reads lambda, lambda' at r from its
@@ -13,9 +14,10 @@ is phi(r) times the constant-graph threshold zeta^2, phi(r) = exp(c (rm - r)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
@@ -28,6 +30,9 @@ from .warp import WarpProfile
 VARS = ("r", "th", "ph", "nur")
 FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
          "sqrt": np.sqrt, "abs": np.abs}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": operator.pow}
+MAX_DEPTH = 100  # nesting levels: each '(', call and unary minus opens one; far above any real f
 
 
 # -- expression parsing ------------------------------------------------------
@@ -57,10 +62,10 @@ def _tokenize(text: str):
                     while j < n and text[j].isdigit():
                         j += 1
             try:
-                val = float(text[i:j])
+                float(text[i:j])
             except ValueError:
                 raise FParseError(f"bad number {text[i:j]!r}", i)
-            tokens.append(("num", val, i))
+            tokens.append(("num", text[i:j], i))
             i = j
             continue
         if c.isalpha() or c == "_":
@@ -75,11 +80,30 @@ def _tokenize(text: str):
     return tokens
 
 
+def _fold(first, rest):
+    """first, then each (operator, operand) of rest applied left to right: one function."""
+    if not rest:
+        return first
+
+    def fn(env):
+        value = first(env)
+        for op, operand in rest:
+            value = op(value, operand(env))
+        return value
+    return fn
+
+
 class _Parser:
+    """Recursive descent that compiles while it parses: each rule returns a function
+    {name: array} -> array running its numpy operations in the order written, and
+    `names` collects the variables read.  A chain a + b - c is one function, so
+    only nesting, which MAX_DEPTH bounds, deepens the stack."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+        self.names = set()
 
     def peek(self):
         return self.tokens[self.pos]
@@ -87,121 +111,98 @@ class _Parser:
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok[0] != kind:
-            raise FParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            found = "end of expression" if tok[0] == "end" else repr(tok[1])
+            raise FParseError(f"expected {kind!r}, found {found}", tok[2])
         self.pos += 1
         return tok
 
     def parse(self):
-        tree = self.expr()
+        fn = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise FParseError(f"unexpected trailing {tok[1]!r}", tok[2])
-        return tree
+        return fn
 
     def expr(self):
-        node = self.term()
+        first, rest = self.term(), []
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            rest.append((_BINARY[self.take()[0]], self.term()))
+        return _fold(first, rest)
 
     def term(self):
-        node = self.factor()
+        first, rest = self.factor(), []
         while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+            rest.append((_BINARY[self.take()[0]], self.factor()))
+        return _fold(first, rest)
 
     def factor(self):
-        node = self.base()
-        if self.peek()[0] == "^":
-            self.take()
-            node = ("pow", node, self.base())
-        return node
+        base = self.base()
+        if self.peek()[0] != "^":
+            return base
+        return _fold(base, [(_BINARY[self.take()[0]], self.base())])
 
     def base(self):
-        kind, val, pos = self.peek()
-        if kind == "-":
-            self.take()
-            return ("neg", self.base())
+        kind, val, pos = self.take()
         if kind == "num":
-            self.take()
-            return ("num", val)
-        if kind == "(":
-            self.take()
-            node = self.expr()
-            self.take(")")
-            return node
-        if kind == "ident":
-            self.take()
-            if self.peek()[0] == "(":
-                if val not in FUNCS:
-                    raise FParseError(f"unknown function {val!r}", pos)
-                self.take("(")
-                arg = self.expr()
-                self.take(")")
-                return ("call", val, arg)
+            const = np.float64(float(val))
+            return lambda env: const
+        if kind == "ident" and self.peek()[0] != "(":
+            if val in FUNCS:
+                raise FParseError(f"function {val!r} takes its argument in parentheses", pos)
             if val not in VARS:
                 raise FParseError(f"unknown identifier {val!r}", pos)
-            return ("var", val)
-        raise FParseError(f"unexpected token {val!r}", pos)
-
-
-def _eval_tree(node, env):
-    op = node[0]
-    if op == "num":
-        return np.float64(node[1])
-    if op == "var":
-        return env[node[1]]
-    if op == "neg":
-        return -_eval_tree(node[1], env)
-    if op == "call":
-        return FUNCS[node[1]](_eval_tree(node[2], env))
-    a = _eval_tree(node[1], env)
-    b = _eval_tree(node[2], env)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    return a ** b  # pow
+            self.names.add(val)
+            return operator.itemgetter(val)
+        if kind == "ident" and val not in FUNCS:
+            raise FParseError(f"unknown function {val!r}", pos)
+        if kind not in ("-", "(", "ident"):
+            raise FParseError("unexpected end of expression" if kind == "end"
+                              else f"unexpected token {val!r}", pos)
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise FParseError(f"nested deeper than {MAX_DEPTH} levels", pos)
+        if kind == "-":
+            arg = self.base()
+            fn = lambda env: -arg(env)
+        elif kind == "(":
+            fn = self.expr()
+            self.take(")")
+        else:
+            self.take("(")
+            arg, func = self.expr(), FUNCS[val]
+            self.take(")")
+            fn = lambda env: func(arg(env))
+        self.depth -= 1
+        return fn
 
 
 @dataclass(frozen=True)
 class ExpressionF:
-    """Prescribed function from a parsed arithmetic expression."""
+    """Prescribed function compiled from an arithmetic expression: fn maps the
+    variables' values {name: array} to f, reading the names in `variables`.
+    Two are equal when their texts are."""
 
     text: str
-    tree: tuple
+    fn: Callable = field(compare=False, repr=False)
+    variables: frozenset = field(compare=False)
 
     def evaluate(self, r, th, ph, nur, lam=None, dlam=None):  # reads no lam, dlam
         env = {"r": np.asarray(r, dtype=float), "th": np.asarray(th, dtype=float),
                "ph": np.asarray(ph, dtype=float), "nur": np.asarray(nur, dtype=float)}
         with np.errstate(all="ignore"):
-            return _eval_tree(self.tree, env)
-
-    def variables(self) -> set:
-        """The names in VARS that the expression reads."""
-        def walk(node):
-            if node[0] == "var":
-                return {node[1]}
-            return set().union(*(walk(c) for c in node[1:] if isinstance(c, tuple)))
-        return walk(self.tree)
+            return self.fn(env)
 
 
 def parse_f(text: str) -> ExpressionF:
-    """Parse a prescribed-function expression over (r, th, ph, nur).
+    """Compile a prescribed-function expression over (r, th, ph, nur), once.
 
     Unary minus binds tighter than ^: -r^2 is (-r)^2 and exp(-r^2) is
     e^(+r^2); write -(r^2) for -r^2.  ^ takes one exponent: 2^3^2 is a parse
-    error.  tests/test_problem.py pins both rules.
+    error.  An expression nested deeper than MAX_DEPTH levels is a parse
+    error too.  tests/test_problem.py pins these rules.
     """
-    return ExpressionF(text=text, tree=_Parser(text).parse())
+    parser = _Parser(text)
+    return ExpressionF(text, parser.parse(), frozenset(parser.names))
 
 
 # -- builtin and manufactured prescribed functions ---------------------------

@@ -1,9 +1,9 @@
 """Elementary symmetric function calculus on the admissibility cone.
 
 Values, deleted-entry minors, the quotient operator
-G = (sigma_k / sigma_l)^(1/(k-l)), its diagonal first derivatives, the
-complementary coefficients F^ii = sum_{j != i} G^jj, and finite-difference
-probes of the off-diagonal second-derivative identity and of concavity.
+G = (sigma_k / sigma_l)^(1/(k-l)), its diagonal first derivatives, and
+finite-difference probes of the off-diagonal second-derivative identity and
+of concavity.
 Every sigma value comes from the one recurrence in elementary_batch.
 
 Everything here is written for general dimension n.  The solver's residual
@@ -102,12 +102,6 @@ def quotient_gradient_diag(mu, q: QuotientOrder):
     return out
 
 
-def f_coeffs(g_diag):
-    """F^ii = (sum_j G^jj) - G^ii."""
-    g = np.asarray(g_diag, dtype=float)
-    return list(g.sum() - g)
-
-
 def cone_lower_bound(n: int, q: QuotientOrder) -> float:
     """(C_n^k / C_n^l)^(1/(k-l)), the proven floor of sum_i G^ii."""
     return (math.comb(n, q.k) / math.comb(n, q.l)) ** (1.0 / (q.k - q.l))
@@ -120,7 +114,7 @@ def _eig_pair(a: float, d: float, s: float):
     return mean - root, mean + root
 
 
-def offdiag_identity_residual(eta, q: QuotientOrder, i: int, step: float = None) -> float:
+def offdiag_identity_residual(eta, q: QuotientOrder, i: int) -> float:
     """FD residual of -G^{1i,i1} = (G^11 - G^ii) / (eta_ii - eta_11).
 
     `eta` holds the diagonal entries of a diagonal matrix with eigenvalues in
@@ -139,8 +133,7 @@ def offdiag_identity_residual(eta, q: QuotientOrder, i: int, step: float = None)
     gap = vals[i] - vals[0]
     if abs(gap) < TIE_TOL:
         raise DegeneratePair(f"eta[{i}] - eta[0] = {gap:.3e} below tie tolerance")
-    if step is None:
-        step = HESS_STEP * (1.0 + max(abs(v) for v in vals))
+    step = HESS_STEP * (1.0 + max(abs(v) for v in vals))
 
     def g_of(s: float) -> float:
         lo, hi = _eig_pair(vals[0], vals[i], s)
@@ -158,7 +151,7 @@ def offdiag_identity_residual(eta, q: QuotientOrder, i: int, step: float = None)
     return abs(-fd_off - rhs)
 
 
-def concavity_probe(mu, q: QuotientOrder, trials: int = 32, rng=None, step: float = None) -> float:
+def concavity_probe(mu, q: QuotientOrder, trials: int = 32, rng=None) -> float:
     """Max FD second directional derivative of G over random diagonal directions.
 
     Should be <= a small positive tolerance for concave G.  Shrinks the step
@@ -169,8 +162,7 @@ def concavity_probe(mu, q: QuotientOrder, trials: int = 32, rng=None, step: floa
     _require_cone(base, q.k)
     if rng is None:
         rng = np.random.default_rng(0)
-    if step is None:
-        step = HESS_STEP * (1.0 + float(np.max(np.abs(base))))
+    step = HESS_STEP * (1.0 + float(np.max(np.abs(base))))
     g0 = quotient_value(base, q)
     worst = -np.inf
     for _ in range(trials):

@@ -198,6 +198,7 @@ def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
     (["verify-geometry"], "verify.r_expr = 2 + r", "verify.r_expr"),
     (["verify-geometry"], "verify.r_expr = 20", "verify.r_expr"),
     (["verify-geometry"], "verify.r_expr = 0", "verify.r_expr"),
+    (["verify-geometry"], "verify.r_expr = " + "(" * 300 + "1" + ")" * 300, "verify.r_expr"),
     (["sweep", "--key", "solver.newton_tl", "--values", "1e-9,1e-11"], "", "solver.newton_tl"),
     (["sweep", "--key", "phi.c", "--values", "1,-1"], "", "phi.c"),
     (["sweep", "--key", "check.samples", "--values", "12,100000"], "", "check.samples"),
@@ -205,6 +206,7 @@ def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
         "check-samples-huge", "verify-n-theta-small",
         "verify-custom-warp", "verify-r-expr-non-finite", "verify-r-expr-unparsed",
         "verify-r-expr-reads-r", "verify-r-expr-outside-domain", "verify-r-expr-lambda-zero",
+        "verify-r-expr-too-deep",
         "sweep-key-typo", "sweep-later-value-invalid", "sweep-check-samples-huge"])
 def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
     cfg = write_cfg(tmp_path, CLOSED_FORM + line + "\n")
@@ -215,6 +217,40 @@ def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
     assert "Traceback" not in captured.err
     assert captured.out == ""  # rejected before any check or solve reports
     assert not os.path.exists(out)  # rejected before any solve
+
+
+REDUCED_16 = VIOLATES_OUTER.replace("mesh.n_theta = 32", "mesh.n_theta = 16").replace(
+    "f.expr = 3/r^2", "f.expr = {expr}")
+ROUND_F = "1/r^2 * exp(1.25 - r)"
+
+
+@pytest.mark.parametrize("expr", ["(" * 300 + ROUND_F + ")" * 300, "-" * 984 + ROUND_F],
+                         ids=["parentheses-300", "unary-minus-984"])
+@pytest.mark.parametrize("command", [["solve"], ["check-assumptions"],
+                                     ["sweep", "--key", "phi.c", "--values", "1,2"]],
+                         ids=["solve", "check-assumptions", "sweep"])
+def test_deeply_nested_f_expr_is_a_config_error(tmp_path, capsys, expr, command):
+    """Nesting past MAX_DEPTH is a parse error where the bound is passed: exit 2
+    naming f.expr, not a RecursionError from the parser or from evaluating f."""
+    cfg = write_cfg(tmp_path, REDUCED_16.format(expr=expr))
+    out = str(tmp_path / "o")
+    assert main(["--config", cfg, "--out", out] + command) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: f.expr: nested deeper than 100 levels "
+                            "(at position 100) (key: f.expr)\n")
+    assert captured.out == "" and not os.path.exists(out)
+
+
+@pytest.mark.parametrize("expr", ["-" * 48 + "(" * 51 + ROUND_F + ")" * 51,
+                                  ROUND_F + " * " + "exp(0 + 0*1^" * 100 + "r" + ")" * 100],
+                         ids=["unary-minus-and-parentheses", "calls-in-chains"])
+def test_f_expr_nested_at_the_bound_solves(tmp_path, expr):
+    """MAX_DEPTH levels, exp( among them, solve to the bytes of the same f written flat."""
+    for name, text in (("flat", ROUND_F), ("deep", expr)):
+        cfg = write_cfg(tmp_path, REDUCED_16.format(expr=text), f"{name}.cfg")
+        assert main(["--config", cfg, "--out", str(tmp_path / name), "solve"]) == 0
+    for csv in ("solution.csv", "geometry.csv", "monitor.csv"):
+        assert (tmp_path / "flat" / csv).read_bytes() == (tmp_path / "deep" / csv).read_bytes()
 
 
 def test_solve_missing_config():

@@ -59,20 +59,70 @@ def test_parse_grammar_shapes():
     assert float(parse_f("sqrt(abs(0-4))").evaluate(1, 0, 0, 1)) == 2.0
 
 
-def test_parse_errors_carry_positions():
+SPHERE2D_F = "1/r^2 * exp(1.25 - r) * (1 + 0.0263*sin(th)*cos(ph) + -0.0085*sin(th)*sin(ph))"
+
+
+def test_compiled_f_runs_the_numpy_operations_written_out():
+    """A compiled f is bit-equal to its numpy operations on np.float64 constants, in
+    grammar order: unary minus binds tighter than ^, and * / and + - run left to right."""
+    c = np.float64
+    r = np.linspace(0.5, 2.0, 7)[:, None, None]
+    th, ph = np.linspace(0.1, 3.0, 5)[:, None], np.linspace(0.0, 6.0, 4)
+    cases = [
+        (SPHERE2D_F, c(1) / r ** c(2) * np.exp(c(1.25) - r)
+         * (c(1) + c(0.0263) * np.sin(th) * np.cos(ph) + -c(0.0085) * np.sin(th) * np.sin(ph))),
+        ("-2^2", (-c(2)) ** c(2)),
+        ("2^-1", c(2) ** -c(1)),
+        ("1/r^2", c(1) / r ** c(2)),
+    ]
+    for text, want in cases:
+        got = parse_f(text).evaluate(r, th, ph, 0.5)
+        assert got.shape == want.shape and np.array_equal(got, want), text
+
+
+@pytest.mark.parametrize("text,message,position", [
+    ("foo(r)", "unknown function 'foo'", 0),
+    ("r(1)", "unknown function 'r'", 0),  # a variable used as a function
+    ("x + 1", "unknown identifier 'x'", 0),
+    ("sin r", "function 'sin' takes its argument in parentheses", 0),
+    ("r $ 1", "unexpected character '$'", 2),
+    ("1.2.3", "bad number '1.2.3'", 0),
+    ("(1 + r", "expected ')', found end of expression", 6),
+    ("2 3", "unexpected trailing '3'", 2),
+    ("2^3^2", "unexpected trailing '^'", 3),  # ^ takes one exponent
+    ("1 +", "unexpected end of expression", 3),
+    ("exp(", "unexpected end of expression", 4),
+    ("*2", "unexpected token '*'", 0),
+    ("(" * 101 + "r" + ")" * 101, "nested deeper than 100 levels", 100),
+    ("-" * 984 + "r", "nested deeper than 100 levels", 100),
+    ("1 + sqrt(" * 101 + "r" + ")" * 101, "nested deeper than 100 levels", 904),
+], ids=["unknown-function", "variable-called", "unknown-identifier", "function-without-call",
+        "unexpected-character", "bad-number", "expected-close", "trailing-number",
+        "trailing-exponent", "end-after-operator", "end-after-call", "unexpected-token",
+        "deep-parentheses", "deep-unary-minus", "deep-calls"])
+def test_parse_errors_carry_positions(text, message, position):
     with pytest.raises(FParseError) as err:
-        parse_f("foo(r)")
-    assert "foo" in str(err.value) and err.value.position == 0
-    with pytest.raises(FParseError):
-        parse_f("r(1)")          # variable used as a function
-    with pytest.raises(FParseError):
-        parse_f("1 +")
-    with pytest.raises(FParseError):
-        parse_f("2^3^2")         # single optional exponent in the grammar
-    with pytest.raises(FParseError):
-        parse_f("(1 + r")
-    with pytest.raises(FParseError):
-        parse_f("x + 1")
+        parse_f(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_nesting_at_the_bound_and_long_chains_evaluate():
+    """MAX_DEPTH levels of each kind still parse and evaluate; a chain of terms
+    opens no level, and 5000 of them evaluate."""
+    assert problem.MAX_DEPTH == 100
+    for text, want in [("(" * 100 + "r" + ")" * 100, 1.5), ("-" * 100 + "r", 1.5),
+                       ("exp(0 + 0*1^" * 100 + "r" + ")" * 100, 1.0),
+                       ("+".join(["r"] * 5000), 7500.0)]:
+        assert float(eval_f(parse_f(text), 1.5, 0.0, 0.0, 1.0)) == want
+
+
+@pytest.mark.parametrize("text,names", [
+    ("2", set()), ("1/r^2", {"r"}), ("exp(-(r - r))", {"r"}), ("1 + 0.1*cos(th)", {"th"}),
+    (SPHERE2D_F, {"r", "th", "ph"}), ("sqrt(nur) + th*ph^r", {"r", "th", "ph", "nur"}),
+])
+def test_variables_are_the_names_read(text, names):
+    assert parse_f(text).variables == names
 
 
 def test_eval_rejects_nonpositive_and_nonfinite():

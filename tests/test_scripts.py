@@ -52,8 +52,9 @@ f.expr = 1/r^2 * exp(1.25 - r)
 
 def test_compare_outputs_passes_equal_runs_and_fails_one_changed_byte(tmp_path):
     """Two solves of one config into two trees compare identical, though their
-    report.txt timings and paths differ; one changed digit in solution.csv
-    fails the comparison, which names the file and the value difference."""
+    report.txt timings and paths, and the paths they print, differ; one changed
+    digit in solution.csv fails the comparison, which names the file and the
+    value difference, and so does a changed word in what a run printed."""
     from prescurv.cli import main
 
     script = load_script("compare_outputs")
@@ -61,9 +62,11 @@ def test_compare_outputs_passes_equal_runs_and_fails_one_changed_byte(tmp_path):
     cfg.write_text(ROUND_16X8)
     for side in ("a", "b"):
         out = tmp_path / side / "round"
-        with contextlib.redirect_stdout(io.StringIO()):
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
             code = main(["--config", str(cfg), "--out", str(out), "solve"])
-        (out / "exit_code").write_text(f"{code}\n")
+        assert str(out) in printed.getvalue()
+        script.record(str(out), code, printed.getvalue())
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert script.compare(str(tmp_path / "a"), str(tmp_path / "b"))
@@ -79,3 +82,13 @@ def test_compare_outputs_passes_equal_runs_and_fails_one_changed_byte(tmp_path):
         assert not script.compare(str(tmp_path / "a"), str(tmp_path / "b"))
     assert "round/solution.csv: max |diff| = 1.000e-02" in buf.getvalue().splitlines()
     assert "round/geometry.csv: identical" in buf.getvalue().splitlines()
+    assert "round/output.txt: identical" in buf.getvalue().splitlines()
+
+    output = tmp_path / "b" / "round" / "output.txt"
+    assert output.read_text().endswith(" -> <out>\n")
+    output.write_text(output.read_text().replace("converged:", "breakdown:"))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert not script.compare(str(tmp_path / "a"), str(tmp_path / "b"))
+    assert any(line.startswith("round/output.txt: differs at line ")
+               for line in buf.getvalue().splitlines())

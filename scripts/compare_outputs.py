@@ -5,9 +5,9 @@
 
 SRC_A and SRC_B are checkouts of this repository.  Every configs/*.cfg of
 SRC_B, the 64x32 headline among them, is solved with and without --force,
-and checked by verify-geometry, under each tree in turn: `python -m
-prescurv` with PYTHONPATH=<tree>/src, into DIR/a/<run> and DIR/b/<run> (a
-temporary directory unless --work is given).  Each run directory also
+and checked by verify-geometry and by check-assumptions, under each tree in
+turn: `python -m prescurv` with PYTHONPATH=<tree>/src, into DIR/a/<run> and
+DIR/b/<run> (a temporary directory unless --work is given).  Each run directory also
 records the run's exit code in a file `exit_code`, and what it printed,
 stdout then stderr, in `output.txt`, where the run directory's path reads
 <out>.
@@ -33,7 +33,8 @@ import tempfile
 
 FILES = ("exit_code", "output.txt", "solution.csv", "geometry.csv", "monitor.csv", "report.txt")
 # (run name suffix, subcommand argv) of the runs made on each config
-COMMANDS = (("", ["solve"]), ("-force", ["--force", "solve"]), ("-verify", ["verify-geometry"]))
+COMMANDS = (("", ["solve"]), ("-force", ["--force", "solve"]), ("-verify", ["verify-geometry"]),
+            ("-check", ["check-assumptions"]))
 _CELL = re.compile(r"[^\s,=]+")
 
 

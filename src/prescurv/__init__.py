@@ -50,7 +50,7 @@ from .solver import (
     newton_solve,
     continuation_solve,
 )
-from .monitor import MonitorRecord, monitor, refinement_stability
+from .monitor import MonitorRecord, monitor
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

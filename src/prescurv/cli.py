@@ -18,14 +18,7 @@ import sys
 import time
 from functools import partial
 
-from .config import (
-    build_check_samples,
-    build_monitor_params,
-    build_problem,
-    build_verify,
-    check_key,
-    parse_config,
-)
+from .config import build_problem, build_verify, check_key, parse_config
 from .errors import ConfigError, ContinuationBreakdown, OutputError, PrescurvError
 from .monitor import monitor_state
 from .problem import check_assumptions
@@ -72,27 +65,21 @@ def _write_report(out_dir, report):
         raise OutputError(_cannot_write(path, exc)) from exc
 
 
-def _solve_inputs(cfg):
-    """Every config read of a solve: (spec, mesh, opts, monitor params, check.samples).
-
-    A bad value raises its ConfigError here, before anything is written.
-    """
-    spec, mesh, opts = build_problem(cfg)
-    return spec, mesh, opts, build_monitor_params(cfg), build_check_samples(cfg)
-
-
-def _run_solve(cfg, inputs, out_dir, force):
-    """Shared solve pipeline on cfg's _solve_inputs; returns a RunReport (files already written).
+def _run_solve(cfg, problem, out_dir, force):
+    """Shared solve pipeline on cfg's build_problem (spec, mesh, opts), formed
+    before anything is written; returns a RunReport (files already written).
 
     Every outcome ends in report.txt: any PrescurvError of the assumption
     check or of the continuation, other than a breakdown, is status "error",
     and so is a CSV that cannot be written (the others still are).  An output
     directory or report.txt that cannot be written raises OutputError.
+    The check here and continuation_solve's own are one check on the same
+    samples, so they pass or fail together and `force` means the same to both.
     Each monitor row is formed as its state is accepted, on Newton's geometry
     of it; only the latest geometry is kept, for geometry.csv.
     """
     t0 = time.perf_counter()
-    spec, mesh, opts, params, samples = inputs
+    spec, mesh, opts = problem
     _check_out_dir(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -105,23 +92,22 @@ def _run_solve(cfg, inputs, out_dir, force):
         nonlocal final_geom
         t_mon = time.perf_counter()
         report.states.append(state)
-        report.monitors.append(monitor_state(state, spec, geom, params.alpha, params.big_a))
+        report.monitors.append(monitor_state(state, spec, geom))
         final_geom = geom
         report.timings["monitor"] += time.perf_counter() - t_mon
 
     phase, t_phase = "assumptions", time.perf_counter()
     try:
-        report.assumptions = check_assumptions(spec, samples=samples)
+        report.assumptions = check_assumptions(spec)
         report.timings[phase] = time.perf_counter() - t_phase
         if report.assumptions.hard_failures and not force:
             report.status = "assumption-fail"
             report.message = "failed: " + ", ".join(report.assumptions.hard_failures)
             _write_report(out_dir, report)
             return report
-        # the check above, at check.samples, is the gate: the solver's own must not overrule it
         phase, t_phase = "solve", time.perf_counter()
         report.timings["monitor"] = 0.0  # the share of solve_s spent in on_accept
-        continuation_solve(spec, mesh, opts, force=True, on_accept=on_accept)
+        continuation_solve(spec, mesh, opts, force=force, on_accept=on_accept)
         report.status = "converged"
     except ContinuationBreakdown as exc:  # its last good state is the last one accepted
         report.status = "breakdown"
@@ -153,7 +139,7 @@ def _run_solve(cfg, inputs, out_dir, force):
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    report = _run_solve(cfg, _solve_inputs(cfg), args.out, args.force)
+    report = _run_solve(cfg, build_problem(cfg), args.out, args.force)
     if report.assumptions is not None:
         print(margins_table(report.assumptions))
     if report.status == "converged":
@@ -168,7 +154,7 @@ def cmd_solve(args) -> int:
 def cmd_check_assumptions(args) -> int:
     cfg = _load_config(args)
     spec, _, _ = build_problem(cfg)
-    rep = check_assumptions(spec, samples=build_check_samples(cfg))
+    rep = check_assumptions(spec)
     print(margins_table(rep))
     return 0 if not rep.hard_failures else 3
 
@@ -223,14 +209,14 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"sweep values {values[names.index(name)]!r} and {values[i]!r} "
                               f"share the output directory {name!r}")
     subs = [{**cfg, args.key: val} for val in values]
-    inputs = [_solve_inputs(sub) for sub in subs]  # every config error before the first solve
+    problems = [build_problem(sub) for sub in subs]  # every config error before the first solve
     _check_out_dir(args.out)
     for name in names:
         _check_out_dir(os.path.join(args.out, name))
     worst = 0
-    for val, name, sub, inp in zip(values, names, subs, inputs):
+    for val, name, sub, problem in zip(values, names, subs, problems):
         try:
-            report = _run_solve(sub, inp, os.path.join(args.out, name), args.force)
+            report = _run_solve(sub, problem, os.path.join(args.out, name), args.force)
         except OutputError as exc:  # this value wrote no report; the next ones still run
             print(f"{args.key}={val}: error")
             print(f"error: {exc}", file=sys.stderr)

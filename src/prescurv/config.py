@@ -1,7 +1,7 @@
 """Flat key=value configuration ingestion.
 
 One `key = value` pair per line, `#` comments, dotted section keys
-(warp.*, mesh.*, problem.*, phi.*, f.*, solver.*, monitor.*, verify.*).
+(warp.*, mesh.*, problem.*, phi.*, f.*, solver.*, verify.*).
 Builders turn the raw mapping into WarpProfile / SphereMesh / ProblemSpec /
 SolverOptions and the inputs of each subcommand, raising ConfigError with the
 offending key on bad input.  A key outside KNOWN_KEYS is a ConfigError too: a
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,14 +33,11 @@ DEFAULTS = {
     "solver.max_newton": "30",
     "solver.t_step_init": "0.1",
     "solver.t_step_min": "1e-3",
-    "monitor.alpha": "1.0",
-    "monitor.A": "1.0",
     "verify.r_expr": "1 + 0.1*cos(th)",
     "verify.n_theta": "128",
     "verify.n_phi": "64",
     "verify.tol_oracle": "1e-5",
     "verify.tol_identities": "1e-4",
-    "check.samples": "12",
 }
 
 # every key a builder or subcommand reads: the defaulted ones plus those read
@@ -49,10 +46,6 @@ KNOWN_KEYS = frozenset(DEFAULTS) | {
     "warp.kind", "warp.domain", "warp.coeffs", "problem.r1", "problem.r2", "phi.rm",
     "f.expr", "f.builtin", "f.manufactured", "f.rm", "f.alpha",
 }
-
-# check_assumptions evaluates f at up to check.samples^4 points, as many only
-# when f reads all four variables (r, th, ph, nur): about 1M, 25 MB, at 32
-CHECK_SAMPLES_MAX = 32
 
 
 def check_key(key: str):
@@ -133,14 +126,6 @@ def _keyed(section):
         yield
     except ValueError as exc:
         raise ConfigError(str(exc), key=f"{section}.{str(exc).split()[0]}")
-
-
-def build_check_samples(cfg) -> int:
-    samples = _get_int(cfg, "check.samples")
-    if not 1 <= samples <= CHECK_SAMPLES_MAX:
-        raise ConfigError(f"config key 'check.samples' must be in [1, {CHECK_SAMPLES_MAX}], "
-                          f"got {samples}", key="check.samples")
-    return samples
 
 
 def build_profile(cfg) -> WarpProfile:
@@ -244,17 +229,6 @@ def build_problem(cfg):
             t_step_min=_get_float(cfg, "solver.t_step_min"),
         )
     return spec, mesh, opts
-
-
-@dataclass(frozen=True)
-class MonitorParams:
-    alpha: float
-    big_a: float
-
-
-def build_monitor_params(cfg) -> MonitorParams:
-    return MonitorParams(alpha=_get_float(cfg, "monitor.alpha"),
-                         big_a=_get_float(cfg, "monitor.A"))
 
 
 def build_verify(cfg):

@@ -374,6 +374,8 @@ def manufacture_f(spec: ProblemSpec, mesh: SphereMesh, target) -> ManufacturedF:
 
 STRICT_TOL = 1e-12
 FD_STEP_R = 1e-5
+# points per axis of each sampled variable: the solve's gate and `check-assumptions` alike
+ASSUMPTION_SAMPLES = 12
 
 
 @dataclass(frozen=True)
@@ -424,7 +426,7 @@ def _worst(values, r_grid, th, ph, nur, minimize=True):
     return val, (float(r_grid[ir]), float(th[ia]), float(ph[ia]), float(nur[inu]))
 
 
-def check_assumptions(spec: ProblemSpec, samples: int = 12) -> AssumptionReport:
+def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
     """Sampled check of the barrier inequalities and radial monotonicity.
 
     Barrier margins are relative to the constant-graph threshold zeta^2: the
@@ -434,8 +436,12 @@ def check_assumptions(spec: ProblemSpec, samples: int = 12) -> AssumptionReport:
     <= 0.  Margins are reported as found; an equality case within
     finite-difference noise is flagged boundary_case.  f is evaluated and
     reduced on its own broadcast shape (eval_f): an f of r alone is one
-    value per sampled radius, not samples^3.
+    value per sampled radius, not ASSUMPTION_SAMPLES^3.  Each barrier samples
+    up to one annulus width beyond its edge, stopping 1e-3 of the warp
+    domain short of the domain's end, and never on the annulus side of r1
+    or r2.
     """
+    samples = ASSUMPTION_SAMPLES
     th, ph = _angular_samples(spec, samples)
     nur = np.linspace(1.0 / samples, 1.0, samples)
     r_lo, r_hi = spec.profile.domain
@@ -469,10 +475,10 @@ def check_assumptions(spec: ProblemSpec, samples: int = 12) -> AssumptionReport:
     # an f near the float range overflows a margin or lambda^2 f: that margin is
     # then inf or nan and fails its test, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        inner = barrier("inner_barrier",
-                        np.linspace(max(r_lo + pad, spec.r1 - width), spec.r1, samples), True)
-        outer = barrier("outer_barrier",
-                        np.linspace(spec.r2, min(r_hi - pad, spec.r2 + width), samples), False)
+        inner_end = min(max(r_lo + pad, spec.r1 - width), spec.r1)
+        outer_end = max(min(r_hi - pad, spec.r2 + width), spec.r2)
+        inner = barrier("inner_barrier", np.linspace(inner_end, spec.r1, samples), True)
+        outer = barrier("outer_barrier", np.linspace(spec.r2, outer_end, samples), False)
         deriv = (g_on(r_mid + h) - g_on(r_mid - h)) / (2.0 * h)
         m15, at15 = _worst(deriv, r_mid, th, ph, nur, minimize=False)
         # equality cases sit inside the FD noise floor eps * |g| / h

@@ -77,6 +77,8 @@ class SolverOptions:
     t_step_min: float = 1e-3
 
     def __post_init__(self):
+        if isinstance(self.max_newton, bool) or not isinstance(self.max_newton, int):
+            raise ValueError(f"max_newton must be an int, got {self.max_newton!r}")
         for name, value in vars(self).items():
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive")
@@ -264,7 +266,7 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
     norm = float(np.abs(res).max())
     it = halvings_total = jacobians = 0
     while not norm <= opts.newton_tol:
-        if it == opts.max_newton:
+        if it >= opts.max_newton:
             raise NewtonFailure(f"no convergence in {opts.max_newton} iterations at t={t:g} "
                                 f"(|res|={norm:.3e})")
         it += 1

@@ -3,19 +3,9 @@ import pytest
 
 from prescurv.geometry import compute_geometry
 from prescurv.mesh import ScalarField, build_mesh
-from prescurv.monitor import monitor, monitor_state, refinement_stability
-from prescurv.problem import ProblemSpec, manufacture_f, parse_f
-from prescurv.solver import SolverOptions
-from prescurv.warp import WarpProfile
-
-EUCLID = WarpProfile.euclidean((0.0, 10.0))
-
-
-def closed_form_spec(**kw):
-    args = dict(profile=EUCLID, f=parse_f("1/r^2 * exp(1.25 - r)"),
-                r1=0.5, r2=2.0, phi_rm=1.25, phi_c=1.0)
-    args.update(kw)
-    return ProblemSpec(**args)
+from prescurv.monitor import monitor, monitor_state
+from prescurv.problem import parse_f
+from closed_form import EUCLID, closed_form_spec
 
 
 def test_monitor_round_graph_values():
@@ -69,54 +59,16 @@ def test_monitor_barrier_flags():
 
 
 def test_p_test_max_is_log_kappa_over_tau_minus_a():
-    """With A = 0 the curvature test function is P = ln(kappa_max / (tau - a)),
+    """The curvature test function is P = ln(kappa_max / (tau - a)) + Lambda(r),
     a = 0.5 min tau."""
     spec = closed_form_spec()
     mesh = build_mesh(128, reduced=True)
     for r in (np.full(128, 1.25), 1 + 0.1 * np.cos(3 * mesh.theta)):
         geom = compute_geometry(mesh, ScalarField(mesh, r), EUCLID)
-        rec = monitor(geom, spec, 1.0, big_a=0.0)
-        want = float(np.max(np.log(geom.kappa1 / (geom.tau - 0.5 * geom.tau.min()))))
+        rec = monitor(geom, spec, 1.0)
+        want = float(np.max(np.log(geom.kappa1 / (geom.tau - 0.5 * geom.tau.min()))
+                            + geom.capital_lambda))
         assert rec.p_test_max == pytest.approx(want, rel=1e-12)
-
-
-def test_refinement_stability_round_case():
-    def make_spec(mesh):
-        return closed_form_spec()
-
-    table = refinement_stability(make_spec, (32, 64))
-    for name in ("tau_min", "grad_max", "kappa_max"):
-        a = getattr(table.rows[0], name)
-        b = getattr(table.rows[1], name)
-        assert abs(a - b) <= 1e-8
-    assert not table.unstable
-    assert table.rows[0].kappa_max == pytest.approx(1 / 1.25, abs=1e-8)
-
-
-def test_refinement_stability_manufactured_hyperbolic():
-    profile = WarpProfile.hyperbolic((0.0, 10.0))
-
-    def make_spec(mesh):
-        base = ProblemSpec(profile, parse_f("1"), 0.5, 2.0, 1.0)
-        f = manufacture_f(base, mesh, lambda th, ph: 1 + 0.05 * np.cos(th))
-        return ProblemSpec(profile, f, 0.5, 2.0, 1.0)
-
-    table = refinement_stability(make_spec, (64, 128), opts=SolverOptions(newton_tol=1e-11))
-    a, b = table.rows
-    assert abs(b.kappa_max - a.kappa_max) / b.kappa_max <= 0.01
-    assert not table.unstable
-
-
-def test_refinement_stability_flags_growth():
-    """A prescription whose root shrinks with resolution drives kappa_max up."""
-    def make_spec(mesh):
-        rm = 1.25 if mesh.n_theta <= 32 else 0.7
-        f = parse_f(f"1/r^2 * exp({rm} - r)")
-        return closed_form_spec(f=f, phi_rm=rm)
-
-    table = refinement_stability(make_spec, (32, 64))
-    assert table.unstable
-    assert table.stability_ratio > 0.4
 
 
 def test_monitor_state_reads_the_accepted_geometry():

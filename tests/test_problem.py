@@ -13,7 +13,6 @@ from prescurv.mesh import ScalarField, build_mesh, field_from_function
 from prescurv.problem import (
     HomotopyEndpoints,
     ManufacturedF,
-    ProblemSpec,
     RoundExponentialF,
     check_assumptions,
     eval_f,
@@ -23,21 +22,14 @@ from prescurv.problem import (
     threshold,
 )
 from prescurv.warp import WarpProfile
+from closed_form import EUCLID, closed_form_spec
 from test_solver import every_kind_of_f
 
-EUCLID = WarpProfile.euclidean((0.0, 10.0))
 
 # frozen closed-form margins for f = (1/r^2) exp(1.25 - r), r1 = 0.5, r2 = 2
 INNER_MARGIN = 1.1170000166126747   # e^0.75 - 1, relative margin at r = r1
 OUTER_MARGIN = 0.5276334472589853   # 1 - e^-0.75, relative margin at r = r2
 MONO_MARGIN = -0.4723665527410147   # d/dr of r^2 f at its largest (r = r2)
-
-
-def closed_form_spec(**kw):
-    args = dict(profile=EUCLID, f=parse_f("1/r^2 * exp(1.25 - r)"),
-                r1=0.5, r2=2.0, phi_rm=1.25, phi_c=1.0)
-    args.update(kw)
-    return ProblemSpec(**args)
 
 
 # -- expression parsing --------------------------------------------------------
@@ -320,6 +312,22 @@ def test_check_assumptions_outer_violation():
     assert not rep.outer_barrier.passed
     assert rep.outer_barrier.margin == pytest.approx(-2.0, rel=1e-12)
     assert rep.hard_failures == ("outer_barrier",)
+
+
+@pytest.mark.parametrize("domain,r1,expr,which,edge", [
+    ((0.0, 10.0), 0.005, "exp(0.006 - r)/r^2", "inner_barrier", 0.005),
+    ((0.0, 2.001), 0.5, "exp(1.9995 - r)/r^2", "outer_barrier", 2.0),
+], ids=["r1-near-domain-start", "r2-near-domain-end"])
+def test_barriers_sample_outside_the_annulus_near_the_domain_ends(domain, r1, expr, which, edge):
+    """An annulus edge closer to its end of the warp domain than 1e-3 of the
+    domain: the barrier samples that edge, not the annulus inside it, where
+    f crosses zeta^2 (at r = 0.006 and r = 1.9995)."""
+    spec = closed_form_spec(profile=WarpProfile.euclidean(domain), f=parse_f(expr),
+                            r1=r1, r2=2.0, phi_rm=1.0)
+    rep = check_assumptions(spec)
+    assert not rep.hard_failures
+    barrier = getattr(rep, which)
+    assert barrier.passed and barrier.margin > 0 and barrier.worst_point[0] == edge
 
 
 def test_check_assumptions_overflow_fails_without_a_warning():

@@ -47,16 +47,9 @@ from prescurv.solver import (
 )
 from prescurv.symm import QuotientOrder, quotient_ratio_batch
 from prescurv.warp import WarpProfile
+from closed_form import EUCLID, closed_form_spec
 
-EUCLID = WarpProfile.euclidean((0.0, 10.0))
 Q20 = QuotientOrder(2, 0)
-
-
-def closed_form_spec(**kw):
-    args = dict(profile=EUCLID, f=parse_f("1/r^2 * exp(1.25 - r)"),
-                r1=0.5, r2=2.0, phi_rm=1.25, phi_c=1.0)
-    args.update(kw)
-    return ProblemSpec(**args)
 
 
 def const_field(mesh, value):
@@ -601,7 +594,6 @@ def test_newton_from_a_matching_geometry_outside_the_cone_raises():
             newton_solve(spec, mesh, 0.5, bad, geom=given)
 
 
-
 class _StaleFactor:
     """Stands in for a factor in hand whose chord step is `step`."""
 
@@ -1014,3 +1006,6 @@ def test_solver_options_validation():
                 SolverOptions(**{name: bad})
     with pytest.raises(ValueError):
         SolverOptions(t_step_init=1e-4, t_step_min=1e-3)
+    for bad in (3.5, 30.0, True):  # Newton's cap counts whole iterations
+        with pytest.raises(ValueError, match="^max_newton"):
+            SolverOptions(max_newton=bad)

@@ -8,10 +8,11 @@ Azimuthal derivatives use 6th-order centered stencils: they cost nothing
 extra under periodicity and keep the 1/sin(theta)-amplified terms at the
 pole rows from dominating the overall (colatitude-limited) 4th-order error.
 The reduced mode keeps only the colatitude line for axisymmetric fields.
-One cached ghost map per mesh shape holds both continuations and one table
-the stencil weights.  frame_derivatives, the one definition of the 2-jet,
+Per mesh shape, a cached ghost map holds both continuations, and cached
+constants sin, sin^2, cot and the stencil scales; a table holds each
+stencil's nonzero taps.  frame_derivatives, the one definition of the 2-jet,
 gives the orthonormal-frame gradient and covariant Hessian of a field,
-slicing each stencil it needs once; jet_operators gives the same maps as
+gathering the field once per axis; jet_operators gives the same maps as
 one shared sparse pattern and six rows of weights, column by column from
 frame_derivatives, for the Jacobian.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -86,7 +88,7 @@ class ScalarField:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.mesh.shape:
             raise ValueError(f"field shape {v.shape} != mesh shape {self.mesh.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NonFiniteField("field has non-finite values")
         object.__setattr__(self, "values", v)
 
@@ -113,6 +115,9 @@ _WEIGHTS = {
     "dphi": ((-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0), 60.0, 1),
     "dphi2": ((2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0), 180.0, 2),
 }
+# name -> (term index, weight) of each nonzero weight; dphi2 has 4 mirror-folded terms
+_TAPS = {name: tuple((k, w) for k, w in enumerate(weights[:4 if name == "dphi2" else None]) if w)
+         for name, (weights, _, _) in _WEIGHTS.items()}
 
 
 @functools.cache
@@ -136,54 +141,72 @@ def _ghost_map(n_theta: int, n_phi: int):
     return src, sign, cols
 
 
-def _apply(name: str, terms, spacing: float) -> np.ndarray:
+@functools.cache
+def _shape_constants(n_theta: int, n_phi: int):
+    """Read-only (sin, sin^2, cot, scales) of a mesh shape: the colatitudes' trig (a column
+    when full, to broadcast over a field) and each stencil's denominator * spacing^order."""
+    mesh = build_mesh(n_theta, n_phi, reduced=not n_phi)
+    column = (-1, 1) if n_phi else (-1,)
+    sin = np.sin(mesh.theta).reshape(column)
+    cot = (np.cos(mesh.theta) / np.sin(mesh.theta)).reshape(column)
+    sin2 = sin ** 2
+    sin.flags.writeable = sin2.flags.writeable = cot.flags.writeable = False
+    scales = {name: denominator * (mesh.dtheta if name.startswith("dtheta") else mesh.dphi) ** order
+              for name, (_, denominator, order) in _WEIGHTS.items()}
+    return sin, sin2, cot, MappingProxyType(scales)
+
+
+def _apply(name: str, mesh: SphereMesh, terms) -> np.ndarray:
     """The stencil `name` on its shifted terms: nonzero weights only, summed left to right in place."""
-    weights, denominator, order = _WEIGHTS[name]
-    parts = (w * term for w, term in zip(weights, terms) if w)
-    total = next(parts)
-    for part in parts:
-        total += part
-    total /= denominator * spacing ** order
+    (k, w), *rest = _TAPS[name]
+    total = w * terms[k]
+    for k, w in rest:
+        total += w * terms[k]
+    total /= _shape_constants(mesh.n_theta, mesh.n_phi)[3][name]
     return total
 
 
-def _along_theta(name: str, mesh: SphereMesh, vals: np.ndarray, parity: int) -> np.ndarray:
-    """A colatitude stencil; parity -1 flips the sign of values continued past a pole."""
+def _theta_rows(mesh: SphereMesh, vals: np.ndarray, parity: int) -> list:
+    """vals shifted by colatitude offsets -2 .. 2, one gather; parity -1 negates past a pole."""
     src, sign, _ = _ghost_map(mesh.n_theta, mesh.n_phi)
     e = vals.ravel()[src]
     e = e if parity == 1 else sign * e
-    return _apply(name, [e[k:k + mesh.n_theta] for k in range(5)], mesh.dtheta).reshape(vals.shape)
+    return [e[k:k + mesh.n_theta] for k in range(5)]
+
+
+def _phi_columns(mesh: SphereMesh, vals: np.ndarray) -> list:
+    """vals shifted by azimuth offsets -3 .. 3, each shaped like the mesh, one gather."""
+    e = vals.ravel()[_ghost_map(mesh.n_theta, mesh.n_phi)[2]]
+    return [e[:, k:k + mesh.n_phi] for k in range(7)]
+
+
+def _fold_mirrors(e: list) -> list:
+    """The 7 azimuth shifts folded onto dphi2's 4 terms: mirror offsets are added first."""
+    return [e[k] + e[6 - k] for k in range(3)] + [e[3]]
 
 
 def dtheta(mesh: SphereMesh, vals: np.ndarray, parity: int = 1) -> np.ndarray:
     """4th-order d/dtheta with through-pole closure."""
-    return _along_theta("dtheta", mesh, vals, parity)
+    return _apply("dtheta", mesh, _theta_rows(mesh, vals, parity)).reshape(vals.shape)
 
 
 def dtheta2(mesh: SphereMesh, vals: np.ndarray, parity: int = 1) -> np.ndarray:
     """4th-order d^2/dtheta^2 with through-pole closure."""
-    return _along_theta("dtheta2", mesh, vals, parity)
-
-
-def _periodic_columns(mesh: SphereMesh, vals: np.ndarray) -> list:
-    """vals shifted by azimuth offsets -3 .. 3, each shaped like the mesh."""
-    e = vals.ravel()[_ghost_map(mesh.n_theta, mesh.n_phi)[2]]
-    return [e[:, k:k + mesh.n_phi] for k in range(7)]
+    return _apply("dtheta2", mesh, _theta_rows(mesh, vals, parity)).reshape(vals.shape)
 
 
 def dphi(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
     """6th-order periodic d/dphi (zero in reduced mode)."""
     if mesh.reduced:
         return np.zeros_like(vals)
-    return _apply("dphi", _periodic_columns(mesh, vals), mesh.dphi)
+    return _apply("dphi", mesh, _phi_columns(mesh, vals))
 
 
 def dphi2(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
     """6th-order periodic d^2/dphi^2 (zero in reduced mode); mirror offsets are added first."""
     if mesh.reduced:
         return np.zeros_like(vals)
-    e = _periodic_columns(mesh, vals)
-    return _apply("dphi2", [e[k] + e[6 - k] for k in range(3)] + [e[3]], mesh.dphi)
+    return _apply("dphi2", mesh, _fold_mirrors(_phi_columns(mesh, vals)))
 
 
 @functools.cache
@@ -233,17 +256,19 @@ def frame_derivatives(field: ScalarField):
     r_2 = (1/sin) d_phi r are computed once each and reused: r_12 is d_theta
     of r_2 (odd through the pole), which equals
     (1/sin) d_theta d_phi - (cos/sin^2) d_phi and stays 4th-order accurate at
-    the pole rows, and r_22 = (1/sin^2) d_phi^2 + cot d_theta.
+    the pole rows, and r_22 = (1/sin^2) d_phi^2 + cot d_theta, bit for bit;
+    one gather per axis serves both of its stencils.
     """
     mesh, v = field.mesh, field.values
-    r1 = dtheta(mesh, v)
-    r11 = dtheta2(mesh, v)
-    cot = np.cos(mesh.theta) / np.sin(mesh.theta)
+    sin, sin2, cot, _ = _shape_constants(mesh.n_theta, mesh.n_phi)
+    rows = _theta_rows(mesh, v, 1)
+    r1 = _apply("dtheta", mesh, rows).reshape(v.shape)
+    r11 = _apply("dtheta2", mesh, rows).reshape(v.shape)
     if mesh.reduced:
         zero = np.zeros_like(v)
         return r1, zero, r11, zero, cot * r1
-    sin = np.sin(mesh.theta)[:, None]
-    r2 = dphi(mesh, v) / sin
-    r12 = dtheta(mesh, r2, parity=-1)
-    r22 = dphi2(mesh, v) / sin ** 2 + cot[:, None] * r1
+    cols = _phi_columns(mesh, v)
+    r2 = _apply("dphi", mesh, cols) / sin
+    r12 = _apply("dtheta", mesh, _theta_rows(mesh, r2, -1))
+    r22 = _apply("dphi2", mesh, _fold_mirrors(cols)) / sin2 + cot * r1
     return r1, r2, r11, r12, r22

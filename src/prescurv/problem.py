@@ -8,12 +8,17 @@ function of the variables' values, the builtin round-exponential
 profile threshold times exp(alpha (rm - r)), or a manufactured evaluator
 reverse-engineered from a target graph so the target solves the equation
 exactly at the continuum level.  Each reads lambda, lambda' at r from its
-caller: evaluate(r, th, ph, nur, lam, dlam).  The homotopy endpoint at t = 0
-is phi(r) times the constant-graph threshold zeta^2, phi(r) = exp(c (rm - r)).
+caller: evaluate(r, th, ph, nur, lam, dlam).  bind(th, ph) forms once what the
+points' angles fix (an expression's angle-only subexpressions, a manufactured
+f's node lookup), and take gathers it by row.  A ProblemSpec keeps f bound to
+the nodes of each mesh shape (f_at_nodes); check_assumptions binds per call.
+The homotopy endpoint at t = 0 is phi(r) times the constant-graph threshold
+zeta^2, phi(r) = exp(c (rm - r)).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,6 +33,7 @@ from .symm import QuotientOrder
 from .warp import WarpProfile
 
 VARS = ("r", "th", "ph", "nur")
+ANGLES = frozenset(("th", "ph"))
 FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
          "sqrt": np.sqrt, "abs": np.abs}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
@@ -94,16 +100,17 @@ def _fold(first, rest):
 
 
 class _Parser:
-    """Recursive descent that compiles while it parses: each rule returns a function
-    {name: array} -> array running its numpy operations in the order written, and
-    `names` collects the variables read.  A chain a + b - c is one function, so
-    only nesting, which MAX_DEPTH bounds, deepens the stack."""
+    """Recursive descent that compiles while it parses: each rule returns (a function
+    {name: array} -> array running its numpy operations in the order written, the
+    names it reads), and `names` collects the variables read.  A chain a + b - c is
+    one function, so only nesting, which MAX_DEPTH bounds, deepens the stack."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.names = set()
+        self.angular = []
 
     def peek(self):
         return self.tokens[self.pos]
@@ -117,42 +124,63 @@ class _Parser:
         return tok
 
     def parse(self):
-        fn = self.expr()
+        fn = self.lift(self.expr())
         tok = self.peek()
         if tok[0] != "end":
             raise FParseError(f"unexpected trailing {tok[1]!r}", tok[2])
         return fn
 
+    def lift(self, part):
+        """part's function, or if it reads th or ph alone, a read of its `angular` slot."""
+        fn, reads = part
+        if not (reads and reads <= ANGLES):
+            return fn
+        self.angular.append(fn)
+        return operator.itemgetter(len(self.angular) - 1)
+
+    def chain(self, first, rest):
+        """first, then each (operator, operand) of rest, left to right; unless all of it is
+        angular, its longest angular prefix (left associative) and later operands are lifted."""
+        reads = first[1].union(*(operand[1] for _, operand in rest))
+        k, head = 0, first[1]
+        while k < len(rest) and (head | rest[k][1][1]) <= ANGLES:
+            head |= rest[k][1][1]
+            k += 1
+        fn = _fold(first[0], [(op, operand[0]) for op, operand in rest[:k]])
+        if reads <= ANGLES:
+            return fn, reads
+        return _fold(self.lift((fn, head)), [(op, self.lift(part)) for op, part in rest[k:]]), reads
+
     def expr(self):
         first, rest = self.term(), []
         while self.peek()[0] in ("+", "-"):
             rest.append((_BINARY[self.take()[0]], self.term()))
-        return _fold(first, rest)
+        return self.chain(first, rest)
 
     def term(self):
         first, rest = self.factor(), []
         while self.peek()[0] in ("*", "/"):
             rest.append((_BINARY[self.take()[0]], self.factor()))
-        return _fold(first, rest)
+        return self.chain(first, rest)
 
     def factor(self):
         base = self.base()
         if self.peek()[0] != "^":
             return base
-        return _fold(base, [(_BINARY[self.take()[0]], self.base())])
+        return self.chain(base, [(_BINARY[self.take()[0]], self.base())])
 
     def base(self):
         kind, val, pos = self.take()
         if kind == "num":
             const = np.float64(float(val))
-            return lambda env: const
+            return (lambda env: const), frozenset()
         if kind == "ident" and self.peek()[0] != "(":
             if val in FUNCS:
                 raise FParseError(f"function {val!r} takes its argument in parentheses", pos)
             if val not in VARS:
                 raise FParseError(f"unknown identifier {val!r}", pos)
             self.names.add(val)
-            return operator.itemgetter(val)
+            return operator.itemgetter(val), frozenset((val,))
         if kind == "ident" and val not in FUNCS:
             raise FParseError(f"unknown function {val!r}", pos)
         if kind not in ("-", "(", "ident"):
@@ -162,35 +190,54 @@ class _Parser:
         if self.depth > MAX_DEPTH:
             raise FParseError(f"nested deeper than {MAX_DEPTH} levels", pos)
         if kind == "-":
-            arg = self.base()
-            fn = lambda env: -arg(env)
+            arg, reads = self.base()
+            part = (lambda env: -arg(env)), reads
         elif kind == "(":
-            fn = self.expr()
+            part = self.expr()
             self.take(")")
         else:
             self.take("(")
-            arg, func = self.expr(), FUNCS[val]
+            (arg, reads), func = self.expr(), FUNCS[val]
             self.take(")")
-            fn = lambda env: func(arg(env))
+            part = (lambda env: func(arg(env))), reads
         self.depth -= 1
-        return fn
+        return part
+
+
+class _Bound:
+    """bind and take of an f kind that holds what points fix, _fixed_at(th, ph), in `fixed`."""
+
+    def bind(self, th, ph):
+        """This f at the points (th, ph): its per-point values there, formed now and kept."""
+        return dataclasses.replace(self, fixed=self._fixed_at(th, ph))
+
+    def take(self, rows):
+        """This f, bound to a field's points, at the points of the flat indices rows."""
+        return dataclasses.replace(self, fixed=tuple(v.ravel()[rows] for v in self.fixed))
 
 
 @dataclass(frozen=True)
-class ExpressionF:
-    """Prescribed function compiled from an arithmetic expression: fn maps the
-    variables' values {name: array} to f, reading the names in `variables`.
-    Two are equal when their texts are."""
+class ExpressionF(_Bound):
+    """Prescribed function compiled from an arithmetic expression, reading the names in
+    `variables`: fn maps r, nur and, under i, the value of each maximal subexpression of th
+    and ph alone, `angular[i]`, to f; bound, `fixed` holds those.  Equal when texts are."""
 
     text: str
     fn: Callable = field(compare=False, repr=False)
     variables: frozenset = field(compare=False)
+    angular: tuple = field(default=(), compare=False, repr=False)
+    fixed: Optional[tuple] = field(default=None, compare=False, repr=False)  # bound: angular
 
-    def evaluate(self, r, th, ph, nur, lam=None, dlam=None):  # reads no lam, dlam
-        env = {"r": np.asarray(r, dtype=float), "th": np.asarray(th, dtype=float),
-               "ph": np.asarray(ph, dtype=float), "nur": np.asarray(nur, dtype=float)}
+    def evaluate(self, r, th, ph, nur, lam=None, dlam=None):  # no lam, dlam; bound, no th, ph
+        fixed = self._fixed_at(th, ph) if self.fixed is None else self.fixed
         with np.errstate(all="ignore"):
-            return self.fn(env)
+            return self.fn(dict(enumerate(fixed), r=np.asarray(r, dtype=float),
+                                nur=np.asarray(nur, dtype=float)))
+
+    def _fixed_at(self, th, ph):
+        angles = {"th": np.asarray(th, dtype=float), "ph": np.asarray(ph, dtype=float)}
+        with np.errstate(all="ignore"):
+            return tuple(g(angles) for g in self.angular)
 
 
 def parse_f(text: str) -> ExpressionF:
@@ -199,10 +246,11 @@ def parse_f(text: str) -> ExpressionF:
     Unary minus binds tighter than ^: -r^2 is (-r)^2 and exp(-r^2) is
     e^(+r^2); write -(r^2) for -r^2.  ^ takes one exponent: 2^3^2 is a parse
     error.  An expression nested deeper than MAX_DEPTH levels is a parse
-    error too.  tests/test_problem.py pins these rules.
+    error too.  tests/test_problem.py pins these rules.  Each maximal subexpression of th
+    and ph alone is compiled apart: bind forms it once per point set, f_at_nodes keeps it.
     """
     parser = _Parser(text)
-    return ExpressionF(text, parser.parse(), frozenset(parser.names))
+    return ExpressionF(text, parser.parse(), frozenset(parser.names), tuple(parser.angular))
 
 
 # -- builtin and manufactured prescribed functions ---------------------------
@@ -213,18 +261,22 @@ def threshold(lam, dlam):
 
 
 @dataclass(frozen=True)
-class RoundExponentialF:
+class RoundExponentialF(_Bound):
     """f = threshold(lam, dlam) * exp(alpha (rm - r)) on the caller's warp; solved exactly by r = rm."""
 
     rm: float
     alpha: float
+    fixed: tuple = field(default=(), compare=False, repr=False)  # reads no angle: nothing to fix
 
     def evaluate(self, r, th, ph, nur, lam, dlam):
         return threshold(lam, dlam) * np.exp(self.alpha * (self.rm - np.asarray(r, dtype=float)))
 
+    def _fixed_at(self, th, ph):
+        return ()
+
 
 @dataclass(frozen=True)
-class ManufacturedF:
+class ManufacturedF(_Bound):
     """f(r, u) = Q*(u) (lambda(r*(u)) / lambda(r))^p for a target graph r*.
 
     Q* is the Gauss curvature K of the target graph.  manufacture_f sets
@@ -243,15 +295,20 @@ class ManufacturedF:
     q: np.ndarray           # K of the target graph at the nodes of mesh
     lam: np.ndarray         # lambda(r*) at the nodes of mesh
     exponent: int           # p: 2 is the boundary case, larger is strictly monotone
+    fixed: Optional[tuple] = field(default=None, compare=False, repr=False)  # bound: Q*, lambda(r*)
 
-    def evaluate(self, r, th, ph, nur, lam, dlam):
+    def evaluate(self, r, th, ph, nur, lam, dlam):  # reads no th, ph once bound
+        q, lam_target = self._fixed_at(th, ph) if self.fixed is None else self.fixed
+        return q * (lam_target / lam) ** self.exponent
+
+    def _fixed_at(self, th, ph):
         m = self.mesh
         # colatitude cell j is [j, j + 1) dtheta; azimuth cell j is centred on phi_j
         node = (np.asarray(th, dtype=float) * (m.n_theta / np.pi)).astype(np.intp)
         if not m.reduced:
             col = np.rint(np.asarray(ph, dtype=float) * (m.n_phi / (2.0 * np.pi))).astype(np.intp)
             node = node * m.n_phi + col % m.n_phi
-        return self.q.take(node, mode="clip") * (self.lam.take(node, mode="clip") / lam) ** self.exponent
+        return self.q.take(node, mode="clip"), self.lam.take(node, mode="clip")
 
 
 FExpr = Union[ExpressionF, RoundExponentialF, ManufacturedF]
@@ -266,9 +323,9 @@ def eval_f(f: FExpr, r, th, ph, nur, lam=None, dlam=None):
     (lam, dlam) are lambda, lambda' at r: only a builtin or manufactured f reads them.
     """
     out = np.array(f.evaluate(r, th, ph, nur, lam, dlam), dtype=float)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise FEvalError("prescribed function produced a non-finite value")
-    if np.any(out <= 0.0):
+    if (out <= 0.0).any():
         raise FEvalError("prescribed function produced a non-positive value")
     return out
 
@@ -286,6 +343,7 @@ class ProblemSpec:
     r2: float
     phi_rm: Optional[float] = None
     phi_c: float = 1.0
+    _at_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.r1 < self.r2:
@@ -300,6 +358,12 @@ class ProblemSpec:
         if not self.phi_c > 0:
             raise ValueError("phi_c must be positive")
 
+    def f_at_nodes(self, mesh: SphereMesh):
+        """f bound to the nodes of mesh: formed once per mesh shape, and kept with the spec."""
+        if mesh.shape not in self._at_nodes:
+            self._at_nodes[mesh.shape] = self.f.bind(mesh.theta_grid(), mesh.phi_grid())
+        return self._at_nodes[mesh.shape]
+
 
 def phi_value(spec: ProblemSpec, r):
     """Decreasing barrier weight exp(c (rm - r)); equals 1 at rm."""
@@ -307,15 +371,15 @@ def phi_value(spec: ProblemSpec, r):
 
 
 class HomotopyEndpoints:
-    """The homotopy's endpoints at the points of a GraphGeometry geom, (th, ph) the points' angles.
+    """The homotopy's endpoints at the points of a GraphGeometry geom, f_at spec.f bound to them.
 
     f0 = phi(r) threshold(r) and f, each formed on first read from the
     geometry's lambda and lambda' (no second lambda evaluation) and kept, so
     one object serves every t on its geometry.  at(t) reads no f at t = 0.
     """
 
-    def __init__(self, spec: ProblemSpec, geom, th, ph):
-        self.spec, self.geom, self.th, self.ph = spec, geom, th, ph
+    def __init__(self, spec: ProblemSpec, geom, f_at):
+        self.spec, self.geom, self.f_at = spec, geom, f_at
 
     @cached_property
     def f0(self):
@@ -324,7 +388,7 @@ class HomotopyEndpoints:
     @cached_property
     def f(self):
         g = self.geom
-        return eval_f(self.spec.f, g.r, self.th, self.ph, g.nu_r, g.lam, g.dlam)
+        return eval_f(self.f_at, g.r, None, None, g.nu_r, g.lam, g.dlam)  # bound: reads no angles
 
     def at(self, t: float):
         """The homotopy value f^t = t f + (1 - t) f0: affine in t."""
@@ -443,6 +507,8 @@ def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
     """
     samples = ASSUMPTION_SAMPLES
     th, ph = _angular_samples(spec, samples)
+    TH, PH = th[None, :, None], ph[None, :, None]
+    f_at = spec.f.bind(TH, PH)  # once for every radius grid
     nur = np.linspace(1.0 / samples, 1.0, samples)
     r_lo, r_hi = spec.profile.domain
     width = spec.r2 - spec.r1
@@ -453,8 +519,7 @@ def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
         (f spreads only along the variables it reads): lambda once per radius grid."""
         R = r_grid[:, None, None]
         lam, dlam = spec.profile.eval_lambda(R)
-        return eval_f(spec.f, R, th[None, :, None], ph[None, :, None], nur[None, None, :],
-                      lam, dlam), lam, dlam
+        return eval_f(f_at, R, TH, PH, nur[None, None, :], lam, dlam), lam, dlam
 
     def barrier(name, r_grid, inner_side):
         """f > threshold on the inner side, f < threshold on the outer side."""

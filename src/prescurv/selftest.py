@@ -272,7 +272,8 @@ def fexpr_rejects_unknown():
 def blend_affine_in_t():
     mesh = M.build_mesh(32, 64)
     geom = _constant_geometry(mesh, 1.1)
-    endpoints = HomotopyEndpoints(_closed_form_spec(), geom, mesh.theta_grid(), mesh.phi_grid())
+    spec = _closed_form_spec()
+    endpoints = HomotopyEndpoints(spec, geom, spec.f_at_nodes(mesh))
     f0, fh, f1 = (endpoints.at(t) for t in (0.0, 0.5, 1.0))
     return _at_most("abs err", np.abs(fh - 0.5 * (f0 + f1)).max(), 1e-14)
 

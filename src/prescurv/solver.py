@@ -5,7 +5,7 @@ minus the homotopy value f^t: at n = 2 that is K - f^t, formed with no
 eigenvalues by a pointwise kernel over the node's 2-jet.  Newton forms each
 distinct field's node geometry, 2-jet included, once, for residual and for
 jacobian_sparse, together with the homotopy endpoints f^0 and f at its
-nodes (HomotopyEndpoints: each formed on first read, f never at t = 0);
+nodes (HomotopyEndpoints: each formed on first read, f never at t = 0, by f bound to the nodes);
 continuation hands an accepted state's geometry to on_accept, and the
 geometry with its endpoints to the next t-step's Newton, which starts from
 them when its guess is that state (the first t-step, or a path that does
@@ -120,7 +120,7 @@ def _pointwise_residual(t: float, ends: HomotopyEndpoints) -> np.ndarray:
     """
     geom = ends.geom
     ok = geom.in_cone
-    if not np.all(ok):
+    if not ok.all():
         point = int(np.argmin(ok.ravel()))
         raise ConeViolation(f"Newton eigenvalues left the cone at node {point}", node=point)
     return geom.K - ends.at(t)
@@ -130,8 +130,7 @@ def _node_endpoints(spec: ProblemSpec, geom) -> HomotopyEndpoints:
     """The homotopy endpoints at the nodes of geom; geom itself if it is such endpoints."""
     if isinstance(geom, HomotopyEndpoints):
         return geom
-    mesh = geom.mesh
-    return HomotopyEndpoints(spec, geom, mesh.theta_grid(), mesh.phi_grid())
+    return HomotopyEndpoints(spec, geom, spec.f_at_nodes(geom.mesh))
 
 
 def residual(spec: ProblemSpec, t: float, geom) -> ScalarField:
@@ -181,7 +180,7 @@ def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_arr
     pointwise kernel of residual: jacobian_fd's entry up to rounding.  The
     stored entries go through F in blocks of FD_CHUNK_NODES kernel values,
     and J, which shares that read-only pattern, is the one sparse matrix
-    the build forms.
+    the build forms.  f is the node-bound f (f_at_nodes) gathered by row.
     A perturbed jet that raises one of INADMISSIBLE fails the build with
     AdmissibilityError, as it fails jacobian_fd.  No residual of a whole
     field is evaluated.
@@ -192,7 +191,7 @@ def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_arr
     indices, indptr, weights = jet_operators(mesh)
     jet = np.stack([geom.r, geom.r1, geom.r2, geom.r11, geom.r12, geom.r22]).reshape(6, n)
     h = np.repeat(_fd_steps(jet[0]), np.diff(indptr))
-    th, ph = mesh.theta_grid().ravel(), mesh.phi_grid().ravel()
+    f_nodes = spec.f_at_nodes(mesh)
     data = np.empty(indices.size)
     for lo in range(0, indices.size, FD_CHUNK_NODES // 2):
         stored = slice(lo, lo + FD_CHUNK_NODES // 2)
@@ -200,7 +199,7 @@ def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_arr
         try:
             shifted = geometry_from_jet(spec.profile, *(jet[:, rows] + np.hstack([step, -step])))
             vals = _pointwise_residual(
-                t, HomotopyEndpoints(spec, shifted, th[rows], ph[rows])).reshape(2, -1)
+                t, HomotopyEndpoints(spec, shifted, f_nodes.take(rows))).reshape(2, -1)
         except INADMISSIBLE as exc:
             raise AdmissibilityError(f"Jacobian at t={t:g}: a perturbed 2-jet is inadmissible "
                                      f"({type(exc).__name__})") from exc
@@ -286,7 +285,7 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise NewtonFailure(f"Jacobian factorization failed at t={t:g}: {exc}") from exc
         step = lu.solve(-res)
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             raise NewtonFailure(f"non-finite Newton step at t={t:g}")
         scale = 1.0
         for k in range(MAX_HALVINGS + 1):

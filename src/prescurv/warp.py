@@ -1,8 +1,9 @@
 """Warping function of the ambient metric dr^2 + lambda(r)^2 g' and derived scalars.
 
 Builtin kinds cover the three space forms (lambda = r, sin r, sinh r); custom
-profiles are polynomials in r, held as ascending coefficient arrays, so that
-lambda' and the antiderivative stay closed form.  `eval_lambda` returns
+profiles are polynomials in r, held as ascending coefficient tuples, so that
+lambda' and the antiderivative stay closed form; each is evaluated by an
+inline Horner loop in numpy's polyval order, so its values are polyval's.  `eval_lambda` returns
 (lambda, lambda'), all the geometry and the problem layer read: the threshold
 zeta^2 = (lambda'/lambda)^2 is problem.threshold of those values.
 All evaluators are vectorized over numpy arrays.
@@ -72,7 +73,7 @@ class WarpProfile:
     def _check_domain(self, r):
         r = np.asarray(r, dtype=float)
         r_lo, r_hi = self.domain
-        if np.any(r < r_lo) or np.any(r > r_hi):
+        if (r < r_lo).any() or (r > r_hi).any():
             bad = r[(r < r_lo) | (r > r_hi)]
             raise DomainViolation(
                 f"radius {np.atleast_1d(bad)[0]:.6g} outside domain [{r_lo:g}, {r_hi:g}]"
@@ -83,7 +84,7 @@ class WarpProfile:
     def _poly(self):
         """Ascending coefficients of (p, p', antiderivative of p vanishing at 0), custom only."""
         c = np.asarray(self.custom_coeffs)
-        return c, P.polyder(c), P.polyint(c)
+        return tuple(c.tolist()), tuple(P.polyder(c).tolist()), tuple(P.polyint(c).tolist())
 
     def _raw(self, r):
         """(lambda, lambda') without domain or positivity checks."""
@@ -95,15 +96,15 @@ class WarpProfile:
         if self.kind == "hyperbolic":
             return np.sinh(r), np.cosh(r)
         c, dc, _ = self._poly
-        return P.polyval(r, c), P.polyval(r, dc)
+        return _horner(c, r), _horner(dc, r)
 
     def eval_lambda(self, r):
         """Return (lambda, lambda') at r, enforcing positivity."""
         r = self._check_domain(r)
         lam, dlam = self._raw(r)
-        if np.any(lam <= 0):
+        if (lam <= 0).any():
             raise ProfileViolation(f"lambda <= 0 inside domain ({self.kind})")
-        if np.any(dlam <= 0):
+        if (dlam <= 0).any():
             raise ProfileViolation(f"lambda' <= 0 inside domain ({self.kind})")
         return lam, dlam
 
@@ -116,4 +117,12 @@ class WarpProfile:
             return 1.0 - np.cos(r)
         if self.kind == "hyperbolic":
             return np.cosh(r) - 1.0
-        return P.polyval(r, self._poly[2])
+        return _horner(self._poly[2], r)
+
+
+def _horner(c, x):
+    """P.polyval(x, c), its operations in its order, without its per-call array set-up."""
+    v = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        v = ci + v * x
+    return v

@@ -523,15 +523,35 @@ def test_verify_geometry_runs_past_a_check_that_raises(tmp_path, capsys, monkeyp
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
+@pytest.mark.parametrize("expr,kind", [
+    ("1/(th - th)", "non-finite"),
+    ("log(th - 4)", "non-finite"),
+    ("1/r^2*exp(1.25-r)*(1+0.03*sin(th)*cos(ph))^400000", "non-finite"),
+    ("1/r^2*exp(1.25-r)*abs(sin(3*ph))", "non-positive"),
+], ids=["zero-division", "log-of-negative", "overflow", "zero"])
+def test_headline_with_a_failing_angular_factor_exits_1_naming_it(tmp_path, capsys, expr, kind):
+    """An f whose angle-only part is not finite or not positive somewhere fails
+    the 16x8 headline solve with exit 1 and the one line eval_f raises."""
+    kept = [line for line in open(os.path.join(CONFIGS, "headline.cfg")).read().splitlines()
+            if not line.startswith(("mesh.", "f.expr"))]
+    text = "\n".join(kept + ["mesh.n_theta = 16", "mesh.n_phi = 8", f"f.expr = {expr}", ""])
+    assert main(["--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o"), "solve"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"error: prescribed function produced a {kind} value\n"
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("command,name,code", [
     ("check-assumptions", "builtin_round", 0),
     ("check-assumptions", "closed_form", 0),
+    ("check-assumptions", "custom_warp", 0),
     ("check-assumptions", "hyperbolic_round", 0),
     ("check-assumptions", "perturbed_axisym", 0),
     ("check-assumptions", "violates_outer", 3),
     ("verify-geometry", "verify_geometry", 0),
     ("solve", "builtin_round", 0),
     ("solve", "closed_form", 0),
+    ("solve", "custom_warp", 0),
     ("solve", "headline", 0),
     ("solve", "hyperbolic_round", 0),
     ("solve", "perturbed_axisym", 0),

@@ -208,3 +208,25 @@ def test_reduced_matches_full_on_axisymmetric_fields():
     f_red = ScalarField(red, fn(red.theta))
     for a, b in zip(frame_derivatives(f_full), frame_derivatives(f_red)):
         assert np.abs(a[:, 0] - b).max() <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(16, 8), (16, 4), (20, 10), (16, None)])
+def test_frame_derivatives_is_its_documented_composition_bit_for_bit(shape):
+    """frame_derivatives is d_theta r, (d_phi r)/sin, d_theta^2 r,
+    d_theta((d_phi r)/sin) odd through the pole, and (d_phi^2 r)/sin^2 +
+    cot d_theta r, each stencil and each product as written, on a field with
+    no smoothness to hide a changed operation order."""
+    mesh = build_mesh(shape[0], shape[1], reduced=shape[1] is None)
+    vals = 1.0 + 0.1 * np.random.default_rng(23).standard_normal(mesh.shape)
+    got = frame_derivatives(ScalarField(mesh, vals))
+    cot = np.cos(mesh.theta) / np.sin(mesh.theta)
+    if mesh.reduced:
+        zero = np.zeros(mesh.shape)
+        want = (dtheta(mesh, vals), zero, dtheta2(mesh, vals), zero, cot * dtheta(mesh, vals))
+    else:
+        sin = np.sin(mesh.theta)[:, None]
+        r2 = dphi(mesh, vals) / sin
+        want = (dtheta(mesh, vals), r2, dtheta2(mesh, vals), dtheta(mesh, r2, parity=-1),
+                dphi2(mesh, vals) / sin ** 2 + cot[:, None] * dtheta(mesh, vals))
+    for a, b in zip(got, want):
+        assert a.shape == mesh.shape and np.array_equal(a, b)

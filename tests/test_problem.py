@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from prescurv import problem
 from prescurv.errors import AdmissibilityError, FEvalError, FParseError
 from prescurv.geometry import compute_geometry
-from prescurv.mesh import ScalarField, build_mesh, field_from_function
+from prescurv.mesh import ScalarField, build_mesh, field_from_function, jet_operators
 from prescurv.problem import (
     HomotopyEndpoints,
     ManufacturedF,
@@ -166,6 +166,59 @@ def test_parser_against_python_eval_oracle():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+BOUND_TEXTS = (
+    SPHERE2D_F,                                             # one angular factor after r's
+    "sin(th)*cos(ph)*exp(-r) + ph*nur - -th + r^cos(th)",  # an angular prefix and operands
+    "2 + sin(th)^2*cos(ph)",                                # angular as a whole
+    "1/r^2 * exp(1.25 - r) + nur",                          # no angle read
+    "3",
+)
+
+
+def bound_point_sets(name):
+    """(mesh, rows): the nodes of a mesh, or (rows not None) the rows jacobian_sparse
+    gathers from them, each stored entry's row twice."""
+    if name == "reduced-nodes":
+        return build_mesh(16, reduced=True), None
+    mesh = build_mesh(16, 8)
+    return mesh, (np.tile(jet_operators(mesh)[0], 2) if name == "gathered-rows" else None)
+
+
+@pytest.mark.parametrize("points", ["full-nodes", "reduced-nodes", "gathered-rows"])
+def test_a_bound_f_is_the_unbound_f(points):
+    """Every kind of f bound to a point set (and gathered by row, as the
+    Jacobian does) gives the unbound f's values at those points, bit for bit
+    and in the same compact shape; so do random expression trees."""
+    mesh, rows = bound_point_sets(points)
+    rng = np.random.default_rng(5)
+    th, ph = mesh.theta_grid(), mesh.phi_grid()
+    r, nur = 1.2 + 0.1 * rng.standard_normal(mesh.shape), rng.uniform(0.5, 1.0, mesh.shape)
+    kinds = [parse_f(text) for text in BOUND_TEXTS] + [
+        parse_f(random_expression(rng)[0].replace("nur", "ph")) for _ in range(100)] + [
+        RoundExponentialF(rm=1.25, alpha=1.0),
+        manufacture_f(closed_form_spec(), mesh, lambda t, p: 1.25 + 0.05 * np.sin(t) * np.cos(p))]
+    at = (lambda a: a) if rows is None else (lambda a: a.ravel()[rows])
+    lam, dlam = EUCLID.eval_lambda(at(r))
+    for f in kinds:
+        bound = f.bind(th, ph) if rows is None else f.bind(th, ph).take(rows)
+        want = f.evaluate(at(r), at(th), at(ph), at(nur), lam, dlam)
+        got = bound.evaluate(at(r), None, None, at(nur), lam, dlam)
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want, equal_nan=True), f
+
+
+def test_a_bound_f_keeps_the_compact_shape_on_the_assumption_samples():
+    """Bound to the assumption check's (1, angles, 1) samples, an f spreads only
+    along the variables it reads, as unbound."""
+    r, nur = np.linspace(0.5, 2.0, 3)[:, None, None], np.linspace(0.5, 1.0, 4)[None, None, :]
+    th, ph = np.linspace(0.1, 3.0, 6)[None, :, None], np.linspace(0.0, 6.0, 6)[None, :, None]
+    for text, shape in (("3", ()), ("1/r^2", (3, 1, 1)), ("2 + sin(th)", (1, 6, 1)),
+                        (SPHERE2D_F, (3, 6, 1)), ("2 + cos(ph)*nur", (1, 6, 4))):
+        f = parse_f(text)
+        want = eval_f(f, r, th, ph, nur)
+        got = eval_f(f.bind(th, ph), r, th, ph, nur)
+        assert got.shape == want.shape == shape and np.array_equal(got, want), text
+
+
 # -- builtin and threshold -------------------------------------------------------
 
 def test_threshold_euclidean_is_inverse_square():
@@ -195,7 +248,7 @@ def graph_geometry(fn):
 
 def blend(spec, t, geom):
     """The homotopy value f^t at the nodes of geom's mesh."""
-    return HomotopyEndpoints(spec, geom, geom.mesh.theta_grid(), geom.mesh.phi_grid()).at(t)
+    return HomotopyEndpoints(spec, geom, spec.f_at_nodes(geom.mesh)).at(t)
 
 
 def test_blend_endpoints():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_array
 
-from prescurv import geometry, solver
+from prescurv import geometry, problem, solver
 from prescurv.cli import main
 from prescurv.errors import (
     AdmissibilityError,
@@ -43,6 +43,7 @@ from prescurv.solver import (
     jacobian_sparse,
     newton_solve,
     residual,
+    total_jacobians,
     total_newton_iterations,
 )
 from prescurv.symm import QuotientOrder, quotient_ratio_batch
@@ -297,14 +298,33 @@ def test_stencil_footprint_covers_dense_jacobian(shape):
     assert not np.any(dense[stored == 0])
 
 
+class UnboundF:
+    """f as evaluated before binding: unbound, on every call, at the angles of the
+    points it is bound to.  It keeps those angles (gathered by take, as a bound
+    f is), so a test can also tell which points a residual or a Jacobian block reads."""
+
+    def __init__(self, f, th=None, ph=None):
+        self.f, self.th, self.ph = f, th, ph
+
+    def evaluate(self, r, th, ph, nur, lam=None, dlam=None):
+        return self.f.evaluate(r, self.th, self.ph, nur, lam, dlam)
+
+    def bind(self, th, ph):
+        return UnboundF(self.f, np.asarray(th), np.asarray(ph))
+
+    def take(self, rows):
+        return UnboundF(self.f, self.th.ravel()[rows], self.ph.ravel()[rows])
+
+
 def force_cone_exit(monkeypatch, mesh, node, moved):
     """Make the pointwise kernel raise ConeViolation at any point of `node`
-    whose r satisfies moved(r); the residual and jacobian_sparse both meet it."""
+    whose r satisfies moved(r); the residual and jacobian_sparse both meet it.
+    The spec's f must be an UnboundF."""
     th, ph = mesh.theta_grid().ravel()[node], mesh.phi_grid().ravel()[node]
     real = solver._pointwise_residual
 
     def kernel(t_, ends):
-        if np.any((ends.th == th) & (ends.ph == ph) & moved(ends.geom.r)):
+        if np.any((ends.f_at.th == th) & (ends.f_at.ph == ph) & moved(ends.geom.r)):
             raise ConeViolation("forced cone exit", node=node)
         return real(t_, ends)
 
@@ -316,7 +336,7 @@ def test_inadmissible_perturbation_fails_the_build(monkeypatch, moved):
     """Column 37's perturbed 2-jet leaves the cone at +h only, or on both
     sides: jacobian_sparse raises AdmissibilityError naming t after at most
     one kernel pass per block, with no column redone."""
-    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    spec = closed_form_spec(f=UnboundF(parse_f(ANGULAR_F)))
     mesh = build_mesh(16, 8)
     r = bumpy_field(mesh)
     column = 37
@@ -335,6 +355,35 @@ def test_inadmissible_perturbation_fails_the_build(monkeypatch, moved):
         jacobian_sparse(spec, 0.7, geom)
     blocks = -(-2 * jet_operators(mesh)[0].size // solver.FD_CHUNK_NODES)
     assert 1 <= len(passes) <= blocks
+
+
+@pytest.mark.parametrize("shape", [(16, 8), (16, None)])
+def test_jacobian_of_a_bound_f_is_the_unbound_build_bit_for_bit(shape):
+    """jacobian_sparse gathers f's node-bound angular values by row; its entries
+    equal, bit for bit, a build that evaluates f unbound on the gathered
+    points, for every kind of f."""
+    mesh = build_mesh(shape[0], shape[1], reduced=shape[1] is None)
+    geom = compute_geometry(mesh, bumpy_field(mesh), EUCLID)
+    for f in (parse_f(ANGULAR_F),) + every_kind_of_f(mesh):
+        bound = jacobian_sparse(closed_form_spec(f=f), 0.7, geom)
+        unbound = jacobian_sparse(closed_form_spec(f=UnboundF(f)), 0.7, geom)
+        assert np.array_equal(bound.data, unbound.data)
+
+
+def test_angle_only_work_runs_once_per_node_set(monkeypatch):
+    """In a 16x8 solve, f's angular factor runs once on the assumption check's
+    samples and once on the mesh nodes, not once per residual or Jacobian block."""
+    shapes = []
+
+    def counted_sin(x):
+        shapes.append(np.shape(x))
+        return np.sin(x)
+
+    monkeypatch.setitem(problem.FUNCS, "csin", counted_sin)
+    spec = closed_form_spec(f=parse_f("1/r^2 * exp(1.25 - r) * (1 + 0.03*csin(th)*cos(ph))"))
+    final, history = continuation_solve(spec, build_mesh(16, 8))
+    assert final.t == 1.0 and total_jacobians(history) > 0
+    assert shapes == [(1, problem.ASSUMPTION_SAMPLES ** 2, 1), (16, 8)]
 
 
 def test_jacobian_build_forms_no_whole_field_residual_or_geometry(monkeypatch):
@@ -470,7 +519,7 @@ def infinite_curvature_at(monkeypatch, call):
                 hits.append(t)
                 K = geom.K.copy()
                 K.flat[0] = np.inf  # inside the cone, so only the residual's value is bad
-                ends = HomotopyEndpoints(ends.spec, dataclasses.replace(geom, K=K), ends.th, ends.ph)
+                ends = HomotopyEndpoints(ends.spec, dataclasses.replace(geom, K=K), ends.f_at)
         return real(t, ends)
 
     monkeypatch.setattr(solver, "_pointwise_residual", kernel)

@@ -45,6 +45,7 @@ from .problem import (
 from .solver import (
     SolverOptions,
     ContinuationState,
+    node_endpoints,
     residual,
     jacobian_fd,
     newton_solve,

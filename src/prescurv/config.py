@@ -5,7 +5,8 @@ One `key = value` pair per line, `#` comments, dotted section keys
 Builders turn the raw mapping into WarpProfile / SphereMesh / ProblemSpec /
 SolverOptions and the inputs of each subcommand, raising ConfigError with the
 offending key on bad input.  A key outside KNOWN_KEYS is a ConfigError too: a
-typo must not run the defaults.  No other module reads a config key.
+typo must not run the defaults.  So is a key set on two lines: neither value
+may silently win.  No other module reads a config key.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def check_key(key: str):
 
 
 def parse_config(source: str) -> dict:
-    """Parse config text, or a path to a config file, into a key->string map."""
+    """Parse config text, or a path to a config file, into a key->string map, each key once."""
     if "\n" not in source and os.path.isfile(source):
         try:
             with open(source, encoding="utf-8") as fh:
@@ -64,7 +65,7 @@ def parse_config(source: str) -> dict:
             raise ConfigError(f"config file is not UTF-8 text: {source} (byte {exc.start})")
     else:
         text = source
-    out = {}
+    out, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -76,7 +77,9 @@ def parse_config(source: str) -> dict:
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value", key=key or None)
         check_key(key)
-        out[key] = value
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {set_on[key]}", key=key)
+        out[key], set_on[key] = value, lineno
     return out
 
 

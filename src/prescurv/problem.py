@@ -139,17 +139,12 @@ class _Parser:
         return operator.itemgetter(len(self.angular) - 1)
 
     def chain(self, first, rest):
-        """first, then each (operator, operand) of rest, left to right; unless all of it is
-        angular, its longest angular prefix (left associative) and later operands are lifted."""
+        """first, then each (operator, operand) of rest, left to right; unless all of it
+        reads th or ph alone, each operand that does (first included) is lifted."""
         reads = first[1].union(*(operand[1] for _, operand in rest))
-        k, head = 0, first[1]
-        while k < len(rest) and (head | rest[k][1][1]) <= ANGLES:
-            head |= rest[k][1][1]
-            k += 1
-        fn = _fold(first[0], [(op, operand[0]) for op, operand in rest[:k]])
         if reads <= ANGLES:
-            return fn, reads
-        return _fold(self.lift((fn, head)), [(op, self.lift(part)) for op, part in rest[k:]]), reads
+            return _fold(first[0], [(op, operand[0]) for op, operand in rest]), reads
+        return _fold(self.lift(first), [(op, self.lift(part)) for op, part in rest]), reads
 
     def expr(self):
         first, rest = self.term(), []
@@ -219,7 +214,7 @@ class _Bound:
 @dataclass(frozen=True)
 class ExpressionF(_Bound):
     """Prescribed function compiled from an arithmetic expression, reading the names in
-    `variables`: fn maps r, nur and, under i, the value of each maximal subexpression of th
+    `variables`: fn maps r, nur and, under i, the value of each lifted subexpression of th
     and ph alone, `angular[i]`, to f; bound, `fixed` holds those.  Equal when texts are."""
 
     text: str
@@ -246,8 +241,9 @@ def parse_f(text: str) -> ExpressionF:
     Unary minus binds tighter than ^: -r^2 is (-r)^2 and exp(-r^2) is
     e^(+r^2); write -(r^2) for -r^2.  ^ takes one exponent: 2^3^2 is a parse
     error.  An expression nested deeper than MAX_DEPTH levels is a parse
-    error too.  tests/test_problem.py pins these rules.  Each maximal subexpression of th
-    and ph alone is compiled apart: bind forms it once per point set, f_at_nodes keeps it.
+    error too.  tests/test_problem.py pins these rules.  One rule lifts what reads th and
+    ph alone: each such operand of a chain a + b - c (a * b / c, a ^ b) that reads more, and
+    a whole expression of angles, is compiled apart; bind forms it once per point set.
     """
     parser = _Parser(text)
     return ExpressionF(text, parser.parse(), frozenset(parser.names), tuple(parser.angular))
@@ -373,17 +369,14 @@ def phi_value(spec: ProblemSpec, r):
 class HomotopyEndpoints:
     """The homotopy's endpoints at the points of a GraphGeometry geom, f_at spec.f bound to them.
 
-    f0 = phi(r) threshold(r) and f, each formed on first read from the
-    geometry's lambda and lambda' (no second lambda evaluation) and kept, so
-    one object serves every t on its geometry.  at(t) reads no f at t = 0.
+    f0 = phi(r) threshold(r), formed here, and f, formed on first read, both from the
+    geometry's lambda and lambda' (no second lambda evaluation): one object serves
+    every t on its geometry, and at(t) reads no f at t = 0.
     """
 
     def __init__(self, spec: ProblemSpec, geom, f_at):
         self.spec, self.geom, self.f_at = spec, geom, f_at
-
-    @cached_property
-    def f0(self):
-        return phi_value(self.spec, self.geom.r) * threshold(self.geom.lam, self.geom.dlam)
+        self.f0 = phi_value(spec, geom.r) * threshold(geom.lam, geom.dlam)
 
     @cached_property
     def f(self):

@@ -2,14 +2,15 @@
 
 The residual at each node is sigma_k/sigma_l of the Newton-tensor eigenvalues
 minus the homotopy value f^t: at n = 2 that is K - f^t, formed with no
-eigenvalues by a pointwise kernel over the node's 2-jet.  Newton forms each
-distinct field's node geometry, 2-jet included, once, for residual and for
-jacobian_sparse, together with the homotopy endpoints f^0 and f at its
-nodes (HomotopyEndpoints: each formed on first read, f never at t = 0, by f bound to the nodes);
-continuation hands an accepted state's geometry to on_accept, and the
-geometry with its endpoints to the next t-step's Newton, which starts from
-them when its guess is that state (the first t-step, or a path that does
-not move), so no caller forms either again.  Newton's sparse
+eigenvalues by a pointwise kernel over the node's 2-jet.  A node state
+passes between the functions here in one form: its HomotopyEndpoints, the
+node geometry (2-jet included) with f^0 and f at its nodes (f^0 formed with
+them, f on first read and never at t = 0, by f bound to the nodes).
+Newton forms each distinct field's endpoints once, for residual and for
+jacobian_sparse; continuation hands an accepted state's geometry to
+on_accept, and its endpoints to the next t-step's Newton as its start,
+which Newton reads when its guess is that state (the first t-step, or a
+path that does not move), so no caller forms either again.  Newton's sparse
 central-difference Jacobian differences that kernel entry by entry (column j's step moves row i's jet by
 node j's stencil weights there); a perturbed jet that is inadmissible fails
 the build, as it fails the dense oracle jacobian_fd,
@@ -93,13 +94,8 @@ class NewtonStats:
     halvings: int = 0
     jacobians: int = 0   # fresh Jacobian builds
     lu: object = field(default=None, compare=False, repr=False)  # factor in hand at return
-    # the solution's node geometry with its homotopy endpoints, or the caller's
+    # the homotopy endpoints the solution's residual was formed from, or the caller's start
     ends: object = field(default=None, compare=False, repr=False)
-
-    @property
-    def geom(self):
-        """The node geometry the solution's residual was formed from."""
-        return self.ends.geom
 
 
 @dataclass(frozen=True)
@@ -126,27 +122,23 @@ def _pointwise_residual(t: float, ends: HomotopyEndpoints) -> np.ndarray:
     return geom.K - ends.at(t)
 
 
-def _node_endpoints(spec: ProblemSpec, geom) -> HomotopyEndpoints:
-    """The homotopy endpoints at the nodes of geom; geom itself if it is such endpoints."""
-    if isinstance(geom, HomotopyEndpoints):
-        return geom
+def node_endpoints(spec: ProblemSpec, geom: GraphGeometry) -> HomotopyEndpoints:
+    """The homotopy endpoints at the nodes of the node geometry geom (compute_geometry's)."""
     return HomotopyEndpoints(spec, geom, spec.f_at_nodes(geom.mesh))
 
 
-def residual(spec: ProblemSpec, t: float, geom) -> ScalarField:
-    """Nodal residual K - f^t on geom; raises on cone exit.
+def residual(spec: ProblemSpec, t: float, ends: HomotopyEndpoints) -> ScalarField:
+    """Nodal residual K - f^t on ends.geom, f^t from the endpoints ends; raises on cone exit.
 
-    geom is a node geometry (compute_geometry's), or the HomotopyEndpoints at
-    its nodes, whose f^0 and f it reads and keeps: so a caller that holds
-    those endpoints evaluates f once for every t on that geometry.
+    ends keeps f once read: a caller that holds the endpoints of a node
+    geometry evaluates f once for every t on it.
     """
-    ends = _node_endpoints(spec, geom)
     return ScalarField(ends.geom.mesh, _pointwise_residual(t, ends))
 
 
 def _residual_vec(spec, mesh, t, rvec):
     """(flat residual, node endpoints) of the flat field rvec; raises on cone or domain exit."""
-    ends = _node_endpoints(spec, compute_geometry(mesh, field_from_flat(mesh, rvec), spec.profile))
+    ends = node_endpoints(spec, compute_geometry(mesh, field_from_flat(mesh, rvec), spec.profile))
     return residual(spec, t, ends).flat(), ends
 
 
@@ -231,23 +223,22 @@ def _trial_residual(spec, mesh, t, trial):
 
 
 def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarField,
-                 opts: SolverOptions = SolverOptions(), lu=None, geom=None):
+                 opts: SolverOptions = SolverOptions(), lu=None, start=None):
     """Chord-accelerated damped Newton for the nodal equation at fixed t.
 
     Returns (solution field, NewtonStats); stats.lu is the factor in hand at
-    return, for the next call, stats.geom the geometry the solution's
-    residual was formed from, and stats.ends that geometry with its homotopy
-    endpoints (HomotopyEndpoints).  A node geometry `geom` on this mesh whose
-    r equals r_init node for node, or a stats.ends of this spec holding one,
-    is the start's: neither that geometry nor an endpoint it holds is formed
-    again (stats.geom is then geom's if no step is taken); any other geom is
-    ignored.  Either way the start residual at t, cone check included, is
-    evaluated.  While a factor `lu` (of an earlier Jacobian, possibly at
-    another t) is in hand, an iteration first tries the full chord step
-    lu.solve(-res), and keeps it only if the trial is inside the guarded
-    annulus, admissible, and cuts max|res| by CHORD_CONTRACTION.
-    Otherwise the trial and the factor are dropped: the sparse Jacobian
-    (jacobian_sparse) is built at the current iterate and
+    return, for the next call, and stats.ends the homotopy endpoints
+    (HomotopyEndpoints) the solution's residual was formed from, its node
+    geometry stats.ends.geom.  Endpoints `start` of this spec on this mesh
+    whose r equals r_init node for node are the start's: neither their
+    geometry nor an endpoint they hold is formed again (stats.ends is start
+    if no step is taken); any other start is ignored.  Either way the start
+    residual at t, cone check included, is evaluated.  While a factor `lu`
+    (of an earlier Jacobian, possibly at another t) is in hand, an iteration
+    first tries the full chord step lu.solve(-res), and keeps it only if the
+    trial is inside the guarded annulus, admissible, and cuts max|res| by
+    CHORD_CONTRACTION.  Otherwise the trial and the factor are dropped: the
+    sparse Jacobian (jacobian_sparse) is built at the current iterate and
     factored by splu, and its Newton step is damped by a backtracking line
     search that halves the step until admissibility and residual decrease
     both hold.  A singular factorization or a non-finite fresh step raises
@@ -256,10 +247,9 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
     """
     rvec = r_init.flat().copy()
     _check_guard(spec, rvec)
-    ends = None if geom is None else _node_endpoints(spec, geom)
-    if (ends is not None and ends.spec is spec and ends.geom.mesh is mesh
-            and np.array_equal(ends.geom.r.ravel(), rvec)):
-        res = residual(spec, t, ends).flat()
+    if (start is not None and start.spec is spec and start.geom.mesh is mesh
+            and np.array_equal(start.geom.r.ravel(), rvec)):
+        res, ends = residual(spec, t, start).flat(), start
     else:
         res, ends = _residual_vec(spec, mesh, t, rvec)  # either raises if r_init inadmissible
     norm = float(np.abs(res).max())
@@ -309,16 +299,16 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     Refuses to run when the assumption check fails beyond boundary cases,
     unless `force` is set.  Each t-step starts Newton from the secant
     prediction through the last two accepted states (from the last state on
-    the first step), and hands it the factor of the last fresh Jacobian and
-    the last accepted state's geometry with its homotopy endpoints
-    (stats.ends), which Newton reuses, on a retry too, when the prediction is
-    that state: then f is evaluated once for all those t-steps.  The
-    endpoints stay with the continuation and are freed with it.  A failed
-    t-step drops the factor and halves dt, and so does a prediction that is
-    inadmissible (not finite included) or outside the guard.  As each state
-    is accepted, t = 0 included, on_accept(state, geom) is called with the
-    node geometry of its residual (without the endpoints): one object for as
-    long as the state does not move.  Raises
+    the first step), and hands it the factor of the last fresh Jacobian and,
+    as its start, the last accepted state's homotopy endpoints (stats.ends),
+    which Newton reuses, on a retry too, when the prediction is that state:
+    then f is evaluated once for all those t-steps.  The endpoints stay with
+    the continuation and are freed with it.  A failed t-step drops the
+    factor and halves dt, and so does a prediction that is inadmissible (not
+    finite included) or outside the guard.  As each state is accepted,
+    t = 0 included, on_accept(state, geom) is called with the node geometry
+    of its residual, stats.ends.geom: one object for as long as the state
+    does not move.  Raises
     ContinuationBreakdown (carrying the last good state and the failed
     t-interval, its message the error that rejected the last t-step) when
     the t-step underflows.  Returns (final state, history of accepted
@@ -333,7 +323,7 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     state = ContinuationState(0.0, sol, stats.iterations, stats.residual_norm, stats.jacobians)
     history = [state]
     if on_accept is not None:
-        on_accept(state, stats.geom)
+        on_accept(state, stats.ends.geom)
     lu, ends, slope = stats.lu, stats.ends, np.zeros(mesh.n_nodes)
 
     dt = opts.t_step_init
@@ -343,7 +333,7 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
         t_try = 1.0 if t + dt >= 1.0 - 1e-12 else t + dt
         try:
             guess = field_from_flat(mesh, sol.flat() + (t_try - t) * slope)
-            sol_try, stats = newton_solve(spec, mesh, t_try, guess, opts, lu, ends)
+            sol_try, stats = newton_solve(spec, mesh, t_try, guess, opts, lu, start=ends)
         except INADMISSIBLE + (NewtonFailure, AdmissibilityError) as exc:
             lu = None
             dt *= 0.5
@@ -360,7 +350,7 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
         state = ContinuationState(t, sol, stats.iterations, stats.residual_norm, stats.jacobians)
         history.append(state)
         if on_accept is not None:
-            on_accept(state, stats.geom)
+            on_accept(state, stats.ends.geom)
         if stats.iterations <= 4:
             easy_streak += 1
         else:

@@ -10,7 +10,7 @@ import prescurv
 from prescurv import cli, geometry, report, solver
 from prescurv.cli import main
 from prescurv.config import build_problem, parse_config
-from prescurv.errors import AdmissibilityError, NewtonFailure
+from prescurv.errors import AdmissibilityError, ConfigError, NewtonFailure
 from prescurv.geometry import compute_geometry
 from prescurv.mesh import ScalarField
 from prescurv.selftest import CHECKS
@@ -118,6 +118,13 @@ def test_solve_rejects_bad_numbers(tmp_path, capsys):
     assert "mesh.n_theta" in capsys.readouterr().err
 
 
+def two_column_target_cfg(tmp_path):
+    """A reduced 32-node config whose target CSV lacks the value column."""
+    csv_path = tmp_path / "target.csv"
+    csv_path.write_text("theta,phi\n" + "0.1,0.0\n" * 32)
+    return VIOLATES_INNER.replace("f.expr = 0.5/r^2", f"f.manufactured = {csv_path}")
+
+
 def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
     """A 32-node config, reduced or 32 x n_phi, with a target CSV.
 
@@ -167,6 +174,17 @@ def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
     (lambda tmp: CLOSED_FORM + "check.samples = 12\n", "check.samples"),
     (lambda tmp: CLOSED_FORM + "monitor.alpha = 1.0\n", "monitor.alpha"),
     (lambda tmp: CLOSED_FORM + "monitor.A = 1.0\n", "monitor.A"),
+    (lambda tmp: CLOSED_FORM + "mesh.n_theta = 16\n", "mesh.n_theta"),
+    (lambda tmp: CLOSED_FORM + "solver.newton_tol =\n", "solver.newton_tol"),
+    (lambda tmp: CLOSED_FORM.replace("problem.r1 = 0.5\n", ""), "problem.r1"),
+    (lambda tmp: CLOSED_FORM.replace("problem.r1 = 0.5", "problem.r1 = abc"), "problem.r1"),
+    (lambda tmp: CLOSED_FORM + "mesh.reduced = maybe\n", "mesh.reduced"),
+    (lambda tmp: CLOSED_FORM.replace("warp.domain = 0,10", "warp.domain = 0;10"), "warp.domain"),
+    (two_column_target_cfg, "f.manufactured"),
+    (lambda tmp: CLOSED_FORM + "f.builtin = round_exponential\n", "f.expr"),
+    (lambda tmp: CLOSED_FORM.replace("f.expr = 1/r^2 * exp(1.25 - r)\n", ""), "f.expr"),
+    (lambda tmp: CLOSED_FORM.replace("f.expr = 1/r^2 * exp(1.25 - r)",
+                                     "f.builtin = round_gaussian"), "f.builtin"),
 ], ids=["k-above-dimension", "phi-rm-outside-annulus", "phi-c-negative",
         "annulus-outside-domain", "target-not-numeric", "target-nan", "target-outside-annulus",
         "target-leaves-cone", "target-phi-column-wrong", "l-above-k-minus-2",
@@ -174,7 +192,10 @@ def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
         "t-step-nan", "newton-tol-nan", "max-newton-zero", "n-phi-odd", "coeffs-not-numeric",
         "coeffs-nan", "domain-reversed", "phi-c-inf",
         "builtin-rm-nan", "unknown-key-typo", "unknown-key-fd-scale", "unknown-key-gamma-arg",
-        "unknown-key-check-samples", "unknown-key-monitor-alpha", "unknown-key-monitor-A"])
+        "unknown-key-check-samples", "unknown-key-monitor-alpha", "unknown-key-monitor-A",
+        "key-set-twice", "empty-value", "missing-required-key", "r1-not-numeric",
+        "reduced-not-boolean", "domain-malformed", "target-two-columns", "f-expr-and-builtin",
+        "no-f", "unknown-builtin"])
 def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
     cfg = write_cfg(tmp_path, make_cfg(tmp_path))
     out = str(tmp_path / "o")
@@ -183,6 +204,11 @@ def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
     assert f"(key: {key})" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == "" and not os.path.exists(out)  # rejected before anything is written
+
+
+def test_a_key_set_twice_names_both_lines():
+    with pytest.raises(ConfigError, match=r"^line 3: mesh\.n_theta is already set on line 1$"):
+        parse_config("mesh.n_theta = 64\nmesh.n_phi = 32\nmesh.n_theta = 16\n")
 
 
 @pytest.mark.parametrize("command,line,key", [
@@ -211,6 +237,24 @@ def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
     assert "Traceback" not in captured.err
     assert captured.out == ""  # rejected before any check or solve reports
     assert not os.path.exists(out)  # rejected before any solve
+
+
+@pytest.mark.parametrize("args", [
+    ["--config", "{cfg}", "--out", "{out}", "solve"],
+    ["--out", "{out}", "solve"],
+    ["--config", "{cfg}", "--out", "{out}", "sweep", "--key", "phi.c"],
+    ["--config", "{cfg}", "--out", "{out}", "sweep", "--key", "phi.c", "--values", ","],
+], ids=["line-without-equals", "solve-without-config", "sweep-without-values",
+        "sweep-values-empty"])
+def test_keyless_config_errors_exit_2(tmp_path, capsys, args):
+    """A config error that names no key: exit 2, one 'config error:' line, nothing written."""
+    cfg = write_cfg(tmp_path, CLOSED_FORM + "mesh.reduced\n" if "solve" in args else CLOSED_FORM)
+    out = str(tmp_path / "o")
+    assert main([arg.format(cfg=cfg, out=out) for arg in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and "(key:" not in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not os.path.exists(out)
 
 
 REDUCED_16 = VIOLATES_OUTER.replace("mesh.n_theta = 32", "mesh.n_theta = 16").replace(

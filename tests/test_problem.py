@@ -168,7 +168,7 @@ def test_parser_against_python_eval_oracle():
 
 BOUND_TEXTS = (
     SPHERE2D_F,                                             # one angular factor after r's
-    "sin(th)*cos(ph)*exp(-r) + ph*nur - -th + r^cos(th)",  # an angular prefix and operands
+    "sin(th)*cos(ph)*exp(-r) + ph*nur - -th + r^cos(th)",  # angular operands of mixed chains
     "2 + sin(th)^2*cos(ph)",                                # angular as a whole
     "1/r^2 * exp(1.25 - r) + nur",                          # no angle read
     "3",

@@ -42,6 +42,7 @@ from prescurv.solver import (
     jacobian_fd,
     jacobian_sparse,
     newton_solve,
+    node_endpoints,
     residual,
     total_jacobians,
     total_newton_iterations,
@@ -58,8 +59,8 @@ def const_field(mesh, value):
 
 
 def field_residual(spec, mesh, t, r_field):
-    """The residual of r_field: its node geometry, then residual on it."""
-    return residual(spec, t, compute_geometry(mesh, r_field, spec.profile))
+    """The residual of r_field: its node geometry and endpoints, then residual on them."""
+    return residual(spec, t, node_endpoints(spec, compute_geometry(mesh, r_field, spec.profile)))
 
 
 # -- residual ------------------------------------------------------------------
@@ -242,7 +243,7 @@ def oracle_case(case):
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES) + sorted(MANUFACTURED_CASES))
-def test_coloured_jacobian_matches_dense_oracle(case):
+def test_sparse_jacobian_matches_dense_oracle(case):
     """jacobian_sparse differences F on each row's jet, jacobian_fd the residual
     of each perturbed field: the same differences, rounded differently."""
     spec, mesh = oracle_case(case)
@@ -343,7 +344,7 @@ def test_inadmissible_perturbation_fails_the_build(monkeypatch, moved):
     r_j = r.flat()[column]
     geom = compute_geometry(mesh, r, spec.profile)
     force_cone_exit(monkeypatch, mesh, column, lambda rs: moved(rs, r_j))
-    residual(spec, 0.7, geom)  # the unperturbed state is admissible
+    residual(spec, 0.7, node_endpoints(spec, geom))  # the unperturbed state is admissible
     passes = []
 
     def counting(*args, real=solver._pointwise_residual):
@@ -471,6 +472,22 @@ def test_singular_jacobian_is_a_newton_failure(monkeypatch):
         newton_solve(spec, mesh, 0.0, const_field(mesh, spec.phi_rm + 0.1))
 
 
+def test_non_finite_fresh_step_is_a_newton_failure(monkeypatch):
+    """A factor whose solve returns NaN makes the fresh Newton step non-finite:
+    NewtonFailure names that step."""
+    import scipy.sparse.linalg
+
+    class NanFactor:
+        def solve(self, rhs):
+            return np.full_like(rhs, np.nan)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda jac: NanFactor())
+    spec = closed_form_spec()
+    mesh = build_mesh(16, reduced=True)
+    with pytest.raises(NewtonFailure, match=r"^non-finite Newton step at t=0$"):
+        newton_solve(spec, mesh, 0.0, const_field(mesh, spec.phi_rm + 0.1))
+
+
 REDUCED_CASE = ("warp.kind = euclidean\nwarp.domain = 0,10\nmesh.n_theta = 16\n"
                 "mesh.reduced = true\nproblem.r1 = 0.5\nproblem.r2 = 2\nphi.rm = 1.25\n"
                 "f.expr = 1/r^2 * exp(1.25 - r) * (1 + 0.03*cos(th))\n")
@@ -533,7 +550,7 @@ def test_non_finite_residual_is_inadmissible():
     K = geom.K.copy()
     K.flat[0] = np.inf
     with pytest.raises(NonFiniteField) as err:
-        residual(spec, 0.5, dataclasses.replace(geom, K=K))
+        residual(spec, 0.5, node_endpoints(spec, dataclasses.replace(geom, K=K)))
     assert isinstance(err.value, solver.INADMISSIBLE)
 
 
@@ -596,51 +613,51 @@ def count_geometries(monkeypatch):
 
 @pytest.mark.parametrize("t", [0.0, 0.5])
 def test_newton_starts_from_a_matching_geometry(monkeypatch, t):
-    """A geometry formed from r_init itself is the start's: Newton returns the
-    same field and stats as without it and forms one geometry fewer; at
-    t = 0, where the round start takes no step, stats.geom is that object."""
+    """Endpoints formed from r_init itself are the start's: Newton returns the
+    same field and stats as without them and forms one geometry fewer; at
+    t = 0, where the round start takes no step, stats.ends is that object."""
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
     mesh = build_mesh(16, 8)
     start = const_field(mesh, spec.phi_rm)
-    geom = compute_geometry(mesh, start, spec.profile)
+    ends = node_endpoints(spec, compute_geometry(mesh, start, spec.profile))
     formed = count_geometries(monkeypatch)
     plain_sol, plain = newton_solve(spec, mesh, t, start)
     n_plain = len(formed)
-    sol, stats = newton_solve(spec, mesh, t, start, geom=geom)
+    sol, stats = newton_solve(spec, mesh, t, start, start=ends)
     assert np.array_equal(sol.values, plain_sol.values) and stats == plain
     assert len(formed) - n_plain == n_plain - 1
-    assert (stats.geom is geom) == (stats.iterations == 0) == (t == 0.0)
+    assert (stats.ends is ends) == (stats.iterations == 0) == (t == 0.0)
 
 
 def test_newton_ignores_a_geometry_one_ulp_off(monkeypatch):
-    """A geometry whose r differs from r_init at one node by one ulp is not
-    the start's: the results equal a call without it, and stats.geom is a
-    geometry formed afresh from r_init."""
+    """Endpoints whose r differs from r_init at one node by one ulp are not
+    the start's: the results equal a call without them, and stats.ends.geom
+    is a geometry formed afresh from r_init."""
     spec = closed_form_spec()
     mesh = build_mesh(16, 8)
     start = const_field(mesh, spec.phi_rm)
     off = start.values.copy()
     off.flat[5] = np.nextafter(off.flat[5], np.inf)
-    geom = compute_geometry(mesh, ScalarField(mesh, off), spec.profile)
+    ends = node_endpoints(spec, compute_geometry(mesh, ScalarField(mesh, off), spec.profile))
     formed = count_geometries(monkeypatch)
     plain_sol, plain = newton_solve(spec, mesh, 0.0, start)
-    sol, stats = newton_solve(spec, mesh, 0.0, start, geom=geom)
+    sol, stats = newton_solve(spec, mesh, 0.0, start, start=ends)
     assert np.array_equal(sol.values, plain_sol.values) and stats == plain
     assert stats.iterations == 0 and len(formed) == 2
-    assert stats.geom is not geom and np.array_equal(stats.geom.r, start.values)
+    assert stats.ends is not ends and np.array_equal(stats.ends.geom.r, start.values)
 
 
 def test_newton_from_a_matching_geometry_outside_the_cone_raises():
     """Reusing the start's geometry skips no check: a start outside Gamma_2
-    raises ConeViolation with its geometry handed in, as without it."""
+    raises ConeViolation with its endpoints handed in, as without them."""
     spec = closed_form_spec()
     mesh = build_mesh(16, 8)
     bad = field_from_function(mesh, lambda th, ph: 1 + 0.3 * np.cos(2 * th))
     geom = compute_geometry(mesh, bad, spec.profile)
     assert not np.all(geom.in_cone)
-    for given in (None, geom):
+    for given in (None, node_endpoints(spec, geom)):
         with pytest.raises(ConeViolation):
-            newton_solve(spec, mesh, 0.5, bad, geom=given)
+            newton_solve(spec, mesh, 0.5, bad, start=given)
 
 
 class _StaleFactor:
@@ -770,9 +787,9 @@ def test_continuation_starts_each_step_from_the_secant_prediction(monkeypatch):
     starts, given, accepted = {}, {}, {}
     real = solver.newton_solve
 
-    def spying(spec_, mesh_, t, r_init, opts, lu=None, geom=None):
-        starts[t], given[t] = r_init.flat().copy(), geom
-        return real(spec_, mesh_, t, r_init, opts, lu, geom)
+    def spying(spec_, mesh_, t, r_init, opts, lu=None, start=None):
+        starts[t], given[t] = r_init.flat().copy(), start
+        return real(spec_, mesh_, t, r_init, opts, lu, start)
 
     monkeypatch.setattr(solver, "newton_solve", spying)
     _, history = continuation_solve(
@@ -799,11 +816,11 @@ def test_inadmissible_prediction_halves_the_t_step(monkeypatch, error):
     real = solver.residual
     raised = []
 
-    def refuse_first_guess_at_03(spec_, t, geom):
+    def refuse_first_guess_at_03(spec_, t, ends):
         if abs(t - 0.3) < 1e-12 and not raised:
             raised.append(t)
             raise error("forced: predicted guess is inadmissible")
-        return real(spec_, t, geom)
+        return real(spec_, t, ends)
 
     monkeypatch.setattr(solver, "residual", refuse_first_guess_at_03)
     built = _count_builds(monkeypatch)
@@ -819,10 +836,10 @@ def count_f_through_the_residual(monkeypatch, spec):
     inside, evaluated = [], []
     real_residual, real_evaluate = solver.residual, type(spec.f).evaluate
 
-    def residual_(spec_, t, geom):
+    def residual_(spec_, t, ends):
         inside.append(t)
         try:
-            return real_residual(spec_, t, geom)
+            return real_residual(spec_, t, ends)
         finally:
             inside.pop()
 
@@ -838,8 +855,8 @@ def count_f_through_the_residual(monkeypatch, spec):
 
 def test_round_continuation_evaluates_f_once(monkeypatch):
     """Every t-step of a round solve starts at the unmoved round state, and
-    the geometry handed to it carries its homotopy endpoints: f is evaluated
-    once, on the first t > 0 step, and never at t = 0."""
+    Newton starts from that state's homotopy endpoints: f is evaluated once,
+    on the first t > 0 step, and never at t = 0."""
     spec = closed_form_spec()
     mesh = build_mesh(32, 16)
     evaluated = count_f_through_the_residual(monkeypatch, spec)
@@ -859,8 +876,8 @@ def test_a_retried_t_step_forms_no_new_f(monkeypatch):
     evaluated = count_f_through_the_residual(monkeypatch, spec)
     counting_residual, failed = solver.residual, []
 
-    def fail_once_at_01(spec_, t, geom):
-        res = counting_residual(spec_, t, geom)
+    def fail_once_at_01(spec_, t, ends):
+        res = counting_residual(spec_, t, ends)
         if abs(t - 0.1) < 1e-12 and not failed:
             failed.append(t)
             raise NewtonFailure("forced: the t-step fails after its start residual")
@@ -883,9 +900,9 @@ def test_non_finite_secant_guess_halves_the_t_step(monkeypatch):
     real = solver.newton_solve
     tried = []
 
-    def huge_first_step(spec_, mesh_, t, r_init, opts, lu=None, geom=None):
+    def huge_first_step(spec_, mesh_, t, r_init, opts, lu=None, start=None):
         tried.append(t)
-        sol, stats = real(spec_, mesh_, t, r_init, opts, lu, geom)
+        sol, stats = real(spec_, mesh_, t, r_init, opts, lu, start)
         if len(tried) == 2:  # the state accepted at t = 0.1
             values = sol.values.copy()
             values.flat[0] = 1e308

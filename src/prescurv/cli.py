@@ -4,9 +4,9 @@ Subcommands: solve, check-assumptions, verify-geometry, selftest, sweep.
 Exit codes: 0 success/converged, 1 any other typed error, 2 config error
 (nothing written), 3 assumption failure (without --force), 4 continuation
 breakdown.  A solve past its config writes report.txt, and that report's
-RunReport.exit_code() is its exit code (a sweep's: the largest).  An output
-that cannot be written is status "error"; if report.txt itself cannot be
-written, the run prints "error: cannot write ..." and exits 1.
+RunReport.exit_code() is its exit code (a sweep's: the largest).  Running out
+of memory or an output that cannot be written is status "error"; if report.txt
+itself cannot be written, the run prints "error: cannot write ..." and exits 1.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ def _run_solve(cfg, problem, out_dir, force):
 
     Every outcome ends in report.txt: any PrescurvError of the assumption
     check or of the continuation, other than a breakdown, is status "error",
-    and so is a CSV that cannot be written (the others still are).  An output
-    directory or report.txt that cannot be written raises OutputError.
+    and so are a MemoryError and a CSV that cannot be written (the others
+    still are).  An unwritable output directory or report.txt raises OutputError.
     The check here and continuation_solve's own are one check on the same
     samples, so they pass or fail together and `force` means the same to both.
     Each monitor row is formed as its state is accepted, on Newton's geometry
@@ -114,6 +114,8 @@ def _run_solve(cfg, problem, out_dir, force):
         report.message = str(exc)
     except PrescurvError as exc:
         report.message = str(exc)
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        report.message = f"out of memory: {exc}" if str(exc) else "out of memory"
     report.timings[phase] = time.perf_counter() - t_phase
 
     outputs = []
@@ -175,12 +177,11 @@ def _run_checks(checks, label) -> int:
 
 
 def cmd_verify_geometry(args) -> int:
-    profile, full, lines, tol_oracle, tol_identities = build_verify(_load_config(args))
+    profile, full, lines = build_verify(_load_config(args))
     from .selftest import Check, embedding_oracle, identity_refinement  # loaded here only
 
-    checks = [Check("embedding-oracle", partial(embedding_oracle, profile, full, tol_oracle)),
-              Check("identity-refinement",
-                    partial(identity_refinement, profile, *lines, tol_identities, 2.0))]
+    checks = [Check("embedding-oracle", partial(embedding_oracle, profile, full)),
+              Check("identity-refinement", partial(identity_refinement, profile, *lines, 2.0))]
     if full is None:
         print("-- embedding oracle skipped (needs the euclidean ambient)")
         checks = checks[1:]

@@ -6,7 +6,8 @@ Builders turn the raw mapping into WarpProfile / SphereMesh / ProblemSpec /
 SolverOptions and the inputs of each subcommand, raising ConfigError with the
 offending key on bad input.  A key outside KNOWN_KEYS is a ConfigError too: a
 typo must not run the defaults.  So is a key set on two lines: neither value
-may silently win.  No other module reads a config key.
+may silently win.  No other module reads a config key, and a value no run
+changes is a constant of the module that reads it, not a key.
 """
 
 from __future__ import annotations
@@ -29,16 +30,9 @@ DEFAULTS = {
     "mesh.reduced": "false",
     "problem.k": "2",
     "problem.l": "0",
-    "phi.c": "1.0",
     "solver.newton_tol": "1e-10",
-    "solver.max_newton": "30",
     "solver.t_step_init": "0.1",
-    "solver.t_step_min": "1e-3",
     "verify.r_expr": "1 + 0.1*cos(th)",
-    "verify.n_theta": "128",
-    "verify.n_phi": "64",
-    "verify.tol_oracle": "1e-5",
-    "verify.tol_identities": "1e-4",
 }
 
 # every key a builder or subcommand reads: the defaulted ones plus those read
@@ -176,7 +170,7 @@ def _load_target_csv(path: str, mesh: SphereMesh) -> ScalarField:
 
 
 # ProblemSpec's ValueError messages start with the quantity they reject
-_SPEC_KEYS = (("annulus", "warp.domain"), ("phi_rm", "phi.rm"), ("phi_c", "phi.c"))
+_SPEC_KEYS = (("annulus", "warp.domain"), ("phi_rm", "phi.rm"))
 
 
 def build_problem(cfg):
@@ -192,10 +186,9 @@ def build_problem(cfg):
     if not r1 < r2:
         raise ConfigError(f"problem.r1 = {r1} must be < problem.r2 = {r2}", key="problem.r1")
     phi_rm = _get_float(cfg, "phi.rm") if "phi.rm" in cfg else None  # None: ProblemSpec takes the midpoint
-    phi_c = _get_float(cfg, "phi.c")
 
     try:
-        base = ProblemSpec(profile, parse_f("1"), r1, r2, phi_rm, phi_c)
+        base = ProblemSpec(profile, parse_f("1"), r1, r2, phi_rm)
     except ValueError as exc:
         key = next((key for head, key in _SPEC_KEYS if str(exc).startswith(head)), None)
         raise ConfigError(str(exc), key=key)
@@ -225,22 +218,19 @@ def build_problem(cfg):
 
     spec = replace(base, f=f)
     with _keyed("solver"):
-        opts = SolverOptions(
-            newton_tol=_get_float(cfg, "solver.newton_tol"),
-            max_newton=_get_int(cfg, "solver.max_newton"),
-            t_step_init=_get_float(cfg, "solver.t_step_init"),
-            t_step_min=_get_float(cfg, "solver.t_step_min"),
-        )
+        opts = SolverOptions(newton_tol=_get_float(cfg, "solver.newton_tol"),
+                             t_step_init=_get_float(cfg, "solver.t_step_init"))
     return spec, mesh, opts
 
 
 def build_verify(cfg):
-    """verify-geometry's (profile, full, lines, tol_oracle, tol_identities).
+    """verify-geometry's (profile, full, lines): the graph verify.r_expr on selftest's meshes.
 
-    full is r on the full mesh (None off the euclidean ambient), lines is r on
-    the reduced lines of n_theta and 2 n_theta nodes.  Every field is formed
+    full is r on the ORACLE_MESH mesh (None off the euclidean ambient), lines is r
+    on the reduced lines of REFINEMENT_LINES nodes.  Every field is formed
     here, so a bad input raises its ConfigError before any check runs.
     """
+    from .selftest import ORACLE_MESH, REFINEMENT_LINES  # loaded here only, as in cli
     profile = build_profile(cfg)
     if profile.kind == "custom":
         raise ConfigError("verify-geometry checks hold on a builtin space-form warp only, "
@@ -252,13 +242,6 @@ def build_verify(cfg):
     if reads := sorted(r_expr.variables - {"th", "ph"}):
         raise ConfigError(f"verify.r_expr is a graph r(th, ph) and may not read {', '.join(reads)}",
                           key="verify.r_expr")
-    tol_oracle = _get_float(cfg, "verify.tol_oracle")
-    tol_identities = _get_float(cfg, "verify.tol_identities")
-    n_theta = _get_int(cfg, "verify.n_theta")
-    n_phi = _get_int(cfg, "verify.n_phi")
-    with _keyed("verify"):
-        full = build_mesh(n_theta, n_phi) if profile.kind == "euclidean" else None
-        lines = [build_mesh(nt, reduced=True) for nt in (n_theta, 2 * n_theta)]
 
     def field_on(mesh):
         try:
@@ -269,5 +252,5 @@ def build_verify(cfg):
             raise ConfigError(f"verify.r_expr: {exc}", key="verify.r_expr")
         return field
 
-    return (profile, field_on(full) if full is not None else None,
-            [field_on(mesh) for mesh in lines], tol_oracle, tol_identities)
+    full = field_on(build_mesh(*ORACLE_MESH)) if profile.kind == "euclidean" else None
+    return profile, full, [field_on(build_mesh(n, reduced=True)) for n in REFINEMENT_LINES]

@@ -62,18 +62,29 @@ class SphereMesh:
         return np.broadcast_to(self.phi[None, :], self.shape)
 
 
+def _nodes(name: str, n: int, offset, spacing: float) -> np.ndarray:
+    """(i + offset) * spacing for i < n; a ValueError naming `name` if numpy cannot form them."""
+    try:
+        nodes = (np.arange(n) + offset) * spacing
+        if nodes.size == n:  # past the int64 range, np.arange comes back empty
+            return nodes
+    except (ValueError, MemoryError):  # past numpy's size limit, or past memory
+        pass
+    raise ValueError(f"{name} = {n} is too large: numpy cannot form its nodes")
+
+
 def build_mesh(n_theta: int, n_phi: int = None, reduced: bool = False) -> SphereMesh:
-    """Build a staggered colatitude/azimuth mesh: its nodes and spacings."""
+    """A staggered colatitude/azimuth mesh; a ValueError starts with the count it rejects."""
     if n_theta < 16:
         raise ValueError("n_theta must be >= 16")
     dtheta = np.pi / n_theta
-    theta = (np.arange(n_theta) + 0.5) * dtheta
+    theta = _nodes("n_theta", n_theta, 0.5, dtheta)
     if reduced:
         return SphereMesh(n_theta, 0, theta, np.empty(0), dtheta, 0.0)
     if n_phi is None or n_phi < 4 or n_phi % 2 != 0:
         raise ValueError("n_phi must be an even integer >= 4")
     dphi = 2.0 * np.pi / n_phi
-    phi = np.arange(n_phi) * dphi
+    phi = _nodes("n_phi", n_phi, 0, dphi)
     return SphereMesh(n_theta, n_phi, theta, phi, dtheta, dphi)
 
 

@@ -13,7 +13,7 @@ points' angles fix (an expression's angle-only subexpressions, a manufactured
 f's node lookup), and take gathers it by row.  A ProblemSpec keeps f bound to
 the nodes of each mesh shape (f_at_nodes); check_assumptions binds per call.
 The homotopy endpoint at t = 0 is phi(r) times the constant-graph threshold
-zeta^2, phi(r) = exp(c (rm - r)).
+zeta^2, phi(r) = exp(rm - r).
 """
 
 from __future__ import annotations
@@ -338,7 +338,6 @@ class ProblemSpec:
     r1: float
     r2: float
     phi_rm: Optional[float] = None
-    phi_c: float = 1.0
     _at_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -351,8 +350,6 @@ class ProblemSpec:
             object.__setattr__(self, "phi_rm", 0.5 * (self.r1 + self.r2))
         if not (self.r1 < self.phi_rm < self.r2):
             raise ValueError(f"phi_rm={self.phi_rm} outside ({self.r1}, {self.r2})")
-        if not self.phi_c > 0:
-            raise ValueError("phi_c must be positive")
 
     def f_at_nodes(self, mesh: SphereMesh):
         """f bound to the nodes of mesh: formed once per mesh shape, and kept with the spec."""
@@ -362,8 +359,8 @@ class ProblemSpec:
 
 
 def phi_value(spec: ProblemSpec, r):
-    """Decreasing barrier weight exp(c (rm - r)); equals 1 at rm."""
-    return np.exp(spec.phi_c * (spec.phi_rm - np.asarray(r, dtype=float)))
+    """Decreasing barrier weight exp(rm - r), exp(c (rm - r)) at c = 1; equals 1 at rm."""
+    return np.exp(spec.phi_rm - np.asarray(r, dtype=float))
 
 
 class HomotopyEndpoints:

@@ -5,8 +5,8 @@ it measured, its bound and whether it passed.  CHECKS lists them in the order
 `prescurv selftest` prints them; tests/test_selftest.py runs each one by name.
 A sampled check seeds its own generator with SEED, so its value does not
 depend on which checks ran before it.  `prescurv verify-geometry` runs
-embedding_oracle and identity_refinement on the config's graph and bounds.
-Nothing here is on a solve path.
+embedding_oracle and identity_refinement on the config's graph, on selftest's
+meshes and to its bounds (ORACLE_*, REFINEMENT_*).  Nothing here is on a solve path.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ JACOBIAN_ORACLE_TOL = 5e-10
 
 EUCLID = WarpProfile.euclidean((0.0, 10.0))
 WARP_DOMAINS = {"euclidean": (0.1, 10.0), "spherical": (0.1, np.pi / 2), "hyperbolic": (0.1, 10.0)}
+ORACLE_MESH = (128, 64)      # embedding_oracle's mesh, (n_theta, n_phi)
+ORACLE_TOL = 1e-5            # its bound on the worst relative error
+REFINEMENT_LINES = (128, 256)  # identity_refinement's reduced lines, by node count
+REFINEMENT_TOL = 1e-4        # its bound on each residual on the finer line
 
 
 class Result(NamedTuple):
@@ -227,23 +231,23 @@ def geometry_translated_sphere():
     return _at_most("abs err", err, 1e-6)
 
 
-def embedding_oracle(profile, field, tol):
+def embedding_oracle(profile, field):
     """kappa1, kappa2, H and K of the kernel against the flat embedding oracle: worst rel err."""
     geom = G.compute_geometry(field.mesh, field, profile)
     k1, k2 = G.extrinsic_shape_operator(field.mesh, field)
     pairs = ((geom.kappa1, k1), (geom.kappa2, k2), (geom.H, k1 + k2), (geom.K, k1 * k2))
     rel = max((np.abs(got - want) / np.abs(want)).max() for got, want in pairs)
-    return _at_most("rel err", rel, tol)
+    return _at_most("rel err", rel, ORACLE_TOL)
 
 
 def geometry_H_K_vs_embedding():
-    mesh = M.build_mesh(128, 64)
+    mesh = M.build_mesh(*ORACLE_MESH)
     return embedding_oracle(EUCLID, M.field_from_function(
-        mesh, lambda t, p: 1 + 0.1 * np.sin(t) * np.cos(p)), 1e-5)
+        mesh, lambda t, p: 1 + 0.1 * np.sin(t) * np.cos(p)))
 
 
-def identity_refinement(profile, coarse, fine, tol, min_ratio):
-    """Support and (flat warp) Codazzi residuals: each <= tol on fine, falls by > min_ratio."""
+def identity_refinement(profile, coarse, fine, min_ratio):
+    """Support and (flat warp) Codazzi residuals: <= REFINEMENT_TOL on fine, fall by > min_ratio."""
     def residuals(field):
         geom = G.compute_geometry(field.mesh, field, profile)
         flat = (G.check_codazzi_flat(geom),) if profile.kind == "euclidean" else ()
@@ -251,13 +255,13 @@ def identity_refinement(profile, coarse, fine, tol, min_ratio):
 
     before, after = residuals(coarse), residuals(fine)
     ratio = float((before / np.maximum(after, 1e-300)).min())
-    return Result(f"refinement ratio {ratio:.1f}, residual", float(after.max()), tol,
-                  bool(after.max() <= tol and ratio > min_ratio))
+    return Result(f"refinement ratio {ratio:.1f}, residual", float(after.max()), REFINEMENT_TOL,
+                  bool(after.max() <= REFINEMENT_TOL and ratio > min_ratio))
 
 
 def _identity_refinement_on(profile, fn):
-    lines = (M.build_mesh(nt, reduced=True) for nt in (128, 256))
-    return identity_refinement(profile, *(M.field_from_function(m, fn) for m in lines), 1e-4, 8.0)
+    lines = (M.build_mesh(n_theta, reduced=True) for n_theta in REFINEMENT_LINES)
+    return identity_refinement(profile, *(M.field_from_function(m, fn) for m in lines), 8.0)
 
 
 def fexpr_rejects_unknown():

@@ -62,6 +62,8 @@ FD_SCALE = 1e-6        # FD Jacobian step h_j = FD_SCALE * (1 + |r_j|)
 FD_CHUNK_NODES = 8192  # kernel values per block of jacobian_sparse
 MAX_HALVINGS = 20      # line-search backtracking steps before NewtonFailure
 CHORD_CONTRACTION = 0.1  # a step on a reused LU must cut max|res| by this factor
+MAX_NEWTON = 30        # Newton iterations per solve before NewtonFailure
+T_STEP_MIN = 1e-3      # a t-step halved below this ends the continuation in a breakdown
 
 # A trial point raising one of these is inadmissible: the line search steps
 # back from it, a chord step is dropped, jacobian_sparse raises
@@ -72,19 +74,17 @@ INADMISSIBLE = (ConeViolation, DomainViolation, ProfileViolation, FEvalError, No
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Newton's stop test and the continuation's first (and largest) t-step."""
+
     newton_tol: float = 1e-10      # residual max-norm
-    max_newton: int = 30
     t_step_init: float = 0.1
-    t_step_min: float = 1e-3
 
     def __post_init__(self):
-        if isinstance(self.max_newton, bool) or not isinstance(self.max_newton, int):
-            raise ValueError(f"max_newton must be an int, got {self.max_newton!r}")
         for name, value in vars(self).items():
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive")
-        if self.t_step_min > self.t_step_init:
-            raise ValueError("t_step_min must not exceed t_step_init")
+        if self.t_step_init < T_STEP_MIN:
+            raise ValueError(f"t_step_init must be at least T_STEP_MIN = {T_STEP_MIN:g}")
 
 
 @dataclass(frozen=True)
@@ -241,9 +241,9 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
     sparse Jacobian (jacobian_sparse) is built at the current iterate and
     factored by splu, and its Newton step is damped by a backtracking line
     search that halves the step until admissibility and residual decrease
-    both hold.  A singular factorization or a non-finite fresh step raises
-    NewtonFailure.  Every accepted iterate is admissible and inside the
-    guarded annulus.
+    both hold.  A singular factorization, a non-finite fresh step or
+    MAX_NEWTON iterations without convergence raise NewtonFailure.  Every
+    accepted iterate is admissible and inside the guarded annulus.
     """
     rvec = r_init.flat().copy()
     _check_guard(spec, rvec)
@@ -255,8 +255,8 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
     norm = float(np.abs(res).max())
     it = halvings_total = jacobians = 0
     while not norm <= opts.newton_tol:
-        if it >= opts.max_newton:
-            raise NewtonFailure(f"no convergence in {opts.max_newton} iterations at t={t:g} "
+        if it >= MAX_NEWTON:
+            raise NewtonFailure(f"no convergence in {MAX_NEWTON} iterations at t={t:g} "
                                 f"(|res|={norm:.3e})")
         it += 1
         if lu is not None:
@@ -311,7 +311,7 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     does not move.  Raises
     ContinuationBreakdown (carrying the last good state and the failed
     t-interval, its message the error that rejected the last t-step) when
-    the t-step underflows.  Returns (final state, history of accepted
+    dt falls below T_STEP_MIN.  Returns (final state, history of accepted
     states).
     """
     report = check_assumptions(spec)
@@ -337,9 +337,9 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
         except INADMISSIBLE + (NewtonFailure, AdmissibilityError) as exc:
             lu = None
             dt *= 0.5
-            if dt < opts.t_step_min:
+            if dt < T_STEP_MIN:
                 raise ContinuationBreakdown(
-                    f"t-step underflow below {opts.t_step_min:g} in [{t:g}, {t_try:g}]: "
+                    f"t-step underflow below {T_STEP_MIN:g} in [{t:g}, {t_try:g}]: "
                     f"{type(exc).__name__}: {exc}",
                     last_good=state,
                     failed_interval=(t, t_try),

@@ -9,6 +9,6 @@ EUCLID = WarpProfile.euclidean((0.0, 10.0))
 
 def closed_form_spec(**kw):
     args = dict(profile=EUCLID, f=parse_f("1/r^2 * exp(1.25 - r)"),
-                r1=0.5, r2=2.0, phi_rm=1.25, phi_c=1.0)
+                r1=0.5, r2=2.0, phi_rm=1.25)
     args.update(kw)
     return ProblemSpec(**args)

@@ -26,7 +26,6 @@ problem.l = 0
 problem.r1 = 0.5
 problem.r2 = 2
 phi.rm = 1.25
-phi.c = 1.0
 f.expr = 1/r^2 * exp(1.25 - r)
 """
 
@@ -147,7 +146,9 @@ def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
 @pytest.mark.parametrize("make_cfg,key", [
     (lambda tmp: CLOSED_FORM.replace("problem.k = 2", "problem.k = 3"), "problem.k"),
     (lambda tmp: CLOSED_FORM.replace("phi.rm = 1.25", "phi.rm = 2.5"), "phi.rm"),
-    (lambda tmp: CLOSED_FORM.replace("phi.c = 1.0", "phi.c = -1.0"), "phi.c"),
+    (lambda tmp: CLOSED_FORM + "phi.c = 1.0\n", "phi.c"),
+    (lambda tmp: CLOSED_FORM + "phi.c = -1.0\n", "phi.c"),
+    (lambda tmp: CLOSED_FORM + "phi.c = inf\n", "phi.c"),
     (lambda tmp: CLOSED_FORM.replace("warp.domain = 0,10", "warp.domain = 0,1.5"), "warp.domain"),
     (lambda tmp: manufactured_cfg(tmp, "abc"), "f.manufactured"),
     (lambda tmp: manufactured_cfg(tmp, "nan"), "f.manufactured"),
@@ -158,14 +159,20 @@ def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
     (lambda tmp: CLOSED_FORM + "solver.t_step_init = inf\n", "solver.t_step_init"),
     (lambda tmp: CLOSED_FORM + "solver.t_step_init = nan\n", "solver.t_step_init"),
     (lambda tmp: CLOSED_FORM + "solver.newton_tol = nan\n", "solver.newton_tol"),
-    (lambda tmp: CLOSED_FORM + "solver.max_newton = 0\n", "solver.max_newton"),
+    (lambda tmp: CLOSED_FORM + "solver.max_newton = 30\n", "solver.max_newton"),
+    (lambda tmp: CLOSED_FORM + "solver.max_newton = 99999999999999999999\n", "solver.max_newton"),
+    (lambda tmp: CLOSED_FORM + "solver.t_step_min = 1e-3\n", "solver.t_step_min"),
+    (lambda tmp: CLOSED_FORM + "solver.t_step_init = 1e-4\n", "solver.t_step_init"),
+    (lambda tmp: CLOSED_FORM.replace("mesh.n_theta = 32", "mesh.n_theta = 99999999999999999999"),
+     "mesh.n_theta"),
+    (lambda tmp: CLOSED_FORM.replace("mesh.n_phi = 16", "mesh.n_phi = 9223372036854775808"),
+     "mesh.n_phi"),
     (lambda tmp: CLOSED_FORM.replace("mesh.n_phi = 16", "mesh.n_phi = 5"), "mesh.n_phi"),
     (lambda tmp: CLOSED_FORM.replace("warp.kind = euclidean",
                                      "warp.kind = custom\nwarp.coeffs = 0,x"), "warp.coeffs"),
     (lambda tmp: CLOSED_FORM.replace("warp.kind = euclidean",
                                      "warp.kind = custom\nwarp.coeffs = nan,1"), "warp.coeffs"),
     (lambda tmp: CLOSED_FORM.replace("warp.domain = 0,10", "warp.domain = 3,1"), "warp.domain"),
-    (lambda tmp: CLOSED_FORM.replace("phi.c = 1.0", "phi.c = inf"), "phi.c"),
     (lambda tmp: CLOSED_FORM.replace("f.expr = 1/r^2 * exp(1.25 - r)", "f.builtin = "
                                      "round_exponential\nf.rm = nan\nf.alpha = 1"), "f.rm"),
     (lambda tmp: CLOSED_FORM + "solver.newton_tl = 1e-9\n", "solver.newton_tl"),
@@ -185,12 +192,15 @@ def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
     (lambda tmp: CLOSED_FORM.replace("f.expr = 1/r^2 * exp(1.25 - r)\n", ""), "f.expr"),
     (lambda tmp: CLOSED_FORM.replace("f.expr = 1/r^2 * exp(1.25 - r)",
                                      "f.builtin = round_gaussian"), "f.builtin"),
-], ids=["k-above-dimension", "phi-rm-outside-annulus", "phi-c-negative",
+], ids=["k-above-dimension", "phi-rm-outside-annulus", "unknown-key-phi-c",
+        "phi-c-negative", "phi-c-inf",
         "annulus-outside-domain", "target-not-numeric", "target-nan", "target-outside-annulus",
         "target-leaves-cone", "target-phi-column-wrong", "l-above-k-minus-2",
         "t-step-inf",
-        "t-step-nan", "newton-tol-nan", "max-newton-zero", "n-phi-odd", "coeffs-not-numeric",
-        "coeffs-nan", "domain-reversed", "phi-c-inf",
+        "t-step-nan", "newton-tol-nan", "unknown-key-max-newton", "unknown-key-max-newton-huge",
+        "unknown-key-t-step-min", "t-step-below-its-floor", "n-theta-past-numpy",
+        "n-phi-past-int64", "n-phi-odd", "coeffs-not-numeric",
+        "coeffs-nan", "domain-reversed",
         "builtin-rm-nan", "unknown-key-typo", "unknown-key-fd-scale", "unknown-key-gamma-arg",
         "unknown-key-check-samples", "unknown-key-monitor-alpha", "unknown-key-monitor-A",
         "key-set-twice", "empty-value", "missing-required-key", "r1-not-numeric",
@@ -213,7 +223,11 @@ def test_a_key_set_twice_names_both_lines():
 
 @pytest.mark.parametrize("command,line,key", [
     (["check-assumptions"], "check.samples = 12", "check.samples"),
+    (["check-assumptions"], "phi.c = 1.0", "phi.c"),
     (["verify-geometry"], "verify.n_theta = 4", "verify.n_theta"),
+    (["verify-geometry"], "verify.n_phi = 64", "verify.n_phi"),
+    (["verify-geometry"], "verify.tol_oracle = 1e-5", "verify.tol_oracle"),
+    (["verify-geometry"], "verify.tol_identities = 1e-4", "verify.tol_identities"),
     (["verify-geometry"], "warp.kind = custom\nwarp.coeffs = 0,1", "warp.kind"),
     (["verify-geometry"], "verify.r_expr = 1 + log(th - 1)", "verify.r_expr"),
     (["verify-geometry"], "verify.r_expr = 1 + foo(th)", "verify.r_expr"),
@@ -222,12 +236,15 @@ def test_a_key_set_twice_names_both_lines():
     (["verify-geometry"], "verify.r_expr = 0", "verify.r_expr"),
     (["verify-geometry"], "verify.r_expr = " + "(" * 300 + "1" + ")" * 300, "verify.r_expr"),
     (["sweep", "--key", "solver.newton_tl", "--values", "1e-9,1e-11"], "", "solver.newton_tl"),
-    (["sweep", "--key", "phi.c", "--values", "1,-1"], "", "phi.c"),
-], ids=["unknown-key-check-samples", "verify-n-theta-small",
-        "verify-custom-warp", "verify-r-expr-non-finite", "verify-r-expr-unparsed",
+    (["sweep", "--key", "phi.rm", "--values", "1.25,2.5"], "", "phi.rm"),
+    (["sweep", "--key", "phi.c", "--values", "1,2"], "", "phi.c"),
+], ids=["unknown-key-check-samples", "check-unknown-key-phi-c", "unknown-key-verify-n-theta",
+        "unknown-key-verify-n-phi", "unknown-key-verify-tol-oracle",
+        "unknown-key-verify-tol-identities", "verify-custom-warp", "verify-r-expr-non-finite",
+        "verify-r-expr-unparsed",
         "verify-r-expr-reads-r", "verify-r-expr-outside-domain", "verify-r-expr-lambda-zero",
         "verify-r-expr-too-deep",
-        "sweep-key-typo", "sweep-later-value-invalid"])
+        "sweep-key-typo", "sweep-later-value-invalid", "sweep-unknown-key-phi-c"])
 def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
     cfg = write_cfg(tmp_path, CLOSED_FORM + line + "\n")
     out = str(tmp_path / "o")
@@ -242,8 +259,9 @@ def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
 @pytest.mark.parametrize("args", [
     ["--config", "{cfg}", "--out", "{out}", "solve"],
     ["--out", "{out}", "solve"],
-    ["--config", "{cfg}", "--out", "{out}", "sweep", "--key", "phi.c"],
-    ["--config", "{cfg}", "--out", "{out}", "sweep", "--key", "phi.c", "--values", ","],
+    ["--config", "{cfg}", "--out", "{out}", "sweep", "--key", "solver.t_step_init"],
+    ["--config", "{cfg}", "--out", "{out}", "sweep", "--key", "solver.t_step_init",
+     "--values", ","],
 ], ids=["line-without-equals", "solve-without-config", "sweep-without-values",
         "sweep-values-empty"])
 def test_keyless_config_errors_exit_2(tmp_path, capsys, args):
@@ -264,8 +282,8 @@ ROUND_F = "1/r^2 * exp(1.25 - r)"
 
 @pytest.mark.parametrize("expr", ["(" * 300 + ROUND_F + ")" * 300, "-" * 984 + ROUND_F],
                          ids=["parentheses-300", "unary-minus-984"])
-@pytest.mark.parametrize("command", [["solve"], ["check-assumptions"],
-                                     ["sweep", "--key", "phi.c", "--values", "1,2"]],
+@pytest.mark.parametrize("command", [["solve"], ["check-assumptions"], [
+    "sweep", "--key", "solver.t_step_init", "--values", "0.1,0.2"]],
                          ids=["solve", "check-assumptions", "sweep"])
 def test_deeply_nested_f_expr_is_a_config_error(tmp_path, capsys, expr, command):
     """Nesting past MAX_DEPTH is a parse error where the bound is passed: exit 2
@@ -315,7 +333,7 @@ def test_bad_paths_exit_2(tmp_path, capsys, monkeypatch, bad):
         (tmp_path / "taken").write_text("not a directory\n")
         out = tmp_path / "taken" / ("sub" if bad == "out-under-file" else "")
     before = sorted(os.walk(tmp_path))
-    for command in (["solve"], ["sweep", "--key", "phi.c", "--values", "1,2"]):
+    for command in (["solve"], ["sweep", "--key", "solver.t_step_init", "--values", "0.1,0.2"]):
         assert main(["--config", cfg, "--out", str(out)] + command) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -380,6 +398,23 @@ def test_solve_typed_failure_writes_error_report(tmp_path, capsys, monkeypatch,
     assert not os.path.exists(os.path.join(out, "solution.csv"))
 
 
+def test_solve_out_of_memory_writes_error_report(tmp_path, capsys, monkeypatch):
+    """Memory running out in a solve (a mesh too large for the machine) ends
+    like a typed error: report.txt with status = error, exit 1, no traceback."""
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(cli, "continuation_solve", out_of_memory)
+    out = tmp_path / "out"
+    assert main(["--config", write_cfg(tmp_path, CLOSED_FORM), "--out", str(out), "solve"]) == 1
+    message = "out of memory: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == f"error: {message}"
+    assert captured.err == ""
+    assert (out / "report.txt").read_text().startswith(f"status = error\nmessage = {message}\n")
+    assert (out / "monitor.csv").read_text() == "t,r_min,r_max,tau_min,grad_max,kappa_max\n"
+
+
 def test_sweep_solves_past_a_failed_value(tmp_path, capsys):
     cfg = write_cfg(tmp_path, VIOLATES_INNER.replace("mesh.n_theta = 32", "mesh.n_theta = 16"))
     out = str(tmp_path / "sweep")
@@ -428,14 +463,16 @@ def test_unwritable_output_is_a_typed_error(tmp_path, blocked):
 def test_sweep_goes_on_past_a_value_it_cannot_write(tmp_path):
     cfg = write_cfg(tmp_path, CLOSED_FORM)
     out = tmp_path / "sweep"
-    (out / "phi_c_1" / "report.txt").mkdir(parents=True)
+    first, second = out / "solver_t_step_init_0p1", out / "solver_t_step_init_0p2"
+    (first / "report.txt").mkdir(parents=True)
     proc = run_python(["-m", "prescurv", "--config", cfg, "--out", str(out),
-                       "sweep", "--key", "phi.c", "--values", "1,2"])
+                       "sweep", "--key", "solver.t_step_init", "--values", "0.1,0.2"])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert proc.stderr == f"error: cannot write {out / 'phi_c_1' / 'report.txt'}: Is a directory\n"
-    assert proc.stdout.splitlines() == ["phi.c=1: error", "phi.c=2: converged"]
-    assert (out / "phi_c_2" / "report.txt").read_text().startswith("status = converged")
+    assert proc.stderr == f"error: cannot write {first / 'report.txt'}: Is a directory\n"
+    assert proc.stdout.splitlines() == ["solver.t_step_init=0.1: error",
+                                        "solver.t_step_init=0.2: converged"]
+    assert (second / "report.txt").read_text().startswith("status = converged")
 
 
 def test_sweep_value_directory_taken_by_a_file_exits_2(tmp_path, capsys):
@@ -444,13 +481,13 @@ def test_sweep_value_directory_taken_by_a_file_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CLOSED_FORM)
     out = tmp_path / "sweep"
     out.mkdir()
-    (out / "phi_c_2").write_text("not a directory\n")
+    (out / "solver_t_step_init_0p2").write_text("not a directory\n")
     assert main(["--config", cfg, "--out", str(out), "sweep",
-                 "--key", "phi.c", "--values", "1,2"]) == 2
+                 "--key", "solver.t_step_init", "--values", "0.1,0.2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"config error: output path {out / 'phi_c_2'}:")
-    assert sorted(os.listdir(out)) == ["phi_c_2"]
+    assert captured.err.startswith(f"config error: output path {out / 'solver_t_step_init_0p2'}:")
+    assert sorted(os.listdir(out)) == ["solver_t_step_init_0p2"]
 
 
 def test_report_times_the_csv_writes(tmp_path):
@@ -523,21 +560,21 @@ def test_check_assumptions_command(tmp_path, capsys):
 VERIFY = """
 warp.kind = {kind}
 warp.domain = 0,10
-verify.r_expr = 1 + 0.1*cos(th)
-verify.n_theta = 64
-verify.n_phi = 32
+verify.r_expr = {r_expr}
 """
 
 
-def run_verify(tmp_path, kind="euclidean", extra=""):
-    cfg = write_cfg(tmp_path, VERIFY.format(kind=kind) + extra)
+def run_verify(tmp_path, kind="euclidean", r_expr="1 + 0.1*cos(th)"):
+    cfg = write_cfg(tmp_path, VERIFY.format(kind=kind, r_expr=r_expr))
     return main(["--config", cfg, "verify-geometry"])
 
 
 def test_verify_geometry_command(tmp_path, capsys):
     assert run_verify(tmp_path) == 0
-    assert_every_check_ok(capsys.readouterr().out, ["embedding-oracle", "identity-refinement"],
-                          "verify-geometry")
+    out = capsys.readouterr().out
+    assert_every_check_ok(out, ["embedding-oracle", "identity-refinement"], "verify-geometry")
+    oracle, refinement = out.splitlines()[:2]  # selftest's fixed bounds
+    assert oracle.endswith(", bound 1e-05]") and refinement.endswith(", bound 0.0001]")
 
 
 def test_verify_geometry_skips_the_embedding_oracle_off_the_flat_warp(tmp_path, capsys):
@@ -548,8 +585,14 @@ def test_verify_geometry_skips_the_embedding_oracle_off_the_flat_warp(tmp_path, 
 
 
 def test_verify_geometry_fail_path(tmp_path, capsys):
-    assert run_verify(tmp_path, extra="verify.tol_oracle = 1e-12\n") == 1
-    assert capsys.readouterr().out.startswith("FAIL embedding-oracle  [rel err ")
+    """A graph with 8 azimuthal waves misses the oracle's fixed bound on its
+    fixed 128x64 mesh, while its reduced lines, at ph = 0, pass."""
+    assert run_verify(tmp_path, r_expr="1 + 0.1*sin(th)^2*cos(8*ph)") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL embedding-oracle  [rel err ")
+    assert lines[0].endswith(", bound 1e-05]")
+    assert lines[1].startswith("ok   identity-refinement  [refinement ratio ")
+    assert lines[2:] == ["verify-geometry: 1 failure(s)"]
 
 
 def test_verify_geometry_runs_past_a_check_that_raises(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Fuzz `prescurv solve` over small configs: an exit code in 0-4, never a traceback.
+"""Fuzz `prescurv solve` over small valid configs: exit 0, 1, 3 or 4, never a traceback.
 
 Configs use a reduced 16 or a 16x4 mesh, all four warp kinds and an f.expr
 drawn from a small grammar whose constants and functions can produce inf,
@@ -51,9 +51,7 @@ def solve_configs(draw):
     r2 = draw(st.floats(*r2_range))
     lines = [f"warp.kind = {kind}", f"warp.domain = {domain}",
              f"problem.r1 = {r1!r}", f"problem.r2 = {r2!r}",
-             f"f.expr = {draw(F_EXPR)}", "mesh.n_theta = 16",
-             f"solver.max_newton = {draw(st.integers(2, 10))}",
-             f"solver.t_step_min = {draw(st.sampled_from(['0.01', '0.05']))}"]
+             f"f.expr = {draw(F_EXPR)}", "mesh.n_theta = 16"]
     if kind == "custom":
         coeffs = draw(st.sampled_from(["0,1,0,0.16666666666666666", "0.1,1,-0.2", "0,1,-1"]))
         lines.append(f"warp.coeffs = {coeffs}")
@@ -73,5 +71,5 @@ def test_solve_exits_0_to_4_without_traceback(case):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             argv = ["--config", cfg, "--out", os.path.join(tmp, "out")]
             code = main(argv + (["--force"] if force else []) + ["solve"])
-    assert code in range(5)
+    assert code in (0, 1, 3, 4)  # every config is valid: a 2 would test nothing past the config
     assert "Traceback" not in out.getvalue() + err.getvalue()

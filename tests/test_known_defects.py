@@ -23,12 +23,13 @@ RM, ALPHA, T = 1.25, -0.3, 0.5
 def test_jacobian_meets_the_round_eigenvalue(profile, shape):
     """The builtin f = zeta^2 exp(alpha (rm - r)) with f.rm = phi.rm = rm has
     the root r = rm for every t, and there the constant vector is an
-    eigenvector of J: J 1 = zeta(rm)^2 (t alpha + (1 - t) c), to rounding."""
+    eigenvector of J: J 1 = zeta(rm)^2 (t alpha + (1 - t) c), to rounding,
+    with c = 1 the rate of the barrier weight phi = exp(rm - r)."""
     spec = closed_form_spec(profile=profile, f=RoundExponentialF(rm=RM, alpha=ALPHA), phi_rm=RM)
     mesh = build_mesh(*shape)
     geom = compute_geometry(mesh, field_from_flat(mesh, np.full(mesh.n_nodes, RM)), profile)
     jac = jacobian_sparse(spec, T, geom)
-    eigenvalue = threshold(*profile.eval_lambda(RM)) * (T * ALPHA + (1.0 - T) * spec.phi_c)
+    eigenvalue = threshold(*profile.eval_lambda(RM)) * (T * ALPHA + (1.0 - T) * 1.0)
     norm_inf = float(abs(jac).sum(axis=1).max())
     miss = float(np.abs(jac @ np.ones(mesh.n_nodes) - eigenvalue).max())
     assert miss <= 4.0 * np.finfo(float).eps * norm_inf

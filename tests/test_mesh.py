@@ -26,6 +26,23 @@ def test_resolution_bounds():
         build_mesh(32, 3)
     with pytest.raises(ValueError):
         build_mesh(32, 5)  # odd azimuth breaks the through-pole closure
+    # counts numpy cannot form nodes for: the ValueError starts with the count, for config's key
+    too_large = {(10 ** 20,): "n_theta = 100000000000000000000",  # past numpy's size limit
+                 (2 ** 63, None, True): "n_theta = 9223372036854775808",  # past int64: empty arange
+                 (16, 10 ** 20): "n_phi = 100000000000000000000",
+                 (16, 2 ** 63): "n_phi = 9223372036854775808"}
+    for args, count in too_large.items():
+        with pytest.raises(ValueError, match=f"^{count} is too large: numpy cannot form its nodes$"):
+            build_mesh(*args)
+
+
+def test_memory_running_out_while_forming_nodes_names_the_count(monkeypatch):
+    def arange(n):
+        raise MemoryError(f"Unable to allocate an array with shape ({n},)")
+
+    monkeypatch.setattr(np, "arange", arange)  # what a count too large for memory raises
+    with pytest.raises(ValueError, match="^n_theta = 1000000000000 is too large"):
+        build_mesh(10 ** 12, reduced=True)
 
 
 def test_field_validation():

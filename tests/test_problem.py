@@ -280,9 +280,9 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         closed_form_spec(phi_rm=0.3)
     with pytest.raises(ValueError):
-        closed_form_spec(phi_c=-1.0)
-    with pytest.raises(ValueError):
         closed_form_spec(r2=12.0)  # outside the profile domain
+    with pytest.raises(TypeError):  # phi's rate is the constant 1, not a field
+        closed_form_spec(phi_c=1.0)
     spec = closed_form_spec(phi_rm=None)
     assert spec.phi_rm == pytest.approx(1.25)
 

@@ -180,11 +180,16 @@ def cmd_verify_geometry(args) -> int:
     profile, full, lines = build_verify(_load_config(args))
     from .selftest import Check, embedding_oracle, identity_refinement  # loaded here only
 
-    checks = [Check("embedding-oracle", partial(embedding_oracle, profile, full)),
-              Check("identity-refinement", partial(identity_refinement, profile, *lines, 2.0))]
+    checks = []
     if full is None:
         print("-- embedding oracle skipped (needs the euclidean ambient)")
-        checks = checks[1:]
+    else:
+        checks.append(Check("embedding-oracle", partial(embedding_oracle, profile, full)))
+    if lines is None:
+        print("-- identity refinement skipped (needs an axisymmetric verify.r_expr)")
+    else:
+        checks.append(Check("identity-refinement",
+                            partial(identity_refinement, profile, *lines, 2.0)))
     return _run_checks(checks, "verify-geometry")
 
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import contextlib
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from .errors import AdmissibilityError, ConfigError, DomainViolation, FParseError, ProfileViolation
 from .mesh import ScalarField, SphereMesh, build_mesh, field_from_function
-from .problem import ProblemSpec, RoundExponentialF, manufacture_f, parse_f
+from .problem import ProblemSpec, manufacture_f, parse_f
 from .solver import SolverOptions
 from .warp import WarpProfile
 
@@ -39,7 +40,7 @@ DEFAULTS = {
 # without a default (required, or required by the choice of another key)
 KNOWN_KEYS = frozenset(DEFAULTS) | {
     "warp.kind", "warp.domain", "warp.coeffs", "problem.r1", "problem.r2", "phi.rm",
-    "f.expr", "f.builtin", "f.manufactured", "f.rm", "f.alpha",
+    "f.expr", "f.manufactured",
 }
 
 
@@ -150,16 +151,18 @@ def build_mesh_from(cfg) -> SphereMesh:
 
 def _load_target_csv(path: str, mesh: SphereMesh) -> ScalarField:
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():  # a file with no rows: the row count below names it
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read target CSV {path!r}: {exc}", key="f.manufactured")
-    if data.shape[1] < 3:
-        raise ConfigError("target CSV needs columns theta,phi,value", key="f.manufactured")
     if data.shape[0] != mesh.n_nodes:
         raise ConfigError(
             f"target CSV has {data.shape[0]} rows, mesh has {mesh.n_nodes} nodes",
             key="f.manufactured",
         )
+    if data.shape[1] < 3:
+        raise ConfigError("target CSV needs columns theta,phi,value", key="f.manufactured")
     for col, name, grid in ((0, "colatitudes", mesh.theta_grid()), (1, "azimuths", mesh.phi_grid())):
         if not np.allclose(data[:, col].reshape(mesh.shape), grid, atol=1e-9):
             raise ConfigError(f"target CSV {name} do not match the mesh", key="f.manufactured")
@@ -170,7 +173,7 @@ def _load_target_csv(path: str, mesh: SphereMesh) -> ScalarField:
 
 
 # ProblemSpec's ValueError messages start with the quantity they reject
-_SPEC_KEYS = (("annulus", "warp.domain"), ("phi_rm", "phi.rm"))
+_SPEC_KEYS = (("r1", "problem.r1"), ("annulus", "warp.domain"), ("phi_rm", "phi.rm"))
 
 
 def build_problem(cfg):
@@ -183,8 +186,6 @@ def build_problem(cfg):
             raise ConfigError(f"{key} = {got}: n = 2 admits only (k, l) = (2, 0)", key=key)
     r1 = _get_float(cfg, "problem.r1")
     r2 = _get_float(cfg, "problem.r2")
-    if not r1 < r2:
-        raise ConfigError(f"problem.r1 = {r1} must be < problem.r2 = {r2}", key="problem.r1")
     phi_rm = _get_float(cfg, "phi.rm") if "phi.rm" in cfg else None  # None: ProblemSpec takes the midpoint
 
     try:
@@ -193,22 +194,15 @@ def build_problem(cfg):
         key = next((key for head, key in _SPEC_KEYS if str(exc).startswith(head)), None)
         raise ConfigError(str(exc), key=key)
 
-    sources = [key for key in ("f.expr", "f.builtin", "f.manufactured") if key in cfg]
+    sources = [key for key in ("f.expr", "f.manufactured") if key in cfg]
     if len(sources) != 1:
-        raise ConfigError(
-            f"exactly one of f.expr / f.builtin / f.manufactured required, got {sources}",
-            key="f.expr",
-        )
-    src = sources[0]
-    if src == "f.expr":
+        raise ConfigError(f"exactly one of f.expr / f.manufactured required, got {sources}",
+                          key="f.expr")
+    if sources == ["f.expr"]:
         try:
             f = parse_f(cfg["f.expr"])
         except FParseError as exc:
             raise ConfigError(f"f.expr: {exc}", key="f.expr")
-    elif src == "f.builtin":
-        if cfg["f.builtin"] != "round_exponential":
-            raise ConfigError(f"unknown builtin {cfg['f.builtin']!r}", key="f.builtin")
-        f = RoundExponentialF(rm=_get_float(cfg, "f.rm"), alpha=_get_float(cfg, "f.alpha"))
     else:
         target = _load_target_csv(cfg["f.manufactured"], mesh)
         try:
@@ -227,8 +221,10 @@ def build_verify(cfg):
     """verify-geometry's (profile, full, lines): the graph verify.r_expr on selftest's meshes.
 
     full is r on the ORACLE_MESH mesh (None off the euclidean ambient), lines is r
-    on the reduced lines of REFINEMENT_LINES nodes.  Every field is formed
-    here, so a bad input raises its ConfigError before any check runs.
+    on the reduced lines of REFINEMENT_LINES nodes (None for a graph that reads ph:
+    their identities hold on axisymmetric graphs only).  A graph no check applies to
+    is a ConfigError, and every field is formed here, so a bad input raises its
+    ConfigError before any check runs.
     """
     from .selftest import ORACLE_MESH, REFINEMENT_LINES  # loaded here only, as in cli
     profile = build_profile(cfg)
@@ -242,6 +238,10 @@ def build_verify(cfg):
     if reads := sorted(r_expr.variables - {"th", "ph"}):
         raise ConfigError(f"verify.r_expr is a graph r(th, ph) and may not read {', '.join(reads)}",
                           key="verify.r_expr")
+    axisymmetric = "ph" not in r_expr.variables
+    if not axisymmetric and profile.kind != "euclidean":
+        raise ConfigError("verify.r_expr reads ph: off the euclidean warp no check applies to a "
+                          "graph that is not axisymmetric", key="verify.r_expr")
 
     def field_on(mesh):
         try:
@@ -253,4 +253,6 @@ def build_verify(cfg):
         return field
 
     full = field_on(build_mesh(*ORACLE_MESH)) if profile.kind == "euclidean" else None
+    if not axisymmetric:
+        return profile, full, None
     return profile, full, [field_on(build_mesh(n, reduced=True)) for n in REFINEMENT_LINES]

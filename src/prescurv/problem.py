@@ -3,15 +3,15 @@
 On a surface (n = 2) the only admissible quotient order is (k, l) = (2, 0), so
 the equation is K = sigma_2(mu) = f and the order is the constant
 ProblemSpec.q, not a parameter.  The prescribed function is either an
-arithmetic expression over (r, th, ph, nur), compiled by its parser into one
-function of the variables' values, the builtin round-exponential
-profile threshold times exp(alpha (rm - r)), or a manufactured evaluator
+arithmetic expression over (r, th, ph, nur, lam, dlam), compiled by its parser
+into one function of the variables' values, or a manufactured evaluator
 reverse-engineered from a target graph so the target solves the equation
-exactly at the continuum level.  Each reads lambda, lambda' at r from its
-caller: evaluate(r, th, ph, nur, lam, dlam).  bind(th, ph) forms once what the
-points' angles fix (an expression's angle-only subexpressions, a manufactured
-f's node lookup), and take gathers it by row.  A ProblemSpec keeps f bound to
-the nodes of each mesh shape (f_at_nodes); check_assumptions binds per call.
+exactly at the continuum level.  Each reads lambda, lambda' of the warp at r
+(lam, dlam) from its caller: evaluate(r, th, ph, nur, lam, dlam), so the
+threshold zeta^2 is the expression (dlam/lam)^2.  bind(th, ph) forms once what
+the points' angles fix (an expression's angle-only subexpressions, a manufactured
+f's node lookup), and take gathers it by row.  A ProblemSpec keeps f bound to the
+nodes of each mesh shape (f_at_nodes); check_assumptions binds per call.
 The homotopy endpoint at t = 0 is phi(r) times the constant-graph threshold
 zeta^2, phi(r) = exp(rm - r).
 """
@@ -32,7 +32,7 @@ from .mesh import SphereMesh, build_mesh, field_from_function
 from .symm import QuotientOrder
 from .warp import WarpProfile
 
-VARS = ("r", "th", "ph", "nur")
+VARS = ("r", "th", "ph", "nur", "lam", "dlam")
 ANGLES = frozenset(("th", "ph"))
 FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
          "sqrt": np.sqrt, "abs": np.abs}
@@ -214,8 +214,9 @@ class _Bound:
 @dataclass(frozen=True)
 class ExpressionF(_Bound):
     """Prescribed function compiled from an arithmetic expression, reading the names in
-    `variables`: fn maps r, nur and, under i, the value of each lifted subexpression of th
-    and ph alone, `angular[i]`, to f; bound, `fixed` holds those.  Equal when texts are."""
+    `variables`: fn maps r, nur, lam, dlam and, under i, the value of each lifted
+    subexpression of th and ph alone, `angular[i]`, to f; bound, `fixed` holds those.
+    Equal when texts are."""
 
     text: str
     fn: Callable = field(compare=False, repr=False)
@@ -223,11 +224,11 @@ class ExpressionF(_Bound):
     angular: tuple = field(default=(), compare=False, repr=False)
     fixed: Optional[tuple] = field(default=None, compare=False, repr=False)  # bound: angular
 
-    def evaluate(self, r, th, ph, nur, lam=None, dlam=None):  # no lam, dlam; bound, no th, ph
+    def evaluate(self, r, th, ph, nur, lam=None, dlam=None):  # bound: reads no th, ph
         fixed = self._fixed_at(th, ph) if self.fixed is None else self.fixed
         with np.errstate(all="ignore"):
             return self.fn(dict(enumerate(fixed), r=np.asarray(r, dtype=float),
-                                nur=np.asarray(nur, dtype=float)))
+                                nur=np.asarray(nur, dtype=float), lam=lam, dlam=dlam))
 
     def _fixed_at(self, th, ph):
         angles = {"th": np.asarray(th, dtype=float), "ph": np.asarray(ph, dtype=float)}
@@ -236,7 +237,10 @@ class ExpressionF(_Bound):
 
 
 def parse_f(text: str) -> ExpressionF:
-    """Compile a prescribed-function expression over (r, th, ph, nur), once.
+    """Compile a prescribed-function expression over (r, th, ph, nur, lam, dlam), once.
+
+    lam and dlam are lambda(r) and lambda'(r) of the problem's warp, so (dlam/lam)^2
+    is the threshold zeta^2.
 
     Unary minus binds tighter than ^: -r^2 is (-r)^2 and exp(-r^2) is
     e^(+r^2); write -(r^2) for -r^2.  ^ takes one exponent: 2^3^2 is a parse
@@ -249,26 +253,11 @@ def parse_f(text: str) -> ExpressionF:
     return ExpressionF(text, parser.parse(), frozenset(parser.names), tuple(parser.angular))
 
 
-# -- builtin and manufactured prescribed functions ---------------------------
+# -- threshold and manufactured prescribed functions -------------------------
 
 def threshold(lam, dlam):
     """Constant-graph value K = zeta^2 of the round graph, zeta = lambda'/lambda = dlam/lam."""
     return (dlam / lam) ** 2
-
-
-@dataclass(frozen=True)
-class RoundExponentialF(_Bound):
-    """f = threshold(lam, dlam) * exp(alpha (rm - r)) on the caller's warp; solved exactly by r = rm."""
-
-    rm: float
-    alpha: float
-    fixed: tuple = field(default=(), compare=False, repr=False)  # reads no angle: nothing to fix
-
-    def evaluate(self, r, th, ph, nur, lam, dlam):
-        return threshold(lam, dlam) * np.exp(self.alpha * (self.rm - np.asarray(r, dtype=float)))
-
-    def _fixed_at(self, th, ph):
-        return ()
 
 
 @dataclass(frozen=True)
@@ -307,7 +296,7 @@ class ManufacturedF(_Bound):
         return self.q.take(node, mode="clip"), self.lam.take(node, mode="clip")
 
 
-FExpr = Union[ExpressionF, RoundExponentialF, ManufacturedF]
+FExpr = Union[ExpressionF, ManufacturedF]
 
 
 def eval_f(f: FExpr, r, th, ph, nur, lam=None, dlam=None):
@@ -316,7 +305,7 @@ def eval_f(f: FExpr, r, th, ph, nur, lam=None, dlam=None):
     The value has f.evaluate's own shape, which broadcasts against the
     arguments: an f that ignores a variable is not spread along that
     variable's axes (a constant f is 0-d), and the checks run on that shape.
-    (lam, dlam) are lambda, lambda' at r: only a builtin or manufactured f reads them.
+    (lam, dlam) are lambda, lambda' at r, read by a manufactured f and an expression naming them.
     """
     out = np.array(f.evaluate(r, th, ph, nur, lam, dlam), dtype=float)
     if not np.isfinite(out).all():
@@ -342,7 +331,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         if not self.r1 < self.r2:
-            raise ValueError(f"need r1 < r2, got {self.r1} >= {self.r2}")
+            raise ValueError(f"r1 = {self.r1} must be < r2 = {self.r2}")
         r_lo, r_hi = self.profile.domain
         if not (r_lo <= self.r1 and self.r2 <= r_hi):
             raise ValueError(f"annulus [{self.r1}, {self.r2}] outside profile domain")

@@ -117,11 +117,31 @@ def test_solve_rejects_bad_numbers(tmp_path, capsys):
     assert "mesh.n_theta" in capsys.readouterr().err
 
 
-def two_column_target_cfg(tmp_path):
-    """A reduced 32-node config whose target CSV lacks the value column."""
+def target_csv_cfg(tmp_path, text):
+    """A reduced 32-node config whose target CSV is text."""
     csv_path = tmp_path / "target.csv"
-    csv_path.write_text("theta,phi\n" + "0.1,0.0\n" * 32)
+    csv_path.write_text(text)
     return VIOLATES_INNER.replace("f.expr = 0.5/r^2", f"f.manufactured = {csv_path}")
+
+
+def two_column_target_cfg(tmp_path):
+    """A target CSV that lacks the value column."""
+    return target_csv_cfg(tmp_path, "theta,phi\n" + "0.1,0.0\n" * 32)
+
+
+def target_cfg_without_rows(tmp_path):
+    """A target CSV with its header and no rows."""
+    return target_csv_cfg(tmp_path, "theta,phi,value\n")
+
+
+def test_target_csv_without_rows_is_one_line_on_stderr(tmp_path):
+    """No numpy warning reaches stderr: the one line names the row count."""
+    cfg = write_cfg(tmp_path, target_cfg_without_rows(tmp_path))
+    proc = run_python(["-m", "prescurv", "--config", cfg, "--out", str(tmp_path / "o"), "solve"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("config error: target CSV has 0 rows, mesh has 32 nodes "
+                           "(key: f.manufactured)\n")
+    assert not os.path.exists(tmp_path / "o")
 
 
 def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
@@ -173,8 +193,8 @@ def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
     (lambda tmp: CLOSED_FORM.replace("warp.kind = euclidean",
                                      "warp.kind = custom\nwarp.coeffs = nan,1"), "warp.coeffs"),
     (lambda tmp: CLOSED_FORM.replace("warp.domain = 0,10", "warp.domain = 3,1"), "warp.domain"),
-    (lambda tmp: CLOSED_FORM.replace("f.expr = 1/r^2 * exp(1.25 - r)", "f.builtin = "
-                                     "round_exponential\nf.rm = nan\nf.alpha = 1"), "f.rm"),
+    (lambda tmp: CLOSED_FORM.replace("problem.r2 = 2", "problem.r2 = 0.5"), "problem.r1"),
+    (lambda tmp: CLOSED_FORM + "f.rm = nan\n", "f.rm"),
     (lambda tmp: CLOSED_FORM + "solver.newton_tl = 1e-9\n", "solver.newton_tl"),
     (lambda tmp: CLOSED_FORM + "solver.jacobian_fd_scale = 1e-8\n", "solver.jacobian_fd_scale"),
     (lambda tmp: CLOSED_FORM + "monitor.gamma_arg = r\n", "monitor.gamma_arg"),
@@ -188,7 +208,7 @@ def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
     (lambda tmp: CLOSED_FORM + "mesh.reduced = maybe\n", "mesh.reduced"),
     (lambda tmp: CLOSED_FORM.replace("warp.domain = 0,10", "warp.domain = 0;10"), "warp.domain"),
     (two_column_target_cfg, "f.manufactured"),
-    (lambda tmp: CLOSED_FORM + "f.builtin = round_exponential\n", "f.expr"),
+    (lambda tmp: CLOSED_FORM + "f.manufactured = target.csv\n", "f.expr"),
     (lambda tmp: CLOSED_FORM.replace("f.expr = 1/r^2 * exp(1.25 - r)\n", ""), "f.expr"),
     (lambda tmp: CLOSED_FORM.replace("f.expr = 1/r^2 * exp(1.25 - r)",
                                      "f.builtin = round_gaussian"), "f.builtin"),
@@ -200,11 +220,11 @@ def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
         "t-step-nan", "newton-tol-nan", "unknown-key-max-newton", "unknown-key-max-newton-huge",
         "unknown-key-t-step-min", "t-step-below-its-floor", "n-theta-past-numpy",
         "n-phi-past-int64", "n-phi-odd", "coeffs-not-numeric",
-        "coeffs-nan", "domain-reversed",
+        "coeffs-nan", "domain-reversed", "r1-equals-r2",
         "builtin-rm-nan", "unknown-key-typo", "unknown-key-fd-scale", "unknown-key-gamma-arg",
         "unknown-key-check-samples", "unknown-key-monitor-alpha", "unknown-key-monitor-A",
         "key-set-twice", "empty-value", "missing-required-key", "r1-not-numeric",
-        "reduced-not-boolean", "domain-malformed", "target-two-columns", "f-expr-and-builtin",
+        "reduced-not-boolean", "domain-malformed", "target-two-columns", "f-expr-and-manufactured",
         "no-f", "unknown-builtin"])
 def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
     cfg = write_cfg(tmp_path, make_cfg(tmp_path))
@@ -254,6 +274,22 @@ def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
     assert "Traceback" not in captured.err
     assert captured.out == ""  # rejected before any check or solve reports
     assert not os.path.exists(out)  # rejected before any solve
+
+
+@pytest.mark.parametrize("key,value", [("f.builtin", "round_exponential"), ("f.rm", "1.25"),
+                                       ("f.alpha", "1")])
+@pytest.mark.parametrize("command", ["solve", "check-assumptions", "sweep"])
+def test_removed_round_exponential_keys_exit_2(tmp_path, capsys, command, key, value):
+    """The round exponential is the expression (dlam/lam)^2 * exp(alpha*(rm - r)): its old keys
+    are unknown in a config and as a sweep's key, and nothing is written."""
+    text, args = CLOSED_FORM + f"{key} = {value}\n", [command]
+    if command == "sweep":
+        text, args = CLOSED_FORM, ["sweep", "--key", key, "--values", f"{value},2"]
+    out = str(tmp_path / "o")
+    assert main(["--config", write_cfg(tmp_path, text), "--out", out] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: unknown config key {key!r} (key: {key})\n"
+    assert captured.out == "" and not os.path.exists(out)
 
 
 @pytest.mark.parametrize("args", [
@@ -584,15 +620,37 @@ def test_verify_geometry_skips_the_embedding_oracle_off_the_flat_warp(tmp_path, 
     assert_every_check_ok(rest, ["identity-refinement"], "verify-geometry")
 
 
+SKIP_REFINEMENT = "-- identity refinement skipped (needs an axisymmetric verify.r_expr)"
+
+
 def test_verify_geometry_fail_path(tmp_path, capsys):
     """A graph with 8 azimuthal waves misses the oracle's fixed bound on its
-    fixed 128x64 mesh, while its reduced lines, at ph = 0, pass."""
+    fixed 128x64 mesh; it reads ph, so the refinement check is skipped."""
     assert run_verify(tmp_path, r_expr="1 + 0.1*sin(th)^2*cos(8*ph)") == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("FAIL embedding-oracle  [rel err ")
-    assert lines[0].endswith(", bound 1e-05]")
-    assert lines[1].startswith("ok   identity-refinement  [refinement ratio ")
+    assert lines[0] == SKIP_REFINEMENT
+    assert lines[1].startswith("FAIL embedding-oracle  [rel err ")
+    assert lines[1].endswith(", bound 1e-05]")
     assert lines[2:] == ["verify-geometry: 1 failure(s)"]
+
+
+def test_verify_geometry_skips_the_refinement_on_a_graph_that_reads_ph(tmp_path, capsys):
+    """The support and Codazzi identities hold on axisymmetric graphs only, and
+    their reduced lines sample ph = 0: a graph reading ph runs the oracle alone."""
+    assert run_verify(tmp_path, r_expr="1 + 0.3*sin(th)*cos(ph)") == 0
+    out = capsys.readouterr().out
+    skip, _, rest = out.partition("\n")
+    assert skip == SKIP_REFINEMENT
+    assert_every_check_ok(rest, ["embedding-oracle"], "verify-geometry")
+
+
+def test_verify_geometry_refuses_a_graph_that_reads_ph_off_the_flat_warp(tmp_path, capsys):
+    """Off the euclidean warp no check applies to a graph that reads ph: a config error."""
+    assert run_verify(tmp_path, "hyperbolic", r_expr="1 + 0.1*sin(th)*cos(ph)") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: verify.r_expr reads ph: off the euclidean warp no check "
+                            "applies to a graph that is not axisymmetric (key: verify.r_expr)\n")
 
 
 def test_verify_geometry_runs_past_a_check_that_raises(tmp_path, capsys, monkeypatch):
@@ -778,13 +836,12 @@ mesh.n_phi = 16
 problem.r1 = 0.5
 problem.r2 = 2
 phi.rm = 1.25
-f.builtin = round_exponential
-f.rm = 1.25
-f.alpha = 1
+f.expr = (dlam/lam)^2 * exp(1.25 - r)
 """)
     out = str(tmp_path / "sweep")
+    alphas = [f"(dlam/lam)^2 * exp({alpha}*(1.25 - r))" for alpha in ("0.5", "1", "2")]
     assert main(["--config", cfg, "--out", out, "sweep",
-                 "--key", "f.alpha", "--values", "0.5,1,2"]) == 0
+                 "--key", "f.expr", "--values", ",".join(alphas)]) == 0
     reports = sorted(os.listdir(out))
     assert len(reports) == 3
     for sub in reports:

@@ -1,9 +1,11 @@
 """Fuzz `prescurv solve` over small valid configs: exit 0, 1, 3 or 4, never a traceback.
 
 Configs use a reduced 16 or a 16x4 mesh, all four warp kinds and an f.expr
-drawn from a small grammar whose constants and functions can produce inf,
-nan, zero and negative values.  The examples are derandomized, so the suite
-stays deterministic; raise max_examples and drop derandomize to explore.
+drawn from a small grammar over every variable, lambda and lambda' among them,
+whose constants and functions can produce inf, nan, zero and negative values
+(each constant parenthesized, so it is a valid operand of ^).  The examples
+are derandomized, so the suite stays deterministic; raise max_examples and
+drop derandomize to explore.
 """
 
 import contextlib
@@ -23,8 +25,8 @@ WARPS = {
     "custom": ("0,5", (0.3, 0.9), (1.3, 2.5)),
 }
 
-CONSTANTS = st.sampled_from(["0", "1", "2", "0.5", "1e-300", "1e308", "10^400"])
-LEAVES = st.one_of(CONSTANTS, st.sampled_from(["r", "th", "ph", "nur"]))
+CONSTANTS = st.sampled_from(["0", "1", "2", "0.5", "1e-300", "1e308", "(10^400)"])
+LEAVES = st.one_of(CONSTANTS, st.sampled_from(["r", "th", "ph", "nur", "lam", "dlam"]))
 
 
 def _extend(children):

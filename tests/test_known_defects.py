@@ -6,10 +6,10 @@ import pytest
 
 from prescurv.geometry import compute_geometry
 from prescurv.mesh import build_mesh, field_from_flat
-from prescurv.problem import RoundExponentialF, check_assumptions, parse_f, threshold
+from prescurv.problem import check_assumptions, parse_f, threshold
 from prescurv.solver import jacobian_sparse
 from prescurv.warp import WarpProfile
-from closed_form import EUCLID, closed_form_spec
+from closed_form import EUCLID, closed_form_spec, round_exponential
 
 RM, ALPHA, T = 1.25, -0.3, 0.5
 
@@ -21,11 +21,11 @@ RM, ALPHA, T = 1.25, -0.3, 0.5
 @pytest.mark.parametrize("profile", [EUCLID, WarpProfile.hyperbolic((0.0, 10.0))],
                          ids=["euclidean", "hyperbolic"])
 def test_jacobian_meets_the_round_eigenvalue(profile, shape):
-    """The builtin f = zeta^2 exp(alpha (rm - r)) with f.rm = phi.rm = rm has
+    """The round exponential f = (dlam/lam)^2 exp(alpha (rm - r)) with phi.rm = rm has
     the root r = rm for every t, and there the constant vector is an
     eigenvector of J: J 1 = zeta(rm)^2 (t alpha + (1 - t) c), to rounding,
     with c = 1 the rate of the barrier weight phi = exp(rm - r)."""
-    spec = closed_form_spec(profile=profile, f=RoundExponentialF(rm=RM, alpha=ALPHA), phi_rm=RM)
+    spec = closed_form_spec(profile=profile, f=round_exponential(RM, ALPHA), phi_rm=RM)
     mesh = build_mesh(*shape)
     geom = compute_geometry(mesh, field_from_flat(mesh, np.full(mesh.n_nodes, RM)), profile)
     jac = jacobian_sparse(spec, T, geom)

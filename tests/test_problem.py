@@ -13,7 +13,6 @@ from prescurv.mesh import ScalarField, build_mesh, field_from_function, jet_oper
 from prescurv.problem import (
     HomotopyEndpoints,
     ManufacturedF,
-    RoundExponentialF,
     check_assumptions,
     eval_f,
     manufacture_f,
@@ -22,7 +21,7 @@ from prescurv.problem import (
     threshold,
 )
 from prescurv.warp import WarpProfile
-from closed_form import EUCLID, closed_form_spec
+from closed_form import EUCLID, closed_form_spec, round_exponential
 from test_solver import every_kind_of_f
 
 
@@ -112,6 +111,7 @@ def test_nesting_at_the_bound_and_long_chains_evaluate():
 @pytest.mark.parametrize("text,names", [
     ("2", set()), ("1/r^2", {"r"}), ("exp(-(r - r))", {"r"}), ("1 + 0.1*cos(th)", {"th"}),
     (SPHERE2D_F, {"r", "th", "ph"}), ("sqrt(nur) + th*ph^r", {"r", "th", "ph", "nur"}),
+    ("(dlam/lam)^2 * exp(1.25 - r)", {"r", "lam", "dlam"}),
 ])
 def test_variables_are_the_names_read(text, names):
     assert parse_f(text).variables == names
@@ -195,7 +195,7 @@ def test_a_bound_f_is_the_unbound_f(points):
     r, nur = 1.2 + 0.1 * rng.standard_normal(mesh.shape), rng.uniform(0.5, 1.0, mesh.shape)
     kinds = [parse_f(text) for text in BOUND_TEXTS] + [
         parse_f(random_expression(rng)[0].replace("nur", "ph")) for _ in range(100)] + [
-        RoundExponentialF(rm=1.25, alpha=1.0),
+        round_exponential(1.25, 1.0),
         manufacture_f(closed_form_spec(), mesh, lambda t, p: 1.25 + 0.05 * np.sin(t) * np.cos(p))]
     at = (lambda a: a) if rows is None else (lambda a: a.ravel()[rows])
     lam, dlam = EUCLID.eval_lambda(at(r))
@@ -219,7 +219,7 @@ def test_a_bound_f_keeps_the_compact_shape_on_the_assumption_samples():
         assert got.shape == want.shape == shape and np.array_equal(got, want), text
 
 
-# -- builtin and threshold -------------------------------------------------------
+# -- round exponential and threshold -------------------------------------------
 
 def test_threshold_euclidean_is_inverse_square():
     for r in (0.5, 1.25, 3.0):
@@ -227,7 +227,7 @@ def test_threshold_euclidean_is_inverse_square():
 
 
 def test_round_exponential_matches_threshold_at_rm():
-    f = RoundExponentialF(rm=1.25, alpha=1.0)
+    f = round_exponential(1.25, 1.0)
     got = float(eval_f(f, 1.25, 0.3, 0.2, 0.9, *EUCLID.eval_lambda(1.25)))
     assert got == pytest.approx(0.64, rel=1e-14)
     got = float(eval_f(f, 0.8, 0.0, 0.0, 1.0, *EUCLID.eval_lambda(0.8)))
@@ -404,8 +404,8 @@ COMPACT_CASES = list(every_kind_of_f(build_mesh(16, 8))) + [
 
 
 @pytest.mark.parametrize("f", COMPACT_CASES,
-                         ids=["expression", "builtin", "manufactured", "constant", "nur-only",
-                              "th-only", "overflow"])
+                         ids=["expression", "round-exponential", "manufactured", "constant",
+                              "nur-only", "th-only", "overflow"])
 def test_check_assumptions_on_compact_f_matches_the_full_sample_tensor(monkeypatch, f):
     """eval_f returns f in its own broadcast shape, and check_assumptions
     reduces on it: the report equals, margins and worst points bit for bit,

@@ -28,8 +28,8 @@ from prescurv.mesh import (
 from prescurv.problem import (
     HomotopyEndpoints,
     ProblemSpec,
-    RoundExponentialF,
     check_assumptions,
+    eval_f,
     manufacture_f,
     parse_f,
     phi_value,
@@ -50,7 +50,7 @@ from prescurv.solver import (
 )
 from prescurv.symm import QuotientOrder, quotient_ratio_batch
 from prescurv.warp import WarpProfile
-from closed_form import EUCLID, closed_form_spec
+from closed_form import EUCLID, closed_form_spec, round_exponential
 
 Q20 = QuotientOrder(2, 0)
 
@@ -90,8 +90,8 @@ def count_eval_lambda(monkeypatch):
 
 
 def every_kind_of_f(mesh):
-    """An expression, the builtin and a manufactured prescription, on the euclidean warp."""
-    return (parse_f("1/r^2 * exp(1.25 - r)"), RoundExponentialF(rm=1.25, alpha=1.0),
+    """An expression of r, one of lambda and a manufactured prescription, on the euclidean warp."""
+    return (parse_f("1/r^2 * exp(1.25 - r)"), round_exponential(1.25, 1.0),
             manufacture_f(closed_form_spec(), mesh,
                           lambda th, ph: 1 + 0.05 * np.sin(th) * np.cos(ph)))
 
@@ -120,11 +120,11 @@ def test_check_assumptions_evaluates_lambda_once_per_radius_grid(monkeypatch):
         assert len(calls) == 5
 
 
-def test_builtin_follows_the_problem_warp():
-    """The builtin's threshold is the problem's warp's: r = rm solves t = 1 in
-    the hyperbolic warp, where K of the round graph is coth^2 rm."""
+def test_round_exponential_follows_the_problem_warp():
+    """The expression's (dlam/lam)^2 is the problem's warp's threshold: r = rm solves
+    t = 1 in the hyperbolic warp, where K of the round graph is coth^2 rm."""
     spec = closed_form_spec(profile=WarpProfile.hyperbolic((0.0, 10.0)),
-                            f=RoundExponentialF(rm=1.25, alpha=1.0))
+                            f=round_exponential(1.25, 1.0))
     mesh = build_mesh(16, 8)
     res = field_residual(spec, mesh, 1.0, const_field(mesh, 1.25))
     assert np.abs(res.values).max() <= 1e-12
@@ -298,6 +298,54 @@ def test_stencil_footprint_covers_dense_jacobian(shape):
     indices, indptr, _ = jet_operators(mesh)
     stored = csc_array((np.ones(indices.size), indices, indptr), shape=dense.shape).toarray()
     assert not np.any(dense[stored == 0])
+
+
+class ClosedFormRoundF:
+    """The round exponential in closed form, threshold(lam, dlam) exp(alpha (rm - r)), as an f
+    kind of its own: it reads no angle, so binding and gathering keep it as it is."""
+
+    def __init__(self, rm, alpha):
+        self.rm, self.alpha = rm, alpha
+
+    def evaluate(self, r, th, ph, nur, lam=None, dlam=None):
+        return threshold(lam, dlam) * np.exp(self.alpha * (self.rm - np.asarray(r, dtype=float)))
+
+    def bind(self, th, ph):
+        return self
+
+    def take(self, rows):
+        return self
+
+
+def solve_record(spec, mesh):
+    """A solve's final radii, and each state's t, Newton and Jacobian counts and residual norm."""
+    final, history = continuation_solve(spec, mesh)
+    return final.r_field.values, [(s.t, s.newton_iters, s.jacobians, s.residual_norm)
+                                  for s in history]
+
+
+@pytest.mark.parametrize("profile", [EUCLID, WarpProfile.hyperbolic((0.0, 10.0)), CUSTOM],
+                         ids=["euclidean", "hyperbolic", "custom"])
+def test_round_exponential_expression_is_the_closed_form_bit_for_bit(profile):
+    """(dlam/lam)^2 * exp(alpha*(rm - r)) reads the caller's lambda, lambda' as the closed
+    form does: the same f values, assumption margins, Jacobian entries and solve, bit for bit."""
+    r, mesh = np.linspace(0.5, 3.0, 41), build_mesh(16, 8)
+    lam, dlam = profile.eval_lambda(r)
+    geom = compute_geometry(mesh, bumpy_field(mesh), profile)
+    for rm, alpha in ((1.25, -0.3), (1.3, 1.0), (1.2, 2.0)):
+        expr, closed = round_exponential(rm, alpha), ClosedFormRoundF(rm, alpha)
+        assert np.array_equal(eval_f(expr, r, 0.3, 0.2, 0.9, lam, dlam),
+                              eval_f(closed, r, 0.3, 0.2, 0.9, lam, dlam))
+        specs = [closed_form_spec(profile=profile, f=f) for f in (expr, closed)]
+        assert check_assumptions(specs[0]) == check_assumptions(specs[1])
+        jacs = [jacobian_sparse(spec, 0.5, geom) for spec in specs]
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(jacs[0], part), getattr(jacs[1], part))
+    # rm off phi.rm = 1.25, so Newton iterates; alpha = 2 meets every assumption on each warp
+    (r_expr, states_expr), (r_closed, states_closed) = (
+        solve_record(spec, build_mesh(32, reduced=True)) for spec in specs)
+    assert np.array_equal(r_expr, r_closed) and states_expr == states_closed
+    assert sum(newton for _, newton, _, _ in states_expr) > 0
 
 
 class UnboundF:
@@ -1051,10 +1099,8 @@ def test_manufactured_euclidean_degeneracy_is_reported():
 def test_continuation_spherical_warp_round_case():
     """Third builtin warp end to end: threshold cot^2(r) with an exponential
     factor has the round root r = rm and satisfies all assumptions."""
-    from prescurv.problem import RoundExponentialF, check_assumptions
-
     profile = WarpProfile.spherical((0.0, np.pi / 2))
-    f = RoundExponentialF(rm=0.75, alpha=1.0)
+    f = round_exponential(0.75, 1.0)
     spec = ProblemSpec(profile, f, r1=0.3, r2=1.2, phi_rm=0.75)
     rep = check_assumptions(spec)
     assert all(r.passed for r in rep.results)

@@ -16,8 +16,9 @@ Then, run by run, the exit codes and printed output are compared, the three
 CSVs byte for byte, and report.txt with its [timings] section dropped and
 the paths in [files] reduced to file names.  Each file prints "identical"
 or, where it differs, the largest numeric difference between matching cells
-(or where the text stops matching).  The exit status is 1 on any
-difference, else 0.
+(or where the text stops matching); a differing output.txt also prints its
+first differing line from each tree, under "a:" and "b:".  The exit status
+is 1 on any difference, else 0.
 """
 
 from __future__ import annotations
@@ -111,6 +112,14 @@ def difference(text_a: str, text_b: str) -> str:
     return f"max |diff| = {worst:.3e}" if worst else "differs in text, not in value"
 
 
+def first_differing_lines(text_a: str, text_b: str):
+    """The first line at which text_a and text_b differ, from each ('<end>' past its last line)."""
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    i = next((i for i, (la, lb) in enumerate(zip(lines_a, lines_b)) if la != lb),
+             min(len(lines_a), len(lines_b)))
+    return tuple(lines[i] if i < len(lines) else "<end>" for lines in (lines_a, lines_b))
+
+
 def compare(out_a: str, out_b: str) -> bool:
     """Print one line per file of each run under out_a and out_b; True if every file matches."""
     same = True
@@ -134,6 +143,9 @@ def compare(out_a: str, out_b: str) -> bool:
                 verdict = difference(*texts)
             same &= verdict == "identical"
             print(f"{run}/{name}: {verdict}")
+            if name == "output.txt" and verdict != "identical" and None not in texts:
+                for side, line in zip("ab", first_differing_lines(*texts)):
+                    print(f"  {side}: {line}")
     return same
 
 

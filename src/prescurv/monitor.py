@@ -45,7 +45,7 @@ class MonitorRecord:
 
 def monitor(geom: GraphGeometry, spec: ProblemSpec, t: float) -> MonitorRecord:
     """Evaluate all monitored quantities on one geometry snapshot."""
-    r = geom.r
+    r_min, r_max = float(geom.r.min()), float(geom.r.max())
     tau = geom.tau
     grad = np.sqrt(geom.r1 ** 2 + geom.r2 ** 2)
     tau_min = float(tau.min())
@@ -53,16 +53,16 @@ def monitor(geom: GraphGeometry, spec: ProblemSpec, t: float) -> MonitorRecord:
     p_test = np.log(geom.kappa1) - np.log(tau - 0.5 * tau_min) + geom.capital_lambda
     return MonitorRecord(
         t=t,
-        r_min=float(r.min()),
-        r_max=float(r.max()),
+        r_min=r_min,
+        r_max=r_max,
         tau_min=tau_min,
         grad_max=float(grad.max()),
         kappa_max=float(geom.kappa1.max()),
         mu_min=float(geom.mu1.min()),
         phi_test_max=float(phi_test.max()),
         p_test_max=float(p_test.max()),
-        barrier_low_violated=bool(r.min() <= spec.r1),
-        barrier_high_violated=bool(r.max() >= spec.r2),
+        barrier_low_violated=bool(r_min <= spec.r1),
+        barrier_high_violated=bool(r_max >= spec.r2),
     )
 
 

@@ -23,9 +23,10 @@ current iterate, and a backtracking line search accepts a step only if the
 iterate stays admissible, stays inside the guarded annulus, and decreases
 the residual.
 Continuation marches t from the round solution at t = 0 to t = 1, hands the
-last factor from one t-step to the next, starts each t-step from a secant
-prediction through the last two accepted states, and halves the step on
-failure and doubles it after consecutive easy solves.
+last factor from one t-step to the next, starts each t-step from the
+parabola through the last three accepted states (fewer since the path last
+stood still), and halves the step on failure and doubles it after
+consecutive easy solves.
 scipy.sparse is known to this module only: jacobian_sparse imports it to
 form J and newton_solve to factor J, so a run that builds no Jacobian (a
 round solve, for one) never loads scipy.
@@ -64,11 +65,12 @@ MAX_HALVINGS = 20      # line-search backtracking steps before NewtonFailure
 CHORD_CONTRACTION = 0.1  # a step on a reused LU must cut max|res| by this factor
 MAX_NEWTON = 30        # Newton iterations per solve before NewtonFailure
 T_STEP_MIN = 1e-3      # a t-step halved below this ends the continuation in a breakdown
+PREDICTOR_ORDER = 2    # a t-step's guess: the polynomial through this many + 1 last accepted states
 
 # A trial point raising one of these is inadmissible: the line search steps
 # back from it, a chord step is dropped, jacobian_sparse raises
 # AdmissibilityError, and a predicted t-step guess halves dt.  A residual or
-# a secant guess that is not finite raises NonFiniteField.
+# a predicted guess that is not finite raises NonFiniteField.
 INADMISSIBLE = (ConeViolation, DomainViolation, ProfileViolation, FEvalError, NonFiniteField)
 
 
@@ -297,9 +299,11 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     """March the homotopy from the round solution at t = 0 to t = 1.
 
     Refuses to run when the assumption check fails beyond boundary cases,
-    unless `force` is set.  Each t-step starts Newton from the secant
-    prediction through the last two accepted states (from the last state on
-    the first step), and hands it the factor of the last fresh Jacobian and,
+    unless `force` is set.  Each t-step starts Newton from p(t_try), p the
+    polynomial (Newton's divided-difference form) through the last
+    PREDICTOR_ORDER + 1 states accepted since the path last stood still
+    (Newton reused its start and took no step), the last state itself while
+    there is one, and hands it the factor of the last fresh Jacobian and,
     as its start, the last accepted state's homotopy endpoints (stats.ends),
     which Newton reuses, on a retry too, when the prediction is that state:
     then f is evaluated once for all those t-steps.  The endpoints stay with
@@ -324,7 +328,10 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     history = [state]
     if on_accept is not None:
         on_accept(state, stats.ends.geom)
-    lu, ends, slope = stats.lu, stats.ends, np.zeros(mesh.n_nodes)
+    lu, ends = stats.lu, stats.ends
+    # divided differences [r_k], [r_k, r_k-1], [r_k, r_k-1, r_k-2] of the states accepted
+    # since the path last stood still, and the nodes t_k, t_k-1 they are read at
+    diffs, nodes = [sol.flat()], [0.0]
 
     dt = opts.t_step_init
     t = 0.0
@@ -332,7 +339,10 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     while t < 1.0:
         t_try = 1.0 if t + dt >= 1.0 - 1e-12 else t + dt
         try:
-            guess = field_from_flat(mesh, sol.flat() + (t_try - t) * slope)
+            p = diffs[-1]
+            for d, t_node in reversed(list(zip(diffs[:-1], nodes))):
+                p = d + (t_try - t_node) * p
+            guess = sol if len(diffs) == 1 else field_from_flat(mesh, p)
             sol_try, stats = newton_solve(spec, mesh, t_try, guess, opts, lu, start=ends)
         except INADMISSIBLE + (NewtonFailure, AdmissibilityError) as exc:
             lu = None
@@ -345,7 +355,13 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
                     failed_interval=(t, t_try),
                 ) from exc
             continue
-        slope = (sol_try.flat() - sol.flat()) / (t_try - t)
+        if stats.ends is ends:  # Newton reused its start and took no step: the path stood still
+            diffs, nodes = diffs[:1], [t_try]
+        else:
+            diffs = [sol_try.flat()] + diffs[:PREDICTOR_ORDER]
+            for i, t_node in enumerate(nodes):
+                diffs[i + 1] = (diffs[i] - diffs[i + 1]) / (t_try - t_node)
+            nodes = [t_try] + nodes[:PREDICTOR_ORDER - 1]
         t, sol, lu, ends = t_try, sol_try, stats.lu, stats.ends
         state = ContinuationState(t, sol, stats.iterations, stats.residual_norm, stats.jacobians)
         history.append(state)

@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import DomainViolation, ProfileViolation
 
@@ -83,8 +82,9 @@ class WarpProfile:
     @cached_property
     def _poly(self):
         """Ascending coefficients of (p, p', antiderivative of p vanishing at 0), custom only."""
-        c = np.asarray(self.custom_coeffs)
-        return tuple(c.tolist()), tuple(P.polyder(c).tolist()), tuple(P.polyint(c).tolist())
+        c = self.custom_coeffs
+        dc = tuple(j * c[j] for j in range(1, len(c))) or (0.0 * c[0],)
+        return c, dc, (0.0,) + tuple(cj / (j + 1) for j, cj in enumerate(c))
 
     def _raw(self, r):
         """(lambda, lambda') without domain or positivity checks."""
@@ -121,7 +121,7 @@ class WarpProfile:
 
 
 def _horner(c, x):
-    """P.polyval(x, c), its operations in its order, without its per-call array set-up."""
+    """numpy's polyval(x, c), its operations in its order, without its per-call array set-up."""
     v = c[-1] + x * 0
     for ci in c[-2::-1]:
         v = ci + v * x

@@ -726,7 +726,8 @@ def config_paths():
 
 def test_importing_and_building_every_problem_does_not_import_scipy():
     """scipy loads with the first Jacobian: importing the package and the CLI
-    and building the problem of every config leave it unloaded.
+    and building the problem of every config leave it, and numpy.polynomial,
+    unloaded.
     verify_geometry.cfg has no problem section, so building one fails."""
     code = ("import sys\n"
             "import prescurv\n"
@@ -738,7 +739,8 @@ def test_importing_and_building_every_problem_does_not_import_scipy():
             "        build_problem(parse_config(cfg))\n"
             "    except ConfigError:\n"
             "        assert cfg.endswith('verify_geometry.cfg'), cfg\n"
-            "    assert 'scipy' not in sys.modules, cfg\n")
+            "    assert 'scipy' not in sys.modules, cfg\n"
+            "    assert 'numpy.polynomial' not in sys.modules, cfg\n")
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
 

@@ -54,7 +54,8 @@ def test_compare_outputs_passes_equal_runs_and_fails_one_changed_byte(tmp_path):
     """Two solves of one config into two trees compare identical, though their
     report.txt timings and paths, and the paths they print, differ; one changed
     digit in solution.csv fails the comparison, which names the file and the
-    value difference, and so does a changed word in what a run printed."""
+    value difference, and so do a changed count and a changed word in what a
+    run printed, with the first differing line of output.txt from each tree."""
     from prescurv.cli import main
 
     script = load_script("compare_outputs")
@@ -85,10 +86,23 @@ def test_compare_outputs_passes_equal_runs_and_fails_one_changed_byte(tmp_path):
     assert "round/output.txt: identical" in buf.getvalue().splitlines()
 
     output = tmp_path / "b" / "round" / "output.txt"
-    assert output.read_text().endswith(" -> <out>\n")
-    output.write_text(output.read_text().replace("converged:", "breakdown:"))
+    printed = output.read_text()
+    assert printed.endswith(" newton_iters=0 jacobians=0 residual=0.000e+00 -> <out>\n")
+    output.write_text(printed.replace("newton_iters=0 jacobians=0", "newton_iters=3 jacobians=1"))
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert not script.compare(str(tmp_path / "a"), str(tmp_path / "b"))
-    assert any(line.startswith("round/output.txt: differs at line ")
-               for line in buf.getvalue().splitlines())
+    lines = buf.getvalue().splitlines()
+    at = lines.index("round/output.txt: max |diff| = 3.000e+00")
+    assert lines[at + 1:at + 3] == [
+        "  a: converged: t=1 newton_iters=0 jacobians=0 residual=0.000e+00 -> <out>",
+        "  b: converged: t=1 newton_iters=3 jacobians=1 residual=0.000e+00 -> <out>"]
+
+    output.write_text(printed.replace("converged:", "breakdown:"))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert not script.compare(str(tmp_path / "a"), str(tmp_path / "b"))
+    lines = buf.getvalue().splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.startswith("round/output.txt: differs at line "))
+    assert [line[:16] for line in lines[at + 1:at + 3]] == ["  a: converged: ", "  b: breakdown: "]

@@ -829,8 +829,10 @@ def test_full_2d_continuation_reuses_one_factorization(monkeypatch):
 
 
 def test_continuation_starts_each_step_from_the_secant_prediction(monkeypatch):
-    """The guess for t_try is sol + (t_try - t) * slope, slope the secant
-    through the last two accepted states (zero on the first step)."""
+    """The first t-step starts at the accepted t = 0 state and Newton reuses
+    its endpoints; the second at the secant through the two accepted states,
+    sol + (t_try - t) * slope, bit for bit; every later one at the quadratic
+    through the last three accepted states (here in Lagrange form)."""
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
     mesh = build_mesh(16, 8)
     starts, given, accepted = {}, {}, {}
@@ -845,13 +847,56 @@ def test_continuation_starts_each_step_from_the_secant_prediction(monkeypatch):
         spec, mesh, on_accept=lambda st, geom: accepted.setdefault(st.t, geom))
     sols = {st.t: st.r_field.flat() for st in history}
     ts = [st.t for st in history]
+    assert len(ts) == 11
     assert np.array_equal(starts[ts[1]], sols[ts[0]])
     assert given[ts[1]].geom is accepted[ts[0]] is not None
-    for t_prev, t, t_try in zip(ts, ts[1:], ts[2:]):
-        slope = (sols[t] - sols[t_prev]) / (t - t_prev)
-        np.testing.assert_allclose(starts[t_try], sols[t] + (t_try - t) * slope,
-                                   rtol=0, atol=1e-15)
-        assert not np.array_equal(starts[t_try], sols[t])
+    slope = (sols[ts[1]] - sols[ts[0]]) / (ts[1] - ts[0])
+    assert np.array_equal(starts[ts[2]], sols[ts[1]] + (ts[2] - ts[1]) * slope)
+    for t0, t1, t2, t_try in zip(ts, ts[1:], ts[2:], ts[3:]):
+        quadratic = sum(sols[a] * (t_try - b) * (t_try - c) / ((a - b) * (a - c))
+                        for a, b, c in ((t0, t1, t2), (t1, t2, t0), (t2, t0, t1)))
+        np.testing.assert_allclose(starts[t_try], quadratic, rtol=0, atol=1e-14)
+        assert not np.allclose(starts[t_try], sols[t2] + (t_try - t2) * (sols[t2] - sols[t1])
+                               / (t2 - t1), rtol=0, atol=1e-12)
+
+
+def test_a_path_that_stood_still_predicts_from_its_latest_t(monkeypatch):
+    """While Newton reuses its start and takes no step (forced here up to
+    t = 0.2) each guess is the last state; once the path moves at t = 0.3,
+    the secant and then the parabola take their nodes from t = 0.2, not 0."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    mesh = build_mesh(16, 8)
+    starts = {}
+    real = solver.newton_solve
+
+    def still_up_to_02(spec_, mesh_, t, r_init, opts, lu=None, start=None):
+        starts[t] = r_init.flat().copy()
+        if 0.0 < t < 0.25:
+            return r_init, solver.NewtonStats(0, 0.0, lu=lu, ends=start)
+        return real(spec_, mesh_, t, r_init, opts, lu, start)
+
+    monkeypatch.setattr(solver, "newton_solve", still_up_to_02)
+    _, history = continuation_solve(spec, mesh)
+    t0, t1, t2, t3, t4, t5 = (st.t for st in history[:6])
+    sols = {st.t: st.r_field.flat() for st in history}
+    assert [round(t, 12) for t in (t0, t1, t2, t3)] == [0.0, 0.1, 0.2, 0.3]
+    for t in (t1, t2, t3):
+        assert np.array_equal(starts[t], sols[t0])
+    slope = (sols[t3] - sols[t2]) / (t3 - t2)
+    assert np.array_equal(starts[t4], sols[t3] + (t4 - t3) * slope)
+    quadratic = sum(sols[a] * (t5 - b) * (t5 - c) / ((a - b) * (a - c))
+                    for a, b, c in ((t2, t3, t4), (t3, t4, t2), (t4, t2, t3)))
+    np.testing.assert_allclose(starts[t5], quadratic, rtol=0, atol=1e-14)
+
+
+def test_continuation_takes_at_most_two_newton_iterations_once_three_states_are_accepted():
+    """From the fourth accepted state on, each t-step starts at the quadratic
+    through the last three, close enough for one or two Newton iterations
+    (a secant start takes three on this path: 31 iterations in all)."""
+    spec = closed_form_spec(f=parse_f(ANGULAR_F))
+    final, history = continuation_solve(spec, build_mesh(16, 8))
+    assert final.t == 1.0 and len(history) == 11
+    assert max(st.newton_iters for st in history[3:]) <= 2
 
 
 @pytest.mark.parametrize("error", [FEvalError, ProfileViolation, NonFiniteField])

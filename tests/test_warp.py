@@ -46,6 +46,24 @@ def test_threshold_values():
         assert threshold(*prof.eval_lambda(r)) == pytest.approx(zeta ** 2, abs=tol)
 
 
+def test_custom_coefficients_are_numpys_bit_for_bit():
+    """_poly's lambda' and antiderivative coefficients, formed in closed form,
+    are numpy.polynomial's polyder and polyint, signed zeros included (the
+    zero polynomial aside: its antiderivative there has one coefficient)."""
+    from numpy.polynomial import polynomial as P
+
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        n = rng.integers(1, 9)
+        random = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6, n)
+        c = np.where(rng.random(n) < 0.5, rng.choice([0.0, -0.0, 1.0, -2.5, 1 / 6, 3e300], n), random)
+        if c.size == 1 and c[0] == 0.0:
+            continue
+        poly, der, anti = WarpProfile.custom(c, (0.0, 1.0))._poly
+        for ours, numpys in ((poly, c), (der, P.polyder(c)), (anti, P.polyint(c))):
+            assert [x.hex() for x in ours] == [float(x).hex() for x in numpys], c
+
+
 def test_capital_lambda_closed_forms():
     assert WarpProfile.euclidean((0.0, 10.0)).capital_lambda(2.0) == pytest.approx(2.0)
     assert WarpProfile.spherical((0.0, np.pi / 2)).capital_lambda(np.pi / 2) == pytest.approx(1.0)

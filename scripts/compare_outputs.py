@@ -4,10 +4,12 @@
     python scripts/compare_outputs.py SRC_A SRC_B [--work DIR]
 
 SRC_A and SRC_B are checkouts of this repository.  Every configs/*.cfg of
-SRC_B, the 64x32 headline among them, is solved with and without --force,
-and checked by verify-geometry and by check-assumptions, under each tree in
-turn: `python -m prescurv` with PYTHONPATH=<tree>/src, into DIR/a/<run> and
-DIR/b/<run> (a temporary directory unless --work is given).  Each run directory also
+each tree, the 64x32 headline among them, is solved with and without
+--force, and checked by verify-geometry and by check-assumptions, under
+that tree: `python -m prescurv` with PYTHONPATH=<tree>/src, into
+DIR/a/<run> and DIR/b/<run> (a temporary directory unless --work is given).
+So a config rewritten in one tree runs as that tree writes it, and a config
+only one tree has is "missing under" the other.  Each run directory also
 records the run's exit code in a file `exit_code`, and what it printed,
 stdout then stderr, in `output.txt`, where the run directory's path reads
 <out>.
@@ -16,8 +18,9 @@ Then, run by run, the exit codes and printed output are compared, the three
 CSVs byte for byte, and report.txt with its [timings] section dropped and
 the paths in [files] reduced to file names.  Each file prints "identical"
 or, where it differs, the largest numeric difference between matching cells
-(or where the text stops matching); a differing output.txt also prints its
-first differing line from each tree, under "a:" and "b:".  The exit status
+(or where the text stops matching); a differing output.txt or report.txt
+also prints its first differing line from each tree, under "a:" and "b:"
+(report.txt as compared, without [timings]).  The exit status
 is 1 on any difference, else 0.
 """
 
@@ -39,22 +42,16 @@ COMMANDS = (("", ["solve"]), ("-force", ["--force", "solve"]), ("-verify", ["ver
 _CELL = re.compile(r"[^\s,=]+")
 
 
-def runs(src_b: str):
-    """(name, config path, subcommand argv) of every run: each of COMMANDS on each config of SRC_B."""
-    configs = sorted(glob.glob(os.path.join(src_b, "configs", "*.cfg")))
-    return [(os.path.splitext(os.path.basename(cfg))[0] + suffix, cfg, command)
-            for cfg in configs for suffix, command in COMMANDS]
-
-
-def solve_all(src: str, plan, out_root: str):
-    """Run each planned command under the source tree src and record it beside its outputs."""
+def solve_all(src: str, out_root: str):
+    """Run each of COMMANDS on each config of the source tree src, under src; record each run."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(src), "src"))
-    for name, cfg, command in plan:
-        out = os.path.join(out_root, name)
-        os.makedirs(out, exist_ok=True)
-        argv = [sys.executable, "-m", "prescurv", "--config", cfg, "--out", out]
-        done = subprocess.run(argv + command, env=env, capture_output=True, text=True)
-        record(out, done.returncode, done.stdout + done.stderr)
+    for cfg in sorted(glob.glob(os.path.join(src, "configs", "*.cfg"))):
+        for suffix, command in COMMANDS:
+            out = os.path.join(out_root, os.path.splitext(os.path.basename(cfg))[0] + suffix)
+            os.makedirs(out, exist_ok=True)
+            argv = [sys.executable, "-m", "prescurv", "--config", cfg, "--out", out]
+            done = subprocess.run(argv + command, env=env, capture_output=True, text=True)
+            record(out, done.returncode, done.stdout + done.stderr)
 
 
 def record(out: str, code: int, printed: str):
@@ -143,7 +140,8 @@ def compare(out_a: str, out_b: str) -> bool:
                 verdict = difference(*texts)
             same &= verdict == "identical"
             print(f"{run}/{name}: {verdict}")
-            if name == "output.txt" and verdict != "identical" and None not in texts:
+            if (name in ("output.txt", "report.txt") and verdict != "identical"
+                    and None not in texts):
                 for side, line in zip("ab", first_differing_lines(*texts)):
                     print(f"  {side}: {line}")
     return same
@@ -158,9 +156,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = os.path.abspath(args.work or tmp)
         os.makedirs(work, exist_ok=True)
-        plan = runs(args.src_b)
         for src, side in ((args.src_a, "a"), (args.src_b, "b")):
-            solve_all(src, plan, os.path.join(work, side))
+            solve_all(src, os.path.join(work, side))
         same = compare(os.path.join(work, "a"), os.path.join(work, "b"))
     print("all outputs identical" if same else "outputs differ")
     return 0 if same else 1

@@ -305,8 +305,12 @@ def eval_f(f: FExpr, r, th, ph, nur, lam=None, dlam=None):
     The value has f.evaluate's own shape, which broadcasts against the
     arguments: an f that ignores a variable is not spread along that
     variable's axes (a constant f is 0-d), and the checks run on that shape.
-    (lam, dlam) are lambda, lambda' at r, read by a manufactured f and an expression naming them.
+    (lam, dlam) are lambda, lambda' at r, read by a manufactured f and an expression naming
+    them: given None for either, such an f raises FEvalError.
     """
+    if (lam is None or dlam is None) and not (
+            isinstance(f, ExpressionF) and f.variables.isdisjoint(("lam", "dlam"))):
+        raise FEvalError("prescribed function reads lambda and lambda' (lam, dlam), not given")
     out = np.array(f.evaluate(r, th, ph, nur, lam, dlam), dtype=float)
     if not np.isfinite(out).all():
         raise FEvalError("prescribed function produced a non-finite value")

@@ -307,7 +307,7 @@ def jacobian_sparse_vs_dense():
     mesh = M.build_mesh(16, 8)
     r = M.field_from_function(mesh, lambda t, p: 1.25 + 0.04 * np.cos(t) + 0.02 * np.sin(t) * np.cos(p)
                               + 0.01 * np.sin(t) ** 2 * np.sin(2 * p))
-    dense = jacobian_fd(spec, mesh, 0.7, r)
+    dense = jacobian_fd(spec, 0.7, r)
     sparse = jacobian_sparse(spec, 0.7, G.compute_geometry(mesh, r, EUCLID))
     err = np.abs(sparse - dense).max() / np.abs(dense).max()
     return _at_most("rel err", err, JACOBIAN_ORACLE_TOL)

@@ -3,18 +3,18 @@
 The residual at each node is sigma_k/sigma_l of the Newton-tensor eigenvalues
 minus the homotopy value f^t: at n = 2 that is K - f^t, formed with no
 eigenvalues by a pointwise kernel over the node's 2-jet.  A node state
-passes between the functions here in one form: its HomotopyEndpoints, the
-node geometry (2-jet included) with f^0 and f at its nodes (f^0 formed with
-them, f on first read and never at t = 0, by f bound to the nodes).
-Newton forms each distinct field's endpoints once, for residual and for
+enters Newton, the residual and the dense oracle in one form: its
+HomotopyEndpoints (node_endpoints), the node geometry (2-jet included) with
+f^0 and f at its nodes (f^0 formed with them, f on first read and never at
+t = 0, by f bound to the nodes).  Newton starts from the endpoints it is
+handed and forms each later iterate's once, for residual and for
 jacobian_sparse; continuation hands an accepted state's geometry to
-on_accept, and its endpoints to the next t-step's Newton as its start,
-which Newton reads when its guess is that state (the first t-step, or a
-path that does not move), so no caller forms either again.  Newton's sparse
-central-difference Jacobian differences that kernel entry by entry (column j's step moves row i's jet by
-node j's stencil weights there); a perturbed jet that is inadmissible fails
-the build, as it fails the dense oracle jacobian_fd,
-which serves the tests and selftest only.  Newton factors J with sparse LU
+on_accept, and its endpoints to the next t-step's Newton as its start while
+the path stands still, else those of the predicted field.  Newton's sparse
+central-difference Jacobian differences that kernel entry by entry (column
+j's step moves row i's jet by node j's stencil weights there); a perturbed
+jet that is inadmissible fails the build, as it fails the dense oracle
+jacobian_fd, which serves the tests and selftest only.  Newton factors J with sparse LU
 and keeps the factor: while a factor is in hand, each iteration first tries
 the full chord step on it, kept only if it stays admissible, stays inside
 the guarded annulus and cuts max|res| by CHORD_CONTRACTION.
@@ -124,12 +124,13 @@ def _pointwise_residual(t: float, ends: HomotopyEndpoints) -> np.ndarray:
     return geom.K - ends.at(t)
 
 
-def node_endpoints(spec: ProblemSpec, geom: GraphGeometry) -> HomotopyEndpoints:
-    """The homotopy endpoints at the nodes of the node geometry geom (compute_geometry's)."""
-    return HomotopyEndpoints(spec, geom, spec.f_at_nodes(geom.mesh))
+def node_endpoints(spec: ProblemSpec, r_field: ScalarField) -> HomotopyEndpoints:
+    """The homotopy endpoints of r_field: its node geometry, with f bound to its nodes."""
+    geom = compute_geometry(r_field.mesh, r_field, spec.profile)
+    return HomotopyEndpoints(spec, geom, spec.f_at_nodes(r_field.mesh))
 
 
-def residual(spec: ProblemSpec, t: float, ends: HomotopyEndpoints) -> ScalarField:
+def residual(t: float, ends: HomotopyEndpoints) -> ScalarField:
     """Nodal residual K - f^t on ends.geom, f^t from the endpoints ends; raises on cone exit.
 
     ends keeps f once read: a caller that holds the endpoints of a node
@@ -138,28 +139,25 @@ def residual(spec: ProblemSpec, t: float, ends: HomotopyEndpoints) -> ScalarFiel
     return ScalarField(ends.geom.mesh, _pointwise_residual(t, ends))
 
 
-def _residual_vec(spec, mesh, t, rvec):
-    """(flat residual, node endpoints) of the flat field rvec; raises on cone or domain exit."""
-    ends = node_endpoints(spec, compute_geometry(mesh, field_from_flat(mesh, rvec), spec.profile))
-    return residual(spec, t, ends).flat(), ends
-
-
 def _fd_steps(rvec) -> np.ndarray:
     """Per-column FD step h_j = FD_SCALE * (1 + |r_j|)."""
     return FD_SCALE * (1.0 + np.abs(rvec))
 
 
-def jacobian_fd(spec: ProblemSpec, mesh: SphereMesh, t: float,
-                r_field: ScalarField) -> np.ndarray:
+def jacobian_fd(spec: ProblemSpec, t: float, r_field: ScalarField) -> np.ndarray:
     """Dense central-difference Jacobian of the nodal residual: the test oracle.
 
-    Column j is (R(r + h_j e_j) - R(r - h_j e_j)) / 2h_j, two residuals of
-    the perturbed field; an inadmissible perturbation raises.  newton_solve
-    uses jacobian_sparse, which agrees with it to rounding.
+    Column j is (R(r + h_j e_j) - R(r - h_j e_j)) / 2h_j, the residuals of
+    the endpoints of the perturbed fields; an inadmissible perturbation
+    raises.  newton_solve uses jacobian_sparse, which agrees with it to
+    rounding.
     """
-    rvec = r_field.flat()
-    return np.column_stack([(_residual_vec(spec, mesh, t, rvec + step)[0]
-                             - _residual_vec(spec, mesh, t, rvec - step)[0]) / (2.0 * step[j])
+    mesh, rvec = r_field.mesh, r_field.flat()
+
+    def res(vec):
+        return residual(t, node_endpoints(spec, field_from_flat(mesh, vec))).flat()
+
+    return np.column_stack([(res(rvec + step) - res(rvec - step)) / (2.0 * step[j])
                             for j, step in enumerate(np.diag(_fd_steps(rvec)))])
 
 
@@ -201,59 +199,48 @@ def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_arr
     return csc_array((data, indices, indptr), shape=(n, n))
 
 
-def _guard_bounds(spec: ProblemSpec):
-    guard = GUARD_FRACTION * (spec.r2 - spec.r1)
-    return spec.r1 - guard, spec.r2 + guard
-
-
 def _check_guard(spec, rvec):
     """Raise unless every value of rvec lies inside the guarded annulus (NaN does not)."""
-    lo, hi = _guard_bounds(spec)
+    guard = GUARD_FRACTION * (spec.r2 - spec.r1)
+    lo, hi = spec.r1 - guard, spec.r2 + guard
     if not (lo < rvec.min() and rvec.max() < hi):
-        raise AdmissibilityError(
-            f"iterate left the guarded annulus ({lo:.6g}, {hi:.6g})"
-        )
+        raise AdmissibilityError(f"iterate left the guarded annulus ({lo:.6g}, {hi:.6g})")
 
 
-def _trial_residual(spec, mesh, t, trial):
-    """(residual, node endpoints) at trial, or None where trial leaves the guard or is inadmissible."""
+def _trial(spec, mesh, t, rvec):
+    """(flat residual, endpoints) of the flat field rvec; None outside the guard or inadmissible."""
     try:
-        _check_guard(spec, trial)
-        return _residual_vec(spec, mesh, t, trial)
+        _check_guard(spec, rvec)
+        ends = node_endpoints(spec, field_from_flat(mesh, rvec))
+        return residual(t, ends).flat(), ends
     except INADMISSIBLE + (AdmissibilityError,):
         return None
 
 
-def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarField,
-                 opts: SolverOptions = SolverOptions(), lu=None, start=None):
+def newton_solve(spec: ProblemSpec, t: float, start: HomotopyEndpoints,
+                 opts: SolverOptions = SolverOptions(), lu=None):
     """Chord-accelerated damped Newton for the nodal equation at fixed t.
 
-    Returns (solution field, NewtonStats); stats.lu is the factor in hand at
-    return, for the next call, and stats.ends the homotopy endpoints
-    (HomotopyEndpoints) the solution's residual was formed from, its node
-    geometry stats.ends.geom.  Endpoints `start` of this spec on this mesh
-    whose r equals r_init node for node are the start's: neither their
-    geometry nor an endpoint they hold is formed again (stats.ends is start
-    if no step is taken); any other start is ignored.  Either way the start
-    residual at t, cone check included, is evaluated.  While a factor `lu`
-    (of an earlier Jacobian, possibly at another t) is in hand, an iteration
-    first tries the full chord step lu.solve(-res), and keeps it only if the
-    trial is inside the guarded annulus, admissible, and cuts max|res| by
-    CHORD_CONTRACTION.  Otherwise the trial and the factor are dropped: the
-    sparse Jacobian (jacobian_sparse) is built at the current iterate and
-    factored by splu, and its Newton step is damped by a backtracking line
-    search that halves the step until admissibility and residual decrease
-    both hold.  A singular factorization, a non-finite fresh step or
-    MAX_NEWTON iterations without convergence raise NewtonFailure.  Every
-    accepted iterate is admissible and inside the guarded annulus.
+    start is the homotopy endpoints (node_endpoints) of the initial iterate,
+    checked for the guard and, by its residual at t, for the cone.  Returns
+    (solution field, NewtonStats); stats.lu is the factor in hand at return,
+    for the next call, and stats.ends the endpoints the solution's residual
+    was formed from (start itself if no step is taken).  While a factor
+    `lu` (of an earlier Jacobian, possibly at another t) is in hand, an
+    iteration first tries the full chord step lu.solve(-res), and keeps it
+    only if the trial is inside the guarded annulus, admissible, and cuts
+    max|res| by CHORD_CONTRACTION.  Otherwise the trial and the factor are
+    dropped: the sparse Jacobian (jacobian_sparse) is built at the current
+    iterate and factored by splu, and its Newton step is damped by a
+    backtracking line search that halves the step until admissibility and
+    residual decrease both hold.  A singular factorization, a non-finite
+    fresh step or MAX_NEWTON iterations without convergence raise
+    NewtonFailure.  Every accepted iterate is admissible and inside the
+    guarded annulus.
     """
-    rvec = r_init.flat().copy()
+    mesh, rvec = start.geom.mesh, start.geom.r.ravel()
     _check_guard(spec, rvec)
-    if (start is not None and start.spec is spec and start.geom.mesh is mesh
-            and np.array_equal(start.geom.r.ravel(), rvec)):
-        res, ends = residual(spec, t, start).flat(), start
-    else:
-        res, ends = _residual_vec(spec, mesh, t, rvec)  # either raises if r_init inadmissible
+    res, ends = residual(t, start).flat(), start  # raises if the start is inadmissible
     norm = float(np.abs(res).max())
     it = halvings_total = jacobians = 0
     while not norm <= opts.newton_tol:
@@ -263,7 +250,7 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
         it += 1
         if lu is not None:
             trial = rvec + lu.solve(-res)
-            got = _trial_residual(spec, mesh, t, trial)
+            got = _trial(spec, mesh, t, trial)
             if (got is not None
                     and (trial_norm := float(np.abs(got[0]).max())) <= CHORD_CONTRACTION * norm):
                 rvec, (res, ends), norm = trial, got, trial_norm
@@ -282,7 +269,7 @@ def newton_solve(spec: ProblemSpec, mesh: SphereMesh, t: float, r_init: ScalarFi
         scale = 1.0
         for k in range(MAX_HALVINGS + 1):
             trial = rvec + scale * step
-            got = _trial_residual(spec, mesh, t, trial)
+            got = _trial(spec, mesh, t, trial)
             if got is not None and (trial_norm := float(np.abs(got[0]).max())) < norm:
                 rvec, (res, ends), norm = trial, got, trial_norm
                 halvings_total += k
@@ -299,31 +286,28 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     """March the homotopy from the round solution at t = 0 to t = 1.
 
     Refuses to run when the assumption check fails beyond boundary cases,
-    unless `force` is set.  Each t-step starts Newton from p(t_try), p the
-    polynomial (Newton's divided-difference form) through the last
-    PREDICTOR_ORDER + 1 states accepted since the path last stood still
-    (Newton reused its start and took no step), the last state itself while
-    there is one, and hands it the factor of the last fresh Jacobian and,
-    as its start, the last accepted state's homotopy endpoints (stats.ends),
-    which Newton reuses, on a retry too, when the prediction is that state:
-    then f is evaluated once for all those t-steps.  The endpoints stay with
-    the continuation and are freed with it.  A failed t-step drops the
-    factor and halves dt, and so does a prediction that is inadmissible (not
-    finite included) or outside the guard.  As each state is accepted,
-    t = 0 included, on_accept(state, geom) is called with the node geometry
-    of its residual, stats.ends.geom: one object for as long as the state
-    does not move.  Raises
-    ContinuationBreakdown (carrying the last good state and the failed
-    t-interval, its message the error that rejected the last t-step) when
-    dt falls below T_STEP_MIN.  Returns (final state, history of accepted
-    states).
+    unless `force` is set.  Each t-step hands Newton the factor of the last
+    fresh Jacobian and, as its start, the last accepted state's homotopy
+    endpoints (stats.ends) while the path stands still (Newton took no step
+    from its start), a retry included, so f is evaluated once for all those
+    t-steps; else the endpoints of p(t_try), formed once p(t_try) is finite
+    and inside the guard, p the polynomial (Newton's divided-difference
+    form) through the last PREDICTOR_ORDER + 1 states accepted since the
+    path last stood still.  A failed t-step drops the factor and halves dt,
+    and so does a prediction that is inadmissible or outside the guard.  As
+    each state is accepted, t = 0 included, on_accept(state, geom) is called
+    with the node geometry of its residual, stats.ends.geom: one object for
+    as long as the state does not move.  Raises ContinuationBreakdown
+    (carrying the last good state and the failed t-interval, its message
+    the error that rejected the last t-step) when dt falls below
+    T_STEP_MIN.  Returns (final state, history of accepted states).
     """
     report = check_assumptions(spec)
     if report.hard_failures and not force:
         raise AssumptionFailure(f"assumption check failed: {', '.join(report.hard_failures)}")
 
-    r_init = field_from_flat(mesh, np.full(mesh.n_nodes, spec.phi_rm))
-    sol, stats = newton_solve(spec, mesh, 0.0, r_init, opts)
+    round_start = field_from_flat(mesh, np.full(mesh.n_nodes, spec.phi_rm))
+    sol, stats = newton_solve(spec, 0.0, node_endpoints(spec, round_start), opts)
     state = ContinuationState(0.0, sol, stats.iterations, stats.residual_norm, stats.jacobians)
     history = [state]
     if on_accept is not None:
@@ -339,11 +323,15 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
     while t < 1.0:
         t_try = 1.0 if t + dt >= 1.0 - 1e-12 else t + dt
         try:
-            p = diffs[-1]
-            for d, t_node in reversed(list(zip(diffs[:-1], nodes))):
-                p = d + (t_try - t_node) * p
-            guess = sol if len(diffs) == 1 else field_from_flat(mesh, p)
-            sol_try, stats = newton_solve(spec, mesh, t_try, guess, opts, lu, start=ends)
+            start = ends
+            if len(diffs) > 1:
+                p = diffs[-1]
+                for d, t_node in reversed(list(zip(diffs[:-1], nodes))):
+                    p = d + (t_try - t_node) * p
+                guess = field_from_flat(mesh, p)  # NonFiniteField if p is not finite
+                _check_guard(spec, p)
+                start = node_endpoints(spec, guess)
+            sol_try, stats = newton_solve(spec, t_try, start, opts, lu)
         except INADMISSIBLE + (NewtonFailure, AdmissibilityError) as exc:
             lu = None
             dt *= 0.5

@@ -20,6 +20,7 @@ from prescurv.solver import (
     SolverOptions,
     continuation_solve,
     newton_solve,
+    node_endpoints,
     total_newton_iterations,
 )
 from prescurv.warp import WarpProfile
@@ -168,7 +169,7 @@ def test_criterion_7_t0_uniqueness():
     for i in range(5):
         amp = 0.08 * float(rng.uniform(0.5, 1.0))
         init = ScalarField(mesh, spec.phi_rm + amp * np.cos(mesh.theta * (1 + i % 3)))
-        sol, _ = newton_solve(spec, mesh, 0.0, init)
+        sol, _ = newton_solve(spec, 0.0, node_endpoints(spec, init))
         spread = max(spread, float(np.abs(sol.values - spec.phi_rm).max()))
     report(f"criterion 7: spread over perturbed starts {spread:.2e}")
     assert spread <= 1e-8

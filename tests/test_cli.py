@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -48,6 +49,14 @@ problem.r1 = 0.5
 problem.r2 = 2
 f.expr = 3/r^2
 """
+
+
+def set_keys(text, lines):
+    """The config text, each `key = value` line of lines in place of its key's line or appended."""
+    for line in filter(None, lines.splitlines()):
+        old = re.search(rf"^{re.escape(line.partition(' = ')[0])} = .*$", text, re.M)
+        text = text[:old.start()] + line + text[old.end():] if old else text + line + "\n"
+    return text
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -266,14 +275,25 @@ def test_a_key_set_twice_names_both_lines():
         "verify-r-expr-too-deep",
         "sweep-key-typo", "sweep-later-value-invalid", "sweep-unknown-key-phi-c"])
 def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
-    cfg = write_cfg(tmp_path, CLOSED_FORM + line + "\n")
+    """Each case sets its keys once, so it exits 2 at its own check: the custom
+    warp at verify-geometry's refusal, not at a warp.kind set twice."""
+    cfg = write_cfg(tmp_path, set_keys(CLOSED_FORM, line))
     out = str(tmp_path / "o")
     assert main(["--config", cfg, "--out", out] + command) == 2
     captured = capsys.readouterr()
-    assert f"(key: {key})" in captured.err
+    assert f"(key: {key})" in captured.err and "already set" not in captured.err
+    if line.startswith("warp.kind = custom"):
+        assert ("verify-geometry checks hold on a builtin space-form warp only, "
+                "not on a custom one (key: warp.kind)") in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""  # rejected before any check or solve reports
     assert not os.path.exists(out)  # rejected before any solve
+
+
+def test_a_warp_domain_below_zero_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, set_keys(CLOSED_FORM, "warp.domain = -1,10"))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == 2
+    assert "domain must lie in r >= 0 (key: warp.domain)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [("f.builtin", "round_exponential"), ("f.rm", "1.25"),

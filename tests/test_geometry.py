@@ -228,5 +228,8 @@ def test_codazzi_preconditions():
     red = build_mesh(32, reduced=True)
     geom = compute_geometry(red, ScalarField(red, np.ones(32)),
                             WarpProfile.hyperbolic((0.0, 10.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="flat"):
         check_codazzi_flat(geom)
+    full = build_mesh(32, 16)
+    with pytest.raises(ValueError, match="reduced"):
+        check_codazzi_flat(compute_geometry(full, const_field(full, 1.3), EUCLID))

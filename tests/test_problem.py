@@ -128,6 +128,28 @@ def test_eval_rejects_nonpositive_and_nonfinite():
             eval_f(parse_f(text), 1.0, 0.0, 0.0, 1.0)
 
 
+def lambda_reading_f(kind):
+    if kind == "manufactured":
+        mesh = build_mesh(16, reduced=True)
+        return ManufacturedF(mesh, np.ones(mesh.shape), np.ones(mesh.shape), 2)
+    return parse_f(kind)
+
+
+@pytest.mark.parametrize("lam", [None, 1.0], ids=["no-lambda", "no-dlambda"])
+@pytest.mark.parametrize("kind", ["2*lam", "dlam/lam", "manufactured"])
+def test_an_f_that_reads_lambda_given_none_is_an_feval_error(kind, lam):
+    """An expression naming lam or dlam, and a manufactured f, given None for
+    lambda or lambda' raise FEvalError naming both; given both, they evaluate."""
+    f = lambda_reading_f(kind)
+    with pytest.raises(FEvalError, match=r"lambda and lambda' \(lam, dlam\)"):
+        eval_f(f, 1.0, 0.5, 0.0, 1.0, lam, None if lam else 1.0)
+    assert np.all(eval_f(f, 1.0, 0.5, 0.0, 1.0, 1.0, 1.0) > 0)
+
+
+def test_an_f_that_reads_no_lambda_needs_none():
+    assert float(eval_f(parse_f("1/r^2 * (1 + 0.1*cos(th))"), 1.0, 0.0, 0.0, 1.0)) == 1.1
+
+
 def random_expression(rng, depth=0):
     """Random tree in the expression grammar plus an equivalent Python lambda."""
     leaves = [

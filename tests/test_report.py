@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from prescurv import cli, geometry, report, solver
+from prescurv import cli, geometry, report
 from prescurv.config import build_problem, parse_config
 from prescurv.errors import ContinuationBreakdown
 from prescurv.mesh import ScalarField, build_mesh
@@ -232,41 +232,35 @@ def test_monitor_csv_matches_rowwise_bytes(tmp_path, n_records):
 def solve_counting_geometries(monkeypatch, argv):
     """Run `prescurv solve`; return (exit code, final state, accepted states,
     node fields of the compute_geometry calls made after the continuation
-    returned or broke down, of those made outside newton_solve, and of all).
+    returned or broke down, of those made outside continuation_solve, and of all).
 
     The accepted states are the continuation's history, or None on a breakdown.
     """
-    seen = {"final": None, "history": None, "in_newton": 0, "after": [], "outside": [],
+    seen = {"final": None, "history": None, "in_solve": False, "after": [], "outside": [],
             "all": []}
-    real_solve, real_newton = cli.continuation_solve, solver.newton_solve
-    real_geometry = geometry.compute_geometry
+    real_solve, real_geometry = cli.continuation_solve, geometry.compute_geometry
 
     def solve(*args, **kwargs):
+        seen["in_solve"] = True
         try:
             final, history = real_solve(*args, **kwargs)
         except ContinuationBreakdown as exc:
             seen["final"] = exc.last_good
             raise
+        finally:
+            seen["in_solve"] = False
         seen["final"], seen["history"] = final, history
         return final, history
-
-    def newton(*args, **kwargs):
-        seen["in_newton"] += 1
-        try:
-            return real_newton(*args, **kwargs)
-        finally:
-            seen["in_newton"] -= 1
 
     def counted(mesh, r_field, profile):
         seen["all"].append(r_field)
         if seen["final"] is not None:
             seen["after"].append(r_field)
-        if not seen["in_newton"]:
+        if not seen["in_solve"]:
             seen["outside"].append(r_field)
         return real_geometry(mesh, r_field, profile)
 
     monkeypatch.setattr(cli, "continuation_solve", solve)
-    monkeypatch.setattr(solver, "newton_solve", newton)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "prescurv" and \
                 getattr(module, "compute_geometry", None) is real_geometry:
@@ -293,8 +287,9 @@ def monitor_row(spec, state, mesh):
 
 
 def test_converged_solve_forms_the_final_geometry_once(tmp_path, monkeypatch):
-    """Newton forms every geometry of a solve: none is formed outside newton_solve,
-    none after the continuation returns, and geometry.csv is the final state's."""
+    """The continuation forms every geometry of a solve: none is formed outside
+    continuation_solve, none after it returns, and geometry.csv is the final
+    state's."""
     cfg = os.path.join(CONFIGS, "perturbed_axisym.cfg")
     out = tmp_path / "out"
     code, final, _, after, outside, _ = solve_counting_geometries(

@@ -59,9 +59,9 @@ def const_field(mesh, value):
     return field_from_flat(mesh, np.full(mesh.n_nodes, float(value)))
 
 
-def field_residual(spec, mesh, t, r_field):
-    """The residual of r_field: its node geometry and endpoints, then residual on them."""
-    return residual(spec, t, node_endpoints(spec, compute_geometry(mesh, r_field, spec.profile)))
+def field_residual(spec, t, r_field):
+    """The residual of r_field, formed on its homotopy endpoints."""
+    return residual(t, node_endpoints(spec, r_field))
 
 
 # -- residual ------------------------------------------------------------------
@@ -69,14 +69,14 @@ def field_residual(spec, mesh, t, r_field):
 def test_residual_zero_at_round_start():
     spec = closed_form_spec()
     mesh = build_mesh(32, 16)
-    res = field_residual(spec, mesh, 0.0, const_field(mesh, spec.phi_rm))
+    res = field_residual(spec, 0.0, const_field(mesh, spec.phi_rm))
     assert np.abs(res.values).max() <= 1e-12
 
 
 def test_residual_zero_at_closed_form_root():
     spec = closed_form_spec()
     mesh = build_mesh(32, 16)
-    res = field_residual(spec, mesh, 1.0, const_field(mesh, 1.25))
+    res = field_residual(spec, 1.0, const_field(mesh, 1.25))
     assert np.abs(res.values).max() <= 1e-12
 
 
@@ -105,7 +105,7 @@ def test_residual_evaluates_lambda_once_beside_f(monkeypatch):
     for f in fs:
         for t in (0.0, 0.5):
             calls.clear()
-            field_residual(closed_form_spec(f=f), mesh, t, const_field(mesh, 1.2))
+            field_residual(closed_form_spec(f=f), t, const_field(mesh, 1.2))
             assert len(calls) == 1
 
 
@@ -126,7 +126,7 @@ def test_round_exponential_follows_the_problem_warp():
     spec = closed_form_spec(profile=WarpProfile.hyperbolic((0.0, 10.0)),
                             f=round_exponential(1.25, 1.0))
     mesh = build_mesh(16, 8)
-    res = field_residual(spec, mesh, 1.0, const_field(mesh, 1.25))
+    res = field_residual(spec, 1.0, const_field(mesh, 1.25))
     assert np.abs(res.values).max() <= 1e-12
 
 
@@ -135,7 +135,7 @@ def test_residual_cone_violation_names_node():
     mesh = build_mesh(32, reduced=True)
     bad = ScalarField(mesh, 1 + 0.3 * np.cos(2 * mesh.theta))
     with pytest.raises(ConeViolation) as err:
-        field_residual(spec, mesh, 0.0, bad)
+        field_residual(spec, 0.0, bad)
     assert err.value.node is not None
 
 
@@ -144,7 +144,7 @@ def test_residual_domain_violation():
                             r1=0.8, r2=2.0, phi_rm=1.25)
     mesh = build_mesh(16, 8)
     with pytest.raises(DomainViolation):
-        field_residual(spec, mesh, 0.0, const_field(mesh, 3.0))
+        field_residual(spec, 0.0, const_field(mesh, 3.0))
 
 
 # -- finite-difference Jacobian ---------------------------------------------------
@@ -163,7 +163,7 @@ def test_jacobian_zeroth_order_sign_and_invertibility():
     assert -slope > 0.1  # strictly positive zeroth-order contribution
 
     mesh = build_mesh(16, 8)
-    jac = jacobian_fd(spec, mesh, 0.0, const_field(mesh, rm))
+    jac = jacobian_fd(spec, 0.0, const_field(mesh, rm))
     rhs = np.ones(mesh.n_nodes)
     x = np.linalg.solve(jac, rhs)
     assert np.all(np.isfinite(x))
@@ -175,7 +175,7 @@ def test_jacobian_columns_respect_grid_rotation():
     are the same rotation of each other."""
     spec = closed_form_spec()
     mesh = build_mesh(16, 8)
-    jac = jacobian_fd(spec, mesh, 0.0, const_field(mesh, spec.phi_rm))
+    jac = jacobian_fd(spec, 0.0, const_field(mesh, spec.phi_rm))
     n_phi = mesh.n_phi
     shift = 3
     col_a = jac[:, 0 * n_phi + 0].reshape(mesh.shape)       # node (0, 0)
@@ -187,13 +187,11 @@ def test_newton_step_robust_to_fd_step_halving(monkeypatch):
     spec = closed_form_spec()
     mesh = build_mesh(24, reduced=True)
     r0 = ScalarField(mesh, 1.25 + 0.05 * np.cos(mesh.theta))
-    from prescurv.solver import _residual_vec
-
-    res, _ = _residual_vec(spec, mesh, 0.5, r0.flat())
+    res = field_residual(spec, 0.5, r0).flat()
     steps = {}
     for scale in (1e-6, 5e-7):
         monkeypatch.setattr(solver, "FD_SCALE", scale)
-        jac = jacobian_fd(spec, mesh, 0.5, r0)
+        jac = jacobian_fd(spec, 0.5, r0)
         steps[scale] = np.linalg.solve(jac, -res)
     rel = np.linalg.norm(steps[1e-6] - steps[5e-7]) / np.linalg.norm(steps[1e-6])
     assert rel <= 1e-4
@@ -249,7 +247,7 @@ def test_sparse_jacobian_matches_dense_oracle(case):
     of each perturbed field: the same differences, rounded differently."""
     spec, mesh = oracle_case(case)
     r = bumpy_field(mesh)
-    dense = jacobian_fd(spec, mesh, 0.7, r)
+    dense = jacobian_fd(spec, 0.7, r)
     sparse = jacobian_sparse(spec, 0.7, compute_geometry(mesh, r, spec.profile))
     assert sparse.shape == dense.shape
     assert np.abs(sparse.toarray() - dense).max() <= JACOBIAN_ORACLE_TOL * np.abs(dense).max()
@@ -284,8 +282,8 @@ def test_residual_forms_no_eigenvalues_or_capital_lambda(monkeypatch):
     monkeypatch.setattr(WarpProfile, "capital_lambda", refuse)
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
     mesh = build_mesh(16, 8)
-    field_residual(spec, mesh, 0.5, const_field(mesh, 1.25))
-    _, stats = newton_solve(spec, mesh, 0.5, const_field(mesh, 1.25))
+    field_residual(spec, 0.5, const_field(mesh, 1.25))
+    _, stats = newton_solve(spec, 0.5, node_endpoints(spec, const_field(mesh, 1.25)))
     assert stats.iterations > 0 and stats.residual_norm <= SolverOptions().newton_tol
 
 
@@ -294,7 +292,7 @@ def test_stencil_footprint_covers_dense_jacobian(shape):
     """The shared pattern of the jet operators holds every nonzero of jacobian_fd."""
     mesh = build_mesh(shape[0], shape[1], reduced=shape[1] is None)
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
-    dense = jacobian_fd(spec, mesh, 0.7, bumpy_field(mesh))
+    dense = jacobian_fd(spec, 0.7, bumpy_field(mesh))
     indices, indptr, _ = jet_operators(mesh)
     stored = csc_array((np.ones(indices.size), indices, indptr), shape=dense.shape).toarray()
     assert not np.any(dense[stored == 0])
@@ -393,7 +391,7 @@ def test_inadmissible_perturbation_fails_the_build(monkeypatch, moved):
     r_j = r.flat()[column]
     geom = compute_geometry(mesh, r, spec.profile)
     force_cone_exit(monkeypatch, mesh, column, lambda rs: moved(rs, r_j))
-    residual(spec, 0.7, node_endpoints(spec, geom))  # the unperturbed state is admissible
+    residual(0.7, node_endpoints(spec, r))  # the unperturbed state is admissible
     passes = []
 
     def counting(*args, real=solver._pointwise_residual):
@@ -504,7 +502,7 @@ def test_newton_forms_each_iterates_jet_once_through_compute_geometry(monkeypatc
         monkeypatch.setattr(module, "frame_derivatives", frame_derivatives, raising=False)
     monkeypatch.setattr(solver, "compute_geometry", compute_geometry_)
     monkeypatch.setattr(solver, "jacobian_sparse", jacobian)
-    _, stats = newton_solve(spec, mesh, 0.5, bumpy_field(mesh))
+    _, stats = newton_solve(spec, 0.5, node_endpoints(spec, bumpy_field(mesh)))
     assert stats.jacobians >= 1 and stats.residual_norm <= SolverOptions().newton_tol
     assert len(fields) == len(set(fields)) == len(geometries)
 
@@ -518,7 +516,7 @@ def test_singular_jacobian_is_a_newton_failure(monkeypatch):
     spec = closed_form_spec()
     mesh = build_mesh(16, reduced=True)
     with pytest.raises(NewtonFailure, match="factorization"):
-        newton_solve(spec, mesh, 0.0, const_field(mesh, spec.phi_rm + 0.1))
+        newton_solve(spec, 0.0, node_endpoints(spec, const_field(mesh, spec.phi_rm + 0.1)))
 
 
 def test_non_finite_fresh_step_is_a_newton_failure(monkeypatch):
@@ -534,7 +532,7 @@ def test_non_finite_fresh_step_is_a_newton_failure(monkeypatch):
     spec = closed_form_spec()
     mesh = build_mesh(16, reduced=True)
     with pytest.raises(NewtonFailure, match=r"^non-finite Newton step at t=0$"):
-        newton_solve(spec, mesh, 0.0, const_field(mesh, spec.phi_rm + 0.1))
+        newton_solve(spec, 0.0, node_endpoints(spec, const_field(mesh, spec.phi_rm + 0.1)))
 
 
 REDUCED_CASE = ("warp.kind = euclidean\nwarp.domain = 0,10\nmesh.n_theta = 16\n"
@@ -561,11 +559,11 @@ def test_line_search_backtracks_when_trial_f_is_not_positive():
     spec = closed_form_spec(f=parse_f("(1 + 2.5*(r - 1.25)) / r^2"))
     mesh = build_mesh(16, reduced=True)
     start = const_field(mesh, 1.7)
-    res = field_residual(spec, mesh, 1.0, start).flat()
-    full_step = start.flat() + np.linalg.solve(jacobian_fd(spec, mesh, 1.0, start), -res)
+    res = field_residual(spec, 1.0, start).flat()
+    full_step = start.flat() + np.linalg.solve(jacobian_fd(spec, 1.0, start), -res)
     with pytest.raises(FEvalError):
-        field_residual(spec, mesh, 1.0, field_from_flat(mesh, full_step))
-    sol, stats = newton_solve(spec, mesh, 1.0, start)
+        field_residual(spec, 1.0, field_from_flat(mesh, full_step))
+    sol, stats = newton_solve(spec, 1.0, node_endpoints(spec, start))
     assert stats.halvings >= 1
     assert np.abs(sol.values - 1.25).max() <= 1e-8
 
@@ -599,7 +597,8 @@ def test_non_finite_residual_is_inadmissible():
     K = geom.K.copy()
     K.flat[0] = np.inf
     with pytest.raises(NonFiniteField) as err:
-        residual(spec, 0.5, node_endpoints(spec, dataclasses.replace(geom, K=K)))
+        residual(0.5, HomotopyEndpoints(spec, dataclasses.replace(geom, K=K),
+                                        spec.f_at_nodes(mesh)))
     assert isinstance(err.value, solver.INADMISSIBLE)
 
 
@@ -609,9 +608,9 @@ def test_line_search_backtracks_from_a_non_finite_trial_residual(monkeypatch):
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
     mesh = build_mesh(16, 8)
     start = bumpy_field(mesh)
-    clean_sol, clean = newton_solve(spec, mesh, 0.5, start)
+    clean_sol, clean = newton_solve(spec, 0.5, node_endpoints(spec, start))
     hits = infinite_curvature_at(monkeypatch, 2)  # call 1: the start
-    sol, stats = newton_solve(spec, mesh, 0.5, start)
+    sol, stats = newton_solve(spec, 0.5, node_endpoints(spec, start))
     assert hits == [0.5]
     assert clean.halvings == 0 and stats.halvings >= 1
     assert stats.residual_norm <= SolverOptions().newton_tol
@@ -623,7 +622,7 @@ def test_line_search_backtracks_from_a_non_finite_trial_residual(monkeypatch):
 def test_newton_t0_converges_to_round_solution():
     spec = closed_form_spec()
     mesh = build_mesh(32, reduced=True)
-    sol, stats = newton_solve(spec, mesh, 0.0, const_field(mesh, spec.phi_rm + 0.1))
+    sol, stats = newton_solve(spec, 0.0, node_endpoints(spec, const_field(mesh, spec.phi_rm + 0.1)))
     assert np.abs(sol.values - spec.phi_rm).max() <= 1e-8
     assert stats.residual_norm <= 1e-10
 
@@ -631,20 +630,22 @@ def test_newton_t0_converges_to_round_solution():
 def test_newton_closed_form_from_far_start():
     spec = closed_form_spec()
     mesh = build_mesh(24, 8)
-    sol, stats = newton_solve(spec, mesh, 1.0, const_field(mesh, 1.0))
+    sol, stats = newton_solve(spec, 1.0, node_endpoints(spec, const_field(mesh, 1.0)))
     assert np.abs(sol.values - 1.25).max() <= 1e-6
 
 
 def test_newton_rejects_bad_initial_data():
+    """A start outside the radius domain raises while it is formed; one formed
+    beyond the guarded annulus is refused by Newton."""
     mesh = build_mesh(16, 8)
     # inside the guard band but outside the radius domain
     spec = closed_form_spec(profile=WarpProfile.euclidean((0.5, 2.05)),
                             r1=0.8, r2=2.0, phi_rm=1.25)
     with pytest.raises(DomainViolation):
-        newton_solve(spec, mesh, 0.0, const_field(mesh, 2.055))
+        newton_solve(spec, 0.0, node_endpoints(spec, const_field(mesh, 2.055)))
     spec2 = closed_form_spec()
     with pytest.raises(AdmissibilityError):
-        newton_solve(spec2, mesh, 0.0, const_field(mesh, 2.3))  # beyond the guard
+        newton_solve(spec2, 0.0, node_endpoints(spec2, const_field(mesh, 2.3)))  # beyond the guard
 
 
 def count_geometries(monkeypatch):
@@ -662,51 +663,31 @@ def count_geometries(monkeypatch):
 
 @pytest.mark.parametrize("t", [0.0, 0.5])
 def test_newton_starts_from_a_matching_geometry(monkeypatch, t):
-    """Endpoints formed from r_init itself are the start's: Newton returns the
-    same field and stats as without them and forms one geometry fewer; at
-    t = 0, where the round start takes no step, stats.ends is that object."""
+    """Newton starts from the endpoints it is handed and forms no geometry
+    for them: at t = 0 the round start takes no step, so Newton forms no
+    geometry and returns stats.ends is start; at t = 0.5 every geometry it
+    forms is a step's, the last the solution's."""
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
     mesh = build_mesh(16, 8)
-    start = const_field(mesh, spec.phi_rm)
-    ends = node_endpoints(spec, compute_geometry(mesh, start, spec.profile))
+    start = node_endpoints(spec, const_field(mesh, spec.phi_rm))
     formed = count_geometries(monkeypatch)
-    plain_sol, plain = newton_solve(spec, mesh, t, start)
-    n_plain = len(formed)
-    sol, stats = newton_solve(spec, mesh, t, start, start=ends)
-    assert np.array_equal(sol.values, plain_sol.values) and stats == plain
-    assert len(formed) - n_plain == n_plain - 1
-    assert (stats.ends is ends) == (stats.iterations == 0) == (t == 0.0)
+    sol, stats = newton_solve(spec, t, start)
+    assert not any(np.array_equal(f.values, start.geom.r) for f in formed)
+    assert (stats.ends is start) == (stats.iterations == 0) == (t == 0.0)
+    if t == 0.0:
+        assert formed == [] and np.array_equal(sol.values, start.geom.r)
+    else:
+        assert stats.ends.geom.r is formed[-1].values
 
 
-def test_newton_ignores_a_geometry_one_ulp_off(monkeypatch):
-    """Endpoints whose r differs from r_init at one node by one ulp are not
-    the start's: the results equal a call without them, and stats.ends.geom
-    is a geometry formed afresh from r_init."""
+def test_newton_from_a_start_outside_the_cone_raises():
+    """A start outside Gamma_2 raises ConeViolation: its residual's cone check runs."""
     spec = closed_form_spec()
     mesh = build_mesh(16, 8)
-    start = const_field(mesh, spec.phi_rm)
-    off = start.values.copy()
-    off.flat[5] = np.nextafter(off.flat[5], np.inf)
-    ends = node_endpoints(spec, compute_geometry(mesh, ScalarField(mesh, off), spec.profile))
-    formed = count_geometries(monkeypatch)
-    plain_sol, plain = newton_solve(spec, mesh, 0.0, start)
-    sol, stats = newton_solve(spec, mesh, 0.0, start, start=ends)
-    assert np.array_equal(sol.values, plain_sol.values) and stats == plain
-    assert stats.iterations == 0 and len(formed) == 2
-    assert stats.ends is not ends and np.array_equal(stats.ends.geom.r, start.values)
-
-
-def test_newton_from_a_matching_geometry_outside_the_cone_raises():
-    """Reusing the start's geometry skips no check: a start outside Gamma_2
-    raises ConeViolation with its endpoints handed in, as without them."""
-    spec = closed_form_spec()
-    mesh = build_mesh(16, 8)
-    bad = field_from_function(mesh, lambda th, ph: 1 + 0.3 * np.cos(2 * th))
-    geom = compute_geometry(mesh, bad, spec.profile)
-    assert not np.all(geom.in_cone)
-    for given in (None, node_endpoints(spec, geom)):
-        with pytest.raises(ConeViolation):
-            newton_solve(spec, mesh, 0.5, bad, start=given)
+    start = node_endpoints(spec, field_from_function(mesh, lambda th, ph: 1 + 0.3 * np.cos(2 * th)))
+    assert not np.all(start.geom.in_cone)
+    with pytest.raises(ConeViolation):
+        newton_solve(spec, 0.5, start)
 
 
 class _StaleFactor:
@@ -742,8 +723,8 @@ def test_stale_chord_step_is_discarded_and_the_jacobian_rebuilt(monkeypatch, mis
     mesh = build_mesh(16, 8)
     start = bumpy_field(mesh)
     r0 = start.flat()
-    res = field_residual(spec, mesh, 0.5, start).flat()
-    newton_step = np.linalg.solve(jacobian_fd(spec, mesh, 0.5, start), -res)
+    res = field_residual(spec, 0.5, start).flat()
+    newton_step = np.linalg.solve(jacobian_fd(spec, 0.5, start), -res)
     cone_exit = field_from_function(mesh, lambda th, ph: 1 + 0.3 * np.cos(2 * th)).flat()
     step = {"contraction": 0.5 * newton_step,     # max|res| only halves
             "cone": cone_exit - r0,                # lands on a graph outside Gamma_2
@@ -751,16 +732,15 @@ def test_stale_chord_step_is_discarded_and_the_jacobian_rebuilt(monkeypatch, mis
             "non-finite": np.full(r0.size, np.nan)}[miss]
     if miss == "cone":
         with pytest.raises(ConeViolation):
-            field_residual(spec, mesh, 0.5, field_from_flat(mesh, r0 + step))
+            field_residual(spec, 0.5, field_from_flat(mesh, r0 + step))
     built = _count_builds(monkeypatch)
-    sol, stats = newton_solve(spec, mesh, 0.5, start, lu=_StaleFactor(step))
+    sol, stats = newton_solve(spec, 0.5, node_endpoints(spec, start), lu=_StaleFactor(step))
     assert np.array_equal(built[0], r0)  # the stale trial was not accepted
     assert stats.jacobians == len(built) >= 1
     assert not isinstance(stats.lu, _StaleFactor)
     assert stats.residual_norm <= SolverOptions().newton_tol
     assert compute_geometry(mesh, sol, EUCLID).in_cone.all()
-    lo, hi = solver._guard_bounds(spec)
-    assert lo < sol.values.min() <= sol.values.max() < hi
+    solver._check_guard(spec, sol.flat())  # raises outside the guarded annulus
 
 
 def test_chord_step_on_a_good_factor_builds_no_jacobian(monkeypatch):
@@ -768,10 +748,10 @@ def test_chord_step_on_a_good_factor_builds_no_jacobian(monkeypatch):
     converges on it alone and hands it back."""
     spec = closed_form_spec(f=parse_f(ANGULAR_F))
     mesh = build_mesh(16, 8)
-    near, stats0 = newton_solve(spec, mesh, 0.5, const_field(mesh, 1.25))
+    near, stats0 = newton_solve(spec, 0.5, node_endpoints(spec, const_field(mesh, 1.25)))
     assert stats0.jacobians >= 1 and stats0.lu is not None
     built = _count_builds(monkeypatch)
-    sol, stats = newton_solve(spec, mesh, 0.6, near, lu=stats0.lu)
+    sol, stats = newton_solve(spec, 0.6, node_endpoints(spec, near), lu=stats0.lu)
     assert built == [] and stats.jacobians == 0 and stats.iterations >= 1
     assert stats.lu is stats0.lu
     assert stats.residual_norm <= SolverOptions().newton_tol
@@ -787,7 +767,7 @@ def test_continuation_closed_form():
     assert np.abs(final.r_field.values - 1.25).max() <= 1e-6
     assert total_newton_iterations(history) <= 20
     # re-evaluated residual equals the reported norm (no hidden state)
-    res = field_residual(spec, mesh, final.t, final.r_field)
+    res = field_residual(spec, final.t, final.r_field)
     assert abs(np.abs(res.values).max() - final.residual_norm) <= 1e-12
 
 
@@ -810,7 +790,7 @@ def test_continuation_t0_unique_from_perturbed_starts():
     for i in range(5):
         scale = float(rng.uniform(0.5, 1.0))
         init = ScalarField(mesh, spec.phi_rm + 0.08 * scale * np.cos(mesh.theta * (1 + i % 3)))
-        sol, _ = newton_solve(spec, mesh, 0.0, init)
+        sol, _ = newton_solve(spec, 0.0, node_endpoints(spec, init))
         spread = max(spread, float(np.abs(sol.values - spec.phi_rm).max()))
     assert spread <= 1e-8
 
@@ -838,9 +818,9 @@ def test_continuation_starts_each_step_from_the_secant_prediction(monkeypatch):
     starts, given, accepted = {}, {}, {}
     real = solver.newton_solve
 
-    def spying(spec_, mesh_, t, r_init, opts, lu=None, start=None):
-        starts[t], given[t] = r_init.flat().copy(), start
-        return real(spec_, mesh_, t, r_init, opts, lu, start)
+    def spying(spec_, t, start, opts, lu=None):
+        starts[t], given[t] = start.geom.r.ravel().copy(), start
+        return real(spec_, t, start, opts, lu)
 
     monkeypatch.setattr(solver, "newton_solve", spying)
     _, history = continuation_solve(
@@ -869,11 +849,12 @@ def test_a_path_that_stood_still_predicts_from_its_latest_t(monkeypatch):
     starts = {}
     real = solver.newton_solve
 
-    def still_up_to_02(spec_, mesh_, t, r_init, opts, lu=None, start=None):
-        starts[t] = r_init.flat().copy()
+    def still_up_to_02(spec_, t, start, opts, lu=None):
+        starts[t] = start.geom.r.ravel().copy()
         if 0.0 < t < 0.25:
-            return r_init, solver.NewtonStats(0, 0.0, lu=lu, ends=start)
-        return real(spec_, mesh_, t, r_init, opts, lu, start)
+            return (ScalarField(start.geom.mesh, start.geom.r),
+                    solver.NewtonStats(0, 0.0, lu=lu, ends=start))
+        return real(spec_, t, start, opts, lu)
 
     monkeypatch.setattr(solver, "newton_solve", still_up_to_02)
     _, history = continuation_solve(spec, mesh)
@@ -910,11 +891,11 @@ def test_inadmissible_prediction_halves_the_t_step(monkeypatch, error):
     real = solver.residual
     raised = []
 
-    def refuse_first_guess_at_03(spec_, t, ends):
+    def refuse_first_guess_at_03(t, ends):
         if abs(t - 0.3) < 1e-12 and not raised:
             raised.append(t)
             raise error("forced: predicted guess is inadmissible")
-        return real(spec_, t, ends)
+        return real(t, ends)
 
     monkeypatch.setattr(solver, "residual", refuse_first_guess_at_03)
     built = _count_builds(monkeypatch)
@@ -930,10 +911,10 @@ def count_f_through_the_residual(monkeypatch, spec):
     inside, evaluated = [], []
     real_residual, real_evaluate = solver.residual, type(spec.f).evaluate
 
-    def residual_(spec_, t, ends):
+    def residual_(t, ends):
         inside.append(t)
         try:
-            return real_residual(spec_, t, ends)
+            return real_residual(t, ends)
         finally:
             inside.pop()
 
@@ -970,8 +951,8 @@ def test_a_retried_t_step_forms_no_new_f(monkeypatch):
     evaluated = count_f_through_the_residual(monkeypatch, spec)
     counting_residual, failed = solver.residual, []
 
-    def fail_once_at_01(spec_, t, ends):
-        res = counting_residual(spec_, t, ends)
+    def fail_once_at_01(t, ends):
+        res = counting_residual(t, ends)
         if abs(t - 0.1) < 1e-12 and not failed:
             failed.append(t)
             raise NewtonFailure("forced: the t-step fails after its start residual")
@@ -994,13 +975,13 @@ def test_non_finite_secant_guess_halves_the_t_step(monkeypatch):
     real = solver.newton_solve
     tried = []
 
-    def huge_first_step(spec_, mesh_, t, r_init, opts, lu=None, start=None):
+    def huge_first_step(spec_, t, start, opts, lu=None):
         tried.append(t)
-        sol, stats = real(spec_, mesh_, t, r_init, opts, lu, start)
+        sol, stats = real(spec_, t, start, opts, lu)
         if len(tried) == 2:  # the state accepted at t = 0.1
             values = sol.values.copy()
             values.flat[0] = 1e308
-            sol = ScalarField(mesh_, values)
+            sol = ScalarField(sol.mesh, values)
         return sol, stats
 
     monkeypatch.setattr(solver, "newton_solve", huge_first_step)
@@ -1073,7 +1054,7 @@ def test_manufactured_residual_at_target_is_truncation():
         spec = closed_form_spec(f=manufacture_f(base, mesh, target), phi_rm=1.0)
         tf = ScalarField(mesh, np.broadcast_to(
             target(mesh.theta, None)[:, None], mesh.shape).copy())
-        norms[nt] = float(np.abs(field_residual(spec, mesh, 1.0, tf).values).max())
+        norms[nt] = float(np.abs(field_residual(spec, 1.0, tf).values).max())
     assert norms[128] <= 1e-5
     assert norms[64] / norms[128] >= 8.0
 

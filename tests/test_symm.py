@@ -42,6 +42,18 @@ def test_sigma_rejects_out_of_range():
         sigma((1.0, 2.0), -1)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: sigma([1.0], 1), "at least 2 eigenvalues"),
+    (lambda: sigma_minor((1.0, 2.0), 0, 5), "entry index 5 out of range for n=2"),
+    (lambda: in_gamma_k((1.0, 2.0), 3), "cone order 3 out of range for n=2"),
+    (lambda: offdiag_identity_residual((1.0, 2.0, 3.0), QuotientOrder(3, 0), 0),
+     "partner index 0 out of range"),
+], ids=["sigma-one-eigenvalue", "sigma-minor-entry", "in-gamma-k-order", "offdiag-partner-0"])
+def test_argument_checks_name_what_they_reject(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_sigma_minor_examples():
     assert sigma_minor((1.0, 2.0, 3.0), 1, 1) == pytest.approx(4.0)
     assert sigma_minor((1.0, 2.0, 3.0), 2, 0) == pytest.approx(6.0)

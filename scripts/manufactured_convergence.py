@@ -21,17 +21,12 @@ import time
 
 import numpy as np
 
-from prescurv import (
-    ProblemSpec,
-    SolverOptions,
-    WarpProfile,
-    build_mesh,
-    continuation_solve,
-    manufacture_f,
-    parse_f,
-)
 from prescurv.errors import ContinuationBreakdown
-from prescurv.solver import total_jacobians, total_newton_iterations
+from prescurv.mesh import build_mesh
+from prescurv.problem import ProblemSpec, manufacture_f, parse_f
+from prescurv.solver import (SolverOptions, continuation_solve, total_jacobians,
+                             total_newton_iterations)
+from prescurv.warp import WarpProfile
 
 
 def target(th, ph):
@@ -72,8 +67,8 @@ def main(argv=None):
     ap.add_argument("--resolutions", default="64,128,256")
     args = ap.parse_args(argv)
 
-    profile = (WarpProfile.euclidean((0.0, 10.0)) if args.euclidean
-               else WarpProfile.hyperbolic((0.0, 10.0)))
+    profile = (WarpProfile("euclidean", (0.0, 10.0)) if args.euclidean
+               else WarpProfile("hyperbolic", (0.0, 10.0)))
     base = ProblemSpec(profile, parse_f("1"), r1=0.5, r2=2.0, phi_rm=1.0)
     opts = SolverOptions(newton_tol=1e-11)
 

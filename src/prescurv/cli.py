@@ -203,6 +203,9 @@ def cmd_sweep(args) -> int:
     if not args.key or args.values is None:
         raise ConfigError("sweep needs --key and --values")
     check_key(args.key)
+    if args.key in ("warp.domain", "warp.coeffs"):
+        raise ConfigError(f"sweep cannot vary {args.key}: its value is a comma list, "
+                          "and --values splits on commas", key=args.key)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep got an empty --values list")

@@ -33,7 +33,7 @@ SEED = 20240811
 # the worst measured over jacobian_sparse_vs_dense and tests/test_solver.py's cases is 7.7e-11
 JACOBIAN_ORACLE_TOL = 5e-10
 
-EUCLID = WarpProfile.euclidean((0.0, 10.0))
+EUCLID = WarpProfile("euclidean", (0.0, 10.0))
 WARP_DOMAINS = {"euclidean": (0.1, 10.0), "spherical": (0.1, np.pi / 2), "hyperbolic": (0.1, 10.0)}
 ORACLE_MESH = (128, 64)      # embedding_oracle's mesh, (n_theta, n_phi)
 ORACLE_TOL = 1e-5            # its bound on the worst relative error
@@ -210,9 +210,9 @@ def geometry_constant_graph_identity():
     mesh = M.build_mesh(32, 64)
     worst = 0.0
     for profile, radii in ((EUCLID, (0.4, 3.0)),
-                           (WarpProfile.spherical((0.0, np.pi / 2)), (0.3, 1.4)),
-                           (WarpProfile.hyperbolic((0.0, 10.0)), (0.4, 3.0)),
-                           (WarpProfile.custom([0.0, 1.0, 0.0, 1.0 / 6.0], (0.0, 5.0)), (0.5, 2.5))):
+                           (WarpProfile("spherical", (0.0, np.pi / 2)), (0.3, 1.4)),
+                           (WarpProfile("hyperbolic", (0.0, 10.0)), (0.4, 3.0)),
+                           (WarpProfile("custom", (0.0, 5.0), [0.0, 1.0, 0.0, 1.0 / 6.0]), (0.5, 2.5))):
         for c in np.linspace(*radii, 7):
             ratio, ok = SY.quotient_ratio_batch(_constant_geometry(mesh, c, profile).mu_stack(),
                                                 SY.QuotientOrder(2, 0))
@@ -331,7 +331,7 @@ CHECKS = (
     Check("geometry-identity-refinement-euclidean", partial(
         _identity_refinement_on, EUCLID, lambda t, p: 1 + 0.1 * np.cos(t))),
     Check("geometry-identity-refinement-spherical", partial(
-        _identity_refinement_on, WarpProfile.spherical((0.0, np.pi / 2)),
+        _identity_refinement_on, WarpProfile("spherical", (0.0, np.pi / 2)),
         lambda t, p: 0.8 + 0.05 * np.cos(t))),
     Check("fexpr-rejects-unknown", fexpr_rejects_unknown),
     Check("blend-affine-in-t", blend_affine_in_t),

@@ -1,9 +1,10 @@
 """Warping function of the ambient metric dr^2 + lambda(r)^2 g' and derived scalars.
 
-Builtin kinds cover the three space forms (lambda = r, sin r, sinh r); custom
-profiles are polynomials in r, held as ascending coefficient tuples, so that
-lambda' and the antiderivative stay closed form; each is evaluated by an
-inline Horner loop in numpy's polyval order, so its values are polyval's.  `eval_lambda` returns
+A kind is one row of FORMS: lambda, lambda' and the antiderivative of lambda
+from 0, in closed form.  The builtin rows are the three space forms
+(lambda = r, sin r, sinh r); the custom row is a polynomial in r, held as
+ascending coefficient tuples, evaluated by an inline Horner loop in numpy's
+polyval order, so that its values are polyval's.  `eval_lambda` returns
 (lambda, lambda'), all the geometry and the problem layer read: the threshold
 zeta^2 = (lambda'/lambda)^2 is problem.threshold of those values.
 All evaluators are vectorized over numpy arrays.
@@ -12,14 +13,30 @@ All evaluators are vectorized over numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import DomainViolation, ProfileViolation
 
-KINDS = ("euclidean", "spherical", "hyperbolic", "custom")
+
+def _horner(c, x):
+    """numpy's polyval(x, c), its operations in its order, without its per-call array set-up."""
+    v = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        v = ci + v * x
+    return v
+
+
+# kind -> (lambda, lambda', antiderivative of lambda from 0), each a function of
+# (c, r) where c is that function's ascending coefficients, read by the custom row only
+FORMS = {
+    "euclidean": (lambda c, r: r, lambda c, r: np.ones_like(r), lambda c, r: 0.5 * r * r),
+    "spherical": (lambda c, r: np.sin(r), lambda c, r: np.cos(r), lambda c, r: 1.0 - np.cos(r)),
+    "hyperbolic": (lambda c, r: np.sinh(r), lambda c, r: np.cosh(r), lambda c, r: np.cosh(r) - 1.0),
+    "custom": (_horner, _horner, _horner),
+}
+KINDS = tuple(FORMS)
 
 
 @dataclass(frozen=True)
@@ -28,16 +45,19 @@ class WarpProfile:
 
     `domain` is the admissible radius interval; evaluation uses the closed
     interval so that endpoint radii (e.g. pi/2 for the spherical cap) remain
-    queryable.  lambda > 0 and lambda' > 0 are not enforced at construction
-    but where lambda is evaluated: `eval_lambda` raises ProfileViolation at
-    radii where either fails.
+    queryable.  Domain and coeffs may be any sequences of numbers: they are
+    stored as float tuples.  lambda > 0 and lambda' > 0 are not enforced at
+    construction but where lambda is evaluated: `eval_lambda` raises
+    ProfileViolation at radii where either fails.
     """
 
     kind: str
     domain: tuple[float, float]
-    custom_coeffs: tuple[float, ...] = ()  # ascending powers: c0 + c1 r + ...
+    coeffs: tuple[float, ...] = ()  # custom only, ascending powers: c0 + c1 r + ...
 
     def __post_init__(self):
+        object.__setattr__(self, "domain", tuple(map(float, self.domain)))
+        object.__setattr__(self, "coeffs", tuple(map(float, self.coeffs)))
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         r_lo, r_hi = self.domain
@@ -45,29 +65,8 @@ class WarpProfile:
             raise ValueError(f"domain must be finite with r_lo < r_hi, got {self.domain}")
         if r_lo < 0:
             raise ValueError("domain must lie in r >= 0")
-        if self.kind == "custom" and not (self.custom_coeffs
-                                          and np.isfinite(self.custom_coeffs).all()):
+        if self.kind == "custom" and not (self.coeffs and np.isfinite(self.coeffs).all()):
             raise ValueError("coeffs of a custom profile must be finite and not empty")
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def euclidean(cls, domain=(0.0, 10.0)):
-        return cls("euclidean", tuple(map(float, domain)))
-
-    @classmethod
-    def spherical(cls, domain=(0.0, np.pi / 2)):
-        return cls("spherical", tuple(map(float, domain)))
-
-    @classmethod
-    def hyperbolic(cls, domain=(0.0, 10.0)):
-        return cls("hyperbolic", tuple(map(float, domain)))
-
-    @classmethod
-    def custom(cls, coeffs: Sequence[float], domain):
-        return cls("custom", tuple(map(float, domain)), tuple(map(float, coeffs)))
-
-    # -- evaluation ---------------------------------------------------------
 
     def _check_domain(self, r):
         r = np.asarray(r, dtype=float)
@@ -81,27 +80,21 @@ class WarpProfile:
 
     @cached_property
     def _poly(self):
-        """Ascending coefficients of (p, p', antiderivative of p vanishing at 0), custom only."""
-        c = self.custom_coeffs
-        dc = tuple(j * c[j] for j in range(1, len(c))) or (0.0 * c[0],)
+        """Ascending coefficients of (p, p', antiderivative of p vanishing at 0) for p = coeffs."""
+        c = self.coeffs
+        dc = tuple(j * c[j] for j in range(1, len(c))) or tuple(0.0 * x for x in c[:1])
         return c, dc, (0.0,) + tuple(cj / (j + 1) for j, cj in enumerate(c))
 
-    def _raw(self, r):
-        """(lambda, lambda') without domain or positivity checks."""
-        r = np.asarray(r, dtype=float)
-        if self.kind == "euclidean":
-            return r, np.ones_like(r)
-        if self.kind == "spherical":
-            return np.sin(r), np.cos(r)
-        if self.kind == "hyperbolic":
-            return np.sinh(r), np.cosh(r)
-        c, dc, _ = self._poly
-        return _horner(c, r), _horner(dc, r)
+    @cached_property
+    def _forms(self):
+        """The kind's row of FORMS, each function a function of r alone."""
+        return tuple(map(partial, FORMS[self.kind], self._poly))
 
     def eval_lambda(self, r):
         """Return (lambda, lambda') at r, enforcing positivity."""
         r = self._check_domain(r)
-        lam, dlam = self._raw(r)
+        lam_of, dlam_of, _ = self._forms
+        lam, dlam = lam_of(r), dlam_of(r)
         if (lam <= 0).any():
             raise ProfileViolation(f"lambda <= 0 inside domain ({self.kind})")
         if (dlam <= 0).any():
@@ -110,19 +103,4 @@ class WarpProfile:
 
     def capital_lambda(self, r):
         """Antiderivative of lambda from 0 to r, in closed form for every kind."""
-        r = self._check_domain(r)
-        if self.kind == "euclidean":
-            return 0.5 * r * r
-        if self.kind == "spherical":
-            return 1.0 - np.cos(r)
-        if self.kind == "hyperbolic":
-            return np.cosh(r) - 1.0
-        return _horner(self._poly[2], r)
-
-
-def _horner(c, x):
-    """numpy's polyval(x, c), its operations in its order, without its per-call array set-up."""
-    v = c[-1] + x * 0
-    for ci in c[-2::-1]:
-        v = ci + v * x
-    return v
+        return self._forms[2](self._check_domain(r))

@@ -5,7 +5,7 @@ and the round exponential that carries it to any warp."""
 from prescurv.problem import ProblemSpec, parse_f
 from prescurv.warp import WarpProfile
 
-EUCLID = WarpProfile.euclidean((0.0, 10.0))
+EUCLID = WarpProfile("euclidean", (0.0, 10.0))
 
 
 def closed_form_spec(**kw):

@@ -137,7 +137,7 @@ def test_criterion_6_barrier_invariant():
     for alpha in (0.5, 2.0):
         f = parse_f(f"1/r^2 * exp({alpha}*(1.25 - r))")
         runs.append((closed_form_spec(f=f), build_mesh(32, reduced=True), SolverOptions()))
-    hyp = WarpProfile.hyperbolic((0.0, 10.0))
+    hyp = WarpProfile("hyperbolic", (0.0, 10.0))
     mesh_h = build_mesh(64, reduced=True)
     base = ProblemSpec(hyp, parse_f("1"), 0.5, 2.0, 1.0)
     spec_h = ProblemSpec(hyp, manufacture_f(

@@ -290,6 +290,19 @@ def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
     assert not os.path.exists(out)  # rejected before any solve
 
 
+@pytest.mark.parametrize("key,values", [("warp.domain", "0,10"), ("warp.coeffs", "0,1,0,0.5")])
+def test_sweep_refuses_a_comma_list_key(tmp_path, capsys, key, values):
+    """--values splits on commas, so a key whose value is itself a comma list
+    cannot be swept: exit 2 naming why, nothing written."""
+    cfg = write_cfg(tmp_path, CLOSED_FORM)
+    out = str(tmp_path / "o")
+    assert main(["--config", cfg, "--out", out, "sweep", "--key", key, "--values", values]) == 2
+    captured = capsys.readouterr()
+    assert (f"sweep cannot vary {key}: its value is a comma list, and --values splits on "
+            f"commas (key: {key})") in captured.err
+    assert captured.out == "" and not os.path.exists(out)
+
+
 def test_a_warp_domain_below_zero_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, set_keys(CLOSED_FORM, "warp.domain = -1,10"))
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == 2

@@ -14,7 +14,7 @@ from prescurv.problem import threshold
 from prescurv.symm import QuotientOrder, quotient_ratio_batch
 from prescurv.warp import WarpProfile
 
-EUCLID = WarpProfile.euclidean((0.0, 10.0))
+EUCLID = WarpProfile("euclidean", (0.0, 10.0))
 Q20 = QuotientOrder(2, 0)
 
 
@@ -48,9 +48,9 @@ def test_round_graph_euclidean():
 
 @pytest.mark.parametrize("profile,c", [
     (EUCLID, 1.7),
-    (WarpProfile.spherical((0.0, np.pi / 2)), 0.9),
-    (WarpProfile.hyperbolic((0.0, 10.0)), 1.2),
-    (WarpProfile.custom([0.0, 1.0, 0.0, 1.0 / 6.0], (0.0, 5.0)), 1.0),
+    (WarpProfile("spherical", (0.0, np.pi / 2)), 0.9),
+    (WarpProfile("hyperbolic", (0.0, 10.0)), 1.2),
+    (WarpProfile("custom", (0.0, 5.0), [0.0, 1.0, 0.0, 1.0 / 6.0]), 1.0),
 ])
 def test_constant_graph_matches_threshold(profile, c):
     """At r = const the curvature quotient equals the constant-graph threshold."""
@@ -65,9 +65,9 @@ def test_constant_graph_matches_threshold(profile, c):
 
 @pytest.mark.parametrize("profile", [
     EUCLID,
-    WarpProfile.spherical((0.0, np.pi / 2)),
-    WarpProfile.hyperbolic((0.0, 10.0)),
-    WarpProfile.custom([0.0, 1.0, 0.0, 1.0 / 6.0], (0.0, 5.0)),
+    WarpProfile("spherical", (0.0, np.pi / 2)),
+    WarpProfile("hyperbolic", (0.0, 10.0)),
+    WarpProfile("custom", (0.0, 5.0), [0.0, 1.0, 0.0, 1.0 / 6.0]),
 ], ids=["euclidean", "spherical", "hyperbolic", "custom"])
 def test_algebraic_invariants_on_perturbed_graph(profile):
     mesh = build_mesh(48, 32)
@@ -121,7 +121,7 @@ def test_orientation_convex_round_graphs():
 
 def test_domain_violation_propagates():
     mesh = build_mesh(16, 8)
-    prof = WarpProfile.euclidean((0.5, 2.0))
+    prof = WarpProfile("euclidean", (0.5, 2.0))
     with pytest.raises(DomainViolation):
         compute_geometry(mesh, const_field(mesh, 2.5), prof)
 
@@ -212,7 +212,7 @@ def test_support_identities_preconditions():
     with pytest.raises(ValueError):
         check_support_identities(geom)
     red = build_mesh(32, reduced=True)
-    custom = WarpProfile.custom([0.0, 1.0], (0.0, 10.0))
+    custom = WarpProfile("custom", (0.0, 10.0), [0.0, 1.0])
     geom = compute_geometry(red, ScalarField(red, np.ones(32)), custom)
     with pytest.raises(ValueError):
         check_support_identities(geom)
@@ -227,7 +227,7 @@ def test_codazzi_constant_graph():
 def test_codazzi_preconditions():
     red = build_mesh(32, reduced=True)
     geom = compute_geometry(red, ScalarField(red, np.ones(32)),
-                            WarpProfile.hyperbolic((0.0, 10.0)))
+                            WarpProfile("hyperbolic", (0.0, 10.0)))
     with pytest.raises(ValueError, match="flat"):
         check_codazzi_flat(geom)
     full = build_mesh(32, 16)

@@ -18,7 +18,7 @@ RM, ALPHA, T = 1.25, -0.3, 0.5
                    reason="ROADMAP items 2 and 14: the pole-row FD step misses the closed-form "
                           "eigenvalue of J (3.1e-8 at 16x8 up to 9.5e-3 at 64x32)")
 @pytest.mark.parametrize("shape", [(16, 8), (32, 16), (64, 32)], ids=["16x8", "32x16", "64x32"])
-@pytest.mark.parametrize("profile", [EUCLID, WarpProfile.hyperbolic((0.0, 10.0))],
+@pytest.mark.parametrize("profile", [EUCLID, WarpProfile("hyperbolic", (0.0, 10.0))],
                          ids=["euclidean", "hyperbolic"])
 def test_jacobian_meets_the_round_eigenvalue(profile, shape):
     """The round exponential f = (dlam/lam)^2 exp(alpha (rm - r)) with phi.rm = rm has

@@ -397,7 +397,7 @@ def test_barriers_sample_outside_the_annulus_near_the_domain_ends(domain, r1, ex
     """An annulus edge closer to its end of the warp domain than 1e-3 of the
     domain: the barrier samples that edge, not the annulus inside it, where
     f crosses zeta^2 (at r = 0.006 and r = 1.9995)."""
-    spec = closed_form_spec(profile=WarpProfile.euclidean(domain), f=parse_f(expr),
+    spec = closed_form_spec(profile=WarpProfile("euclidean", domain), f=parse_f(expr),
                             r1=r1, r2=2.0, phi_rm=1.0)
     rep = check_assumptions(spec)
     assert not rep.hard_failures

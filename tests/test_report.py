@@ -134,7 +134,7 @@ def test_geometry_csv_matches_rowwise_bytes(tmp_path, chunk_rows, mesh_key):
 
     theta, phi = mesh.theta_grid(), mesh.phi_grid()
     r = 1.1 + 0.05 * np.cos(theta) ** 2 + 0.02 * np.sin(theta) ** 2 * np.cos(2 * phi)
-    geom = geometry.compute_geometry(mesh, ScalarField(mesh, r), WarpProfile.euclidean())
+    geom = geometry.compute_geometry(mesh, ScalarField(mesh, r), WarpProfile("euclidean", (0.0, 10.0)))
     report.write_geometry_csv(str(path), geom)
     arrays = [getattr(geom, c) for c in GEOMETRY_COLS]
     assert path.read_bytes() == rowwise_csv(node_columns(mesh, GEOMETRY_COLS, arrays))
@@ -145,7 +145,7 @@ def test_ring_constant_columns_are_formatted_once_per_ring(tmp_path, monkeypatch
     on each ring, and each is formatted n_theta cells, not n_theta * n_phi."""
     mesh = build_mesh(24, 12)
     r = ScalarField(mesh, np.full(mesh.shape, 1.1))
-    geom = geometry.compute_geometry(mesh, r, WarpProfile.euclidean())
+    geom = geometry.compute_geometry(mesh, r, WarpProfile("euclidean", (0.0, 10.0)))
     formatted = []
     real_cells = report._cells
 
@@ -182,7 +182,7 @@ def test_ring_constant_128x64_node_csvs_match_rowwise_bytes(tmp_path, radius):
     r = np.full(mesh.shape, 1.25) if radius == "round" else np.broadcast_to(
         1.1 + 0.05 * np.cos(theta) ** 2 + 0.01 * np.cos(theta), mesh.shape).copy()
     field_obj = ScalarField(mesh, r)
-    geom = geometry.compute_geometry(mesh, field_obj, WarpProfile.euclidean())
+    geom = geometry.compute_geometry(mesh, field_obj, WarpProfile("euclidean", (0.0, 10.0)))
     arrays = [getattr(geom, c) for c in GEOMETRY_COLS]
     assert all(ring_constant(a, mesh) for a in [r] + arrays)
     assert (radius == "round") == all(np.unique(a).size == 1 for a in [r] + arrays)

@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import prescurv
-from prescurv import cli, selftest
+from prescurv import cli, selftest, symm
 from prescurv.errors import AdmissibilityError
-from prescurv.selftest import CHECKS, Check, quotient_offdiag_identity
+from prescurv.selftest import (CHECKS, Check, geometry_constant_graph_identity,
+                               quotient_gradient_vs_fd, quotient_offdiag_identity)
 
 CHECK_IDS = [c.name for c in CHECKS]
 
@@ -40,6 +42,27 @@ def test_a_sampled_check_reads_the_same_value_in_any_order():
 def test_the_offdiag_check_fails_when_it_evaluates_too_few_triples():
     result = quotient_offdiag_identity(draws=20)
     assert result.value <= result.bound and not result.passed
+
+
+def test_the_gradient_check_fails_on_a_gradient_entry_not_positive(monkeypatch):
+    real = symm.quotient_gradient_diag
+    monkeypatch.setattr(symm, "quotient_gradient_diag", lambda mu, q: -np.asarray(real(mu, q)))
+    result = quotient_gradient_vs_fd()
+    assert result.value == np.inf and not result.passed
+
+
+def test_the_constant_graph_check_fails_on_a_point_outside_the_cone(monkeypatch):
+    real = symm.quotient_ratio_batch
+
+    def one_node_outside(mu, q):
+        ratio, ok = real(mu, q)
+        ok = ok.copy()
+        ok.flat[0] = False
+        return ratio, ok
+
+    monkeypatch.setattr(symm, "quotient_ratio_batch", one_node_outside)
+    result = geometry_constant_graph_identity()
+    assert result.value == np.inf and not result.passed
 
 
 @pytest.mark.parametrize("exc", [FloatingPointError("overflow encountered in multiply"),

@@ -123,7 +123,7 @@ def test_check_assumptions_evaluates_lambda_once_per_radius_grid(monkeypatch):
 def test_round_exponential_follows_the_problem_warp():
     """The expression's (dlam/lam)^2 is the problem's warp's threshold: r = rm solves
     t = 1 in the hyperbolic warp, where K of the round graph is coth^2 rm."""
-    spec = closed_form_spec(profile=WarpProfile.hyperbolic((0.0, 10.0)),
+    spec = closed_form_spec(profile=WarpProfile("hyperbolic", (0.0, 10.0)),
                             f=round_exponential(1.25, 1.0))
     mesh = build_mesh(16, 8)
     res = field_residual(spec, 1.0, const_field(mesh, 1.25))
@@ -140,7 +140,7 @@ def test_residual_cone_violation_names_node():
 
 
 def test_residual_domain_violation():
-    spec = closed_form_spec(profile=WarpProfile.euclidean((0.5, 2.5)),
+    spec = closed_form_spec(profile=WarpProfile("euclidean", (0.5, 2.5)),
                             r1=0.8, r2=2.0, phi_rm=1.25)
     mesh = build_mesh(16, 8)
     with pytest.raises(DomainViolation):
@@ -200,8 +200,8 @@ def test_newton_step_robust_to_fd_step_halving(monkeypatch):
 # -- sparse Jacobian against the dense oracle ----------------------------------------
 
 ANGULAR_F = "1/r^2 * exp(1.25 - r) * (1 + 0.03*sin(th)*cos(ph) - 0.02*sin(th)*sin(ph))"
-HYPERBOLIC = WarpProfile.hyperbolic((0.0, 10.0))
-CUSTOM = WarpProfile.custom((0.0, 1.0, 0.0, 1.0 / 6.0), (0.0, 5.0))
+HYPERBOLIC = WarpProfile("hyperbolic", (0.0, 10.0))
+CUSTOM = WarpProfile("custom", (0.0, 5.0), (0.0, 1.0, 0.0, 1.0 / 6.0))
 
 
 def bumpy_field(mesh):
@@ -322,7 +322,7 @@ def solve_record(spec, mesh):
                                   for s in history]
 
 
-@pytest.mark.parametrize("profile", [EUCLID, WarpProfile.hyperbolic((0.0, 10.0)), CUSTOM],
+@pytest.mark.parametrize("profile", [EUCLID, WarpProfile("hyperbolic", (0.0, 10.0)), CUSTOM],
                          ids=["euclidean", "hyperbolic", "custom"])
 def test_round_exponential_expression_is_the_closed_form_bit_for_bit(profile):
     """(dlam/lam)^2 * exp(alpha*(rm - r)) reads the caller's lambda, lambda' as the closed
@@ -639,7 +639,7 @@ def test_newton_rejects_bad_initial_data():
     beyond the guarded annulus is refused by Newton."""
     mesh = build_mesh(16, 8)
     # inside the guard band but outside the radius domain
-    spec = closed_form_spec(profile=WarpProfile.euclidean((0.5, 2.05)),
+    spec = closed_form_spec(profile=WarpProfile("euclidean", (0.5, 2.05)),
                             r1=0.8, r2=2.0, phi_rm=1.25)
     with pytest.raises(DomainViolation):
         newton_solve(spec, 0.0, node_endpoints(spec, const_field(mesh, 2.055)))
@@ -1065,7 +1065,7 @@ def test_manufactured_convergence_hyperbolic():
     In the euclidean warp the same construction leaves the surface scale
     undetermined; see test_manufactured_euclidean_degeneracy_is_reported.
     """
-    profile = WarpProfile.hyperbolic((0.0, 10.0))
+    profile = WarpProfile("hyperbolic", (0.0, 10.0))
     target = lambda th, ph: 1 + 0.05 * np.cos(th)
     errs = []
     for nt in (64, 128, 256):
@@ -1083,7 +1083,7 @@ def test_manufactured_convergence_full_2d():
     """A target that is not axisymmetric, on full meshes: the solve error
     against it falls by >= 12 from 16x8 to 32x16 (the through-pole azimuthal
     stencils included), and every assumption check passes."""
-    profile = WarpProfile.hyperbolic((0.0, 10.0))
+    profile = WarpProfile("hyperbolic", (0.0, 10.0))
     target = lambda th, ph: (1 + 0.025 * (3 * np.cos(th) ** 2 - 1)
                              + 0.04 * np.sin(th) ** 2 * np.cos(2 * ph))
     base = ProblemSpec(profile, parse_f("1"), 0.5, 2.0, 1.0)
@@ -1099,7 +1099,7 @@ def test_manufactured_convergence_full_2d():
 
 
 def test_manufactured_hyperbolic_satisfies_strict_barriers():
-    profile = WarpProfile.hyperbolic((0.0, 10.0))
+    profile = WarpProfile("hyperbolic", (0.0, 10.0))
     mesh = build_mesh(64, reduced=True)
     base = ProblemSpec(profile, parse_f("1"), 0.5, 2.0, 1.0)
     spec = ProblemSpec(profile, manufacture_f(
@@ -1125,7 +1125,7 @@ def test_manufactured_euclidean_degeneracy_is_reported():
 def test_continuation_spherical_warp_round_case():
     """Third builtin warp end to end: threshold cot^2(r) with an exponential
     factor has the round root r = rm and satisfies all assumptions."""
-    profile = WarpProfile.spherical((0.0, np.pi / 2))
+    profile = WarpProfile("spherical", (0.0, np.pi / 2))
     f = round_exponential(0.75, 1.0)
     spec = ProblemSpec(profile, f, r1=0.3, r2=1.2, phi_rm=0.75)
     rep = check_assumptions(spec)

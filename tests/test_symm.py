@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prescurv import symm
 from prescurv.errors import ConeViolation, DegeneratePair
 from prescurv.selftest import SEED, admissible_orders, random_cone_point, sigma_bruteforce
 from prescurv.symm import (
@@ -195,6 +196,26 @@ def test_concavity_random_directions():
                            rng=np.random.default_rng(1)) <= 1e-6
     assert concavity_probe((1.0, 2.0, 3.0), QuotientOrder(3, 1), trials=100,
                            rng=np.random.default_rng(2)) <= 1e-6
+
+
+def test_concavity_probe_halves_its_step_at_the_cone_edge(monkeypatch):
+    """At sigma_2 = 1e-6 the first stencil leaves Gamma_2 and the probe halves
+    its step until both points lie inside; at sigma_2 = 1e-300 forty halvings
+    cannot get inside, and it raises ConeViolation."""
+    outside = []
+    real = symm.in_gamma_k
+
+    def counted(mu, k):
+        inside = real(mu, k)
+        outside.append(not inside)
+        return inside
+
+    monkeypatch.setattr(symm, "in_gamma_k", counted)
+    q = QuotientOrder(2, 0)
+    second = concavity_probe((1.0, 1e-6), q, trials=8, rng=np.random.default_rng(3))
+    assert any(outside) and np.isfinite(second) and second <= 0.0
+    with pytest.raises(ConeViolation, match="cannot stay inside"):
+        concavity_probe((1.0, 1e-300), q, trials=8, rng=np.random.default_rng(3))
 
 
 # -- vectorized helpers --------------------------------------------------------

@@ -5,22 +5,27 @@ class PrescurvError(Exception):
     """Base class for all package errors."""
 
 
-class DomainViolation(PrescurvError):
+class Inadmissible(PrescurvError):
+    """A trial state is not admissible: the line search steps back from it, a chord step
+    is dropped, jacobian_sparse raises AdmissibilityError and a predicted t-step halves dt."""
+
+
+class DomainViolation(Inadmissible):
     """A radius left the warp profile's interval."""
 
 
-class ProfileViolation(PrescurvError):
+class ProfileViolation(Inadmissible):
     """The warping function or its derivative is non-positive at a point."""
 
 
-class NonFiniteField(PrescurvError, ValueError):
+class NonFiniteField(Inadmissible, ValueError):
     """A node field holds an infinite or NaN value.
 
     Also a ValueError, which callers validating outside input catch.
     """
 
 
-class ConeViolation(PrescurvError):
+class ConeViolation(Inadmissible):
     """Eigenvalues left the admissibility cone (some sigma_j <= 0)."""
 
     def __init__(self, message, node=None):
@@ -32,7 +37,7 @@ class DegeneratePair(PrescurvError):
     """Two eigenvalues coincide where an identity divides by their gap."""
 
 
-class AdmissibilityError(PrescurvError):
+class AdmissibilityError(Inadmissible):
     """A field or target graph fails an admissibility precondition."""
 
 
@@ -61,7 +66,7 @@ class FParseError(PrescurvError):
         self.position = position
 
 
-class FEvalError(PrescurvError):
+class FEvalError(Inadmissible):
     """A prescribed-function expression produced a non-finite or non-positive value."""
 
 

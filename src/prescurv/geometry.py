@@ -50,7 +50,7 @@ def _sym_pair_eigs(g11, g12, g22, h11, h12, h22):
     return mean + root, mean - root
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphGeometry:
     """Pointwise geometric state of the graph surface; arrays shaped like r.
 

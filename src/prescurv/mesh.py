@@ -8,19 +8,20 @@ Azimuthal derivatives use 6th-order centered stencils: they cost nothing
 extra under periodicity and keep the 1/sin(theta)-amplified terms at the
 pole rows from dominating the overall (colatitude-limited) 4th-order error.
 The reduced mode keeps only the colatitude line for axisymmetric fields.
-Per mesh shape, a cached ghost map holds both continuations, and cached
-constants sin, sin^2, cot and the stencil scales; a table holds each
-stencil's nonzero taps.  frame_derivatives, the one definition of the 2-jet,
-gives the orthonormal-frame gradient and covariant Hessian of a field,
-gathering the field once per axis; jet_operators gives the same maps as
-one shared sparse pattern and six rows of weights, column by column from
-frame_derivatives, for the Jacobian.
+A mesh equals, and hashes as, any mesh of its shape (n_theta, n_phi), so each
+per-shape table is a cache keyed on the mesh: the ghost map of both
+continuations, the constants sin, sin^2, cot and the stencil scales, and
+jet_operators.  frame_derivatives, the one definition of the 2-jet, gives the
+orthonormal-frame gradient and covariant Hessian of a field, gathering the
+field once per axis; jet_operators gives the same maps as one shared sparse
+pattern and six rows of weights, column by column from frame_derivatives,
+for the Jacobian.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -31,11 +32,11 @@ from .errors import NonFiniteField
 @dataclass(frozen=True)
 class SphereMesh:
     n_theta: int
-    n_phi: int          # 0 in reduced mode
-    theta: np.ndarray   # (n_theta,)
-    phi: np.ndarray     # (n_phi,) or empty
-    dtheta: float
-    dphi: float         # 0.0 in reduced mode
+    n_phi: int                                  # 0 in reduced mode
+    theta: np.ndarray = field(compare=False)    # (n_theta,)
+    phi: np.ndarray = field(compare=False)      # (n_phi,) or empty
+    dtheta: float = field(compare=False)
+    dphi: float = field(compare=False)          # 0.0 in reduced mode
 
     @property
     def reduced(self):
@@ -88,9 +89,9 @@ def build_mesh(n_theta: int, n_phi: int = None, reduced: bool = False) -> Sphere
     return SphereMesh(n_theta, n_phi, theta, phi, dtheta, dphi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Nodal values of a field on a mesh."""
+    """Nodal values of a field on a mesh; equal only to itself."""
 
     mesh: SphereMesh
     values: np.ndarray
@@ -132,7 +133,7 @@ _TAPS = {name: tuple((k, w) for k, w in enumerate(weights[:4 if name == "dphi2" 
 
 
 @functools.cache
-def _ghost_map(n_theta: int, n_phi: int):
+def _ghost_map(mesh: SphereMesh):
     """Read-only (src, sign, cols): the source node of each cell of the extended mesh.
 
     src: rows -2 .. n_theta+1 of the mesh columns (one column when reduced);
@@ -140,6 +141,7 @@ def _ghost_map(n_theta: int, n_phi: int):
     mirrors back (reduced), and sign is -1 there.  cols: the mesh rows with
     3 periodic columns a side (None when reduced).
     """
+    n_theta, n_phi = mesh.n_theta, mesh.n_phi
     rows = np.arange(-2, n_theta + 2)
     across = (rows < 0) | (rows >= n_theta)
     src = np.where(rows < 0, -1 - rows, np.where(across, 2 * n_theta - 1 - rows, rows))[:, None]
@@ -153,11 +155,10 @@ def _ghost_map(n_theta: int, n_phi: int):
 
 
 @functools.cache
-def _shape_constants(n_theta: int, n_phi: int):
+def _shape_constants(mesh: SphereMesh):
     """Read-only (sin, sin^2, cot, scales) of a mesh shape: the colatitudes' trig (a column
     when full, to broadcast over a field) and each stencil's denominator * spacing^order."""
-    mesh = build_mesh(n_theta, n_phi, reduced=not n_phi)
-    column = (-1, 1) if n_phi else (-1,)
+    column = (-1,) if mesh.reduced else (-1, 1)
     sin = np.sin(mesh.theta).reshape(column)
     cot = (np.cos(mesh.theta) / np.sin(mesh.theta)).reshape(column)
     sin2 = sin ** 2
@@ -173,13 +174,13 @@ def _apply(name: str, mesh: SphereMesh, terms) -> np.ndarray:
     total = w * terms[k]
     for k, w in rest:
         total += w * terms[k]
-    total /= _shape_constants(mesh.n_theta, mesh.n_phi)[3][name]
+    total /= _shape_constants(mesh)[3][name]
     return total
 
 
 def _theta_rows(mesh: SphereMesh, vals: np.ndarray, parity: int) -> list:
     """vals shifted by colatitude offsets -2 .. 2, one gather; parity -1 negates past a pole."""
-    src, sign, _ = _ghost_map(mesh.n_theta, mesh.n_phi)
+    src, sign, _ = _ghost_map(mesh)
     e = vals.ravel()[src]
     e = e if parity == 1 else sign * e
     return [e[k:k + mesh.n_theta] for k in range(5)]
@@ -187,7 +188,7 @@ def _theta_rows(mesh: SphereMesh, vals: np.ndarray, parity: int) -> list:
 
 def _phi_columns(mesh: SphereMesh, vals: np.ndarray) -> list:
     """vals shifted by azimuth offsets -3 .. 3, each shaped like the mesh, one gather."""
-    e = vals.ravel()[_ghost_map(mesh.n_theta, mesh.n_phi)[2]]
+    e = vals.ravel()[_ghost_map(mesh)[2]]
     return [e[:, k:k + mesh.n_phi] for k in range(7)]
 
 
@@ -221,13 +222,20 @@ def dphi2(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _jet_operators(n_theta: int, n_phi: int):
+def jet_operators(mesh: SphereMesh) -> tuple:
+    """Read-only (indices, indptr, weights) of the maps from r to its 2-jet, cached per mesh shape.
+
+    The maps (I, D_1, D_2, D_11, D_12, D_22) share one CSC pattern, the
+    union of their nonzeros, with row indices sorted within each column;
+    weights, shape (6, nnz), holds their values in that order.  Column j of
+    D_a is component a of frame_derivatives of the unit field at node j, so
+    D_a r is frame_derivatives(r)'s component a up to rounding.
+    """
     # Column j is the jet of the unit field at node j.  The six maps commute
     # with azimuthal rotation (the ghost map shifts every column by the same
     # offsets and the same through-pole shift n_phi/2; 1/sin and cot depend on
     # theta only), so one unit field per ring, turned, gives the ring's columns.
-    mesh = build_mesh(n_theta, n_phi, reduced=not n_phi)
-    width = max(n_phi, 1)
+    n_theta, width = mesh.n_theta, max(mesh.n_phi, 1)
     indices, weights, sizes = [], [], []
     for i in range(n_theta):
         unit = np.zeros(mesh.shape)
@@ -245,18 +253,6 @@ def _jet_operators(n_theta: int, n_phi: int):
     return indices, indptr, weights
 
 
-def jet_operators(mesh: SphereMesh) -> tuple:
-    """Read-only (indices, indptr, weights) of the maps from r to its 2-jet, cached per mesh shape.
-
-    The maps (I, D_1, D_2, D_11, D_12, D_22) share one CSC pattern, the
-    union of their nonzeros, with row indices sorted within each column;
-    weights, shape (6, nnz), holds their values in that order.  Column j of
-    D_a is component a of frame_derivatives of the unit field at node j, so
-    D_a r is frame_derivatives(r)'s component a up to rounding.
-    """
-    return _jet_operators(mesh.n_theta, mesh.n_phi)
-
-
 # -- frame derivatives -------------------------------------------------------
 
 def frame_derivatives(field: ScalarField):
@@ -271,7 +267,7 @@ def frame_derivatives(field: ScalarField):
     one gather per axis serves both of its stencils.
     """
     mesh, v = field.mesh, field.values
-    sin, sin2, cot, _ = _shape_constants(mesh.n_theta, mesh.n_phi)
+    sin, sin2, cot, _ = _shape_constants(mesh)
     rows = _theta_rows(mesh, v, 1)
     r1 = _apply("dtheta", mesh, rows).reshape(v.shape)
     r11 = _apply("dtheta2", mesh, rows).reshape(v.shape)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, ClassVar, Optional, Union
@@ -43,46 +44,29 @@ MAX_DEPTH = 100  # nesting levels: each '(', call and unary minus opens one; far
 
 # -- expression parsing ------------------------------------------------------
 
+# whitespace, then a number (exponent only before a digit), a name, an operator or any other char
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<num>[\d.]+(?:[eE][+-]?\d+)?)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<op>[-+*/^()])
+  | (?P<other>\S))""", re.VERBOSE)
+
+
 def _tokenize(text: str):
+    """(kind, text, position) of each token, kind "num", "ident" or the operator itself,
+    then ("end", None, len(text)); a number must read as a finite float."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            try:
-                float(text[i:j])
-            except ValueError:
-                raise FParseError(f"bad number {text[i:j]!r}", i)
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise FParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", None, n))
+    for m in _TOKEN.finditer(text):
+        kind, tok, pos = m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)
+        if kind == "other":
+            raise FParseError(f"unexpected character {tok!r}", pos)
+        try:
+            if kind == "num" and not np.isfinite(float(tok)):
+                raise ValueError  # past the float range
+        except ValueError:
+            raise FParseError(f"bad number {tok!r}", pos)
+        tokens.append((tok if kind == "op" else kind, tok, pos))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -260,9 +244,9 @@ def threshold(lam, dlam):
     return (dlam / lam) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ManufacturedF(_Bound):
-    """f(r, u) = Q*(u) (lambda(r*(u)) / lambda(r))^p for a target graph r*.
+    """f(r, u) = Q*(u) (lambda(r*(u)) / lambda(r))^p for a target graph r*; equal only to itself.
 
     Q* is the Gauss curvature K of the target graph.  manufacture_f sets
     p = k - l = 2: lambda^2 f is then independent of r, so the radial
@@ -346,9 +330,9 @@ class ProblemSpec:
 
     def f_at_nodes(self, mesh: SphereMesh):
         """f bound to the nodes of mesh: formed once per mesh shape, and kept with the spec."""
-        if mesh.shape not in self._at_nodes:
-            self._at_nodes[mesh.shape] = self.f.bind(mesh.theta_grid(), mesh.phi_grid())
-        return self._at_nodes[mesh.shape]
+        if mesh not in self._at_nodes:
+            self._at_nodes[mesh] = self.f.bind(mesh.theta_grid(), mesh.phi_grid())
+        return self._at_nodes[mesh]
 
 
 def phi_value(spec: ProblemSpec, r):

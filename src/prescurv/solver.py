@@ -39,17 +39,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    AdmissibilityError,
-    AssumptionFailure,
-    ConeViolation,
-    ContinuationBreakdown,
-    DomainViolation,
-    FEvalError,
-    NewtonFailure,
-    NonFiniteField,
-    ProfileViolation,
-)
+from .errors import (AdmissibilityError, AssumptionFailure, ConeViolation, ContinuationBreakdown,
+                     Inadmissible, NewtonFailure)
 from .geometry import GraphGeometry, compute_geometry, geometry_from_jet
 from .mesh import ScalarField, SphereMesh, field_from_flat, jet_operators
 from .problem import HomotopyEndpoints, ProblemSpec, check_assumptions
@@ -66,12 +57,6 @@ CHORD_CONTRACTION = 0.1  # a step on a reused LU must cut max|res| by this facto
 MAX_NEWTON = 30        # Newton iterations per solve before NewtonFailure
 T_STEP_MIN = 1e-3      # a t-step halved below this ends the continuation in a breakdown
 PREDICTOR_ORDER = 2    # a t-step's guess: the polynomial through this many + 1 last accepted states
-
-# A trial point raising one of these is inadmissible: the line search steps
-# back from it, a chord step is dropped, jacobian_sparse raises
-# AdmissibilityError, and a predicted t-step guess halves dt.  A residual or
-# a predicted guess that is not finite raises NonFiniteField.
-INADMISSIBLE = (ConeViolation, DomainViolation, ProfileViolation, FEvalError, NonFiniteField)
 
 
 @dataclass(frozen=True)
@@ -100,7 +85,7 @@ class NewtonStats:
     ends: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuationState:
     t: float
     r_field: ScalarField
@@ -173,7 +158,7 @@ def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_arr
     stored entries go through F in blocks of FD_CHUNK_NODES kernel values,
     and J, which shares that read-only pattern, is the one sparse matrix
     the build forms.  f is the node-bound f (f_at_nodes) gathered by row.
-    A perturbed jet that raises one of INADMISSIBLE fails the build with
+    A perturbed jet that raises Inadmissible fails the build with
     AdmissibilityError, as it fails jacobian_fd.  No residual of a whole
     field is evaluated.
     """
@@ -192,7 +177,7 @@ def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_arr
             shifted = geometry_from_jet(spec.profile, *(jet[:, rows] + np.hstack([step, -step])))
             vals = _pointwise_residual(
                 t, HomotopyEndpoints(spec, shifted, f_nodes.take(rows))).reshape(2, -1)
-        except INADMISSIBLE as exc:
+        except Inadmissible as exc:
             raise AdmissibilityError(f"Jacobian at t={t:g}: a perturbed 2-jet is inadmissible "
                                      f"({type(exc).__name__})") from exc
         data[stored] = (vals[0] - vals[1]) / (2.0 * h[stored])
@@ -213,7 +198,7 @@ def _trial(spec, mesh, t, rvec):
         _check_guard(spec, rvec)
         ends = node_endpoints(spec, field_from_flat(mesh, rvec))
         return residual(t, ends).flat(), ends
-    except INADMISSIBLE + (AdmissibilityError,):
+    except Inadmissible:
         return None
 
 
@@ -332,7 +317,7 @@ def continuation_solve(spec: ProblemSpec, mesh: SphereMesh,
                 _check_guard(spec, p)
                 start = node_endpoints(spec, guess)
             sol_try, stats = newton_solve(spec, t_try, start, opts, lu)
-        except INADMISSIBLE + (NewtonFailure, AdmissibilityError) as exc:
+        except (Inadmissible, NewtonFailure) as exc:
             lu = None
             dt *= 0.5
             if dt < T_STEP_MIN:

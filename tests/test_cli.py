@@ -221,6 +221,8 @@ def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
     (lambda tmp: CLOSED_FORM.replace("f.expr = 1/r^2 * exp(1.25 - r)\n", ""), "f.expr"),
     (lambda tmp: CLOSED_FORM.replace("f.expr = 1/r^2 * exp(1.25 - r)",
                                      "f.builtin = round_gaussian"), "f.builtin"),
+    (lambda tmp: CLOSED_FORM.replace("f.expr = 1/r^2 * exp(1.25 - r)",
+                                     "f.expr = 1e400*0 + 1/r^2"), "f.expr"),
 ], ids=["k-above-dimension", "phi-rm-outside-annulus", "unknown-key-phi-c",
         "phi-c-negative", "phi-c-inf",
         "annulus-outside-domain", "target-not-numeric", "target-nan", "target-outside-annulus",
@@ -234,7 +236,7 @@ def manufactured_cfg(tmp_path, value, n_phi=None, phi_column=lambda ph: ph):
         "unknown-key-check-samples", "unknown-key-monitor-alpha", "unknown-key-monitor-A",
         "key-set-twice", "empty-value", "missing-required-key", "r1-not-numeric",
         "reduced-not-boolean", "domain-malformed", "target-two-columns", "f-expr-and-manufactured",
-        "no-f", "unknown-builtin"])
+        "no-f", "unknown-builtin", "f-expr-number-overflows"])
 def test_solve_config_errors_exit_2(tmp_path, capsys, make_cfg, key):
     cfg = write_cfg(tmp_path, make_cfg(tmp_path))
     out = str(tmp_path / "o")
@@ -264,6 +266,8 @@ def test_a_key_set_twice_names_both_lines():
     (["verify-geometry"], "verify.r_expr = 20", "verify.r_expr"),
     (["verify-geometry"], "verify.r_expr = 0", "verify.r_expr"),
     (["verify-geometry"], "verify.r_expr = " + "(" * 300 + "1" + ")" * 300, "verify.r_expr"),
+    (["verify-geometry"], "verify.r_expr = 1 + 1/1e400", "verify.r_expr"),
+    (["check-assumptions"], "f.expr = 1e400", "f.expr"),
     (["sweep", "--key", "solver.newton_tl", "--values", "1e-9,1e-11"], "", "solver.newton_tl"),
     (["sweep", "--key", "phi.rm", "--values", "1.25,2.5"], "", "phi.rm"),
     (["sweep", "--key", "phi.c", "--values", "1,2"], "", "phi.c"),
@@ -272,7 +276,7 @@ def test_a_key_set_twice_names_both_lines():
         "unknown-key-verify-tol-identities", "verify-custom-warp", "verify-r-expr-non-finite",
         "verify-r-expr-unparsed",
         "verify-r-expr-reads-r", "verify-r-expr-outside-domain", "verify-r-expr-lambda-zero",
-        "verify-r-expr-too-deep",
+        "verify-r-expr-too-deep", "verify-r-expr-number-overflows", "check-f-expr-number-overflows",
         "sweep-key-typo", "sweep-later-value-invalid", "sweep-unknown-key-phi-c"])
 def test_subcommand_config_errors_exit_2(tmp_path, capsys, command, line, key):
     """Each case sets its keys once, so it exits 2 at its own check: the custom

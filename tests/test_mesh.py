@@ -45,6 +45,21 @@ def test_memory_running_out_while_forming_nodes_names_the_count(monkeypatch):
         build_mesh(10 ** 12, reduced=True)
 
 
+def test_meshes_of_one_shape_are_equal_and_share_their_tables():
+    a, b = build_mesh(16, 8), build_mesh(16, 8)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert jet_operators(b) is jet_operators(a)  # one cached tuple per shape
+    assert build_mesh(16, reduced=True) != build_mesh(16, 8)
+    assert build_mesh(16, reduced=True) == build_mesh(16, reduced=True)
+    assert build_mesh(16, 8) != build_mesh(32, 8)
+
+
+def test_fields_compare_by_identity():
+    mesh = build_mesh(16, 8)
+    a, b = ScalarField(mesh, np.ones(mesh.shape)), ScalarField(mesh, np.ones(mesh.shape))
+    assert (a == b) is False and a == a and a != b
+
+
 def test_field_validation():
     mesh = build_mesh(16, 4)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -20,6 +21,7 @@ from prescurv.problem import (
     phi_value,
     threshold,
 )
+from prescurv.solver import ContinuationState
 from prescurv.warp import WarpProfile
 from closed_form import EUCLID, closed_form_spec, round_exponential
 from test_solver import every_kind_of_f
@@ -87,15 +89,64 @@ def test_compiled_f_runs_the_numpy_operations_written_out():
     ("(" * 101 + "r" + ")" * 101, "nested deeper than 100 levels", 100),
     ("-" * 984 + "r", "nested deeper than 100 levels", 100),
     ("1 + sqrt(" * 101 + "r" + ")" * 101, "nested deeper than 100 levels", 904),
+    ("1e400", "bad number '1e400'", 0),
+    ("1e400*0 + 1/r^2", "bad number '1e400'", 0),
+    ("1/r^2 + " + "9" * 400, "bad number '" + "9" * 400 + "'", 8),
+    ("r * .", "bad number '.'", 4),
+    ("1e", "unexpected trailing 'e'", 1),  # no digit after e: the number ends before it
+    ("1e+", "unexpected trailing 'e'", 1),
+    ("r\t+\n", "unexpected end of expression", 4),
+    ("λ + 1", "unknown identifier 'λ'", 0),
 ], ids=["unknown-function", "variable-called", "unknown-identifier", "function-without-call",
         "unexpected-character", "bad-number", "expected-close", "trailing-number",
         "trailing-exponent", "end-after-operator", "end-after-call", "unexpected-token",
-        "deep-parentheses", "deep-unary-minus", "deep-calls"])
+        "deep-parentheses", "deep-unary-minus", "deep-calls", "number-overflows",
+        "overflowing-number-times-zero", "integer-overflows", "lone-dot", "exponent-without-digits",
+        "signed-exponent-without-digits", "tab-and-newline-are-space", "non-ascii-name"])
 def test_parse_errors_carry_positions(text, message, position):
     with pytest.raises(FParseError) as err:
         parse_f(text)
     assert str(err.value) == f"{message} (at position {position})"
     assert err.value.position == position
+
+
+def test_value_types_holding_arrays_compare_by_identity():
+    """Specs of one manufactured f, geometries and continuation states hold arrays:
+    == is identity, never numpy's ambiguous truth value."""
+    mesh, spec = build_mesh(16, 8), closed_form_spec()
+    a, b = (dataclasses.replace(spec, f=manufacture_f(spec, mesh, lambda t, p: 1.25 + 0.0 * t))
+            for _ in range(2))
+    assert (a == b) is False and a == a
+    r = ScalarField(mesh, np.full(mesh.shape, 1.25))
+    assert (compute_geometry(mesh, r, EUCLID) == compute_geometry(mesh, r, EUCLID)) is False
+    assert (ContinuationState(0.0, r, 0, 0.0, 0) == ContinuationState(0.0, r, 0, 0.0, 0)) is False
+
+
+@pytest.mark.parametrize("text,tokens", [
+    ("r\t+\n2\u00a0", [("ident", "r", 0), ("+", "+", 2), ("num", "2", 4)]),
+    ("1e", [("num", "1", 0), ("ident", "e", 1)]),
+    ("1e+", [("num", "1", 0), ("ident", "e", 1), ("+", "+", 2)]),
+    ("1.e5", [("num", "1.e5", 0)]),
+    (".5", [("num", ".5", 0)]),
+    ("5.", [("num", "5.", 0)]),
+    ("1E-3", [("num", "1E-3", 0)]),
+    ("1e-400", [("num", "1e-400", 0)]),  # underflows to 0.0: finite, so a number
+    ("2x1 _a_2 \u03bb2", [("num", "2", 0), ("ident", "x1", 1), ("ident", "_a_2", 4),
+                           ("ident", "\u03bb2", 9)]),
+], ids=["tab-newline-no-break-space", "exponent-without-digits", "signed-exponent-without-digits",
+        "dot-then-exponent", "leading-dot", "trailing-dot", "capital-signed-exponent",
+        "underflow", "names"])
+def test_tokens_and_their_positions(text, tokens):
+    """Whitespace is any Unicode space; a number takes its exponent only where a
+    digit follows it; a name starts with a letter or _ and goes on with digits."""
+    assert problem._tokenize(text) == tokens + [("end", None, len(text))]
+
+
+@pytest.mark.parametrize("text,want", [
+    ("r\t*\n2\u00a0", 3.0), ("1.e1*r", 15.0), (".5 + 5.", 5.5), ("1E-3*r", 1.5e-3),
+])
+def test_whitespace_and_number_forms_evaluate(text, want):
+    assert float(eval_f(parse_f(text), 1.5, 0.0, 0.0, 1.0)) == want
 
 
 def test_nesting_at_the_bound_and_long_chains_evaluate():

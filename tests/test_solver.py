@@ -13,6 +13,7 @@ from prescurv.errors import (
     ContinuationBreakdown,
     DomainViolation,
     FEvalError,
+    Inadmissible,
     NewtonFailure,
     NonFiniteField,
     ProfileViolation,
@@ -460,13 +461,13 @@ def test_jet_operators_are_built_with_the_first_jacobian_only(monkeypatch):
     spec = closed_form_spec()
     mesh = build_mesh(24, 12)
     built = _count_builds(monkeypatch)
-    misses = mesh_module._jet_operators.cache_info().misses
+    misses = mesh_module.jet_operators.cache_info().misses
     final, _ = continuation_solve(spec, mesh)
     assert final.t == 1.0 and built == []
-    assert mesh_module._jet_operators.cache_info().misses == misses
+    assert mesh_module.jet_operators.cache_info().misses == misses
     for _ in range(2):
         jacobian_sparse(spec, 0.5, compute_geometry(mesh, bumpy_field(mesh), spec.profile))
-    assert mesh_module._jet_operators.cache_info().misses == misses + 1
+    assert mesh_module.jet_operators.cache_info().misses == misses + 1
 
 
 def test_newton_forms_each_iterates_jet_once_through_compute_geometry(monkeypatch):
@@ -599,7 +600,18 @@ def test_non_finite_residual_is_inadmissible():
     with pytest.raises(NonFiniteField) as err:
         residual(0.5, HomotopyEndpoints(spec, dataclasses.replace(geom, K=K),
                                         spec.f_at_nodes(mesh)))
-    assert isinstance(err.value, solver.INADMISSIBLE)
+    assert isinstance(err.value, Inadmissible)
+
+
+def test_the_admissibility_errors_share_one_base():
+    """The solver steps back from each of the six by catching Inadmissible; the
+    guard's AdmissibilityError stays apart from the cone and domain errors."""
+    six = (DomainViolation, ProfileViolation, NonFiniteField, ConeViolation, FEvalError,
+           AdmissibilityError)
+    assert all(issubclass(e, Inadmissible) for e in six) and issubclass(NonFiniteField, ValueError)
+    assert not any(issubclass(e, AdmissibilityError) for e in six[:-1])
+    assert not any(issubclass(e, Inadmissible) for e in (NewtonFailure, ContinuationBreakdown,
+                                                         AssumptionFailure))
 
 
 def test_line_search_backtracks_from_a_non_finite_trial_residual(monkeypatch):

@@ -76,7 +76,8 @@ def _run_solve(cfg, problem, out_dir, force):
     The check here and continuation_solve's own are one check on the same
     samples, so they pass or fail together and `force` means the same to both.
     Each monitor row is formed as its state is accepted, on Newton's geometry
-    of it; only the latest geometry is kept, for geometry.csv.
+    of it (a geometry that serves several states forms its reductions once);
+    only the latest geometry is kept, for geometry.csv.
     """
     t0 = time.perf_counter()
     spec, mesh, opts = problem

@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -87,3 +91,44 @@ def test_monitor_state_reads_the_accepted_geometry():
         oracle = compute_geometry(mesh, st.r_field, spec.profile)
         assert monitor_state(st, spec, geom) == monitor(oracle, spec, st.t)
     assert final.t == 1.0 and monitor_state(final, spec, accepted[-1][1]).barrier_ok
+
+
+def test_monitor_flags_and_t_are_per_call():
+    """One geometry monitored under two annuli, one holding it and one that
+    it crosses, gets each call's own barrier flags, and two calls at
+    different t give records that differ in t alone."""
+    inside = closed_form_spec()
+    across = closed_form_spec(r1=1.0, r2=1.2, phi_rm=1.1)
+    mesh = build_mesh(32, reduced=True)
+    geom = compute_geometry(mesh, ScalarField(mesh, np.full(32, 1.25)), EUCLID)
+    first = monitor(geom, inside, 1.0)
+    crossed = monitor(geom, across, 1.0)
+    again = monitor(geom, inside, 1.0)
+    assert first.barrier_ok and again == first
+    assert crossed.barrier_high_violated and not crossed.barrier_low_violated
+    assert crossed == dataclasses.replace(first, barrier_high_violated=True)
+    half = monitor(geom, inside, 0.5)
+    assert half != first and half == dataclasses.replace(first, t=0.5)
+
+
+def test_monitor_reductions_go_with_their_geometry():
+    """A monitored geometry is freed once its last reference goes, and a
+    geometry formed after it (one that may reuse its address) gets its own
+    reductions: each record equals the monitor of a geometry formed afresh
+    from the same field, and its r_min, r_max, kappa_max and mu_min are that
+    geometry's."""
+    spec = closed_form_spec()
+    mesh = build_mesh(32, reduced=True)
+    geom = compute_geometry(mesh, ScalarField(mesh, np.full(32, 1.25)), EUCLID)
+    monitor(geom, spec, 1.0)
+    ref = weakref.ref(geom)
+    del geom
+    gc.collect()
+    assert ref() is None
+    for k in range(40):
+        field = ScalarField(mesh, 1.0 + 0.01 * k + 0.05 * np.cos(mesh.theta))
+        rec = monitor(compute_geometry(mesh, field, EUCLID), spec, 1.0)
+        fresh = compute_geometry(mesh, field, EUCLID)
+        assert rec == monitor(fresh, spec, 1.0)
+        assert (rec.r_min, rec.r_max) == (float(field.values.min()), float(field.values.max()))
+        assert (rec.kappa_max, rec.mu_min) == (float(fresh.kappa1.max()), float(fresh.mu1.min()))

@@ -5,22 +5,20 @@ included), and a solve's geometries: each formed once, by Newton, and read by
 the monitors and geometry.csv."""
 
 import contextlib
-import importlib
 import io
 import os
 import sys
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from prescurv import cli, geometry, report
+from prescurv import cli, geometry, monitor, report
 from prescurv.config import build_problem, parse_config
 from prescurv.errors import ContinuationBreakdown
 from prescurv.mesh import ScalarField, build_mesh
 from prescurv.warp import WarpProfile
-
-monitor = importlib.import_module("prescurv.monitor")  # the package exports a function of that name
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 GEOMETRY_COLS = ("r", "v", "H", "kappa1", "kappa2", "mu1", "mu2", "tau")
@@ -339,6 +337,54 @@ def test_every_monitor_row_equals_its_recomputed_oracle(tmp_path, monkeypatch):
     assert (mesh.n_theta, mesh.n_phi) == (16, 8)
     rows = (out / "monitor.csv").read_text().splitlines()[1:]
     assert rows == [monitor_row(spec, st, mesh) for st in history]
+
+
+class CountingReductions(weakref.WeakKeyDictionary):
+    """monitor's per-geometry cache, counting the reductions it stores."""
+
+    def __init__(self):
+        super().__init__()
+        self.formed = 0
+
+    def __setitem__(self, geom, reductions):
+        self.formed += 1
+        super().__setitem__(geom, reductions)
+
+
+@pytest.mark.parametrize("name,round_path", [
+    ("closed_form.cfg", True), ("builtin_round.cfg", True), ("hyperbolic_round.cfg", True),
+    ("perturbed_axisym.cfg", False)])
+def test_report_rows_hold_the_oracle_reductions(tmp_path, monkeypatch, name, round_path):
+    """mu_min, max Phi and max P reach no CSV: report.txt's [continuation] rows
+    carry them.  Each row's monitored values are the monitor of its state's
+    geometry formed afresh, and the reductions are formed once per distinct
+    geometry: once for a round path's 11 rows, once per accepted state on a
+    path that moves."""
+    cfg = os.path.join(CONFIGS, name)
+    out = tmp_path / "out"
+    cache = CountingReductions()
+    monkeypatch.setattr(monitor, "_REDUCTIONS", cache)
+    code, final, history, _, _, formed = solve_counting_geometries(
+        monkeypatch, ["--config", cfg, "--out", str(out), "solve"])
+    assert code == 0 and final.t == 1.0 and len(history) == 11
+    if round_path:
+        assert len(formed) == 1 and cache.formed == 1
+    else:
+        assert cache.formed == len(history)
+    monkeypatch.undo()
+    spec, mesh, _ = build_problem(parse_config(cfg))
+    lines = (out / "report.txt").read_text().splitlines()
+    columns = next(ln for ln in lines if ln.startswith("columns = ")).split()[2:]
+    rows = [ln.split()[2:] for ln in lines if ln.startswith("row = ")]
+    tail = columns.index("mu_min")
+    assert columns[tail:] == ["mu_min", "phi_test_max", "p_test_max", "barrier_ok"]
+    want = []
+    for st in history:
+        rec = monitor.monitor(geometry.compute_geometry(mesh, st.r_field, spec.profile),
+                              spec, st.t)
+        want.append([report.fmt(rec.mu_min), report.fmt(rec.phi_test_max),
+                     report.fmt(rec.p_test_max), str(rec.barrier_ok).lower()])
+    assert [row[tail:] for row in rows] == want
 
 
 @pytest.mark.parametrize("name", ["closed_form.cfg", "builtin_round.cfg", "hyperbolic_round.cfg"])

@@ -4,10 +4,11 @@
     python scripts/compare_outputs.py SRC_A SRC_B [--work DIR]
 
 SRC_A and SRC_B are checkouts of this repository.  Every configs/*.cfg of
-each tree, the 64x32 headline among them, is solved with and without
---force, and checked by verify-geometry and by check-assumptions, under
-that tree: `python -m prescurv` with PYTHONPATH=<tree>/src, into
-DIR/a/<run> and DIR/b/<run> (a temporary directory unless --work is given).
+each tree, the 64x32 headline, its 96x48 mesh and the 128x64 round case
+among them, is solved with and without --force, and checked by
+verify-geometry and by check-assumptions, under that tree: `python -m
+prescurv` with PYTHONPATH=<tree>/src, into DIR/a/<run> and DIR/b/<run> (a
+temporary directory unless --work is given).
 So a config rewritten in one tree runs as that tree writes it, and a config
 only one tree has is "missing under" the other.  Each run directory also
 records the run's exit code in a file `exit_code`, and what it printed,
@@ -21,7 +22,8 @@ or, where it differs, the largest numeric difference between matching cells
 (or where the text stops matching); a differing output.txt or report.txt
 also prints its first differing line from each tree, under "a:" and "b:"
 (report.txt as compared, without [timings]).  The exit status
-is 1 on any difference, else 0.
+is 1 on any difference, else 0.  Given one tree twice, `. .`, it checks
+that identical configs print and write the same.
 """
 
 from __future__ import annotations

@@ -163,13 +163,16 @@ def cmd_check_assumptions(args) -> int:
 
 
 def _run_checks(checks, label) -> int:
-    """Run each check and print its line; one that raises fails, and the rest still run."""
+    """Run each check and print its line; one that raises fails, its traceback goes to
+    stderr, and the rest still run."""
     failures = 0
     for check in checks:
         try:
             result = check.run()
             passed, detail = result.passed, str(result)
         except Exception as exc:
+            import traceback  # loaded here only: a passing run does not import it
+            traceback.print_exc()
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         print(f"{'ok  ' if passed else 'FAIL'} {check.name}  [{detail}]")
         failures += 0 if passed else 1

@@ -727,8 +727,10 @@ def test_headline_with_a_failing_angular_factor_exits_1_naming_it(tmp_path, caps
     ("check-assumptions", "builtin_round", 0),
     ("check-assumptions", "closed_form", 0),
     ("check-assumptions", "custom_warp", 0),
+    ("check-assumptions", "headline96", 0),
     ("check-assumptions", "hyperbolic_round", 0),
     ("check-assumptions", "perturbed_axisym", 0),
+    ("check-assumptions", "round128", 0),
     ("check-assumptions", "violates_outer", 3),
     ("verify-geometry", "verify_geometry", 0),
     ("solve", "builtin_round", 0),
@@ -737,6 +739,7 @@ def test_headline_with_a_failing_angular_factor_exits_1_naming_it(tmp_path, caps
     ("solve", "headline", 0),
     ("solve", "hyperbolic_round", 0),
     ("solve", "perturbed_axisym", 0),
+    ("solve", "round128", 0),
     ("solve", "violates_outer", 3),
 ])
 def test_example_configs_run(tmp_path, command, name, code):

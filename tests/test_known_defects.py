@@ -1,15 +1,19 @@
 """Known defects, each a strict xfail: the change that mends one turns its case
 into a pass, and the marker goes with it (see ROADMAP.md)."""
 
+import os
+
 import numpy as np
 import pytest
 
+from prescurv.cli import main
 from prescurv.geometry import compute_geometry
 from prescurv.mesh import build_mesh, field_from_flat
 from prescurv.problem import check_assumptions, parse_f, threshold
 from prescurv.solver import jacobian_sparse
 from prescurv.warp import WarpProfile
 from closed_form import EUCLID, closed_form_spec, round_exponential
+from test_report import CONFIGS
 
 RM, ALPHA, T = 1.25, -0.3, 0.5
 
@@ -48,3 +52,14 @@ def test_assumption_check_fails_a_false_hypothesis(expr, check):
     +7.17 near r = 1.26, th = 1.0."""
     result = getattr(check_assumptions(closed_form_spec(f=parse_f(expr))), check)
     assert not result.passed
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP items 2 and 3: the pole-row FD step makes the first Jacobian "
+                          "build at 96x48 perturb a 2-jet out of the cone (exit 4), and the "
+                          "roundoff floor then stalls Newton")
+def test_headline_solves_at_96x48(tmp_path):
+    """The 64x32 headline on the 96x48 mesh converges; today it exits 4 at
+    t=0.0015625 with an AdmissibilityError (ConeViolation)."""
+    cfg = os.path.join(CONFIGS, "headline96.cfg")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == 0

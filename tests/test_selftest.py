@@ -74,8 +74,13 @@ def test_a_check_that_raises_fails_and_the_rest_still_run(monkeypatch, capsys, e
     first, last = CHECKS[0], CHECKS[-1]
     monkeypatch.setattr(selftest, "CHECKS", (first, Check("raising-check", raises), last))
     assert cli.main(["selftest"]) == 1
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert lines[0].startswith(f"ok   {first.name}  [")
     assert lines[1] == f"FAIL raising-check  [{type(exc).__name__}: {exc}]"
     assert lines[2].startswith(f"ok   {last.name}  [")
     assert lines[3:] == ["selftest: 1 failure(s)"]
+    # the traceback, which the line drops, goes to stderr
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert "in raises\n" in captured.err
+    assert captured.err.endswith(f"{type(exc).__name__}: {exc}\n")

@@ -14,10 +14,11 @@ the path stands still, else those of the predicted field.  Newton's sparse
 central-difference Jacobian differences that kernel entry by entry (column
 j's step moves row i's jet by node j's stencil weights there); a perturbed
 jet that is inadmissible fails the build, as it fails the dense oracle
-jacobian_fd, which serves the tests and selftest only.  Newton factors J with sparse LU
-and keeps the factor: while a factor is in hand, each iteration first tries
-the full chord step on it, kept only if it stays admissible, stays inside
-the guarded annulus and cuts max|res| by CHORD_CONTRACTION.
+jacobian_fd, which serves the tests and selftest only.  Newton factors J by
+block LU over whole rings (BlockLU) and keeps the factor: while a factor is
+in hand, each iteration first tries the full chord step on it, kept only if
+it stays admissible, stays inside the guarded annulus and cuts max|res| by
+CHORD_CONTRACTION.
 When the chord step misses, the Jacobian is rebuilt and refactored at the
 current iterate, and a backtracking line search accepts a step only if the
 iterate stays admissible, stays inside the guarded annulus, and decreases
@@ -26,16 +27,13 @@ Continuation marches t from the round solution at t = 0 to t = 1, hands the
 last factor from one t-step to the next, starts each t-step from the
 parabola through the last three accepted states (fewer since the path last
 stood still), and halves the step on failure and doubles it after
-consecutive easy solves.
-scipy.sparse is known to this module only: jacobian_sparse imports it to
-form J and newton_solve to factor J, so a run that builds no Jacobian (a
-round solve, for one) never loads scipy.
+consecutive easy solves.  The factor is numpy's: no run loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,9 +42,6 @@ from .errors import (AdmissibilityError, AssumptionFailure, ConeViolation, Conti
 from .geometry import GraphGeometry, compute_geometry, geometry_from_jet
 from .mesh import ScalarField, SphereMesh, field_from_flat, jet_operators
 from .problem import HomotopyEndpoints, ProblemSpec, check_assumptions
-
-if TYPE_CHECKING:
-    from scipy.sparse import csc_array
 
 GUARD_FRACTION = 0.05  # hard annulus guard widens (r1, r2) by this fraction of the width
 DAMPING = 0.5          # line-search backtracking factor
@@ -57,6 +52,7 @@ CHORD_CONTRACTION = 0.1  # a step on a reused LU must cut max|res| by this facto
 MAX_NEWTON = 30        # Newton iterations per solve before NewtonFailure
 T_STEP_MIN = 1e-3      # a t-step halved below this ends the continuation in a breakdown
 PREDICTOR_ORDER = 2    # a t-step's guess: the polynomial through this many + 1 last accepted states
+BLOCK_MIN = 64         # unknowns in a diagonal block of BlockLU, at least
 
 
 @dataclass(frozen=True)
@@ -146,8 +142,8 @@ def jacobian_fd(spec: ProblemSpec, t: float, r_field: ScalarField) -> np.ndarray
                             for j, step in enumerate(np.diag(_fd_steps(rvec)))])
 
 
-def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_array:
-    """Sparse finite-difference Jacobian, each stored entry differenced on its own row.
+def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> np.ndarray:
+    """The stored entries of the sparse finite-difference Jacobian, each differenced on its own row.
 
     Column j's step h_j (jacobian_fd's) moves row i's 2-jet
     q_i = (r, r_1, r_2, r_11, r_12, r_22), read off the node geometry geom, by
@@ -155,15 +151,13 @@ def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_arr
     weights on the mesh's shared pattern), so
     J_ij = (F_i(q_i + h_j d_ij) - F_i(q_i - h_j d_ij)) / 2h_j with F the
     pointwise kernel of residual: jacobian_fd's entry up to rounding.  The
-    stored entries go through F in blocks of FD_CHUNK_NODES kernel values,
-    and J, which shares that read-only pattern, is the one sparse matrix
-    the build forms.  f is the node-bound f (f_at_nodes) gathered by row.
+    stored entries go through F in blocks of FD_CHUNK_NODES kernel values;
+    J's entries come back in the order of jet_operators' CSC pattern, as
+    BlockLU reads them.  f is the node-bound f (f_at_nodes) gathered by row.
     A perturbed jet that raises Inadmissible fails the build with
     AdmissibilityError, as it fails jacobian_fd.  No residual of a whole
     field is evaluated.
     """
-    from scipy.sparse import csc_array
-
     mesh, n = geom.mesh, geom.mesh.n_nodes
     indices, indptr, weights = jet_operators(mesh)
     jet = np.stack([geom.r, geom.r1, geom.r2, geom.r11, geom.r12, geom.r22]).reshape(6, n)
@@ -181,7 +175,62 @@ def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> csc_arr
             raise AdmissibilityError(f"Jacobian at t={t:g}: a perturbed 2-jet is inadmissible "
                                      f"({type(exc).__name__})") from exc
         data[stored] = (vals[0] - vals[1]) / (2.0 * h[stored])
-    return csc_array((data, indices, indptr), shape=(n, n))
+    return data
+
+
+@functools.cache
+def _block_map(mesh: SphereMesh):
+    """(blocks, m, flat index in BlockLU's band of each stored entry, then of each padded unknown).
+
+    A block is b whole rings, m = b * ring unknowns, b >= 2 and m >= BLOCK_MIN
+    (b <= n_theta): the stencils reach two rings, the pole included, so block
+    row I of J lies in block columns I - 1 .. I + 1, side by side in row I of
+    a (blocks, m, 3m) band.  The unknowns past the last node pad the last
+    diagonal block with a unit diagonal.
+    """
+    indices, indptr, _ = jet_operators(mesh)
+    width = max(mesh.n_phi, 1)
+    m = min(mesh.n_theta, max(2, -(-BLOCK_MIN // width))) * width
+    blocks = -(-mesh.n_nodes // m)
+    pad = np.arange(mesh.n_nodes, blocks * m)
+    rows = np.concatenate((indices, pad))
+    cols = np.concatenate((np.repeat(np.arange(mesh.n_nodes), np.diff(indptr)), pad))
+    flat = rows * 3 * m + cols - (rows // m - 1) * m
+    flat.flags.writeable = False
+    return blocks, m, flat
+
+
+class BlockLU:
+    """Block Thomas elimination of J over whole rings (Golub & Van Loan, 4.5).
+
+    entries are jacobian_sparse's.  Each Schur complement
+    S_I = D_I - L_I S_{I-1}^-1 U_{I-1} is inverted (LAPACK pivots within it)
+    and kept with L_I S_{I-1}^-1, so solve is matrix-vector products only.
+    There is no pivoting across blocks; a singular S_I raises LinAlgError.
+    """
+
+    def __init__(self, mesh: SphereMesh, entries: np.ndarray):
+        blocks, m, flat = _block_map(mesh)
+        band = np.zeros((blocks, m, 3 * m))
+        band.flat[flat[:entries.size]] = entries
+        band.flat[flat[entries.size:]] = 1.0
+        lower, diag, upper = band[:, :, :m], band[:, :, m:2 * m], band[:, :, 2 * m:]
+        diag[0] = np.linalg.inv(diag[0])
+        for i in range(1, blocks):
+            lower[i] = lower[i] @ diag[i - 1]
+            diag[i] = np.linalg.inv(diag[i] - lower[i] @ upper[i - 1])
+        self.n, self.parts = mesh.n_nodes, (lower, diag, upper)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        lower, diag, upper = self.parts
+        x = np.zeros(diag.shape[:2])
+        x.flat[:self.n] = rhs
+        for i in range(1, len(x)):
+            x[i] -= lower[i] @ x[i - 1]
+        x[-1] = diag[-1] @ x[-1]
+        for i in range(len(x) - 2, -1, -1):
+            x[i] = diag[i] @ (x[i] - upper[i] @ x[i + 1])
+        return x.ravel()[:self.n]
 
 
 def _check_guard(spec, rvec):
@@ -216,7 +265,7 @@ def newton_solve(spec: ProblemSpec, t: float, start: HomotopyEndpoints,
     only if the trial is inside the guarded annulus, admissible, and cuts
     max|res| by CHORD_CONTRACTION.  Otherwise the trial and the factor are
     dropped: the sparse Jacobian (jacobian_sparse) is built at the current
-    iterate and factored by splu, and its Newton step is damped by a
+    iterate and factored by BlockLU, and its Newton step is damped by a
     backtracking line search that halves the step until admissibility and
     residual decrease both hold.  A singular factorization, a non-finite
     fresh step or MAX_NEWTON iterations without convergence raise
@@ -240,13 +289,11 @@ def newton_solve(spec: ProblemSpec, t: float, start: HomotopyEndpoints,
                     and (trial_norm := float(np.abs(got[0]).max())) <= CHORD_CONTRACTION * norm):
                 rvec, (res, ends), norm = trial, got, trial_norm
                 continue
-        from scipy.sparse.linalg import splu
-
         jac = jacobian_sparse(spec, t, ends.geom)
         jacobians += 1
         try:
-            lu = splu(jac)
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            lu = BlockLU(mesh, jac)
+        except np.linalg.LinAlgError as exc:  # a singular Schur complement
             raise NewtonFailure(f"Jacobian factorization failed at t={t:g}: {exc}") from exc
         step = lu.solve(-res)
         if not np.isfinite(step).all():

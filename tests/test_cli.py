@@ -765,9 +765,8 @@ def config_paths():
 
 
 def test_importing_and_building_every_problem_does_not_import_scipy():
-    """scipy loads with the first Jacobian: importing the package and the CLI
-    and building the problem of every config leave it, and numpy.polynomial,
-    unloaded.
+    """Importing the package and the CLI and building the problem of every
+    config leave scipy and numpy.polynomial unloaded.
     verify_geometry.cfg has no problem section, so building one fails."""
     code = ("import sys\n"
             "import prescurv\n"
@@ -783,6 +782,60 @@ def test_importing_and_building_every_problem_does_not_import_scipy():
             "    assert 'numpy.polynomial' not in sys.modules, cfg\n")
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
+
+
+# In a fresh process where scipy cannot be imported (sys.modules["scipy"] is
+# None, so any scipy import raises), run cli.main on each argument list and
+# print one line per run: its exit code and whether it printed jacobians=0;
+# then check that every prescurv module kept its set of module-level names
+# (selftest, which the CLI imports on first use, is imported first).
+RUN_MAIN_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+sys.modules['scipy'] = None
+import prescurv.cli, prescurv.selftest
+def names():
+    return {m: sorted(vars(mod)) for m, mod in sys.modules.items()
+            if m == 'prescurv' or m.startswith('prescurv.')}
+before = names()
+for args in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = prescurv.cli.main(args)
+    print(json.dumps([code, 'jacobians=0' in out.getvalue()]))
+assert names() == before, 'module-level names changed'
+assert sys.modules['scipy'] is None
+"""
+
+
+def test_no_run_imports_scipy_or_rebinds_a_module_name(tmp_path):
+    """Every kind of run keeps its exit code with scipy unimportable: solves
+    that build a Jacobian (full, reduced, custom warp), round solves that
+    build none, a refused solve, every check-assumptions run, verify-geometry,
+    selftest and a sweep; and no run rebinds a prescurv module-level name."""
+    cfgs = {os.path.basename(p)[:-4]: p for p in config_paths()}
+    runs, expected = [], []
+    for name in ("headline", "perturbed_axisym", "custom_warp"):
+        runs.append(["--config", cfgs[name], "--out", str(tmp_path / name), "solve"])
+        expected.append([0, False])
+    for name in ("closed_form", "builtin_round", "hyperbolic_round"):
+        runs.append(["--config", cfgs[name], "--out", str(tmp_path / name), "solve"])
+        expected.append([0, True])
+    runs.append(["--config", cfgs["violates_outer"], "--out", str(tmp_path / "v"), "solve"])
+    expected.append([3, False])
+    for name, path in cfgs.items():
+        runs.append(["--config", path, "check-assumptions"])
+        expected.append([{"violates_outer": 3, "verify_geometry": 2}.get(name, 0), False])
+    runs.append(["--config", cfgs["verify_geometry"], "verify-geometry"])
+    expected.append([0, False])
+    runs.append(["selftest"])
+    expected.append([0, False])
+    runs.append(["--config", cfgs["custom_warp"], "--out", str(tmp_path / "sweep"), "sweep",
+                 "--key", "phi.rm", "--values", "1.2,1.3"])
+    expected.append([0, False])
+    proc = run_python(["-c", RUN_MAIN_WITHOUT_SCIPY, json.dumps(runs)])
+    assert proc.returncode == 0, proc.stderr
+    got = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert list(zip(runs, got)) == list(zip(runs, expected))
 
 
 # In a fresh process, run cli.main on each argument list and print one line
@@ -802,7 +855,8 @@ for args in json.loads(sys.argv[1]):
 
 def test_runs_that_build_no_jacobian_do_not_import_scipy(tmp_path):
     """Round solves, a refused solve, every check-assumptions run and
-    verify-geometry build no Jacobian, and never load scipy."""
+    verify-geometry build no Jacobian, and never load scipy even where it
+    can be imported."""
     cfgs = {os.path.basename(p)[:-4]: p for p in config_paths()}
     runs, expected = [], []
     for name in ("closed_form", "builtin_round", "hyperbolic_round"):
@@ -823,12 +877,20 @@ def test_runs_that_build_no_jacobian_do_not_import_scipy(tmp_path):
 
 
 def test_a_jacobian_build_imports_scipy_and_rebinds_no_module_name(tmp_path):
-    """The positive control: a solve that builds a Jacobian loads
-    scipy.sparse.linalg but not scipy.optimize (the package colours no
-    Jacobian through it), and every prescurv module keeps its set of
-    module-level names (scipy is imported inside functions only)."""
+    """The positive control of RUN_MAIN's scipy columns: with BlockLU
+    replaced by scipy's splu (the factor Newton used before it), a solve
+    that builds a Jacobian loads scipy.sparse.linalg but not scipy.optimize,
+    and every prescurv module keeps its set of module-level names."""
     code = ("import json, sys\n"
             "import prescurv.cli\n"
+            "from prescurv import solver\n"
+            "from prescurv.mesh import jet_operators\n"
+            "def splu_factor(mesh, entries):\n"
+            "    from scipy.sparse import csc_array\n"
+            "    from scipy.sparse.linalg import splu\n"
+            "    indices, indptr, _ = jet_operators(mesh)\n"
+            "    return splu(csc_array((entries, indices, indptr), shape=(mesh.n_nodes,) * 2))\n"
+            "solver.BlockLU = splu_factor\n"
             "def names():\n"
             "    return {m: sorted(vars(mod)) for m, mod in sys.modules.items()\n"
             "            if m == 'prescurv' or m.startswith('prescurv.')}\n"

@@ -13,6 +13,7 @@ from prescurv.problem import check_assumptions, parse_f, threshold
 from prescurv.solver import jacobian_sparse
 from prescurv.warp import WarpProfile
 from closed_form import EUCLID, closed_form_spec, round_exponential
+from dense import dense
 from test_report import CONFIGS
 
 RM, ALPHA, T = 1.25, -0.3, 0.5
@@ -32,7 +33,7 @@ def test_jacobian_meets_the_round_eigenvalue(profile, shape):
     spec = closed_form_spec(profile=profile, f=round_exponential(RM, ALPHA), phi_rm=RM)
     mesh = build_mesh(*shape)
     geom = compute_geometry(mesh, field_from_flat(mesh, np.full(mesh.n_nodes, RM)), profile)
-    jac = jacobian_sparse(spec, T, geom)
+    jac = dense(mesh, jacobian_sparse(spec, T, geom))
     eigenvalue = threshold(*profile.eval_lambda(RM)) * (T * ALPHA + (1.0 - T) * 1.0)
     norm_inf = float(abs(jac).sum(axis=1).max())
     miss = float(np.abs(jac @ np.ones(mesh.n_nodes) - eigenvalue).max())

@@ -16,7 +16,7 @@ import os
 import re
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 from .config import build_problem, build_verify, check_key, parse_config
 from .errors import ConfigError, ContinuationBreakdown, OutputError, PrescurvError
@@ -240,7 +240,9 @@ def cmd_sweep(args) -> int:
     return worst
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="prescurv",
         description="Prescribed Weingarten-curvature solver on radial graphs "
@@ -258,8 +260,12 @@ def main(argv=None) -> int:
     sweep_p = sub.add_parser("sweep", help="batched solves over one config key")
     sweep_p.add_argument("--key", help="config key to sweep")
     sweep_p.add_argument("--values", help="comma-separated values")
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    # looked up per call, so a rebound cmd_* is the one that runs
     handlers = {
         "solve": cmd_solve,
         "check-assumptions": cmd_check_assumptions,

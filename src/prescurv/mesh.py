@@ -13,9 +13,9 @@ per-shape table is a cache keyed on the mesh: the ghost map of both
 continuations, the constants sin, sin^2, cot and the stencil scales, and
 jet_operators.  frame_derivatives, the one definition of the 2-jet, gives the
 orthonormal-frame gradient and covariant Hessian of a field, gathering the
-field once per axis; jet_operators gives the same maps as one shared sparse
-pattern and six rows of weights, column by column from frame_derivatives,
-for the Jacobian.
+field once per axis; jet_operators gives the same maps as the coordinates
+of one shared sparse pattern and six rows of weights, column by column from
+frame_derivatives, for the Jacobian.
 """
 
 from __future__ import annotations
@@ -223,34 +223,31 @@ def dphi2(mesh: SphereMesh, vals: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def jet_operators(mesh: SphereMesh) -> tuple:
-    """Read-only (indices, indptr, weights) of the maps from r to its 2-jet, cached per mesh shape.
+    """Read-only (rows, cols, weights) of the maps from r to its 2-jet, cached per mesh shape.
 
-    The maps (I, D_1, D_2, D_11, D_12, D_22) share one CSC pattern, the
-    union of their nonzeros, with row indices sorted within each column;
-    weights, shape (6, nnz), holds their values in that order.  Column j of
-    D_a is component a of frame_derivatives of the unit field at node j, so
-    D_a r is frame_derivatives(r)'s component a up to rounding.
+    The maps (I, D_1, D_2, D_11, D_12, D_22) share one pattern, the union of
+    their nonzeros, as coordinates with each (row, col) once, column by column;
+    weights, shape (6, nnz), holds their values there.  Column j of D_a is
+    component a of frame_derivatives of the unit field at node j, so D_a r is
+    frame_derivatives(r)'s component a up to rounding.
     """
     # Column j is the jet of the unit field at node j.  The six maps commute
     # with azimuthal rotation (the ghost map shifts every column by the same
     # offsets and the same through-pole shift n_phi/2; 1/sin and cot depend on
     # theta only), so one unit field per ring, turned, gives the ring's columns.
     n_theta, width = mesh.n_theta, max(mesh.n_phi, 1)
-    indices, weights, sizes = [], [], []
+    rows, cols, weights = [], [], []
     for i in range(n_theta):
         unit = np.zeros(mesh.shape)
         unit.flat[i * width] = 1.0
         jet = np.stack((unit,) + frame_derivatives(ScalarField(mesh, unit))).reshape(6, n_theta, width)
         a, b = np.nonzero(jet.any(axis=0))  # the union of the six maps' entries
-        turned = a * width + (b + np.arange(width)[:, None]) % width  # row k: azimuth k's rows
-        order = np.argsort(turned, axis=1)
-        indices.append(np.take_along_axis(turned, order, axis=1).ravel())
-        weights.append(jet[:, a, b][:, order].reshape(6, -1))
-        sizes.append(a.size)
-    indices, weights = np.concatenate(indices), np.hstack(weights)
-    indptr = np.concatenate(([0], np.cumsum(np.repeat(sizes, width))))
-    indices.flags.writeable = indptr.flags.writeable = weights.flags.writeable = False
-    return indices, indptr, weights
+        rows.append((a * width + (b + np.arange(width)[:, None]) % width).ravel())  # by azimuth
+        cols.append(np.repeat(np.arange(i * width, (i + 1) * width), a.size))
+        weights.append(np.tile(jet[:, a, b], width))
+    rows, cols, weights = np.concatenate(rows), np.concatenate(cols), np.hstack(weights)
+    rows.flags.writeable = cols.flags.writeable = weights.flags.writeable = False
+    return rows, cols, weights
 
 
 # -- frame derivatives -------------------------------------------------------

@@ -462,15 +462,18 @@ def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
 
     Barrier margins are relative to the constant-graph threshold zeta^2: the
     worst sampled (f - threshold) / threshold for r <= r1, and the worst
-    (threshold - f) / threshold for r >= r2.  The monotonicity margin is the
+    (threshold - f) / threshold for r >= r2, both at <nu, d_r> = 1 only: the
+    C^0 estimate reads them where r is extremal on the graph, so grad r = 0,
+    v = lambda and <nu, d_r> = lambda / v = 1.  The monotonicity margin is the
     worst (largest) sampled radial derivative of lambda^2 f, which must be
-    <= 0.  Margins are reported as found; an equality case within
-    finite-difference noise is flagged boundary_case.  f is evaluated and
-    reduced on its own broadcast shape (eval_f): an f of r alone is one
-    value per sampled radius, not ASSUMPTION_SAMPLES^3.  Each barrier samples
-    up to one annulus width beyond its edge, stopping 1e-3 of the warp
-    domain short of the domain's end, and never on the annulus side of r1
-    or r2.
+    <= 0; it enters the degree argument at every normal, so it is sampled
+    at ASSUMPTION_SAMPLES values of <nu, d_r> in (0, 1].  Margins are
+    reported as found; an equality case within finite-difference noise is
+    flagged boundary_case.  f is evaluated and reduced on its own broadcast
+    shape (eval_f): an f of r alone is one value per sampled radius, not
+    ASSUMPTION_SAMPLES^3.  Each barrier samples up to one annulus width
+    beyond its edge, stopping 1e-3 of the warp domain short of the domain's
+    end, and never on the annulus side of r1 or r2.
     """
     samples = ASSUMPTION_SAMPLES
     th, ph = _angular_samples(spec, samples)
@@ -481,19 +484,21 @@ def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
     width = spec.r2 - spec.r1
     pad = 1e-3 * (r_hi - r_lo)
 
-    def f_on(r_grid):
+    radial = np.ones(1)  # <nu, d_r> at an extremum of r, where the barriers are read
+
+    def f_on(r_grid, nu):
         """(f, lambda, lambda') on the sample tensor, each in its own compact shape
         (f spreads only along the variables it reads): lambda once per radius grid."""
         R = r_grid[:, None, None]
         lam, dlam = spec.profile.eval_lambda(R)
-        return eval_f(f_at, R, TH, PH, nur[None, None, :], lam, dlam), lam, dlam
+        return eval_f(f_at, R, TH, PH, nu[None, None, :], lam, dlam), lam, dlam
 
     def barrier(name, r_grid, inner_side):
         """f > threshold on the inner side, f < threshold on the outer side."""
-        f_val, lam, dlam = f_on(r_grid)
+        f_val, lam, dlam = f_on(r_grid, radial)
         thr = threshold(lam, dlam)
         gap = f_val - thr if inner_side else thr - f_val
-        m, at = _worst(gap / thr, r_grid, th, ph, nur, minimize=True)
+        m, at = _worst(gap / thr, r_grid, th, ph, radial, minimize=True)
         return AssumptionResult(name, m > STRICT_TOL, m, at, boundary_case=abs(m) <= STRICT_TOL)
 
     # radial monotonicity: d/dr (lambda^2 f) <= 0 on (r1, r2)
@@ -501,7 +506,7 @@ def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
     r_mid = np.linspace(spec.r1 + 2 * h, spec.r2 - 2 * h, samples)
 
     def g_on(r_grid):
-        vals, lam, _ = f_on(r_grid)
+        vals, lam, _ = f_on(r_grid, nur)
         return vals * lam ** 2
 
     # an f near the float range overflows a margin or lambda^2 f: that margin is

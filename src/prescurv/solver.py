@@ -152,25 +152,25 @@ def jacobian_sparse(spec: ProblemSpec, t: float, geom: GraphGeometry) -> np.ndar
     J_ij = (F_i(q_i + h_j d_ij) - F_i(q_i - h_j d_ij)) / 2h_j with F the
     pointwise kernel of residual: jacobian_fd's entry up to rounding.  The
     stored entries go through F in blocks of FD_CHUNK_NODES kernel values;
-    J's entries come back in the order of jet_operators' CSC pattern, as
+    J's entries come back at jet_operators' coordinates, in their order, as
     BlockLU reads them.  f is the node-bound f (f_at_nodes) gathered by row.
     A perturbed jet that raises Inadmissible fails the build with
     AdmissibilityError, as it fails jacobian_fd.  No residual of a whole
     field is evaluated.
     """
     mesh, n = geom.mesh, geom.mesh.n_nodes
-    indices, indptr, weights = jet_operators(mesh)
+    rows, cols, weights = jet_operators(mesh)
     jet = np.stack([geom.r, geom.r1, geom.r2, geom.r11, geom.r12, geom.r22]).reshape(6, n)
-    h = np.repeat(_fd_steps(jet[0]), np.diff(indptr))
+    h = _fd_steps(jet[0])[cols]
     f_nodes = spec.f_at_nodes(mesh)
-    data = np.empty(indices.size)
-    for lo in range(0, indices.size, FD_CHUNK_NODES // 2):
+    data = np.empty(rows.size)
+    for lo in range(0, rows.size, FD_CHUNK_NODES // 2):
         stored = slice(lo, lo + FD_CHUNK_NODES // 2)
-        rows, step = np.tile(indices[stored], 2), h[stored] * weights[:, stored]
+        at, step = np.tile(rows[stored], 2), h[stored] * weights[:, stored]
         try:
-            shifted = geometry_from_jet(spec.profile, *(jet[:, rows] + np.hstack([step, -step])))
+            shifted = geometry_from_jet(spec.profile, *(jet[:, at] + np.hstack([step, -step])))
             vals = _pointwise_residual(
-                t, HomotopyEndpoints(spec, shifted, f_nodes.take(rows))).reshape(2, -1)
+                t, HomotopyEndpoints(spec, shifted, f_nodes.take(at))).reshape(2, -1)
         except Inadmissible as exc:
             raise AdmissibilityError(f"Jacobian at t={t:g}: a perturbed 2-jet is inadmissible "
                                      f"({type(exc).__name__})") from exc
@@ -186,15 +186,14 @@ def _block_map(mesh: SphereMesh):
     (b <= n_theta): the stencils reach two rings, the pole included, so block
     row I of J lies in block columns I - 1 .. I + 1, side by side in row I of
     a (blocks, m, 3m) band.  The unknowns past the last node pad the last
-    diagonal block with a unit diagonal.
+    diagonal block with a unit diagonal, appended to jet_operators' coordinates.
     """
-    indices, indptr, _ = jet_operators(mesh)
+    rows, cols, _ = jet_operators(mesh)
     width = max(mesh.n_phi, 1)
     m = min(mesh.n_theta, max(2, -(-BLOCK_MIN // width))) * width
     blocks = -(-mesh.n_nodes // m)
     pad = np.arange(mesh.n_nodes, blocks * m)
-    rows = np.concatenate((indices, pad))
-    cols = np.concatenate((np.repeat(np.arange(mesh.n_nodes), np.diff(indptr)), pad))
+    rows, cols = np.concatenate((rows, pad)), np.concatenate((cols, pad))
     flat = rows * 3 * m + cols - (rows // m - 1) * m
     flat.flags.writeable = False
     return blocks, m, flat

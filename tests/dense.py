@@ -6,9 +6,8 @@ from prescurv.mesh import jet_operators
 
 
 def dense(mesh, entries):
-    """The n x n matrix holding entries on jet_operators(mesh)'s CSC pattern, zero elsewhere."""
-    indices, indptr, _ = jet_operators(mesh)
-    n = mesh.n_nodes
-    out = np.zeros((n, n))
-    out[indices, np.repeat(np.arange(n), np.diff(indptr))] = entries
+    """The n x n matrix holding entries at jet_operators(mesh)'s coordinates, zero elsewhere."""
+    rows, cols, _ = jet_operators(mesh)
+    out = np.zeros((mesh.n_nodes,) * 2)
+    out[rows, cols] = entries
     return out

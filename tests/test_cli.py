@@ -621,6 +621,16 @@ def test_solve_forced_past_outer_violation_breaks_down(tmp_path, capsys):
     assert "converged" not in capsys.readouterr().out
 
 
+def test_main_builds_its_parser_once_and_looks_up_its_handlers_per_call(tmp_path, monkeypatch):
+    """A cmd_* rebound after a first main call is the one the second call runs,
+    and the process has built the parser once."""
+    cfg = write_cfg(tmp_path, CLOSED_FORM)
+    assert main(["--config", cfg, "check-assumptions"]) == 0
+    monkeypatch.setattr(cli, "cmd_check_assumptions", lambda args: 7)
+    assert main(["--config", cfg, "check-assumptions"]) == 7
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_check_assumptions_command(tmp_path, capsys):
     good = write_cfg(tmp_path, CLOSED_FORM, "good.cfg")
     assert main(["--config", good, "check-assumptions"]) == 0
@@ -729,6 +739,7 @@ def test_headline_with_a_failing_angular_factor_exits_1_naming_it(tmp_path, caps
     ("check-assumptions", "custom_warp", 0),
     ("check-assumptions", "headline96", 0),
     ("check-assumptions", "hyperbolic_round", 0),
+    ("check-assumptions", "nu_weighted", 0),
     ("check-assumptions", "perturbed_axisym", 0),
     ("check-assumptions", "round128", 0),
     ("check-assumptions", "violates_outer", 3),
@@ -738,6 +749,7 @@ def test_headline_with_a_failing_angular_factor_exits_1_naming_it(tmp_path, caps
     ("solve", "custom_warp", 0),
     ("solve", "headline", 0),
     ("solve", "hyperbolic_round", 0),
+    ("solve", "nu_weighted", 0),
     ("solve", "perturbed_axisym", 0),
     ("solve", "round128", 0),
     ("solve", "violates_outer", 3),
@@ -759,39 +771,37 @@ def test_example_configs_run(tmp_path, command, name, code):
     assert np.array_equal(np.loadtxt(geo_path, delimiter=",", skiprows=1), expected)
 
 
+@pytest.mark.parametrize("factor,code", [
+    ("nur^(-1)", 0), ("nur^(-4)", 0), ("nur^(-16)", 0), ("(1 + 2*nur^64)", 3),
+], ids=["q1", "q4", "q16", "outer-broken-at-radial-normal"])
+def test_barriers_read_f_at_the_radial_normal_only(tmp_path, factor, code):
+    """The barriers are read at <nu, d_r> = 1: the 32x16 headline times
+    nur^(-q) equals the headline there, and passes the check and solves
+    without --force; an f that is 3 times the headline near <nu, d_r> = 1
+    alone breaks the outer barrier there and exits 3 both ways."""
+    headline = open(os.path.join(CONFIGS, "nu_weighted.cfg")).read()
+    cfg = write_cfg(tmp_path, set_keys(headline, f"f.expr = 1/r^2*exp(1.25-r)*"
+                                                 f"(1+0.03*sin(th)*cos(ph))*{factor}"))
+    assert main(["--config", cfg, "check-assumptions"]) == code
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == code
+    report = open(os.path.join(tmp_path, "o", "report.txt")).read()
+    assert f"outer_barrier.passed = {str(code == 0).lower()}" in report
+    for barrier in ("inner_barrier", "outer_barrier"):
+        assert re.search(rf"^{barrier}\.worst_point = .*,1\.0$", report, re.M), barrier
+
+
 def config_paths():
     return sorted(os.path.abspath(os.path.join(CONFIGS, name))
                   for name in os.listdir(CONFIGS) if name.endswith(".cfg"))
 
 
-def test_importing_and_building_every_problem_does_not_import_scipy():
-    """Importing the package and the CLI and building the problem of every
-    config leave scipy and numpy.polynomial unloaded.
-    verify_geometry.cfg has no problem section, so building one fails."""
-    code = ("import sys\n"
-            "import prescurv\n"
-            "import prescurv.cli\n"
-            "from prescurv.config import build_problem, parse_config\n"
-            "from prescurv.errors import ConfigError\n"
-            f"for cfg in {config_paths()!r}:\n"
-            "    try:\n"
-            "        build_problem(parse_config(cfg))\n"
-            "    except ConfigError:\n"
-            "        assert cfg.endswith('verify_geometry.cfg'), cfg\n"
-            "    assert 'scipy' not in sys.modules, cfg\n"
-            "    assert 'numpy.polynomial' not in sys.modules, cfg\n")
-    proc = run_python(["-c", code])
-    assert proc.returncode == 0, proc.stderr
-
-
-# In a fresh process where scipy cannot be imported (sys.modules["scipy"] is
-# None, so any scipy import raises), run cli.main on each argument list and
-# print one line per run: its exit code and whether it printed jacobians=0;
+# In a fresh process, run cli.main on each argument list and print one line
+# per run: its exit code, whether it printed jacobians=0, and which of
+# numpy.polynomial, scipy, scipy.optimize and scipy.sparse.linalg are loaded;
 # then check that every prescurv module kept its set of module-level names
 # (selftest, which the CLI imports on first use, is imported first).
-RUN_MAIN_WITHOUT_SCIPY = """
+RUN_MAIN = """
 import contextlib, io, json, sys
-sys.modules['scipy'] = None
 import prescurv.cli, prescurv.selftest
 def names():
     return {m: sorted(vars(mod)) for m, mod in sys.modules.items()
@@ -801,75 +811,40 @@ for args in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = prescurv.cli.main(args)
-    print(json.dumps([code, 'jacobians=0' in out.getvalue()]))
+    watched = ('numpy.polynomial', 'scipy', 'scipy.optimize', 'scipy.sparse.linalg')
+    print(json.dumps([code, 'jacobians=0' in out.getvalue(),
+                      [m for m in watched if m in sys.modules]]))
 assert names() == before, 'module-level names changed'
-assert sys.modules['scipy'] is None
-"""
-
-
-def test_no_run_imports_scipy_or_rebinds_a_module_name(tmp_path):
-    """Every kind of run keeps its exit code with scipy unimportable: solves
-    that build a Jacobian (full, reduced, custom warp), round solves that
-    build none, a refused solve, every check-assumptions run, verify-geometry,
-    selftest and a sweep; and no run rebinds a prescurv module-level name."""
-    cfgs = {os.path.basename(p)[:-4]: p for p in config_paths()}
-    runs, expected = [], []
-    for name in ("headline", "perturbed_axisym", "custom_warp"):
-        runs.append(["--config", cfgs[name], "--out", str(tmp_path / name), "solve"])
-        expected.append([0, False])
-    for name in ("closed_form", "builtin_round", "hyperbolic_round"):
-        runs.append(["--config", cfgs[name], "--out", str(tmp_path / name), "solve"])
-        expected.append([0, True])
-    runs.append(["--config", cfgs["violates_outer"], "--out", str(tmp_path / "v"), "solve"])
-    expected.append([3, False])
-    for name, path in cfgs.items():
-        runs.append(["--config", path, "check-assumptions"])
-        expected.append([{"violates_outer": 3, "verify_geometry": 2}.get(name, 0), False])
-    runs.append(["--config", cfgs["verify_geometry"], "verify-geometry"])
-    expected.append([0, False])
-    runs.append(["selftest"])
-    expected.append([0, False])
-    runs.append(["--config", cfgs["custom_warp"], "--out", str(tmp_path / "sweep"), "sweep",
-                 "--key", "phi.rm", "--values", "1.2,1.3"])
-    expected.append([0, False])
-    proc = run_python(["-c", RUN_MAIN_WITHOUT_SCIPY, json.dumps(runs)])
-    assert proc.returncode == 0, proc.stderr
-    got = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert list(zip(runs, got)) == list(zip(runs, expected))
-
-
-# In a fresh process, run cli.main on each argument list and print one line
-# per run: exit code, whether scipy, scipy.sparse.linalg and scipy.optimize
-# are loaded, and whether the run printed jacobians=0.
-RUN_MAIN = """
-import contextlib, io, json, sys
-from prescurv.cli import main
-for args in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(args)
-    print(json.dumps([code, 'scipy' in sys.modules, 'scipy.sparse.linalg' in sys.modules,
-                      'scipy.optimize' in sys.modules, 'jacobians=0' in out.getvalue()]))
 """
 
 
 def test_runs_that_build_no_jacobian_do_not_import_scipy(tmp_path):
-    """Round solves, a refused solve, every check-assumptions run and
-    verify-geometry build no Jacobian, and never load scipy even where it
-    can be imported."""
+    """No kind of run loads scipy or numpy.polynomial, even where scipy can be
+    imported, and none rebinds a prescurv module-level name; each keeps its
+    exit code.  The runs: solves that build a Jacobian (full, reduced, custom
+    warp), round solves that build none, a refused solve, check-assumptions
+    on every config (which imports the package and builds the config's
+    problem), verify-geometry, selftest and a sweep."""
     cfgs = {os.path.basename(p)[:-4]: p for p in config_paths()}
     runs, expected = [], []
+    for name in ("headline", "perturbed_axisym", "custom_warp"):
+        runs.append(["--config", cfgs[name], "--out", str(tmp_path / name), "solve"])
+        expected.append([0, False, []])
     for name in ("closed_form", "builtin_round", "hyperbolic_round"):
         runs.append(["--config", cfgs[name], "--out", str(tmp_path / name), "solve"])
-        expected.append([0, False, False, False, True])
+        expected.append([0, True, []])
     runs.append(["--config", cfgs["violates_outer"], "--out", str(tmp_path / "v"), "solve"])
-    expected.append([3, False, False, False, False])
+    expected.append([3, False, []])
     for name, path in cfgs.items():
         runs.append(["--config", path, "check-assumptions"])
-        code = {"violates_outer": 3, "verify_geometry": 2}.get(name, 0)
-        expected.append([code, False, False, False, False])
+        expected.append([{"violates_outer": 3, "verify_geometry": 2}.get(name, 0), False, []])
     runs.append(["--config", cfgs["verify_geometry"], "verify-geometry"])
-    expected.append([0, False, False, False, False])
+    expected.append([0, False, []])
+    runs.append(["selftest"])
+    expected.append([0, False, []])
+    runs.append(["--config", cfgs["custom_warp"], "--out", str(tmp_path / "sweep"), "sweep",
+                 "--key", "phi.rm", "--values", "1.2,1.3"])
+    expected.append([0, False, []])
     proc = run_python(["-c", RUN_MAIN, json.dumps(runs)])
     assert proc.returncode == 0, proc.stderr
     got = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -877,31 +852,26 @@ def test_runs_that_build_no_jacobian_do_not_import_scipy(tmp_path):
 
 
 def test_a_jacobian_build_imports_scipy_and_rebinds_no_module_name(tmp_path):
-    """The positive control of RUN_MAIN's scipy columns: with BlockLU
-    replaced by scipy's splu (the factor Newton used before it), a solve
-    that builds a Jacobian loads scipy.sparse.linalg but not scipy.optimize,
-    and every prescurv module keeps its set of module-level names."""
-    code = ("import json, sys\n"
-            "import prescurv.cli\n"
-            "from prescurv import solver\n"
+    """The positive control of RUN_MAIN's columns: with BlockLU replaced by
+    scipy's splu (the factor Newton used before it), a solve that builds a
+    Jacobian loads scipy.sparse.linalg, and numpy.polynomial with it, but not
+    scipy.optimize, and every prescurv module keeps its set of module-level
+    names."""
+    code = ("from prescurv import solver\n"
             "from prescurv.mesh import jet_operators\n"
             "def splu_factor(mesh, entries):\n"
             "    from scipy.sparse import csc_array\n"
             "    from scipy.sparse.linalg import splu\n"
-            "    indices, indptr, _ = jet_operators(mesh)\n"
-            "    return splu(csc_array((entries, indices, indptr), shape=(mesh.n_nodes,) * 2))\n"
+            "    rows, cols, _ = jet_operators(mesh)\n"
+            "    return splu(csc_array((entries, (rows, cols)), shape=(mesh.n_nodes,) * 2))\n"
             "solver.BlockLU = splu_factor\n"
-            "def names():\n"
-            "    return {m: sorted(vars(mod)) for m, mod in sys.modules.items()\n"
-            "            if m == 'prescurv' or m.startswith('prescurv.')}\n"
-            "before = names()\n"
-            + RUN_MAIN +
-            "assert names() == before, 'module-level names changed'\n")
+            + RUN_MAIN)
     cfg = os.path.abspath(os.path.join(CONFIGS, "perturbed_axisym.cfg"))
     runs = [["--config", cfg, "--out", str(tmp_path / "o"), "solve"]]
     proc = run_python(["-c", code, json.dumps(runs)])
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, True, True, False, False]
+    loaded = ["numpy.polynomial", "scipy", "scipy.sparse.linalg"]
+    assert json.loads(proc.stdout) == [0, False, loaded]
 
 
 def run_python(args):

@@ -473,12 +473,13 @@ def _bits(report):
 
 
 COMPACT_CASES = list(every_kind_of_f(build_mesh(16, 8))) + [
-    parse_f("2"), parse_f("1 + nur^2"), parse_f("2 + sin(th)"), parse_f("1e308")]
+    parse_f("2"), parse_f("1 + nur^2"), parse_f("2 + sin(th)"), parse_f("1e308"),
+    parse_f("1/r^2*exp(1.25-r)*(1+0.03*sin(th)*cos(ph))*(1 + 2*nur^64)")]
 
 
 @pytest.mark.parametrize("f", COMPACT_CASES,
                          ids=["expression", "round-exponential", "manufactured", "constant",
-                              "nur-only", "th-only", "overflow"])
+                              "nur-only", "th-only", "overflow", "barrier-reads-nur"])
 def test_check_assumptions_on_compact_f_matches_the_full_sample_tensor(monkeypatch, f):
     """eval_f returns f in its own broadcast shape, and check_assumptions
     reduces on it: the report equals, margins and worst points bit for bit,

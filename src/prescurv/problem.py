@@ -518,13 +518,9 @@ def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
         outer = barrier("outer_barrier", np.linspace(spec.r2, outer_end, samples), False)
         deriv = (g_on(r_mid + h) - g_on(r_mid - h)) / (2.0 * h)
         m15, at15 = _worst(deriv, r_mid, th, ph, nur, minimize=False)
-        # equality cases sit inside the FD noise floor eps * |g| / h
-        noise = 10.0 * np.finfo(float).eps * float(np.max(np.abs(g_on(r_mid)))) / h
-    mono = AssumptionResult(
-        "radial_monotonicity",
-        m15 <= max(STRICT_TOL, noise),
-        m15,
-        at15,
-        boundary_case=abs(m15) <= max(STRICT_TOL, noise),
-    )
+        # equality cases sit inside each sample's FD noise floor eps * |g| / h
+        floor = np.maximum(STRICT_TOL, 10.0 * np.finfo(float).eps * np.abs(g_on(r_mid)) / h)
+    passed = bool(np.all(deriv <= floor))
+    mono = AssumptionResult("radial_monotonicity", passed, m15, at15,
+                            boundary_case=passed and bool(np.any(deriv >= -floor)))
     return AssumptionReport(inner, outer, mono)

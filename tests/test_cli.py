@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -629,6 +630,38 @@ def test_main_builds_its_parser_once_and_looks_up_its_handlers_per_call(tmp_path
     monkeypatch.setattr(cli, "cmd_check_assumptions", lambda args: 7)
     assert main(["--config", cfg, "check-assumptions"]) == 7
     assert cli._parser.cache_info().misses == 1
+
+
+BUILD_FAULTS = """
+import resource, sys
+import numpy as np
+from prescurv.cli import main
+from prescurv.config import build_problem, parse_config
+from prescurv.geometry import compute_geometry
+from prescurv.mesh import ScalarField
+from prescurv.solver import jacobian_sparse
+main(["--config", sys.argv[1], "check-assumptions"])
+spec, mesh, _ = build_problem(parse_config(sys.argv[1]))
+geom = compute_geometry(mesh, ScalarField(mesh, np.full(mesh.shape, 1.25)), spec.profile)
+jacobian_sparse(spec, 0.5, geom)
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    jacobian_sparse(spec, 0.5, geom)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_after_a_main_call_repeated_builds_fault_in_no_fresh_pages():
+    """Once main has run in a process, 64x32 Jacobian builds at the round state
+    reuse the heap pages of the first: without that, glibc unmaps each freed
+    temporary and every build faults some 400-1200 pages in again.  The median
+    of five builds is read, because the heap may grow once more (about 100
+    pages) at any one of them."""
+    proc = run_python(["-c", BUILD_FAULTS, os.path.join(CONFIGS, "headline.cfg")])
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(line) for line in proc.stdout.splitlines()[-5:]]
+    assert sorted(faults)[2] < 50, faults
 
 
 def test_check_assumptions_command(tmp_path, capsys):

@@ -456,6 +456,17 @@ def test_barriers_sample_outside_the_annulus_near_the_domain_ends(domain, r1, ex
     assert barrier.passed and barrier.margin > 0 and barrier.worst_point[0] == edge
 
 
+@pytest.mark.parametrize("factor", ["", " * nur^(-16)"], ids=["plain", "nur-weighted"])
+def test_monotonicity_noise_floor_is_each_samples_own(factor):
+    """d/dr (lambda^2 f) reaches +1199.5 at nur = 1 on both; nur^(-16) makes
+    lambda^2 f some 1e17 times larger at nur = 1/12, which must not lift the
+    noise floor at nur = 1."""
+    f = parse_f(f"exp(1.25 - r)/r^2{factor} + 100*r")
+    mono = check_assumptions(closed_form_spec(f=f)).radial_monotonicity
+    assert mono.margin == pytest.approx(1199.5, abs=0.1)
+    assert not mono.passed and not mono.boundary_case
+
+
 def test_check_assumptions_overflow_fails_without_a_warning():
     """f = 1e308 overflows the outer margin and lambda^2 f: those margins are
     -inf and nan and fail, and numpy warns nothing (warnings are errors here)."""
